@@ -61,6 +61,7 @@ from .errors import (
     ContractionError,
     ConventionError,
     DimensionError,
+    NonFiniteError,
     NumericalError,
     PositivityError,
     SupportError,

@@ -19,13 +19,27 @@ from __future__ import annotations
 import cmath
 import csv
 import io
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .channels import PathChannel, Preparation, block_choi, block_map
-from .errors import ContractionError, DimensionError, SupportError
-from .linalg import ATOL_DERIVED, ATOL_STRUCT, hermitian_part, ket, matrix_sqrt
+from .errors import (
+    ContractionError,
+    DimensionError,
+    NonFiniteError,
+    NumericalError,
+    SupportError,
+)
+from .linalg import (
+    ATOL_DERIVED,
+    ATOL_STRUCT,
+    factor_sandwich,
+    hermitian_part,
+    ket,
+    matrix_sqrt,
+)
 
 __all__ = [
     "BoundCertificate",
@@ -80,6 +94,11 @@ class FractionalVisibilityRecord:
     sigma_v: float = 0.0
 
     def __post_init__(self):
+        reals = (self.p, self.sigma_p, self.sigma_v)
+        if not (all(math.isfinite(x) for x in reals) and cmath.isfinite(self.visibility)):
+            raise NonFiniteError(
+                f"record ({self.mu}, {self.nu}) holds a NaN or infinite value"
+            )
         if not 0.0 <= self.p <= 1.0 + 1e-12:
             raise DimensionError(f"filtering probability {self.p} outside [0, 1]")
         if self.sigma_p < 0 or self.sigma_v < 0:
@@ -136,7 +155,8 @@ def fractional_visibility(
     """Exact theory record for a pure preparation and one filter pair.
 
     Computed directly from the block maps and independently through the
-    replica-tensor form; the two must agree within 1e-10.
+    replica-tensor form; the two must agree within 1e-10, else
+    :class:`NumericalError` is raised.
     """
     psi0, psi1 = _pure_pair(prep)
     d = ch.spin_dim
@@ -151,8 +171,9 @@ def fractional_visibility(
     )
 
     def tensor_route(i, j, left0, left1, right0, right1):
-        probe = np.kron(np.outer(left0, left1.conj()).T, np.outer(right1, right0.conj()))
-        return d * np.trace(probe @ block_choi(ch, i, j))
+        # d Tr(probe M) for the rank-one probe (left1* x right1)(left0 x right0*)^T
+        probe = np.outer(np.outer(left1.conj(), right1), np.outer(left0, right0.conj()))
+        return d * np.sum(probe * block_choi(ch, i, j).T)
 
     v_tensor = tensor_route(0, 1, psi0, psi1, chi0, chi1)
     p_tensor = 0.5 * (
@@ -160,7 +181,7 @@ def fractional_visibility(
         + tensor_route(1, 1, psi1, psi1, chi1, chi1).real
     )
     if abs(v_direct - v_tensor) > 1e-10 or abs(p_direct - p_tensor) > 1e-10:
-        raise DimensionError("direct and tensor routes disagree beyond 1e-10")
+        raise NumericalError("direct and tensor routes disagree beyond 1e-10")
 
     if not mu and isinstance(prep, Preparation):
         mu = prep.label
@@ -224,7 +245,6 @@ def verify_alpha_constraint(
     rho0 = np.asarray(rho0, dtype=complex)
     rho1 = np.asarray(rho1, dtype=complex)
     d = rho0.shape[0]
-    eye = np.eye(d)
 
     left = np.zeros((d * d, d * d), dtype=complex)
     for (mu, nu), alpha in alphas.items():
@@ -246,14 +266,14 @@ def verify_alpha_constraint(
     p1, inv1 = _support_projector(s1t)
 
     norm_l = np.linalg.norm(left)
-    projected = np.kron(p1, eye) @ left @ np.kron(p0, eye)
+    projected = factor_sandwich(p1, left, p0)
     if np.linalg.norm(left - projected) > tol * max(norm_l, 1e-12):
         raise SupportError(
             "combination leaks outside the support of the preparation states; "
             "no contraction factorization exists"
         )
 
-    u_hat = np.kron(inv1, eye) @ left @ np.kron(inv0, eye)
+    u_hat = factor_sandwich(inv1, left, inv0)
     gram = u_hat.conj().T @ u_hat
     slack = float(np.linalg.eigvalsh(hermitian_part(gram)).max() - 1.0)
     if slack > tol:

@@ -4,12 +4,16 @@ A particle split over two interferometer arms with a d-dimensional internal
 (spin) subsystem experiences channels that never transfer amplitude between
 the arms. Every Kraus operator of such a channel is block diagonal in the
 path basis, K_k = |0><0| x A_k + |1><1| x B_k, so the channel is stored as
-the list of pairs (A_k, B_k). The four block maps are
+one stacked complex array ``kraus`` of shape (K, 2, d, d) with
+``kraus[k, 0] = A_k`` and ``kraus[k, 1] = B_k``. The four block maps are
 
     L_ij(sigma) = sum_k K^(i)_k sigma K^(j)_k^dag,   K^(0) = A, K^(1) = B,
 
 the diagonal blocks being the per-arm channels and the 01 block carrying the
-inter-arm coherence.
+inter-arm coherence. The production kernels (:func:`block_choi`,
+:func:`dilate`) are reshapes and single matrix products on that array;
+:func:`choi_state` and :func:`apply_via_choi` keep the explicit Kronecker
+products as independent oracles.
 """
 
 from __future__ import annotations
@@ -18,14 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, PositivityError
+from .errors import DimensionError, NonFiniteError, PositivityError
 from .linalg import (
     ATOL_DERIVED,
     ATOL_STRUCT,
     dagger,
     hermitian_part,
     ket,
-    max_entangled_state,
     partial_trace,
 )
 
@@ -195,16 +198,20 @@ class PathSpinState:
 
 @dataclass(frozen=True)
 class PathChannel:
-    """Path-preserving channel stored as Kraus pairs (A_k, B_k).
+    """Path-preserving channel stored as one stacked Kraus array.
 
-    Trace preservation (sum A^dag A = sum B^dag B = 1) is enforced at
-    construction within 1e-9.
+    ``kraus`` has shape (K, 2, d, d): ``kraus[k, 0]`` is A_k and
+    ``kraus[k, 1]`` is B_k. It is built once at construction and is read-only;
+    ``kraus_pairs`` holds the pairs (A_k, B_k) as views into it. Entries must
+    be finite, and trace preservation (sum A^dag A = sum B^dag B = 1) is
+    enforced within 1e-9.
     """
 
     spin_dim: int
     kraus_pairs: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
     label: str = ""
     metadata: dict = field(default_factory=dict, compare=False)
+    kraus: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.spin_dim
@@ -219,18 +226,23 @@ class PathChannel:
         for a, b in pairs:
             if a.shape != (d, d) or b.shape != (d, d):
                 raise DimensionError("Kraus blocks must be d x d")
-        object.__setattr__(self, "kraus_pairs", pairs)
-        eye = np.eye(d)
+        kraus = np.array(pairs, dtype=complex)
+        if not np.isfinite(kraus).all():
+            raise NonFiniteError("Kraus blocks hold a NaN or infinite entry")
+        kraus.flags.writeable = False
+        object.__setattr__(self, "kraus", kraus)
+        object.__setattr__(self, "kraus_pairs", tuple((k[0], k[1]) for k in kraus))
+        gram = np.einsum("ksji,ksjl->sil", kraus.conj(), kraus)
+        err = np.abs(gram - np.eye(d)).max(axis=(1, 2))
         for name, side in (("A", 0), ("B", 1)):
-            acc = sum(dagger(p[side]) @ p[side] for p in pairs)
-            if np.max(np.abs(acc - eye)) > ATOL_DERIVED:
+            if err[side] > ATOL_DERIVED:
                 raise PositivityError(
                     f"{name}-side Kraus blocks are not trace preserving within 1e-9"
                 )
 
     @property
     def n_kraus(self) -> int:
-        return len(self.kraus_pairs)
+        return self.kraus.shape[0]
 
     def blocks(self, i: int, j: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """Kraus factor pairs (K^(i)_k, K^(j)_k) of the (i, j) block map."""
@@ -264,15 +276,17 @@ def apply_channel(ch: PathChannel, state: PathSpinState) -> PathSpinState:
 
 def block_choi(ch: PathChannel, i: int, j: int) -> np.ndarray:
     """(I x L_ij) acting on the maximally entangled projector of two spin
-    replicas; a d^2 x d^2 matrix that fully encodes the block map."""
-    d = ch.spin_dim
-    phi = max_entangled_state(d)
-    proj = np.outer(phi, phi.conj())
-    eye = np.eye(d)
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for ki, kj in ch.blocks(i, j):
-        out += np.kron(eye, ki) @ proj @ dagger(np.kron(eye, kj))
-    return out
+    replicas; a d^2 x d^2 matrix that fully encodes the block map.
+
+    Since (1 x K)|Phi+> is vec(K^T)/sqrt(d), this is the Gram matrix
+    X Y^dag / d of the vectorized transposed Kraus factors.
+    """
+    if i not in (0, 1) or j not in (0, 1):
+        raise DimensionError("path indices must be 0 or 1")
+    d, k = ch.spin_dim, ch.n_kraus
+    x = ch.kraus[:, i].transpose(2, 1, 0).reshape(d * d, k)
+    y = ch.kraus[:, j].transpose(2, 1, 0).reshape(d * d, k)
+    return x @ y.conj().T / d
 
 
 def choi_state(ch: PathChannel) -> np.ndarray:
@@ -346,15 +360,13 @@ class Dilation:
 
 
 def dilate(ch: PathChannel) -> Dilation:
-    """Canonical dilation: one environment basis ket per Kraus pair."""
+    """Canonical dilation: one environment basis ket per Kraus pair.
+
+    Row m*K + n of v_i is row m of the n-th Kraus factor on side i.
+    """
     d, k = ch.spin_dim, ch.n_kraus
-    v0 = np.zeros((d * k, d), dtype=complex)
-    v1 = np.zeros((d * k, d), dtype=complex)
-    for n, (a, b) in enumerate(ch.kraus_pairs):
-        e = ket(n, k).reshape(k, 1)
-        v0 += np.kron(a, e)
-        v1 += np.kron(b, e)
-    return Dilation(d, k, v0, v1)
+    v = ch.kraus.transpose(1, 2, 0, 3).reshape(2, d * k, d)
+    return Dilation(d, k, v[0], v[1])
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,12 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text + "\n")
 
 
+def _fixed(x: float, digits: int = 4) -> str:
+    """x in fixed point; a value that rounds to zero prints without a sign,
+    so round-off below the printed precision never shows as "-0.0000"."""
+    return f"{round(x, digits) + 0.0:.{digits}f}"
+
+
 def cmd_vg(args) -> int:
     ch = parse_channel(args.channel, args.d)
     prep = parse_preparation(args.prep, args.d)
@@ -155,7 +161,7 @@ def cmd_verify(args) -> int:
         f"D     = {d_val:.4f}",
         f"V_G   = {v_val:.4f}",
         f"D_max = {bound:.4f}  (sqrt(1 - V_G^2))",
-        f"slack = {slack:.4f}  (1 - D^2 - V_G^2)",
+        f"slack = {_fixed(slack)}  (1 - D^2 - V_G^2)",
     ]
     _emit("\n".join(lines), args.out)
     return EXIT_OK if slack >= -args.tol else EXIT_VIOLATION

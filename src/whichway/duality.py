@@ -7,10 +7,18 @@ map L_01 acting on the second replica of the spin space,
 
     V_G = d * || (I x L_01)( (1 x sqrt(rho0)) |Phi+><Phi+| (1 x sqrt(rho1)) ) ||_1 ,
 
-and the two always satisfy D^2 + V_G^2 <= 1. V_G admits the equivalent
-sandwich form d * || (sqrt(rho0)^T x 1) M (sqrt(rho1)^T x 1) ||_1 with
-M = (I x L_01)(|Phi+><Phi+|); both routes are computed and cross-checked on
-every call.
+and the two always satisfy D^2 + V_G^2 <= 1. With s_i = sqrt(rho_i), the
+operator inside the norm is computed by two differently associated routes,
+cross-checked on every call:
+
+- the sandwich route contracts the square-root factors into
+  M = (I x L_01)(|Phi+><Phi+|), the Gram matrix of the Kraus factors, giving
+  (s0^T x 1) M (s1^T x 1);
+- the state route multiplies the square roots into the Kraus factors first,
+  A_k s0 and B_k s1, and takes the Gram matrix of those.
+
+The environment states are the Gram matrices Tr(A_k rho A_l^dag) of the
+dilation, read off without forming the dK x dK operator v rho v^dag.
 """
 
 from __future__ import annotations
@@ -25,10 +33,9 @@ from .linalg import (
     ATOL_DERIVED,
     SpinState,
     dagger,
+    factor_sandwich,
     hermitian_part,
     matrix_sqrt,
-    max_entangled_state,
-    partial_trace,
     trace_norm,
 )
 
@@ -50,7 +57,8 @@ def environment_states(dil: Dilation, prep: Preparation) -> tuple[SpinState, Spi
     """Normalized environment states correlated with arm 0 and arm 1.
 
     For the isometries v_i and per-arm inputs rho_i these are
-    Tr_spin(v_i rho_i v_i^dag).
+    Tr_spin(v_i rho_i v_i^dag), the Gram matrix Tr(A_k rho_i A_l^dag) of the
+    Kraus factors A_k = v_i[:, k, :] of v_i viewed as a (d, K, d) array.
     """
     if dil.spin_dim != prep.spin_dim:
         raise DimensionError("dilation and preparation spin dimensions differ")
@@ -58,8 +66,10 @@ def environment_states(dil: Dilation, prep: Preparation) -> tuple[SpinState, Spi
     out = []
     for i, rho in enumerate((prep.rho0, prep.rho1)):
         v = dil.isometry(i)
-        env = partial_trace(v @ rho @ dagger(v), (d, k), keep=1)
-        out.append(SpinState(k, hermitian_part(env)))
+        # row k of x is A_k rho flattened, row k of y is A_k flattened
+        x = (v @ rho).reshape(d, k, d).transpose(1, 0, 2).reshape(k, d * d)
+        y = v.reshape(d, k, d).transpose(1, 0, 2).reshape(k, d * d)
+        out.append(SpinState(k, hermitian_part(x @ y.conj().T)))
     return out[0], out[1]
 
 
@@ -72,42 +82,48 @@ def distinguishability(e0, e1) -> float:
     return 0.5 * trace_norm(m0 - m1)
 
 
+def _check_dims(ch: PathChannel, prep: Preparation) -> None:
+    if ch.spin_dim != prep.spin_dim:
+        raise DimensionError("channel and preparation spin dimensions differ")
+
+
+def _sandwich_route(ch: PathChannel, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
+    """(s0^T x 1) M (s1^T x 1) with M = block_choi(ch, 0, 1)."""
+    return factor_sandwich(s0.T, block_choi(ch, 0, 1), s1.T)
+
+
+def _state_route(ch: PathChannel, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
+    """Gram matrix of the vectorized (A_k s0)^T and (B_k s1)^T over d."""
+    d, k = ch.spin_dim, ch.n_kraus
+    x = (ch.kraus[:, 0] @ s0).transpose(2, 1, 0).reshape(d * d, k)
+    y = (ch.kraus[:, 1] @ s1).transpose(2, 1, 0).reshape(d * d, k)
+    return x @ y.conj().T / d
+
+
 def visibility_operator(ch: PathChannel, prep: Preparation) -> np.ndarray:
     """The operator N whose trace norm (times d) is the generalized
     visibility: N = (sqrt(rho0)^T x 1) M (sqrt(rho1)^T x 1)."""
-    if ch.spin_dim != prep.spin_dim:
-        raise DimensionError("channel and preparation spin dimensions differ")
-    d = ch.spin_dim
-    eye = np.eye(d)
-    m01 = block_choi(ch, 0, 1)
-    s0t = matrix_sqrt(prep.rho0).T
-    s1t = matrix_sqrt(prep.rho1).T
-    return np.kron(s0t, eye) @ m01 @ np.kron(s1t, eye)
+    _check_dims(ch, prep)
+    return _sandwich_route(ch, matrix_sqrt(prep.rho0), matrix_sqrt(prep.rho1))
 
 
 def _visibility_state_route(ch: PathChannel, prep: Preparation) -> float:
-    d = ch.spin_dim
-    eye = np.eye(d)
-    phi = max_entangled_state(d)
-    proj = np.outer(phi, phi.conj())
-    s0 = matrix_sqrt(prep.rho0)
-    s1 = matrix_sqrt(prep.rho1)
-    sandwiched = np.kron(eye, s0) @ proj @ np.kron(eye, s1)
-    out = np.zeros_like(sandwiched)
-    for a, b in ch.kraus_pairs:
-        out += np.kron(eye, a) @ sandwiched @ dagger(np.kron(eye, b))
-    return d * trace_norm(out)
+    _check_dims(ch, prep)
+    s0, s1 = matrix_sqrt(prep.rho0), matrix_sqrt(prep.rho1)
+    return ch.spin_dim * trace_norm(_state_route(ch, s0, s1))
 
 
 def generalized_visibility(ch: PathChannel, prep: Preparation) -> float:
     """Generalized visibility of the channel for the given preparation.
 
-    Both computation routes (entangled-state form and the sandwich form) are
-    evaluated and must agree within 1e-9.
+    Both computation routes (sandwich form and state form) are evaluated
+    from the same square roots and must agree within 1e-9.
     """
+    _check_dims(ch, prep)
     d = ch.spin_dim
-    value = d * trace_norm(visibility_operator(ch, prep))
-    alt = _visibility_state_route(ch, prep)
+    s0, s1 = matrix_sqrt(prep.rho0), matrix_sqrt(prep.rho1)
+    value = d * trace_norm(_sandwich_route(ch, s0, s1))
+    alt = d * trace_norm(_state_route(ch, s0, s1))
     if abs(value - alt) > ATOL_DERIVED:
         raise NumericalError(
             f"visibility routes disagree: {value!r} vs {alt!r}"

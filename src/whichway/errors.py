@@ -9,6 +9,10 @@ class DimensionError(WhichWayError, ValueError):
     """Operands have incompatible or invalid dimensions."""
 
 
+class NonFiniteError(WhichWayError, ValueError):
+    """An input holds a NaN or infinite entry where a finite number is required."""
+
+
 class PositivityError(WhichWayError, ValueError):
     """A matrix required to be Hermitian positive semidefinite is not."""
 

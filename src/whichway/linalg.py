@@ -1,8 +1,10 @@
 """Dense complex linear algebra on small operators.
 
-All operators are plain complex ``numpy.ndarray``s in row-major layout; the
-matrices appearing anywhere in this package are at most 4*d^2 x 4*d^2 with
-spin dimension d <= 4, so robustness is preferred over speed throughout.
+All operators are plain complex ``numpy.ndarray``s in row-major layout.
+Spin dimensions up to d = 8 are routine (operators on two spin replicas are
+then 64 x 64), and speed matters: the production kernels never lift a d x d
+factor to C^d x C^d with ``np.kron(np.eye(d), .)``, but contract reshaped
+arrays instead (:func:`factor_sandwich` and the channel kernels).
 
 Tolerance policy: structural checks on constructed objects use
 ``ATOL_STRUCT`` (1e-10), derived numerical identities use ``ATOL_DERIVED``
@@ -25,6 +27,7 @@ __all__ = [
     "ATOL_DERIVED",
     "SpinState",
     "dagger",
+    "factor_sandwich",
     "fidelity",
     "hermitian_part",
     "is_hermitian",
@@ -128,6 +131,18 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray
     if keep == 1:
         return np.einsum("abad->bd", t)
     raise DimensionError("keep must be 0 or 1")
+
+
+def factor_sandwich(left: np.ndarray, m: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(left x 1) m (right x 1) for a d^2 x d^2 matrix m on C^d x C^d.
+
+    Contracts the first tensor factor of m with ``left`` from the left and
+    with ``right`` from the right through reshapes, never forming the
+    d^2 x d^2 lifts of the d x d factors.
+    """
+    d = left.shape[0]
+    t = (left @ m.reshape(d, d**3)).reshape(d * d, d, d)
+    return (t.swapaxes(1, 2) @ right).swapaxes(1, 2).reshape(d * d, d * d)
 
 
 def max_entangled_state(d: int) -> np.ndarray:

@@ -14,6 +14,8 @@ from whichway import (
     DimensionError,
     FilterPair,
     FractionalVisibilityRecord,
+    NonFiniteError,
+    NumericalError,
     PathChannel,
     Preparation,
     SupportError,
@@ -104,6 +106,33 @@ def test_record_validation():
         FractionalVisibilityRecord(mu="a", nu="b", p=1.4, visibility=0.0)
     # 3-sigma envelope admits noisy records
     FractionalVisibilityRecord(mu="a", nu="b", p=0.1, visibility=0.11, sigma_v=0.01)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("p", float("nan")),
+    ("p", float("inf")),
+    ("visibility", complex(float("nan"), 0.0)),
+    ("visibility", complex(0.0, float("inf"))),
+    ("sigma_p", float("nan")),
+    ("sigma_p", float("inf")),
+    ("sigma_v", float("nan")),
+    ("sigma_v", float("inf")),
+])
+def test_record_rejects_non_finite_fields(field, value):
+    kwargs = dict(mu="a", nu="b", p=0.5, visibility=0.25 + 0.0j, sigma_p=0.01, sigma_v=0.01)
+    kwargs[field] = value
+    with pytest.raises(NonFiniteError):
+        FractionalVisibilityRecord(**kwargs)
+
+
+def test_fractional_visibility_route_disagreement_is_numerical(monkeypatch):
+    import whichway.bounds as bounds
+
+    exact = bounds.block_choi
+    monkeypatch.setattr(bounds, "block_choi", lambda ch, i, j: exact(ch, i, j) + 1e-6)
+    ch = pauli_mixture_channel()
+    with pytest.raises(NumericalError):
+        fractional_visibility(ch, (H, H), rectilinear_filters()["hh"])
 
 
 def test_swap_alpha_family_reconstructs_a_unitary():

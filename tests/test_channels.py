@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import random_density, random_ket, random_preparation, random_unitary
 from whichway import (
     DimensionError,
+    NonFiniteError,
     PathChannel,
     PathSpinState,
     PositivityError,
@@ -294,6 +295,17 @@ def test_channel_file_rejects_garbage():
     text = dumps_channel(ch)
     with pytest.raises(ValueError):
         loads_channel(text.replace("pairs 1", "pairs 2"))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_channel_file_rejects_non_finite_entries(bad):
+    text = dumps_channel(identity_channel(2))
+    lines = text.splitlines()
+    fields = lines[-1].split()
+    fields[3] = bad  # real part of the second B entry
+    lines[-1] = " ".join(fields)
+    with pytest.raises(NonFiniteError):
+        loads_channel("\n".join(lines) + "\n")
 
 
 def test_max_entangled_matches_choi_vector():

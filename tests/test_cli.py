@@ -154,5 +154,52 @@ def test_out_flag_writes_report(capsys, tmp_path):
     assert path.read_text().strip() == out.strip()
 
 
+def test_reproduce_from_csv_with_nan_record_exits_2(capsys, tmp_path):
+    records = measured_records()
+    path = tmp_path / "records.csv"
+    write_records_csv(records, path)
+    lines = path.read_text(encoding="ascii").splitlines()
+    fields = lines[1].split(",")
+    fields[3] = "nan"  # re_V of the first record
+    lines[1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    code, out, err = run_cli(capsys, "reproduce", "--from-csv", str(path))
+    assert code == EXIT_INPUT
+    assert "input error" in err
+    assert "nan" not in out
+
+
+def test_non_finite_channel_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "nan.txt"
+    path.write_text("whichway-channel v1\nspin_dim 1\npairs 1\npair\n"
+                    "A nan 0.0\nB 1.0 0.0\n", encoding="ascii")
+    code, _, err = run_cli(
+        capsys, "verify", "--channel", f"file:{path}", "--d", "1", "--prep", "mixed"
+    )
+    assert code == EXIT_INPUT
+    assert "NaN or infinite" in err
+
+
+@pytest.mark.parametrize("channel,prep", [
+    ("replace", "pure:h,v"),
+    ("replace:h", "ensemble:0.3,h,v;0.7,d,a"),
+    ("identity", "pure:h,v"),
+])
+def test_verify_prints_round_off_slack_without_sign(capsys, channel, prep):
+    code, out, _ = run_cli(capsys, "verify", "--channel", channel, "--prep", prep)
+    assert code == EXIT_OK
+    assert "slack = 0.0000  (1 - D^2 - V_G^2)" in out.splitlines()
+
+
+def test_fractional_visibility_route_disagreement_exits_3(capsys, monkeypatch):
+    import whichway.bounds as bounds
+
+    exact = bounds.block_choi
+    monkeypatch.setattr(bounds, "block_choi", lambda ch, i, j: exact(ch, i, j) + 1e-6)
+    code, _, err = run_cli(capsys, "table")
+    assert code == EXIT_NUMERICAL
+    assert "numerical failure" in err
+
+
 def test_exit_code_constants_are_distinct():
     assert len({EXIT_OK, EXIT_VIOLATION, EXIT_INPUT, EXIT_NUMERICAL}) == 4

@@ -1,0 +1,166 @@
+"""The reshape-and-matmul kernels against their Kronecker-product references.
+
+Sizes cover spin dimension d in {1, 2, 3, 4, 8} and Kraus rank K in
+{1, 2, 4, 16}; agreement is required within 1e-12 in complex128.
+"""
+
+import numpy as np
+import pytest
+
+import reference_kernels as ref
+from conftest import random_density, random_ket
+from whichway import (
+    FilterPair,
+    Preparation,
+    SupportError,
+    block_choi,
+    dilate,
+    environment_states,
+    generalized_visibility,
+    random_path_channel,
+    verify_alpha_constraint,
+    visibility_operator,
+)
+from whichway.bounds import _support_projector
+from whichway.duality import _sandwich_route, _state_route
+from whichway.linalg import factor_sandwich, matrix_sqrt, trace_norm
+
+ATOL = 1e-12
+DIMS = (1, 2, 3, 4, 8)
+RANKS = (1, 2, 4, 16)
+SIZES = [(d, k) for d in DIMS for k in RANKS]
+
+
+def _channel(d, k):
+    return random_path_channel(d, k, seed=1000 * d + k)
+
+
+def _preparations(d, rng):
+    pure = Preparation.pure(random_ket(d, rng), random_ket(d, rng))
+    ensemble = Preparation.ensemble(
+        rng.dirichlet(np.ones(3)), [(random_ket(d, rng), random_ket(d, rng)) for _ in range(3)]
+    )
+    return pure, ensemble
+
+
+def test_kraus_pairs_are_views_of_the_stacked_array():
+    ch = _channel(3, 4)
+    assert ch.kraus.shape == (4, 2, 3, 3)
+    assert ch.kraus.dtype == np.complex128
+    for k, (a, b) in enumerate(ch.kraus_pairs):
+        assert np.shares_memory(a, ch.kraus) and np.shares_memory(b, ch.kraus)
+        np.testing.assert_array_equal(a, ch.kraus[k, 0])
+        np.testing.assert_array_equal(b, ch.kraus[k, 1])
+    assert not ch.kraus.flags.writeable
+    with pytest.raises(ValueError):
+        ch.kraus_pairs[0][0][0, 0] = 0.0
+
+
+@pytest.mark.parametrize("d,k", SIZES)
+def test_block_choi_matches_kron_reference(d, k):
+    ch = _channel(d, k)
+    for i in (0, 1):
+        for j in (0, 1):
+            np.testing.assert_allclose(block_choi(ch, i, j), ref.block_choi(ch, i, j),
+                                       rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("d,k", SIZES)
+def test_dilate_matches_kron_reference(d, k):
+    ch = _channel(d, k)
+    dil = dilate(ch)
+    v0, v1 = ref.dilate(ch)
+    assert dil.env_dim == k
+    np.testing.assert_allclose(dil.v0, v0, rtol=0, atol=ATOL)
+    np.testing.assert_allclose(dil.v1, v1, rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("d,k", SIZES)
+def test_environment_states_match_partial_trace_reference(d, k):
+    ch = _channel(d, k)
+    dil = dilate(ch)
+    rng = np.random.default_rng(d * 100 + k)
+    for prep in _preparations(d, rng):
+        states = environment_states(dil, prep)
+        for v, rho, state in zip((dil.v0, dil.v1), (prep.rho0, prep.rho1), states):
+            np.testing.assert_allclose(state.matrix, ref.environment_state(v, rho, d, k),
+                                       rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("d,k", SIZES)
+def test_visibility_routes_match_kron_references(d, k):
+    ch = _channel(d, k)
+    rng = np.random.default_rng(d * 100 + k + 1)
+    for prep in _preparations(d, rng):
+        s0, s1 = matrix_sqrt(prep.rho0), matrix_sqrt(prep.rho1)
+        sandwich = ref.visibility_sandwich(ch, s0, s1)
+        state = ref.visibility_state(ch, s0, s1)
+        np.testing.assert_allclose(_sandwich_route(ch, s0, s1), sandwich, rtol=0, atol=ATOL)
+        np.testing.assert_allclose(_state_route(ch, s0, s1), state, rtol=0, atol=ATOL)
+        np.testing.assert_allclose(visibility_operator(ch, prep), sandwich, rtol=0, atol=ATOL)
+        expected = min(d * trace_norm(state), 1.0)
+        assert generalized_visibility(ch, prep) == pytest.approx(expected, abs=ATOL)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_factor_sandwich_matches_kron_reference(d):
+    rng = np.random.default_rng(d)
+
+    def draw(n):  # unit spectral norm, so the products stay of order one
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return g / np.linalg.norm(g, 2)
+
+    left, m, right = draw(d), draw(d * d), draw(d)
+    np.testing.assert_allclose(factor_sandwich(left, m, right),
+                               ref.factor_sandwich(left, m, right), rtol=0, atol=ATOL)
+
+
+def _alpha_inputs(d, n_terms, rng):
+    preps = {f"m{n}": (random_ket(d, rng), random_ket(d, rng)) for n in range(n_terms)}
+    filters = {f"f{n}": FilterPair(random_ket(d, rng), random_ket(d, rng), label=f"f{n}")
+               for n in range(n_terms)}
+    alphas = {(f"m{n}", f"f{n}"): complex(rng.normal(), rng.normal()) for n in range(n_terms)}
+    return alphas, preps, filters
+
+
+def _left_operator(alphas, preps, filters):
+    d = next(iter(preps.values()))[0].size
+    left = np.zeros((d * d, d * d), dtype=complex)
+    for (mu, nu), alpha in alphas.items():
+        psi0, psi1 = preps[mu]
+        chi0, chi1 = filters[nu].chi0, filters[nu].chi1
+        left += alpha * np.kron(np.outer(psi0, psi1.conj()).T, np.outer(chi1, chi0.conj()))
+    return left
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_alpha_constraint_sandwich_matches_kron_reference(d):
+    rng = np.random.default_rng(50 + d)
+    rho0, rho1 = random_density(d, rng), random_density(d, rng)
+    alphas, preps, filters = _alpha_inputs(d, 3, rng)
+    _, inv0 = _support_projector(matrix_sqrt(rho0).T)
+    _, inv1 = _support_projector(matrix_sqrt(rho1).T)
+    u_ref = ref.factor_sandwich(inv1, _left_operator(alphas, preps, filters), inv0)
+    # rescale the coefficients so that the reconstructed U is a contraction
+    scale = 0.5 / np.linalg.norm(u_ref, 2)
+    alphas = {key: scale * a for key, a in alphas.items()}
+    cert = verify_alpha_constraint(alphas, preps, filters, rho0, rho1)
+    np.testing.assert_allclose(cert.u_hat, scale * u_ref, rtol=0, atol=ATOL)
+    assert cert.contraction_slack == pytest.approx(-0.75, abs=1e-9)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_alpha_constraint_support_projection_matches_kron_reference(d):
+    # pure per-arm states: random coefficients leak outside the rank-one supports
+    rng = np.random.default_rng(70 + d)
+    psi0, psi1 = random_ket(d, rng), random_ket(d, rng)
+    rho0, rho1 = np.outer(psi0, psi0.conj()), np.outer(psi1, psi1.conj())
+    alphas, preps, filters = _alpha_inputs(d, 3, rng)
+    left = _left_operator(alphas, preps, filters)
+    p0, _ = _support_projector(matrix_sqrt(rho0).T)
+    p1, _ = _support_projector(matrix_sqrt(rho1).T)
+    projected = ref.factor_sandwich(p1, left, p0)
+    np.testing.assert_allclose(factor_sandwich(p1, left, p0), projected, rtol=0, atol=ATOL)
+    assert np.linalg.norm(left - projected) > 1e-8 * np.linalg.norm(left)
+    with pytest.raises(SupportError):
+        verify_alpha_constraint(alphas, preps, filters, rho0, rho1)
