@@ -19,26 +19,21 @@ from __future__ import annotations
 import cmath
 import csv
 import io
-import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channels import PathChannel, Preparation, block_choi, block_map
-from .errors import (
-    ContractionError,
-    DimensionError,
-    NonFiniteError,
-    NumericalError,
-    SupportError,
-)
+from .channels import PathChannel, Preparation, block_choi, block_map, pure_pair
+from .errors import ContractionError, DimensionError, NumericalError, SupportError
 from .linalg import (
     ATOL_DERIVED,
-    ATOL_STRUCT,
     factor_sandwich,
+    finite_array,
     hermitian_part,
     ket,
     matrix_sqrt,
+    unit_ket,
 )
 
 __all__ = [
@@ -73,10 +68,7 @@ class FilterPair:
 
     def __post_init__(self):
         for name in ("chi0", "chi1"):
-            v = np.asarray(getattr(self, name), dtype=complex).reshape(-1)
-            if abs(np.linalg.norm(v) - 1.0) > ATOL_STRUCT:
-                raise DimensionError(f"{name} is not unit norm within 1e-10")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, unit_ket(getattr(self, name), name))
         if self.chi0.size != self.chi1.size:
             raise DimensionError("filter kets have different dimensions")
 
@@ -94,11 +86,8 @@ class FractionalVisibilityRecord:
     sigma_v: float = 0.0
 
     def __post_init__(self):
-        reals = (self.p, self.sigma_p, self.sigma_v)
-        if not (all(math.isfinite(x) for x in reals) and cmath.isfinite(self.visibility)):
-            raise NonFiniteError(
-                f"record ({self.mu}, {self.nu}) holds a NaN or infinite value"
-            )
+        finite_array((self.p, self.visibility, self.sigma_p, self.sigma_v),
+                     f"record ({self.mu}, {self.nu})")
         if not 0.0 <= self.p <= 1.0 + 1e-12:
             raise DimensionError(f"filtering probability {self.p} outside [0, 1]")
         if self.sigma_p < 0 or self.sigma_v < 0:
@@ -136,16 +125,6 @@ def detection_probabilities(p: float, visibility: complex, phi: float) -> tuple[
     return max(plus, 0.0), max(minus, 0.0)
 
 
-def _pure_pair(prep) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(prep, Preparation):
-        if not prep.is_pure:
-            raise DimensionError("fractional visibility is defined per pure preparation")
-        return prep.pairs[0]
-    psi0, psi1 = prep
-    return (np.asarray(psi0, dtype=complex).reshape(-1),
-            np.asarray(psi1, dtype=complex).reshape(-1))
-
-
 def fractional_visibility(
     ch: PathChannel,
     prep,
@@ -158,10 +137,10 @@ def fractional_visibility(
     replica-tensor form; the two must agree within 1e-10, else
     :class:`NumericalError` is raised.
     """
-    psi0, psi1 = _pure_pair(prep)
     d = ch.spin_dim
-    if psi0.size != d or filt.chi0.size != d:
-        raise DimensionError("preparation/filter dimension does not match channel")
+    psi0, psi1 = pure_pair(prep, d)
+    if filt.chi0.size != d:
+        raise DimensionError("filter dimension does not match channel")
     chi0, chi1 = filt.chi0, filt.chi1
 
     v_direct = chi0.conj() @ block_map(ch, 0, 1, np.outer(psi0, psi1.conj())) @ chi1
@@ -416,10 +395,19 @@ def single_preparation_certificate(
 _CSV_FIELDS = ["mu", "nu", "p", "re_V", "im_V", "sigma_p", "sigma_V"]
 
 
+@contextmanager
+def _csv_text(path_or_buffer, mode: str):
+    """An open text buffer as it is, or a path opened as an ASCII CSV file."""
+    if isinstance(path_or_buffer, io.TextIOBase):
+        yield path_or_buffer
+    else:
+        with open(path_or_buffer, mode, newline="", encoding="ascii") as fh:
+            yield fh
+
+
 def write_records_csv(records, path_or_buffer) -> None:
     recs = list(_record_map(records).values())
-
-    def write_to(fh):
+    with _csv_text(path_or_buffer, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_FIELDS)
         for r in recs:
@@ -429,15 +417,9 @@ def write_records_csv(records, path_or_buffer) -> None:
                 repr(float(r.sigma_p)), repr(float(r.sigma_v)),
             ])
 
-    if isinstance(path_or_buffer, io.TextIOBase):
-        write_to(path_or_buffer)
-    else:
-        with open(path_or_buffer, "w", newline="", encoding="ascii") as fh:
-            write_to(fh)
-
 
 def read_records_csv(path_or_buffer) -> list[FractionalVisibilityRecord]:
-    def read_from(fh):
+    with _csv_text(path_or_buffer, "r") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != _CSV_FIELDS:
             raise ValueError(
@@ -451,11 +433,6 @@ def read_records_csv(path_or_buffer) -> list[FractionalVisibilityRecord]:
                 sigma_p=float(row["sigma_p"]), sigma_v=float(row["sigma_V"]),
             ))
         return out
-
-    if isinstance(path_or_buffer, io.TextIOBase):
-        return read_from(path_or_buffer)
-    with open(path_or_buffer, "r", newline="", encoding="ascii") as fh:
-        return read_from(fh)
 
 
 def certificate_report(cert: BoundCertificate) -> str:

@@ -22,14 +22,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteError, PositivityError
+from .errors import DimensionError, PositivityError
 from .linalg import (
     ATOL_DERIVED,
     ATOL_STRUCT,
     dagger,
+    density_matrix,
+    finite_array,
     hermitian_part,
     ket,
     partial_trace,
+    unit_ket,
 )
 
 __all__ = [
@@ -49,6 +52,7 @@ __all__ = [
     "load_channel",
     "loads_channel",
     "pauli_mixture_channel",
+    "pure_pair",
     "random_path_channel",
     "replace_channel",
     "save_channel",
@@ -60,43 +64,45 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def _unit_ket(psi, what="ket") -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    n = np.linalg.norm(psi)
-    if abs(n - 1.0) > ATOL_STRUCT:
-        raise DimensionError(f"{what} norm {n:.12g} differs from 1 beyond 1e-10")
-    return psi
-
-
 @dataclass(frozen=True)
 class Preparation:
     """Input spin preparation for the two arms.
 
     Either a single pure pair (psi0, psi1) or a weighted ensemble of pure
-    pairs; the derived per-arm states rho_i are the weighted mixtures of
-    |psi_i^m><psi_i^m|.
+    pairs; the per-arm states ``rho0`` and ``rho1``, the weighted mixtures
+    of |psi_i^m><psi_i^m|, are built once at construction and are read-only.
     """
 
     spin_dim: int
     weights: tuple[float, ...]
     pairs: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
     label: str = ""
+    rho0: np.ndarray = field(init=False, repr=False, compare=False)
+    rho1: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.weights) != len(self.pairs) or not self.pairs:
             raise DimensionError("weights and pure pairs must align and be non-empty")
+        finite_array(self.weights, "ensemble weights")
         if any(w <= 0 for w in self.weights):
             raise DimensionError("ensemble weights must be positive")
         if abs(sum(self.weights) - 1.0) > ATOL_STRUCT:
             raise DimensionError("ensemble weights must sum to 1 within 1e-10")
         pairs = tuple(
-            (_unit_ket(p0, "psi0"), _unit_ket(p1, "psi1")) for p0, p1 in self.pairs
+            (unit_ket(p0, "psi0"), unit_ket(p1, "psi1")) for p0, p1 in self.pairs
         )
         for p0, p1 in pairs:
             if p0.size != self.spin_dim or p1.size != self.spin_dim:
                 raise DimensionError("preparation kets do not match spin_dim")
+        weights = tuple(float(w) for w in self.weights)
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        object.__setattr__(self, "weights", weights)
+        kets = np.array(pairs)  # kets[m, i] = psi_i^m
+        rho = np.einsum("m,mia,mib->iab", weights, kets, kets.conj())
+        rho = (rho + rho.conj().swapaxes(1, 2)) / 2
+        rho.flags.writeable = False
+        object.__setattr__(self, "rho0", rho[0])
+        object.__setattr__(self, "rho1", rho[1])
 
     @classmethod
     def pure(cls, psi0, psi1, label: str = "") -> "Preparation":
@@ -118,20 +124,22 @@ class Preparation:
     def is_pure(self) -> bool:
         return len(self.pairs) == 1
 
-    def _rho(self, side: int) -> np.ndarray:
-        out = np.zeros((self.spin_dim, self.spin_dim), dtype=complex)
-        for w, pair in zip(self.weights, self.pairs):
-            psi = pair[side]
-            out += w * np.outer(psi, psi.conj())
-        return hermitian_part(out)
 
-    @property
-    def rho0(self) -> np.ndarray:
-        return self._rho(0)
-
-    @property
-    def rho1(self) -> np.ndarray:
-        return self._rho(1)
+def pure_pair(prep, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The kets (psi0, psi1) of a pure :class:`Preparation` or of a
+    (psi0, psi1) tuple of unit kets, checked to have dimension d."""
+    if isinstance(prep, Preparation):
+        if not prep.is_pure:
+            raise DimensionError(
+                f"expected a pure preparation, got an ensemble of {len(prep.pairs)} pairs"
+            )
+        psi0, psi1 = prep.pairs[0]
+    else:
+        psi0, psi1 = prep
+        psi0, psi1 = unit_ket(psi0, "psi0"), unit_ket(psi1, "psi1")
+    if psi0.size != d or psi1.size != d:
+        raise DimensionError("preparation kets do not match the channel dimension")
+    return psi0, psi1
 
 
 @dataclass(frozen=True)
@@ -151,14 +159,7 @@ class PathSpinState:
         if b.shape != (2, 2, d, d):
             raise DimensionError(f"blocks shape {b.shape} != (2, 2, {d}, {d})")
         object.__setattr__(self, "blocks", b)
-        m = self.as_matrix()
-        if np.max(np.abs(m - m.conj().T)) > ATOL_STRUCT:
-            raise PositivityError("assembled state is not Hermitian within 1e-10")
-        w = np.linalg.eigvalsh(hermitian_part(m))
-        if w.min() < -ATOL_STRUCT:
-            raise PositivityError(f"assembled state not PSD: min eigenvalue {w.min():.3e}")
-        if abs(np.trace(m).real - 1.0) > ATOL_STRUCT:
-            raise PositivityError("assembled state trace differs from 1 beyond 1e-10")
+        density_matrix(self.as_matrix(), "assembled state")
         for i in (0, 1):
             if abs(np.trace(b[i, i]).real - 0.5) > ATOL_DERIVED:
                 raise PositivityError("paths are not equiprobable within 1e-9")
@@ -226,9 +227,7 @@ class PathChannel:
         for a, b in pairs:
             if a.shape != (d, d) or b.shape != (d, d):
                 raise DimensionError("Kraus blocks must be d x d")
-        kraus = np.array(pairs, dtype=complex)
-        if not np.isfinite(kraus).all():
-            raise NonFiniteError("Kraus blocks hold a NaN or infinite entry")
+        kraus = finite_array(pairs, "Kraus blocks")
         kraus.flags.writeable = False
         object.__setattr__(self, "kraus", kraus)
         object.__setattr__(self, "kraus_pairs", tuple((k[0], k[1]) for k in kraus))
@@ -338,7 +337,7 @@ class Dilation:
     def __post_init__(self):
         d, k = self.spin_dim, self.env_dim
         for name in ("v0", "v1"):
-            v = np.asarray(getattr(self, name), dtype=complex)
+            v = finite_array(getattr(self, name), name)
             object.__setattr__(self, name, v)
             if v.shape != (d * k, d):
                 raise DimensionError(f"{name} shape {v.shape} != ({d * k}, {d})")
@@ -385,17 +384,9 @@ def replace_channel(sigma0: np.ndarray) -> PathChannel:
     with sigma0, which must be a density matrix (Hermitian, PSD, unit trace)
     for a completely positive realization to exist.
     """
-    sigma0 = np.asarray(sigma0, dtype=complex)
+    sigma0 = density_matrix(sigma0, "sigma0")
     d = sigma0.shape[0]
-    if sigma0.shape != (d, d):
-        raise DimensionError("sigma0 must be square")
-    if np.max(np.abs(sigma0 - sigma0.conj().T)) > ATOL_STRUCT:
-        raise PositivityError("sigma0 must be Hermitian")
-    if abs(np.trace(sigma0).real - 1.0) > ATOL_STRUCT:
-        raise PositivityError("sigma0 must have unit trace")
     w, vecs = np.linalg.eigh(hermitian_part(sigma0))
-    if w.min() < -ATOL_STRUCT:
-        raise PositivityError("sigma0 must be positive semidefinite")
     pairs = []
     for r in range(d):
         if w[r] <= ATOL_STRUCT:

@@ -37,6 +37,7 @@ from .errors import (
     NumericalError,
     SupportError,
 )
+from .linalg import ket
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -63,11 +64,7 @@ def _parse_state(token: str, d: int) -> np.ndarray:
         index = int(token)
     except ValueError:
         raise ValueError(f"unknown state token {token!r}") from None
-    if not 0 <= index < d:
-        raise ValueError(f"basis index {index} out of range for d={d}")
-    v = np.zeros(d, dtype=complex)
-    v[index] = 1.0
-    return v
+    return ket(index, d)
 
 
 def parse_channel(spec: str, d: int) -> chn.PathChannel:
@@ -268,16 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, prep=True):
+    def add_common(p):
         p.add_argument("--channel", required=True,
                        help="identity | transpose | pauli | replace[:STATE] | "
                             "random:K:SEED | file:PATH")
         p.add_argument("--d", type=int, default=2, help="spin dimension (default 2)")
-        if prep:
-            p.add_argument("--prep", required=True,
-                           help="pure:S0,S1 | mixed | ensemble:W,S0,S1;...")
-        p.add_argument("--tol", type=float, default=1e-8,
-                       help="tolerance for the trade-off check")
+        p.add_argument("--prep", required=True,
+                       help="pure:S0,S1 | mixed | ensemble:W,S0,S1;...")
         p.add_argument("--out", help="write the primary output to this path")
 
     p_vg = sub.add_parser("vg", help="generalized visibility")
@@ -290,6 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify the trade-off")
     add_common(p_verify)
+    p_verify.add_argument("--tol", type=float, default=1e-8,
+                          help="tolerance for the trade-off check")
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="theory grid for the noise mixture")

@@ -23,7 +23,6 @@ and reports the member that matches the requested program.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, field, replace
 
@@ -32,6 +31,7 @@ import numpy as np
 from .bounds import (
     FilterPair,
     FractionalVisibilityRecord,
+    _csv_text,
     rectilinear_filters,
     rectilinear_preparations,
 )
@@ -40,8 +40,8 @@ from .channels import (
     PAULI_Y,
     PAULI_Z,
     PathChannel,
-    Preparation,
     block_map,
+    pure_pair,
 )
 from .errors import ConventionError, DimensionError, NumericalError
 from .linalg import ATOL_DERIVED, dagger
@@ -378,7 +378,7 @@ def simulate_fringes(
         raise DimensionError("efficiencies must be four values in (0, 1]")
     if shots_per_phase < 0:
         raise DimensionError("shots_per_phase must be nonnegative")
-    psi0, psi1 = _pure_pair_arrays(prep, ch.spin_dim)
+    psi0, psi1 = pure_pair(prep, ch.spin_dim)
     if phases is None:
         phases = np.linspace(0.0, 2.0 * np.pi, 13)
     phases = tuple(float(p) for p in phases)
@@ -433,20 +433,6 @@ def simulate_fringes(
         shots_per_phase=shots_per_phase, seed=seed_seq,
         efficiencies=tuple(float(e) for e in efficiencies),
     )
-
-
-def _pure_pair_arrays(prep, d: int) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(prep, Preparation):
-        if not prep.is_pure:
-            raise DimensionError("simulation cells require a pure preparation pair")
-        psi0, psi1 = prep.pairs[0]
-    else:
-        psi0, psi1 = prep
-        psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
-        psi1 = np.asarray(psi1, dtype=complex).reshape(-1)
-    if psi0.size != d or psi1.size != d:
-        raise DimensionError("preparation kets do not match the channel dimension")
-    return psi0, psi1
 
 
 def binomial_resample(ds: FringeDataset, reference_efficiency: float, seed=0) -> FringeDataset:
@@ -603,7 +589,7 @@ _DS_FIELDS = ["phase", "n_plus", "n_minus", "n_ref0", "n_ref1"]
 
 
 def write_dataset_csv(ds: FringeDataset, path_or_buffer) -> None:
-    def write_to(fh):
+    with _csv_text(path_or_buffer, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(_DS_FIELDS)
         for j, phi in enumerate(ds.phases):
@@ -612,32 +598,21 @@ def write_dataset_csv(ds: FringeDataset, path_or_buffer) -> None:
                 int(ds.counts_ref0[j]), int(ds.counts_ref1[j]),
             ])
 
-    if isinstance(path_or_buffer, io.TextIOBase):
-        write_to(path_or_buffer)
-    else:
-        with open(path_or_buffer, "w", newline="", encoding="ascii") as fh:
-            write_to(fh)
-
 
 def read_dataset_csv(path_or_buffer, shots_per_phase: int, seed=0,
                      efficiencies=(1.0, 1.0, 1.0, 1.0)) -> FringeDataset:
-    def read_from(fh):
+    with _csv_text(path_or_buffer, "r") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != _DS_FIELDS:
             raise ValueError(f"unexpected CSV header {reader.fieldnames}")
         rows = [(float(r["phase"]), int(r["n_plus"]), int(r["n_minus"]),
                  int(r["n_ref0"]), int(r["n_ref1"])) for r in reader]
-        return FringeDataset(
-            phases=tuple(r[0] for r in rows),
-            counts_plus=np.array([r[1] for r in rows], dtype=np.int64),
-            counts_minus=np.array([r[2] for r in rows], dtype=np.int64),
-            counts_ref0=np.array([r[3] for r in rows], dtype=np.int64),
-            counts_ref1=np.array([r[4] for r in rows], dtype=np.int64),
-            shots_per_phase=shots_per_phase, seed=_seed_tuple(seed),
-            efficiencies=tuple(float(e) for e in efficiencies),
-        )
-
-    if isinstance(path_or_buffer, io.TextIOBase):
-        return read_from(path_or_buffer)
-    with open(path_or_buffer, "r", newline="", encoding="ascii") as fh:
-        return read_from(fh)
+    return FringeDataset(
+        phases=tuple(r[0] for r in rows),
+        counts_plus=np.array([r[1] for r in rows], dtype=np.int64),
+        counts_minus=np.array([r[2] for r in rows], dtype=np.int64),
+        counts_ref0=np.array([r[3] for r in rows], dtype=np.int64),
+        counts_ref1=np.array([r[4] for r in rows], dtype=np.int64),
+        shots_per_phase=shots_per_phase, seed=_seed_tuple(seed),
+        efficiencies=tuple(float(e) for e in efficiencies),
+    )

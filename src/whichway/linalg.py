@@ -8,7 +8,11 @@ arrays instead (:func:`factor_sandwich` and the channel kernels).
 
 Tolerance policy: structural checks on constructed objects use
 ``ATOL_STRUCT`` (1e-10), derived numerical identities use ``ATOL_DERIVED``
-(1e-9). Statistical tolerances live with the Monte Carlo code.
+(1e-9). Statistical tolerances live with the Monte Carlo code. The rules
+for finite entries, unit kets and density matrices are written once, here:
+:func:`finite_array`, :func:`unit_ket` (norm one within 1e-10) and
+:func:`density_matrix` (Hermitian, PSD and unit trace within 1e-10); the
+last two reject a NaN or infinite entry before any other check.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, PositivityError
+from .errors import DimensionError, NonFiniteError, PositivityError
 
 ATOL_STRUCT = 1e-10
 ATOL_DERIVED = 1e-9
@@ -27,8 +31,10 @@ __all__ = [
     "ATOL_DERIVED",
     "SpinState",
     "dagger",
+    "density_matrix",
     "factor_sandwich",
     "fidelity",
+    "finite_array",
     "hermitian_part",
     "is_hermitian",
     "ket",
@@ -36,6 +42,7 @@ __all__ = [
     "max_entangled_state",
     "partial_trace",
     "trace_norm",
+    "unit_ket",
 ]
 
 
@@ -69,6 +76,43 @@ def ket(index: int, dim: int) -> np.ndarray:
     v = np.zeros(dim, dtype=complex)
     v[index] = 1.0
     return v
+
+
+def finite_array(a, what: str) -> np.ndarray:
+    """``a`` as a complex array; raises :class:`NonFiniteError` on a NaN or
+    infinite entry."""
+    a = np.asarray(a, dtype=complex)
+    if not np.isfinite(a).all():
+        raise NonFiniteError(f"NaN or infinite entry in {what}")
+    return a
+
+
+def unit_ket(psi, what: str) -> np.ndarray:
+    """``psi`` as a finite complex vector; a norm differing from one beyond
+    1e-10 raises :class:`DimensionError`."""
+    psi = finite_array(psi, what).reshape(-1)
+    n = np.linalg.norm(psi)
+    if abs(n - 1.0) > ATOL_STRUCT:
+        raise DimensionError(f"{what} norm {n:.12g} differs from 1 beyond 1e-10")
+    return psi
+
+
+def density_matrix(m, what: str) -> np.ndarray:
+    """``m`` as a finite, square complex matrix; one that is not Hermitian,
+    PSD (smallest eigenvalue >= -1e-10) and of unit trace within 1e-10
+    raises :class:`PositivityError`."""
+    m = finite_array(m, what)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionError(f"{what} shape {m.shape} is not square")
+    if np.max(np.abs(m - m.conj().T)) > ATOL_STRUCT:
+        raise PositivityError(f"{what} is not Hermitian within 1e-10")
+    w = np.linalg.eigvalsh(hermitian_part(m))
+    if w.min() < -ATOL_STRUCT:
+        raise PositivityError(f"{what} not PSD: smallest eigenvalue {w.min():.3e}")
+    tr = np.trace(m)
+    if abs(tr.real - 1.0) > ATOL_STRUCT or abs(tr.imag) > ATOL_STRUCT:
+        raise PositivityError(f"{what} trace differs from one beyond 1e-10")
+    return m
 
 
 def trace_norm(m: np.ndarray) -> float:
@@ -156,8 +200,8 @@ def max_entangled_state(d: int) -> np.ndarray:
 class SpinState:
     """A validated density matrix on the internal (spin) subsystem.
 
-    Hermiticity, positivity (smallest eigenvalue >= -1e-10) and unit trace
-    are enforced at construction.
+    Finite entries, Hermiticity, positivity (smallest eigenvalue >= -1e-10)
+    and unit trace are enforced at construction by :func:`density_matrix`.
     """
 
     dim: int
@@ -165,23 +209,13 @@ class SpinState:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
         if m.shape != (self.dim, self.dim):
             raise DimensionError(f"state shape {m.shape} != ({self.dim}, {self.dim})")
-        if np.max(np.abs(m - m.conj().T)) > ATOL_STRUCT:
-            raise PositivityError("state is not Hermitian within 1e-10")
-        w = np.linalg.eigvalsh(hermitian_part(m))
-        if w.min() < -ATOL_STRUCT:
-            raise PositivityError(f"state not PSD: smallest eigenvalue {w.min():.3e}")
-        if abs(np.trace(m).real - 1.0) > ATOL_STRUCT or abs(np.trace(m).imag) > ATOL_STRUCT:
-            raise PositivityError("state trace differs from one beyond 1e-10")
+        object.__setattr__(self, "matrix", density_matrix(m, "state"))
 
     @classmethod
     def pure(cls, psi: np.ndarray) -> "SpinState":
-        psi = np.asarray(psi, dtype=complex).reshape(-1)
-        n = np.linalg.norm(psi)
-        if abs(n - 1.0) > ATOL_STRUCT:
-            raise DimensionError(f"ket norm {n} differs from 1 beyond 1e-10")
+        psi = unit_ket(psi, "ket")
         return cls(psi.size, np.outer(psi, psi.conj()))
 
     @classmethod

@@ -1,7 +1,7 @@
 """Kronecker-product reference forms of the production kernels.
 
 Each function spells out a kernel's defining formula with explicit
-``np.kron`` lifts and a loop over Kraus pairs. The production kernels compute
+``np.kron`` lifts and a loop over Kraus pairs (or ensemble members). The production kernels compute
 the same quantities by reshapes and single matrix products; the kernel tests
 compare the two.
 """
@@ -38,6 +38,14 @@ def dilate(ch):
 def environment_state(v, rho, d, k):
     """Tr_spin(v rho v^dag) through the full dk x dk operator."""
     return partial_trace(v @ rho @ dagger(v), (d, k), keep=1)
+
+
+def mixed_state(prep, side):
+    """sum_m w_m |psi_side^m><psi_side^m| by a loop over the ensemble."""
+    out = np.zeros((prep.spin_dim, prep.spin_dim), dtype=complex)
+    for w, pair in zip(prep.weights, prep.pairs):
+        out += w * np.outer(pair[side], pair[side].conj())
+    return out
 
 
 def factor_sandwich(left, m, right):

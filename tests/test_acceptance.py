@@ -53,11 +53,6 @@ def _criterion(number: int, description: str, ok: bool) -> None:
     assert ok, f"criterion {number} failed: {description}"
 
 
-def _random_density_pair_prep(d, rng):
-    prep = random_preparation(d, rng)
-    return prep
-
-
 def test_criterion_01_theory_grid():
     ch = pauli_mixture_channel()
     preps, filters = rectilinear_preparations(), rectilinear_filters()

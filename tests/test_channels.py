@@ -26,7 +26,7 @@ from whichway import (
     replace_channel,
     transpose_channel,
 )
-from whichway.channels import dumps_channel, loads_channel
+from whichway.channels import dumps_channel, loads_channel, pure_pair
 
 ALL_BUILDERS = [
     identity_channel(2),
@@ -266,6 +266,20 @@ def test_preparation_validation():
     prep = Preparation.completely_mixed(3)
     np.testing.assert_allclose(prep.rho0, np.eye(3) / 3, atol=1e-12)
     np.testing.assert_allclose(prep.rho1, np.eye(3) / 3, atol=1e-12)
+
+
+def test_pure_pair_accepts_pure_preparations_and_ket_tuples():
+    h, v = ket(0, 2), ket(1, 2)
+    for prep in (Preparation.pure(h, v), (h, v)):
+        psi0, psi1 = pure_pair(prep, 2)
+        np.testing.assert_array_equal(psi0, h)
+        np.testing.assert_array_equal(psi1, v)
+    with pytest.raises(DimensionError):
+        pure_pair(Preparation.completely_mixed(2), 2)
+    with pytest.raises(DimensionError):
+        pure_pair((h, v), 3)
+    with pytest.raises(DimensionError):
+        pure_pair((np.array([1.0, 1.0]), v), 2)  # not normalized
 
 
 def test_channel_file_round_trip_bit_identical(tmp_path):

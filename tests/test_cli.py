@@ -180,6 +180,21 @@ def test_non_finite_channel_file_exits_2(capsys, tmp_path):
     assert "NaN or infinite" in err
 
 
+def test_non_finite_ensemble_weight_exits_2(capsys):
+    code, _, err = run_cli(
+        capsys, "verify", "--channel", "identity", "--prep", "ensemble:nan,h,h;0.5,v,v"
+    )
+    assert code == EXIT_INPUT
+    assert "NaN or infinite entry in ensemble weights" in err
+
+
+def test_tol_is_a_verify_option_only():
+    for command in ("vg", "distinguishability"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--channel", "identity", "--prep", "mixed", "--tol", "1e-6"])
+        assert exc.value.code == EXIT_INPUT
+
+
 @pytest.mark.parametrize("channel,prep", [
     ("replace", "pure:h,v"),
     ("replace:h", "ensemble:0.3,h,v;0.7,d,a"),

@@ -56,6 +56,14 @@ def test_kraus_pairs_are_views_of_the_stacked_array():
         ch.kraus_pairs[0][0][0, 0] = 0.0
 
 
+@pytest.mark.parametrize("d", DIMS)
+def test_preparation_states_match_loop_reference(d):
+    for prep in _preparations(d, np.random.default_rng(d)):
+        for side, rho in enumerate((prep.rho0, prep.rho1)):
+            np.testing.assert_allclose(rho, ref.mixed_state(prep, side), rtol=0, atol=ATOL)
+            assert not rho.flags.writeable
+
+
 @pytest.mark.parametrize("d,k", SIZES)
 def test_block_choi_matches_kron_reference(d, k):
     ch = _channel(d, k)

@@ -6,7 +6,14 @@ from hypothesis import strategies as st
 from conftest import random_density, random_ket, random_unitary
 from whichway import (
     DimensionError,
+    Dilation,
+    FilterPair,
+    FractionalVisibilityRecord,
+    NonFiniteError,
+    PathChannel,
+    PathSpinState,
     PositivityError,
+    Preparation,
     SpinState,
     dagger,
     fidelity,
@@ -14,8 +21,10 @@ from whichway import (
     matrix_sqrt,
     max_entangled_state,
     partial_trace,
+    replace_channel,
     trace_norm,
 )
+from whichway.channels import pure_pair
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=1, max_value=4)
@@ -168,3 +177,47 @@ def test_spin_state_pure_requires_unit_norm():
         SpinState.pure(np.array([1.0, 1.0]))
     s = SpinState.pure(random_ket(3, np.random.default_rng(7)))
     assert s.dim == 3
+
+
+# One valid input per validating constructor, and how to build from it. A
+# complex input takes a bad value in its real or imaginary part; a real one
+# in its value.
+_H, _V = ket(0, 2), ket(1, 2)
+_HALF = np.eye(2, dtype=complex) / 2
+_PLUS = np.full((2, 2), 0.5, dtype=complex)
+_KRAUS = 0.5 * np.array([[np.eye(2), np.eye(2)]] * 4, dtype=complex)
+NON_FINITE_CASES = {
+    "Preparation.pure": (np.array([_H, _V]), lambda a: Preparation.pure(a[0], a[1])),
+    "Preparation.ensemble": (
+        np.array([0.25, 0.75]), lambda w: Preparation.ensemble(w, [(_H, _H), (_V, _H)])
+    ),
+    "SpinState": (_HALF, lambda m: SpinState(2, m)),
+    "SpinState.pure": (_H, SpinState.pure),
+    "FilterPair": (np.array([_H, _V]), lambda a: FilterPair(a[0], a[1])),
+    "PathSpinState": (np.array([[_PLUS, _PLUS], [_PLUS, _PLUS]]) / 2,
+                      lambda b: PathSpinState(2, b)),
+    "Dilation": (np.array([np.eye(2), np.eye(2)], dtype=complex),
+                 lambda v: Dilation(2, 1, v[0], v[1])),
+    "PathChannel": (_KRAUS, lambda k: PathChannel(2, tuple((x[0], x[1]) for x in k))),
+    "FractionalVisibilityRecord": (
+        np.array([0.5, 0.25, -0.25, 0.01, 0.01]),
+        lambda a: FractionalVisibilityRecord("hh", "hh", a[0], complex(a[1], a[2]), a[3], a[4]),
+    ),
+    "replace_channel": (_HALF, replace_channel),
+    "pure_pair": (np.array([_H, _V]), lambda a: pure_pair((a[0], a[1]), 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CASES))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_non_finite_entry_is_rejected(name, data):
+    valid, build = NON_FINITE_CASES[name]
+    build(valid.copy())
+    bad_input = valid.copy()
+    index = data.draw(st.integers(0, valid.size - 1), label="index")
+    bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]), label="bad")
+    imaginary = np.iscomplexobj(valid) and data.draw(st.booleans(), label="imaginary")
+    bad_input.flat[index] = complex(bad_input.flat[index].real, bad) if imaginary else bad
+    with pytest.raises(NonFiniteError):
+        build(bad_input)
