@@ -58,9 +58,10 @@ __all__ = [
 SWAP_KEYS = (("hh", "hh"), ("hv", "vh"), ("vh", "hv"), ("vv", "vv"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterPair:
-    """Spin filters applied in the upper (chi0) and lower (chi1) arm."""
+    """Spin filters applied in the upper (chi0) and lower (chi1) arm;
+    compared and hashed by identity."""
 
     chi0: np.ndarray = field(repr=False)
     chi1: np.ndarray = field(repr=False)

@@ -14,6 +14,10 @@ inter-arm coherence. The production kernels (:func:`block_choi`,
 :func:`dilate`) are reshapes and single matrix products on that array;
 :func:`choi_state` and :func:`apply_via_choi` keep the explicit Kronecker
 products as independent oracles.
+
+The array-holding classes (:class:`Preparation`, :class:`PathSpinState`,
+:class:`PathChannel`, :class:`Dilation`) compare and hash by identity: two
+separately built objects are unequal even when their arrays agree.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Preparation:
     """Input spin preparation for the two arms.
 
@@ -77,8 +81,8 @@ class Preparation:
     weights: tuple[float, ...]
     pairs: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
     label: str = ""
-    rho0: np.ndarray = field(init=False, repr=False, compare=False)
-    rho1: np.ndarray = field(init=False, repr=False, compare=False)
+    rho0: np.ndarray = field(init=False, repr=False)
+    rho1: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.weights) != len(self.pairs) or not self.pairs:
@@ -142,7 +146,7 @@ def pure_pair(prep, d: int) -> tuple[np.ndarray, np.ndarray]:
     return psi0, psi1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathSpinState:
     """Joint path x spin density operator in 2x2 block form.
 
@@ -197,7 +201,7 @@ class PathSpinState:
         return cls(d, b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathChannel:
     """Path-preserving channel stored as one stacked Kraus array.
 
@@ -211,8 +215,8 @@ class PathChannel:
     spin_dim: int
     kraus_pairs: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
     label: str = ""
-    metadata: dict = field(default_factory=dict, compare=False)
-    kraus: np.ndarray = field(init=False, repr=False, compare=False)
+    metadata: dict = field(default_factory=dict)
+    kraus: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         d = self.spin_dim
@@ -321,7 +325,7 @@ def apply_via_choi(ch: PathChannel, state: PathSpinState) -> PathSpinState:
     return PathSpinState.from_matrix(hermitian_part(out))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dilation:
     """Isometric extension of a path-preserving channel.
 

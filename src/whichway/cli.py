@@ -15,6 +15,11 @@ Channel grammar (--channel): identity | transpose | pauli | replace[:STATE]
 mixed | ensemble:W,S0,S1;W,S0,S1;... where a STATE token is h, v, d, a, l, r
 (d=2) or a basis index for general dimension.
 
+Size cap: --d must lie in 1..MAX_SPIN_DIM (16) and the K of random:K:SEED in
+1..MAX_KRAUS (256); a request beyond either is an input error, reported
+before any operator is built (transpose --d 100 would otherwise build 10^4
+Kraus pairs).
+
 Exit codes: 0 success, 1 constraint or inequality violation, 2 input error,
 3 numerical failure.
 """
@@ -44,6 +49,9 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
+MAX_SPIN_DIM = 16
+MAX_KRAUS = 256
+
 _STATE_TOKENS = {
     "h": np.array([1.0, 0.0], dtype=complex),
     "v": np.array([0.0, 1.0], dtype=complex),
@@ -68,6 +76,8 @@ def _parse_state(token: str, d: int) -> np.ndarray:
 
 
 def parse_channel(spec: str, d: int) -> chn.PathChannel:
+    if not 1 <= d <= MAX_SPIN_DIM:
+        raise ValueError(f"--d must be in 1..{MAX_SPIN_DIM}, got {d}")
     kind, _, rest = spec.partition(":")
     if kind == "identity":
         return chn.identity_channel(d)
@@ -87,9 +97,12 @@ def parse_channel(spec: str, d: int) -> chn.PathChannel:
     if kind == "random":
         try:
             k_str, seed_str = rest.split(":")
-            return chn.random_path_channel(d, int(k_str), int(seed_str))
+            k, seed = int(k_str), int(seed_str)
         except ValueError:
             raise ValueError("random channel spec must be random:K:SEED") from None
+        if not 1 <= k <= MAX_KRAUS:
+            raise ValueError(f"random:K:SEED needs K in 1..{MAX_KRAUS}, got {k}")
+        return chn.random_path_channel(d, k, seed)
     if kind == "file":
         return chn.load_channel(rest)
     raise ValueError(f"unknown channel spec {spec!r}")
@@ -268,8 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--channel", required=True,
                        help="identity | transpose | pauli | replace[:STATE] | "
-                            "random:K:SEED | file:PATH")
-        p.add_argument("--d", type=int, default=2, help="spin dimension (default 2)")
+                            f"random:K:SEED (K in 1..{MAX_KRAUS}) | file:PATH")
+        p.add_argument("--d", type=int, default=2,
+                       help=f"spin dimension, 1..{MAX_SPIN_DIM} (default 2)")
         p.add_argument("--prep", required=True,
                        help="pure:S0,S1 | mixed | ensemble:W,S0,S1;...")
         p.add_argument("--out", help="write the primary output to this path")

@@ -7,6 +7,16 @@ with per-detector efficiencies applied by binomial thinning; fringes are then
 fit as cosines with shared offset, amplitude and phase across both
 interference detectors.
 
+Random streams: a cell's probabilities for all phases are one array built
+before any draw. Phase j of a cell seeded ``seed`` draws from its own
+``np.random.default_rng(seed + (j,))``: one multinomial per arm-unitary row
+with a nonzero share of the shots, in row order, then one binomial per
+detector with efficiency below one, in detector order (plus, minus, ref0,
+ref1). :func:`run_experiment` seeds cell (mu, nu) with
+``seed + (i_mu, i_nu)`` and its efficiency resampling with
+``seed + (i_mu, i_nu, 997)``. Counts for a given seed are part of the
+interface and stay fixed.
+
 Jones convention: rotation-conjugated retarders
 
     HWP(theta) = R(theta) diag(1, -1) R(-theta)
@@ -44,7 +54,7 @@ from .channels import (
     pure_pair,
 )
 from .errors import ConventionError, DimensionError, NumericalError
-from .linalg import ATOL_DERIVED, dagger
+from .linalg import ATOL_DERIVED, finite_array
 
 __all__ = [
     "FitResult",
@@ -281,12 +291,13 @@ def program_channel(report: ProgramReport) -> PathChannel:
 # Counting simulation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FringeDataset:
     """Phase-indexed detector counts.
 
     counts_plus/minus are the interference detectors; counts_ref0/ref1 monitor
-    the non-filtered components of each arm for normalization.
+    the non-filtered components of each arm for normalization. Phases must be
+    finite and strictly increasing. Datasets compare and hash by identity.
     """
 
     phases: tuple[float, ...]
@@ -300,6 +311,7 @@ class FringeDataset:
 
     def __post_init__(self):
         m = len(self.phases)
+        finite_array(self.phases, "phases")
         if any(b <= a for a, b in zip(self.phases, self.phases[1:])):
             raise DimensionError("phases must be strictly increasing")
         for name in ("counts_plus", "counts_minus", "counts_ref0", "counts_ref1"):
@@ -324,22 +336,19 @@ def _seed_tuple(seed) -> tuple[int, ...]:
 
 
 def _unitary_rows(ch: PathChannel):
-    """Decompose the channel into weighted arm-unitary rows if every Kraus
-    pair is a sub-normalized unitary pair; None otherwise."""
+    """Weights w_k and arm-unitary pairs kraus[k] / sqrt(w_k), shape
+    (K, 2, d, d), if every Kraus pair is a sub-normalized unitary pair
+    (A_k^dag A_k = B_k^dag B_k = w_k 1 within 1e-9, w_k >= 1e-12); None
+    otherwise."""
     d = ch.spin_dim
-    eye = np.eye(d)
-    rows = []
-    for a, b in ch.kraus_pairs:
-        ga, gb = dagger(a) @ a, dagger(b) @ b
-        wa = np.trace(ga).real / d
-        wb = np.trace(gb).real / d
-        if wa < 1e-12 or abs(wa - wb) > ATOL_DERIVED:
-            return None
-        if np.max(np.abs(ga - wa * eye)) > ATOL_DERIVED or np.max(np.abs(gb - wb * eye)) > ATOL_DERIVED:
-            return None
-        s = np.sqrt(wa)
-        rows.append((wa, a / s, b / s))
-    return rows
+    gram = ch.kraus.conj().swapaxes(-1, -2) @ ch.kraus
+    w = np.trace(gram, axis1=-2, axis2=-1).real / d
+    wa = w[:, 0]
+    if (wa < 1e-12).any() or (np.abs(wa - w[:, 1]) > ATOL_DERIVED).any():
+        return None
+    if np.abs(gram - w[..., None, None] * np.eye(d)).max() > ATOL_DERIVED:
+        return None
+    return wa, ch.kraus / np.sqrt(wa)[:, None, None, None]
 
 
 def _allocate(shots: int, weights) -> list[int]:
@@ -351,6 +360,48 @@ def _allocate(shots: int, weights) -> list[int]:
     for i in order[:rest]:
         base[i] += 1
     return base
+
+
+def _probability_table(ch, psi0, psi1, filt, phases, contrast, shots_per_phase):
+    """Shots of each arm-unitary row with a nonzero share, in row order, and
+    the (phases, those rows, 4) detection probabilities of the plus, minus,
+    ref0 and ref1 detectors, each row normalised."""
+    chi0, chi1 = filt.chi0, filt.chi1
+    rows = _unitary_rows(ch)
+    if rows is None:
+        # pooled fallback: exact mixture probabilities as a single row
+        weights = [1.0]
+        f0 = [(chi0.conj() @ block_map(ch, 0, 0, np.outer(psi0, psi0.conj())) @ chi0).real]
+        f1 = [(chi1.conj() @ block_map(ch, 1, 1, np.outer(psi1, psi1.conj())) @ chi1).real]
+        v = [chi0.conj() @ block_map(ch, 0, 1, np.outer(psi0, psi1.conj())) @ chi1]
+    else:
+        weights, u = rows
+        a0 = ((chi0.conj() @ u[:, 0])[:, None, :] @ psi0)[:, 0].tolist()
+        a1 = ((chi1.conj() @ u[:, 1])[:, None, :] @ psi1)[:, 0].tolist()
+        # per-row Python scalars: numpy's array abs, square and complex
+        # product round differently in the last bit, and these bits set the
+        # probabilities behind the seeded draws
+        f0 = [abs(a) ** 2 for a in a0]
+        f1 = [abs(a) ** 2 for a in a1]
+        v = [a * b.conjugate() for a, b in zip(a0, a1)]
+
+    allocation = _allocate(shots_per_phase, weights)
+    live = [r for r, n in enumerate(allocation) if n > 0]
+    f0, f1 = np.array(f0)[live], np.array(f1)[live]
+    cv = contrast * np.array(v, dtype=complex)[live]
+    phasor = np.exp(1j * np.array(phases))[:, None]
+    # Re(cv e^{i phi}) from two rounded products, as the scalar complex
+    # product forms it; a vectorised complex product may fuse them
+    osc = cv.real * phasor.real - cv.imag * phasor.imag
+    mean = 0.5 * (f0 + f1)
+    pvals = np.empty(osc.shape + (4,))
+    pvals[..., 0] = 0.5 * (mean + osc)
+    pvals[..., 1] = 0.5 * (mean - osc)
+    pvals[..., 2] = 0.5 * (1.0 - f0)
+    pvals[..., 3] = 0.5 * (1.0 - f1)
+    np.clip(pvals, 0.0, None, out=pvals)
+    pvals /= pvals.sum(axis=-1, keepdims=True)
+    return [allocation[r] for r in live], pvals
 
 
 def simulate_fringes(
@@ -365,12 +416,19 @@ def simulate_fringes(
 ) -> FringeDataset:
     """Simulate detector counts for one preparation/filter cell.
 
-    Per phase, exact detection probabilities are computed for each
-    arm-unitary row of the channel (shots split equally-by-weight across
-    rows, matching the per-phase averaging over plate settings), the photon
-    is distributed multinomially over the four detectors, and each detector
-    is thinned binomially by its efficiency. The fringe amplitude is scaled
-    by the contrast factor. Fully deterministic under the seed.
+    Exact detection probabilities are computed for each arm-unitary row of
+    the channel (shots split equally-by-weight across rows, matching the
+    per-phase averaging over plate settings) and for every phase at once;
+    the fringe amplitude is scaled by the contrast factor. The photons are
+    then distributed multinomially over the four detectors and each detector
+    is thinned binomially by its efficiency.
+
+    Stream contract: phase j draws from its own generator
+    ``np.random.default_rng(seed + (j,))``. It makes one ``multinomial``
+    call per row with a nonzero share of the shots, in row order, then one
+    ``binomial`` call per detector with efficiency below one, in detector
+    order (plus, minus, ref0, ref1). The counts for a given seed are
+    therefore fixed, whatever the other phases or cells.
     """
     if not 0.0 < contrast <= 1.0:
         raise DimensionError(f"contrast {contrast} outside (0, 1]")
@@ -382,54 +440,25 @@ def simulate_fringes(
     if phases is None:
         phases = np.linspace(0.0, 2.0 * np.pi, 13)
     phases = tuple(float(p) for p in phases)
+    finite_array(phases, "phases")
     seed_seq = _seed_tuple(seed)
 
-    chi0, chi1 = filt.chi0, filt.chi1
-    rows = _unitary_rows(ch)
-    if rows is None:
-        # pooled fallback: exact mixture probabilities as a single row
-        f0 = (chi0.conj() @ block_map(ch, 0, 0, np.outer(psi0, psi0.conj())) @ chi0).real
-        f1 = (chi1.conj() @ block_map(ch, 1, 1, np.outer(psi1, psi1.conj())) @ chi1).real
-        v = chi0.conj() @ block_map(ch, 0, 1, np.outer(psi0, psi1.conj())) @ chi1
-        cells = [(1.0, f0, f1, v)]
-    else:
-        cells = []
-        for w, u0, u1 in rows:
-            a0 = chi0.conj() @ u0 @ psi0
-            a1 = chi1.conj() @ u1 @ psi1
-            cells.append((w, abs(a0) ** 2, abs(a1) ** 2, a0 * np.conj(a1)))
-
-    allocation = _allocate(shots_per_phase, [c[0] for c in cells])
-    n_plus = np.zeros(len(phases), dtype=np.int64)
-    n_minus = np.zeros(len(phases), dtype=np.int64)
-    n_ref0 = np.zeros(len(phases), dtype=np.int64)
-    n_ref1 = np.zeros(len(phases), dtype=np.int64)
-
-    for j, phi in enumerate(phases):
+    shots, pvals = _probability_table(ch, psi0, psi1, filt, phases, contrast, shots_per_phase)
+    counts = np.zeros((4, len(phases)), dtype=np.int64)
+    for j, p_j in enumerate(pvals):
         rng = np.random.default_rng(seed_seq + (j,))
         raw = np.zeros(4, dtype=np.int64)
-        for n_shots, (_, f0, f1, v) in zip(allocation, cells):
-            if n_shots == 0:
-                continue
-            osc = (contrast * v * np.exp(1j * phi)).real
-            pvals = np.array([
-                0.5 * (0.5 * (f0 + f1) + osc),
-                0.5 * (0.5 * (f0 + f1) - osc),
-                0.5 * (1.0 - f0),
-                0.5 * (1.0 - f1),
-            ])
-            pvals = np.clip(pvals, 0.0, None)
-            raw += rng.multinomial(n_shots, pvals / pvals.sum())
-        detected = [
-            rng.binomial(int(raw[i]), efficiencies[i]) if efficiencies[i] < 1.0 else int(raw[i])
-            for i in range(4)
+        for n_shots, p in zip(shots, p_j):
+            raw += rng.multinomial(n_shots, p)
+        counts[:, j] = [
+            rng.binomial(n, e) if e < 1.0 else n
+            for n, e in zip(raw.tolist(), efficiencies)
         ]
-        n_plus[j], n_minus[j], n_ref0[j], n_ref1[j] = detected
 
     return FringeDataset(
         phases=phases,
-        counts_plus=n_plus, counts_minus=n_minus,
-        counts_ref0=n_ref0, counts_ref1=n_ref1,
+        counts_plus=counts[0], counts_minus=counts[1],
+        counts_ref0=counts[2], counts_ref1=counts[3],
         shots_per_phase=shots_per_phase, seed=seed_seq,
         efficiencies=tuple(float(e) for e in efficiencies),
     )

@@ -1,14 +1,24 @@
-"""Kronecker-product reference forms of the production kernels.
+"""Kronecker-product and loop reference forms of the production kernels.
 
 Each function spells out a kernel's defining formula with explicit
-``np.kron`` lifts and a loop over Kraus pairs (or ensemble members). The production kernels compute
-the same quantities by reshapes and single matrix products; the kernel tests
-compare the two.
+``np.kron`` lifts and a loop over Kraus pairs (or ensemble members, or
+phases and rows). The production kernels compute the same quantities by
+reshapes, single matrix products and whole-array operations; the kernel
+tests compare the two.
 """
 
 import numpy as np
 
-from whichway.linalg import dagger, max_entangled_state, partial_trace
+from whichway.bounds import FractionalVisibilityRecord, rectilinear_filters, rectilinear_preparations
+from whichway.channels import block_map, pure_pair
+from whichway.interferometer import (
+    FringeDataset,
+    _allocate,
+    _seed_tuple,
+    binomial_resample,
+    fit_fringes,
+)
+from whichway.linalg import ATOL_DERIVED, dagger, max_entangled_state, partial_trace
 
 
 def block_choi(ch, i, j):
@@ -70,3 +80,114 @@ def visibility_state(ch, s0, s1):
     for a, b in ch.kraus_pairs:
         out += np.kron(eye, a) @ sandwiched @ dagger(np.kron(eye, b))
     return out
+
+
+def unitary_rows(ch):
+    """[(w_k, A_k / sqrt(w_k), B_k / sqrt(w_k))] by a loop over Kraus pairs,
+    or None unless A_k^dag A_k = B_k^dag B_k = w_k 1 for every pair."""
+    d = ch.spin_dim
+    eye = np.eye(d)
+    rows = []
+    for a, b in ch.kraus_pairs:
+        ga, gb = dagger(a) @ a, dagger(b) @ b
+        wa = np.trace(ga).real / d
+        wb = np.trace(gb).real / d
+        if wa < 1e-12 or abs(wa - wb) > ATOL_DERIVED:
+            return None
+        if np.max(np.abs(ga - wa * eye)) > ATOL_DERIVED or np.max(np.abs(gb - wb * eye)) > ATOL_DERIVED:
+            return None
+        s = np.sqrt(wa)
+        rows.append((wa, a / s, b / s))
+    return rows
+
+
+def probability_table(ch, psi0, psi1, filt, phases, contrast, shots_per_phase):
+    """Shots of each row with a nonzero share and, per phase, the list of
+    those rows' normalised detector probabilities, built one (phase, row)
+    at a time."""
+    chi0, chi1 = filt.chi0, filt.chi1
+    rows = unitary_rows(ch)
+    if rows is None:
+        f0 = (chi0.conj() @ block_map(ch, 0, 0, np.outer(psi0, psi0.conj())) @ chi0).real
+        f1 = (chi1.conj() @ block_map(ch, 1, 1, np.outer(psi1, psi1.conj())) @ chi1).real
+        v = chi0.conj() @ block_map(ch, 0, 1, np.outer(psi0, psi1.conj())) @ chi1
+        cells = [(1.0, f0, f1, v)]
+    else:
+        cells = []
+        for w, u0, u1 in rows:
+            a0 = chi0.conj() @ u0 @ psi0
+            a1 = chi1.conj() @ u1 @ psi1
+            cells.append((w, abs(a0) ** 2, abs(a1) ** 2, a0 * np.conj(a1)))
+
+    allocation = _allocate(shots_per_phase, [c[0] for c in cells])
+    table = []
+    for phi in phases:
+        per_row = []
+        for n_shots, (_, f0, f1, v) in zip(allocation, cells):
+            if n_shots == 0:
+                continue
+            osc = (contrast * v * np.exp(1j * phi)).real
+            pvals = np.array([
+                0.5 * (0.5 * (f0 + f1) + osc),
+                0.5 * (0.5 * (f0 + f1) - osc),
+                0.5 * (1.0 - f0),
+                0.5 * (1.0 - f1),
+            ])
+            pvals = np.clip(pvals, 0.0, None)
+            per_row.append(pvals / pvals.sum())
+        table.append(per_row)
+    return [n for n in allocation if n > 0], table
+
+
+def simulate_fringes(ch, prep, filt, phases=None, shots_per_phase=10_000,
+                     efficiencies=(1.0, 1.0, 1.0, 1.0), contrast=1.0, seed=0):
+    """Counts of one cell drawn from :func:`probability_table` by one
+    scalar multinomial per (phase, row) and one binomial per thinned
+    detector."""
+    psi0, psi1 = pure_pair(prep, ch.spin_dim)
+    if phases is None:
+        phases = np.linspace(0.0, 2.0 * np.pi, 13)
+    phases = tuple(float(p) for p in phases)
+    seed_seq = _seed_tuple(seed)
+    shots, table = probability_table(ch, psi0, psi1, filt, phases, contrast, shots_per_phase)
+    counts = np.zeros((4, len(phases)), dtype=np.int64)
+    for j, per_row in enumerate(table):
+        rng = np.random.default_rng(seed_seq + (j,))
+        raw = np.zeros(4, dtype=np.int64)
+        for n_shots, pvals in zip(shots, per_row):
+            raw += rng.multinomial(n_shots, pvals)
+        for i in range(4):
+            counts[i, j] = (
+                rng.binomial(int(raw[i]), efficiencies[i]) if efficiencies[i] < 1.0 else int(raw[i])
+            )
+    return FringeDataset(
+        phases=phases,
+        counts_plus=counts[0], counts_minus=counts[1],
+        counts_ref0=counts[2], counts_ref1=counts[3],
+        shots_per_phase=shots_per_phase, seed=seed_seq,
+        efficiencies=tuple(float(e) for e in efficiencies),
+    )
+
+
+def run_experiment(ch, seed, shots_per_phase=10_000, efficiencies=(1.0, 1.0, 1.0, 1.0),
+                   contrast=1.0):
+    """The 16 rectilinear cells simulated by :func:`simulate_fringes` above,
+    resampled and fitted as the production pipeline does."""
+    preparations, filters = rectilinear_preparations(), rectilinear_filters()
+    seed_seq = _seed_tuple(seed)
+    records = []
+    for i_mu, mu in enumerate(sorted(preparations)):
+        for i_nu, nu in enumerate(sorted(filters)):
+            ds = simulate_fringes(
+                ch, preparations[mu], filters[nu], shots_per_phase=shots_per_phase,
+                efficiencies=efficiencies, contrast=contrast, seed=seed_seq + (i_mu, i_nu),
+            )
+            if len(set(ds.efficiencies)) > 1:
+                ds = binomial_resample(ds, min(ds.efficiencies),
+                                       seed=seed_seq + (i_mu, i_nu, 997))
+            fit = fit_fringes(ds)
+            records.append(FractionalVisibilityRecord(
+                mu=mu, nu=nu, p=min(fit.p_hat, 1.0), visibility=fit.visibility,
+                sigma_p=fit.sigma_p, sigma_v=fit.sigma_v,
+            ))
+    return records

@@ -26,7 +26,9 @@ from whichway import (
     replace_channel,
     transpose_channel,
 )
+from whichway.bounds import FilterPair
 from whichway.channels import dumps_channel, loads_channel, pure_pair
+from whichway.interferometer import FringeDataset
 
 ALL_BUILDERS = [
     identity_channel(2),
@@ -326,3 +328,23 @@ def test_max_entangled_matches_choi_vector():
     # the identity-channel Choi state is built on this vector
     v = max_entangled_state(2)
     assert v[0] == pytest.approx(1 / np.sqrt(2))
+
+
+def _dataset():
+    zeros = np.zeros(3, dtype=np.int64)
+    return FringeDataset((0.0, 1.0, 2.0), zeros, zeros, zeros, zeros, 10, (0,), (1.0,) * 4)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: identity_channel(2),
+    lambda: Preparation.completely_mixed(2),
+    lambda: PathSpinState.from_preparation(Preparation.completely_mixed(2)),
+    lambda: dilate(pauli_mixture_channel()),
+    lambda: FilterPair(ket(0, 2), ket(1, 2)),
+    _dataset,
+], ids=["PathChannel", "Preparation", "PathSpinState", "Dilation", "FilterPair", "FringeDataset"])
+def test_array_holding_objects_compare_and_hash_by_identity(build):
+    a, b = build(), build()
+    assert a == a
+    assert not a == b and a != b
+    assert len({a, b, a}) == 2

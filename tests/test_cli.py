@@ -8,6 +8,8 @@ from whichway.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VIOLATION,
+    MAX_KRAUS,
+    MAX_SPIN_DIM,
     main,
     parse_channel,
     parse_preparation,
@@ -214,6 +216,34 @@ def test_fractional_visibility_route_disagreement_exits_3(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "table")
     assert code == EXIT_NUMERICAL
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (("verify", "--channel", "transpose", "--d", "100", "--prep", "mixed"), "--d must be in 1..16"),
+    (("vg", "--channel", "identity", "--d", "0", "--prep", "mixed"), "--d must be in 1..16"),
+    (("verify", "--channel", "random:100000:1", "--prep", "mixed"), "K in 1..256"),
+    (("distinguishability", "--channel", "random:0:1", "--prep", "mixed"), "K in 1..256"),
+])
+def test_size_cap_exits_2_before_building(capsys, monkeypatch, argv, limit):
+    import whichway.channels as channels
+
+    def refuse(*args):
+        raise AssertionError("built a channel beyond the size cap")
+
+    for builder in ("identity_channel", "transpose_channel", "random_path_channel"):
+        monkeypatch.setattr(channels, builder, refuse)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert limit in err
+
+
+def test_size_cap_limits_are_accepted_and_documented(capsys):
+    assert parse_channel("identity", MAX_SPIN_DIM).spin_dim == MAX_SPIN_DIM
+    assert parse_channel(f"random:{MAX_KRAUS}:1", 2).n_kraus == MAX_KRAUS
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    help_text = capsys.readouterr().out
+    assert f"1..{MAX_SPIN_DIM}" in help_text and f"1..{MAX_KRAUS}" in help_text
 
 
 def test_exit_code_constants_are_distinct():

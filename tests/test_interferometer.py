@@ -3,34 +3,45 @@ import io
 import numpy as np
 import pytest
 
+import reference_kernels as ref
+from conftest import random_ket, random_orthonormal_filters, random_unitary
 from whichway import (
     ConventionError,
     DimensionError,
     FringeDataset,
     NoiseProgram,
     NoiseRow,
+    NonFiniteError,
+    PathChannel,
     WavePlateSetting,
     binomial_resample,
     block_choi,
     detection_probabilities,
     fit_fringes,
+    identity_channel,
     jones_matrix,
     ket,
     pauli_mixture_channel,
     pauli_noise_program,
     program_channel,
+    random_path_channel,
     read_dataset_csv,
     rectilinear_filters,
     rectilinear_preparations,
+    replace_channel,
     run_experiment,
     simulate_fringes,
+    transpose_channel,
     verify_noise_program,
     write_dataset_csv,
 )
+from whichway.channels import pure_pair
+from whichway.interferometer import _allocate, _probability_table, _unitary_rows
 
 H, V = ket(0, 2), ket(1, 2)
 PREPS = rectilinear_preparations()
 FILTERS = rectilinear_filters()
+COUNT_FIELDS = ("counts_plus", "counts_minus", "counts_ref0", "counts_ref1")
 
 
 def _proportional(a, b, atol=1e-12):
@@ -324,3 +335,125 @@ def test_dataset_validation():
             counts_ref1=np.array([1, 1]), shots_per_phase=10, seed=(0,),
             efficiencies=(1.0,) * 4,
         )
+
+
+# ---------------------------------------------------------------------------
+# Stream contract: the batched probability table against the per-(phase, row)
+# loop of tests/reference_kernels.py, bit for bit.
+
+
+def _stream_cells(kind):
+    """(channel, [(preparation, filter)]) for the stream-contract grid."""
+    rng = np.random.default_rng(404)
+    if kind == "pauli":
+        cells = [(PREPS[mu], FILTERS[nu]) for mu, nu in (("hh", "hh"), ("hv", "vh"), ("vh", "hh"))]
+        filt = random_orthonormal_filters(2, rng)["f0"]
+        cells.append(((random_ket(2, rng), random_ket(2, rng)), filt))
+        return pauli_mixture_channel(), cells
+    if kind == "pooled":
+        cells = [(PREPS[mu], FILTERS[nu]) for mu, nu in (("hh", "hh"), ("hv", "vh"))]
+        return random_path_channel(2, 3, 17), cells
+    filters = random_orthonormal_filters(3, rng)
+    cells = [((random_ket(3, rng), random_ket(3, rng)), filters[f]) for f in ("f0", "f1", "f2")]
+    return identity_channel(3), cells
+
+
+@pytest.mark.parametrize("shots", [0, 3, 7, 10_000])
+@pytest.mark.parametrize("kind", ["pauli", "pooled", "identity3"])
+def test_simulated_counts_match_loop_reference(kind, shots):
+    ch, cells = _stream_cells(kind)
+    assert (_unitary_rows(ch) is None) == (kind == "pooled")
+    if kind == "pauli" and shots == 3:
+        assert 0 in _allocate(shots, _unitary_rows(ch)[0])  # a row gets no shots
+    for efficiencies in ((1.0,) * 4, (0.9, 1.0, 0.75, 1.0), (0.9, 0.8, 0.7, 0.6)):
+        for contrast in (0.96, 1.0):
+            for c, (prep, filt) in enumerate(cells):
+                kwargs = dict(shots_per_phase=shots, efficiencies=efficiencies,
+                              contrast=contrast, seed=(31, c))
+                got = simulate_fringes(ch, prep, filt, **kwargs)
+                want = ref.simulate_fringes(ch, prep, filt, **kwargs)
+                for name in COUNT_FIELDS:
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), (
+                        name, efficiencies, contrast, c)
+
+
+@pytest.mark.parametrize("shots", [3, 10_000])
+@pytest.mark.parametrize("kind", ["pauli", "pooled", "identity3"])
+def test_probability_table_matches_loop_reference(kind, shots):
+    ch, cells = _stream_cells(kind)
+    phases = (0.0, *np.sort(np.random.default_rng(5).uniform(0.0, 7.0, size=11)))
+    for contrast in (0.96, 1.0):
+        for prep, filt in cells:
+            psi0, psi1 = pure_pair(prep, ch.spin_dim)
+            args = (ch, psi0, psi1, filt, phases, contrast, shots)
+            got_shots, got = _probability_table(*args)
+            want_shots, want = ref.probability_table(*args)
+            assert got_shots == want_shots
+            assert got.shape == (len(phases), len(want_shots), 4)
+            assert np.array_equal(got, np.array(want))
+
+
+def _unitary_mixture(d, weights, rng):
+    scale = np.sqrt(np.asarray(weights) / np.sum(weights))
+    return PathChannel(d, tuple(
+        (s * random_unitary(d, rng), s * random_unitary(d, rng)) for s in scale
+    ))
+
+
+def _unitary_row_channels():
+    rng = np.random.default_rng(99)
+    yield "pauli", pauli_mixture_channel()
+    yield "program", program_channel(verify_noise_program(pauli_noise_program()))
+    for d in (1, 2, 3, 4, 8):
+        yield f"identity({d})", identity_channel(d)
+        yield f"mixture({d})", _unitary_mixture(d, rng.uniform(0.1, 1.0, size=3), rng)
+    yield "transpose", transpose_channel(2)
+    yield "replace", replace_channel(np.eye(2) / 2)
+    yield "random", random_path_channel(3, 4, 5)
+    # unitary A side; B side non-unitary, first with unitary-like weights
+    a_side = _unitary_mixture(2, (1.0, 1.0), rng).kraus[:, 0]
+    b_side = np.array([np.diag(np.sqrt([0.3, 0.7])), np.diag(np.sqrt([0.7, 0.3]))])
+    yield "one-sided", PathChannel(2, tuple(zip(a_side, b_side)))
+    yield "one-sided random", PathChannel(2, tuple(zip(a_side, random_path_channel(2, 2, 8).kraus[:, 1])))
+    # unitary pairs whose weights differ between the arms
+    a_side = _unitary_mixture(2, (0.3, 0.7), rng).kraus[:, 0]
+    b_side = _unitary_mixture(2, (0.7, 0.3), rng).kraus[:, 1]
+    yield "unequal weights", PathChannel(2, tuple(zip(a_side, b_side)))
+
+
+@pytest.mark.parametrize("label, ch", list(_unitary_row_channels()))
+def test_unitary_rows_match_loop_reference(label, ch):
+    got, want = _unitary_rows(ch), ref.unitary_rows(ch)
+    assert (got is None) == (want is None)
+    if want is not None:
+        weights, unitaries = got
+        assert np.array_equal(weights, [w for w, _, _ in want])
+        assert np.array_equal(unitaries[:, 0], [u0 for _, u0, _ in want])
+        assert np.array_equal(unitaries[:, 1], [u1 for _, _, u1 in want])
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42, 9001])
+def test_run_experiment_records_match_loop_reference(seed):
+    efficiencies = (1.0,) * 4 if seed % 2 == 0 else (0.95, 0.8, 0.9, 0.85)
+    kwargs = dict(shots_per_phase=2000, efficiencies=efficiencies, contrast=0.96)
+    ch = pauli_mixture_channel()
+    got = run_experiment(ch, seed=seed, **kwargs)
+    want = ref.run_experiment(ch, seed, **kwargs)
+    assert len(got) == len(want) == 16
+    for g, w in zip(got, want):
+        assert (g.mu, g.nu, g.p, g.visibility, g.sigma_p, g.sigma_v) == (
+            w.mu, w.nu, w.p, w.visibility, w.sigma_p, w.sigma_v)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_simulate_rejects_non_finite_phases(bad):
+    phases = np.linspace(0.0, 2 * np.pi, 13)
+    phases[4] = bad
+    with pytest.raises(NonFiniteError, match="phases"):
+        simulate_fringes(pauli_mixture_channel(), PREPS["hh"], FILTERS["hh"], phases=phases)
+
+
+def test_read_dataset_csv_rejects_non_finite_phase():
+    text = "phase,n_plus,n_minus,n_ref0,n_ref1\n0.0,1,1,1,1\nnan,1,1,1,1\n3.0,1,1,1,1\n"
+    with pytest.raises(NonFiniteError, match="phases"):
+        read_dataset_csv(io.StringIO(text), shots_per_phase=10)
