@@ -12,6 +12,15 @@ certifies V_G >= |sum alpha V^{mu,nu}| and hence D <= sqrt(1 - V_G^2).
 This module verifies such certificates and assembles the two worked
 coefficient families (complete orthonormal filters for one preparation, and
 the four-term swap family for the completely mixed preparation).
+
+Both kernels work on the channel's stacked Kraus array. A theory record
+(:func:`fractional_visibility`) comes from the per-Kraus amplitudes
+<chi0|A_k|psi0> and <chi1|B_k|psi1>, and is cross-checked at run time
+against the block Choi matrices contracted through their Gram factors
+(:func:`~whichway.channels.choi_factor`), never forming a d^2 x d^2 matrix.
+A certificate check (:func:`verify_alpha_constraint`) builds L as one
+product of stacked rank-one factors and takes one eigendecomposition per
+arm for the support projector and pseudo-inverse of sqrt(rho)^T.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channels import PathChannel, Preparation, block_choi, block_map, pure_pair
+from .channels import PathChannel, Preparation, choi_factor, pure_pair
 from .errors import ContractionError, DimensionError, NumericalError, SupportError
 from .linalg import (
     ATOL_DERIVED,
@@ -32,7 +41,7 @@ from .linalg import (
     finite_array,
     hermitian_part,
     ket,
-    matrix_sqrt,
+    psd_eigh,
     unit_ket,
 )
 
@@ -134,9 +143,13 @@ def fractional_visibility(
 ) -> FractionalVisibilityRecord:
     """Exact theory record for a pure preparation and one filter pair.
 
-    Computed directly from the block maps and independently through the
-    replica-tensor form; the two must agree within 1e-10, else
-    :class:`NumericalError` is raised.
+    The direct route takes the per-Kraus amplitudes x_k = <chi0|A_k|psi0>
+    and y_k = <chi1|B_k|psi1> by two batched matrix-vector products; then
+    V = sum_k x_k y_k* and p = (sum_k |x_k|^2 + sum_k |y_k|^2) / 2. The
+    tensor route evaluates d Tr(probe M) for each block Choi matrix M by
+    contracting the rank-one probe with M's Gram factors
+    (:func:`choi_factor`), never forming M. Both cost O(K d^2); they must
+    agree within 1e-10, else :class:`NumericalError` is raised.
     """
     d = ch.spin_dim
     psi0, psi1 = pure_pair(prep, d)
@@ -144,22 +157,20 @@ def fractional_visibility(
         raise DimensionError("filter dimension does not match channel")
     chi0, chi1 = filt.chi0, filt.chi1
 
-    v_direct = chi0.conj() @ block_map(ch, 0, 1, np.outer(psi0, psi1.conj())) @ chi1
-    p_direct = 0.5 * (
-        (chi0.conj() @ block_map(ch, 0, 0, np.outer(psi0, psi0.conj())) @ chi0).real
-        + (chi1.conj() @ block_map(ch, 1, 1, np.outer(psi1, psi1.conj())) @ chi1).real
-    )
+    x = ch.kraus[:, 0] @ psi0 @ chi0.conj()
+    y = ch.kraus[:, 1] @ psi1 @ chi1.conj()
+    v_direct = np.vdot(y, x)
+    p_direct = 0.5 * (np.vdot(x, x).real + np.vdot(y, y).real)
 
-    def tensor_route(i, j, left0, left1, right0, right1):
-        # d Tr(probe M) for the rank-one probe (left1* x right1)(left0 x right0*)^T
-        probe = np.outer(np.outer(left1.conj(), right1), np.outer(left0, right0.conj()))
-        return d * np.sum(probe * block_choi(ch, i, j).T)
-
-    v_tensor = tensor_route(0, 1, psi0, psi1, chi0, chi1)
-    p_tensor = 0.5 * (
-        tensor_route(0, 0, psi0, psi0, chi0, chi0).real
-        + tensor_route(1, 1, psi1, psi1, chi1, chi1).real
-    )
+    # tensor route: d Tr(probe M_ij) = (w^T X_i)(X_j^dag u) for the block
+    # Choi matrix M_ij = X_i X_j^dag / d, X_i = choi_factor(ch, i), and the
+    # probe u w^T. The 01 probe has w = psi0 x chi0*, u = psi1* x chi1, so
+    # V = s.t with s = w^T X_0, t = X_1^dag u; the 00 probe is (w, w*) and
+    # the 11 probe (u*, u), giving |s|^2 and |t|^2
+    s = (psi0[:, None] * chi0.conj()).reshape(-1) @ choi_factor(ch, 0)
+    t = (psi1.conj()[:, None] * chi1).reshape(-1) @ choi_factor(ch, 1).conj()
+    v_tensor = s @ t
+    p_tensor = 0.5 * (np.vdot(s, s).real + np.vdot(t, t).real)
     if abs(v_direct - v_tensor) > 1e-10 or abs(p_direct - p_tensor) > 1e-10:
         raise NumericalError("direct and tensor routes disagree beyond 1e-10")
 
@@ -171,13 +182,13 @@ def fractional_visibility(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundCertificate:
     """A verified coefficient set with its reconstructed contraction.
 
     ``contraction_slack`` is the largest eigenvalue of U^dag U minus one.
     The bound fields stay None until records are folded in by
-    :func:`bound_from_visibilities`.
+    :func:`bound_from_visibilities`. Compared and hashed by identity.
     """
 
     alphas: dict[tuple[str, str], complex]
@@ -195,13 +206,15 @@ class BoundCertificate:
                 raise DimensionError("d_upper != sqrt(1 - vg_lower^2) within 1e-12")
 
 
-def _support_projector(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(projector onto range, pseudo-inverse) of a Hermitian PSD matrix."""
-    w, v = np.linalg.eigh(hermitian_part(s))
-    cutoff = max(w.max(), 0.0) * 1e-10 + 1e-300
-    mask = w > cutoff
-    proj = (v[:, mask]) @ v[:, mask].conj().T
-    inv = (v[:, mask] / w[mask]) @ v[:, mask].conj().T
+def _root_support(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(projector onto the range, pseudo-inverse) of sqrt(rho)^T, from one
+    eigendecomposition of rho: sqrt(rho)^T = v* sqrt(w) v^T."""
+    w, v = psd_eigh(rho)
+    root = np.sqrt(w)
+    mask = root > root.max() * 1e-10 + 1e-300
+    vec = v[:, mask].conj()
+    proj = vec @ vec.conj().T
+    inv = (vec / root[mask]) @ vec.conj().T
     return proj, inv
 
 
@@ -215,9 +228,12 @@ def verify_alpha_constraint(
 ) -> BoundCertificate:
     """Check that the coefficient set factorizes through a contraction.
 
-    Builds L = sum alpha (|psi0><psi1|)^T x |chi1><chi0|, verifies that its
-    row/column supports lie inside the supports of the sqrt(rho)^T factors,
-    reconstructs U through pseudo-inverses and reports the contraction slack.
+    Builds L = sum alpha (|psi0><psi1|)^T x |chi1><chi0| as one product
+    (U^T alpha) W of the stacked rank-one factors u = psi1* x chi1 and
+    w = psi0 x chi0*, verifies that its row/column supports lie inside the
+    supports of the sqrt(rho)^T factors, reconstructs U through
+    pseudo-inverses and reports the contraction slack. Each arm's support
+    projector and pseudo-inverse come from one eigendecomposition of rho.
 
     Raises :class:`SupportError` if the factorization does not exist and
     :class:`ContractionError` if the slack exceeds ``tol``.
@@ -226,24 +242,21 @@ def verify_alpha_constraint(
     rho1 = np.asarray(rho1, dtype=complex)
     d = rho0.shape[0]
 
-    left = np.zeros((d * d, d * d), dtype=complex)
-    for (mu, nu), alpha in alphas.items():
+    for mu, nu in alphas:
         if mu not in preps:
             raise DimensionError(f"coefficient references unknown preparation {mu!r}")
         if nu not in filters:
             raise DimensionError(f"coefficient references unknown filter {nu!r}")
-        psi0, psi1 = preps[mu]
-        filt = filters[nu]
-        term = np.kron(
-            np.outer(psi0, np.conj(psi1)).T,
-            np.outer(filt.chi1, np.conj(filt.chi0)),
-        )
-        left += alpha * term
+    n = len(alphas)
+    kets = np.array([preps[mu] for mu, _ in alphas], dtype=complex).reshape(n, 2, d)
+    chis = np.array([(filters[nu].chi0, filters[nu].chi1) for _, nu in alphas],
+                    dtype=complex).reshape(n, 2, d)
+    u = (kets[:, 1, :, None].conj() * chis[:, 1, None, :]).reshape(n, d * d)
+    w = (kets[:, 0, :, None] * chis[:, 0, None, :].conj()).reshape(n, d * d)
+    left = (u.T * np.array(list(alphas.values()), dtype=complex)) @ w
 
-    s0t = matrix_sqrt(rho0).T
-    s1t = matrix_sqrt(rho1).T
-    p0, inv0 = _support_projector(s0t)
-    p1, inv1 = _support_projector(s1t)
+    p0, inv0 = _root_support(rho0)
+    p1, inv1 = _root_support(rho1)
 
     norm_l = np.linalg.norm(left)
     projected = factor_sandwich(p1, left, p0)

@@ -10,10 +10,10 @@ one stacked complex array ``kraus`` of shape (K, 2, d, d) with
     L_ij(sigma) = sum_k K^(i)_k sigma K^(j)_k^dag,   K^(0) = A, K^(1) = B,
 
 the diagonal blocks being the per-arm channels and the 01 block carrying the
-inter-arm coherence. The production kernels (:func:`block_choi`,
-:func:`dilate`) are reshapes and single matrix products on that array;
-:func:`choi_state` and :func:`apply_via_choi` keep the explicit Kronecker
-products as independent oracles.
+inter-arm coherence. The production kernels (:func:`choi_factor`,
+:func:`block_choi`, :func:`dilate`) are reshapes and single matrix products
+on that array; :func:`choi_state` and :func:`apply_via_choi` keep the
+explicit Kronecker products as independent oracles.
 
 The array-holding classes (:class:`Preparation`, :class:`PathSpinState`,
 :class:`PathChannel`, :class:`Dilation`) compare and hash by identity: two
@@ -48,6 +48,7 @@ __all__ = [
     "apply_via_choi",
     "block_choi",
     "block_map",
+    "choi_factor",
     "choi_state",
     "dilate",
     "dumps_channel",
@@ -277,19 +278,25 @@ def apply_channel(ch: PathChannel, state: PathSpinState) -> PathSpinState:
     return PathSpinState(d, b)
 
 
+def choi_factor(ch: PathChannel, i: int) -> np.ndarray:
+    """The (d^2, K) matrix whose column k is vec(K^(i)_k^T), K^(0) = A,
+    K^(1) = B; (1 x K^(i)_k)|Phi+> = vec(K^(i)_k^T)/sqrt(d), so the block
+    Choi matrices are its Gram matrices (:func:`block_choi`)."""
+    if i not in (0, 1):
+        raise DimensionError("path indices must be 0 or 1")
+    d, k = ch.spin_dim, ch.n_kraus
+    return ch.kraus[:, i].transpose(2, 1, 0).reshape(d * d, k)
+
+
 def block_choi(ch: PathChannel, i: int, j: int) -> np.ndarray:
     """(I x L_ij) acting on the maximally entangled projector of two spin
     replicas; a d^2 x d^2 matrix that fully encodes the block map.
 
-    Since (1 x K)|Phi+> is vec(K^T)/sqrt(d), this is the Gram matrix
-    X Y^dag / d of the vectorized transposed Kraus factors.
+    It is the Gram matrix X Y^dag / d of the :func:`choi_factor` matrices
+    X, Y of sides i and j.
     """
-    if i not in (0, 1) or j not in (0, 1):
-        raise DimensionError("path indices must be 0 or 1")
-    d, k = ch.spin_dim, ch.n_kraus
-    x = ch.kraus[:, i].transpose(2, 1, 0).reshape(d * d, k)
-    y = ch.kraus[:, j].transpose(2, 1, 0).reshape(d * d, k)
-    return x @ y.conj().T / d
+    x, y = choi_factor(ch, i), choi_factor(ch, j)
+    return x @ y.conj().T / ch.spin_dim
 
 
 def choi_state(ch: PathChannel) -> np.ndarray:

@@ -50,6 +50,7 @@ from .channels import (
     PAULI_Y,
     PAULI_Z,
     PathChannel,
+    Preparation,
     block_map,
     pure_pair,
 )
@@ -172,7 +173,7 @@ def pauli_noise_program() -> NoiseProgram:
     ))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RowReport:
     target: str
     deviation: float
@@ -593,9 +594,12 @@ def run_experiment(
     seed_seq = _seed_tuple(seed)
     records = []
     for i_mu, mu in enumerate(sorted(preparations)):
+        prep = preparations[mu]
+        if not isinstance(prep, Preparation):  # validate the kets once, not once per cell
+            prep = Preparation.pure(*prep, label=mu)
         for i_nu, nu in enumerate(sorted(filters)):
             ds = simulate_fringes(
-                ch, preparations[mu], filters[nu],
+                ch, prep, filters[nu],
                 phases=phases, shots_per_phase=shots_per_phase,
                 efficiencies=efficiencies, contrast=contrast,
                 seed=seed_seq + (i_mu, i_nu),

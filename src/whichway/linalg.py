@@ -41,6 +41,7 @@ __all__ = [
     "matrix_sqrt",
     "max_entangled_state",
     "partial_trace",
+    "psd_eigh",
     "trace_norm",
     "unit_ket",
 ]
@@ -123,25 +124,34 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
-def matrix_sqrt(m: np.ndarray, atol: float = 1e-8) -> np.ndarray:
-    """Hermitian PSD square root via eigendecomposition.
+def psd_eigh(m: np.ndarray, atol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, v), w ascending, of a Hermitian PSD matrix.
 
-    Eigenvalues in [-atol, 0) are treated as round-off and clamped to zero;
-    anything below -atol raises :class:`PositivityError`. Eigenvalues within
-    1e-12 (relative) of zero are zeroed outright: taking the square root of
-    eigensolver round-off would otherwise inject sqrt(eps) ~ 1e-8 noise into
-    the null space of rank-deficient inputs, while zeroing perturbs the
-    re-multiplication identity by at most 1e-12.
+    The input must be square and Hermitian within ``atol``, else
+    :class:`PositivityError`. Eigenvalues in [-atol, 0) are treated as
+    round-off and clamped to zero; anything below -atol raises
+    :class:`PositivityError`. Eigenvalues within 1e-12 (relative) of zero
+    are zeroed outright: taking the square root of eigensolver round-off
+    would otherwise inject sqrt(eps) ~ 1e-8 noise into the null space of
+    rank-deficient inputs, while zeroing perturbs the re-multiplication
+    identity by at most 1e-12.
     """
     m = _as_matrix(m)
     if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"matrix_sqrt needs a square matrix, got {m.shape}")
+        raise DimensionError(f"PSD eigendecomposition needs a square matrix, got {m.shape}")
     if not is_hermitian(m, atol=atol):
-        raise PositivityError("matrix_sqrt input is not Hermitian within tolerance")
+        raise PositivityError("PSD eigendecomposition input is not Hermitian within tolerance")
     w, v = np.linalg.eigh(hermitian_part(m))
     if w.min() < -atol:
         raise PositivityError(f"matrix not PSD: smallest eigenvalue {w.min():.3e}")
     w[w < max(w.max(), 0.0) * 1e-12] = 0.0
+    return w, v
+
+
+def matrix_sqrt(m: np.ndarray, atol: float = 1e-8) -> np.ndarray:
+    """Hermitian PSD square root from the clamped eigendecomposition of
+    :func:`psd_eigh`, whose checks and tolerances it shares."""
+    w, v = psd_eigh(m, atol)
     return hermitian_part((v * np.sqrt(w)) @ v.conj().T)
 
 
@@ -196,12 +206,13 @@ def max_entangled_state(d: int) -> np.ndarray:
     return np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinState:
     """A validated density matrix on the internal (spin) subsystem.
 
     Finite entries, Hermiticity, positivity (smallest eigenvalue >= -1e-10)
     and unit trace are enforced at construction by :func:`density_matrix`.
+    Compared and hashed by identity.
     """
 
     dim: int

@@ -9,8 +9,14 @@ tests compare the two.
 
 import numpy as np
 
-from whichway.bounds import FractionalVisibilityRecord, rectilinear_filters, rectilinear_preparations
+from whichway.bounds import (
+    BoundCertificate,
+    FractionalVisibilityRecord,
+    rectilinear_filters,
+    rectilinear_preparations,
+)
 from whichway.channels import block_map, pure_pair
+from whichway.errors import ContractionError, NumericalError, SupportError
 from whichway.interferometer import (
     FringeDataset,
     _allocate,
@@ -18,7 +24,14 @@ from whichway.interferometer import (
     binomial_resample,
     fit_fringes,
 )
-from whichway.linalg import ATOL_DERIVED, dagger, max_entangled_state, partial_trace
+from whichway.linalg import (
+    ATOL_DERIVED,
+    dagger,
+    hermitian_part,
+    matrix_sqrt,
+    max_entangled_state,
+    partial_trace,
+)
 
 
 def block_choi(ch, i, j):
@@ -80,6 +93,68 @@ def visibility_state(ch, s0, s1):
     for a, b in ch.kraus_pairs:
         out += np.kron(eye, a) @ sandwiched @ dagger(np.kron(eye, b))
     return out
+
+
+def fractional_visibility(ch, prep, filt):
+    """(p, V) of one cell by the block maps of the outer products of the
+    kets, cross-checked against d Tr(probe M) with the rank-one probe and
+    the kron-form block Choi matrix M."""
+    d = ch.spin_dim
+    psi0, psi1 = pure_pair(prep, d)
+    chi0, chi1 = filt.chi0, filt.chi1
+    v_direct = chi0.conj() @ block_map(ch, 0, 1, np.outer(psi0, psi1.conj())) @ chi1
+    p_direct = 0.5 * (
+        (chi0.conj() @ block_map(ch, 0, 0, np.outer(psi0, psi0.conj())) @ chi0).real
+        + (chi1.conj() @ block_map(ch, 1, 1, np.outer(psi1, psi1.conj())) @ chi1).real
+    )
+
+    def tensor_route(i, j, left0, left1, right0, right1):
+        probe = np.outer(np.outer(left1.conj(), right1), np.outer(left0, right0.conj()))
+        return d * np.sum(probe * block_choi(ch, i, j).T)
+
+    v_tensor = tensor_route(0, 1, psi0, psi1, chi0, chi1)
+    p_tensor = 0.5 * (
+        tensor_route(0, 0, psi0, psi0, chi0, chi0).real
+        + tensor_route(1, 1, psi1, psi1, chi1, chi1).real
+    )
+    if abs(v_direct - v_tensor) > 1e-10 or abs(p_direct - p_tensor) > 1e-10:
+        raise NumericalError("direct and tensor routes disagree beyond 1e-10")
+    return float(np.clip(p_direct, 0.0, 1.0)), complex(v_direct)
+
+
+def support_projector(s):
+    """(projector onto range, pseudo-inverse) of a Hermitian PSD matrix by
+    its own eigendecomposition."""
+    w, v = np.linalg.eigh(hermitian_part(s))
+    cutoff = max(w.max(), 0.0) * 1e-10 + 1e-300
+    mask = w > cutoff
+    proj = (v[:, mask]) @ v[:, mask].conj().T
+    inv = (v[:, mask] / w[mask]) @ v[:, mask].conj().T
+    return proj, inv
+
+
+def verify_alpha_constraint(alphas, preps, filters, rho0, rho1, tol=1e-8):
+    """The certificate check with L summed term by term as
+    alpha (|psi0><psi1|)^T x |chi1><chi0|, the square roots taken by
+    matrix_sqrt and their supports by a second eigendecomposition, and the
+    sandwiches formed with explicit kron lifts."""
+    d = np.asarray(rho0).shape[0]
+    left = np.zeros((d * d, d * d), dtype=complex)
+    for (mu, nu), alpha in alphas.items():
+        psi0, psi1 = preps[mu]
+        filt = filters[nu]
+        left += alpha * np.kron(np.outer(psi0, np.conj(psi1)).T,
+                                np.outer(filt.chi1, np.conj(filt.chi0)))
+    p0, inv0 = support_projector(matrix_sqrt(rho0).T)
+    p1, inv1 = support_projector(matrix_sqrt(rho1).T)
+    projected = factor_sandwich(p1, left, p0)
+    if np.linalg.norm(left - projected) > tol * max(np.linalg.norm(left), 1e-12):
+        raise SupportError("combination leaks outside the support")
+    u_hat = factor_sandwich(inv1, left, inv0)
+    slack = float(np.linalg.eigvalsh(hermitian_part(u_hat.conj().T @ u_hat)).max() - 1.0)
+    if slack > tol:
+        raise ContractionError(f"contraction violated: slack {slack:.3e}")
+    return BoundCertificate(alphas=dict(alphas), u_hat=u_hat, contraction_slack=slack)
 
 
 def unitary_rows(ch):

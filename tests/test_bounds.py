@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     measured_records,
@@ -128,8 +130,8 @@ def test_record_rejects_non_finite_fields(field, value):
 def test_fractional_visibility_route_disagreement_is_numerical(monkeypatch):
     import whichway.bounds as bounds
 
-    exact = bounds.block_choi
-    monkeypatch.setattr(bounds, "block_choi", lambda ch, i, j: exact(ch, i, j) + 1e-6)
+    exact = bounds.choi_factor
+    monkeypatch.setattr(bounds, "choi_factor", lambda ch, i: exact(ch, i) + 1e-6)
     ch = pauli_mixture_channel()
     with pytest.raises(NumericalError):
         fractional_visibility(ch, (H, H), rectilinear_filters()["hh"])
@@ -316,6 +318,30 @@ def test_certificate_soundness_on_random_instances():
         # the which-way bound is sound against the dilation value
         d_true = distinguishability(*environment_states(dilate(ch), prep))
         assert cert.d_upper >= d_true - 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from((2, 3)), k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_single_preparation_certificate_is_sound(d, k, seed):
+    rng = np.random.default_rng(seed)
+    ch = random_path_channel(d, k, seed=seed)
+    psi0, psi1 = random_ket(d, rng), random_ket(d, rng)
+    filters = random_orthonormal_filters(d, rng)
+    records = [fractional_visibility(ch, (psi0, psi1), f, mu="m") for f in filters.values()]
+    cert = single_preparation_certificate("m", records, preps={"m": (psi0, psi1)},
+                                          filters=filters)
+    assert cert.vg_lower <= generalized_visibility(ch, Preparation.pure(psi0, psi1)) + 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_swap_certificate_on_exact_records_is_sound(k, seed):
+    ch = random_path_channel(2, k, seed=seed)
+    preps, filters = rectilinear_preparations(), rectilinear_filters()
+    records = [fractional_visibility(ch, preps[mu], filters[nu], mu=mu)
+               for mu in preps for nu in filters]
+    cert = swap_certificate(records)
+    assert cert.vg_lower <= generalized_visibility(ch, Preparation.completely_mixed(2)) + 1e-9
 
 
 def test_general_certificates_with_full_rank_states():

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density, random_ket, random_preparation, random_unitary
+from conftest import (
+    measured_records,
+    random_density,
+    random_ket,
+    random_preparation,
+    random_unitary,
+)
 from whichway import (
     DimensionError,
     NonFiniteError,
@@ -11,6 +17,7 @@ from whichway import (
     PathSpinState,
     PositivityError,
     Preparation,
+    SpinState,
     apply_channel,
     apply_via_choi,
     block_choi,
@@ -22,9 +29,12 @@ from whichway import (
     ket,
     max_entangled_state,
     pauli_mixture_channel,
+    pauli_noise_program,
     random_path_channel,
     replace_channel,
+    swap_certificate,
     transpose_channel,
+    verify_noise_program,
 )
 from whichway.bounds import FilterPair
 from whichway.channels import dumps_channel, loads_channel, pure_pair
@@ -342,7 +352,11 @@ def _dataset():
     lambda: dilate(pauli_mixture_channel()),
     lambda: FilterPair(ket(0, 2), ket(1, 2)),
     _dataset,
-], ids=["PathChannel", "Preparation", "PathSpinState", "Dilation", "FilterPair", "FringeDataset"])
+    lambda: SpinState.maximally_mixed(2),
+    lambda: swap_certificate(measured_records()),
+    lambda: verify_noise_program(pauli_noise_program()).rows[0],
+], ids=["PathChannel", "Preparation", "PathSpinState", "Dilation", "FilterPair", "FringeDataset",
+        "SpinState", "BoundCertificate", "RowReport"])
 def test_array_holding_objects_compare_and_hash_by_identity(build):
     a, b = build(), build()
     assert a == a

@@ -211,8 +211,8 @@ def test_verify_prints_round_off_slack_without_sign(capsys, channel, prep):
 def test_fractional_visibility_route_disagreement_exits_3(capsys, monkeypatch):
     import whichway.bounds as bounds
 
-    exact = bounds.block_choi
-    monkeypatch.setattr(bounds, "block_choi", lambda ch, i, j: exact(ch, i, j) + 1e-6)
+    exact = bounds.choi_factor
+    monkeypatch.setattr(bounds, "choi_factor", lambda ch, i: exact(ch, i) + 1e-6)
     code, _, err = run_cli(capsys, "table")
     assert code == EXIT_NUMERICAL
     assert "numerical failure" in err

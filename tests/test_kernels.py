@@ -1,27 +1,30 @@
 """The reshape-and-matmul kernels against their Kronecker-product references.
 
 Sizes cover spin dimension d in {1, 2, 3, 4, 8} and Kraus rank K in
-{1, 2, 4, 16}; agreement is required within 1e-12 in complex128.
+{1, 2, 4, 16}; agreement is required within 1e-12 in complex128. The
+fractional-visibility and certificate kernels are compared with the
+block-map, kron-loop and two-eigendecomposition forms they replaced.
 """
 
 import numpy as np
 import pytest
 
 import reference_kernels as ref
-from conftest import random_density, random_ket
+from conftest import random_density, random_ket, random_orthonormal_filters, random_unitary
 from whichway import (
+    ContractionError,
     FilterPair,
     Preparation,
     SupportError,
     block_choi,
     dilate,
     environment_states,
+    fractional_visibility,
     generalized_visibility,
     random_path_channel,
     verify_alpha_constraint,
     visibility_operator,
 )
-from whichway.bounds import _support_projector
 from whichway.duality import _sandwich_route, _state_route
 from whichway.linalg import factor_sandwich, matrix_sqrt, trace_norm
 
@@ -146,8 +149,8 @@ def test_alpha_constraint_sandwich_matches_kron_reference(d):
     rng = np.random.default_rng(50 + d)
     rho0, rho1 = random_density(d, rng), random_density(d, rng)
     alphas, preps, filters = _alpha_inputs(d, 3, rng)
-    _, inv0 = _support_projector(matrix_sqrt(rho0).T)
-    _, inv1 = _support_projector(matrix_sqrt(rho1).T)
+    _, inv0 = ref.support_projector(matrix_sqrt(rho0).T)
+    _, inv1 = ref.support_projector(matrix_sqrt(rho1).T)
     u_ref = ref.factor_sandwich(inv1, _left_operator(alphas, preps, filters), inv0)
     # rescale the coefficients so that the reconstructed U is a contraction
     scale = 0.5 / np.linalg.norm(u_ref, 2)
@@ -165,10 +168,94 @@ def test_alpha_constraint_support_projection_matches_kron_reference(d):
     rho0, rho1 = np.outer(psi0, psi0.conj()), np.outer(psi1, psi1.conj())
     alphas, preps, filters = _alpha_inputs(d, 3, rng)
     left = _left_operator(alphas, preps, filters)
-    p0, _ = _support_projector(matrix_sqrt(rho0).T)
-    p1, _ = _support_projector(matrix_sqrt(rho1).T)
+    p0, _ = ref.support_projector(matrix_sqrt(rho0).T)
+    p1, _ = ref.support_projector(matrix_sqrt(rho1).T)
     projected = ref.factor_sandwich(p1, left, p0)
     np.testing.assert_allclose(factor_sandwich(p1, left, p0), projected, rtol=0, atol=ATOL)
     assert np.linalg.norm(left - projected) > 1e-8 * np.linalg.norm(left)
     with pytest.raises(SupportError):
         verify_alpha_constraint(alphas, preps, filters, rho0, rho1)
+
+
+@pytest.mark.parametrize("d,k", SIZES)
+def test_fractional_visibility_matches_block_map_reference(d, k):
+    ch = _channel(d, k)
+    rng = np.random.default_rng(d * 100 + k + 2)
+    prep = Preparation.pure(random_ket(d, rng), random_ket(d, rng))
+    for filt in random_orthonormal_filters(d, rng).values():
+        rec = fractional_visibility(ch, prep, filt)
+        p, v = ref.fractional_visibility(ch, prep, filt)
+        assert abs(rec.p - p) <= ATOL
+        assert abs(rec.visibility - v) <= ATOL
+
+
+def _supported_inputs(d, rank, rng):
+    """Per-arm states of the given rank and coefficients over three
+    preparations whose kets lie in those states' supports, paired with a
+    random orthonormal filter basis."""
+    bases = random_unitary(d, rng)[:, :rank], random_unitary(d, rng)[:, :rank]
+    rhos = [(b * w) @ b.conj().T for b, w in
+            zip(bases, (rng.uniform(0.5, 1.5, rank) for _ in range(2)))]
+    rhos = [rho / np.trace(rho).real for rho in rhos]
+    preps = {f"m{n}": tuple(b @ random_ket(rank, rng) for b in bases) for n in range(3)}
+    filters = random_orthonormal_filters(d, rng)
+    alphas = {(mu, nu): complex(rng.normal(), rng.normal()) for mu in preps for nu in filters}
+    return alphas, preps, filters, rhos[0], rhos[1]
+
+
+RANK_CASES = [(d, r) for d in DIMS for r in sorted({1, max(d - 1, 1), d})]
+
+
+@pytest.mark.parametrize("d,rank", RANK_CASES)
+def test_alpha_constraint_matches_two_eigh_reference(d, rank):
+    rng = np.random.default_rng(90 + 10 * d + rank)
+    alphas, preps, filters, rho0, rho1 = _supported_inputs(d, rank, rng)
+    u_ref = ref.verify_alpha_constraint(alphas, preps, filters, rho0, rho1, tol=np.inf).u_hat
+    # rescale the coefficients so that the reconstructed U is a contraction
+    scale = 0.5 / np.linalg.norm(u_ref, 2)
+    alphas = {key: scale * a for key, a in alphas.items()}
+    cert = verify_alpha_constraint(alphas, preps, filters, rho0, rho1)
+    expected = ref.verify_alpha_constraint(alphas, preps, filters, rho0, rho1)
+    np.testing.assert_allclose(cert.u_hat, expected.u_hat, rtol=0, atol=ATOL)
+    assert abs(cert.contraction_slack - expected.contraction_slack) <= ATOL
+    assert cert.contraction_slack == pytest.approx(-0.75, abs=1e-9)
+
+
+@pytest.mark.parametrize("d,rank", [(d, r) for d, r in RANK_CASES if r < d])
+def test_alpha_constraint_leak_is_a_support_error_in_both(d, rank):
+    rng = np.random.default_rng(190 + 10 * d + rank)
+    alphas, _, filters, rho0, rho1 = _supported_inputs(d, rank, rng)
+    # kets drawn from the whole space leak outside the rank-deficient supports
+    preps = {f"m{n}": (random_ket(d, rng), random_ket(d, rng)) for n in range(3)}
+    for check in (verify_alpha_constraint, ref.verify_alpha_constraint):
+        with pytest.raises(SupportError):
+            check(alphas, preps, filters, rho0, rho1)
+
+
+@pytest.mark.parametrize("d,rank", RANK_CASES)
+def test_alpha_constraint_over_unit_set_is_a_contraction_error_in_both(d, rank):
+    rng = np.random.default_rng(290 + 10 * d + rank)
+    alphas, preps, filters, rho0, rho1 = _supported_inputs(d, rank, rng)
+    u_ref = ref.verify_alpha_constraint(alphas, preps, filters, rho0, rho1, tol=np.inf).u_hat
+    scale = 1.5 / np.linalg.norm(u_ref, 2)
+    alphas = {key: scale * a for key, a in alphas.items()}
+    for check in (verify_alpha_constraint, ref.verify_alpha_constraint):
+        with pytest.raises(ContractionError):
+            check(alphas, preps, filters, rho0, rho1)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_alpha_constraint_keeps_small_eigenvalues_in_the_support(d):
+    # a per-arm eigenvalue of 1e-7 (square root ~3e-4 of the largest) lies
+    # far above the 1e-10 cutoff: its direction stays in the support
+    rng = np.random.default_rng(390 + d)
+    alphas, preps, filters, _, _ = _supported_inputs(d, d, rng)
+    q = random_unitary(d, rng)
+    rho = (q * np.r_[1.0, np.full(d - 1, 1e-7)]) @ q.conj().T
+    rho /= np.trace(rho).real
+    u_ref = ref.verify_alpha_constraint(alphas, preps, filters, rho, rho, tol=np.inf).u_hat
+    alphas = {key: 0.5 / np.linalg.norm(u_ref, 2) * a for key, a in alphas.items()}
+    cert = verify_alpha_constraint(alphas, preps, filters, rho, rho)
+    expected = ref.verify_alpha_constraint(alphas, preps, filters, rho, rho)
+    np.testing.assert_allclose(cert.u_hat, expected.u_hat, rtol=0, atol=1e-6)
+    assert cert.contraction_slack == pytest.approx(-0.75, abs=1e-6)
