@@ -3,7 +3,7 @@
 Subcommands
 -----------
 vg                   generalized visibility for a channel and preparation
-distinguishability   which-way distinguishability from the canonical dilation
+distinguishability   which-way distinguishability of the environment states
 verify               both quantities plus the trade-off slack (exit 1 if violated)
 table                theory grid of filtering probabilities and fractional
                      visibilities for the four-unitary noise mixture
@@ -154,17 +154,15 @@ def cmd_vg(args) -> int:
 def cmd_distinguishability(args) -> int:
     ch = parse_channel(args.channel, args.d)
     prep = parse_preparation(args.prep, args.d)
-    e0, e1 = dua.environment_states(chn.dilate(ch), prep)
-    _emit(f"D = {dua.distinguishability(e0, e1):.4f}", args.out)
+    d_val, _ = dua._d_and_vg(ch, prep)
+    _emit(f"D = {d_val:.4f}", args.out)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     ch = parse_channel(args.channel, args.d)
     prep = parse_preparation(args.prep, args.d)
-    e0, e1 = dua.environment_states(chn.dilate(ch), prep)
-    d_val = dua.distinguishability(e0, e1)
-    v_val = dua.generalized_visibility(ch, prep)
+    d_val, v_val = dua._d_and_vg(ch, prep)
     slack = 1.0 - d_val**2 - v_val**2
     bound = float(np.sqrt(max(1.0 - v_val**2, 0.0)))
     lines = [

@@ -1,24 +1,36 @@
 """Distinguishability, generalized visibility and the trade-off between them.
 
-Which-way information is quantified by the distinguishability D of the two
-environment states correlated with the arms. The coherence that survives the
-channel is quantified by the generalized visibility: with the cross block
-map L_01 acting on the second replica of the spin space,
+A path channel with Kraus pairs (A_k, B_k), k = 1..K, leaves the
+environment in one of two K x K states, depending on the arm taken:
+
+    e0[k, l] = Tr(A_k rho0 A_l^dag),    e1[k, l] = Tr(B_k rho1 B_l^dag),
+
+the Gram matrices of the Kraus factors weighted by the per-arm spin states.
+Which-way information is their distinguishability D = ||e0 - e1||_1 / 2.
+The coherence that survives the channel is the generalized visibility,
+defined with the cross block map L_01 acting on the second replica of the
+spin space,
 
     V_G = d * || (I x L_01)( (1 x sqrt(rho0)) |Phi+><Phi+| (1 x sqrt(rho1)) ) ||_1 ,
 
-and the two always satisfy D^2 + V_G^2 <= 1. With s_i = sqrt(rho_i), the
-operator inside the norm is computed by two differently associated routes,
-cross-checked on every call:
+and it is the root fidelity of the same two states,
 
-- the sandwich route contracts the square-root factors into
-  M = (I x L_01)(|Phi+><Phi+|), the Gram matrix of the Kraus factors, giving
-  (s0^T x 1) M (s1^T x 1);
-- the state route multiplies the square roots into the Kraus factors first,
-  A_k s0 and B_k s1, and takes the Gram matrix of those.
+    V_G = F(e0, e1) = || sqrt(e0) sqrt(e1) ||_1 .
 
-The environment states are the Gram matrices Tr(A_k rho A_l^dag) of the
-dilation, read off without forming the dK x dK operator v rho v^dag.
+The operator inside the first norm is x y^dag / d, where column k of x (of
+y) is the vectorized (A_k sqrt(rho0))^T (the (B_k sqrt(rho1))^T). Its Gram
+matrices are x^dag x = e0^T and y^dag y = e1^T, and polar decomposition
+gives ||x y^dag||_1 = || |x| |y| ||_1.
+
+The paper's trade-off D^2 + V_G^2 <= 1 is therefore the upper
+Fuchs-van de Graaf inequality D <= sqrt(1 - F^2) (C. A. Fuchs and
+J. van de Graaf, IEEE Trans. Inf. Theory 45, 1216 (1999); B.-G. Englert,
+Phys. Rev. Lett. 77, 2154 (1996) gives the case without an internal degree
+of freedom). D and V_G come from one pair of K x K matrices, and every
+evaluation checks the lower half of the same theorem, D >= 1 - V_G within
+1e-9, which fails if either number is wrong. :func:`visibility_operator`
+keeps the d^2 x d^2 operator of the definition as the independent input of
+:func:`brute_force_visibility`.
 """
 
 from __future__ import annotations
@@ -27,16 +39,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Dilation, PathChannel, Preparation, block_choi, dilate
-from .errors import DimensionError, NumericalError
+from .channels import Dilation, PathChannel, Preparation, block_choi
+from .errors import DimensionError, NumericalError, PositivityError
 from .linalg import (
     ATOL_DERIVED,
+    ATOL_STRUCT,
     SpinState,
     dagger,
     factor_sandwich,
+    fidelity,
     hermitian_part,
+    is_hermitian,
     matrix_sqrt,
-    trace_norm,
 )
 
 __all__ = [
@@ -53,33 +67,48 @@ __all__ = [
 INEQUALITY_SLACK_FLOOR = -1e-8
 
 
+def _gram(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Tr(A_k rho A_l^dag) for a (K, d, d) stack of Kraus factors A_k."""
+    k = kraus.shape[0]
+    x = (kraus @ rho).reshape(k, -1)  # row k is A_k rho flattened
+    return hermitian_part(x @ kraus.reshape(k, -1).conj().T)
+
+
 def environment_states(dil: Dilation, prep: Preparation) -> tuple[SpinState, SpinState]:
     """Normalized environment states correlated with arm 0 and arm 1.
 
     For the isometries v_i and per-arm inputs rho_i these are
-    Tr_spin(v_i rho_i v_i^dag), the Gram matrix Tr(A_k rho_i A_l^dag) of the
-    Kraus factors A_k = v_i[:, k, :] of v_i viewed as a (d, K, d) array.
+    Tr_spin(v_i rho_i v_i^dag): the Gram matrices Tr(A_k rho_i A_l^dag) of
+    the Kraus factors A_k = v_i[:, k, :] of v_i viewed as a (d, K, d) array,
+    built by the kernel behind :func:`generalized_visibility` and validated
+    as :class:`SpinState`.
     """
     if dil.spin_dim != prep.spin_dim:
         raise DimensionError("dilation and preparation spin dimensions differ")
     d, k = dil.spin_dim, dil.env_dim
-    out = []
-    for i, rho in enumerate((prep.rho0, prep.rho1)):
-        v = dil.isometry(i)
-        # row k of x is A_k rho flattened, row k of y is A_k flattened
-        x = (v @ rho).reshape(d, k, d).transpose(1, 0, 2).reshape(k, d * d)
-        y = v.reshape(d, k, d).transpose(1, 0, 2).reshape(k, d * d)
-        out.append(SpinState(k, hermitian_part(x @ y.conj().T)))
-    return out[0], out[1]
+    e0, e1 = (
+        SpinState(k, _gram(v.reshape(d, k, d).transpose(1, 0, 2), rho))
+        for v, rho in ((dil.v0, prep.rho0), (dil.v1, prep.rho1))
+    )
+    return e0, e1
+
+
+def _trace_distance(m0: np.ndarray, m1: np.ndarray) -> float:
+    """||m0 - m1||_1 / 2 of Hermitian m0, m1 from the eigenvalues of the
+    difference."""
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(m0 - m1)).sum())
 
 
 def distinguishability(e0, e1) -> float:
-    """Half the trace norm of the difference of two environment states."""
+    """Half the trace norm of the difference of two environment states,
+    given as :class:`SpinState` or as matrices Hermitian within 1e-10."""
     m0 = np.asarray(getattr(e0, "matrix", e0), dtype=complex)
     m1 = np.asarray(getattr(e1, "matrix", e1), dtype=complex)
     if m0.shape != m1.shape:
         raise DimensionError(f"environment dimensions differ: {m0.shape} vs {m1.shape}")
-    return 0.5 * trace_norm(m0 - m1)
+    if not is_hermitian(m0 - m1):
+        raise PositivityError("environment states are not Hermitian within 1e-10")
+    return _trace_distance(m0, m1)
 
 
 def _check_dims(ch: PathChannel, prep: Preparation) -> None:
@@ -87,50 +116,53 @@ def _check_dims(ch: PathChannel, prep: Preparation) -> None:
         raise DimensionError("channel and preparation spin dimensions differ")
 
 
+def _d_and_vg(ch: PathChannel, prep: Preparation) -> tuple[float, float]:
+    """(D, V_G) from the two K x K environment states of the channel.
+
+    Each state must have unit trace within 1e-10, else
+    :class:`PositivityError`; :func:`fidelity` runs the Hermitian and PSD
+    checks of :func:`psd_eigh` on both. V_G above 1 + 1e-9, or D below the
+    Fuchs-van de Graaf floor 1 - V_G - 1e-9, raises :class:`NumericalError`.
+    """
+    _check_dims(ch, prep)
+    e0 = _gram(ch.kraus[:, 0], prep.rho0)
+    e1 = _gram(ch.kraus[:, 1], prep.rho1)
+    for e in (e0, e1):
+        if abs(np.trace(e).real - 1.0) > ATOL_STRUCT:
+            raise PositivityError("environment state trace differs from one beyond 1e-10")
+    d_value = _trace_distance(e0, e1)
+    v_value = fidelity(e0, e1)
+    if v_value > 1.0 + ATOL_DERIVED:
+        raise NumericalError(f"generalized visibility {v_value!r} exceeds 1")
+    v_value = min(v_value, 1.0)
+    if d_value < 1.0 - v_value - ATOL_DERIVED:
+        raise NumericalError(
+            f"Fuchs-van de Graaf bound violated: D={d_value!r} < 1 - V_G={1.0 - v_value!r}"
+        )
+    return d_value, v_value
+
+
 def _sandwich_route(ch: PathChannel, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
     """(s0^T x 1) M (s1^T x 1) with M = block_choi(ch, 0, 1)."""
     return factor_sandwich(s0.T, block_choi(ch, 0, 1), s1.T)
 
 
-def _state_route(ch: PathChannel, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
-    """Gram matrix of the vectorized (A_k s0)^T and (B_k s1)^T over d."""
-    d, k = ch.spin_dim, ch.n_kraus
-    x = (ch.kraus[:, 0] @ s0).transpose(2, 1, 0).reshape(d * d, k)
-    y = (ch.kraus[:, 1] @ s1).transpose(2, 1, 0).reshape(d * d, k)
-    return x @ y.conj().T / d
-
-
 def visibility_operator(ch: PathChannel, prep: Preparation) -> np.ndarray:
-    """The operator N whose trace norm (times d) is the generalized
-    visibility: N = (sqrt(rho0)^T x 1) M (sqrt(rho1)^T x 1)."""
+    """The d^2 x d^2 operator N of the definition, whose trace norm (times
+    d) is the generalized visibility: N = (sqrt(rho0)^T x 1) M
+    (sqrt(rho1)^T x 1) with M = block_choi(ch, 0, 1)."""
     _check_dims(ch, prep)
     return _sandwich_route(ch, matrix_sqrt(prep.rho0), matrix_sqrt(prep.rho1))
-
-
-def _visibility_state_route(ch: PathChannel, prep: Preparation) -> float:
-    _check_dims(ch, prep)
-    s0, s1 = matrix_sqrt(prep.rho0), matrix_sqrt(prep.rho1)
-    return ch.spin_dim * trace_norm(_state_route(ch, s0, s1))
 
 
 def generalized_visibility(ch: PathChannel, prep: Preparation) -> float:
     """Generalized visibility of the channel for the given preparation.
 
-    Both computation routes (sandwich form and state form) are evaluated
-    from the same square roots and must agree within 1e-9.
+    V_G is the root fidelity F(e0, e1) of the two K x K environment states
+    (see the module docstring), computed with D by one kernel that checks
+    D >= 1 - V_G within 1e-9.
     """
-    _check_dims(ch, prep)
-    d = ch.spin_dim
-    s0, s1 = matrix_sqrt(prep.rho0), matrix_sqrt(prep.rho1)
-    value = d * trace_norm(_sandwich_route(ch, s0, s1))
-    alt = d * trace_norm(_state_route(ch, s0, s1))
-    if abs(value - alt) > ATOL_DERIVED:
-        raise NumericalError(
-            f"visibility routes disagree: {value!r} vs {alt!r}"
-        )
-    if value > 1.0 + ATOL_DERIVED:
-        raise NumericalError(f"generalized visibility {value!r} exceeds 1")
-    return min(value, 1.0)
+    return _d_and_vg(ch, prep)[1]
 
 
 @dataclass(frozen=True)
@@ -229,11 +261,9 @@ class DualityReport:
 
 
 def verify_inequality(ch: PathChannel, prep: Preparation) -> DualityReport:
-    """Compute D (through the canonical dilation) and V_G and report the
-    slack 1 - D^2 - V_G^2, which is nonnegative up to 1e-8."""
-    e0, e1 = environment_states(dilate(ch), prep)
-    d_value = distinguishability(e0, e1)
-    v_value = generalized_visibility(ch, prep)
+    """Compute D and V_G from the two K x K environment states and report
+    the slack 1 - D^2 - V_G^2, which is nonnegative up to 1e-8."""
+    d_value, v_value = _d_and_vg(ch, prep)
     return DualityReport(
         distinguishability=d_value,
         visibility=v_value,

@@ -33,4 +33,4 @@ class ConventionError(WhichWayError, ValueError):
 
 class NumericalError(WhichWayError, RuntimeError):
     """A numerical procedure failed to converge or produced an inconsistent
-    result (e.g. the two visibility computation routes disagree)."""
+    result (e.g. D falls below the Fuchs-van de Graaf floor 1 - V_G)."""

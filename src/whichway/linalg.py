@@ -156,11 +156,20 @@ def matrix_sqrt(m: np.ndarray, atol: float = 1e-8) -> np.ndarray:
 
 
 def fidelity(rho, sigma) -> float:
-    """||sqrt(rho) sqrt(sigma)||_1 for density matrices of equal dimension."""
+    """Root fidelity ||sqrt(rho) sqrt(sigma)||_1 of two PSD matrices of
+    equal dimension.
+
+    With rho = U diag(a) U^dag and sigma = W diag(b) W^dag from
+    :func:`psd_eigh`, which runs its checks on both, the norm is that of
+    diag(sqrt(a)) U^dag W diag(sqrt(b)): the unitaries outside leave the
+    singular values unchanged, so neither square root is formed.
+    """
     r, s = _as_matrix(rho), _as_matrix(sigma)
     if r.shape != s.shape:
         raise DimensionError(f"dimension mismatch: {r.shape} vs {s.shape}")
-    return trace_norm(matrix_sqrt(r) @ matrix_sqrt(s))
+    a, u = psd_eigh(r)
+    b, w = psd_eigh(s)
+    return trace_norm(np.sqrt(a)[:, None] * (u.conj().T @ w) * np.sqrt(b))
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:

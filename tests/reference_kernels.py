@@ -31,6 +31,7 @@ from whichway.linalg import (
     matrix_sqrt,
     max_entangled_state,
     partial_trace,
+    trace_norm,
 )
 
 
@@ -93,6 +94,37 @@ def visibility_state(ch, s0, s1):
     for a, b in ch.kraus_pairs:
         out += np.kron(eye, a) @ sandwiched @ dagger(np.kron(eye, b))
     return out
+
+
+def state_route(ch, s0, s1):
+    """Gram matrix of the vectorized (A_k s0)^T and (B_k s1)^T over d: the
+    visibility operator with the square roots multiplied into the Kraus
+    factors first."""
+    d, k = ch.spin_dim, ch.n_kraus
+    x = (ch.kraus[:, 0] @ s0).transpose(2, 1, 0).reshape(d * d, k)
+    y = (ch.kraus[:, 1] @ s1).transpose(2, 1, 0).reshape(d * d, k)
+    return x @ y.conj().T / d
+
+
+def visibility_state_route(ch, prep):
+    """d ||N||_1 with N from :func:`state_route` of the matrix_sqrt roots."""
+    s0, s1 = matrix_sqrt(prep.rho0), matrix_sqrt(prep.rho1)
+    return ch.spin_dim * trace_norm(state_route(ch, s0, s1))
+
+
+def fidelity(rho, sigma):
+    """||sqrt(rho) sqrt(sigma)||_1 with both square roots formed."""
+    return trace_norm(matrix_sqrt(rho) @ matrix_sqrt(sigma))
+
+
+def distinguishability(ch, prep):
+    """||e0 - e1||_1 / 2 by an SVD, with e_i the partial traces of the full
+    dK x dK operators v_i rho_i v_i^dag of the kron-form dilation."""
+    d, k = ch.spin_dim, ch.n_kraus
+    v0, v1 = dilate(ch)
+    e0 = environment_state(v0, prep.rho0, d, k)
+    e1 = environment_state(v1, prep.rho1, d, k)
+    return 0.5 * trace_norm(e0 - e1)
 
 
 def fractional_visibility(ch, prep, filt):

@@ -38,6 +38,7 @@ from whichway import (
     swap_certificate,
     swap_estimate,
     verify_alpha_constraint,
+    verify_inequality,
     write_records_csv,
 )
 
@@ -398,9 +399,92 @@ def _preparation_with_marginals(rho0, rho1, rng):
     weights, pairs = [], []
     for i, wi in enumerate(w0):
         for j, wj in enumerate(w1):
-            weights.append(wi * wj)
-            pairs.append((v0[:, i], v1[:, j]))
+            if wi * wj > 1e-12:  # a null direction of a rank-deficient side
+                weights.append(wi * wj)
+                pairs.append((v0[:, i], v1[:, j]))
     return Preparation.ensemble(weights, pairs)
+
+
+def _contraction(rng, norm):
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    return norm * g / np.linalg.svd(g, compute_uv=False).max()
+
+
+def _contraction_alphas(rho0, rho1, u):
+    """Coefficients of (sqrt(rho1)^T x 1) u (sqrt(rho0)^T x 1) over the
+    rectilinear rank-one terms, an orthonormal basis of the operators on
+    the two replicas."""
+    from whichway import matrix_sqrt
+
+    left = np.kron(matrix_sqrt(rho1).T, np.eye(2)) @ u @ np.kron(matrix_sqrt(rho0).T, np.eye(2))
+    alphas = {}
+    for mu, (psi0, psi1) in rectilinear_preparations().items():
+        for nu, filt in rectilinear_filters().items():
+            term = np.kron(np.outer(psi0, psi1.conj()).T, np.outer(filt.chi1, filt.chi0.conj()))
+            alphas[(mu, nu)] = complex(term.conj().reshape(-1) @ left.reshape(-1))
+    return alphas
+
+
+def _assert_sound(cert, rho0, rho1, k, seed, rng):
+    """The bound assembled from exact records of a random channel does not
+    exceed V_G of a preparation with marginals rho0, rho1."""
+    ch = random_path_channel(2, k, seed=seed)
+    preps, filters = rectilinear_preparations(), rectilinear_filters()
+    records = {key: fractional_visibility(ch, preps[key[0]], filters[key[1]], mu=key[0])
+               for key in cert.alphas}
+    full = bound_from_visibilities(cert, records)
+    rep = verify_inequality(ch, _preparation_with_marginals(rho0, rho1, rng))
+    assert full.vg_lower <= rep.visibility + 1e-9
+    assert full.d_upper >= rep.distinguishability - 1e-9
+
+
+def _full_rank_density(rng):
+    return random_density(2, rng) * 0.98 + 0.01 * np.eye(2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 3), norm=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_full_rank_certificates_are_sound(k, norm, seed):
+    rng = np.random.default_rng(seed)
+    rho0, rho1 = _full_rank_density(rng), _full_rank_density(rng)
+    u = _contraction(rng, norm)
+    cert = verify_alpha_constraint(_contraction_alphas(rho0, rho1, u), rectilinear_preparations(),
+                                   rectilinear_filters(), rho0, rho1)
+    assert cert.contraction_slack <= 1e-8
+    np.testing.assert_allclose(cert.u_hat, u, atol=1e-8)
+    _assert_sound(cert, rho0, rho1, k, seed, rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ranks=st.sampled_from(((1, 1), (1, 2), (2, 1))),
+    leaky=st.booleans(),
+    k=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_deficient_certificates_are_sound_or_rejected(ranks, leaky, k, seed):
+    # coefficients of a contraction between the state factors lie in their
+    # supports and give a sound bound; perturbed ones leak and are refused
+    rng = np.random.default_rng(seed)
+
+    def density(rank):
+        if rank == 2:
+            return _full_rank_density(rng)
+        psi = random_ket(2, rng)
+        return np.outer(psi, psi.conj())
+
+    rho0, rho1 = density(ranks[0]), density(ranks[1])
+    alphas = _contraction_alphas(rho0, rho1, _contraction(rng, 1.0))
+    if leaky:
+        alphas = {key: a + 0.1 * complex(rng.normal(), rng.normal()) for key, a in alphas.items()}
+    args = (alphas, rectilinear_preparations(), rectilinear_filters(), rho0, rho1)
+    if leaky:
+        with pytest.raises(SupportError):
+            verify_alpha_constraint(*args)
+        return
+    cert = verify_alpha_constraint(*args)
+    assert cert.contraction_slack <= 1e-8
+    _assert_sound(cert, rho0, rho1, k, seed, rng)
 
 
 def test_records_csv_round_trip(tmp_path):

@@ -218,6 +218,16 @@ def test_fractional_visibility_route_disagreement_exits_3(capsys, monkeypatch):
     assert "numerical failure" in err
 
 
+def test_fuchs_van_de_graaf_floor_violation_exits_3(capsys, monkeypatch):
+    import whichway.duality as duality
+
+    monkeypatch.setattr(duality, "_trace_distance", lambda m0, m1: 0.0)
+    code, out, err = run_cli(capsys, "verify", "--channel", "transpose", "--prep", "pure:h,h")
+    assert code == EXIT_NUMERICAL
+    assert out == ""
+    assert "numerical failure: Fuchs-van de Graaf bound violated" in err
+
+
 @pytest.mark.parametrize("argv, limit", [
     (("verify", "--channel", "transpose", "--d", "100", "--prep", "mixed"), "--d must be in 1..16"),
     (("vg", "--channel", "identity", "--d", "0", "--prep", "mixed"), "--d must be in 1..16"),

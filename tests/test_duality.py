@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_density, random_ket, random_preparation, random_unitary
 from whichway import (
     DimensionError,
     NumericalError,
     PathChannel,
+    PositivityError,
     Preparation,
     brute_force_visibility,
     dilate,
@@ -91,6 +94,12 @@ def test_distinguishability_trivial_cases():
     )
     with pytest.raises(DimensionError):
         distinguishability(np.eye(2) / 2, np.eye(3) / 3)
+
+
+def test_distinguishability_rejects_non_hermitian_states():
+    skew = np.array([[0.5, 0.1], [0.0, 0.5]])
+    with pytest.raises(PositivityError):
+        distinguishability(skew, np.eye(2) / 2)
 
 
 def test_visibility_identity_channel_is_one():
@@ -228,7 +237,8 @@ def test_quantities_stay_in_unit_interval():
 
 
 def test_visibility_routes_agree_on_random_inputs():
-    from whichway.duality import _visibility_state_route, visibility_operator
+    from reference_kernels import visibility_state_route
+    from whichway.duality import visibility_operator
     from whichway.linalg import trace_norm
 
     rng = np.random.default_rng(17)
@@ -237,7 +247,7 @@ def test_visibility_routes_agree_on_random_inputs():
         ch = random_path_channel(d, int(rng.integers(1, 4)), seed=int(rng.integers(1e6)))
         prep = random_preparation(d, rng)
         sandwich = d * trace_norm(visibility_operator(ch, prep))
-        state = _visibility_state_route(ch, prep)
+        state = visibility_state_route(ch, prep)
         assert sandwich == pytest.approx(state, abs=1e-9)
 
 
@@ -284,3 +294,50 @@ def test_duality_report_rejects_violations():
     with pytest.raises(NumericalError):
         DualityReport(distinguishability=0.9, visibility=0.9,
                       channel_id="x", preparation_id="y")
+
+
+def test_environment_trace_beyond_1e10_is_a_positivity_error():
+    # trace preservation off by 5e-10 passes the channel's 1e-9 check, but
+    # each environment state must have unit trace within 1e-10
+    a = np.sqrt(1.0 + 5e-10) * np.eye(2)
+    ch = PathChannel(2, ((a, a),))
+    with pytest.raises(PositivityError, match="trace differs from one"):
+        verify_inequality(ch, Preparation.pure(H, H))
+
+def test_fuchs_van_de_graaf_floor_violation_is_numerical(monkeypatch):
+    # D forced to 0 under the transpose channel, where V_G = 0.5: the check
+    # D >= 1 - V_G - 1e-9 must catch the wrong D in every entry point
+    import whichway.duality as duality
+
+    monkeypatch.setattr(duality, "_trace_distance", lambda m0, m1: 0.0)
+    prep = Preparation.pure(H, H)
+    for compute in (verify_inequality, generalized_visibility):
+        with pytest.raises(NumericalError, match="Fuchs-van de Graaf"):
+            compute(transpose_channel(2), prep)
+    # D = 0 is right where V_G = 1, so the floor does not fire there
+    assert verify_inequality(identity_channel(2), prep).slack == pytest.approx(0.0, abs=1e-9)
+
+
+def _preparation_of_kind(kind, d, rng):
+    if kind == "pure":
+        return Preparation.pure(random_ket(d, rng), random_ket(d, rng))
+    if kind == "mixed":
+        return Preparation.completely_mixed(d)
+    m = int(rng.integers(2, 4))
+    pairs = [(random_ket(d, rng), random_ket(d, rng)) for _ in range(m)]
+    return Preparation.ensemble(rng.dirichlet(np.ones(m)), pairs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    k=st.integers(1, 4),
+    kind=st.sampled_from(("pure", "ensemble", "mixed")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fuchs_van_de_graaf_bounds_hold(d, k, kind, seed):
+    rng = np.random.default_rng(seed)
+    rep = verify_inequality(random_path_channel(d, k, seed=seed),
+                            _preparation_of_kind(kind, d, rng))
+    dist, vis = rep.distinguishability, rep.visibility
+    assert 1.0 - vis - 1e-9 <= dist <= np.sqrt(1.0 - vis**2) + 1e-9

@@ -3,7 +3,9 @@
 Sizes cover spin dimension d in {1, 2, 3, 4, 8} and Kraus rank K in
 {1, 2, 4, 16}; agreement is required within 1e-12 in complex128. The
 fractional-visibility and certificate kernels are compared with the
-block-map, kron-loop and two-eigendecomposition forms they replaced.
+block-map, kron-loop and two-eigendecomposition forms they replaced, and D
+and V_G from the two K x K environment states with the d^2 x d^2 sandwich
+and state routes and the partial-trace distinguishability.
 """
 
 import numpy as np
@@ -19,13 +21,15 @@ from whichway import (
     block_choi,
     dilate,
     environment_states,
+    fidelity,
     fractional_visibility,
     generalized_visibility,
     random_path_channel,
     verify_alpha_constraint,
+    verify_inequality,
     visibility_operator,
 )
-from whichway.duality import _sandwich_route, _state_route
+from whichway.duality import _sandwich_route
 from whichway.linalg import factor_sandwich, matrix_sqrt, trace_norm
 
 ATOL = 1e-12
@@ -107,10 +111,42 @@ def test_visibility_routes_match_kron_references(d, k):
         sandwich = ref.visibility_sandwich(ch, s0, s1)
         state = ref.visibility_state(ch, s0, s1)
         np.testing.assert_allclose(_sandwich_route(ch, s0, s1), sandwich, rtol=0, atol=ATOL)
-        np.testing.assert_allclose(_state_route(ch, s0, s1), state, rtol=0, atol=ATOL)
+        np.testing.assert_allclose(ref.state_route(ch, s0, s1), state, rtol=0, atol=ATOL)
         np.testing.assert_allclose(visibility_operator(ch, prep), sandwich, rtol=0, atol=ATOL)
         expected = min(d * trace_norm(state), 1.0)
         assert generalized_visibility(ch, prep) == pytest.approx(expected, abs=ATOL)
+
+
+def _rank_deficient(d, rng):
+    """A preparation whose per-arm states have rank d - 1 (rank 1 at d <= 2)."""
+    m = max(d - 1, 1)
+    pairs = [(random_ket(d, rng), random_ket(d, rng)) for _ in range(m)]
+    return Preparation.ensemble(rng.dirichlet(np.ones(m)), pairs)
+
+
+@pytest.mark.parametrize("d,k", SIZES)
+def test_d_and_vg_match_the_retired_routes(d, k):
+    ch = _channel(d, k)
+    rng = np.random.default_rng(d * 100 + k + 3)
+    preps = (*_preparations(d, rng), Preparation.completely_mixed(d), _rank_deficient(d, rng))
+    for prep in preps:
+        rep = verify_inequality(ch, prep)
+        sandwich = min(d * trace_norm(visibility_operator(ch, prep)), 1.0)
+        state = min(ref.visibility_state_route(ch, prep), 1.0)
+        assert abs(rep.visibility - sandwich) <= ATOL
+        assert abs(rep.visibility - state) <= ATOL
+        assert abs(rep.distinguishability - ref.distinguishability(ch, prep)) <= ATOL
+        assert generalized_visibility(ch, prep) == rep.visibility
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_fidelity_matches_square_root_reference(d):
+    rng = np.random.default_rng(d + 40)
+    rank_deficient = _rank_deficient(d, rng).rho0
+    states = (random_density(d, rng), random_density(d, rng), rank_deficient, np.eye(d) / d)
+    for rho in states:
+        for sigma in states:
+            assert abs(fidelity(rho, sigma) - ref.fidelity(rho, sigma)) <= ATOL
 
 
 @pytest.mark.parametrize("d", DIMS)
