@@ -2,7 +2,9 @@
 
 The explicit dilation of the polarization transpose channel writes what the
 environment actually records: four orthogonal states e1..e4 tagging the
-(input, output) polarization transition in each arm. For a fixed input
+(input, output) polarization transition in each arm. It is built as a path
+channel whose n-th Kraus pair is the transition tagged e_n, so the
+environment states below are indexed by e1..e4. For a fixed input
 polarization the two arms imprint different tag mixtures and the arms are
 partly distinguishable; averaging over input polarizations makes both arms
 imprint the *same* mixture, and the which-way record evaporates.
@@ -21,12 +23,11 @@ from whichway import (
 )
 
 h, v = ket(0, 2), ket(1, 2)
-dil = explicit_transpose_dilation()
-channel = dil.channel()
+channel = explicit_transpose_dilation()
 
 
 def describe(name, prep):
-    e0, e1 = environment_states(dil, prep)
+    e0, e1 = environment_states(channel, prep)
     d_val = distinguishability(e0, e1)
     v_val = generalized_visibility(channel, prep)
     print(f"preparation: {name}")

@@ -28,15 +28,12 @@ from .bounds import (
     write_records_csv,
 )
 from .channels import (
-    Dilation,
     PathChannel,
     PathSpinState,
     Preparation,
     apply_channel,
-    apply_via_choi,
     block_choi,
     block_map,
-    choi_state,
     dilate,
     explicit_transpose_dilation,
     identity_channel,
@@ -92,7 +89,6 @@ from .linalg import (
     fidelity,
     ket,
     matrix_sqrt,
-    max_entangled_state,
     partial_trace,
     trace_norm,
 )

@@ -10,14 +10,17 @@ one stacked complex array ``kraus`` of shape (K, 2, d, d) with
     L_ij(sigma) = sum_k K^(i)_k sigma K^(j)_k^dag,   K^(0) = A, K^(1) = B,
 
 the diagonal blocks being the per-arm channels and the 01 block carrying the
-inter-arm coherence. The production kernels (:func:`choi_factor`,
-:func:`block_choi`, :func:`dilate`) are reshapes and single matrix products
-on that array; :func:`choi_state` and :func:`apply_via_choi` keep the
-explicit Kronecker products as independent oracles.
+inter-arm coherence. The kernels (:func:`choi_factor`, :func:`block_choi`,
+:func:`dilate`, :func:`apply_channel`) are reshapes and single matrix
+products on that array. The Kraus index is also the environment basis of
+the canonical dilation, so no second array form of a channel is kept: the
+dilation isometries are one reshape of ``kraus``, and an explicit dilation
+such as :func:`explicit_transpose_dilation` is a :class:`PathChannel` whose
+k-th Kraus pair is the transition tagged by environment ket |e_k>.
 
 The array-holding classes (:class:`Preparation`, :class:`PathSpinState`,
-:class:`PathChannel`, :class:`Dilation`) compare and hash by identity: two
-separately built objects are unequal even when their arrays agree.
+:class:`PathChannel`) compare and hash by identity: two separately built
+objects are unequal even when their arrays agree.
 """
 
 from __future__ import annotations
@@ -35,21 +38,17 @@ from .linalg import (
     finite_array,
     hermitian_part,
     ket,
-    partial_trace,
     unit_ket,
 )
 
 __all__ = [
-    "Dilation",
     "PathChannel",
     "PathSpinState",
     "Preparation",
     "apply_channel",
-    "apply_via_choi",
     "block_choi",
     "block_map",
     "choi_factor",
-    "choi_state",
     "dilate",
     "dumps_channel",
     "explicit_transpose_dilation",
@@ -76,6 +75,8 @@ class Preparation:
     Either a single pure pair (psi0, psi1) or a weighted ensemble of pure
     pairs; the per-arm states ``rho0`` and ``rho1``, the weighted mixtures
     of |psi_i^m><psi_i^m|, are built once at construction and are read-only.
+    The weights must sum to one within 1e-10 and are stored divided by their
+    sum, so rho0 and rho1 have unit trace to round-off.
     """
 
     spin_dim: int
@@ -91,7 +92,8 @@ class Preparation:
         finite_array(self.weights, "ensemble weights")
         if any(w <= 0 for w in self.weights):
             raise DimensionError("ensemble weights must be positive")
-        if abs(sum(self.weights) - 1.0) > ATOL_STRUCT:
+        total = sum(self.weights)
+        if abs(total - 1.0) > ATOL_STRUCT:
             raise DimensionError("ensemble weights must sum to 1 within 1e-10")
         pairs = tuple(
             (unit_ket(p0, "psi0"), unit_ket(p1, "psi1")) for p0, p1 in self.pairs
@@ -99,7 +101,7 @@ class Preparation:
         for p0, p1 in pairs:
             if p0.size != self.spin_dim or p1.size != self.spin_dim:
                 raise DimensionError("preparation kets do not match spin_dim")
-        weights = tuple(float(w) for w in self.weights)
+        weights = tuple(float(w / total) for w in self.weights)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "weights", weights)
         kets = np.array(pairs)  # kets[m, i] = psi_i^m
@@ -171,11 +173,7 @@ class PathSpinState:
 
     def as_matrix(self) -> np.ndarray:
         d = self.spin_dim
-        m = np.empty((2 * d, 2 * d), dtype=complex)
-        for i in (0, 1):
-            for j in (0, 1):
-                m[i * d:(i + 1) * d, j * d:(j + 1) * d] = self.blocks[i, j]
-        return m
+        return self.blocks.swapaxes(1, 2).reshape(2 * d, 2 * d)
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "PathSpinState":
@@ -183,23 +181,14 @@ class PathSpinState:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
             raise DimensionError(f"expected a 2d x 2d matrix, got {m.shape}")
         d = m.shape[0] // 2
-        b = np.empty((2, 2, d, d), dtype=complex)
-        for i in (0, 1):
-            for j in (0, 1):
-                b[i, j] = m[i * d:(i + 1) * d, j * d:(j + 1) * d]
-        return cls(d, b)
+        return cls(d, m.reshape(2, d, 2, d).swapaxes(1, 2).copy())
 
     @classmethod
     def from_preparation(cls, prep: Preparation) -> "PathSpinState":
         """State of (|0>|psi0^m> + |1>|psi1^m>)/sqrt(2), mixed over the ensemble."""
-        d = prep.spin_dim
-        b = np.zeros((2, 2, d, d), dtype=complex)
-        for w, (p0, p1) in zip(prep.weights, prep.pairs):
-            kets = (p0, p1)
-            for i in (0, 1):
-                for j in (0, 1):
-                    b[i, j] += 0.5 * w * np.outer(kets[i], kets[j].conj())
-        return cls(d, b)
+        kets = np.array(prep.pairs)  # kets[m, i] = psi_i^m
+        b = 0.5 * np.einsum("m,mia,mjb->ijab", prep.weights, kets, kets.conj())
+        return cls(prep.spin_dim, b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,7 +199,8 @@ class PathChannel:
     ``kraus[k, 1]`` is B_k. It is built once at construction and is read-only;
     ``kraus_pairs`` holds the pairs (A_k, B_k) as views into it. Entries must
     be finite, and trace preservation (sum A^dag A = sum B^dag B = 1) is
-    enforced within 1e-9.
+    enforced in operator norm within 1e-10, so every state the channel
+    outputs has unit trace within 1e-10.
     """
 
     spin_dim: int
@@ -237,45 +227,39 @@ class PathChannel:
         object.__setattr__(self, "kraus", kraus)
         object.__setattr__(self, "kraus_pairs", tuple((k[0], k[1]) for k in kraus))
         gram = np.einsum("ksji,ksjl->sil", kraus.conj(), kraus)
-        err = np.abs(gram - np.eye(d)).max(axis=(1, 2))
+        err = np.abs(np.linalg.eigvalsh(gram - np.eye(d))).max(axis=1)
         for name, side in (("A", 0), ("B", 1)):
-            if err[side] > ATOL_DERIVED:
+            if err[side] > ATOL_STRUCT:
                 raise PositivityError(
-                    f"{name}-side Kraus blocks are not trace preserving within 1e-9"
+                    f"{name}-side Kraus blocks are not trace preserving within 1e-10"
                 )
 
     @property
     def n_kraus(self) -> int:
         return self.kraus.shape[0]
 
-    def blocks(self, i: int, j: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Kraus factor pairs (K^(i)_k, K^(j)_k) of the (i, j) block map."""
-        if i not in (0, 1) or j not in (0, 1):
-            raise DimensionError("path indices must be 0 or 1")
-        return [(p[i], p[j]) for p in self.kraus_pairs]
-
 
 def block_map(ch: PathChannel, i: int, j: int, sigma: np.ndarray) -> np.ndarray:
     """Apply the block map L_ij to a spin operator."""
+    if i not in (0, 1) or j not in (0, 1):
+        raise DimensionError("path indices must be 0 or 1")
     sigma = np.asarray(sigma, dtype=complex)
     if sigma.shape != (ch.spin_dim, ch.spin_dim):
         raise DimensionError(f"operator shape {sigma.shape} != spin dim {ch.spin_dim}")
     out = np.zeros_like(sigma)
-    for ki, kj in ch.blocks(i, j):
+    for ki, kj in zip(ch.kraus[:, i], ch.kraus[:, j]):
         out += ki @ sigma @ dagger(kj)
     return out
 
 
 def apply_channel(ch: PathChannel, state: PathSpinState) -> PathSpinState:
-    """Act with the channel on a joint path-spin state, block by block."""
+    """Act with the channel on a joint path-spin state: block (i, j) becomes
+    sum_k K^(i)_k rho_ij K^(j)_k^dag, one broadcast product over ``kraus``."""
     if ch.spin_dim != state.spin_dim:
         raise DimensionError("channel and state spin dimensions differ")
-    d = ch.spin_dim
-    b = np.empty((2, 2, d, d), dtype=complex)
-    for i in (0, 1):
-        for j in (0, 1):
-            b[i, j] = block_map(ch, i, j, state.blocks[i, j])
-    return PathSpinState(d, b)
+    kraus = ch.kraus
+    terms = kraus[:, :, None] @ state.blocks @ kraus.conj().swapaxes(-1, -2)[:, None]
+    return PathSpinState(ch.spin_dim, terms.sum(axis=0))
 
 
 def choi_factor(ch: PathChannel, i: int) -> np.ndarray:
@@ -299,84 +283,19 @@ def block_choi(ch: PathChannel, i: int, j: int) -> np.ndarray:
     return x @ y.conj().T / ch.spin_dim
 
 
-def choi_state(ch: PathChannel) -> np.ndarray:
-    """Full Choi state of the channel on (path x spin) twice, ordered
-    (Q, S, Q', S'); the channel acts on the primed replica."""
-    d = ch.spin_dim
-    dim = 2 * d
-    # |Phi+> on (Q,S,Q',S') = |Phi+>_QQ' x |Phi+>_SS' reordered to (QS)(Q'S')
-    phi = np.zeros(dim * dim, dtype=complex)
-    for i in (0, 1):
-        for l in range(d):
-            phi[(i * d + l) * dim + (i * d + l)] = 1.0
-    phi /= np.sqrt(dim)
-    proj = np.outer(phi, phi.conj())
-    eye = np.eye(dim)
-    out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for a, b in ch.kraus_pairs:
-        k_full = np.zeros((dim, dim), dtype=complex)
-        k_full[:d, :d] = a
-        k_full[d:, d:] = b
-        lifted = np.kron(eye, k_full)
-        out += lifted @ proj @ dagger(lifted)
-    return out
+def dilate(ch: PathChannel) -> np.ndarray:
+    """Isometries of the canonical dilation, one environment ket per Kraus
+    pair, as a read-only (2, d*K, d) array.
 
-
-def apply_via_choi(ch: PathChannel, state: PathSpinState) -> PathSpinState:
-    """Channel action computed through the Choi state,
-    rho' = 2d Tr_{QS}[Choi (rho^T x 1)]; agrees with apply_channel."""
-    d = ch.spin_dim
-    dim = 2 * d
-    lifted = np.kron(state.as_matrix().T, np.eye(dim))
-    out = 2 * d * partial_trace(choi_state(ch) @ lifted, (dim, dim), keep=1)
-    return PathSpinState.from_matrix(hermitian_part(out))
-
-
-@dataclass(frozen=True, eq=False)
-class Dilation:
-    """Isometric extension of a path-preserving channel.
-
-    v0 and v1 map the spin space into spin x environment (kron order
-    spin, environment); tracing out the environment recovers the block maps.
-    """
-
-    spin_dim: int
-    env_dim: int
-    v0: np.ndarray = field(repr=False)
-    v1: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        d, k = self.spin_dim, self.env_dim
-        for name in ("v0", "v1"):
-            v = finite_array(getattr(self, name), name)
-            object.__setattr__(self, name, v)
-            if v.shape != (d * k, d):
-                raise DimensionError(f"{name} shape {v.shape} != ({d * k}, {d})")
-            if np.max(np.abs(dagger(v) @ v - np.eye(d))) > ATOL_DERIVED:
-                raise PositivityError(f"{name} is not an isometry within 1e-9")
-
-    def isometry(self, i: int) -> np.ndarray:
-        return (self.v0, self.v1)[i]
-
-    def kraus_pairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Read the Kraus pairs back off the environment index."""
-        d, k = self.spin_dim, self.env_dim
-        a = self.v0.reshape(d, k, d)
-        b = self.v1.reshape(d, k, d)
-        return tuple((a[:, n, :], b[:, n, :]) for n in range(k))
-
-    def channel(self, label: str = "") -> PathChannel:
-        return PathChannel(self.spin_dim, self.kraus_pairs(), label=label)
-
-
-def dilate(ch: PathChannel) -> Dilation:
-    """Canonical dilation: one environment basis ket per Kraus pair.
-
-    Row m*K + n of v_i is row m of the n-th Kraus factor on side i.
+    Row m*K + n of ``dilate(ch)[i]`` is row m of the n-th Kraus factor on
+    side i (kron order spin, environment). Each v_i is an isometry,
+    v_i^dag v_i = sum_k K^(i)_k^dag K^(i)_k = 1, by the trace-preservation
+    check of :class:`PathChannel`.
     """
     d, k = ch.spin_dim, ch.n_kraus
     v = ch.kraus.transpose(1, 2, 0, 3).reshape(2, d * k, d)
-    return Dilation(d, k, v[0], v[1])
+    v.flags.writeable = False
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +351,7 @@ def pauli_mixture_channel() -> PathChannel:
     return PathChannel(2, pairs, label="pauli_mixture")
 
 
-def explicit_transpose_dilation() -> Dilation:
+def explicit_transpose_dilation() -> PathChannel:
     """Explicit four-state-environment dilation of the d=2 transpose channel.
 
     The environment kets e_1..e_4 tag the (input, output) rectilinear basis
@@ -440,20 +359,19 @@ def explicit_transpose_dilation() -> Dilation:
 
         v0: |h> -> (|h>|e1> + |v>|e2>)/sqrt(2),  |v> -> (|h>|e3> + |v>|e4>)/sqrt(2)
         v1: |h> -> (|h>|e1> + |v>|e3>)/sqrt(2),  |v> -> (|h>|e2> + |v>|e4>)/sqrt(2)
+
+    Kraus pair n is (A_n, B_n) = (<e_n|v0, <e_n|v1): the transpose channel's
+    Kraus pairs with the second and third swapped.
     """
+    h, v = ket(0, 2), ket(1, 2)
     s = 1.0 / np.sqrt(2)
-    v0 = np.zeros((8, 2), dtype=complex)
-    v1 = np.zeros((8, 2), dtype=complex)
-    # row index = spin * 4 + env
-    v0[0 * 4 + 0, 0] = s  # |h>|e1> <- h
-    v0[1 * 4 + 1, 0] = s  # |v>|e2> <- h
-    v0[0 * 4 + 2, 1] = s  # |h>|e3> <- v
-    v0[1 * 4 + 3, 1] = s  # |v>|e4> <- v
-    v1[0 * 4 + 0, 0] = s  # |h>|e1> <- h
-    v1[1 * 4 + 2, 0] = s  # |v>|e3> <- h
-    v1[0 * 4 + 1, 1] = s  # |h>|e2> <- v
-    v1[1 * 4 + 3, 1] = s  # |v>|e4> <- v
-    return Dilation(2, 4, v0, v1)
+    # (arm 0 output, input, arm 1 output, input) of the transition tagged e_n
+    transitions = ((h, h, h, h), (v, h, h, v), (h, v, v, h), (v, v, v, v))
+    pairs = tuple(
+        (s * np.outer(out0, in0.conj()), s * np.outer(out1, in1.conj()))
+        for out0, in0, out1, in1 in transitions
+    )
+    return PathChannel(2, pairs)
 
 
 def random_path_channel(d: int, n_kraus: int, seed: int) -> PathChannel:

@@ -6,6 +6,9 @@ environment in one of two K x K states, depending on the arm taken:
     e0[k, l] = Tr(A_k rho0 A_l^dag),    e1[k, l] = Tr(B_k rho1 B_l^dag),
 
 the Gram matrices of the Kraus factors weighted by the per-arm spin states.
+They are the reduced states Tr_spin(v_i rho_i v_i^dag) of the canonical
+dilation (:func:`whichway.channels.dilate`), whose environment basis is the
+Kraus index, and are computed straight from ``ch.kraus``.
 Which-way information is their distinguishability D = ||e0 - e1||_1 / 2.
 The coherence that survives the channel is the generalized visibility,
 defined with the cross block map L_01 acting on the second replica of the
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Dilation, PathChannel, Preparation, block_choi
+from .channels import PathChannel, Preparation, block_choi
 from .errors import DimensionError, NumericalError, PositivityError
 from .linalg import (
     ATOL_DERIVED,
@@ -74,23 +77,30 @@ def _gram(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return hermitian_part(x @ kraus.reshape(k, -1).conj().T)
 
 
-def environment_states(dil: Dilation, prep: Preparation) -> tuple[SpinState, SpinState]:
+def _environment_grams(ch: PathChannel, prep: Preparation) -> tuple[np.ndarray, np.ndarray]:
+    """The K x K environment states e0, e1 as arrays, each of unit trace
+    within 1e-10 (else :class:`PositivityError`)."""
+    if ch.spin_dim != prep.spin_dim:
+        raise DimensionError("channel and preparation spin dimensions differ")
+    e0 = _gram(ch.kraus[:, 0], prep.rho0)
+    e1 = _gram(ch.kraus[:, 1], prep.rho1)
+    for e in (e0, e1):
+        if abs(np.trace(e).real - 1.0) > ATOL_STRUCT:
+            raise PositivityError("environment state trace differs from one beyond 1e-10")
+    return e0, e1
+
+
+def environment_states(ch: PathChannel, prep: Preparation) -> tuple[SpinState, SpinState]:
     """Normalized environment states correlated with arm 0 and arm 1.
 
-    For the isometries v_i and per-arm inputs rho_i these are
-    Tr_spin(v_i rho_i v_i^dag): the Gram matrices Tr(A_k rho_i A_l^dag) of
-    the Kraus factors A_k = v_i[:, k, :] of v_i viewed as a (d, K, d) array,
+    The Gram matrices Tr(A_k rho_i A_l^dag) of the arm-i Kraus factors, i.e.
+    Tr_spin(v_i rho_i v_i^dag) for the isometries v_i of :func:`dilate`,
     built by the kernel behind :func:`generalized_visibility` and validated
-    as :class:`SpinState`.
+    as :class:`SpinState`. For :func:`explicit_transpose_dilation` the
+    environment basis is the four transition tags e_1..e_4.
     """
-    if dil.spin_dim != prep.spin_dim:
-        raise DimensionError("dilation and preparation spin dimensions differ")
-    d, k = dil.spin_dim, dil.env_dim
-    e0, e1 = (
-        SpinState(k, _gram(v.reshape(d, k, d).transpose(1, 0, 2), rho))
-        for v, rho in ((dil.v0, prep.rho0), (dil.v1, prep.rho1))
-    )
-    return e0, e1
+    e0, e1 = _environment_grams(ch, prep)
+    return SpinState(ch.n_kraus, e0), SpinState(ch.n_kraus, e1)
 
 
 def _trace_distance(m0: np.ndarray, m1: np.ndarray) -> float:
@@ -111,11 +121,6 @@ def distinguishability(e0, e1) -> float:
     return _trace_distance(m0, m1)
 
 
-def _check_dims(ch: PathChannel, prep: Preparation) -> None:
-    if ch.spin_dim != prep.spin_dim:
-        raise DimensionError("channel and preparation spin dimensions differ")
-
-
 def _d_and_vg(ch: PathChannel, prep: Preparation) -> tuple[float, float]:
     """(D, V_G) from the two K x K environment states of the channel.
 
@@ -124,12 +129,7 @@ def _d_and_vg(ch: PathChannel, prep: Preparation) -> tuple[float, float]:
     checks of :func:`psd_eigh` on both. V_G above 1 + 1e-9, or D below the
     Fuchs-van de Graaf floor 1 - V_G - 1e-9, raises :class:`NumericalError`.
     """
-    _check_dims(ch, prep)
-    e0 = _gram(ch.kraus[:, 0], prep.rho0)
-    e1 = _gram(ch.kraus[:, 1], prep.rho1)
-    for e in (e0, e1):
-        if abs(np.trace(e).real - 1.0) > ATOL_STRUCT:
-            raise PositivityError("environment state trace differs from one beyond 1e-10")
+    e0, e1 = _environment_grams(ch, prep)
     d_value = _trace_distance(e0, e1)
     v_value = fidelity(e0, e1)
     if v_value > 1.0 + ATOL_DERIVED:
@@ -151,7 +151,8 @@ def visibility_operator(ch: PathChannel, prep: Preparation) -> np.ndarray:
     """The d^2 x d^2 operator N of the definition, whose trace norm (times
     d) is the generalized visibility: N = (sqrt(rho0)^T x 1) M
     (sqrt(rho1)^T x 1) with M = block_choi(ch, 0, 1)."""
-    _check_dims(ch, prep)
+    if ch.spin_dim != prep.spin_dim:
+        raise DimensionError("channel and preparation spin dimensions differ")
     return _sandwich_route(ch, matrix_sqrt(prep.rho0), matrix_sqrt(prep.rho1))
 
 

@@ -548,14 +548,16 @@ def fit_fringes(ds: FringeDataset) -> FitResult:
     design_minus = np.column_stack([half, -0.5 * c, 0.5 * s])
     design = np.vstack([design_plus, design_minus])
 
-    gram = design.T @ design
-    if np.linalg.cond(gram) > 1e12:
+    # One thin SVD gives the condition number of the normal equations,
+    # (s_max / s_min)^2, the least-squares solution and the covariance.
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    if s[0] ** 2 > 1e12 * s[-1] ** 2:
         raise NumericalError("degenerate design matrix: phases do not constrain the fit")
-    beta, *_ = np.linalg.lstsq(design, y, rcond=None)
+    beta = vt.T @ ((u.T @ y) / s)
     resid = y - design @ beta
     dof = y.size - 3
     var = float(resid @ resid) / dof if dof > 0 else 0.0
-    cov = var * np.linalg.inv(gram)
+    cov = var * (vt.T / s**2) @ vt
 
     p_hat = float(max(beta[0], 0.0))
     vis = complex(beta[1], beta[2])

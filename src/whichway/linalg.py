@@ -39,7 +39,6 @@ __all__ = [
     "is_hermitian",
     "ket",
     "matrix_sqrt",
-    "max_entangled_state",
     "partial_trace",
     "psd_eigh",
     "trace_norm",
@@ -206,13 +205,6 @@ def factor_sandwich(left: np.ndarray, m: np.ndarray, right: np.ndarray) -> np.nd
     d = left.shape[0]
     t = (left @ m.reshape(d, d**3)).reshape(d * d, d, d)
     return (t.swapaxes(1, 2) @ right).swapaxes(1, 2).reshape(d * d, d * d)
-
-
-def max_entangled_state(d: int) -> np.ndarray:
-    """Normalized vector sum_l |l>|l> / sqrt(d) on two replicas."""
-    if d < 1:
-        raise DimensionError("dimension must be >= 1")
-    return np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,7 +4,9 @@ Each function spells out a kernel's defining formula with explicit
 ``np.kron`` lifts and a loop over Kraus pairs (or ensemble members, or
 phases and rows). The production kernels compute the same quantities by
 reshapes, single matrix products and whole-array operations; the kernel
-tests compare the two.
+tests compare the two. The Choi-state route of the channel action
+(:func:`choi_state`, :func:`apply_via_choi`) and :func:`max_entangled_state`
+have no production caller and serve only as oracles.
 """
 
 import numpy as np
@@ -15,8 +17,8 @@ from whichway.bounds import (
     rectilinear_filters,
     rectilinear_preparations,
 )
-from whichway.channels import block_map, pure_pair
-from whichway.errors import ContractionError, NumericalError, SupportError
+from whichway.channels import PathSpinState, block_map, pure_pair
+from whichway.errors import ContractionError, DimensionError, NumericalError, SupportError
 from whichway.interferometer import (
     FringeDataset,
     _allocate,
@@ -29,10 +31,16 @@ from whichway.linalg import (
     dagger,
     hermitian_part,
     matrix_sqrt,
-    max_entangled_state,
     partial_trace,
     trace_norm,
 )
+
+
+def max_entangled_state(d):
+    """Normalized vector sum_l |l>|l> / sqrt(d) on two replicas."""
+    if d < 1:
+        raise DimensionError("dimension must be >= 1")
+    return np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
 
 
 def block_choi(ch, i, j):
@@ -42,9 +50,43 @@ def block_choi(ch, i, j):
     proj = np.outer(phi, phi.conj())
     eye = np.eye(d)
     out = np.zeros((d * d, d * d), dtype=complex)
-    for ki, kj in ch.blocks(i, j):
+    for pair in ch.kraus_pairs:
+        ki, kj = pair[i], pair[j]
         out += np.kron(eye, ki) @ proj @ dagger(np.kron(eye, kj))
     return out
+
+
+def choi_state(ch):
+    """Full Choi state of the channel on (path x spin) twice, ordered
+    (Q, S, Q', S'); the channel acts on the primed replica."""
+    d = ch.spin_dim
+    dim = 2 * d
+    # |Phi+> on (Q,S,Q',S') = |Phi+>_QQ' x |Phi+>_SS' reordered to (QS)(Q'S')
+    phi = np.zeros(dim * dim, dtype=complex)
+    for i in (0, 1):
+        for l in range(d):
+            phi[(i * d + l) * dim + (i * d + l)] = 1.0
+    phi /= np.sqrt(dim)
+    proj = np.outer(phi, phi.conj())
+    eye = np.eye(dim)
+    out = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for a, b in ch.kraus_pairs:
+        k_full = np.zeros((dim, dim), dtype=complex)
+        k_full[:d, :d] = a
+        k_full[d:, d:] = b
+        lifted = np.kron(eye, k_full)
+        out += lifted @ proj @ dagger(lifted)
+    return out
+
+
+def apply_via_choi(ch, state):
+    """Channel action computed through the Choi state,
+    rho' = 2d Tr_{QS}[Choi (rho^T x 1)]; agrees with apply_channel."""
+    d = ch.spin_dim
+    dim = 2 * d
+    lifted = np.kron(state.as_matrix().T, np.eye(dim))
+    out = 2 * d * partial_trace(choi_state(ch) @ lifted, (dim, dim), keep=1)
+    return PathSpinState.from_matrix(hermitian_part(out))
 
 
 def dilate(ch):

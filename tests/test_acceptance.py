@@ -90,23 +90,23 @@ def test_criterion_02_worked_channel_closed_forms():
 
 
 def test_criterion_03_erasure_by_mixing():
-    dil = explicit_transpose_dilation()
+    ch = explicit_transpose_dilation()
     ok = True
 
-    e0, e1 = environment_states(dil, Preparation.pure(H, H))
+    e0, e1 = environment_states(ch, Preparation.pure(H, H))
     ref0 = np.zeros((4, 4), dtype=complex); ref0[0, 0] = ref0[1, 1] = 0.5
     ref1 = np.zeros((4, 4), dtype=complex); ref1[0, 0] = ref1[2, 2] = 0.5
     ok &= np.max(np.abs(e0.matrix - ref0)) <= 1e-10
     ok &= np.max(np.abs(e1.matrix - ref1)) <= 1e-10
     ok &= abs(distinguishability(e0, e1) - 0.5) <= 1e-9
 
-    f0, f1 = environment_states(dil, Preparation.pure(V, V))
+    f0, f1 = environment_states(ch, Preparation.pure(V, V))
     ref0 = np.zeros((4, 4), dtype=complex); ref0[2, 2] = ref0[3, 3] = 0.5
     ref1 = np.zeros((4, 4), dtype=complex); ref1[1, 1] = ref1[3, 3] = 0.5
     ok &= np.max(np.abs(f0.matrix - ref0)) <= 1e-10
     ok &= np.max(np.abs(f1.matrix - ref1)) <= 1e-10
 
-    g0, g1 = environment_states(dil, Preparation.completely_mixed(2))
+    g0, g1 = environment_states(ch, Preparation.completely_mixed(2))
     ok &= np.max(np.abs(g0.matrix - np.eye(4) / 4)) <= 1e-10
     ok &= np.max(np.abs(g1.matrix - np.eye(4) / 4)) <= 1e-10
     ok &= distinguishability(g0, g1) <= 1e-9

@@ -299,7 +299,7 @@ def test_global_phase_invariance_of_bound():
 
 
 def test_certificate_soundness_on_random_instances():
-    from whichway import dilate, distinguishability, environment_states
+    from whichway import distinguishability, environment_states
 
     rng = np.random.default_rng(4)
     for _ in range(60):
@@ -317,7 +317,7 @@ def test_certificate_soundness_on_random_instances():
         vg = generalized_visibility(ch, prep)
         assert cert.vg_lower <= vg + 1e-8
         # the which-way bound is sound against the dilation value
-        d_true = distinguishability(*environment_states(dilate(ch), prep))
+        d_true = distinguishability(*environment_states(ch, prep))
         assert cert.d_upper >= d_true - 1e-8
 
 
@@ -349,7 +349,7 @@ def test_general_certificates_with_full_rank_states():
     # the rectilinear rank-one terms span all operators on the two replicas,
     # so any contraction sandwiched between full-rank state factors yields a
     # decomposable, verifiable coefficient set
-    from whichway import dilate, distinguishability, environment_states, matrix_sqrt
+    from whichway import distinguishability, environment_states, matrix_sqrt
 
     rng = np.random.default_rng(6)
     preps = rectilinear_preparations()
@@ -387,7 +387,7 @@ def test_general_certificates_with_full_rank_states():
         prep = _preparation_with_marginals(rho0, rho1, rng)
         vg = generalized_visibility(ch, prep)
         assert full.vg_lower <= vg + 1e-8
-        d_true = distinguishability(*environment_states(dilate(ch), prep))
+        d_true = distinguishability(*environment_states(ch, prep))
         assert full.d_upper >= d_true - 1e-8
 
 

@@ -10,6 +10,7 @@ from conftest import (
     random_preparation,
     random_unitary,
 )
+from reference_kernels import apply_via_choi, choi_state, max_entangled_state
 from whichway import (
     DimensionError,
     NonFiniteError,
@@ -19,15 +20,12 @@ from whichway import (
     Preparation,
     SpinState,
     apply_channel,
-    apply_via_choi,
     block_choi,
     block_map,
-    choi_state,
     dilate,
     explicit_transpose_dilation,
     identity_channel,
     ket,
-    max_entangled_state,
     pauli_mixture_channel,
     pauli_noise_program,
     random_path_channel,
@@ -49,7 +47,7 @@ ALL_BUILDERS = [
     replace_channel(np.eye(2) / 2),
     random_path_channel(2, 3, seed=11),
     random_path_channel(3, 2, seed=12),
-    explicit_transpose_dilation().channel(),
+    explicit_transpose_dilation(),
 ]
 
 
@@ -185,16 +183,19 @@ def test_apply_via_choi_agrees_with_apply(ch):
 
 
 def test_dilate_identity_channel():
-    dil = dilate(identity_channel(3))
-    assert dil.env_dim == 1
-    np.testing.assert_allclose(dil.v0, np.eye(3), atol=1e-12)
+    v = dilate(identity_channel(3))
+    assert v.shape == (2, 3, 3)  # one environment ket
+    np.testing.assert_allclose(v[0], np.eye(3), atol=1e-12)
 
 
 @pytest.mark.parametrize("ch", ALL_BUILDERS, ids=lambda c: c.label)
 def test_dilate_round_trips_block_maps(ch):
-    dil = dilate(ch)
-    assert dil.env_dim == ch.n_kraus
-    back = dil.channel()
+    d, k = ch.spin_dim, ch.n_kraus
+    v = dilate(ch)
+    assert v.shape == (2, d * k, d)
+    # Kraus pair n read back off environment ket n
+    a, b = v.reshape(2, d, k, d)
+    back = PathChannel(d, tuple((a[:, n], b[:, n]) for n in range(k)))
     for i in (0, 1):
         for j in (0, 1):
             np.testing.assert_allclose(
@@ -202,9 +203,28 @@ def test_dilate_round_trips_block_maps(ch):
             )
 
 
+@pytest.mark.parametrize(
+    "ch",
+    ALL_BUILDERS + [random_path_channel(d, k, seed=40 + 10 * d + k)
+                    for d in (1, 2, 4, 8) for k in (1, 3, 16)],
+    ids=lambda c: c.label,
+)
+def test_dilate_is_a_read_only_isometry(ch):
+    v = dilate(ch)
+    with pytest.raises(ValueError):
+        v[0, 0, 0] = 0.0
+    for side in (0, 1):
+        np.testing.assert_allclose(v[side].conj().T @ v[side], np.eye(ch.spin_dim),
+                                   rtol=0, atol=1e-10)
+
+
+def test_explicit_transpose_dilation_is_the_transpose_channel_with_tags_2_and_3_swapped():
+    ch, ref = explicit_transpose_dilation(), transpose_channel(2)
+    np.testing.assert_array_equal(ch.kraus, ref.kraus[[0, 2, 1, 3]])
+
+
 def test_explicit_transpose_dilation_blocks():
-    dil = explicit_transpose_dilation()
-    ch = dil.channel()
+    ch = explicit_transpose_dilation()
     ref = transpose_channel(2)
     for i in (0, 1):
         for j in (0, 1):
@@ -349,13 +369,12 @@ def _dataset():
     lambda: identity_channel(2),
     lambda: Preparation.completely_mixed(2),
     lambda: PathSpinState.from_preparation(Preparation.completely_mixed(2)),
-    lambda: dilate(pauli_mixture_channel()),
     lambda: FilterPair(ket(0, 2), ket(1, 2)),
     _dataset,
     lambda: SpinState.maximally_mixed(2),
     lambda: swap_certificate(measured_records()),
     lambda: verify_noise_program(pauli_noise_program()).rows[0],
-], ids=["PathChannel", "Preparation", "PathSpinState", "Dilation", "FilterPair", "FringeDataset",
+], ids=["PathChannel", "Preparation", "PathSpinState", "FilterPair", "FringeDataset",
         "SpinState", "BoundCertificate", "RowReport"])
 def test_array_holding_objects_compare_and_hash_by_identity(build):
     a, b = build(), build()

@@ -11,7 +11,6 @@ from whichway import (
     PositivityError,
     Preparation,
     brute_force_visibility,
-    dilate,
     distinguishability,
     environment_states,
     explicit_transpose_dilation,
@@ -37,22 +36,22 @@ def _env_projector(indices, dim=4):
 
 
 def test_environment_states_horizontal_preparation():
-    dil = explicit_transpose_dilation()
-    e0, e1 = environment_states(dil, Preparation.pure(H, H))
+    ch = explicit_transpose_dilation()
+    e0, e1 = environment_states(ch, Preparation.pure(H, H))
     np.testing.assert_allclose(e0.matrix, _env_projector([0, 1]), atol=1e-10)
     np.testing.assert_allclose(e1.matrix, _env_projector([0, 2]), atol=1e-10)
 
 
 def test_environment_states_vertical_preparation():
-    dil = explicit_transpose_dilation()
-    e0, e1 = environment_states(dil, Preparation.pure(V, V))
+    ch = explicit_transpose_dilation()
+    e0, e1 = environment_states(ch, Preparation.pure(V, V))
     np.testing.assert_allclose(e0.matrix, _env_projector([2, 3]), atol=1e-10)
     np.testing.assert_allclose(e1.matrix, _env_projector([1, 3]), atol=1e-10)
 
 
 def test_environment_states_mixed_preparation_coincide():
-    dil = explicit_transpose_dilation()
-    e0, e1 = environment_states(dil, Preparation.completely_mixed(2))
+    ch = explicit_transpose_dilation()
+    e0, e1 = environment_states(ch, Preparation.completely_mixed(2))
     np.testing.assert_allclose(e0.matrix, np.eye(4) / 4, atol=1e-10)
     np.testing.assert_allclose(e1.matrix, np.eye(4) / 4, atol=1e-10)
 
@@ -63,7 +62,6 @@ def test_environment_states_via_replica_contraction():
     rng = np.random.default_rng(9)
     ch = random_path_channel(2, 3, seed=51)
     prep = random_preparation(2, rng)
-    dil = dilate(ch)
     d, k = 2, ch.n_kraus
     phi = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
     for side, rho in ((0, prep.rho0), (1, prep.rho1)):
@@ -79,7 +77,7 @@ def test_environment_states_via_replica_contraction():
         contracted = proj @ weight
         t = contracted.reshape(d, d, k, d, d, k)
         env = d * np.einsum("abnabm->nm", t)
-        direct = environment_states(dil, prep)[side].matrix
+        direct = environment_states(ch, prep)[side].matrix
         np.testing.assert_allclose(env, direct, atol=1e-10)
 
 
@@ -184,7 +182,7 @@ def test_distinguishability_independent_of_kraus_representation():
     rng = np.random.default_rng(14)
     ch = random_path_channel(2, 3, seed=99)
     prep = random_preparation(2, rng)
-    ref = distinguishability(*environment_states(dilate(ch), prep))
+    ref = distinguishability(*environment_states(ch, prep))
     for trial in range(5):
         w = random_unitary(3, rng)
         pairs = []
@@ -193,7 +191,7 @@ def test_distinguishability_independent_of_kraus_representation():
             b = sum(w[j, k] * ch.kraus_pairs[k][1] for k in range(3))
             pairs.append((a, b))
         mixed = PathChannel(2, tuple(pairs))
-        val = distinguishability(*environment_states(dilate(mixed), prep))
+        val = distinguishability(*environment_states(mixed, prep))
         assert val == pytest.approx(ref, abs=1e-9)
 
 
@@ -203,7 +201,7 @@ def test_verify_inequality_worked_cases():
     assert rep.visibility == pytest.approx(1.0, abs=1e-9)
     assert rep.slack == pytest.approx(0.0, abs=1e-9)
 
-    ch = explicit_transpose_dilation().channel()
+    ch = explicit_transpose_dilation()
     rep = verify_inequality(ch, Preparation.pure(H, H))
     assert rep.distinguishability == pytest.approx(0.5, abs=1e-9)
     assert rep.visibility == pytest.approx(0.5, abs=1e-9)
@@ -264,9 +262,25 @@ def test_visibility_is_preparation_marginal_property():
 
 
 def test_dilation_dimension_mismatch_raises():
-    dil = explicit_transpose_dilation()
+    ch = explicit_transpose_dilation()
     with pytest.raises(DimensionError):
-        environment_states(dil, Preparation.pure(np.array([1.0]), np.array([1.0])))
+        environment_states(ch, Preparation.pure(np.array([1.0]), np.array([1.0])))
+
+
+@pytest.mark.parametrize("kind", ["H", "V", "mixed", "random"])
+def test_explicit_dilation_environment_is_the_transpose_channels_relabelled(kind):
+    rng = np.random.default_rng(18)
+    prep = {
+        "H": Preparation.pure(H, H),
+        "V": Preparation.pure(V, V),
+        "mixed": Preparation.completely_mixed(2),
+        "random": random_preparation(2, rng),
+    }[kind]
+    tags = [0, 2, 1, 3]  # environment kets e2 and e3 swap places
+    for explicit, canonical in zip(environment_states(explicit_transpose_dilation(), prep),
+                                   environment_states(transpose_channel(2), prep)):
+        np.testing.assert_allclose(explicit.matrix, canonical.matrix[np.ix_(tags, tags)],
+                                   rtol=0, atol=1e-15)
 
 
 def test_thread_safe_parallel_evaluation():
@@ -297,12 +311,48 @@ def test_duality_report_rejects_violations():
 
 
 def test_environment_trace_beyond_1e10_is_a_positivity_error():
-    # trace preservation off by 5e-10 passes the channel's 1e-9 check, but
-    # each environment state must have unit trace within 1e-10
+    # trace preservation off by 5e-10 is refused when the channel is built,
+    # before any environment state could leave unit trace by more than 1e-10
     a = np.sqrt(1.0 + 5e-10) * np.eye(2)
-    ch = PathChannel(2, ((a, a),))
-    with pytest.raises(PositivityError, match="trace differs from one"):
-        verify_inequality(ch, Preparation.pure(H, H))
+    with pytest.raises(PositivityError, match="not trace preserving within 1e-10"):
+        PathChannel(2, ((a, a),))
+
+
+def _near_trace_preserving(d, err):
+    """Kraus pair (A, A) with A^dag A = 1 + err * J/d, J the all-ones matrix:
+    entrywise off by err/d, in operator norm by err along the uniform ket."""
+    proj = np.full((d, d), 1.0 / d)
+    a = np.eye(d) + (np.sqrt(1.0 + err) - 1.0) * proj
+    return ((a, a),)
+
+
+@pytest.mark.parametrize("err", [0.99e-10, 5e-10])
+@pytest.mark.parametrize("d", [1, 2, 4, 8])
+def test_trace_tolerances_agree(d, err):
+    # a channel within 1e-10 of trace preserving and an ensemble whose
+    # weights sum to 1 within 1e-10 always give unit-trace environment
+    # states; a channel outside is refused when it is built
+    if err > 1e-10:
+        with pytest.raises(PositivityError, match="not trace preserving"):
+            PathChannel(d, _near_trace_preserving(d, err))
+        return
+    ch = PathChannel(d, _near_trace_preserving(d, err))
+    uniform = np.full(d, 1.0 / np.sqrt(d))
+    prep = Preparation.ensemble([0.5 + 0.245e-10, 0.5 + 0.245e-10],
+                                [(uniform, uniform), (uniform, uniform)])
+    rep = verify_inequality(ch, prep)
+    assert rep.visibility == pytest.approx(1.0, abs=1e-9)
+    assert rep.distinguishability == pytest.approx(0.0, abs=1e-9)
+
+
+def test_environment_trace_check_still_fires(monkeypatch):
+    import whichway.duality as duality
+
+    gram = duality._gram
+    monkeypatch.setattr(duality, "_gram", lambda kraus, rho: gram(kraus, rho) * (1 + 1e-6))
+    for compute in (verify_inequality, environment_states):
+        with pytest.raises(PositivityError, match="trace differs from one"):
+            compute(transpose_channel(2), Preparation.pure(H, H))
 
 def test_fuchs_van_de_graaf_floor_violation_is_numerical(monkeypatch):
     # D forced to 0 under the transpose channel, where V_G = 0.5: the check

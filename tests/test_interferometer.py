@@ -260,6 +260,25 @@ def test_fit_requires_phase_coverage():
         fit_fringes(ds)
 
 
+@pytest.mark.parametrize("gap, degenerate", [(1e-7, True), (1e-4, False)])
+def test_fit_refuses_a_design_conditioned_beyond_1e12(gap, degenerate):
+    # three phases crowded at 0 pin Im V only through sin(gap): cond of the
+    # normal equations is about 1.5e14 for gap 1e-7 and 1.5e8 for gap 1e-4
+    from whichway import NumericalError
+
+    counts = np.array([10, 10, 10, 10])
+    ds = FringeDataset(
+        phases=(0.0, gap, 2 * gap, np.pi), counts_plus=counts, counts_minus=counts,
+        counts_ref0=counts, counts_ref1=counts, shots_per_phase=40, seed=(0,),
+        efficiencies=(1.0,) * 4,
+    )
+    if degenerate:
+        with pytest.raises(NumericalError, match="degenerate design"):
+            fit_fringes(ds)
+    else:
+        assert fit_fringes(ds).p_hat == pytest.approx(0.5, abs=1e-9)
+
+
 def test_fit_consistency_envelope_on_simulated_data():
     ch = pauli_mixture_channel()
     for s in range(10):

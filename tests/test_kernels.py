@@ -83,21 +83,20 @@ def test_block_choi_matches_kron_reference(d, k):
 @pytest.mark.parametrize("d,k", SIZES)
 def test_dilate_matches_kron_reference(d, k):
     ch = _channel(d, k)
-    dil = dilate(ch)
+    v = dilate(ch)
     v0, v1 = ref.dilate(ch)
-    assert dil.env_dim == k
-    np.testing.assert_allclose(dil.v0, v0, rtol=0, atol=ATOL)
-    np.testing.assert_allclose(dil.v1, v1, rtol=0, atol=ATOL)
+    assert v.shape == (2, d * k, d)
+    np.testing.assert_allclose(v[0], v0, rtol=0, atol=ATOL)
+    np.testing.assert_allclose(v[1], v1, rtol=0, atol=ATOL)
 
 
 @pytest.mark.parametrize("d,k", SIZES)
 def test_environment_states_match_partial_trace_reference(d, k):
     ch = _channel(d, k)
-    dil = dilate(ch)
     rng = np.random.default_rng(d * 100 + k)
     for prep in _preparations(d, rng):
-        states = environment_states(dil, prep)
-        for v, rho, state in zip((dil.v0, dil.v1), (prep.rho0, prep.rho1), states):
+        states = environment_states(ch, prep)
+        for v, rho, state in zip(dilate(ch), (prep.rho0, prep.rho1), states):
             np.testing.assert_allclose(state.matrix, ref.environment_state(v, rho, d, k),
                                        rtol=0, atol=ATOL)
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from conftest import random_density, random_ket, random_unitary
 from whichway import (
     DimensionError,
-    Dilation,
     FilterPair,
     FractionalVisibilityRecord,
     NonFiniteError,
@@ -19,12 +18,12 @@ from whichway import (
     fidelity,
     ket,
     matrix_sqrt,
-    max_entangled_state,
     partial_trace,
     replace_channel,
     trace_norm,
 )
 from whichway.channels import pure_pair
+from reference_kernels import max_entangled_state
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=1, max_value=4)
@@ -196,8 +195,6 @@ NON_FINITE_CASES = {
     "FilterPair": (np.array([_H, _V]), lambda a: FilterPair(a[0], a[1])),
     "PathSpinState": (np.array([[_PLUS, _PLUS], [_PLUS, _PLUS]]) / 2,
                       lambda b: PathSpinState(2, b)),
-    "Dilation": (np.array([np.eye(2), np.eye(2)], dtype=complex),
-                 lambda v: Dilation(2, 1, v[0], v[1])),
     "PathChannel": (_KRAUS, lambda k: PathChannel(2, tuple((x[0], x[1]) for x in k))),
     "FractionalVisibilityRecord": (
         np.array([0.5, 0.25, -0.25, 0.01, 0.01]),
