@@ -119,6 +119,8 @@ class Preparation:
     @classmethod
     def ensemble(cls, weights, pairs, label: str = "") -> "Preparation":
         pairs = tuple((np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)) for a, b in pairs)
+        if not pairs:
+            raise DimensionError("weights and pure pairs must align and be non-empty")
         return cls(pairs[0][0].size, tuple(weights), pairs, label=label)
 
     @classmethod
@@ -154,7 +156,8 @@ class PathSpinState:
     """Joint path x spin density operator in 2x2 block form.
 
     ``blocks[i, j]`` is the d x d spin operator <i|rho|j>; both paths carry
-    probability 1/2.
+    probability 1/2. ``blocks`` is a read-only copy, so the checked state
+    cannot be edited.
     """
 
     spin_dim: int
@@ -162,9 +165,10 @@ class PathSpinState:
 
     def __post_init__(self):
         d = self.spin_dim
-        b = np.asarray(self.blocks, dtype=complex)
+        b = np.array(self.blocks, dtype=complex)
         if b.shape != (2, 2, d, d):
             raise DimensionError(f"blocks shape {b.shape} != (2, 2, {d}, {d})")
+        b.flags.writeable = False
         object.__setattr__(self, "blocks", b)
         density_matrix(self.as_matrix(), "assembled state")
         for i in (0, 1):
@@ -181,7 +185,7 @@ class PathSpinState:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
             raise DimensionError(f"expected a 2d x 2d matrix, got {m.shape}")
         d = m.shape[0] // 2
-        return cls(d, m.reshape(2, d, 2, d).swapaxes(1, 2).copy())
+        return cls(d, m.reshape(2, d, 2, d).swapaxes(1, 2))
 
     @classmethod
     def from_preparation(cls, prep: Preparation) -> "PathSpinState":

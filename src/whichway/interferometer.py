@@ -9,13 +9,21 @@ interference detectors.
 
 Random streams: a cell's probabilities for all phases are one array built
 before any draw. Phase j of a cell seeded ``seed`` draws from its own
-``np.random.default_rng(seed + (j,))``: one multinomial per arm-unitary row
-with a nonzero share of the shots, in row order, then one binomial per
-detector with efficiency below one, in detector order (plus, minus, ref0,
-ref1). :func:`run_experiment` seeds cell (mu, nu) with
-``seed + (i_mu, i_nu)`` and its efficiency resampling with
+generator, the one ``np.random.default_rng(seed + (j,))`` gives: one
+multinomial per arm-unitary row with a nonzero share of the shots, in row
+order, then one binomial per detector with efficiency below one, in detector
+order (plus, minus, ref0, ref1). :func:`run_experiment` seeds cell (mu, nu)
+with ``seed + (i_mu, i_nu)`` and its efficiency resampling with
 ``seed + (i_mu, i_nu, 997)``. Counts for a given seed are part of the
 interface and stay fixed.
+
+The generators are not built by ``default_rng``: ``whichway._streams``
+computes numpy's ``SeedSequence`` hash for all streams of a call at once
+(all 16 x 13 phase streams and 16 resampling streams of
+:func:`run_experiment` in one pass) and hands the words to numpy's own
+``PCG64`` and ``Generator``. An oracle test pins the words and generator
+states to numpy's ``SeedSequence`` and ``default_rng``, and the counts to a
+``default_rng`` reference simulator.
 
 Jones convention: rotation-conjugated retarders
 
@@ -405,6 +413,46 @@ def _probability_table(ch, psi0, psi1, filt, phases, contrast, shots_per_phase):
     return [allocation[r] for r in live], pvals
 
 
+def _counting_phases(phases, shots_per_phase, efficiencies, contrast) -> tuple[float, ...]:
+    """Validate the counting settings; the phases as floats (13 over
+    [0, 2 pi] by default)."""
+    if not 0.0 < contrast <= 1.0:
+        raise DimensionError(f"contrast {contrast} outside (0, 1]")
+    if len(efficiencies) != 4 or any(not 0.0 < e <= 1.0 for e in efficiencies):
+        raise DimensionError("efficiencies must be four values in (0, 1]")
+    if shots_per_phase < 0:
+        raise DimensionError("shots_per_phase must be nonnegative")
+    if phases is None:
+        phases = np.linspace(0.0, 2.0 * np.pi, 13)
+    phases = tuple(float(p) for p in phases)
+    finite_array(phases, "phases")
+    return phases
+
+
+def _count_cell(ch, prep, filt, phases, shots_per_phase, efficiencies, contrast,
+                seed_seq, rngs) -> FringeDataset:
+    """One cell's counts, phase j drawing from rngs[j] as
+    :func:`simulate_fringes` documents; the settings are already checked."""
+    psi0, psi1 = pure_pair(prep, ch.spin_dim)
+    shots, pvals = _probability_table(ch, psi0, psi1, filt, phases, contrast, shots_per_phase)
+    counts = np.zeros((4, len(phases)), dtype=np.int64)
+    for j, (rng, p_j) in enumerate(zip(rngs, pvals)):
+        raw = np.zeros(4, dtype=np.int64)
+        for n_shots, p in zip(shots, p_j):
+            raw += rng.multinomial(n_shots, p)
+        counts[:, j] = [
+            rng.binomial(n, e) if e < 1.0 else n
+            for n, e in zip(raw.tolist(), efficiencies)
+        ]
+    return FringeDataset(
+        phases=phases,
+        counts_plus=counts[0], counts_minus=counts[1],
+        counts_ref0=counts[2], counts_ref1=counts[3],
+        shots_per_phase=shots_per_phase, seed=seed_seq,
+        efficiencies=tuple(float(e) for e in efficiencies),
+    )
+
+
 def simulate_fringes(
     ch: PathChannel,
     prep,
@@ -424,55 +472,28 @@ def simulate_fringes(
     then distributed multinomially over the four detectors and each detector
     is thinned binomially by its efficiency.
 
-    Stream contract: phase j draws from its own generator
-    ``np.random.default_rng(seed + (j,))``. It makes one ``multinomial``
-    call per row with a nonzero share of the shots, in row order, then one
-    ``binomial`` call per detector with efficiency below one, in detector
-    order (plus, minus, ref0, ref1). The counts for a given seed are
-    therefore fixed, whatever the other phases or cells.
+    Stream contract: phase j draws from its own generator, the one
+    ``np.random.default_rng(seed + (j,))`` would give. It makes one
+    ``multinomial`` call per row with a nonzero share of the shots, in row
+    order, then one ``binomial`` call per detector with efficiency below
+    one, in detector order (plus, minus, ref0, ref1). The counts for a given
+    seed are therefore fixed, whatever the other phases or cells. The
+    generators of all phases are seeded together by ``whichway._streams``,
+    which hashes every stream's seed as ``np.random.SeedSequence`` does and
+    hands the words to numpy's ``PCG64``; an oracle test pins the words and
+    generator states to numpy's own.
     """
-    if not 0.0 < contrast <= 1.0:
-        raise DimensionError(f"contrast {contrast} outside (0, 1]")
-    if len(efficiencies) != 4 or any(not 0.0 < e <= 1.0 for e in efficiencies):
-        raise DimensionError("efficiencies must be four values in (0, 1]")
-    if shots_per_phase < 0:
-        raise DimensionError("shots_per_phase must be nonnegative")
-    psi0, psi1 = pure_pair(prep, ch.spin_dim)
-    if phases is None:
-        phases = np.linspace(0.0, 2.0 * np.pi, 13)
-    phases = tuple(float(p) for p in phases)
-    finite_array(phases, "phases")
+    from ._streams import generators
+
+    phases = _counting_phases(phases, shots_per_phase, efficiencies, contrast)
     seed_seq = _seed_tuple(seed)
-
-    shots, pvals = _probability_table(ch, psi0, psi1, filt, phases, contrast, shots_per_phase)
-    counts = np.zeros((4, len(phases)), dtype=np.int64)
-    for j, p_j in enumerate(pvals):
-        rng = np.random.default_rng(seed_seq + (j,))
-        raw = np.zeros(4, dtype=np.int64)
-        for n_shots, p in zip(shots, p_j):
-            raw += rng.multinomial(n_shots, p)
-        counts[:, j] = [
-            rng.binomial(n, e) if e < 1.0 else n
-            for n, e in zip(raw.tolist(), efficiencies)
-        ]
-
-    return FringeDataset(
-        phases=phases,
-        counts_plus=counts[0], counts_minus=counts[1],
-        counts_ref0=counts[2], counts_ref1=counts[3],
-        shots_per_phase=shots_per_phase, seed=seed_seq,
-        efficiencies=tuple(float(e) for e in efficiencies),
-    )
+    rngs = generators(seed_seq, np.arange(len(phases))[:, None])
+    return _count_cell(ch, prep, filt, phases, shots_per_phase, efficiencies, contrast,
+                       seed_seq, rngs)
 
 
-def binomial_resample(ds: FringeDataset, reference_efficiency: float, seed=0) -> FringeDataset:
-    """Thin every detector's counts so all share the reference efficiency."""
-    if not 0.0 < reference_efficiency <= min(ds.efficiencies):
-        raise DimensionError(
-            f"reference efficiency {reference_efficiency} must be in (0, min(efficiencies)]"
-        )
+def _thin(ds: FringeDataset, reference_efficiency: float, rng) -> FringeDataset:
     ratios = [reference_efficiency / e for e in ds.efficiencies]
-    rng = np.random.default_rng(_seed_tuple(seed))
     arrays = []
     for counts, ratio in zip(
         (ds.counts_plus, ds.counts_minus, ds.counts_ref0, ds.counts_ref1), ratios
@@ -487,6 +508,19 @@ def binomial_resample(ds: FringeDataset, reference_efficiency: float, seed=0) ->
         counts_ref0=arrays[2], counts_ref1=arrays[3],
         efficiencies=(reference_efficiency,) * 4,
     )
+
+
+def binomial_resample(ds: FringeDataset, reference_efficiency: float, seed=0) -> FringeDataset:
+    """Thin every detector's counts so all share the reference efficiency,
+    drawing from the generator ``np.random.default_rng(seed)`` would give."""
+    from ._streams import generators
+
+    if not 0.0 < reference_efficiency <= min(ds.efficiencies):
+        raise DimensionError(
+            f"reference efficiency {reference_efficiency} must be in (0, min(efficiencies)]"
+        )
+    (rng,) = generators(_seed_tuple(seed), np.empty((1, 0)))
+    return _thin(ds, reference_efficiency, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -530,47 +564,98 @@ def fit_fringes(ds: FringeDataset) -> FitResult:
     detectors (the reference detectors complete the total). The model is
     linear in (p, Re V, Im V); uncertainties come from the fit covariance.
     """
-    phases = np.asarray(ds.phases)
-    totals = ds.totals().astype(float)
-    mask = totals > 0
-    if np.count_nonzero(mask) < 4 or len(set(np.round(phases[mask], 12))) < 4:
-        raise NumericalError("insufficient phase coverage: need >= 4 populated phases")
-    span = phases[mask].max() - phases[mask].min()
-    if span < np.pi:
-        raise NumericalError("insufficient phase coverage: span below half a period")
+    return _fit_cells([ds])[0]
 
-    phi = phases[mask]
-    t = totals[mask]
-    y = np.concatenate([ds.counts_plus[mask] / t, ds.counts_minus[mask] / t])
-    c, s = np.cos(phi), np.sin(phi)
-    half = 0.5 * np.ones_like(phi)
-    design_plus = np.column_stack([half, 0.5 * c, -0.5 * s])
-    design_minus = np.column_stack([half, -0.5 * c, 0.5 * s])
-    design = np.vstack([design_plus, design_minus])
 
-    # One thin SVD gives the condition number of the normal equations,
-    # (s_max / s_min)^2, the least-squares solution and the covariance.
-    u, s, vt = np.linalg.svd(design, full_matrices=False)
-    if s[0] ** 2 > 1e12 * s[-1] ** 2:
-        raise NumericalError("degenerate design matrix: phases do not constrain the fit")
-    beta = vt.T @ ((u.T @ y) / s)
-    resid = y - design @ beta
-    dof = y.size - 3
-    var = float(resid @ resid) / dof if dof > 0 else 0.0
-    cov = var * (vt.T / s**2) @ vt
+def _fit_cells(datasets) -> list[FitResult]:
+    """:func:`fit_fringes` of each dataset. Datasets with the same phases
+    and the same populated (nonzero-total) phases share one design matrix
+    and so one thin SVD; each cell keeps every check of its own fit."""
+    groups: dict[tuple, tuple[np.ndarray, list[int]]] = {}
+    for n, ds in enumerate(datasets):
+        mask = ds.totals() > 0
+        groups.setdefault((tuple(ds.phases), mask.tobytes()), (mask, []))[1].append(n)
 
-    p_hat = float(max(beta[0], 0.0))
-    vis = complex(beta[1], beta[2])
-    sigma_p = float(np.sqrt(max(cov[0, 0], 0.0)))
-    mag = abs(vis)
-    if mag > 1e-12:
-        grad = np.array([vis.real, vis.imag]) / mag
-        sigma_v = float(np.sqrt(max(grad @ cov[1:, 1:] @ grad, 0.0)))
-    else:
-        sigma_v = float(np.sqrt(max(0.5 * (cov[1, 1] + cov[2, 2]), 0.0)))
-    rms = float(np.sqrt(np.mean(resid**2)))
-    return FitResult(p_hat=p_hat, visibility=vis, sigma_p=sigma_p, sigma_v=sigma_v,
-                     residual_rms=rms)
+    fits: list[FitResult] = [None] * len(datasets)
+    for (phases, _), (mask, members) in groups.items():
+        phi = np.asarray(phases)[mask]
+        if phi.size < 4 or len(set(np.round(phi, 12))) < 4:
+            raise NumericalError("insufficient phase coverage: need >= 4 populated phases")
+        if phi.max() - phi.min() < np.pi:
+            raise NumericalError("insufficient phase coverage: span below half a period")
+
+        cells = [datasets[n] for n in members]
+        t = np.array([ds.totals()[mask] for ds in cells], dtype=float).T
+        y = np.concatenate([
+            np.array([ds.counts_plus[mask] for ds in cells]).T / t,
+            np.array([ds.counts_minus[mask] for ds in cells]).T / t,
+        ])
+        c, s = np.cos(phi), np.sin(phi)
+        half = 0.5 * np.ones_like(phi)
+        design = np.vstack([
+            np.column_stack([half, 0.5 * c, -0.5 * s]),
+            np.column_stack([half, -0.5 * c, 0.5 * s]),
+        ])
+
+        # One thin SVD gives the condition number of the normal equations,
+        # (s_max / s_min)^2, every cell's least-squares solution and the
+        # covariance shared by all of them up to each cell's residual variance.
+        u, s, vt = np.linalg.svd(design, full_matrices=False)
+        if s[0] ** 2 > 1e12 * s[-1] ** 2:
+            raise NumericalError("degenerate design matrix: phases do not constrain the fit")
+        beta = vt.T @ ((u.T @ y) / s[:, None])
+        resid = y - design @ beta
+        var = np.einsum("ic,ic->c", resid, resid) / (y.shape[0] - 3)
+        unit_cov = (vt.T / s**2) @ vt
+
+        mag = np.hypot(beta[1], beta[2])
+        grad = beta[1:] / np.where(mag > 1e-12, mag, 1.0)
+        spread_v = np.where(
+            mag > 1e-12,
+            np.einsum("ic,ij,jc->c", grad, unit_cov[1:, 1:], grad),
+            0.5 * (unit_cov[1, 1] + unit_cov[2, 2]),
+        )
+        sigma_p = np.sqrt(np.maximum(var * unit_cov[0, 0], 0.0))
+        sigma_v = np.sqrt(np.maximum(var * spread_v, 0.0))
+        rms = np.sqrt(np.mean(resid**2, axis=0))
+        for k, n in enumerate(members):
+            fits[n] = FitResult(
+                p_hat=float(max(beta[0, k], 0.0)), visibility=complex(beta[1, k], beta[2, k]),
+                sigma_p=float(sigma_p[k]), sigma_v=float(sigma_v[k]), residual_rms=float(rms[k]),
+            )
+    return fits
+
+
+def _simulate_cells(ch, preparations, filters, phases, shots_per_phase, efficiencies,
+                    contrast, seed) -> list[tuple[str, str, FringeDataset]]:
+    """(mu, nu, dataset) of every cell of :func:`run_experiment`, resampled
+    to the lowest efficiency when the efficiencies differ."""
+    from ._streams import generators
+
+    phases = _counting_phases(phases, shots_per_phase, efficiencies, contrast)
+    seed_seq = _seed_tuple(seed)
+    efficiencies = tuple(float(e) for e in efficiencies)
+    resample = len(set(efficiencies)) > 1
+    mus, nus = sorted(preparations), sorted(filters)
+    # each cell's phase streams, then its resampling stream
+    stream_ids = list(range(len(phases))) + ([997] if resample else [])
+    tail = [(i_mu, i_nu, j) for i_mu in range(len(mus)) for i_nu in range(len(nus))
+            for j in stream_ids]
+    rngs = iter(generators(seed_seq, np.array(tail, dtype=np.int64).reshape(-1, 3)))
+
+    cells = []
+    for i_mu, mu in enumerate(mus):
+        prep = preparations[mu]
+        if not isinstance(prep, Preparation):  # validate the kets once, not once per cell
+            prep = Preparation.pure(*prep, label=mu)
+        for i_nu, nu in enumerate(nus):
+            cell_rngs = [next(rngs) for _ in stream_ids]
+            ds = _count_cell(ch, prep, filters[nu], phases, shots_per_phase, efficiencies,
+                             contrast, seed_seq + (i_mu, i_nu), cell_rngs)
+            if resample:
+                ds = _thin(ds, min(efficiencies), cell_rngs[-1])
+            cells.append((mu, nu, ds))
+    return cells
 
 
 def run_experiment(
@@ -588,33 +673,23 @@ def run_experiment(
 
     Non-uniform detector efficiencies are equalized by binomial resampling to
     the minimum efficiency before fitting, mirroring the count-rate
-    correction used on the measured data. Each cell draws its own PRNG
-    stream derived from (seed, preparation index, filter index, phase index).
+    correction used on the measured data. Cell (mu, nu) is
+    ``simulate_fringes(..., seed=seed + (i_mu, i_nu))`` and resamples from
+    the generator of ``seed + (i_mu, i_nu, 997)``; the generators of all
+    cells are seeded together, and all cells are fitted together.
     """
     preparations = rectilinear_preparations() if preparations is None else preparations
     filters = rectilinear_filters() if filters is None else filters
-    seed_seq = _seed_tuple(seed)
-    records = []
-    for i_mu, mu in enumerate(sorted(preparations)):
-        prep = preparations[mu]
-        if not isinstance(prep, Preparation):  # validate the kets once, not once per cell
-            prep = Preparation.pure(*prep, label=mu)
-        for i_nu, nu in enumerate(sorted(filters)):
-            ds = simulate_fringes(
-                ch, prep, filters[nu],
-                phases=phases, shots_per_phase=shots_per_phase,
-                efficiencies=efficiencies, contrast=contrast,
-                seed=seed_seq + (i_mu, i_nu),
-            )
-            if len(set(ds.efficiencies)) > 1:
-                ds = binomial_resample(ds, min(ds.efficiencies),
-                                       seed=seed_seq + (i_mu, i_nu, 997))
-            fit = fit_fringes(ds)
-            records.append(FractionalVisibilityRecord(
-                mu=mu, nu=nu, p=min(fit.p_hat, 1.0), visibility=fit.visibility,
-                sigma_p=fit.sigma_p, sigma_v=fit.sigma_v,
-            ))
-    return records
+    cells = _simulate_cells(ch, preparations, filters, phases, shots_per_phase,
+                            efficiencies, contrast, seed)
+    fits = _fit_cells([ds for _, _, ds in cells])
+    return [
+        FractionalVisibilityRecord(
+            mu=mu, nu=nu, p=min(fit.p_hat, 1.0), visibility=fit.visibility,
+            sigma_p=fit.sigma_p, sigma_v=fit.sigma_v,
+        )
+        for (mu, nu, _), fit in zip(cells, fits)
+    ]
 
 
 # ---------------------------------------------------------------------------

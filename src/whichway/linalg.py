@@ -213,6 +213,7 @@ class SpinState:
 
     Finite entries, Hermiticity, positivity (smallest eigenvalue >= -1e-10)
     and unit trace are enforced at construction by :func:`density_matrix`.
+    ``matrix`` is a read-only copy, so the checked state cannot be edited.
     Compared and hashed by identity.
     """
 
@@ -220,10 +221,12 @@ class SpinState:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
         if m.shape != (self.dim, self.dim):
             raise DimensionError(f"state shape {m.shape} != ({self.dim}, {self.dim})")
-        object.__setattr__(self, "matrix", density_matrix(m, "state"))
+        m = density_matrix(m, "state")
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
 
     @classmethod
     def pure(cls, psi: np.ndarray) -> "SpinState":

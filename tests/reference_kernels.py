@@ -9,6 +9,8 @@ tests compare the two. The Choi-state route of the channel action
 have no production caller and serve only as oracles.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from whichway.bounds import (
@@ -19,13 +21,7 @@ from whichway.bounds import (
 )
 from whichway.channels import PathSpinState, block_map, pure_pair
 from whichway.errors import ContractionError, DimensionError, NumericalError, SupportError
-from whichway.interferometer import (
-    FringeDataset,
-    _allocate,
-    _seed_tuple,
-    binomial_resample,
-    fit_fringes,
-)
+from whichway.interferometer import FringeDataset, _allocate, _seed_tuple, fit_fringes
 from whichway.linalg import (
     ATOL_DERIVED,
     dagger,
@@ -318,13 +314,28 @@ def simulate_fringes(ch, prep, filt, phases=None, shots_per_phase=10_000,
     )
 
 
-def run_experiment(ch, seed, shots_per_phase=10_000, efficiencies=(1.0, 1.0, 1.0, 1.0),
+def binomial_resample(ds, reference_efficiency, seed):
+    """Counts thinned to the reference efficiency from
+    ``np.random.default_rng(seed)``, one detector at a time."""
+    rng = np.random.default_rng(_seed_tuple(seed))
+    counts = {}
+    for name, e in zip(("counts_plus", "counts_minus", "counts_ref0", "counts_ref1"),
+                       ds.efficiencies):
+        ratio = reference_efficiency / e
+        n = getattr(ds, name)
+        counts[name] = rng.binomial(n, ratio).astype(np.int64) if ratio < 1.0 else n.copy()
+    return replace(ds, efficiencies=(reference_efficiency,) * 4, **counts)
+
+
+def simulate_cells(ch, seed, shots_per_phase=10_000, efficiencies=(1.0, 1.0, 1.0, 1.0),
                    contrast=1.0):
-    """The 16 rectilinear cells simulated by :func:`simulate_fringes` above,
-    resampled and fitted as the production pipeline does."""
+    """(mu, nu, dataset) of the 16 rectilinear cells, one cell at a time:
+    :func:`simulate_fringes` above seeded ``seed + (i_mu, i_nu)``, then
+    :func:`binomial_resample` above seeded ``seed + (i_mu, i_nu, 997)``
+    when the efficiencies differ."""
     preparations, filters = rectilinear_preparations(), rectilinear_filters()
     seed_seq = _seed_tuple(seed)
-    records = []
+    cells = []
     for i_mu, mu in enumerate(sorted(preparations)):
         for i_nu, nu in enumerate(sorted(filters)):
             ds = simulate_fringes(
@@ -332,11 +343,19 @@ def run_experiment(ch, seed, shots_per_phase=10_000, efficiencies=(1.0, 1.0, 1.0
                 efficiencies=efficiencies, contrast=contrast, seed=seed_seq + (i_mu, i_nu),
             )
             if len(set(ds.efficiencies)) > 1:
-                ds = binomial_resample(ds, min(ds.efficiencies),
-                                       seed=seed_seq + (i_mu, i_nu, 997))
-            fit = fit_fringes(ds)
-            records.append(FractionalVisibilityRecord(
-                mu=mu, nu=nu, p=min(fit.p_hat, 1.0), visibility=fit.visibility,
-                sigma_p=fit.sigma_p, sigma_v=fit.sigma_v,
-            ))
+                ds = binomial_resample(ds, min(ds.efficiencies), seed_seq + (i_mu, i_nu, 997))
+            cells.append((mu, nu, ds))
+    return cells
+
+
+def run_experiment(ch, seed, **kwargs):
+    """The cells of :func:`simulate_cells`, each fitted on its own by
+    ``fit_fringes``."""
+    records = []
+    for mu, nu, ds in simulate_cells(ch, seed, **kwargs):
+        fit = fit_fringes(ds)
+        records.append(FractionalVisibilityRecord(
+            mu=mu, nu=nu, p=min(fit.p_hat, 1.0), visibility=fit.visibility,
+            sigma_p=fit.sigma_p, sigma_v=fit.sigma_v,
+        ))
     return records

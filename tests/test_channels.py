@@ -290,6 +290,25 @@ def test_path_spin_state_rejects_unbalanced_paths():
         PathSpinState(d, blocks)
 
 
+def test_validated_states_are_read_only_copies():
+    source = np.eye(2, dtype=complex) / 2
+    spin = SpinState(2, source)
+    mixed = SpinState.maximally_mixed(2)
+    path = PathSpinState.from_preparation(Preparation.pure(ket(0, 2), ket(1, 2)))
+    blocks = path.blocks.copy()
+    for arr in (spin.matrix, mixed.matrix, path.blocks, PathSpinState(2, blocks).blocks):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 5.0
+    assert source.flags.writeable and blocks.flags.writeable  # the caller's arrays stay free
+    assert np.trace(mixed.matrix).real == 1.0
+
+
+def test_empty_ensemble_is_a_dimension_error():
+    with pytest.raises(DimensionError, match="non-empty"):
+        Preparation.ensemble([], [])
+
+
 def test_preparation_validation():
     with pytest.raises(DimensionError):
         Preparation.pure(np.array([1.0, 1.0]), ket(0, 2))  # not normalized

@@ -1,7 +1,13 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_kernels as ref
 from conftest import random_ket, random_orthonormal_filters, random_unitary
@@ -12,6 +18,7 @@ from whichway import (
     NoiseProgram,
     NoiseRow,
     NonFiniteError,
+    NumericalError,
     PathChannel,
     WavePlateSetting,
     binomial_resample,
@@ -36,7 +43,15 @@ from whichway import (
     write_dataset_csv,
 )
 from whichway.channels import pure_pair
-from whichway.interferometer import _allocate, _probability_table, _unitary_rows
+from whichway import interferometer
+from whichway._streams import generators, seed_words
+from whichway.interferometer import (
+    _allocate,
+    _fit_cells,
+    _probability_table,
+    _simulate_cells,
+    _unitary_rows,
+)
 
 H, V = ket(0, 2), ket(1, 2)
 PREPS = rectilinear_preparations()
@@ -451,17 +466,144 @@ def test_unitary_rows_match_loop_reference(label, ch):
         assert np.array_equal(unitaries[:, 1], [u1 for _, _, u1 in want])
 
 
+def _assert_experiment_matches_oracle(ch, seed, **kwargs):
+    """Counts of every cell equal the default_rng oracle's bit for bit; the
+    records, fitted together here and one cell at a time there, agree
+    within 1e-15."""
+    got_cells = _simulate_cells(ch, PREPS, FILTERS, None, **kwargs, seed=seed)
+    want_cells = ref.simulate_cells(ch, seed, **kwargs)
+    assert len(got_cells) == len(want_cells) == 16
+    for (g_mu, g_nu, g), (w_mu, w_nu, w) in zip(got_cells, want_cells):
+        assert (g_mu, g_nu, g.efficiencies) == (w_mu, w_nu, w.efficiencies)
+        for name in COUNT_FIELDS:
+            assert np.array_equal(getattr(g, name), getattr(w, name)), (g_mu, g_nu, name)
+    got = run_experiment(ch, seed=seed, **kwargs)
+    want = ref.run_experiment(ch, seed, **kwargs)
+    for g, w in zip(got, want):
+        assert (g.mu, g.nu) == (w.mu, w.nu)
+        for a, b in ((g.p, w.p), (g.visibility, w.visibility),
+                     (g.sigma_p, w.sigma_p), (g.sigma_v, w.sigma_v)):
+            assert abs(a - b) <= 1e-15, (g.mu, g.nu, a, b)
+
+
 @pytest.mark.parametrize("seed", [1, 7, 42, 9001])
 def test_run_experiment_records_match_loop_reference(seed):
     efficiencies = (1.0,) * 4 if seed % 2 == 0 else (0.95, 0.8, 0.9, 0.85)
-    kwargs = dict(shots_per_phase=2000, efficiencies=efficiencies, contrast=0.96)
+    _assert_experiment_matches_oracle(pauli_mixture_channel(), seed, shots_per_phase=2000,
+                                      efficiencies=efficiencies, contrast=0.96)
+
+
+ORACLE_CHANNELS = {
+    "pauli": pauli_mixture_channel(),
+    "transpose": transpose_channel(2),
+    "pooled(2,3,17)": random_path_channel(2, 3, 17),
+    "pooled(2,2,18)": random_path_channel(2, 2, 18),
+}
+
+
+@pytest.mark.parametrize("efficiencies", [(1.0,) * 4, (0.9, 1.0, 0.75, 0.8)])
+@pytest.mark.parametrize("seed", [7, (3, 4), 2**40 + 5])
+@pytest.mark.parametrize("label", list(ORACLE_CHANNELS))
+def test_counts_match_default_rng_oracle(label, seed, efficiencies):
+    ch = ORACLE_CHANNELS[label]
+    assert (_unitary_rows(ch) is None) == (label != "pauli")  # the rest take the pooled fallback
+    kwargs = dict(shots_per_phase=1000, efficiencies=efficiencies, contrast=0.96)
+    for mu, nu in (("hh", "hh"), ("vh", "hv")):
+        got = simulate_fringes(ch, PREPS[mu], FILTERS[nu], seed=seed, **kwargs)
+        want = ref.simulate_fringes(ch, PREPS[mu], FILTERS[nu], seed=seed, **kwargs)
+        for name in COUNT_FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (mu, nu, name)
+    ds = simulate_fringes(ch, PREPS["hh"], FILTERS["hh"], seed=seed, **kwargs)
+    reference = min(efficiencies) / 2
+    got = binomial_resample(ds, reference, seed=seed)
+    want = ref.binomial_resample(ds, reference, seed)
+    for name in COUNT_FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    _assert_experiment_matches_oracle(ch, seed, **kwargs)
+
+
+_SEED_ENTRY = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**100))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    prefix=st.lists(_SEED_ENTRY, min_size=1, max_size=6).map(tuple),
+    tail=st.integers(1, 3).flatmap(lambda c: st.lists(
+        st.lists(st.integers(0, 2**32 - 1), min_size=c, max_size=c), min_size=1, max_size=4)),
+)
+def test_seed_words_match_numpy_seed_sequence(prefix, tail):
+    words = seed_words(prefix, tail)
+    rngs = generators(prefix, tail)
+    assert words.shape == (len(tail), 4) and words.dtype == np.uint64
+    for row, w, rng in zip(tail, words, rngs):
+        entropy = prefix + tuple(row)
+        assert np.array_equal(w, np.random.SeedSequence(entropy).generate_state(4, np.uint64))
+        assert rng.bit_generator.state == np.random.default_rng(entropy).bit_generator.state
+
+
+def _counts_dataset(phases, plus, minus, ref0, ref1):
+    return FringeDataset(
+        phases=phases, counts_plus=plus, counts_minus=minus, counts_ref0=ref0,
+        counts_ref1=ref1, shots_per_phase=int(np.max(plus + minus + ref0 + ref1)),
+        seed=(0,), efficiencies=(1.0,) * 4,
+    )
+
+
+def test_fit_cells_gives_a_cell_with_a_zero_total_phase_its_own_factorization(monkeypatch):
     ch = pauli_mixture_channel()
-    got = run_experiment(ch, seed=seed, **kwargs)
-    want = ref.run_experiment(ch, seed, **kwargs)
-    assert len(got) == len(want) == 16
-    for g, w in zip(got, want):
-        assert (g.mu, g.nu, g.p, g.visibility, g.sigma_p, g.sigma_v) == (
-            w.mu, w.nu, w.p, w.visibility, w.sigma_p, w.sigma_v)
+    cells = [simulate_fringes(ch, PREPS[mu], FILTERS[nu], shots_per_phase=500,
+                              contrast=0.9, seed=(5, c))
+             for c, (mu, nu) in enumerate((("hh", "hh"), ("hv", "vh"), ("vh", "hh")))]
+    counts = [getattr(cells[1], name).copy() for name in COUNT_FIELDS]
+    for arr in counts:
+        arr[4] = 0
+    cells[1] = _counts_dataset(np.array(cells[1].phases), *counts)  # phases as an array
+    assert cells[1].totals()[4] == 0 and (cells[0].totals() > 0).all()
+
+    svd, factorizations = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: factorizations.append(1) or svd(*a, **k))
+    fits = _fit_cells(cells)
+    assert len(factorizations) == 2
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    for fit, ds in zip(fits, cells):
+        alone = fit_fringes(ds)
+        for a, b in ((fit.p_hat, alone.p_hat), (fit.visibility, alone.visibility),
+                     (fit.sigma_p, alone.sigma_p), (fit.sigma_v, alone.sigma_v),
+                     (fit.residual_rms, alone.residual_rms)):
+            assert abs(a - b) <= 1e-15
+
+
+def _inconsistent_table(ch, psi0, psi1, filt, phases, contrast, shots_per_phase):
+    # plus - minus = cos(phi) but plus + minus = |cos(phi)|: |V| near 1
+    # against p near 2/pi, far outside the 3-sigma envelope at 64 phases
+    c = np.cos(np.asarray(phases))
+    pvals = np.stack([np.maximum(c, 0), np.maximum(-c, 0), (1 - np.abs(c)) / 2,
+                      (1 - np.abs(c)) / 2], axis=-1)
+    return [shots_per_phase], pvals[:, None, :]
+
+
+@pytest.mark.parametrize("phases, message", [
+    ((0.0, 1.0, 2.0), "need >= 4 populated phases"),
+    ((0.0, 1e-14, 2.0, 4.0), "need >= 4 populated phases"),
+    (np.linspace(0.0, 3.0, 7), "span below half a period"),
+    ((0.0, 1e-7, 2e-7, np.pi), "degenerate design matrix"),
+    (np.linspace(0.0, 2 * np.pi, 64), "beyond the 3-sigma envelope"),
+])
+def test_run_experiment_raises_each_fit_refusal(phases, message, monkeypatch):
+    if message.startswith("beyond"):
+        monkeypatch.setattr(interferometer, "_probability_table", _inconsistent_table)
+    with pytest.raises(NumericalError, match=message):
+        run_experiment(pauli_mixture_channel(), phases=phases, shots_per_phase=5000, seed=3)
+
+
+def test_import_cli_leaves_numpy_random_unloaded():
+    # drawing functions import whichway._streams, and so numpy.random
+    # (about 13 ms), only when they run
+    code = "import sys, whichway.cli; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(interferometer.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
