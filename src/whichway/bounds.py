@@ -15,12 +15,13 @@ the four-term swap family for the completely mixed preparation).
 
 Both kernels work on the channel's stacked Kraus array. A theory record
 (:func:`fractional_visibility`) comes from the per-Kraus amplitudes
-<chi0|A_k|psi0> and <chi1|B_k|psi1>, and is cross-checked at run time
-against the block Choi matrices contracted through their Gram factors
-(:func:`~whichway.channels.choi_factor`), never forming a d^2 x d^2 matrix.
-A certificate check (:func:`verify_alpha_constraint`) builds L as one
-product of stacked rank-one factors and takes one eigendecomposition per
-arm for the support projector and pseudo-inverse of sqrt(rho)^T.
+<chi0|A_k|psi0> and <chi1|B_k|psi1> alone, never forming a d^2 x d^2
+matrix; the block-map and block-Choi routes to the same numbers are test
+oracles. A certificate check (:func:`verify_alpha_constraint`) builds L as
+one product of stacked rank-one factors and takes one eigendecomposition per
+arm for the support projector and pseudo-inverse of sqrt(rho)^T; its slack
+must not exceed ``CONTRACTION_TOL`` (1e-8).
+A list of records that repeats a (mu, nu) key raises :class:`DimensionError`.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channels import PathChannel, Preparation, choi_factor, pure_pair
-from .errors import ContractionError, DimensionError, NumericalError, SupportError
+from .channels import PathChannel, Preparation, pure_pair
+from .errors import ContractionError, DimensionError, SupportError
 from .linalg import (
     ATOL_DERIVED,
     factor_sandwich,
@@ -65,6 +66,7 @@ __all__ = [
 ]
 
 SWAP_KEYS = (("hh", "hh"), ("hv", "vh"), ("vh", "hv"), ("vv", "vv"))
+CONTRACTION_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,10 +116,13 @@ class FractionalVisibilityRecord:
 
 
 def _record_map(records) -> dict[tuple[str, str], FractionalVisibilityRecord]:
+    """Records keyed by (mu, nu); a repeated key raises :class:`DimensionError`."""
     if isinstance(records, dict):
         return dict(records)
     out = {}
     for rec in records:
+        if rec.key in out:
+            raise DimensionError(f"duplicate record for {rec.key}")
         out[rec.key] = rec
     return out
 
@@ -143,13 +148,10 @@ def fractional_visibility(
 ) -> FractionalVisibilityRecord:
     """Exact theory record for a pure preparation and one filter pair.
 
-    The direct route takes the per-Kraus amplitudes x_k = <chi0|A_k|psi0>
-    and y_k = <chi1|B_k|psi1> by two batched matrix-vector products; then
-    V = sum_k x_k y_k* and p = (sum_k |x_k|^2 + sum_k |y_k|^2) / 2. The
-    tensor route evaluates d Tr(probe M) for each block Choi matrix M by
-    contracting the rank-one probe with M's Gram factors
-    (:func:`choi_factor`), never forming M. Both cost O(K d^2); they must
-    agree within 1e-10, else :class:`NumericalError` is raised.
+    The per-Kraus amplitudes x_k = <chi0|A_k|psi0> and y_k = <chi1|B_k|psi1>
+    come from two batched matrix-vector products, in O(K d^2); then
+    V = sum_k x_k y_k* and p = (sum_k |x_k|^2 + sum_k |y_k|^2) / 2, clipped
+    to [0, 1]. The record runs its own checks (finite fields, |V| <= p).
     """
     d = ch.spin_dim
     psi0, psi1 = pure_pair(prep, d)
@@ -159,26 +161,12 @@ def fractional_visibility(
 
     x = ch.kraus[:, 0] @ psi0 @ chi0.conj()
     y = ch.kraus[:, 1] @ psi1 @ chi1.conj()
-    v_direct = np.vdot(y, x)
-    p_direct = 0.5 * (np.vdot(x, x).real + np.vdot(y, y).real)
-
-    # tensor route: d Tr(probe M_ij) = (w^T X_i)(X_j^dag u) for the block
-    # Choi matrix M_ij = X_i X_j^dag / d, X_i = choi_factor(ch, i), and the
-    # probe u w^T. The 01 probe has w = psi0 x chi0*, u = psi1* x chi1, so
-    # V = s.t with s = w^T X_0, t = X_1^dag u; the 00 probe is (w, w*) and
-    # the 11 probe (u*, u), giving |s|^2 and |t|^2
-    s = (psi0[:, None] * chi0.conj()).reshape(-1) @ choi_factor(ch, 0)
-    t = (psi1.conj()[:, None] * chi1).reshape(-1) @ choi_factor(ch, 1).conj()
-    v_tensor = s @ t
-    p_tensor = 0.5 * (np.vdot(s, s).real + np.vdot(t, t).real)
-    if abs(v_direct - v_tensor) > 1e-10 or abs(p_direct - p_tensor) > 1e-10:
-        raise NumericalError("direct and tensor routes disagree beyond 1e-10")
-
+    p = 0.5 * (np.vdot(x, x).real + np.vdot(y, y).real)
     if not mu and isinstance(prep, Preparation):
         mu = prep.label
     return FractionalVisibilityRecord(
-        mu=mu, nu=filt.label, p=float(np.clip(p_direct, 0.0, 1.0)),
-        visibility=complex(v_direct),
+        mu=mu, nu=filt.label, p=float(np.clip(p, 0.0, 1.0)),
+        visibility=complex(np.vdot(y, x)),
     )
 
 
@@ -224,7 +212,6 @@ def verify_alpha_constraint(
     filters: dict[str, FilterPair],
     rho0: np.ndarray,
     rho1: np.ndarray,
-    tol: float = 1e-8,
 ) -> BoundCertificate:
     """Check that the coefficient set factorizes through a contraction.
 
@@ -236,7 +223,7 @@ def verify_alpha_constraint(
     projector and pseudo-inverse come from one eigendecomposition of rho.
 
     Raises :class:`SupportError` if the factorization does not exist and
-    :class:`ContractionError` if the slack exceeds ``tol``.
+    :class:`ContractionError` if the slack exceeds ``CONTRACTION_TOL``.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     rho1 = np.asarray(rho1, dtype=complex)
@@ -260,7 +247,7 @@ def verify_alpha_constraint(
 
     norm_l = np.linalg.norm(left)
     projected = factor_sandwich(p1, left, p0)
-    if np.linalg.norm(left - projected) > tol * max(norm_l, 1e-12):
+    if np.linalg.norm(left - projected) > CONTRACTION_TOL * max(norm_l, 1e-12):
         raise SupportError(
             "combination leaks outside the support of the preparation states; "
             "no contraction factorization exists"
@@ -269,8 +256,9 @@ def verify_alpha_constraint(
     u_hat = factor_sandwich(inv1, left, inv0)
     gram = u_hat.conj().T @ u_hat
     slack = float(np.linalg.eigvalsh(hermitian_part(gram)).max() - 1.0)
-    if slack > tol:
-        raise ContractionError(f"contraction violated: slack {slack:.3e} > tol {tol:.1e}")
+    if slack > CONTRACTION_TOL:
+        raise ContractionError(
+            f"contraction violated: slack {slack:.3e} > tol {CONTRACTION_TOL:.1e}")
     return BoundCertificate(alphas=dict(alphas), u_hat=u_hat, contraction_slack=slack)
 
 
@@ -319,8 +307,6 @@ def orthonormal_filter_bound(records, filters: dict[str, FilterPair]) -> float:
     if len(mus) != 1:
         raise DimensionError(f"expected records for a single preparation, got {sorted(mus)}")
     nus = [r.nu for r in recs]
-    if len(set(nus)) != len(nus):
-        raise DimensionError("duplicate filter labels in records")
     _complete_basis_check([filters[nu].chi0 for nu in nus], "upper-arm")
     _complete_basis_check([filters[nu].chi1 for nu in nus], "lower-arm")
     return float(min(sum(abs(r.visibility) for r in recs), 1.0))
@@ -358,7 +344,7 @@ def _optimal_phase(value: complex) -> complex:
     return value.conjugate() / mag if mag > 0 else 1.0 + 0.0j
 
 
-def swap_certificate(records, tol: float = 1e-8) -> BoundCertificate:
+def swap_certificate(records) -> BoundCertificate:
     """Verified four-term certificate with analytically optimal phases.
 
     The coefficient set alpha = exp(i theta)/2 on the four swap cells
@@ -373,7 +359,7 @@ def swap_certificate(records, tol: float = 1e-8) -> BoundCertificate:
         alphas[key] = 0.5 * _optimal_phase(recs[key].visibility)
     eye2 = np.eye(2, dtype=complex) / 2
     cert = verify_alpha_constraint(
-        alphas, rectilinear_preparations(), rectilinear_filters(), eye2, eye2, tol=tol
+        alphas, rectilinear_preparations(), rectilinear_filters(), eye2, eye2
     )
     return bound_from_visibilities(cert, recs)
 
@@ -383,7 +369,6 @@ def single_preparation_certificate(
     records,
     preps: dict[str, tuple[np.ndarray, np.ndarray]] | None = None,
     filters: dict[str, FilterPair] | None = None,
-    tol: float = 1e-8,
 ) -> BoundCertificate:
     """Verified certificate for one pure preparation with complete
     orthonormal filter bases; the bound equals sum_nu |V^nu|."""
@@ -399,7 +384,7 @@ def single_preparation_certificate(
     psi0, psi1 = preps[mu]
     rho0 = np.outer(psi0, psi0.conj())
     rho1 = np.outer(psi1, psi1.conj())
-    cert = verify_alpha_constraint(alphas, preps, filters, rho0, rho1, tol=tol)
+    cert = verify_alpha_constraint(alphas, preps, filters, rho0, rho1)
     return bound_from_visibilities(cert, recs)
 
 

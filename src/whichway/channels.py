@@ -10,11 +10,11 @@ one stacked complex array ``kraus`` of shape (K, 2, d, d) with
     L_ij(sigma) = sum_k K^(i)_k sigma K^(j)_k^dag,   K^(0) = A, K^(1) = B,
 
 the diagonal blocks being the per-arm channels and the 01 block carrying the
-inter-arm coherence. The kernels (:func:`choi_factor`, :func:`block_choi`,
-:func:`dilate`, :func:`apply_channel`) are reshapes and single matrix
-products on that array. The Kraus index is also the environment basis of
-the canonical dilation, so no second array form of a channel is kept: the
-dilation isometries are one reshape of ``kraus``, and an explicit dilation
+inter-arm coherence. The kernels (:func:`block_choi`, :func:`dilate`,
+:func:`apply_channel`) are reshapes and single matrix products on that
+array. The Kraus index is also the environment basis of the canonical
+dilation, so no second array form of a channel is kept: the dilation
+isometries are one reshape of ``kraus``, and an explicit dilation
 such as :func:`explicit_transpose_dilation` is a :class:`PathChannel` whose
 k-th Kraus pair is the transition tagged by environment ket |e_k>.
 
@@ -48,7 +48,6 @@ __all__ = [
     "apply_channel",
     "block_choi",
     "block_map",
-    "choi_factor",
     "dilate",
     "dumps_channel",
     "explicit_transpose_dilation",
@@ -266,25 +265,19 @@ def apply_channel(ch: PathChannel, state: PathSpinState) -> PathSpinState:
     return PathSpinState(ch.spin_dim, terms.sum(axis=0))
 
 
-def choi_factor(ch: PathChannel, i: int) -> np.ndarray:
-    """The (d^2, K) matrix whose column k is vec(K^(i)_k^T), K^(0) = A,
-    K^(1) = B; (1 x K^(i)_k)|Phi+> = vec(K^(i)_k^T)/sqrt(d), so the block
-    Choi matrices are its Gram matrices (:func:`block_choi`)."""
-    if i not in (0, 1):
-        raise DimensionError("path indices must be 0 or 1")
-    d, k = ch.spin_dim, ch.n_kraus
-    return ch.kraus[:, i].transpose(2, 1, 0).reshape(d * d, k)
-
-
 def block_choi(ch: PathChannel, i: int, j: int) -> np.ndarray:
     """(I x L_ij) acting on the maximally entangled projector of two spin
     replicas; a d^2 x d^2 matrix that fully encodes the block map.
 
-    It is the Gram matrix X Y^dag / d of the :func:`choi_factor` matrices
-    X, Y of sides i and j.
+    Column k of the (d^2, K) factor X_i is vec(K^(i)_k^T), K^(0) = A,
+    K^(1) = B, since (1 x K^(i)_k)|Phi+> = vec(K^(i)_k^T)/sqrt(d); the
+    block Choi matrix is the Gram matrix X_i X_j^dag / d.
     """
-    x, y = choi_factor(ch, i), choi_factor(ch, j)
-    return x @ y.conj().T / ch.spin_dim
+    if i not in (0, 1) or j not in (0, 1):
+        raise DimensionError("path indices must be 0 or 1")
+    d, k = ch.spin_dim, ch.n_kraus
+    x, y = (ch.kraus[:, side].transpose(2, 1, 0).reshape(d * d, k) for side in (i, j))
+    return x @ y.conj().T / d
 
 
 def dilate(ch: PathChannel) -> np.ndarray:

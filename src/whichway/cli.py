@@ -131,6 +131,17 @@ def parse_preparation(spec: str, d: int) -> chn.Preparation:
     raise ValueError(f"unknown preparation spec {spec!r}")
 
 
+def _at_least(kind, low, flag: str):
+    """argparse type of ``flag``: a finite ``kind`` (float or int) >= ``low``."""
+    def parse(text: str):
+        value = kind(text)
+        if not np.isfinite(value) or value < low:
+            raise argparse.ArgumentTypeError(f"{flag} must be finite and >= {low}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse reports "invalid float value: 'abc'"
+    return parse
+
+
 def _emit(text: str, out_path: str | None) -> None:
     print(text)
     if out_path:
@@ -231,7 +242,7 @@ def cmd_reproduce(args) -> int:
             f"simulated records (seed={args.seed}, shots/phase={args.shots}, "
             f"contrast={args.contrast})"
         )
-    recs = {r.key: r for r in records}
+    recs = bnd._record_map(records)  # a repeated (mu, nu) is an input error
 
     lines = [f"source: {source}", f"records: {len(records)}"]
     try:
@@ -296,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify the trade-off")
     add_common(p_verify)
-    p_verify.add_argument("--tol", type=float, default=1e-8,
-                          help="tolerance for the trade-off check")
+    p_verify.add_argument("--tol", type=_at_least(float, 0.0, "--tol"), default=1e-8,
+                          help="tolerance for the trade-off check, finite and >= 0")
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="theory grid for the noise mixture")
@@ -306,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("reproduce", help="simulate / ingest records and bound")
     p_rep.add_argument("--seed", type=int, help="master seed (required when simulating)")
-    p_rep.add_argument("--shots", type=int, default=10_000, help="shots per phase")
+    p_rep.add_argument("--shots", type=_at_least(int, 1, "--shots"), default=10_000,
+                       help="shots per phase, >= 1")
     p_rep.add_argument("--contrast", type=float, default=0.96,
                        help="fringe contrast factor in (0, 1]")
     p_rep.add_argument("--filters", help="comma-separated filter labels to "

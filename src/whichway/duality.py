@@ -68,6 +68,8 @@ __all__ = [
 ]
 
 INEQUALITY_SLACK_FLOOR = -1e-8
+SEARCH_RESTARTS = 16
+SEARCH_ITERS = 100
 
 
 def _gram(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -172,16 +174,16 @@ class SearchResult:
 
     value: float
     converged: bool
-    restarts: int
 
     def __float__(self) -> float:
         return self.value
 
 
-def _newton_polar(x0: np.ndarray, iters: int, tol: float = 1e-13):
-    """Unitary polar factor via the Newton iteration X <- (X + X^{-dag})/2."""
+def _newton_polar(x0: np.ndarray):
+    """Unitary polar factor via the Newton iteration X <- (X + X^{-dag})/2,
+    at most ``SEARCH_ITERS`` steps, converged when no entry moves by 1e-13."""
     x = x0
-    for _ in range(iters):
+    for _ in range(SEARCH_ITERS):
         try:
             inv = np.linalg.inv(x)
         except np.linalg.LinAlgError:
@@ -189,26 +191,21 @@ def _newton_polar(x0: np.ndarray, iters: int, tol: float = 1e-13):
         x_next = 0.5 * (x + inv.conj().T)
         delta = np.max(np.abs(x_next - x))
         x = x_next
-        if delta < tol:
+        if delta < 1e-13:
             return x, True
     return x, False
 
 
-def brute_force_visibility(
-    ch: PathChannel,
-    prep: Preparation,
-    restarts: int = 16,
-    iters: int = 100,
-    seed: int = 0,
-) -> SearchResult:
+def brute_force_visibility(ch: PathChannel, prep: Preparation, seed: int = 0) -> SearchResult:
     """Maximize |Tr(U N)| over explicit unitaries U on the duplicated spin
     space; an independent check of the trace-norm closed form.
 
     Each candidate value is a certified lower bound on the closed form; the
     exact maximizer is the unitary polar factor of N^dag, found here by the
-    inverse-based Newton iteration started from seeded perturbations of N^dag
-    (rank-deficient N is regularized at the 1e-9 level, well inside the 1e-6
-    agreement tolerance).
+    inverse-based Newton iteration (at most ``SEARCH_ITERS`` steps) started
+    from ``SEARCH_RESTARTS`` seeded perturbations of N^dag (rank-deficient N
+    is regularized at the 1e-9 level, well inside the 1e-6 agreement
+    tolerance).
     """
     d = ch.spin_dim
     if d > 4:
@@ -217,15 +214,15 @@ def brute_force_visibility(
     dim = n.shape[0]
     scale = np.max(np.abs(n))
     if scale < 1e-14:
-        return SearchResult(0.0, True, restarts)
+        return SearchResult(0.0, True)
 
     best = 0.0
     converged_values = []
-    for r in range(restarts):
+    for r in range(SEARCH_RESTARTS):
         rng = np.random.default_rng([seed, r])
         noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         x0 = n.conj().T + 1e-9 * scale * noise
-        u, ok = _newton_polar(x0, iters)
+        u, ok = _newton_polar(x0)
         if u is None:
             continue
         if np.max(np.abs(dagger(u) @ u - np.eye(dim))) > 1e-9:
@@ -237,7 +234,7 @@ def brute_force_visibility(
     spread_ok = bool(converged_values) and (
         max(converged_values) - min(converged_values) <= 1e-9 * max(1.0, best)
     )
-    return SearchResult(best, spread_ok, restarts)
+    return SearchResult(best, spread_ok)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -224,7 +224,7 @@ def _compose_row(row: NoiseRow, arrangement: str, mirror: bool):
     raise DimensionError(f"unknown arrangement {arrangement!r}")
 
 
-def _match_row(u0, u1, k0, k1, tol):
+def _match_row(u0, u1, k0, k1):
     """Shared-phase comparison of an arm-unitary pair against its target."""
     flat = np.concatenate([k0.reshape(-1), k1.reshape(-1)])
     idx = int(np.argmax(np.abs(flat)))
@@ -233,10 +233,10 @@ def _match_row(u0, u1, k0, k1, tol):
     if abs(ref) < 1e-12:
         return False, np.inf, 1.0 + 0.0j
     phase = got / ref
-    if abs(abs(phase) - 1.0) > tol:
+    if abs(abs(phase) - 1.0) > ATOL_DERIVED:
         return False, np.inf, phase
     dev = max(np.max(np.abs(u0 - phase * k0)), np.max(np.abs(u1 - phase * k1)))
-    return dev <= tol, float(dev), phase
+    return dev <= ATOL_DERIVED, float(dev), phase
 
 
 def _candidate_conventions():
@@ -252,9 +252,10 @@ def _candidate_conventions():
                 yield label, arrangement, mirror, frame_name
 
 
-def verify_noise_program(prog: NoiseProgram, tol: float = 1e-9) -> ProgramReport:
+def verify_noise_program(prog: NoiseProgram) -> ProgramReport:
     """Find the member of the documented convention family under which every
-    row realizes its target pair up to a shared phase.
+    row realizes its target pair up to a shared phase within 1e-9
+    (``ATOL_DERIVED``).
 
     Returns the per-row deviations and frame-corrected effective arm
     unitaries; raises :class:`ConventionError` with per-candidate diagnostics
@@ -270,7 +271,7 @@ def verify_noise_program(prog: NoiseProgram, tol: float = 1e-9) -> ProgramReport
             u0 = w @ u0 @ w.conj().T
             u1 = w @ u1 @ w.conj().T
             k0, k1 = row.target_pair()
-            ok, dev, phase = _match_row(u0, u1, k0, k1, tol)
+            ok, dev, phase = _match_row(u0, u1, k0, k1)
             if not ok:
                 worst = max(worst, dev if np.isfinite(dev) else 1.0)
                 reports = None
@@ -371,12 +372,12 @@ def _allocate(shots: int, weights) -> list[int]:
     return base
 
 
-def _probability_table(ch, psi0, psi1, filt, phases, contrast, shots_per_phase):
+def _probability_table(ch, rows, psi0, psi1, filt, phases, contrast, shots_per_phase):
     """Shots of each arm-unitary row with a nonzero share, in row order, and
     the (phases, those rows, 4) detection probabilities of the plus, minus,
-    ref0 and ref1 detectors, each row normalised."""
+    ref0 and ref1 detectors, each row normalised; ``rows`` is
+    ``_unitary_rows(ch)``."""
     chi0, chi1 = filt.chi0, filt.chi1
-    rows = _unitary_rows(ch)
     if rows is None:
         # pooled fallback: exact mixture probabilities as a single row
         weights = [1.0]
@@ -429,12 +430,13 @@ def _counting_phases(phases, shots_per_phase, efficiencies, contrast) -> tuple[f
     return phases
 
 
-def _count_cell(ch, prep, filt, phases, shots_per_phase, efficiencies, contrast,
-                seed_seq, rngs) -> FringeDataset:
-    """One cell's counts, phase j drawing from rngs[j] as
-    :func:`simulate_fringes` documents; the settings are already checked."""
+def _count_cell(ch, rows, prep, filt, phases, shots_per_phase, efficiencies, contrast,
+                rngs) -> np.ndarray:
+    """One cell's (4, phases) detector counts, phase j drawing from rngs[j]
+    as :func:`simulate_fringes` documents; the settings are already checked."""
     psi0, psi1 = pure_pair(prep, ch.spin_dim)
-    shots, pvals = _probability_table(ch, psi0, psi1, filt, phases, contrast, shots_per_phase)
+    shots, pvals = _probability_table(ch, rows, psi0, psi1, filt, phases, contrast,
+                                      shots_per_phase)
     counts = np.zeros((4, len(phases)), dtype=np.int64)
     for j, (rng, p_j) in enumerate(zip(rngs, pvals)):
         raw = np.zeros(4, dtype=np.int64)
@@ -444,6 +446,10 @@ def _count_cell(ch, prep, filt, phases, shots_per_phase, efficiencies, contrast,
             rng.binomial(n, e) if e < 1.0 else n
             for n, e in zip(raw.tolist(), efficiencies)
         ]
+    return counts
+
+
+def _dataset(counts, phases, shots_per_phase, seed_seq, efficiencies) -> FringeDataset:
     return FringeDataset(
         phases=phases,
         counts_plus=counts[0], counts_minus=counts[1],
@@ -488,26 +494,20 @@ def simulate_fringes(
     phases = _counting_phases(phases, shots_per_phase, efficiencies, contrast)
     seed_seq = _seed_tuple(seed)
     rngs = generators(seed_seq, np.arange(len(phases))[:, None])
-    return _count_cell(ch, prep, filt, phases, shots_per_phase, efficiencies, contrast,
-                       seed_seq, rngs)
+    counts = _count_cell(ch, _unitary_rows(ch), prep, filt, phases, shots_per_phase,
+                         efficiencies, contrast, rngs)
+    return _dataset(counts, phases, shots_per_phase, seed_seq, efficiencies)
 
 
-def _thin(ds: FringeDataset, reference_efficiency: float, rng) -> FringeDataset:
-    ratios = [reference_efficiency / e for e in ds.efficiencies]
-    arrays = []
-    for counts, ratio in zip(
-        (ds.counts_plus, ds.counts_minus, ds.counts_ref0, ds.counts_ref1), ratios
-    ):
-        if ratio >= 1.0:
-            arrays.append(counts.copy())
-        else:
-            arrays.append(rng.binomial(counts, ratio).astype(np.int64))
-    return replace(
-        ds,
-        counts_plus=arrays[0], counts_minus=arrays[1],
-        counts_ref0=arrays[2], counts_ref1=arrays[3],
-        efficiencies=(reference_efficiency,) * 4,
-    )
+def _thin(counts: np.ndarray, efficiencies, reference_efficiency: float, rng) -> np.ndarray:
+    """(4, phases) counts thinned to the reference efficiency: one binomial
+    draw per detector of higher efficiency, in detector order."""
+    out = counts.copy()
+    for r, e in enumerate(efficiencies):
+        ratio = reference_efficiency / e
+        if ratio < 1.0:
+            out[r] = rng.binomial(counts[r], ratio)
+    return out
 
 
 def binomial_resample(ds: FringeDataset, reference_efficiency: float, seed=0) -> FringeDataset:
@@ -520,7 +520,9 @@ def binomial_resample(ds: FringeDataset, reference_efficiency: float, seed=0) ->
             f"reference efficiency {reference_efficiency} must be in (0, min(efficiencies)]"
         )
     (rng,) = generators(_seed_tuple(seed), np.empty((1, 0)))
-    return _thin(ds, reference_efficiency, rng)
+    counts = np.array([ds.counts_plus, ds.counts_minus, ds.counts_ref0, ds.counts_ref1])
+    thinned = _thin(counts, ds.efficiencies, reference_efficiency, rng)
+    return _dataset(thinned, ds.phases, ds.shots_per_phase, ds.seed, (reference_efficiency,) * 4)
 
 
 # ---------------------------------------------------------------------------
@@ -628,14 +630,16 @@ def _fit_cells(datasets) -> list[FitResult]:
 
 def _simulate_cells(ch, preparations, filters, phases, shots_per_phase, efficiencies,
                     contrast, seed) -> list[tuple[str, str, FringeDataset]]:
-    """(mu, nu, dataset) of every cell of :func:`run_experiment`, resampled
-    to the lowest efficiency when the efficiencies differ."""
+    """(mu, nu, dataset) of every cell of :func:`run_experiment`, its counts
+    thinned to the lowest efficiency when the efficiencies differ."""
     from ._streams import generators
 
     phases = _counting_phases(phases, shots_per_phase, efficiencies, contrast)
     seed_seq = _seed_tuple(seed)
     efficiencies = tuple(float(e) for e in efficiencies)
     resample = len(set(efficiencies)) > 1
+    kept = (min(efficiencies),) * 4 if resample else efficiencies
+    rows = _unitary_rows(ch)
     mus, nus = sorted(preparations), sorted(filters)
     # each cell's phase streams, then its resampling stream
     stream_ids = list(range(len(phases))) + ([997] if resample else [])
@@ -650,11 +654,12 @@ def _simulate_cells(ch, preparations, filters, phases, shots_per_phase, efficien
             prep = Preparation.pure(*prep, label=mu)
         for i_nu, nu in enumerate(nus):
             cell_rngs = [next(rngs) for _ in stream_ids]
-            ds = _count_cell(ch, prep, filters[nu], phases, shots_per_phase, efficiencies,
-                             contrast, seed_seq + (i_mu, i_nu), cell_rngs)
+            counts = _count_cell(ch, rows, prep, filters[nu], phases, shots_per_phase,
+                                 efficiencies, contrast, cell_rngs)
             if resample:
-                ds = _thin(ds, min(efficiencies), cell_rngs[-1])
-            cells.append((mu, nu, ds))
+                counts = _thin(counts, efficiencies, kept[0], cell_rngs[-1])
+            cells.append((mu, nu, _dataset(counts, phases, shots_per_phase,
+                                           seed_seq + (i_mu, i_nu), kept)))
     return cells
 
 

@@ -8,7 +8,10 @@ arrays instead (:func:`factor_sandwich` and the channel kernels).
 
 Tolerance policy: structural checks on constructed objects use
 ``ATOL_STRUCT`` (1e-10), derived numerical identities use ``ATOL_DERIVED``
-(1e-9). Statistical tolerances live with the Monte Carlo code. The rules
+(1e-9), the checks of :func:`psd_eigh` use ``PSD_ATOL`` (1e-8), and
+certificates ``bounds.CONTRACTION_TOL`` (1e-8); none is a parameter, nor are
+``duality.SEARCH_RESTARTS`` (16) and ``SEARCH_ITERS`` (100). Statistical
+tolerances live with the Monte Carlo code. The rules
 for finite entries, unit kets and density matrices are written once, here:
 :func:`finite_array`, :func:`unit_ket` (norm one within 1e-10) and
 :func:`density_matrix` (Hermitian, PSD and unit trace within 1e-10); the
@@ -25,10 +28,12 @@ from .errors import DimensionError, NonFiniteError, PositivityError
 
 ATOL_STRUCT = 1e-10
 ATOL_DERIVED = 1e-9
+PSD_ATOL = 1e-8
 
 __all__ = [
     "ATOL_STRUCT",
     "ATOL_DERIVED",
+    "PSD_ATOL",
     "SpinState",
     "dagger",
     "density_matrix",
@@ -123,12 +128,12 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
-def psd_eigh(m: np.ndarray, atol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition (w, v), w ascending, of a Hermitian PSD matrix.
 
-    The input must be square and Hermitian within ``atol``, else
-    :class:`PositivityError`. Eigenvalues in [-atol, 0) are treated as
-    round-off and clamped to zero; anything below -atol raises
+    The input must be square and Hermitian within ``PSD_ATOL`` (1e-8), else
+    :class:`PositivityError`. Eigenvalues in [-PSD_ATOL, 0) are treated as
+    round-off and clamped to zero; anything below -PSD_ATOL raises
     :class:`PositivityError`. Eigenvalues within 1e-12 (relative) of zero
     are zeroed outright: taking the square root of eigensolver round-off
     would otherwise inject sqrt(eps) ~ 1e-8 noise into the null space of
@@ -138,19 +143,19 @@ def psd_eigh(m: np.ndarray, atol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]
     m = _as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"PSD eigendecomposition needs a square matrix, got {m.shape}")
-    if not is_hermitian(m, atol=atol):
+    if not is_hermitian(m, atol=PSD_ATOL):
         raise PositivityError("PSD eigendecomposition input is not Hermitian within tolerance")
     w, v = np.linalg.eigh(hermitian_part(m))
-    if w.min() < -atol:
+    if w.min() < -PSD_ATOL:
         raise PositivityError(f"matrix not PSD: smallest eigenvalue {w.min():.3e}")
     w[w < max(w.max(), 0.0) * 1e-12] = 0.0
     return w, v
 
 
-def matrix_sqrt(m: np.ndarray, atol: float = 1e-8) -> np.ndarray:
+def matrix_sqrt(m: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root from the clamped eigendecomposition of
     :func:`psd_eigh`, whose checks and tolerances it shares."""
-    w, v = psd_eigh(m, atol)
+    w, v = psd_eigh(m)
     return hermitian_part((v * np.sqrt(w)) @ v.conj().T)
 
 

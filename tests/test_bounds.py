@@ -17,7 +17,6 @@ from whichway import (
     FilterPair,
     FractionalVisibilityRecord,
     NonFiniteError,
-    NumericalError,
     PathChannel,
     Preparation,
     SupportError,
@@ -128,16 +127,6 @@ def test_record_rejects_non_finite_fields(field, value):
         FractionalVisibilityRecord(**kwargs)
 
 
-def test_fractional_visibility_route_disagreement_is_numerical(monkeypatch):
-    import whichway.bounds as bounds
-
-    exact = bounds.choi_factor
-    monkeypatch.setattr(bounds, "choi_factor", lambda ch, i: exact(ch, i) + 1e-6)
-    ch = pauli_mixture_channel()
-    with pytest.raises(NumericalError):
-        fractional_visibility(ch, (H, H), rectilinear_filters()["hh"])
-
-
 def test_swap_alpha_family_reconstructs_a_unitary():
     alphas = {k: 0.5 * np.exp(1j * t) for k, t in zip(
         (("hh", "hh"), ("hv", "vh"), ("vh", "hv"), ("vv", "vv")),
@@ -232,6 +221,20 @@ def test_missing_records_raise():
     )
     with pytest.raises(DimensionError):
         bound_from_visibilities(cert, [])
+
+
+def test_repeated_record_key_is_a_dimension_error():
+    records = measured_records()
+    # a second (hh, hh) record that would lower the swap bound if it replaced the first
+    repeated = records + [FractionalVisibilityRecord("hh", "hh", 0.489, 0.0, 0.003, 0.003)]
+    row = [r for r in repeated if r.mu == "hh"]
+    for bound in (swap_certificate, swap_estimate,
+                  lambda recs: orthonormal_filter_bound(row, rectilinear_filters()),
+                  lambda recs: single_preparation_certificate("hh", recs),
+                  lambda recs: write_records_csv(recs, io.StringIO())):
+        with pytest.raises(DimensionError, match=r"duplicate record for \('hh', 'hh'\)"):
+            bound(repeated)
+    assert swap_certificate(records).vg_lower == pytest.approx(0.9605, abs=1e-12)
 
 
 def test_orthonormal_filter_bound_measured_row():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from whichway.cli import (
     parse_channel,
     parse_preparation,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -208,14 +212,49 @@ def test_verify_prints_round_off_slack_without_sign(capsys, channel, prep):
     assert "slack = 0.0000  (1 - D^2 - V_G^2)" in out.splitlines()
 
 
-def test_fractional_visibility_route_disagreement_exits_3(capsys, monkeypatch):
-    import whichway.bounds as bounds
+def test_reproduce_from_csv_with_a_repeated_record_exits_2(capsys, tmp_path):
+    path = tmp_path / "records.csv"
+    text = (ROOT / "demos" / "data" / "measured_records.csv").read_text(encoding="ascii")
+    path.write_text(text.rstrip("\r\n") + "\nhh,hh,0.489,0.0,0.0,0.003,0.003\n",
+                    encoding="ascii")
+    code, out, err = run_cli(capsys, "reproduce", "--from-csv", str(path))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "input error: duplicate record for ('hh', 'hh')" in err
 
-    exact = bounds.choi_factor
-    monkeypatch.setattr(bounds, "choi_factor", lambda ch, i: exact(ch, i) + 1e-6)
-    code, _, err = run_cli(capsys, "table")
-    assert code == EXIT_NUMERICAL
-    assert "numerical failure" in err
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--channel", "identity", "--prep", "mixed", "--tol", "nan"),
+    ("verify", "--channel", "identity", "--prep", "mixed", "--tol", "inf"),
+    ("verify", "--channel", "identity", "--prep", "mixed", "--tol", "-1"),
+    ("verify", "--channel", "identity", "--prep", "mixed", "--tol", "abc"),
+    ("reproduce", "--seed", "1", "--shots", "0"),
+    ("reproduce", "--seed", "1", "--shots", "-5"),
+    ("reproduce", "--seed", "1", "--shots", "1.5"),
+], ids=["tol-nan", "tol-inf", "tol-negative", "tol-text", "shots-0", "shots-negative",
+        "shots-fraction"])
+def test_out_of_range_numbers_are_refused_at_parse_time(capsys, monkeypatch, argv):
+    import whichway.cli as cli
+
+    def refuse(args):
+        raise AssertionError("the subcommand ran")
+
+    monkeypatch.setattr(cli, "cmd_verify", refuse)
+    monkeypatch.setattr(cli, "cmd_reproduce", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == EXIT_INPUT
+    assert f"argument {argv[-2]}" in capsys.readouterr().err
+
+
+def test_smallest_accepted_numbers(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--channel", "identity", "--prep", "pure:h,v",
+                           "--tol", "0")
+    assert code == EXIT_OK
+    assert "slack = 0.0000" in out
+    code, out, _ = run_cli(capsys, "reproduce", "--seed", "1", "--shots", "1")
+    assert code == EXIT_OK
+    assert "shots/phase=1," in out
 
 
 def test_fuchs_van_de_graaf_floor_violation_exits_3(capsys, monkeypatch):

@@ -1,7 +1,8 @@
 """The six README commands print exactly the stored standard output.
 
 The expected outputs under ``tests/data/`` are byte for byte what the
-commands print; any change to a printed digit, sign or line is a failure.
+commands print, and ``cli_table_grid.csv`` what ``table --out`` writes; any
+change to a printed digit, sign or line is a failure.
 The commands run in-process from the repository root, so the relative CSV
 path of ``reproduce --from-csv`` prints as the README shows it.
 """
@@ -36,3 +37,4 @@ def test_readme_command_output_is_byte_stable(capsys, monkeypatch, tmp_path, exp
     assert out == (DATA / expected).read_text(encoding="ascii")
     if "GRID" in argv:
         assert len(read_records_csv(grid)) == 16
+        assert grid.read_bytes() == (DATA / "cli_table_grid.csv").read_bytes()

@@ -419,9 +419,9 @@ def test_probability_table_matches_loop_reference(kind, shots):
     for contrast in (0.96, 1.0):
         for prep, filt in cells:
             psi0, psi1 = pure_pair(prep, ch.spin_dim)
-            args = (ch, psi0, psi1, filt, phases, contrast, shots)
-            got_shots, got = _probability_table(*args)
-            want_shots, want = ref.probability_table(*args)
+            args = (psi0, psi1, filt, phases, contrast, shots)
+            got_shots, got = _probability_table(ch, _unitary_rows(ch), *args)
+            want_shots, want = ref.probability_table(ch, *args)
             assert got_shots == want_shots
             assert got.shape == (len(phases), len(want_shots), 4)
             assert np.array_equal(got, np.array(want))
@@ -522,7 +522,30 @@ def test_counts_match_default_rng_oracle(label, seed, efficiencies):
     _assert_experiment_matches_oracle(ch, seed, **kwargs)
 
 
-_SEED_ENTRY = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**100))
+@pytest.mark.parametrize("efficiencies", [(1.0,) * 4, (0.9, 1.0, 0.75, 0.8)])
+@pytest.mark.parametrize("label", ["pauli", "pooled(2,3,17)"])
+def test_run_experiment_analyses_the_channel_once_and_builds_one_dataset_per_cell(
+        monkeypatch, label, efficiencies):
+    calls = {"rows": 0, "datasets": 0}
+    rows, post_init = interferometer._unitary_rows, FringeDataset.__post_init__
+
+    def counting_rows(ch):
+        calls["rows"] += 1
+        return rows(ch)
+
+    def counting_post_init(ds):
+        calls["datasets"] += 1
+        post_init(ds)
+
+    monkeypatch.setattr(interferometer, "_unitary_rows", counting_rows)
+    monkeypatch.setattr(FringeDataset, "__post_init__", counting_post_init)
+    records = run_experiment(ORACLE_CHANNELS[label], shots_per_phase=500,
+                             efficiencies=efficiencies, seed=5)
+    assert len(records) == 16
+    assert calls == {"rows": 1, "datasets": 16}
+
+
+_SEED_ENTRY =st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**100))
 
 
 @settings(max_examples=80, deadline=None)
@@ -573,7 +596,7 @@ def test_fit_cells_gives_a_cell_with_a_zero_total_phase_its_own_factorization(mo
             assert abs(a - b) <= 1e-15
 
 
-def _inconsistent_table(ch, psi0, psi1, filt, phases, contrast, shots_per_phase):
+def _inconsistent_table(ch, rows, psi0, psi1, filt, phases, contrast, shots_per_phase):
     # plus - minus = cos(phi) but plus + minus = |cos(phi)|: |V| near 1
     # against p near 2/pi, far outside the 3-sigma envelope at 64 phases
     c = np.cos(np.asarray(phases))
