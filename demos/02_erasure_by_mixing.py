@@ -14,7 +14,6 @@ import numpy as np
 
 from whichway import (
     Preparation,
-    brute_force_visibility,
     distinguishability,
     environment_states,
     explicit_transpose_dilation,
@@ -47,12 +46,3 @@ describe("|v> in both arms", Preparation.pure(v, v))
 # uniformly. Nothing distinguishes them anymore -- D drops to zero and the
 # recoverable visibility climbs to one.
 describe("mixed h/v ensemble", Preparation.completely_mixed(2))
-
-# The same conclusion from the explicit search over output analyses: the
-# best unitary recovers half the contrast for a pure input, all of it for
-# the mixed one.
-for name, prep in [("pure |h>", Preparation.pure(h, h)),
-                   ("mixed", Preparation.completely_mixed(2))]:
-    res = brute_force_visibility(channel, prep, seed=1)
-    print(f"explicit unitary search, {name:<9}: best |overlap| = {res.value:.6f} "
-          f"(converged: {res.converged})")

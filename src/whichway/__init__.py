@@ -29,9 +29,7 @@ from .bounds import (
 )
 from .channels import (
     PathChannel,
-    PathSpinState,
     Preparation,
-    apply_channel,
     block_choi,
     block_map,
     dilate,
@@ -46,8 +44,6 @@ from .channels import (
 )
 from .duality import (
     DualityReport,
-    SearchResult,
-    brute_force_visibility,
     distinguishability,
     environment_states,
     generalized_visibility,

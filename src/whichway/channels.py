@@ -10,17 +10,18 @@ one stacked complex array ``kraus`` of shape (K, 2, d, d) with
     L_ij(sigma) = sum_k K^(i)_k sigma K^(j)_k^dag,   K^(0) = A, K^(1) = B,
 
 the diagonal blocks being the per-arm channels and the 01 block carrying the
-inter-arm coherence. The kernels (:func:`block_choi`, :func:`dilate`,
-:func:`apply_channel`) are reshapes and single matrix products on that
-array. The Kraus index is also the environment basis of the canonical
-dilation, so no second array form of a channel is kept: the dilation
-isometries are one reshape of ``kraus``, and an explicit dilation
-such as :func:`explicit_transpose_dilation` is a :class:`PathChannel` whose
-k-th Kraus pair is the transition tagged by environment ket |e_k>.
+inter-arm coherence. The kernels :func:`block_choi` and :func:`dilate` are
+reshapes and single matrix products on that array. The Kraus index is also
+the environment basis of the canonical dilation, so no second array form of
+a channel is kept: the dilation isometries are one reshape of ``kraus``, and
+an explicit dilation such as :func:`explicit_transpose_dilation` is a
+:class:`PathChannel` whose k-th Kraus pair is the transition tagged by
+environment ket |e_k>. The joint path x spin state and the channel's action
+on it are test oracles in ``tests/reference_kernels.py``.
 
-The array-holding classes (:class:`Preparation`, :class:`PathSpinState`,
-:class:`PathChannel`) compare and hash by identity: two separately built
-objects are unequal even when their arrays agree.
+The array-holding classes (:class:`Preparation`, :class:`PathChannel`)
+compare and hash by identity: two separately built objects are unequal even
+when their arrays agree.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import numpy as np
 
 from .errors import DimensionError, PositivityError
 from .linalg import (
-    ATOL_DERIVED,
     ATOL_STRUCT,
     dagger,
     density_matrix,
@@ -43,9 +43,7 @@ from .linalg import (
 
 __all__ = [
     "PathChannel",
-    "PathSpinState",
     "Preparation",
-    "apply_channel",
     "block_choi",
     "block_map",
     "dilate",
@@ -151,50 +149,6 @@ def pure_pair(prep, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True, eq=False)
-class PathSpinState:
-    """Joint path x spin density operator in 2x2 block form.
-
-    ``blocks[i, j]`` is the d x d spin operator <i|rho|j>; both paths carry
-    probability 1/2. ``blocks`` is a read-only copy, so the checked state
-    cannot be edited.
-    """
-
-    spin_dim: int
-    blocks: np.ndarray = field(repr=False)  # shape (2, 2, d, d)
-
-    def __post_init__(self):
-        d = self.spin_dim
-        b = np.array(self.blocks, dtype=complex)
-        if b.shape != (2, 2, d, d):
-            raise DimensionError(f"blocks shape {b.shape} != (2, 2, {d}, {d})")
-        b.flags.writeable = False
-        object.__setattr__(self, "blocks", b)
-        density_matrix(self.as_matrix(), "assembled state")
-        for i in (0, 1):
-            if abs(np.trace(b[i, i]).real - 0.5) > ATOL_DERIVED:
-                raise PositivityError("paths are not equiprobable within 1e-9")
-
-    def as_matrix(self) -> np.ndarray:
-        d = self.spin_dim
-        return self.blocks.swapaxes(1, 2).reshape(2 * d, 2 * d)
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "PathSpinState":
-        m = np.asarray(m, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
-            raise DimensionError(f"expected a 2d x 2d matrix, got {m.shape}")
-        d = m.shape[0] // 2
-        return cls(d, m.reshape(2, d, 2, d).swapaxes(1, 2))
-
-    @classmethod
-    def from_preparation(cls, prep: Preparation) -> "PathSpinState":
-        """State of (|0>|psi0^m> + |1>|psi1^m>)/sqrt(2), mixed over the ensemble."""
-        kets = np.array(prep.pairs)  # kets[m, i] = psi_i^m
-        b = 0.5 * np.einsum("m,mia,mjb->ijab", prep.weights, kets, kets.conj())
-        return cls(prep.spin_dim, b)
-
-
-@dataclass(frozen=True, eq=False)
 class PathChannel:
     """Path-preserving channel stored as one stacked Kraus array.
 
@@ -253,16 +207,6 @@ def block_map(ch: PathChannel, i: int, j: int, sigma: np.ndarray) -> np.ndarray:
     for ki, kj in zip(ch.kraus[:, i], ch.kraus[:, j]):
         out += ki @ sigma @ dagger(kj)
     return out
-
-
-def apply_channel(ch: PathChannel, state: PathSpinState) -> PathSpinState:
-    """Act with the channel on a joint path-spin state: block (i, j) becomes
-    sum_k K^(i)_k rho_ij K^(j)_k^dag, one broadcast product over ``kraus``."""
-    if ch.spin_dim != state.spin_dim:
-        raise DimensionError("channel and state spin dimensions differ")
-    kraus = ch.kraus
-    terms = kraus[:, :, None] @ state.blocks @ kraus.conj().swapaxes(-1, -2)[:, None]
-    return PathSpinState(ch.spin_dim, terms.sum(axis=0))
 
 
 def block_choi(ch: PathChannel, i: int, j: int) -> np.ndarray:
@@ -374,8 +318,10 @@ def explicit_transpose_dilation() -> PathChannel:
 def random_path_channel(d: int, n_kraus: int, seed: int) -> PathChannel:
     """Random trace-preserving path channel, deterministic under the seed.
 
-    Each side draws n_kraus complex Ginibre matrices G_k and normalizes them
-    by (sum G^dag G)^(-1/2).
+    Each side draws n_kraus complex Ginibre matrices G_k, stacks them into
+    one (n_kraus * d, d) matrix G = U S V^dag (thin SVD) and keeps the
+    isometry polar factor U V^dag = G (G^dag G)^(-1/2), which is trace
+    preserving to round-off however ill-conditioned the draw.
     """
     if n_kraus < 1:
         raise DimensionError("n_kraus must be >= 1")
@@ -383,10 +329,8 @@ def random_path_channel(d: int, n_kraus: int, seed: int) -> PathChannel:
 
     def draw_side():
         g = rng.normal(size=(n_kraus, d, d)) + 1j * rng.normal(size=(n_kraus, d, d))
-        s = sum(dagger(m) @ m for m in g)
-        w, v = np.linalg.eigh(hermitian_part(s))
-        inv_root = (v / np.sqrt(w)) @ v.conj().T
-        return [m @ inv_root for m in g]
+        u, _, vh = np.linalg.svd(g.reshape(n_kraus * d, d), full_matrices=False)
+        return (u @ vh).reshape(n_kraus, d, d)
 
     side_a, side_b = draw_side(), draw_side()
     return PathChannel(

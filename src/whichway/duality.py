@@ -32,8 +32,9 @@ Phys. Rev. Lett. 77, 2154 (1996) gives the case without an internal degree
 of freedom). D and V_G come from one pair of K x K matrices, and every
 evaluation checks the lower half of the same theorem, D >= 1 - V_G within
 1e-9, which fails if either number is wrong. :func:`visibility_operator`
-keeps the d^2 x d^2 operator of the definition as the independent input of
-:func:`brute_force_visibility`.
+keeps the d^2 x d^2 operator of the definition; the explicit search over
+unitaries that maximizes |Tr(U N)| on it is a test oracle in
+``tests/reference_kernels.py``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .linalg import (
     ATOL_DERIVED,
     ATOL_STRUCT,
     SpinState,
-    dagger,
     factor_sandwich,
     fidelity,
     hermitian_part,
@@ -58,8 +58,6 @@ from .linalg import (
 
 __all__ = [
     "DualityReport",
-    "SearchResult",
-    "brute_force_visibility",
     "distinguishability",
     "environment_states",
     "generalized_visibility",
@@ -68,8 +66,6 @@ __all__ = [
 ]
 
 INEQUALITY_SLACK_FLOOR = -1e-8
-SEARCH_RESTARTS = 16
-SEARCH_ITERS = 100
 
 
 def _gram(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -166,75 +162,6 @@ def generalized_visibility(ch: PathChannel, prep: Preparation) -> float:
     D >= 1 - V_G within 1e-9.
     """
     return _d_and_vg(ch, prep)[1]
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    """Outcome of the explicit maximization over unitaries."""
-
-    value: float
-    converged: bool
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def _newton_polar(x0: np.ndarray):
-    """Unitary polar factor via the Newton iteration X <- (X + X^{-dag})/2,
-    at most ``SEARCH_ITERS`` steps, converged when no entry moves by 1e-13."""
-    x = x0
-    for _ in range(SEARCH_ITERS):
-        try:
-            inv = np.linalg.inv(x)
-        except np.linalg.LinAlgError:
-            return None, False
-        x_next = 0.5 * (x + inv.conj().T)
-        delta = np.max(np.abs(x_next - x))
-        x = x_next
-        if delta < 1e-13:
-            return x, True
-    return x, False
-
-
-def brute_force_visibility(ch: PathChannel, prep: Preparation, seed: int = 0) -> SearchResult:
-    """Maximize |Tr(U N)| over explicit unitaries U on the duplicated spin
-    space; an independent check of the trace-norm closed form.
-
-    Each candidate value is a certified lower bound on the closed form; the
-    exact maximizer is the unitary polar factor of N^dag, found here by the
-    inverse-based Newton iteration (at most ``SEARCH_ITERS`` steps) started
-    from ``SEARCH_RESTARTS`` seeded perturbations of N^dag (rank-deficient N
-    is regularized at the 1e-9 level, well inside the 1e-6 agreement
-    tolerance).
-    """
-    d = ch.spin_dim
-    if d > 4:
-        raise DimensionError("explicit unitary search supported for spin_dim <= 4")
-    n = visibility_operator(ch, prep)
-    dim = n.shape[0]
-    scale = np.max(np.abs(n))
-    if scale < 1e-14:
-        return SearchResult(0.0, True)
-
-    best = 0.0
-    converged_values = []
-    for r in range(SEARCH_RESTARTS):
-        rng = np.random.default_rng([seed, r])
-        noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        x0 = n.conj().T + 1e-9 * scale * noise
-        u, ok = _newton_polar(x0)
-        if u is None:
-            continue
-        if np.max(np.abs(dagger(u) @ u - np.eye(dim))) > 1e-9:
-            ok = False
-        value = d * abs(np.trace(u @ n))
-        best = max(best, value)
-        if ok:
-            converged_values.append(value)
-    spread_ok = bool(converged_values) and (
-        max(converged_values) - min(converged_values) <= 1e-9 * max(1.0, best)
-    )
-    return SearchResult(best, spread_ok)
 
 
 @dataclass(frozen=True)

@@ -681,8 +681,11 @@ def run_experiment(
     correction used on the measured data. Cell (mu, nu) is
     ``simulate_fringes(..., seed=seed + (i_mu, i_nu))`` and resamples from
     the generator of ``seed + (i_mu, i_nu, 997)``; the generators of all
-    cells are seeded together, and all cells are fitted together.
+    cells are seeded together, and all cells are fitted together. A fit
+    needs counts, so ``shots_per_phase`` below 1 is a :class:`DimensionError`.
     """
+    if shots_per_phase < 1:
+        raise DimensionError(f"shots_per_phase {shots_per_phase} below 1: no counts to fit")
     preparations = rectilinear_preparations() if preparations is None else preparations
     filters = rectilinear_filters() if filters is None else filters
     cells = _simulate_cells(ch, preparations, filters, phases, shots_per_phase,

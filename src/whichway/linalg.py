@@ -9,9 +9,8 @@ arrays instead (:func:`factor_sandwich` and the channel kernels).
 Tolerance policy: structural checks on constructed objects use
 ``ATOL_STRUCT`` (1e-10), derived numerical identities use ``ATOL_DERIVED``
 (1e-9), the checks of :func:`psd_eigh` use ``PSD_ATOL`` (1e-8), and
-certificates ``bounds.CONTRACTION_TOL`` (1e-8); none is a parameter, nor are
-``duality.SEARCH_RESTARTS`` (16) and ``SEARCH_ITERS`` (100). Statistical
-tolerances live with the Monte Carlo code. The rules
+certificates ``bounds.CONTRACTION_TOL`` (1e-8); none is a parameter.
+Statistical tolerances live with the Monte Carlo code. The rules
 for finite entries, unit kets and density matrices are written once, here:
 :func:`finite_array`, :func:`unit_ket` (norm one within 1e-10) and
 :func:`density_matrix` (Hermitian, PSD and unit trace within 1e-10); the

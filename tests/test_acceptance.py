@@ -13,12 +13,12 @@ from conftest import (
     random_orthonormal_filters,
     random_preparation,
 )
+from reference_kernels import brute_force_visibility
 from whichway import (
     FractionalVisibilityRecord,
     FringeDataset,
     Preparation,
     block_choi,
-    brute_force_visibility,
     distinguishability,
     environment_states,
     explicit_transpose_dilation,

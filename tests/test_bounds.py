@@ -10,6 +10,7 @@ from conftest import (
     random_density,
     random_ket,
     random_orthonormal_filters,
+    random_unitary,
 )
 from whichway import (
     ContractionError,
@@ -408,21 +409,34 @@ def _preparation_with_marginals(rho0, rho1, rng):
     return Preparation.ensemble(weights, pairs)
 
 
-def _contraction(rng, norm):
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+def _basis_cells(d):
+    """The d^2 computational-basis preparation pairs (|a>, |b>) and the d^2
+    filter pairs; their rank-one terms (|psi0><psi1|)^T x |chi1><chi0| are an
+    orthonormal basis of the operators on two spin replicas. At d=2 they are
+    the rectilinear cells, labelled 00, 01, 10, 11 in place of hh, hv, vh, vv."""
+    kets = [ket(a, d) for a in range(d)]
+    cells = [(f"{a}{b}", kets[a], kets[b]) for a in range(d) for b in range(d)]
+    return ({label: (x, y) for label, x, y in cells},
+            {label: FilterPair(x, y, label=label) for label, x, y in cells})
+
+
+def _contraction(rng, norm, d):
+    g = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
     return norm * g / np.linalg.svd(g, compute_uv=False).max()
 
 
 def _contraction_alphas(rho0, rho1, u):
     """Coefficients of (sqrt(rho1)^T x 1) u (sqrt(rho0)^T x 1) over the
-    rectilinear rank-one terms, an orthonormal basis of the operators on
-    the two replicas."""
+    rank-one terms of :func:`_basis_cells`."""
     from whichway import matrix_sqrt
 
-    left = np.kron(matrix_sqrt(rho1).T, np.eye(2)) @ u @ np.kron(matrix_sqrt(rho0).T, np.eye(2))
+    d = rho0.shape[0]
+    eye = np.eye(d)
+    left = np.kron(matrix_sqrt(rho1).T, eye) @ u @ np.kron(matrix_sqrt(rho0).T, eye)
+    preps, filters = _basis_cells(d)
     alphas = {}
-    for mu, (psi0, psi1) in rectilinear_preparations().items():
-        for nu, filt in rectilinear_filters().items():
+    for mu, (psi0, psi1) in preps.items():
+        for nu, filt in filters.items():
             term = np.kron(np.outer(psi0, psi1.conj()).T, np.outer(filt.chi1, filt.chi0.conj()))
             alphas[(mu, nu)] = complex(term.conj().reshape(-1) @ left.reshape(-1))
     return alphas
@@ -431,8 +445,9 @@ def _contraction_alphas(rho0, rho1, u):
 def _assert_sound(cert, rho0, rho1, k, seed, rng):
     """The bound assembled from exact records of a random channel does not
     exceed V_G of a preparation with marginals rho0, rho1."""
-    ch = random_path_channel(2, k, seed=seed)
-    preps, filters = rectilinear_preparations(), rectilinear_filters()
+    d = rho0.shape[0]
+    ch = random_path_channel(d, k, seed=seed)
+    preps, filters = _basis_cells(d)
     records = {key: fractional_visibility(ch, preps[key[0]], filters[key[1]], mu=key[0])
                for key in cert.alphas}
     full = bound_from_visibilities(cert, records)
@@ -441,21 +456,63 @@ def _assert_sound(cert, rho0, rho1, k, seed, rng):
     assert full.d_upper >= rep.distinguishability - 1e-9
 
 
-def _full_rank_density(rng):
-    return random_density(2, rng) * 0.98 + 0.01 * np.eye(2)
+def _full_rank_density(rng, d):
+    return random_density(d, rng) * (1.0 - 0.01 * d) + 0.01 * np.eye(d)
+
+
+def _density_of_rank(rng, d, rank):
+    """A density matrix of the given rank whose nonzero eigenvalues are at
+    least 0.01."""
+    if rank == d:
+        return _full_rank_density(rng, d)
+    if rank == 1:
+        psi = random_ket(d, rng)
+        return np.outer(psi, psi.conj())
+    q = random_unitary(d, rng)[:, :rank]
+    w = rng.dirichlet(np.ones(rank)) * (1.0 - 0.01 * rank) + 0.01
+    return (q * w) @ q.conj().T
+
+
+def _check_full_rank_certificate(d, k, norm, seed):
+    rng = np.random.default_rng(seed)
+    rho0, rho1 = _full_rank_density(rng, d), _full_rank_density(rng, d)
+    u = _contraction(rng, norm, d)
+    cert = verify_alpha_constraint(_contraction_alphas(rho0, rho1, u), *_basis_cells(d),
+                                   rho0, rho1)
+    assert cert.contraction_slack <= 1e-8
+    np.testing.assert_allclose(cert.u_hat, u, atol=1e-8)
+    _assert_sound(cert, rho0, rho1, k, seed, rng)
+
+
+def _check_rank_deficient_certificate(d, ranks, leaky, k, seed):
+    # coefficients of a contraction between the state factors lie in their
+    # supports and give a sound bound; perturbed ones leak and are refused
+    rng = np.random.default_rng(seed)
+    rho0, rho1 = _density_of_rank(rng, d, ranks[0]), _density_of_rank(rng, d, ranks[1])
+    alphas = _contraction_alphas(rho0, rho1, _contraction(rng, 1.0, d))
+    if leaky:
+        alphas = {key: a + 0.1 * complex(rng.normal(), rng.normal()) for key, a in alphas.items()}
+    args = (alphas, *_basis_cells(d), rho0, rho1)
+    if leaky:
+        with pytest.raises(SupportError):
+            verify_alpha_constraint(*args)
+        return
+    cert = verify_alpha_constraint(*args)
+    assert cert.contraction_slack <= 1e-8
+    _assert_sound(cert, rho0, rho1, k, seed, rng)
 
 
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(1, 3), norm=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1))
 def test_full_rank_certificates_are_sound(k, norm, seed):
-    rng = np.random.default_rng(seed)
-    rho0, rho1 = _full_rank_density(rng), _full_rank_density(rng)
-    u = _contraction(rng, norm)
-    cert = verify_alpha_constraint(_contraction_alphas(rho0, rho1, u), rectilinear_preparations(),
-                                   rectilinear_filters(), rho0, rho1)
-    assert cert.contraction_slack <= 1e-8
-    np.testing.assert_allclose(cert.u_hat, u, atol=1e-8)
-    _assert_sound(cert, rho0, rho1, k, seed, rng)
+    _check_full_rank_certificate(2, k, norm, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 3), norm=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_full_rank_certificates_are_sound_at_d3(k, norm, seed):
+    # 81 rank-one terms from 9 preparation pairs and 9 filter pairs
+    _check_full_rank_certificate(3, k, norm, seed)
 
 
 @settings(max_examples=40, deadline=None)
@@ -466,28 +523,18 @@ def test_full_rank_certificates_are_sound(k, norm, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_rank_deficient_certificates_are_sound_or_rejected(ranks, leaky, k, seed):
-    # coefficients of a contraction between the state factors lie in their
-    # supports and give a sound bound; perturbed ones leak and are refused
-    rng = np.random.default_rng(seed)
+    _check_rank_deficient_certificate(2, ranks, leaky, k, seed)
 
-    def density(rank):
-        if rank == 2:
-            return _full_rank_density(rng)
-        psi = random_ket(2, rng)
-        return np.outer(psi, psi.conj())
 
-    rho0, rho1 = density(ranks[0]), density(ranks[1])
-    alphas = _contraction_alphas(rho0, rho1, _contraction(rng, 1.0))
-    if leaky:
-        alphas = {key: a + 0.1 * complex(rng.normal(), rng.normal()) for key, a in alphas.items()}
-    args = (alphas, rectilinear_preparations(), rectilinear_filters(), rho0, rho1)
-    if leaky:
-        with pytest.raises(SupportError):
-            verify_alpha_constraint(*args)
-        return
-    cert = verify_alpha_constraint(*args)
-    assert cert.contraction_slack <= 1e-8
-    _assert_sound(cert, rho0, rho1, k, seed, rng)
+@settings(max_examples=40, deadline=None)
+@given(
+    ranks=st.sampled_from([(r0, r1) for r0 in (1, 2, 3) for r1 in (1, 2, 3)][:-1]),
+    leaky=st.booleans(),
+    k=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_deficient_certificates_are_sound_or_rejected_at_d3(ranks, leaky, k, seed):
+    _check_rank_deficient_certificate(3, ranks, leaky, k, seed)
 
 
 def test_records_csv_round_trip(tmp_path):

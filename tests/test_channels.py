@@ -10,16 +10,20 @@ from conftest import (
     random_preparation,
     random_unitary,
 )
-from reference_kernels import apply_via_choi, choi_state, max_entangled_state
+from reference_kernels import (
+    PathSpinState,
+    apply_channel,
+    apply_via_choi,
+    choi_state,
+    max_entangled_state,
+)
 from whichway import (
     DimensionError,
     NonFiniteError,
     PathChannel,
-    PathSpinState,
     PositivityError,
     Preparation,
     SpinState,
-    apply_channel,
     block_choi,
     block_map,
     dilate,
@@ -251,6 +255,28 @@ def test_random_channel_deterministic_under_seed():
         np.max(np.abs(p[0] - q[0])) > 1e-6 for p, q in zip(a.kraus_pairs, c.kraus_pairs)
     )
     assert "rng" in a.metadata
+
+
+def _trace_preservation_error(ch):
+    """Operator-norm distance of sum A^dag A and sum B^dag B from the identity."""
+    gram = np.einsum("ksji,ksjl->sil", ch.kraus.conj(), ch.kraus)
+    return np.abs(np.linalg.eigvalsh(gram - np.eye(ch.spin_dim))).max()
+
+
+def test_random_channel_from_ill_conditioned_draw_is_built():
+    # this seed's B-side Ginibre draw is ill-conditioned; normalising it by
+    # (sum G^dag G)^(-1/2) lost trace preservation beyond 1e-10
+    assert _trace_preservation_error(random_path_channel(3, 1, seed=1169870864)) <= 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=8),
+    n_kraus=st.integers(min_value=1, max_value=16),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_random_channel_is_trace_preserving(d, n_kraus, seed):
+    assert _trace_preservation_error(random_path_channel(d, n_kraus, seed=seed)) <= 1e-10
 
 
 def test_kraus_mixing_leaves_block_maps_invariant():

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_ket, random_preparation, random_unitary
+from reference_kernels import brute_force_visibility
 from whichway import (
     DimensionError,
     NumericalError,
     PathChannel,
     PositivityError,
     Preparation,
-    brute_force_visibility,
     distinguishability,
     environment_states,
     explicit_transpose_dilation,

@@ -317,6 +317,13 @@ def test_run_experiment_produces_grid_consistent_with_theory():
         assert abs(rec.visibility) == pytest.approx(target, abs=4 * rec.sigma_v + 0.01)
 
 
+@pytest.mark.parametrize("shots", [0, -1])
+def test_run_experiment_without_shots_is_a_dimension_error(shots):
+    # no counts to fit is an input error, not a numerical failure
+    with pytest.raises(DimensionError, match="shots_per_phase"):
+        run_experiment(pauli_mixture_channel(), shots_per_phase=shots, seed=1)
+
+
 def test_run_experiment_subset_request():
     ch = pauli_mixture_channel()
     preps = {"hh": PREPS["hh"]}

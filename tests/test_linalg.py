@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_ket, random_unitary
+from reference_kernels import PathSpinState, max_entangled_state
 from whichway import (
     DimensionError,
     FilterPair,
     FractionalVisibilityRecord,
     NonFiniteError,
     PathChannel,
-    PathSpinState,
     PositivityError,
     Preparation,
     SpinState,
@@ -23,7 +23,6 @@ from whichway import (
     trace_norm,
 )
 from whichway.channels import pure_pair
-from reference_kernels import max_entangled_state
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=1, max_value=4)
