@@ -17,10 +17,14 @@ Both kernels work on the channel's stacked Kraus array. A theory record
 (:func:`fractional_visibility`) comes from the per-Kraus amplitudes
 <chi0|A_k|psi0> and <chi1|B_k|psi1> alone, never forming a d^2 x d^2
 matrix; the block-map and block-Choi routes to the same numbers are test
-oracles. A certificate check (:func:`verify_alpha_constraint`) builds L as
-one product of stacked rank-one factors and takes one eigendecomposition per
-arm for the support projector and pseudo-inverse of sqrt(rho)^T; its slack
-must not exceed ``CONTRACTION_TOL`` (1e-8).
+oracles. A certificate check builds L as one product of stacked rank-one
+factors and needs, per arm, the support projector and pseudo-inverse of
+sqrt(rho)^T; its slack must not exceed ``CONTRACTION_TOL`` (1e-8). For a
+density matrix (:func:`verify_alpha_constraint`, :func:`swap_certificate`)
+both come from one eigendecomposition of rho. For a pure preparation
+(:func:`single_preparation_certificate`) they come from the unit ket:
+sqrt(|psi><psi|)^T = psi* psi^T is its own support projector and its own
+pseudo-inverse, so no eigendecomposition runs.
 A list of records that repeats a (mu, nu) key raises :class:`DimensionError`.
 """
 
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import cmath
 import csv
+import functools
 import io
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -165,7 +170,7 @@ def fractional_visibility(
     if not mu and isinstance(prep, Preparation):
         mu = prep.label
     return FractionalVisibilityRecord(
-        mu=mu, nu=filt.label, p=float(np.clip(p, 0.0, 1.0)),
+        mu=mu, nu=filt.label, p=min(max(float(p), 0.0), 1.0),
         visibility=complex(np.vdot(y, x)),
     )
 
@@ -206,6 +211,60 @@ def _root_support(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return proj, inv
 
 
+def _ket_support(psi: np.ndarray) -> np.ndarray:
+    """sqrt(|psi><psi|)^T = psi* psi^T for a unit ket psi: the projector
+    onto its own range, and so its own pseudo-inverse."""
+    return np.outer(psi.conj(), psi)
+
+
+def _certify(
+    alphas: dict[tuple[str, str], complex],
+    preps: dict[str, tuple[np.ndarray, np.ndarray]],
+    filters: dict[str, FilterPair],
+    d: int,
+    support0: tuple[np.ndarray, np.ndarray],
+    support1: tuple[np.ndarray, np.ndarray],
+) -> BoundCertificate:
+    """:func:`verify_alpha_constraint` given each arm's (support projector,
+    pseudo-inverse) of sqrt(rho)^T. An arm whose two matrices are one object
+    (a pure preparation) makes the pseudo-inverse sandwich equal the support
+    sandwich, so U-hat is then the projected L."""
+    for mu, nu in alphas:
+        if mu not in preps:
+            raise DimensionError(f"coefficient references unknown preparation {mu!r}")
+        if nu not in filters:
+            raise DimensionError(f"coefficient references unknown filter {nu!r}")
+    n = len(alphas)
+    kets = np.array([preps[mu] for mu, _ in alphas], dtype=complex).reshape(n, 2, d)
+    chis = np.array([(filters[nu].chi0, filters[nu].chi1) for _, nu in alphas],
+                    dtype=complex).reshape(n, 2, d)
+    u = (kets[:, 1, :, None].conj() * chis[:, 1, None, :]).reshape(n, d * d)
+    w = (kets[:, 0, :, None] * chis[:, 0, None, :].conj()).reshape(n, d * d)
+    left = (u.T * np.array(list(alphas.values()), dtype=complex)) @ w
+
+    p0, inv0 = support0
+    p1, inv1 = support1
+
+    norm_l = np.linalg.norm(left)
+    projected = factor_sandwich(p1, left, p0)
+    if np.linalg.norm(left - projected) > CONTRACTION_TOL * max(norm_l, 1e-12):
+        raise SupportError(
+            "combination leaks outside the support of the preparation states; "
+            "no contraction factorization exists"
+        )
+
+    if p0 is inv0 and p1 is inv1:
+        u_hat = projected
+    else:
+        u_hat = factor_sandwich(inv1, left, inv0)
+    gram = u_hat.conj().T @ u_hat
+    slack = float(np.linalg.eigvalsh(hermitian_part(gram)).max() - 1.0)
+    if slack > CONTRACTION_TOL:
+        raise ContractionError(
+            f"contraction violated: slack {slack:.3e} > tol {CONTRACTION_TOL:.1e}")
+    return BoundCertificate(alphas=dict(alphas), u_hat=u_hat, contraction_slack=slack)
+
+
 def verify_alpha_constraint(
     alphas: dict[tuple[str, str], complex],
     preps: dict[str, tuple[np.ndarray, np.ndarray]],
@@ -220,46 +279,16 @@ def verify_alpha_constraint(
     w = psi0 x chi0*, verifies that its row/column supports lie inside the
     supports of the sqrt(rho)^T factors, reconstructs U through
     pseudo-inverses and reports the contraction slack. Each arm's support
-    projector and pseudo-inverse come from one eigendecomposition of rho.
+    projector and pseudo-inverse come from one eigendecomposition of the
+    density matrix rho, with the checks of :func:`psd_eigh`.
 
     Raises :class:`SupportError` if the factorization does not exist and
     :class:`ContractionError` if the slack exceeds ``CONTRACTION_TOL``.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     rho1 = np.asarray(rho1, dtype=complex)
-    d = rho0.shape[0]
-
-    for mu, nu in alphas:
-        if mu not in preps:
-            raise DimensionError(f"coefficient references unknown preparation {mu!r}")
-        if nu not in filters:
-            raise DimensionError(f"coefficient references unknown filter {nu!r}")
-    n = len(alphas)
-    kets = np.array([preps[mu] for mu, _ in alphas], dtype=complex).reshape(n, 2, d)
-    chis = np.array([(filters[nu].chi0, filters[nu].chi1) for _, nu in alphas],
-                    dtype=complex).reshape(n, 2, d)
-    u = (kets[:, 1, :, None].conj() * chis[:, 1, None, :]).reshape(n, d * d)
-    w = (kets[:, 0, :, None] * chis[:, 0, None, :].conj()).reshape(n, d * d)
-    left = (u.T * np.array(list(alphas.values()), dtype=complex)) @ w
-
-    p0, inv0 = _root_support(rho0)
-    p1, inv1 = _root_support(rho1)
-
-    norm_l = np.linalg.norm(left)
-    projected = factor_sandwich(p1, left, p0)
-    if np.linalg.norm(left - projected) > CONTRACTION_TOL * max(norm_l, 1e-12):
-        raise SupportError(
-            "combination leaks outside the support of the preparation states; "
-            "no contraction factorization exists"
-        )
-
-    u_hat = factor_sandwich(inv1, left, inv0)
-    gram = u_hat.conj().T @ u_hat
-    slack = float(np.linalg.eigvalsh(hermitian_part(gram)).max() - 1.0)
-    if slack > CONTRACTION_TOL:
-        raise ContractionError(
-            f"contraction violated: slack {slack:.3e} > tol {CONTRACTION_TOL:.1e}")
-    return BoundCertificate(alphas=dict(alphas), u_hat=u_hat, contraction_slack=slack)
+    return _certify(alphas, preps, filters, rho0.shape[0],
+                    _root_support(rho0), _root_support(rho1))
 
 
 def bound_from_visibilities(cert: BoundCertificate, records) -> BoundCertificate:
@@ -287,16 +316,28 @@ def bound_from_visibilities(cert: BoundCertificate, records) -> BoundCertificate
     return replace(cert, vg_lower=vg, d_upper=d_up, sigma_vg=float(sigma), sigma_d=sigma_d)
 
 
-def _complete_basis_check(vectors: list[np.ndarray], which: str) -> None:
-    d = vectors[0].size
-    if len(vectors) != d:
+def _complete_basis_check(filters: dict[str, FilterPair], nus: list[str]) -> int:
+    """Check that the upper-arm kets and the lower-arm kets of the filters
+    ``nus`` each form a complete orthonormal basis, with both Gram matrices
+    from one stacked product; returns the dimension d."""
+    unknown = [nu for nu in nus if nu not in filters]
+    if unknown:
+        raise DimensionError(f"records reference unknown filters {unknown}")
+    filts = [filters[nu] for nu in nus]
+    d = filts[0].chi0.size
+    if any(f.chi0.size != d for f in filts):
+        raise DimensionError("filters have different dimensions")
+    if len(filts) != d:
         raise DimensionError(
-            f"{which} filters do not form a complete basis ({len(vectors)} vectors in dim {d})"
+            f"upper-arm filters do not form a complete basis ({len(filts)} vectors in dim {d})"
         )
-    stack = np.array(vectors)
-    gram = stack.conj() @ stack.T
-    if np.max(np.abs(gram - np.eye(d))) > ATOL_DERIVED:
-        raise DimensionError(f"{which} filter states are not orthonormal within 1e-9")
+    stack = np.array([[f.chi0 for f in filts], [f.chi1 for f in filts]])
+    gram = stack.conj() @ stack.transpose(0, 2, 1)
+    off = np.abs(gram - np.eye(d)).max(axis=(1, 2))
+    for which, err in zip(("upper-arm", "lower-arm"), off):
+        if err > ATOL_DERIVED:
+            raise DimensionError(f"{which} filter states are not orthonormal within 1e-9")
+    return d
 
 
 def orthonormal_filter_bound(records, filters: dict[str, FilterPair]) -> float:
@@ -306,9 +347,7 @@ def orthonormal_filter_bound(records, filters: dict[str, FilterPair]) -> float:
     mus = {r.mu for r in recs}
     if len(mus) != 1:
         raise DimensionError(f"expected records for a single preparation, got {sorted(mus)}")
-    nus = [r.nu for r in recs]
-    _complete_basis_check([filters[nu].chi0 for nu in nus], "upper-arm")
-    _complete_basis_check([filters[nu].chi1 for nu in nus], "lower-arm")
+    _complete_basis_check(filters, [r.nu for r in recs])
     return float(min(sum(abs(r.visibility) for r in recs), 1.0))
 
 
@@ -322,21 +361,29 @@ def swap_estimate(records) -> float:
     return float(min(0.5 * sum(abs(recs[k].visibility) for k in SWAP_KEYS), 1.0))
 
 
-def rectilinear_preparations() -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """The four pure h/v preparation pairs, labelled hh, hv, vh, vv."""
+@functools.cache
+def _rectilinear_sets() -> tuple[tuple, tuple]:
+    """(label, preparation pair) and (label, filter pair) items over one
+    read-only h and v ket, built and validated once."""
     h, v = ket(0, 2), ket(1, 2)
+    h.flags.writeable = v.flags.writeable = False
     states = {"h": h, "v": v}
-    return {a + b: (states[a], states[b]) for a in "hv" for b in "hv"}
+    labels = [(a + b, states[a], states[b]) for a in "hv" for b in "hv"]
+    return (tuple((lab, (x, y)) for lab, x, y in labels),
+            tuple((lab, FilterPair(x, y, label=lab)) for lab, x, y in labels))
+
+
+def rectilinear_preparations() -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The four pure h/v preparation pairs, labelled hh, hv, vh, vv: a fresh
+    dict on each call over kets that are shared and read-only."""
+    return dict(_rectilinear_sets()[0])
 
 
 def rectilinear_filters() -> dict[str, FilterPair]:
     """The four h/v filter pairs; label xy filters x in the upper arm and y
-    in the lower arm."""
-    h, v = ket(0, 2), ket(1, 2)
-    states = {"h": h, "v": v}
-    return {
-        a + b: FilterPair(states[a], states[b], label=a + b) for a in "hv" for b in "hv"
-    }
+    in the lower arm. A fresh dict on each call over filter pairs that are
+    built once and hold shared, read-only kets."""
+    return dict(_rectilinear_sets()[1])
 
 
 def _optimal_phase(value: complex) -> complex:
@@ -371,20 +418,28 @@ def single_preparation_certificate(
     filters: dict[str, FilterPair] | None = None,
 ) -> BoundCertificate:
     """Verified certificate for one pure preparation with complete
-    orthonormal filter bases; the bound equals sum_nu |V^nu|."""
+    orthonormal filter bases; the bound equals sum_nu |V^nu|.
+
+    ``preps[mu]`` is a pair of unit kets (or a pure :class:`Preparation`),
+    checked by :func:`pure_pair`: a NaN or infinite entry raises
+    :class:`NonFiniteError`, and a norm off one or a dimension other than
+    the filters' raises :class:`DimensionError`. Each arm's support
+    projector and pseudo-inverse is psi* psi^T, so no eigendecomposition
+    runs; the leak and contraction checks are those of
+    :func:`verify_alpha_constraint`.
+    """
     preps = rectilinear_preparations() if preps is None else preps
     filters = rectilinear_filters() if filters is None else filters
     recs = {k: r for k, r in _record_map(records).items() if r.mu == mu}
     if not recs:
         raise DimensionError(f"no records for preparation {mu!r}")
-    nus = [r.nu for r in recs.values()]
-    _complete_basis_check([filters[nu].chi0 for nu in nus], "upper-arm")
-    _complete_basis_check([filters[nu].chi1 for nu in nus], "lower-arm")
+    d = _complete_basis_check(filters, [r.nu for r in recs.values()])
+    if mu not in preps:
+        raise DimensionError(f"no preparation {mu!r}")
     alphas = {key: _optimal_phase(rec.visibility) for key, rec in recs.items()}
-    psi0, psi1 = preps[mu]
-    rho0 = np.outer(psi0, psi0.conj())
-    rho1 = np.outer(psi1, psi1.conj())
-    cert = verify_alpha_constraint(alphas, preps, filters, rho0, rho1)
+    psi0, psi1 = pure_pair(preps[mu], d)
+    r0, r1 = _ket_support(psi0), _ket_support(psi1)
+    cert = _certify(alphas, {mu: (psi0, psi1)}, filters, d, (r0, r0), (r1, r1))
     return bound_from_visibilities(cert, recs)
 
 

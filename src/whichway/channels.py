@@ -133,7 +133,8 @@ class Preparation:
 
 def pure_pair(prep, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The kets (psi0, psi1) of a pure :class:`Preparation` or of a
-    (psi0, psi1) tuple of unit kets, checked to have dimension d."""
+    (psi0, psi1) tuple of unit kets (checked by :func:`unit_ket`), checked
+    to have dimension d."""
     if isinstance(prep, Preparation):
         if not prep.is_pure:
             raise DimensionError(
@@ -144,7 +145,7 @@ def pure_pair(prep, d: int) -> tuple[np.ndarray, np.ndarray]:
         psi0, psi1 = prep
         psi0, psi1 = unit_ket(psi0, "psi0"), unit_ket(psi1, "psi1")
     if psi0.size != d or psi1.size != d:
-        raise DimensionError("preparation kets do not match the channel dimension")
+        raise DimensionError(f"preparation kets do not have dimension {d}")
     return psi0, psi1
 
 

@@ -14,11 +14,13 @@ Statistical tolerances live with the Monte Carlo code. The rules
 for finite entries, unit kets and density matrices are written once, here:
 :func:`finite_array`, :func:`unit_ket` (norm one within 1e-10) and
 :func:`density_matrix` (Hermitian, PSD and unit trace within 1e-10); the
-last two reject a NaN or infinite entry before any other check.
+last two raise :class:`NonFiniteError` for a NaN or infinite entry, whatever
+else is wrong with the input.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,9 +95,17 @@ def finite_array(a, what: str) -> np.ndarray:
 
 def unit_ket(psi, what: str) -> np.ndarray:
     """``psi`` as a finite complex vector; a norm differing from one beyond
-    1e-10 raises :class:`DimensionError`."""
-    psi = finite_array(psi, what).reshape(-1)
-    n = np.linalg.norm(psi)
+    1e-10 raises :class:`DimensionError`.
+
+    One pass: the norm sqrt(<psi|psi>) is non-finite whenever an entry is,
+    so the entry scan of :func:`finite_array` runs only then. A NaN or
+    infinite entry raises :class:`NonFiniteError`; finite entries whose
+    squared norm overflows raise :class:`DimensionError`.
+    """
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    n = math.sqrt(np.vdot(psi, psi).real)
+    if not math.isfinite(n):
+        finite_array(psi, what)
     if abs(n - 1.0) > ATOL_STRUCT:
         raise DimensionError(f"{what} norm {n:.12g} differs from 1 beyond 1e-10")
     return psi

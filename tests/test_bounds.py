@@ -41,6 +41,7 @@ from whichway import (
     verify_inequality,
     write_records_csv,
 )
+from whichway.bounds import _ket_support, _root_support
 
 H, V = ket(0, 2), ket(1, 2)
 
@@ -336,6 +337,109 @@ def test_single_preparation_certificate_is_sound(d, k, seed):
     cert = single_preparation_certificate("m", records, preps={"m": (psi0, psi1)},
                                           filters=filters)
     assert cert.vg_lower <= generalized_visibility(ch, Preparation.pure(psi0, psi1)) + 1e-9
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+def test_single_preparation_ket_route_matches_eigh_route(d):
+    # the ket route (psi* psi^T as support projector and pseudo-inverse)
+    # against verify_alpha_constraint on the density matrices, which takes
+    # both from an eigendecomposition
+    rng = np.random.default_rng(100 + d)
+    for _ in range(10):
+        ch = random_path_channel(d, int(rng.integers(1, 4)), seed=int(rng.integers(1e6)))
+        psi0, psi1 = random_ket(d, rng), random_ket(d, rng)
+        preps = {"m": (psi0, psi1)}
+        filters = random_orthonormal_filters(d, rng)
+        records = [fractional_visibility(ch, preps["m"], f, mu="m") for f in filters.values()]
+        cert = single_preparation_certificate("m", records, preps=preps, filters=filters)
+        oracle = bound_from_visibilities(
+            verify_alpha_constraint(cert.alphas, preps, filters,
+                                    np.outer(psi0, psi0.conj()), np.outer(psi1, psi1.conj())),
+            records,
+        )
+        np.testing.assert_allclose(cert.u_hat, oracle.u_hat, rtol=0, atol=1e-12)
+        assert cert.contraction_slack == pytest.approx(oracle.contraction_slack, abs=1e-12)
+        assert (cert.vg_lower, cert.d_upper) == (oracle.vg_lower, oracle.d_upper)
+        for psi in (psi0, psi1):
+            support = _ket_support(psi)
+            for ref in _root_support(np.outer(psi, psi.conj())):
+                np.testing.assert_allclose(support, ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [2.0, 1.0 + 2e-10, 0.5])
+@pytest.mark.parametrize("arm", [0, 1])
+def test_single_preparation_certificate_rejects_non_unit_ket(scale, arm):
+    # a scaled ket used to give a certificate through the eigh route
+    row = [r for r in measured_records() if r.mu == "hh"]
+    pair = [H, H]
+    pair[arm] = scale * pair[arm]
+    with pytest.raises(DimensionError, match="differs from 1"):
+        single_preparation_certificate("hh", row, preps={"hh": tuple(pair)})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("arm", [0, 1])
+def test_single_preparation_certificate_rejects_non_finite_ket(bad, arm):
+    # a NaN ket used to raise PositivityError from the eigendecomposition
+    row = [r for r in measured_records() if r.mu == "hh"]
+    pair = [H.copy(), H.copy()]
+    pair[arm][1] = bad
+    with pytest.raises(NonFiniteError):
+        single_preparation_certificate("hh", row, preps={"hh": tuple(pair)})
+
+
+def test_single_preparation_certificate_rejects_mismatched_inputs():
+    row = [r for r in measured_records() if r.mu == "hh"]
+    with pytest.raises(DimensionError, match="dimension 2"):
+        single_preparation_certificate("hh", row, preps={"hh": (ket(0, 3), ket(0, 3))})
+    with pytest.raises(DimensionError, match="no preparation 'hh'"):
+        single_preparation_certificate("hh", row, preps={"vv": (V, V)})
+    with pytest.raises(DimensionError, match="unknown filters"):
+        single_preparation_certificate("hh", row, filters={"hh": rectilinear_filters()["hh"]})
+    ragged = {"hh": rectilinear_filters()["hh"], "vv": FilterPair(ket(1, 3), ket(1, 3))}
+    with pytest.raises(DimensionError, match="different dimensions"):
+        single_preparation_certificate("hh", row, filters=ragged)
+
+
+def _lower_arm_defect():
+    """Two filter pairs whose upper-arm kets {h, v} are a basis and whose
+    lower-arm kets {h, h} are not."""
+    filters = {"hh": FilterPair(H, H, label="hh"), "vh": FilterPair(V, H, label="vh")}
+    rows = [FractionalVisibilityRecord(mu="hh", nu=nu, p=0.5, visibility=0.1)
+            for nu in filters]
+    return rows, filters
+
+
+def test_lower_arm_defect_is_named():
+    rows, filters = _lower_arm_defect()
+    with pytest.raises(DimensionError, match="lower-arm filter states are not orthonormal"):
+        orthonormal_filter_bound(rows, filters)
+    with pytest.raises(DimensionError, match="lower-arm filter states are not orthonormal"):
+        single_preparation_certificate("hh", rows, filters=filters)
+    # the same defect in the upper arm is named as such
+    swapped = {nu: FilterPair(f.chi1, f.chi0, label=nu) for nu, f in filters.items()}
+    with pytest.raises(DimensionError, match="upper-arm filter states are not orthonormal"):
+        orthonormal_filter_bound(rows, swapped)
+
+
+def test_rectilinear_sets_are_fresh_dicts_over_read_only_kets():
+    for build in (rectilinear_preparations, rectilinear_filters):
+        first, second = build(), build()
+        assert first is not second and first.keys() == second.keys()
+        first.pop("hh")
+        first["vv"] = None
+        third = build()
+        assert list(third) == ["hh", "hv", "vh", "vv"]
+        assert third["vv"] is not None and third["hh"] is second["hh"]
+    kets = [k for pair in rectilinear_preparations().values() for k in pair]
+    kets += [k for f in rectilinear_filters().values() for k in (f.chi0, f.chi1)]
+    for k in kets:
+        assert not k.flags.writeable
+        with pytest.raises(ValueError):
+            k[0] = 5.0
+    np.testing.assert_array_equal(rectilinear_preparations()["hv"], (H, V))
+    filt = rectilinear_filters()["vh"]
+    np.testing.assert_array_equal((filt.chi0, filt.chi1), (V, H))
 
 
 @settings(max_examples=40, deadline=None)

@@ -23,6 +23,7 @@ from whichway import (
     trace_norm,
 )
 from whichway.channels import pure_pair
+from whichway.linalg import unit_ket
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=1, max_value=4)
@@ -175,6 +176,36 @@ def test_spin_state_pure_requires_unit_norm():
         SpinState.pure(np.array([1.0, 1.0]))
     s = SpinState.pure(random_ket(3, np.random.default_rng(7)))
     assert s.dim == 3
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan),
+                                 complex(0.0, -np.inf)])
+@pytest.mark.parametrize("index", [0, 2])
+def test_unit_ket_non_finite_entry_is_non_finite_error(bad, index):
+    psi = np.full(3, 1 / np.sqrt(3), dtype=complex)
+    psi[index] = bad
+    with pytest.raises(NonFiniteError):
+        unit_ket(psi, "psi")
+
+
+def test_unit_ket_overflowing_norm_is_dimension_error():
+    # finite entries whose squared norm overflows to inf
+    with pytest.raises(DimensionError, match="psi norm inf"):
+        unit_ket(np.full(2, 1e200, dtype=complex), "psi")
+    with pytest.raises(DimensionError):
+        unit_ket(np.array([1e200, 0.0]), "psi")
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_unit_ket_norm_tolerance(d):
+    psi = random_ket(d, np.random.default_rng(d))
+    with pytest.raises(DimensionError, match="differs from 1 beyond 1e-10"):
+        unit_ket(psi * (1 + 2e-10), "psi")
+    with pytest.raises(DimensionError):
+        unit_ket(psi * (1 - 2e-10), "psi")
+    out = unit_ket(psi * (1 + 5e-11), "psi")
+    np.testing.assert_array_equal(out, psi * (1 + 5e-11))
+    assert unit_ket(list(psi), "psi").shape == (d,)
 
 
 # One valid input per validating constructor, and how to build from it. A
