@@ -15,15 +15,12 @@ from .bounds import (
     FractionalVisibilityRecord,
     bound_from_visibilities,
     certificate_report,
-    detection_probabilities,
     fractional_visibility,
-    orthonormal_filter_bound,
     read_records_csv,
     rectilinear_filters,
     rectilinear_preparations,
     single_preparation_certificate,
     swap_certificate,
-    swap_estimate,
     verify_alpha_constraint,
     write_records_csv,
 )

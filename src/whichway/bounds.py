@@ -30,21 +30,20 @@ A list of records that repeats a (mu, nu) key raises :class:`DimensionError`.
 
 from __future__ import annotations
 
-import cmath
 import csv
 import functools
 import io
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .channels import PathChannel, Preparation, pure_pair
-from .errors import ContractionError, DimensionError, SupportError
+from .errors import ContractionError, DimensionError, NonFiniteError, SupportError
 from .linalg import (
     ATOL_DERIVED,
     factor_sandwich,
-    finite_array,
     hermitian_part,
     ket,
     psd_eigh,
@@ -57,15 +56,12 @@ __all__ = [
     "FractionalVisibilityRecord",
     "bound_from_visibilities",
     "certificate_report",
-    "detection_probabilities",
     "fractional_visibility",
-    "orthonormal_filter_bound",
     "read_records_csv",
     "rectilinear_filters",
     "rectilinear_preparations",
     "single_preparation_certificate",
     "swap_certificate",
-    "swap_estimate",
     "verify_alpha_constraint",
     "write_records_csv",
 ]
@@ -103,8 +99,9 @@ class FractionalVisibilityRecord:
     sigma_v: float = 0.0
 
     def __post_init__(self):
-        finite_array((self.p, self.visibility, self.sigma_p, self.sigma_v),
-                     f"record ({self.mu}, {self.nu})")
+        v = complex(self.visibility)
+        if not all(map(math.isfinite, (self.p, v.real, v.imag, self.sigma_p, self.sigma_v))):
+            raise NonFiniteError(f"NaN or infinite entry in record ({self.mu}, {self.nu})")
         if not 0.0 <= self.p <= 1.0 + 1e-12:
             raise DimensionError(f"filtering probability {self.p} outside [0, 1]")
         if self.sigma_p < 0 or self.sigma_v < 0:
@@ -130,19 +127,6 @@ def _record_map(records) -> dict[tuple[str, str], FractionalVisibilityRecord]:
             raise DimensionError(f"duplicate record for {rec.key}")
         out[rec.key] = rec
     return out
-
-
-def detection_probabilities(p: float, visibility: complex, phi: float) -> tuple[float, float]:
-    """Probabilities (p_plus, p_minus) at the two interferometer outputs for
-    phase phi: (p +/- Re(V e^{i phi})) / 2."""
-    if not 0.0 <= p <= 1.0:
-        raise DimensionError(f"p={p} outside [0, 1]")
-    if abs(visibility) > p + 1e-12:
-        raise DimensionError(f"|V|={abs(visibility)} exceeds p={p}")
-    osc = (visibility * cmath.exp(1j * phi)).real
-    plus = 0.5 * (p + osc)
-    minus = 0.5 * (p - osc)
-    return max(plus, 0.0), max(minus, 0.0)
 
 
 def fractional_visibility(
@@ -340,27 +324,6 @@ def _complete_basis_check(filters: dict[str, FilterPair], nus: list[str]) -> int
     return d
 
 
-def orthonormal_filter_bound(records, filters: dict[str, FilterPair]) -> float:
-    """Visibility bound sum_nu |V^nu| for a single preparation filtered in
-    complete orthonormal bases in both arms, clamped to [0, 1]."""
-    recs = list(_record_map(records).values())
-    mus = {r.mu for r in recs}
-    if len(mus) != 1:
-        raise DimensionError(f"expected records for a single preparation, got {sorted(mus)}")
-    _complete_basis_check(filters, [r.nu for r in recs])
-    return float(min(sum(abs(r.visibility) for r in recs), 1.0))
-
-
-def swap_estimate(records) -> float:
-    """Four-term bound (|V^{hh,hh}| + |V^{hv,vh}| + |V^{vh,hv}| + |V^{vv,vv}|)/2
-    for the completely mixed preparation, clamped to [0, 1]."""
-    recs = _record_map(records)
-    missing = [k for k in SWAP_KEYS if k not in recs]
-    if missing:
-        raise DimensionError(f"missing records for {missing}")
-    return float(min(0.5 * sum(abs(recs[k].visibility) for k in SWAP_KEYS), 1.0))
-
-
 @functools.cache
 def _rectilinear_sets() -> tuple[tuple, tuple]:
     """(label, preparation pair) and (label, filter pair) items over one
@@ -396,7 +359,8 @@ def swap_certificate(records) -> BoundCertificate:
 
     The coefficient set alpha = exp(i theta)/2 on the four swap cells
     reconstructs a unitary U for any phases; choosing theta = -arg V aligns
-    every term, so the bound equals :func:`swap_estimate`.
+    every term, so the bound is
+    (|V^{hh,hh}| + |V^{hv,vh}| + |V^{vh,hv}| + |V^{vv,vv}|) / 2, clamped to 1.
     """
     recs = _record_map(records)
     alphas = {}
@@ -459,6 +423,26 @@ def _csv_text(path_or_buffer, mode: str):
             yield fh
 
 
+def _csv_rows(path_or_buffer, fields: list[str]) -> list[list[str]]:
+    """The data rows of a CSV whose header is ``fields``, blank lines
+    skipped. A different header, or a row with a field count other than
+    ``len(fields)``, raises ValueError naming the line."""
+    with _csv_text(path_or_buffer, "r") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != fields:
+            raise ValueError(f"unexpected CSV header {header}, expected {fields}")
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(fields):
+                raise ValueError(f"CSV line {reader.line_num}: expected "
+                                 f"{len(fields)} fields, got {len(row)}")
+            rows.append(row)
+        return rows
+
+
 def write_records_csv(records, path_or_buffer) -> None:
     recs = list(_record_map(records).values())
     with _csv_text(path_or_buffer, "w") as fh:
@@ -473,20 +457,17 @@ def write_records_csv(records, path_or_buffer) -> None:
 
 
 def read_records_csv(path_or_buffer) -> list[FractionalVisibilityRecord]:
-    with _csv_text(path_or_buffer, "r") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != _CSV_FIELDS:
-            raise ValueError(
-                f"unexpected CSV header {reader.fieldnames}, expected {_CSV_FIELDS}"
-            )
-        out = []
-        for row in reader:
-            out.append(FractionalVisibilityRecord(
-                mu=row["mu"], nu=row["nu"], p=float(row["p"]),
-                visibility=complex(float(row["re_V"]), float(row["im_V"])),
-                sigma_p=float(row["sigma_p"]), sigma_v=float(row["sigma_V"]),
-            ))
-        return out
+    """Records from a records CSV; a repeated (mu, nu) raises
+    :class:`DimensionError`."""
+    records = [
+        FractionalVisibilityRecord(
+            mu=mu, nu=nu, p=float(p), visibility=complex(float(re_v), float(im_v)),
+            sigma_p=float(sigma_p), sigma_v=float(sigma_v),
+        )
+        for mu, nu, p, re_v, im_v, sigma_p, sigma_v in _csv_rows(path_or_buffer, _CSV_FIELDS)
+    ]
+    _record_map(records)
+    return records
 
 
 def certificate_report(cert: BoundCertificate) -> str:

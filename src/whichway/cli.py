@@ -4,7 +4,7 @@ Subcommands
 -----------
 vg                   generalized visibility for a channel and preparation
 distinguishability   which-way distinguishability of the environment states
-verify               both quantities plus the trade-off slack (exit 1 if violated)
+verify               both quantities plus the trade-off slack 1 - D^2 - V_G^2
 table                theory grid of filtering probabilities and fractional
                      visibilities for the four-unitary noise mixture
 reproduce            full pipeline: simulate (or ingest measured records via
@@ -20,8 +20,11 @@ Size cap: --d must lie in 1..MAX_SPIN_DIM (16) and the K of random:K:SEED in
 before any operator is built (transpose --d 100 would otherwise build 10^4
 Kraus pairs).
 
-Exit codes: 0 success, 1 constraint or inequality violation, 2 input error,
-3 numerical failure.
+Exit codes: 0 success, 1 constraint violation, 2 input error, 3 numerical
+failure. For verify, a slack below -1e-8 is a numerical failure, as is
+D < 1 - V_G: DualityReport refuses both, and verify exits 3 whatever --tol.
+Otherwise verify exits 0 if the slack is at least -tol (--tol, default
+1e-8) and 1 if it lies in [-1e-8, -tol).
 """
 
 from __future__ import annotations
@@ -165,25 +168,24 @@ def cmd_vg(args) -> int:
 def cmd_distinguishability(args) -> int:
     ch = parse_channel(args.channel, args.d)
     prep = parse_preparation(args.prep, args.d)
-    d_val, _ = dua._d_and_vg(ch, prep)
-    _emit(f"D = {d_val:.4f}", args.out)
+    _emit(f"D = {dua.verify_inequality(ch, prep).distinguishability:.4f}", args.out)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     ch = parse_channel(args.channel, args.d)
     prep = parse_preparation(args.prep, args.d)
-    d_val, v_val = dua._d_and_vg(ch, prep)
-    slack = 1.0 - d_val**2 - v_val**2
+    report = dua.verify_inequality(ch, prep)
+    v_val = report.visibility
     bound = float(np.sqrt(max(1.0 - v_val**2, 0.0)))
     lines = [
-        f"D     = {d_val:.4f}",
+        f"D     = {report.distinguishability:.4f}",
         f"V_G   = {v_val:.4f}",
         f"D_max = {bound:.4f}  (sqrt(1 - V_G^2))",
-        f"slack = {_fixed(slack)}  (1 - D^2 - V_G^2)",
+        f"slack = {_fixed(report.slack)}  (1 - D^2 - V_G^2)",
     ]
     _emit("\n".join(lines), args.out)
-    return EXIT_OK if slack >= -args.tol else EXIT_VIOLATION
+    return EXIT_OK if report.slack >= -args.tol else EXIT_VIOLATION
 
 
 def cmd_table(args) -> int:
@@ -242,7 +244,7 @@ def cmd_reproduce(args) -> int:
             f"simulated records (seed={args.seed}, shots/phase={args.shots}, "
             f"contrast={args.contrast})"
         )
-    recs = bnd._record_map(records)  # a repeated (mu, nu) is an input error
+    recs = {r.key: r for r in records}
 
     lines = [f"source: {source}", f"records: {len(records)}"]
     try:

@@ -49,6 +49,7 @@ import numpy as np
 from .bounds import (
     FilterPair,
     FractionalVisibilityRecord,
+    _csv_rows,
     _csv_text,
     rectilinear_filters,
     rectilinear_preparations,
@@ -157,10 +158,6 @@ class NoiseProgram:
     def __post_init__(self):
         if not self.rows:
             raise DimensionError("a noise program needs at least one row")
-
-    @property
-    def weights(self) -> tuple[float, ...]:
-        return (1.0 / len(self.rows),) * len(self.rows)
 
 
 def pauli_noise_program() -> NoiseProgram:
@@ -719,12 +716,8 @@ def write_dataset_csv(ds: FringeDataset, path_or_buffer) -> None:
 
 def read_dataset_csv(path_or_buffer, shots_per_phase: int, seed=0,
                      efficiencies=(1.0, 1.0, 1.0, 1.0)) -> FringeDataset:
-    with _csv_text(path_or_buffer, "r") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != _DS_FIELDS:
-            raise ValueError(f"unexpected CSV header {reader.fieldnames}")
-        rows = [(float(r["phase"]), int(r["n_plus"]), int(r["n_minus"]),
-                 int(r["n_ref0"]), int(r["n_ref1"])) for r in reader]
+    rows = [(float(phase), int(n_plus), int(n_minus), int(n_ref0), int(n_ref1))
+            for phase, n_plus, n_minus, n_ref0, n_ref1 in _csv_rows(path_or_buffer, _DS_FIELDS)]
     return FringeDataset(
         phases=tuple(r[0] for r in rows),
         counts_plus=np.array([r[1] for r in rows], dtype=np.int64),

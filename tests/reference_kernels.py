@@ -15,16 +15,27 @@ have no production caller and serve only as oracles, and so do:
   :func:`_newton_polar`, ``SEARCH_RESTARTS`` and ``SEARCH_ITERS``), the
   explicit maximization of |Tr(U N)| over unitaries U on the operator N of
   ``duality.visibility_operator``, which checks the closed form of V_G
-  without evaluating it.
+  without evaluating it;
+- :func:`swap_estimate` and :func:`orthonormal_filter_bound`, the two
+  certified visibility bounds summed straight from the record magnitudes,
+  which check ``bounds.swap_certificate`` and
+  ``bounds.single_preparation_certificate`` without building a contraction;
+- :func:`detection_probabilities`, the detector-probability formula
+  (p +/- Re(V e^{i phi})) / 2 for one scalar cell, which checks the
+  counting simulation.
 """
 
+import cmath
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from whichway.bounds import (
+    SWAP_KEYS,
     BoundCertificate,
     FractionalVisibilityRecord,
+    _complete_basis_check,
+    _record_map,
     rectilinear_filters,
     rectilinear_preparations,
 )
@@ -368,6 +379,38 @@ def verify_alpha_constraint(alphas, preps, filters, rho0, rho1, tol=1e-8):
     if slack > tol:
         raise ContractionError(f"contraction violated: slack {slack:.3e}")
     return BoundCertificate(alphas=dict(alphas), u_hat=u_hat, contraction_slack=slack)
+
+
+def orthonormal_filter_bound(records, filters):
+    """Visibility bound sum_nu |V^nu| for a single preparation filtered in
+    complete orthonormal bases in both arms, clamped to [0, 1]."""
+    recs = list(_record_map(records).values())
+    mus = {r.mu for r in recs}
+    if len(mus) != 1:
+        raise DimensionError(f"expected records for a single preparation, got {sorted(mus)}")
+    _complete_basis_check(filters, [r.nu for r in recs])
+    return float(min(sum(abs(r.visibility) for r in recs), 1.0))
+
+
+def swap_estimate(records):
+    """Four-term bound (|V^{hh,hh}| + |V^{hv,vh}| + |V^{vh,hv}| + |V^{vv,vv}|)/2
+    for the completely mixed preparation, clamped to [0, 1]."""
+    recs = _record_map(records)
+    missing = [k for k in SWAP_KEYS if k not in recs]
+    if missing:
+        raise DimensionError(f"missing records for {missing}")
+    return float(min(0.5 * sum(abs(recs[k].visibility) for k in SWAP_KEYS), 1.0))
+
+
+def detection_probabilities(p, visibility, phi):
+    """Probabilities (p_plus, p_minus) at the two interferometer outputs for
+    phase phi: (p +/- Re(V e^{i phi})) / 2, for one scalar cell."""
+    if not 0.0 <= p <= 1.0:
+        raise DimensionError(f"p={p} outside [0, 1]")
+    if abs(visibility) > p + 1e-12:
+        raise DimensionError(f"|V|={abs(visibility)} exceeds p={p}")
+    osc = (visibility * cmath.exp(1j * phi)).real
+    return max(0.5 * (p + osc), 0.0), max(0.5 * (p - osc), 0.0)
 
 
 def unitary_rows(ch):

@@ -38,7 +38,6 @@ from whichway import (
     simulate_fringes,
     single_preparation_certificate,
     swap_certificate,
-    swap_estimate,
     transpose_channel,
     verify_inequality,
     verify_noise_program,
@@ -148,15 +147,14 @@ def test_criterion_05_search_matches_closed_form():
 
 def test_criterion_06_measured_bounds():
     records = measured_records()
-    est = swap_estimate(records)
     cert = swap_certificate(records)
     row = [r for r in records if r.mu == "hh"]
     one = single_preparation_certificate("hh", row)
-    ok = abs(est - 0.9605) <= 5e-4
+    ok = abs(cert.vg_lower - 0.9605) <= 5e-4
     ok &= abs(cert.d_upper - 0.279) <= 2e-3
     ok &= abs(one.vg_lower - 0.580) <= 5e-4
     ok &= abs(one.d_upper - 0.815) <= 5e-3
-    _criterion(6, f"measured records: V_G >= {est:.4f}, D <= {cert.d_upper:.4f}; "
+    _criterion(6, f"measured records: V_G >= {cert.vg_lower:.4f}, D <= {cert.d_upper:.4f}; "
                   f"single row V_G >= {one.vg_lower:.4f}, D <= {one.d_upper:.4f}", ok)
 
 
@@ -199,7 +197,7 @@ def test_criterion_08_wave_plate_table():
                   "and averages to the half-transpose cross block", ok)
 
 
-def _swap_pipeline_estimate(contrast: float, seed: int) -> float:
+def _swap_pipeline_bound(contrast: float, seed: int) -> float:
     ch = pauli_mixture_channel()
     preps, filters = rectilinear_preparations(), rectilinear_filters()
     records = []
@@ -213,15 +211,15 @@ def _swap_pipeline_estimate(contrast: float, seed: int) -> float:
             mu=mu, nu=nu, p=min(fit.p_hat, 1.0), visibility=fit.visibility,
             sigma_p=fit.sigma_p, sigma_v=fit.sigma_v,
         ))
-    return swap_estimate(records)
+    return swap_certificate(records).vg_lower
 
 
 def test_criterion_09_monte_carlo_end_to_end():
     hits_96 = sum(
-        0.94 <= _swap_pipeline_estimate(0.96, seed) <= 0.98 for seed in range(100)
+        0.94 <= _swap_pipeline_bound(0.96, seed) <= 0.98 for seed in range(100)
     )
     hits_100 = sum(
-        0.99 <= _swap_pipeline_estimate(1.0, 1_000 + seed) <= 1.0 for seed in range(100)
+        0.99 <= _swap_pipeline_bound(1.0, 1_000 + seed) <= 1.0 for seed in range(100)
     )
     _criterion(9, f"simulated pipeline bound in band: contrast 0.96 -> {hits_96}/100 "
                   f"in [0.94, 0.98]; contrast 1.0 -> {hits_100}/100 in [0.99, 1.0]",

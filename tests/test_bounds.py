@@ -23,12 +23,10 @@ from whichway import (
     SupportError,
     bound_from_visibilities,
     certificate_report,
-    detection_probabilities,
     fractional_visibility,
     generalized_visibility,
     identity_channel,
     ket,
-    orthonormal_filter_bound,
     pauli_mixture_channel,
     random_path_channel,
     read_records_csv,
@@ -36,12 +34,12 @@ from whichway import (
     rectilinear_preparations,
     single_preparation_certificate,
     swap_certificate,
-    swap_estimate,
     verify_alpha_constraint,
     verify_inequality,
     write_records_csv,
 )
-from whichway.bounds import _ket_support, _root_support
+from reference_kernels import detection_probabilities, orthonormal_filter_bound, swap_estimate
+from whichway.bounds import SWAP_KEYS, _ket_support, _root_support
 
 H, V = ket(0, 2), ket(1, 2)
 
@@ -125,7 +123,7 @@ def test_record_validation():
 def test_record_rejects_non_finite_fields(field, value):
     kwargs = dict(mu="a", nu="b", p=0.5, visibility=0.25 + 0.0j, sigma_p=0.01, sigma_v=0.01)
     kwargs[field] = value
-    with pytest.raises(NonFiniteError):
+    with pytest.raises(NonFiniteError, match=r"NaN or infinite entry in record \(a, b\)"):
         FractionalVisibilityRecord(**kwargs)
 
 
@@ -192,7 +190,28 @@ def test_bound_from_measured_records():
     assert cert.d_upper == pytest.approx(np.sqrt(1 - 0.9605**2), abs=1e-12)
     assert cert.sigma_vg == pytest.approx(0.006, abs=1e-12)
     assert cert.sigma_d == pytest.approx(0.0207, abs=5e-4)
-    assert cert.vg_lower <= swap_estimate(records) + 1e-12
+    assert abs(cert.vg_lower - swap_estimate(records)) <= 1e-12
+
+
+def test_oracle_bounds_match_the_certificates():
+    # the summed-magnitude oracles against the shipped certificates
+    rng = np.random.default_rng(1301)
+    for _ in range(50):
+        records = []
+        for mu, nu in SWAP_KEYS:
+            p = rng.uniform(0.05, 1.0)
+            v = rng.uniform(0.0, p) * np.exp(2j * np.pi * rng.random())
+            records.append(FractionalVisibilityRecord(mu, nu, p, v))
+        assert abs(swap_certificate(records).vg_lower - swap_estimate(records)) <= 1e-12
+    for d in (2, 3):
+        for _ in range(25):
+            ch = random_path_channel(d, int(rng.integers(1, 4)), seed=int(rng.integers(2**31)))
+            pair = (random_ket(d, rng), random_ket(d, rng))
+            filters = random_orthonormal_filters(d, rng)
+            records = [fractional_visibility(ch, pair, f, mu="m") for f in filters.values()]
+            cert = single_preparation_certificate("m", records, preps={"m": pair},
+                                                  filters=filters)
+            assert abs(cert.vg_lower - orthonormal_filter_bound(records, filters)) <= 1e-12
 
 
 def test_bound_zero_and_ideal_records():
@@ -657,6 +676,22 @@ def test_records_csv_round_trip(tmp_path):
     write_records_csv(records, buf)
     buf.seek(0)
     assert len(read_records_csv(buf)) == len(records)
+
+
+def test_read_records_csv_rejects_a_repeated_record():
+    buf = io.StringIO()
+    write_records_csv(measured_records(), buf)
+    buf.write("hh,hh,0.489,0.0,0.0,0.003,0.003\n")
+    buf.seek(0)
+    with pytest.raises(DimensionError, match=r"duplicate record for \('hh', 'hh'\)"):
+        read_records_csv(buf)
+
+
+@pytest.mark.parametrize("row, count", [("hh,hh,0.5", 3), ("hh,hh,0.5,0.1,0.0,0.0,0.0,9", 8)])
+def test_read_records_csv_rejects_a_row_of_the_wrong_length(row, count):
+    text = "mu,nu,p,re_V,im_V,sigma_p,sigma_V\nvv,vv,0.5,0.1,0.0,0.0,0.0\n\n" + row + "\n"
+    with pytest.raises(ValueError, match=f"CSV line 4: expected 7 fields, got {count}"):
+        read_records_csv(io.StringIO(text))
 
 
 def test_certificate_report_mentions_bounds():

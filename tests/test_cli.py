@@ -1,3 +1,6 @@
+import ast
+import importlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +226,18 @@ def test_reproduce_from_csv_with_a_repeated_record_exits_2(capsys, tmp_path):
     assert "input error: duplicate record for ('hh', 'hh')" in err
 
 
+@pytest.mark.parametrize("row, count", [("hh,hh,0.5", 3), ("hh,hh,0.5,0.1,0.0,0.0,0.0,9", 8)],
+                         ids=["short", "long"])
+def test_reproduce_from_csv_with_a_row_of_the_wrong_length_exits_2(capsys, tmp_path,
+                                                                   row, count):
+    path = tmp_path / "records.csv"
+    path.write_text("mu,nu,p,re_V,im_V,sigma_p,sigma_V\n" + row + "\n", encoding="ascii")
+    code, out, err = run_cli(capsys, "reproduce", "--from-csv", str(path))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert f"input error: CSV line 2: expected 7 fields, got {count}" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--channel", "identity", "--prep", "mixed", "--tol", "nan"),
     ("verify", "--channel", "identity", "--prep", "mixed", "--tol", "inf"),
@@ -267,6 +282,33 @@ def test_fuchs_van_de_graaf_floor_violation_exits_3(capsys, monkeypatch):
     assert "numerical failure: Fuchs-van de Graaf bound violated" in err
 
 
+def _verify_with_slack(capsys, monkeypatch, slack, *tol):
+    """Run verify on identity/pure:h,v, where V_G = 1, with D patched to
+    sqrt(-slack) so that 1 - D^2 - V_G^2 = slack."""
+    import whichway.duality as duality
+
+    monkeypatch.setattr(duality, "_trace_distance", lambda m0, m1: math.sqrt(-slack))
+    return run_cli(capsys, "verify", "--channel", "identity", "--prep", "pure:h,v", *tol)
+
+
+def test_verify_slack_within_the_floor_exits_by_tol(capsys, monkeypatch):
+    code, out, _ = _verify_with_slack(capsys, monkeypatch, -5e-9)
+    assert code == EXIT_OK
+    assert "slack = 0.0000  (1 - D^2 - V_G^2)" in out.splitlines()
+    code, out, err = _verify_with_slack(capsys, monkeypatch, -5e-9, "--tol", "0")
+    assert code == EXIT_VIOLATION
+    assert "slack = 0.0000  (1 - D^2 - V_G^2)" in out.splitlines()
+    assert err == ""
+
+
+def test_verify_slack_below_the_floor_exits_3(capsys, monkeypatch):
+    for tol in ((), ("--tol", "1e-3")):
+        code, out, err = _verify_with_slack(capsys, monkeypatch, -1e-6, *tol)
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert "numerical failure: trade-off violated" in err
+
+
 @pytest.mark.parametrize("argv, limit", [
     (("verify", "--channel", "transpose", "--d", "100", "--prep", "mixed"), "--d must be in 1..16"),
     (("vg", "--channel", "identity", "--d", "0", "--prep", "mixed"), "--d must be in 1..16"),
@@ -297,3 +339,42 @@ def test_size_cap_limits_are_accepted_and_documented(capsys):
 
 def test_exit_code_constants_are_distinct():
     assert len({EXIT_OK, EXIT_VIOLATION, EXIT_INPUT, EXIT_NUMERICAL}) == 4
+
+
+def _bench_trace_targets():
+    """``TARGETS`` of bench/tracing.py, read with ``ast`` (nothing under
+    bench/ is imported or written)."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracing.py defines no TARGETS")
+
+
+def test_trace_targets_resolve_and_cli_uses_only_public_names():
+    targets = _bench_trace_targets()
+    assert sum(map(len, targets.values())) == 21
+    for layer, names in targets.items():
+        module = importlib.import_module(f"whichway.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"whichway.{layer}.{name}"
+
+    tree = ast.parse((ROOT / "src" / "whichway" / "cli.py").read_text(encoding="utf-8"))
+    modules, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname for a in node.names
+                           if a.asname and a.name.startswith("whichway."))
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module == "whichway"
+                                                   or node.module.startswith("whichway.")):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    private.append(f"{node.module}.{alias.name}")
+                elif node.module in (None, "whichway"):
+                    modules.add(alias.asname or alias.name)
+    assert modules >= {"bnd", "chn", "dua", "itf"}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            private.append(f"{node.value.id}.{node.attr}")
+    assert private == []

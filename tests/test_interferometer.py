@@ -23,7 +23,6 @@ from whichway import (
     WavePlateSetting,
     binomial_resample,
     block_choi,
-    detection_probabilities,
     fit_fringes,
     identity_channel,
     jones_matrix,
@@ -156,7 +155,7 @@ def test_simulated_counts_match_expected_probabilities():
     shots = 200_000
     ds = simulate_fringes(ch, PREPS["hh"], FILTERS["hh"], shots_per_phase=shots, seed=7)
     for j, phi in enumerate(ds.phases):
-        p_plus, p_minus = detection_probabilities(0.5, 0.5, phi)
+        p_plus, p_minus = ref.detection_probabilities(0.5, 0.5, phi)
         for count, prob in ((ds.counts_plus[j], p_plus), (ds.counts_minus[j], p_minus)):
             sigma = np.sqrt(shots * max(prob * (1 - prob), 1e-12))
             assert abs(count - shots * prob) < 5 * sigma + 5
@@ -642,6 +641,13 @@ def test_simulate_rejects_non_finite_phases(bad):
     phases[4] = bad
     with pytest.raises(NonFiniteError, match="phases"):
         simulate_fringes(pauli_mixture_channel(), PREPS["hh"], FILTERS["hh"], phases=phases)
+
+
+@pytest.mark.parametrize("row, count", [("1.0,1,1", 3), ("1.0,1,1,1,1,1", 6)])
+def test_read_dataset_csv_rejects_a_row_of_the_wrong_length(row, count):
+    text = "phase,n_plus,n_minus,n_ref0,n_ref1\n0.0,1,1,1,1\n" + row + "\n"
+    with pytest.raises(ValueError, match=f"CSV line 3: expected 5 fields, got {count}"):
+        read_dataset_csv(io.StringIO(text), shots_per_phase=10)
 
 
 def test_read_dataset_csv_rejects_non_finite_phase():
