@@ -423,10 +423,12 @@ def _csv_text(path_or_buffer, mode: str):
             yield fh
 
 
-def _csv_rows(path_or_buffer, fields: list[str]) -> list[list[str]]:
+def _csv_rows(path_or_buffer, fields: list[str], types) -> list[list]:
     """The data rows of a CSV whose header is ``fields``, blank lines
-    skipped. A different header, or a row with a field count other than
-    ``len(fields)``, raises ValueError naming the line."""
+    skipped, each field converted by the matching callable of ``types``. A
+    different header, or a row with a field count other than
+    ``len(fields)``, raises ValueError naming the line; a field its
+    conversion rejects raises ValueError naming the line and the column."""
     with _csv_text(path_or_buffer, "r") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -439,7 +441,14 @@ def _csv_rows(path_or_buffer, fields: list[str]) -> list[list[str]]:
             if len(row) != len(fields):
                 raise ValueError(f"CSV line {reader.line_num}: expected "
                                  f"{len(fields)} fields, got {len(row)}")
-            rows.append(row)
+            values = []
+            for name, convert, text in zip(fields, types, row):
+                try:
+                    values.append(convert(text))
+                except ValueError as exc:
+                    raise ValueError(
+                        f"CSV line {reader.line_num}, column {name}: {exc}") from None
+            rows.append(values)
         return rows
 
 
@@ -461,10 +470,10 @@ def read_records_csv(path_or_buffer) -> list[FractionalVisibilityRecord]:
     :class:`DimensionError`."""
     records = [
         FractionalVisibilityRecord(
-            mu=mu, nu=nu, p=float(p), visibility=complex(float(re_v), float(im_v)),
-            sigma_p=float(sigma_p), sigma_v=float(sigma_v),
+            mu=mu, nu=nu, p=p, visibility=complex(re_v, im_v), sigma_p=sigma_p, sigma_v=sigma_v,
         )
-        for mu, nu, p, re_v, im_v, sigma_p, sigma_v in _csv_rows(path_or_buffer, _CSV_FIELDS)
+        for mu, nu, p, re_v, im_v, sigma_p, sigma_v
+        in _csv_rows(path_or_buffer, _CSV_FIELDS, (str, str) + (float,) * 5)
     ]
     _record_map(records)
     return records

@@ -21,10 +21,12 @@ before any operator is built (transpose --d 100 would otherwise build 10^4
 Kraus pairs).
 
 Exit codes: 0 success, 1 constraint violation, 2 input error, 3 numerical
-failure. For verify, a slack below -1e-8 is a numerical failure, as is
-D < 1 - V_G: DualityReport refuses both, and verify exits 3 whatever --tol.
-Otherwise verify exits 0 if the slack is at least -tol (--tol, default
-1e-8) and 1 if it lies in [-1e-8, -tol).
+failure. A reproduce run that certifies no bound (neither the four-term
+bound nor any single-preparation bound, as with a header-only records CSV)
+is an input error. For verify, a slack below -1e-8 is a numerical failure,
+as is D < 1 - V_G: DualityReport refuses both, and verify exits 3 whatever
+--tol. Otherwise verify exits 0 if the slack is at least -tol (--tol,
+default 1e-8) and 1 if it lies in [-1e-8, -tol).
 """
 
 from __future__ import annotations
@@ -247,6 +249,7 @@ def cmd_reproduce(args) -> int:
     recs = {r.key: r for r in records}
 
     lines = [f"source: {source}", f"records: {len(records)}"]
+    cert = None
     try:
         cert = bnd.swap_certificate(records)
         lines.append("four-term mixed-preparation bound:")
@@ -277,6 +280,9 @@ def cmd_reproduce(args) -> int:
             f"  best single preparation: mu={best[0]} "
             f"(V_G >= {best[1].vg_lower:.4f}, D <= {best[1].d_upper:.4f})"
         )
+    elif cert is None:
+        raise ValueError(f"no bound certified: the {len(records)} records support neither "
+                         "the four-term bound nor a single-preparation bound")
     _emit("\n".join(lines), args.out)
     return EXIT_OK
 

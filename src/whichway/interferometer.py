@@ -7,8 +7,15 @@ with per-detector efficiencies applied by binomial thinning; fringes are then
 fit as cosines with shared offset, amplitude and phase across both
 interference detectors.
 
-Random streams: a cell's probabilities for all phases are one array built
-before any draw. Phase j of a cell seeded ``seed`` draws from its own
+One simulation route serves :func:`simulate_fringes` (one cell) and
+:func:`run_experiment` (every preparation/filter cell): it builds the
+probability tables of all cells, for all phases, in one pass before any draw.
+Each preparation's kets are validated once and each filter's
+chi^dag U amplitudes are formed once; the per-row amplitudes of a cell stay
+Python scalars, and the detector probabilities are one array over cells x
+phases x rows. The draws then run cell by cell on Python ints.
+
+Random streams: phase j of a cell seeded ``seed`` draws from its own
 generator, the one ``np.random.default_rng(seed + (j,))`` gives: one
 multinomial per arm-unitary row with a nonzero share of the shots, in row
 order, then one binomial per detector with efficiency below one, in detector
@@ -41,6 +48,7 @@ and reports the member that matches the requested program.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -59,7 +67,6 @@ from .channels import (
     PAULI_Y,
     PAULI_Z,
     PathChannel,
-    Preparation,
     block_map,
     pure_pair,
 )
@@ -369,43 +376,54 @@ def _allocate(shots: int, weights) -> list[int]:
     return base
 
 
-def _probability_table(ch, rows, psi0, psi1, filt, phases, contrast, shots_per_phase):
+def _probability_tables(ch, kets, filters, phases, contrast, shots_per_phase):
     """Shots of each arm-unitary row with a nonzero share, in row order, and
-    the (phases, those rows, 4) detection probabilities of the plus, minus,
-    ref0 and ref1 detectors, each row normalised; ``rows`` is
-    ``_unitary_rows(ch)``."""
-    chi0, chi1 = filt.chi0, filt.chi1
+    the (cells, phases, those rows, 4) detection probabilities of the plus,
+    minus, ref0 and ref1 detectors, each row normalised. The cells are every
+    (preparation, filter) pair, preparations major; ``kets`` holds each
+    preparation's (psi0, psi1)."""
+    rows = _unitary_rows(ch)
+    amps = []  # per cell: f0, f1 and v of each row
     if rows is None:
         # pooled fallback: exact mixture probabilities as a single row
         weights = [1.0]
-        f0 = [(chi0.conj() @ block_map(ch, 0, 0, np.outer(psi0, psi0.conj())) @ chi0).real]
-        f1 = [(chi1.conj() @ block_map(ch, 1, 1, np.outer(psi1, psi1.conj())) @ chi1).real]
-        v = [chi0.conj() @ block_map(ch, 0, 1, np.outer(psi0, psi1.conj())) @ chi1]
+        for psi0, psi1 in kets:
+            r00 = block_map(ch, 0, 0, np.outer(psi0, psi0.conj()))
+            r11 = block_map(ch, 1, 1, np.outer(psi1, psi1.conj()))
+            r01 = block_map(ch, 0, 1, np.outer(psi0, psi1.conj()))
+            for filt in filters:
+                chi0, chi1 = filt.chi0, filt.chi1
+                amps.append(([(chi0.conj() @ r00 @ chi0).real],
+                             [(chi1.conj() @ r11 @ chi1).real],
+                             [chi0.conj() @ r01 @ chi1]))
     else:
         weights, u = rows
-        a0 = ((chi0.conj() @ u[:, 0])[:, None, :] @ psi0)[:, 0].tolist()
-        a1 = ((chi1.conj() @ u[:, 1])[:, None, :] @ psi1)[:, 0].tolist()
-        # per-row Python scalars: numpy's array abs, square and complex
-        # product round differently in the last bit, and these bits set the
-        # probabilities behind the seeded draws
-        f0 = [abs(a) ** 2 for a in a0]
-        f1 = [abs(a) ** 2 for a in a1]
-        v = [a * b.conjugate() for a, b in zip(a0, a1)]
+        # each filter's chi^dag U rows, formed once
+        left = [((f.chi0.conj() @ u[:, 0])[:, None, :], (f.chi1.conj() @ u[:, 1])[:, None, :])
+                for f in filters]
+        for psi0, psi1 in kets:
+            for l0, l1 in left:
+                a0, a1 = (l0 @ psi0)[:, 0].tolist(), (l1 @ psi1)[:, 0].tolist()
+                # per-row Python scalars: numpy's array abs, square and complex
+                # product round differently in the last bit, and these bits set
+                # the probabilities behind the seeded draws
+                amps.append(([abs(a) ** 2 for a in a0], [abs(a) ** 2 for a in a1],
+                             [a * b.conjugate() for a, b in zip(a0, a1)]))
 
     allocation = _allocate(shots_per_phase, weights)
     live = [r for r, n in enumerate(allocation) if n > 0]
-    f0, f1 = np.array(f0)[live], np.array(f1)[live]
-    cv = contrast * np.array(v, dtype=complex)[live]
+    f0, f1, v = (np.array(x)[:, live] for x in zip(*amps))
+    cv = contrast * v[:, None, :]
     phasor = np.exp(1j * np.array(phases))[:, None]
     # Re(cv e^{i phi}) from two rounded products, as the scalar complex
     # product forms it; a vectorised complex product may fuse them
     osc = cv.real * phasor.real - cv.imag * phasor.imag
-    mean = 0.5 * (f0 + f1)
+    mean = (0.5 * (f0 + f1))[:, None, :]
     pvals = np.empty(osc.shape + (4,))
     pvals[..., 0] = 0.5 * (mean + osc)
     pvals[..., 1] = 0.5 * (mean - osc)
-    pvals[..., 2] = 0.5 * (1.0 - f0)
-    pvals[..., 3] = 0.5 * (1.0 - f1)
+    pvals[..., 2] = (0.5 * (1.0 - f0))[:, None, :]
+    pvals[..., 3] = (0.5 * (1.0 - f1))[:, None, :]
     np.clip(pvals, 0.0, None, out=pvals)
     pvals /= pvals.sum(axis=-1, keepdims=True)
     return [allocation[r] for r in live], pvals
@@ -427,22 +445,23 @@ def _counting_phases(phases, shots_per_phase, efficiencies, contrast) -> tuple[f
     return phases
 
 
-def _count_cell(ch, rows, prep, filt, phases, shots_per_phase, efficiencies, contrast,
-                rngs) -> np.ndarray:
-    """One cell's (4, phases) detector counts, phase j drawing from rngs[j]
-    as :func:`simulate_fringes` documents; the settings are already checked."""
-    psi0, psi1 = pure_pair(prep, ch.spin_dim)
-    shots, pvals = _probability_table(ch, rows, psi0, psi1, filt, phases, contrast,
-                                      shots_per_phase)
-    counts = np.zeros((4, len(phases)), dtype=np.int64)
-    for j, (rng, p_j) in enumerate(zip(rngs, pvals)):
-        raw = np.zeros(4, dtype=np.int64)
-        for n_shots, p in zip(shots, p_j):
-            raw += rng.multinomial(n_shots, p)
-        counts[:, j] = [
-            rng.binomial(n, e) if e < 1.0 else n
-            for n, e in zip(raw.tolist(), efficiencies)
-        ]
+def _count_cells(ch, kets, filters, phases, shots_per_phase, efficiencies, contrast,
+                 rngs) -> list[np.ndarray]:
+    """(4, phases) detector counts of every cell of :func:`_probability_tables`,
+    cell c drawing phase j from rngs[c][j] as :func:`simulate_fringes`
+    documents; the settings are already checked."""
+    shots, tables = _probability_tables(ch, kets, filters, phases, contrast, shots_per_phase)
+    counts = []
+    for table, cell_rngs in zip(tables, rngs):
+        drawn = []
+        for rng, p_j in zip(cell_rngs, table):
+            plus = minus = ref0 = ref1 = 0
+            for n_shots, p in zip(shots, p_j):
+                a, b, c, d = rng.multinomial(n_shots, p).tolist()
+                plus, minus, ref0, ref1 = plus + a, minus + b, ref0 + c, ref1 + d
+            drawn.append([rng.binomial(n, e) if e < 1.0 else n
+                          for n, e in zip((plus, minus, ref0, ref1), efficiencies)])
+        counts.append(np.array(drawn, dtype=np.int64).reshape(-1, 4).T)
     return counts
 
 
@@ -470,10 +489,11 @@ def simulate_fringes(
 
     Exact detection probabilities are computed for each arm-unitary row of
     the channel (shots split equally-by-weight across rows, matching the
-    per-phase averaging over plate settings) and for every phase at once;
-    the fringe amplitude is scaled by the contrast factor. The photons are
-    then distributed multinomially over the four detectors and each detector
-    is thinned binomially by its efficiency.
+    per-phase averaging over plate settings) and for every phase at once,
+    by the table builder that :func:`run_experiment` runs over all its cells,
+    here with one cell; the fringe amplitude is scaled by the contrast
+    factor. The photons are then distributed multinomially over the four
+    detectors and each detector is thinned binomially by its efficiency.
 
     Stream contract: phase j draws from its own generator, the one
     ``np.random.default_rng(seed + (j,))`` would give. It makes one
@@ -491,8 +511,8 @@ def simulate_fringes(
     phases = _counting_phases(phases, shots_per_phase, efficiencies, contrast)
     seed_seq = _seed_tuple(seed)
     rngs = generators(seed_seq, np.arange(len(phases))[:, None])
-    counts = _count_cell(ch, _unitary_rows(ch), prep, filt, phases, shots_per_phase,
-                         efficiencies, contrast, rngs)
+    (counts,) = _count_cells(ch, [pure_pair(prep, ch.spin_dim)], [filt], phases,
+                             shots_per_phase, efficiencies, contrast, [rngs])
     return _dataset(counts, phases, shots_per_phase, seed_seq, efficiencies)
 
 
@@ -636,27 +656,24 @@ def _simulate_cells(ch, preparations, filters, phases, shots_per_phase, efficien
     efficiencies = tuple(float(e) for e in efficiencies)
     resample = len(set(efficiencies)) > 1
     kept = (min(efficiencies),) * 4 if resample else efficiencies
-    rows = _unitary_rows(ch)
     mus, nus = sorted(preparations), sorted(filters)
+    grid = list(itertools.product(range(len(mus)), range(len(nus))))
     # each cell's phase streams, then its resampling stream
     stream_ids = list(range(len(phases))) + ([997] if resample else [])
-    tail = [(i_mu, i_nu, j) for i_mu in range(len(mus)) for i_nu in range(len(nus))
-            for j in stream_ids]
-    rngs = iter(generators(seed_seq, np.array(tail, dtype=np.int64).reshape(-1, 3)))
+    tail = [(i_mu, i_nu, j) for i_mu, i_nu in grid for j in stream_ids]
+    rngs = generators(seed_seq, np.array(tail, dtype=np.int64).reshape(-1, 3))
+    per_cell = len(stream_ids)
+    cell_rngs = [rngs[c * per_cell:(c + 1) * per_cell] for c in range(len(grid))]
+    counts = _count_cells(ch, [pure_pair(preparations[mu], ch.spin_dim) for mu in mus],
+                          [filters[nu] for nu in nus], phases, shots_per_phase, efficiencies,
+                          contrast, [r[:len(phases)] for r in cell_rngs])
 
     cells = []
-    for i_mu, mu in enumerate(mus):
-        prep = preparations[mu]
-        if not isinstance(prep, Preparation):  # validate the kets once, not once per cell
-            prep = Preparation.pure(*prep, label=mu)
-        for i_nu, nu in enumerate(nus):
-            cell_rngs = [next(rngs) for _ in stream_ids]
-            counts = _count_cell(ch, rows, prep, filters[nu], phases, shots_per_phase,
-                                 efficiencies, contrast, cell_rngs)
-            if resample:
-                counts = _thin(counts, efficiencies, kept[0], cell_rngs[-1])
-            cells.append((mu, nu, _dataset(counts, phases, shots_per_phase,
-                                           seed_seq + (i_mu, i_nu), kept)))
+    for (i_mu, i_nu), cell_counts, streams in zip(grid, counts, cell_rngs):
+        if resample:
+            cell_counts = _thin(cell_counts, efficiencies, kept[0], streams[-1])
+        cells.append((mus[i_mu], nus[i_nu], _dataset(cell_counts, phases, shots_per_phase,
+                                                     seed_seq + (i_mu, i_nu), kept)))
     return cells
 
 
@@ -677,8 +694,11 @@ def run_experiment(
     the minimum efficiency before fitting, mirroring the count-rate
     correction used on the measured data. Cell (mu, nu) is
     ``simulate_fringes(..., seed=seed + (i_mu, i_nu))`` and resamples from
-    the generator of ``seed + (i_mu, i_nu, 997)``; the generators of all
-    cells are seeded together, and all cells are fitted together. A fit
+    the generator of ``seed + (i_mu, i_nu, 997)``. The generators of all
+    cells are seeded together, the probability tables of all cells are
+    built in one pass before any draw (each preparation's kets validated
+    once, each filter's amplitudes formed once), and all cells are fitted
+    together. A fit
     needs counts, so ``shots_per_phase`` below 1 is a :class:`DimensionError`.
     """
     if shots_per_phase < 1:
@@ -716,8 +736,7 @@ def write_dataset_csv(ds: FringeDataset, path_or_buffer) -> None:
 
 def read_dataset_csv(path_or_buffer, shots_per_phase: int, seed=0,
                      efficiencies=(1.0, 1.0, 1.0, 1.0)) -> FringeDataset:
-    rows = [(float(phase), int(n_plus), int(n_minus), int(n_ref0), int(n_ref1))
-            for phase, n_plus, n_minus, n_ref0, n_ref1 in _csv_rows(path_or_buffer, _DS_FIELDS)]
+    rows = _csv_rows(path_or_buffer, _DS_FIELDS, (float, int, int, int, int))
     return FringeDataset(
         phases=tuple(r[0] for r in rows),
         counts_plus=np.array([r[1] for r in rows], dtype=np.int64),

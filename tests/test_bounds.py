@@ -694,6 +694,18 @@ def test_read_records_csv_rejects_a_row_of_the_wrong_length(row, count):
         read_records_csv(io.StringIO(text))
 
 
+@pytest.mark.parametrize("row, column, text", [
+    ("hh,hh,abc,0.1,0.0,0.0,0.0", "p", "could not convert string to float: 'abc'"),
+    ("hh,hh,0.5,0.1,,0.0,0.0", "im_V", "could not convert string to float: ''"),
+    ("hh,hh,0.5,0.1,0.0,0.0,1e", "sigma_V", "could not convert string to float: '1e'"),
+])
+def test_read_records_csv_names_the_line_and_column_of_a_non_numeric_field(row, column, text):
+    csv_text = "mu,nu,p,re_V,im_V,sigma_p,sigma_V\nvv,vv,0.5,0.1,0.0,0.0,0.0\n" + row + "\n"
+    with pytest.raises(ValueError) as exc:
+        read_records_csv(io.StringIO(csv_text))
+    assert str(exc.value) == f"CSV line 3, column {column}: {text}"
+
+
 def test_certificate_report_mentions_bounds():
     cert = swap_certificate(measured_records())
     text = certificate_report(cert)

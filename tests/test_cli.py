@@ -238,6 +238,34 @@ def test_reproduce_from_csv_with_a_row_of_the_wrong_length_exits_2(capsys, tmp_p
     assert f"input error: CSV line 2: expected 7 fields, got {count}" in err
 
 
+def test_reproduce_from_a_header_only_csv_certifies_nothing_and_exits_2(capsys, tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text("mu,nu,p,re_V,im_V,sigma_p,sigma_V\n", encoding="ascii")
+    code, out, err = run_cli(capsys, "reproduce", "--from-csv", str(path))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == ("input error: no bound certified: the 0 records support neither "
+                   "the four-term bound nor a single-preparation bound\n")
+
+
+def test_reproduce_with_a_single_filter_certifies_nothing_and_exits_2(capsys):
+    code, out, err = run_cli(capsys, "reproduce", "--seed", "7", "--shots", "500",
+                             "--filters", "hh")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "input error: no bound certified: the 4 records" in err
+
+
+def test_reproduce_from_csv_with_a_non_numeric_field_names_line_and_column(capsys, tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text("mu,nu,p,re_V,im_V,sigma_p,sigma_V\nhh,hh,abc,0.1,0.0,0.0,0.0\n",
+                    encoding="ascii")
+    code, out, err = run_cli(capsys, "reproduce", "--from-csv", str(path))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "input error: CSV line 2, column p: could not convert string to float: 'abc'\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--channel", "identity", "--prep", "mixed", "--tol", "nan"),
     ("verify", "--channel", "identity", "--prep", "mixed", "--tol", "inf"),

@@ -1,4 +1,5 @@
 import io
+import itertools
 import os
 import subprocess
 import sys
@@ -46,8 +47,9 @@ from whichway import interferometer
 from whichway._streams import generators, seed_words
 from whichway.interferometer import (
     _allocate,
+    _count_cells,
     _fit_cells,
-    _probability_table,
+    _probability_tables,
     _simulate_cells,
     _unitary_rows,
 )
@@ -422,15 +424,40 @@ def test_simulated_counts_match_loop_reference(kind, shots):
 def test_probability_table_matches_loop_reference(kind, shots):
     ch, cells = _stream_cells(kind)
     phases = (0.0, *np.sort(np.random.default_rng(5).uniform(0.0, 7.0, size=11)))
+    kets = [pure_pair(prep, ch.spin_dim) for prep, _ in cells]
+    filters = [filt for _, filt in cells] + [cells[0][1]]  # a repeated filter
+    if kind == "pauli" and shots == 3:
+        assert 0 in _allocate(shots, _unitary_rows(ch)[0])  # a row gets no shots
     for contrast in (0.96, 1.0):
-        for prep, filt in cells:
-            psi0, psi1 = pure_pair(prep, ch.spin_dim)
-            args = (psi0, psi1, filt, phases, contrast, shots)
-            got_shots, got = _probability_table(ch, _unitary_rows(ch), *args)
-            want_shots, want = ref.probability_table(ch, *args)
+        args = (phases, contrast, shots)
+        got_shots, got = _probability_tables(ch, kets, filters, *args)
+        for c, ((psi0, psi1), filt) in enumerate(itertools.product(kets, filters)):
+            want_shots, want = ref.probability_table(ch, psi0, psi1, filt, *args)
             assert got_shots == want_shots
-            assert got.shape == (len(phases), len(want_shots), 4)
-            assert np.array_equal(got, np.array(want))
+            assert got.shape == (len(kets) * len(filters), len(phases), len(want_shots), 4)
+            assert np.array_equal(got[c], np.array(want))
+
+
+@pytest.mark.parametrize("kind", ["pauli", "pooled"])
+def test_batched_counts_match_loop_reference(kind):
+    """Every cell's counts from one batched call, over a grid with a
+    repeated filter, equal the one-cell default_rng reference bit for bit.
+    At 3 shots a Pauli row gets no shots."""
+    ch, cells = _stream_cells(kind)
+    shots, phases = 3, (0.0, 0.5, 2.0, 3.0, 5.0)
+    kets = [pure_pair(prep, ch.spin_dim) for prep, _ in cells]
+    filters = [filt for _, filt in cells] + [cells[0][1]]
+    seeds = [(13, m, f) for m in range(len(kets)) for f in range(len(filters))]
+    for efficiencies in ((1.0,) * 4, (0.9, 1.0, 0.75, 1.0)):
+        rngs = [generators(s, np.arange(len(phases))[:, None]) for s in seeds]
+        counts = _count_cells(ch, kets, filters, phases, shots, efficiencies, 0.96, rngs)
+        assert len(counts) == len(seeds)
+        for seed, n in zip(seeds, counts):
+            want = ref.simulate_fringes(ch, kets[seed[1]], filters[seed[2]], phases=phases,
+                                        shots_per_phase=shots, efficiencies=efficiencies,
+                                        contrast=0.96, seed=seed)
+            for row, name in zip(n, COUNT_FIELDS):
+                assert np.array_equal(row, getattr(want, name)), (seed, name)
 
 
 def _unitary_mixture(d, weights, rng):
@@ -496,6 +523,15 @@ def _assert_experiment_matches_oracle(ch, seed, **kwargs):
 def test_run_experiment_records_match_loop_reference(seed):
     efficiencies = (1.0,) * 4 if seed % 2 == 0 else (0.95, 0.8, 0.9, 0.85)
     _assert_experiment_matches_oracle(pauli_mixture_channel(), seed, shots_per_phase=2000,
+                                      efficiencies=efficiencies, contrast=0.96)
+
+
+@pytest.mark.parametrize("efficiencies", [(1.0,) * 4, (0.93, 1.0, 0.81, 0.88)])
+@pytest.mark.parametrize("seed", [1, 9001])
+def test_benchmark_configuration_matches_default_rng_oracle(seed, efficiencies):
+    # the experiment_pipeline operation: Pauli mixture, 10 000 shots per
+    # phase, contrast 0.96; unequal efficiencies with one detector at 1.0
+    _assert_experiment_matches_oracle(pauli_mixture_channel(), seed, shots_per_phase=10_000,
                                       efficiencies=efficiencies, contrast=0.96)
 
 
@@ -602,13 +638,14 @@ def test_fit_cells_gives_a_cell_with_a_zero_total_phase_its_own_factorization(mo
             assert abs(a - b) <= 1e-15
 
 
-def _inconsistent_table(ch, rows, psi0, psi1, filt, phases, contrast, shots_per_phase):
+def _inconsistent_tables(ch, kets, filters, phases, contrast, shots_per_phase):
     # plus - minus = cos(phi) but plus + minus = |cos(phi)|: |V| near 1
     # against p near 2/pi, far outside the 3-sigma envelope at 64 phases
     c = np.cos(np.asarray(phases))
     pvals = np.stack([np.maximum(c, 0), np.maximum(-c, 0), (1 - np.abs(c)) / 2,
                       (1 - np.abs(c)) / 2], axis=-1)
-    return [shots_per_phase], pvals[:, None, :]
+    cells = len(kets) * len(filters)
+    return [shots_per_phase], np.broadcast_to(pvals[None, :, None, :], (cells, len(c), 1, 4))
 
 
 @pytest.mark.parametrize("phases, message", [
@@ -620,7 +657,7 @@ def _inconsistent_table(ch, rows, psi0, psi1, filt, phases, contrast, shots_per_
 ])
 def test_run_experiment_raises_each_fit_refusal(phases, message, monkeypatch):
     if message.startswith("beyond"):
-        monkeypatch.setattr(interferometer, "_probability_table", _inconsistent_table)
+        monkeypatch.setattr(interferometer, "_probability_tables", _inconsistent_tables)
     with pytest.raises(NumericalError, match=message):
         run_experiment(pauli_mixture_channel(), phases=phases, shots_per_phase=5000, seed=3)
 
@@ -648,6 +685,18 @@ def test_read_dataset_csv_rejects_a_row_of_the_wrong_length(row, count):
     text = "phase,n_plus,n_minus,n_ref0,n_ref1\n0.0,1,1,1,1\n" + row + "\n"
     with pytest.raises(ValueError, match=f"CSV line 3: expected 5 fields, got {count}"):
         read_dataset_csv(io.StringIO(text), shots_per_phase=10)
+
+
+@pytest.mark.parametrize("row, column, text", [
+    ("x,1,1,1,1", "phase", "could not convert string to float: 'x'"),
+    ("1.0,1,1.5,1,1", "n_minus", "invalid literal for int() with base 10: '1.5'"),
+    ("1.0,1,1,1,abc", "n_ref1", "invalid literal for int() with base 10: 'abc'"),
+])
+def test_read_dataset_csv_names_the_line_and_column_of_a_bad_field(row, column, text):
+    csv_text = "phase,n_plus,n_minus,n_ref0,n_ref1\n0.0,1,1,1,1\n\n" + row + "\n"
+    with pytest.raises(ValueError) as exc:
+        read_dataset_csv(io.StringIO(csv_text), shots_per_phase=10)
+    assert str(exc.value) == f"CSV line 4, column {column}: {text}"
 
 
 def test_read_dataset_csv_rejects_non_finite_phase():
