@@ -39,6 +39,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._files import write_text
 from .channels import PathChannel, Preparation, pure_pair
 from .errors import ContractionError, DimensionError, NonFiniteError, SupportError
 from .linalg import (
@@ -415,12 +416,18 @@ _CSV_FIELDS = ["mu", "nu", "p", "re_V", "im_V", "sigma_p", "sigma_V"]
 
 @contextmanager
 def _csv_text(path_or_buffer, mode: str):
-    """An open text buffer as it is, or a path opened as an ASCII CSV file."""
+    """An open text buffer as it is, or a path as an ASCII CSV file: opened
+    for reading (``mode`` "r"), or, for "w", a buffer whose text
+    :func:`write_text` writes to the path when the block ends."""
     if isinstance(path_or_buffer, io.TextIOBase):
         yield path_or_buffer
-    else:
-        with open(path_or_buffer, mode, newline="", encoding="ascii") as fh:
+    elif mode == "r":
+        with open(path_or_buffer, "r", newline="", encoding="ascii") as fh:
             yield fh
+    else:
+        buf = io.StringIO(newline="")
+        yield buf
+        write_text(path_or_buffer, buf.getvalue())
 
 
 def _csv_rows(path_or_buffer, fields: list[str], types) -> list[list]:

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._files import write_text
 from .errors import DimensionError, PositivityError
 from .linalg import (
     ATOL_STRUCT,
@@ -421,8 +422,7 @@ def loads_channel(text: str) -> PathChannel:
 
 
 def save_channel(ch: PathChannel, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps_channel(ch))
+    write_text(path, dumps_channel(ch))
 
 
 def load_channel(path) -> PathChannel:

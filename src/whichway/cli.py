@@ -40,6 +40,7 @@ from . import bounds as bnd
 from . import channels as chn
 from . import duality as dua
 from . import interferometer as itf
+from ._files import write_text
 from .errors import (
     ContractionError,
     ConventionError,
@@ -148,10 +149,11 @@ def _at_least(kind, low, flag: str):
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    print(text)
+    """Write ``text`` to ``out_path`` (if given), then print it, so a failed
+    write prints no result."""
     if out_path:
-        with open(out_path, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
+        write_text(out_path, text + "\n")
+    print(text)
 
 
 def _fixed(x: float, digits: int = 4) -> str:
@@ -212,9 +214,9 @@ def cmd_table(args) -> int:
     for mu in labels:
         cells = "  ".join(f"{recs[(mu, nu)].p:7.4f}" for nu in labels)
         lines.append(f"{mu:>4}  {cells}")
-    print("\n".join(lines))
     if args.out:
         bnd.write_records_csv(records, args.out)
+    print("\n".join(lines))
     return EXIT_OK
 
 

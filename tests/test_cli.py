@@ -1,6 +1,8 @@
 import ast
+import errno
 import importlib
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +163,19 @@ def test_out_flag_writes_report(capsys, tmp_path):
     )
     assert code == EXIT_OK
     assert path.read_text().strip() == out.strip()
+
+
+@pytest.mark.parametrize("argv, target, errno_", [
+    (("vg", "--channel", "identity", "--d", "3", "--prep", "mixed", "--out"),
+     "missing/x.txt", errno.ENOENT),
+    (("table", "--out"), ".", errno.EISDIR),
+], ids=["vg-missing-directory", "table-out-is-a-directory"])
+def test_unwritable_out_prints_no_result(capsys, tmp_path, argv, target, errno_):
+    path = str(tmp_path / target)
+    code, out, err = run_cli(capsys, *argv, path)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == f"input error: [Errno {errno_}] {os.strerror(errno_)}: {path!r}\n"
 
 
 def test_reproduce_from_csv_with_nan_record_exits_2(capsys, tmp_path):

@@ -38,3 +38,13 @@ def test_readme_command_output_is_byte_stable(capsys, monkeypatch, tmp_path, exp
     if "GRID" in argv:
         assert len(read_records_csv(grid)) == 16
         assert grid.read_bytes() == (DATA / "cli_table_grid.csv").read_bytes()
+
+
+def test_table_out_rewrites_a_longer_file(capsys, tmp_path):
+    grid = tmp_path / "grid.csv"
+    expected = (DATA / "cli_table_grid.csv").read_bytes()
+    grid.write_bytes(b"junk," * len(expected))
+    for _ in range(2):
+        assert main(["table", "--out", str(grid)]) == EXIT_OK
+        assert capsys.readouterr().out == (DATA / "cli_table.txt").read_text(encoding="ascii")
+        assert grid.read_bytes() == expected

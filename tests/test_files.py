@@ -1,0 +1,119 @@
+"""Every file the package writes goes through ``whichway._files.write_text``.
+
+Each writer, run over an existing longer file, leaves exactly the bytes it
+writes to a new file, in the same inode; ``--out /dev/null`` succeeds (the
+file is not a regular one, so it is not cut to length); and no other module
+of ``src/whichway`` opens a file for writing.
+"""
+
+import ast
+import os
+from pathlib import Path
+
+import pytest
+
+from conftest import measured_records
+from whichway import (
+    pauli_mixture_channel,
+    rectilinear_filters,
+    rectilinear_preparations,
+    save_channel,
+    simulate_fringes,
+    transpose_channel,
+    write_dataset_csv,
+    write_records_csv,
+)
+from whichway._files import write_text
+from whichway.cli import EXIT_OK, main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _vg_out(path):
+    assert main(["vg", "--channel", "identity", "--d", "3", "--prep", "mixed",
+                 "--out", str(path)]) == EXIT_OK
+
+
+def _dataset(path):
+    ds = simulate_fringes(pauli_mixture_channel(), rectilinear_preparations()["hh"],
+                          rectilinear_filters()["hh"], shots_per_phase=3000, seed=12)
+    write_dataset_csv(ds, path)
+
+
+WRITERS = {
+    "cli_emit": _vg_out,
+    "write_records_csv": lambda path: write_records_csv(measured_records(), path),
+    "write_dataset_csv": _dataset,
+    "save_channel": lambda path: save_channel(transpose_channel(2), path),
+}
+
+
+@pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS.keys())
+def test_overwrite_leaves_no_stale_tail(tmp_path, write):
+    fresh = tmp_path / "fresh"
+    write(fresh)
+    expected = fresh.read_bytes()
+    assert expected
+    target = tmp_path / "target"
+    target.write_bytes(b"stale tail\n" * (len(expected) // 11 + 100))
+    inode = target.stat().st_ino
+    write(target)
+    assert target.read_bytes() == expected
+    assert target.stat().st_ino == inode
+
+
+def test_out_to_dev_null_succeeds(capsys):
+    _vg_out(os.devnull)
+    assert capsys.readouterr().out == "V_G = 1.0000\n"
+
+
+def test_non_ascii_text_leaves_the_file_untouched(tmp_path):
+    path = tmp_path / "kept.txt"
+    path.write_bytes(b"old\n")
+    with pytest.raises(UnicodeEncodeError):
+        write_text(path, "V_G \u2265 1\n")
+    assert path.read_bytes() == b"old\n"
+
+
+def _writing_opens(source: str) -> list[int]:
+    """Lines of ``open``/``fdopen`` calls whose mode writes ("w", "a", "x"
+    or "+") or is not a string literal."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name not in ("open", "fdopen"):
+            continue
+        mode = node.args[1] if len(node.args) > 1 else next(
+            (k.value for k in node.keywords if k.arg == "mode"), None)
+        if mode is None:
+            continue
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) \
+                or set(mode.value) & set("wax+"):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_write_text_opens_files_for_writing():
+    package = ROOT / "src" / "whichway"
+    offenders = [
+        f"{path.relative_to(package)}:{line}"
+        for path in sorted(package.rglob("*.py")) if path.name != "_files.py"
+        for line in _writing_opens(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
+@pytest.mark.parametrize("call", [
+    'open(p, "w", encoding="ascii")', "open(p, mode='a')", 'io.open(p, "x")',
+    'os.fdopen(fd, "wb")', 'open(p, "r+")', "open(p, mode)",
+])
+def test_writing_open_scan_flags(call):
+    assert _writing_opens(call) == [1]
+
+
+@pytest.mark.parametrize("call", ['open(p, "r", encoding="ascii")', "open(p)", "p.open()"])
+def test_writing_open_scan_passes_reads(call):
+    assert _writing_opens(call) == []
