@@ -23,7 +23,8 @@ Kraus pairs).
 Exit codes: 0 success, 1 constraint violation, 2 input error, 3 numerical
 failure. A reproduce run that certifies no bound (neither the four-term
 bound nor any single-preparation bound, as with a header-only records CSV)
-is an input error. For verify, a slack below -1e-8 is a numerical failure,
+is an input error, and so is an empty --out, --filters or --from-csv,
+refused at parse time. For verify, a slack below -1e-8 is a numerical failure,
 as is D < 1 - V_G: DualityReport refuses both, and verify exits 3 whatever
 --tol. Otherwise verify exits 0 if the slack is at least -tol (--tol,
 default 1e-8) and 1 if it lies in [-1e-8, -tol).
@@ -148,10 +149,20 @@ def _at_least(kind, low, flag: str):
     return parse
 
 
+def _non_empty(flag: str):
+    """argparse type of ``flag``: any string but the empty one, which would
+    otherwise read as the flag not given."""
+    def parse(text: str) -> str:
+        if not text:
+            raise argparse.ArgumentTypeError(f"{flag} must not be empty")
+        return text
+    return parse
+
+
 def _emit(text: str, out_path: str | None) -> None:
     """Write ``text`` to ``out_path`` (if given), then print it, so a failed
     write prints no result."""
-    if out_path:
+    if out_path is not None:
         write_text(out_path, text + "\n")
     print(text)
 
@@ -214,7 +225,7 @@ def cmd_table(args) -> int:
     for mu in labels:
         cells = "  ".join(f"{recs[(mu, nu)].p:7.4f}" for nu in labels)
         lines.append(f"{mu:>4}  {cells}")
-    if args.out:
+    if args.out is not None:
         bnd.write_records_csv(records, args.out)
     print("\n".join(lines))
     return EXIT_OK
@@ -224,14 +235,14 @@ _COMPLEMENTARY = {"hh": "vv", "vv": "hh", "hv": "vh", "vh": "hv"}
 
 
 def cmd_reproduce(args) -> int:
-    if args.from_csv:
+    if args.from_csv is not None:
         records = bnd.read_records_csv(args.from_csv)
         source = f"records from {args.from_csv}"
     else:
         if args.seed is None:
             raise ValueError("--seed is required when simulating (no --from-csv)")
         filters = bnd.rectilinear_filters()
-        if args.filters:
+        if args.filters is not None:
             wanted = [f.strip() for f in args.filters.split(",")]
             unknown = [f for f in wanted if f not in filters]
             if unknown:
@@ -305,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"spin dimension, 1..{MAX_SPIN_DIM} (default 2)")
         p.add_argument("--prep", required=True,
                        help="pure:S0,S1 | mixed | ensemble:W,S0,S1;...")
-        p.add_argument("--out", help="write the primary output to this path")
+        p.add_argument("--out", type=_non_empty("--out"),
+                       help="write the primary output to this path")
 
     p_vg = sub.add_parser("vg", help="generalized visibility")
     add_common(p_vg)
@@ -322,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="theory grid for the noise mixture")
-    p_table.add_argument("--out", help="write the grid as a records CSV")
+    p_table.add_argument("--out", type=_non_empty("--out"),
+                         help="write the grid as a records CSV")
     p_table.set_defaults(func=cmd_table)
 
     p_rep = sub.add_parser("reproduce", help="simulate / ingest records and bound")
@@ -331,11 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shots per phase, >= 1")
     p_rep.add_argument("--contrast", type=float, default=0.96,
                        help="fringe contrast factor in (0, 1]")
-    p_rep.add_argument("--filters", help="comma-separated filter labels to "
-                                         "simulate (default: all of hh,hv,vh,vv)")
-    p_rep.add_argument("--from-csv", dest="from_csv",
+    p_rep.add_argument("--filters", type=_non_empty("--filters"),
+                       help="comma-separated filter labels to "
+                            "simulate (default: all of hh,hv,vh,vv)")
+    p_rep.add_argument("--from-csv", dest="from_csv", type=_non_empty("--from-csv"),
                        help="skip simulation; read a records CSV")
-    p_rep.add_argument("--out", help="write the report to this path")
+    p_rep.add_argument("--out", type=_non_empty("--out"),
+                       help="write the report to this path")
     p_rep.set_defaults(func=cmd_reproduce)
     return parser
 

@@ -8,7 +8,13 @@ environment in one of two K x K states, depending on the arm taken:
 the Gram matrices of the Kraus factors weighted by the per-arm spin states.
 They are the reduced states Tr_spin(v_i rho_i v_i^dag) of the canonical
 dilation (:func:`whichway.channels.dilate`), whose environment basis is the
-Kraus index, and are computed straight from ``ch.kraus``.
+Kraus index. Neither is formed from rho_i: with S_i = [sqrt(w_m) psi_i^m]_m
+the d x n factor of the n preparation kets (rho_i = S_i S_i^dag), the
+K x d*n matrices X_0, X_1 with rows A_k S_0 and B_k S_1 flattened give
+
+    e_i = X_i X_i^dag,
+
+and both quantities follow from X_0 and X_1.
 Which-way information is their distinguishability D = ||e0 - e1||_1 / 2.
 The coherence that survives the channel is the generalized visibility,
 defined with the cross block map L_01 acting on the second replica of the
@@ -18,7 +24,13 @@ spin space,
 
 and it is the root fidelity of the same two states,
 
-    V_G = F(e0, e1) = || sqrt(e0) sqrt(e1) ||_1 .
+    V_G = F(e0, e1) = || sqrt(e0) sqrt(e1) ||_1 = || X_0^dag X_1 ||_1 ,
+
+the last form by Uhlmann's theorem (Nielsen & Chuang, Thm 9.4): X_i is a
+purification of e_i, and the polar factors of X_0 and X_1 leave the
+singular values unchanged. A thin QR, X_i^dag = P_i T_i with P_i an
+isometry, brings the norm down to that of the r x r matrix T_0 T_1^dag,
+r = min(K, d*n), so neither state is eigendecomposed.
 
 The operator inside the first norm is x y^dag / d, where column k of x (of
 y) is the vectorized (A_k sqrt(rho0))^T (the (B_k sqrt(rho1))^T). Its Gram
@@ -29,11 +41,13 @@ The paper's trade-off D^2 + V_G^2 <= 1 is therefore the upper
 Fuchs-van de Graaf inequality D <= sqrt(1 - F^2) (C. A. Fuchs and
 J. van de Graaf, IEEE Trans. Inf. Theory 45, 1216 (1999); B.-G. Englert,
 Phys. Rev. Lett. 77, 2154 (1996) gives the case without an internal degree
-of freedom). D and V_G come from one pair of K x K matrices, and every
-evaluation checks the lower half of the same theorem, D >= 1 - V_G within
-1e-9, which fails if either number is wrong. :func:`visibility_operator`
-keeps the d^2 x d^2 operator of the definition; the explicit search over
-unitaries that maximizes |Tr(U N)| on it is a test oracle in
+of freedom). D and V_G come from one pair of factors, and every evaluation
+checks that each environment state has unit trace within 1e-10, that V_G
+does not exceed 1 + 1e-9, and the lower half of the same theorem,
+D >= 1 - V_G within 1e-9, which fails if either number is wrong.
+:func:`visibility_operator` keeps the d^2 x d^2 operator of the definition;
+the explicit search over unitaries that maximizes |Tr(U N)| on it, and the
+route through the eigendecompositions of e0 and e1, are test oracles in
 ``tests/reference_kernels.py``.
 """
 
@@ -50,10 +64,9 @@ from .linalg import (
     ATOL_STRUCT,
     SpinState,
     factor_sandwich,
-    fidelity,
-    hermitian_part,
     is_hermitian,
     matrix_sqrt,
+    trace_norm,
 )
 
 __all__ = [
@@ -68,24 +81,28 @@ __all__ = [
 INEQUALITY_SLACK_FLOOR = -1e-8
 
 
-def _gram(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Tr(A_k rho A_l^dag) for a (K, d, d) stack of Kraus factors A_k."""
-    k = kraus.shape[0]
-    x = (kraus @ rho).reshape(k, -1)  # row k is A_k rho flattened
-    return hermitian_part(x @ kraus.reshape(k, -1).conj().T)
+def _factors(ch: PathChannel, prep: Preparation) -> np.ndarray:
+    """The (2, K, d*n) stack x of environment factors, e_i = x[i] x[i]^dag.
+
+    Row k of x[0] (of x[1]) is A_k S_0 (B_k S_1) flattened, where the d x n
+    factor S_i = [sqrt(w_m) psi_i^m]_m of the n preparation kets has
+    S_i S_i^dag = rho_i.
+    """
+    s = np.array(prep.pairs).transpose(1, 2, 0) * np.sqrt(prep.weights)  # s[i] = S_i
+    return (ch.kraus.swapaxes(0, 1) @ s[:, None]).reshape(2, ch.n_kraus, -1)
 
 
-def _environment_grams(ch: PathChannel, prep: Preparation) -> tuple[np.ndarray, np.ndarray]:
-    """The K x K environment states e0, e1 as arrays, each of unit trace
-    within 1e-10 (else :class:`PositivityError`)."""
+def _environment(ch: PathChannel, prep: Preparation) -> tuple[np.ndarray, np.ndarray]:
+    """(x, e): the factors x of :func:`_factors` and the (2, K, K) stack of
+    environment states e_i = x[i] x[i]^dag, each of unit trace within 1e-10
+    (else :class:`PositivityError`)."""
     if ch.spin_dim != prep.spin_dim:
         raise DimensionError("channel and preparation spin dimensions differ")
-    e0 = _gram(ch.kraus[:, 0], prep.rho0)
-    e1 = _gram(ch.kraus[:, 1], prep.rho1)
-    for e in (e0, e1):
-        if abs(np.trace(e).real - 1.0) > ATOL_STRUCT:
-            raise PositivityError("environment state trace differs from one beyond 1e-10")
-    return e0, e1
+    x = _factors(ch, prep)
+    e = x @ x.conj().swapaxes(1, 2)
+    if np.abs(e.trace(axis1=1, axis2=2).real - 1.0).max() > ATOL_STRUCT:
+        raise PositivityError("environment state trace differs from one beyond 1e-10")
+    return x, e
 
 
 def environment_states(ch: PathChannel, prep: Preparation) -> tuple[SpinState, SpinState]:
@@ -93,12 +110,13 @@ def environment_states(ch: PathChannel, prep: Preparation) -> tuple[SpinState, S
 
     The Gram matrices Tr(A_k rho_i A_l^dag) of the arm-i Kraus factors, i.e.
     Tr_spin(v_i rho_i v_i^dag) for the isometries v_i of :func:`dilate`,
-    built by the kernel behind :func:`generalized_visibility` and validated
-    as :class:`SpinState`. For :func:`explicit_transpose_dilation` the
-    environment basis is the four transition tags e_1..e_4.
+    built as X_i X_i^dag from the factors behind :func:`generalized_visibility`
+    and validated as :class:`SpinState`. For
+    :func:`explicit_transpose_dilation` the environment basis is the four
+    transition tags e_1..e_4.
     """
-    e0, e1 = _environment_grams(ch, prep)
-    return SpinState(ch.n_kraus, e0), SpinState(ch.n_kraus, e1)
+    e = _environment(ch, prep)[1]
+    return SpinState(ch.n_kraus, e[0]), SpinState(ch.n_kraus, e[1])
 
 
 def _trace_distance(m0: np.ndarray, m1: np.ndarray) -> float:
@@ -120,16 +138,21 @@ def distinguishability(e0, e1) -> float:
 
 
 def _d_and_vg(ch: PathChannel, prep: Preparation) -> tuple[float, float]:
-    """(D, V_G) from the two K x K environment states of the channel.
+    """(D, V_G) from the K x d*n environment factors X_i of :func:`_factors`.
 
-    Each state must have unit trace within 1e-10, else
-    :class:`PositivityError`; :func:`fidelity` runs the Hermitian and PSD
-    checks of :func:`psd_eigh` on both. V_G above 1 + 1e-9, or D below the
+    D is half the trace norm of X_0 X_0^dag - X_1 X_1^dag (one K x K
+    ``eigvalsh``). V_G = F(e0, e1) = ||X_0^dag X_1||_1 by Uhlmann's theorem;
+    one batched QR gives X_i^dag = P_i T_i with P_i an isometry, so V_G is
+    the trace norm of the r x r matrix T_0 T_1^dag, r = min(K, d*n).
+
+    Checks: each arm's trace must be one within 1e-10, else
+    :class:`PositivityError`; V_G above 1 + 1e-9, or D below the
     Fuchs-van de Graaf floor 1 - V_G - 1e-9, raises :class:`NumericalError`.
     """
-    e0, e1 = _environment_grams(ch, prep)
-    d_value = _trace_distance(e0, e1)
-    v_value = fidelity(e0, e1)
+    x, e = _environment(ch, prep)
+    d_value = _trace_distance(e[0], e[1])
+    t = np.linalg.qr(x.conj().swapaxes(1, 2), mode="r")
+    v_value = trace_norm(t[0] @ t[1].conj().T)
     if v_value > 1.0 + ATOL_DERIVED:
         raise NumericalError(f"generalized visibility {v_value!r} exceeds 1")
     v_value = min(v_value, 1.0)
@@ -157,9 +180,9 @@ def visibility_operator(ch: PathChannel, prep: Preparation) -> np.ndarray:
 def generalized_visibility(ch: PathChannel, prep: Preparation) -> float:
     """Generalized visibility of the channel for the given preparation.
 
-    V_G is the root fidelity F(e0, e1) of the two K x K environment states
-    (see the module docstring), computed with D by one kernel that checks
-    D >= 1 - V_G within 1e-9.
+    V_G is the root fidelity F(e0, e1) of the two K x K environment states,
+    ||X_0^dag X_1||_1 for their K x d*n factors (see the module docstring),
+    computed with D by one kernel that checks D >= 1 - V_G within 1e-9.
     """
     return _d_and_vg(ch, prep)[1]
 
@@ -186,8 +209,9 @@ class DualityReport:
 
 
 def verify_inequality(ch: PathChannel, prep: Preparation) -> DualityReport:
-    """Compute D and V_G from the two K x K environment states and report
-    the slack 1 - D^2 - V_G^2, which is nonnegative up to 1e-8."""
+    """Compute D and V_G from the factors of the two K x K environment
+    states and report the slack 1 - D^2 - V_G^2, which is nonnegative up to
+    1e-8."""
     d_value, v_value = _d_and_vg(ch, prep)
     return DualityReport(
         distinguishability=d_value,

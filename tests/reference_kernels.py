@@ -22,7 +22,11 @@ have no production caller and serve only as oracles, and so do:
   ``bounds.single_preparation_certificate`` without building a contraction;
 - :func:`detection_probabilities`, the detector-probability formula
   (p +/- Re(V e^{i phi})) / 2 for one scalar cell, which checks the
-  counting simulation.
+  counting simulation;
+- :func:`gram_route`, D and V_G from the two K x K environment states
+  built from rho_i (:func:`gram`) through an ``eigvalsh`` of their
+  difference and ``linalg.fidelity``, which checks the factor route of
+  ``duality`` at K up to 256.
 """
 
 import cmath
@@ -53,6 +57,7 @@ from whichway.linalg import (
     ATOL_DERIVED,
     dagger,
     density_matrix,
+    fidelity as eigh_fidelity,
     hermitian_part,
     matrix_sqrt,
     partial_trace,
@@ -317,6 +322,22 @@ def distinguishability(ch, prep):
     e0 = environment_state(v0, prep.rho0, d, k)
     e1 = environment_state(v1, prep.rho1, d, k)
     return 0.5 * trace_norm(e0 - e1)
+
+
+def gram(kraus, rho):
+    """Tr(A_k rho A_l^dag) for a (K, d, d) stack of Kraus factors A_k."""
+    k = kraus.shape[0]
+    x = (kraus @ rho).reshape(k, -1)  # row k is A_k rho flattened
+    return hermitian_part(x @ kraus.reshape(k, -1).conj().T)
+
+
+def gram_route(ch, prep):
+    """(D, V_G) from the two K x K environment states: D from the eigenvalues
+    of e0 - e1, V_G = F(e0, e1) from the two ``psd_eigh`` factors of
+    ``linalg.fidelity``, clamped at 1."""
+    e0, e1 = gram(ch.kraus[:, 0], prep.rho0), gram(ch.kraus[:, 1], prep.rho1)
+    d_value = 0.5 * float(np.abs(np.linalg.eigvalsh(e0 - e1)).sum())
+    return d_value, min(eigh_fidelity(e0, e1), 1.0)
 
 
 def fractional_visibility(ch, prep, filt):

@@ -305,6 +305,33 @@ def test_out_of_range_numbers_are_refused_at_parse_time(capsys, monkeypatch, arg
     assert f"argument {argv[-2]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("vg", "--channel", "identity", "--prep", "mixed", "--out", ""),
+    ("distinguishability", "--channel", "identity", "--prep", "mixed", "--out", ""),
+    ("verify", "--channel", "identity", "--prep", "mixed", "--out", ""),
+    ("table", "--out", ""),
+    ("reproduce", "--seed", "1", "--out", ""),
+    ("reproduce", "--seed", "1", "--filters", ""),
+    ("reproduce", "--seed", "1", "--from-csv", ""),
+], ids=["vg-out", "distinguishability-out", "verify-out", "table-out", "reproduce-out",
+        "filters", "from-csv"])
+def test_empty_strings_are_refused_at_parse_time(capsys, monkeypatch, argv):
+    # '' would otherwise read as the flag not given: no file, or every filter
+    import whichway.cli as cli
+
+    def refuse(args):
+        raise AssertionError("the subcommand ran")
+
+    for name in ("cmd_vg", "cmd_distinguishability", "cmd_verify", "cmd_table", "cmd_reproduce"):
+        monkeypatch.setattr(cli, name, refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[-2]}: {argv[-2]} must not be empty" in captured.err
+
+
 def test_smallest_accepted_numbers(capsys):
     code, out, _ = run_cli(capsys, "verify", "--channel", "identity", "--prep", "pure:h,v",
                            "--tol", "0")

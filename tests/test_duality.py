@@ -348,11 +348,29 @@ def test_trace_tolerances_agree(d, err):
 def test_environment_trace_check_still_fires(monkeypatch):
     import whichway.duality as duality
 
-    gram = duality._gram
-    monkeypatch.setattr(duality, "_gram", lambda kraus, rho: gram(kraus, rho) * (1 + 1e-6))
+    factors = duality._factors
+    monkeypatch.setattr(duality, "_factors", lambda ch, prep: factors(ch, prep) * (1 + 1e-6))
     for compute in (verify_inequality, environment_states):
         with pytest.raises(PositivityError, match="trace differs from one"):
             compute(transpose_channel(2), Preparation.pure(H, H))
+
+
+def test_verify_at_the_kraus_cap_eigendecomposes_no_environment_state(monkeypatch):
+    # d=2, K=256: V_G comes from the 256 x 2n factors, so no eigh runs and
+    # no SVD operand is larger than min(K, d*n) = 2n on a side
+    ch = random_path_channel(2, 256, seed=7)
+    preps = (Preparation.pure(H, V), Preparation.completely_mixed(2))
+    eigh, svd, calls = np.linalg.eigh, np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append("eigh") or eigh(*a, **k))
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, *r, **k: calls.append(np.shape(a)) or svd(a, *r, **k))
+    for prep in preps:
+        calls.clear()
+        verify_inequality(ch, prep)
+        side = min(ch.n_kraus, ch.spin_dim * len(prep.pairs))
+        assert "eigh" not in calls
+        assert calls and all(max(shape) <= side for shape in calls)
+
 
 def test_fuchs_van_de_graaf_floor_violation_is_numerical(monkeypatch):
     # D forced to 0 under the transpose channel, where V_G = 0.5: the check
@@ -379,9 +397,9 @@ def _preparation_of_kind(kind, d, rng):
 
 
 @settings(max_examples=80, deadline=None)
-@given(
-    d=st.integers(1, 4),
-    k=st.integers(1, 4),
+@given(  # K from 1 to 16, d*n from 1 to 64: both K < d*n and K > 2*d*n occur
+    d=st.integers(1, 8),
+    k=st.integers(1, 16),
     kind=st.sampled_from(("pure", "ensemble", "mixed")),
     seed=st.integers(0, 2**32 - 1),
 )

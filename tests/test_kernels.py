@@ -4,8 +4,10 @@ Sizes cover spin dimension d in {1, 2, 3, 4, 8} and Kraus rank K in
 {1, 2, 4, 16}; agreement is required within 1e-12 in complex128. The
 fractional-visibility and certificate kernels are compared with the
 block-map, kron-loop and two-eigendecomposition forms they replaced, and D
-and V_G from the two K x K environment states with the d^2 x d^2 sandwich
-and state routes and the partial-trace distinguishability.
+and V_G from the K x d*n environment factors with the eigendecompositions of
+the two K x K environment states, the d^2 x d^2 sandwich and state routes
+and the partial-trace distinguishability, also at the CLI caps of K (256)
+and d (16); the ensembles of three kets at d = 8, K = 4 give K < d*n.
 """
 
 import numpy as np
@@ -36,6 +38,7 @@ ATOL = 1e-12
 DIMS = (1, 2, 3, 4, 8)
 RANKS = (1, 2, 4, 16)
 SIZES = [(d, k) for d in DIMS for k in RANKS]
+CAPS = [(2, 256), (16, 1), (16, 16)]  # at the CLI caps of K and d
 
 
 def _channel(d, k):
@@ -123,15 +126,20 @@ def _rank_deficient(d, rng):
     return Preparation.ensemble(rng.dirichlet(np.ones(m)), pairs)
 
 
-@pytest.mark.parametrize("d,k", SIZES)
+@pytest.mark.parametrize("d,k", SIZES + CAPS)
 def test_d_and_vg_match_the_retired_routes(d, k):
     ch = _channel(d, k)
     rng = np.random.default_rng(d * 100 + k + 3)
-    preps = (*_preparations(d, rng), Preparation.completely_mixed(d), _rank_deficient(d, rng))
+    pure, ensemble = _preparations(d, rng)
+    mixed = Preparation.completely_mixed(d)
+    preps = (pure, mixed) if (d, k) in CAPS else (pure, ensemble, mixed, _rank_deficient(d, rng))
     for prep in preps:
         rep = verify_inequality(ch, prep)
+        gram_d, gram_vg = ref.gram_route(ch, prep)
         sandwich = min(d * trace_norm(visibility_operator(ch, prep)), 1.0)
         state = min(ref.visibility_state_route(ch, prep), 1.0)
+        assert abs(rep.distinguishability - gram_d) <= ATOL
+        assert abs(rep.visibility - gram_vg) <= ATOL
         assert abs(rep.visibility - sandwich) <= ATOL
         assert abs(rep.visibility - state) <= ATOL
         assert abs(rep.distinguishability - ref.distinguishability(ch, prep)) <= ATOL
