@@ -23,6 +23,9 @@ have no production caller and serve only as oracles, and so do:
 - :func:`detection_probabilities`, the detector-probability formula
   (p +/- Re(V e^{i phi})) / 2 for one scalar cell, which checks the
   counting simulation;
+- :func:`fit_fringes`, the fringe fit by ``np.linalg.lstsq`` on each
+  cell's populated phases and an explicit inverse of the normal matrix,
+  which checks the production fit without sharing its SVD route;
 - :func:`gram_route`, D and V_G from the two K x K environment states
   built from rho_i (:func:`gram`) through an ``eigvalsh`` of their
   difference and ``linalg.fidelity``, which checks the factor route of
@@ -31,6 +34,7 @@ have no production caller and serve only as oracles, and so do:
 
 import cmath
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,7 +56,8 @@ from whichway.errors import (
     PositivityError,
     SupportError,
 )
-from whichway.interferometer import FringeDataset, _allocate, _seed_tuple, fit_fringes
+from whichway import interferometer
+from whichway.interferometer import FringeDataset, _allocate, _seed_tuple
 from whichway.linalg import (
     ATOL_DERIVED,
     dagger,
@@ -555,14 +560,56 @@ def simulate_cells(ch, seed, shots_per_phase=10_000, efficiencies=(1.0, 1.0, 1.0
     return cells
 
 
-def run_experiment(ch, seed, **kwargs):
+class Fit(NamedTuple):
+    p_hat: float
+    visibility: complex
+    sigma_p: float
+    sigma_v: float
+    residual_rms: float
+
+
+def fit_fringes(ds):
+    """The fringe fit of one dataset by ``np.linalg.lstsq`` on its populated
+    (nonzero-total) phases alone, one design row per (detector, phase):
+    n_plus / T = (p + Re V cos phi - Im V sin phi) / 2 and n_minus / T with
+    the fringe term negated. The covariance is (D^T D)^-1 times the residual
+    variance over 2 * (populated phases) - 3 degrees of freedom; sigma_v is
+    the delta-method spread of |V| along V / |V|, or the mean of the two
+    V variances when |V| <= 1e-12."""
+    counts = np.array([ds.counts_plus, ds.counts_minus, ds.counts_ref0, ds.counts_ref1],
+                      dtype=float)
+    total = counts.sum(axis=0)
+    rows, y = [], []
+    for sign, n in ((1.0, counts[0]), (-1.0, counts[1])):
+        for phi, c, t in zip(ds.phases, n, total):
+            if t > 0:
+                rows.append([0.5, 0.5 * sign * np.cos(phi), -0.5 * sign * np.sin(phi)])
+                y.append(c / t)
+    design, y = np.array(rows), np.array(y)
+    beta = np.linalg.lstsq(design, y, rcond=None)[0]
+    resid = y - design @ beta
+    var = resid @ resid / (len(y) - 3)
+    cov = np.linalg.inv(design.T @ design)
+    mag = np.hypot(beta[1], beta[2])
+    if mag > 1e-12:
+        grad = beta[1:] / mag
+        spread = grad @ cov[1:, 1:] @ grad
+    else:
+        spread = 0.5 * (cov[1, 1] + cov[2, 2])
+    return Fit(p_hat=max(float(beta[0]), 0.0), visibility=complex(beta[1], beta[2]),
+               sigma_p=float(np.sqrt(max(var * cov[0, 0], 0.0))),
+               sigma_v=float(np.sqrt(max(var * spread, 0.0))),
+               residual_rms=float(np.sqrt(np.mean(resid**2))))
+
+
+def run_experiment(ch, seed, fit=interferometer.fit_fringes, **kwargs):
     """The cells of :func:`simulate_cells`, each fitted on its own by
-    ``fit_fringes``."""
+    ``fit`` (the production ``fit_fringes`` unless given)."""
     records = []
     for mu, nu, ds in simulate_cells(ch, seed, **kwargs):
-        fit = fit_fringes(ds)
+        fit_result = fit(ds)
         records.append(FractionalVisibilityRecord(
-            mu=mu, nu=nu, p=min(fit.p_hat, 1.0), visibility=fit.visibility,
-            sigma_p=fit.sigma_p, sigma_v=fit.sigma_v,
+            mu=mu, nu=nu, p=min(fit_result.p_hat, 1.0), visibility=fit_result.visibility,
+            sigma_p=fit_result.sigma_p, sigma_v=fit_result.sigma_v,
         ))
     return records
