@@ -293,11 +293,8 @@ def bound_from_visibilities(cert: BoundCertificate, records) -> BoundCertificate
         sigma += abs(alpha) * recs[key].sigma_v
     vg = float(min(abs(total), 1.0))
     d_up = float(np.sqrt(max(1.0 - vg**2, 0.0)))
-    if sigma == 0.0:
-        sigma_d = 0.0
-    else:
-        # delta method; capped because it degenerates as the bound reaches 0
-        sigma_d = float(min(vg / max(d_up, 1e-12) * sigma, 1.0))
+    # delta method; capped because it degenerates as the bound reaches 0
+    sigma_d = float(min(vg / max(d_up, 1e-12) * sigma, 1.0))
     return replace(cert, vg_lower=vg, d_upper=d_up, sigma_vg=float(sigma), sigma_d=sigma_d)
 
 

@@ -9,11 +9,12 @@ interference detectors.
 
 One simulation route serves :func:`simulate_fringes` (one cell) and
 :func:`run_experiment` (every preparation/filter cell): it builds the
-probability tables of all cells, for all phases, in one pass before any draw.
-Each preparation's kets are validated once and each filter's
-chi^dag U amplitudes are formed once; the per-row amplitudes of a cell stay
-Python scalars, and the detector probabilities are one array over cells x
-phases x rows. The draws then run cell by cell on Python ints.
+probability tables of all cells, for all phases, in one pass before any draw,
+validating each preparation's kets and forming each filter's chi^dag U
+amplitudes once. The draws run cell by cell on Python ints and fill one
+(cells, 4, phases) counts array. One fit serves every cell of that array with
+one batched thin SVD; a phase without counts in a cell has its design rows
+zeroed, so it drops out of that cell's fit.
 
 Random streams: phase j of a cell seeded ``seed`` draws from its own
 generator, the one ``np.random.default_rng(seed + (j,))`` gives: one
@@ -305,6 +306,13 @@ def program_channel(report: ProgramReport) -> PathChannel:
 # Counting simulation
 
 
+def _check_phases(phases) -> None:
+    """Refuse phases that are not finite and strictly increasing."""
+    finite_array(phases, "phases")
+    if any(b <= a for a, b in zip(phases, phases[1:])):
+        raise DimensionError("phases must be strictly increasing")
+
+
 @dataclass(frozen=True, eq=False)
 class FringeDataset:
     """Phase-indexed detector counts.
@@ -325,9 +333,7 @@ class FringeDataset:
 
     def __post_init__(self):
         m = len(self.phases)
-        finite_array(self.phases, "phases")
-        if any(b <= a for a, b in zip(self.phases, self.phases[1:])):
-            raise DimensionError("phases must be strictly increasing")
+        _check_phases(self.phases)
         for name in ("counts_plus", "counts_minus", "counts_ref0", "counts_ref1"):
             arr = np.asarray(getattr(self, name), dtype=np.int64)
             object.__setattr__(self, name, arr)
@@ -338,6 +344,11 @@ class FringeDataset:
 
     def totals(self) -> np.ndarray:
         return self.counts_plus + self.counts_minus + self.counts_ref0 + self.counts_ref1
+
+
+def _counts(ds: FringeDataset) -> np.ndarray:
+    """A copy of the dataset's counts as one (4, phases) array."""
+    return np.array([ds.counts_plus, ds.counts_minus, ds.counts_ref0, ds.counts_ref1])
 
 
 def _seed_tuple(seed) -> tuple[int, ...]:
@@ -436,24 +447,25 @@ def _counting_phases(phases, shots_per_phase, efficiencies, contrast) -> tuple[f
         raise DimensionError(f"contrast {contrast} outside (0, 1]")
     if len(efficiencies) != 4 or any(not 0.0 < e <= 1.0 for e in efficiencies):
         raise DimensionError("efficiencies must be four values in (0, 1]")
+    if not isinstance(shots_per_phase, (int, np.integer)):
+        raise DimensionError(f"shots_per_phase {shots_per_phase!r} is not an integer")
     if shots_per_phase < 0:
         raise DimensionError("shots_per_phase must be nonnegative")
     if phases is None:
         phases = np.linspace(0.0, 2.0 * np.pi, 13)
     phases = tuple(float(p) for p in phases)
-    finite_array(phases, "phases")
+    _check_phases(phases)
     return phases
 
 
 def _count_cells(ch, kets, filters, phases, shots_per_phase, efficiencies, contrast,
-                 rngs) -> list[np.ndarray]:
-    """(4, phases) detector counts of every cell of :func:`_probability_tables`,
-    cell c drawing phase j from rngs[c][j] as :func:`simulate_fringes`
-    documents; the settings are already checked."""
+                 rngs) -> np.ndarray:
+    """(cells, 4, phases) detector counts of the cells of
+    :func:`_probability_tables`, cell c drawing phase j from rngs[c][j] as
+    :func:`simulate_fringes` documents; the settings are already checked."""
     shots, tables = _probability_tables(ch, kets, filters, phases, contrast, shots_per_phase)
-    counts = []
+    drawn = []
     for table, cell_rngs in zip(tables, rngs):
-        drawn = []
         for rng, p_j in zip(cell_rngs, table):
             plus = minus = ref0 = ref1 = 0
             for n_shots, p in zip(shots, p_j):
@@ -461,18 +473,14 @@ def _count_cells(ch, kets, filters, phases, shots_per_phase, efficiencies, contr
                 plus, minus, ref0, ref1 = plus + a, minus + b, ref0 + c, ref1 + d
             drawn.append([rng.binomial(n, e) if e < 1.0 else n
                           for n, e in zip((plus, minus, ref0, ref1), efficiencies)])
-        counts.append(np.array(drawn, dtype=np.int64).reshape(-1, 4).T)
-    return counts
+    counts = np.array(drawn, dtype=np.int64).reshape(len(tables), len(phases), 4)
+    return counts.transpose(0, 2, 1)
 
 
 def _dataset(counts, phases, shots_per_phase, seed_seq, efficiencies) -> FringeDataset:
-    return FringeDataset(
-        phases=phases,
-        counts_plus=counts[0], counts_minus=counts[1],
-        counts_ref0=counts[2], counts_ref1=counts[3],
-        shots_per_phase=shots_per_phase, seed=seed_seq,
-        efficiencies=tuple(float(e) for e in efficiencies),
-    )
+    """The dataset of (4, phases) counts, detectors in field order."""
+    return FringeDataset(phases, *counts, shots_per_phase, seed_seq,
+                         tuple(float(e) for e in efficiencies))
 
 
 def simulate_fringes(
@@ -516,15 +524,13 @@ def simulate_fringes(
     return _dataset(counts, phases, shots_per_phase, seed_seq, efficiencies)
 
 
-def _thin(counts: np.ndarray, efficiencies, reference_efficiency: float, rng) -> np.ndarray:
-    """(4, phases) counts thinned to the reference efficiency: one binomial
-    draw per detector of higher efficiency, in detector order."""
-    out = counts.copy()
+def _thin(counts: np.ndarray, efficiencies, reference_efficiency: float, rng) -> None:
+    """Thin (4, phases) counts in place to the reference efficiency: one
+    binomial draw per detector of higher efficiency, in detector order."""
     for r, e in enumerate(efficiencies):
         ratio = reference_efficiency / e
         if ratio < 1.0:
-            out[r] = rng.binomial(counts[r], ratio)
-    return out
+            counts[r] = rng.binomial(counts[r], ratio)
 
 
 def binomial_resample(ds: FringeDataset, reference_efficiency: float, seed=0) -> FringeDataset:
@@ -537,9 +543,9 @@ def binomial_resample(ds: FringeDataset, reference_efficiency: float, seed=0) ->
             f"reference efficiency {reference_efficiency} must be in (0, min(efficiencies)]"
         )
     (rng,) = generators(_seed_tuple(seed), np.empty((1, 0)))
-    counts = np.array([ds.counts_plus, ds.counts_minus, ds.counts_ref0, ds.counts_ref1])
-    thinned = _thin(counts, ds.efficiencies, reference_efficiency, rng)
-    return _dataset(thinned, ds.phases, ds.shots_per_phase, ds.seed, (reference_efficiency,) * 4)
+    counts = _counts(ds)
+    _thin(counts, ds.efficiencies, reference_efficiency, rng)
+    return _dataset(counts, ds.phases, ds.shots_per_phase, ds.seed, (reference_efficiency,) * 4)
 
 
 # ---------------------------------------------------------------------------
@@ -580,82 +586,82 @@ def fit_fringes(ds: FringeDataset) -> FitResult:
     """Least-squares fit of counts to T_j * (p +/- Re(V e^{i phi})) / 2.
 
     The per-phase normalization T_j is the total count over all four
-    detectors (the reference detectors complete the total). The model is
-    linear in (p, Re V, Im V); uncertainties come from the fit covariance.
+    detectors (the reference detectors complete the total); phases with no
+    counts take no part. The model is linear in (p, Re V, Im V);
+    uncertainties come from the fit covariance.
     """
-    return _fit_cells([ds])[0]
+    return _fit_counts(np.asarray(ds.phases, dtype=float), _counts(ds)[None])[0]
 
 
-def _fit_cells(datasets) -> list[FitResult]:
-    """:func:`fit_fringes` of each dataset. Datasets with the same phases
-    and the same populated (nonzero-total) phases share one design matrix
-    and so one thin SVD; each cell keeps every check of its own fit."""
-    groups: dict[tuple, tuple[np.ndarray, list[int]]] = {}
-    for n, ds in enumerate(datasets):
-        mask = ds.totals() > 0
-        groups.setdefault((tuple(ds.phases), mask.tobytes()), (mask, []))[1].append(n)
+def _fit_counts(phases: np.ndarray, counts: np.ndarray) -> list[FitResult]:
+    """:func:`fit_fringes` of every cell of (cells, 4, phases) counts over
+    the same strictly increasing phases.
 
-    fits: list[FitResult] = [None] * len(datasets)
-    for (phases, _), (mask, members) in groups.items():
-        phi = np.asarray(phases)[mask]
+    The design and data rows of a phase with no counts in a cell are zeroed,
+    so that phase drops out of the cell's fit, which has
+    2 * (populated phases) - 3 degrees of freedom. One batched thin SVD then
+    fits every cell, and each cell keeps every check of its own fit.
+    """
+    totals = counts.sum(axis=1)
+    populated = totals > 0
+    for mask in populated:
+        phi = phases[mask]
         if phi.size < 4 or len(set(np.round(phi, 12))) < 4:
             raise NumericalError("insufficient phase coverage: need >= 4 populated phases")
         if phi.max() - phi.min() < np.pi:
             raise NumericalError("insufficient phase coverage: span below half a period")
 
-        cells = [datasets[n] for n in members]
-        t = np.array([ds.totals()[mask] for ds in cells], dtype=float).T
-        y = np.concatenate([
-            np.array([ds.counts_plus[mask] for ds in cells]).T / t,
-            np.array([ds.counts_minus[mask] for ds in cells]).T / t,
-        ])
-        c, s = np.cos(phi), np.sin(phi)
-        half = 0.5 * np.ones_like(phi)
-        design = np.vstack([
-            np.column_stack([half, 0.5 * c, -0.5 * s]),
-            np.column_stack([half, -0.5 * c, 0.5 * s]),
-        ])
+    c, s = 0.5 * np.cos(phases), 0.5 * np.sin(phases)
+    half = np.full_like(c, 0.5)
+    design = np.concatenate([np.stack([half, c, -s], -1), np.stack([half, -c, s], -1)])
+    rows = np.tile(populated, 2)  # plus rows, then minus rows
+    design = np.where(rows[..., None], design, 0.0)
+    y = (counts[:, :2] / np.where(populated, totals, 1)[:, None]).reshape(len(counts), -1)
 
-        # One thin SVD gives the condition number of the normal equations,
-        # (s_max / s_min)^2, every cell's least-squares solution and the
-        # covariance shared by all of them up to each cell's residual variance.
-        u, s, vt = np.linalg.svd(design, full_matrices=False)
-        if s[0] ** 2 > 1e12 * s[-1] ** 2:
-            raise NumericalError("degenerate design matrix: phases do not constrain the fit")
-        beta = vt.T @ ((u.T @ y) / s[:, None])
-        resid = y - design @ beta
-        var = np.einsum("ic,ic->c", resid, resid) / (y.shape[0] - 3)
-        unit_cov = (vt.T / s**2) @ vt
+    # The thin SVD of each cell's design gives the condition number of its
+    # normal equations, (s_max / s_min)^2, its least-squares solution and its
+    # covariance up to the residual variance.
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    if (s[:, 0] ** 2 > 1e12 * s[:, -1] ** 2).any():
+        raise NumericalError("degenerate design matrix: phases do not constrain the fit")
+    v = vt.swapaxes(1, 2)
+    beta = (v @ ((u.swapaxes(1, 2) @ y[..., None]) / s[..., None]))[..., 0]
+    resid = y - (design @ beta[..., None])[..., 0]
+    sq = np.einsum("ci,ci->c", resid, resid)
+    n_rows = rows.sum(axis=1)
+    var = sq / (n_rows - 3)
+    unit_cov = (v / s[:, None, :] ** 2) @ vt
 
-        mag = np.hypot(beta[1], beta[2])
-        grad = beta[1:] / np.where(mag > 1e-12, mag, 1.0)
-        spread_v = np.where(
-            mag > 1e-12,
-            np.einsum("ic,ij,jc->c", grad, unit_cov[1:, 1:], grad),
-            0.5 * (unit_cov[1, 1] + unit_cov[2, 2]),
-        )
-        sigma_p = np.sqrt(np.maximum(var * unit_cov[0, 0], 0.0))
-        sigma_v = np.sqrt(np.maximum(var * spread_v, 0.0))
-        rms = np.sqrt(np.mean(resid**2, axis=0))
-        for k, n in enumerate(members):
-            fits[n] = FitResult(
-                p_hat=float(max(beta[0, k], 0.0)), visibility=complex(beta[1, k], beta[2, k]),
-                sigma_p=float(sigma_p[k]), sigma_v=float(sigma_v[k]), residual_rms=float(rms[k]),
-            )
-    return fits
+    mag = np.hypot(beta[:, 1], beta[:, 2])
+    grad = beta[:, 1:] / np.where(mag > 1e-12, mag, 1.0)[:, None]
+    spread_v = np.where(
+        mag > 1e-12,
+        np.einsum("ci,cij,cj->c", grad, unit_cov[:, 1:, 1:], grad),
+        0.5 * (unit_cov[:, 1, 1] + unit_cov[:, 2, 2]),
+    )
+    sigma_p = np.sqrt(np.maximum(var * unit_cov[:, 0, 0], 0.0))
+    sigma_v = np.sqrt(np.maximum(var * spread_v, 0.0))
+    rms = np.sqrt(sq / n_rows)
+    return [FitResult(max(b[0], 0.0), complex(b[1], b[2]), *spread)
+            for b, *spread in zip(beta.tolist(), sigma_p.tolist(), sigma_v.tolist(), rms.tolist())]
 
 
 def _simulate_cells(ch, preparations, filters, phases, shots_per_phase, efficiencies,
-                    contrast, seed) -> list[tuple[str, str, FringeDataset]]:
-    """(mu, nu, dataset) of every cell of :func:`run_experiment`, its counts
-    thinned to the lowest efficiency when the efficiencies differ."""
+                    contrast, seed) -> tuple[tuple[float, ...], np.ndarray]:
+    """The phases and the (cells, 4, phases) counts of :func:`run_experiment`,
+    cells over the sorted (mu, nu) grid, preparations major. When the
+    efficiencies differ, the counts are thinned in place to the lowest."""
     from ._streams import generators
 
     phases = _counting_phases(phases, shots_per_phase, efficiencies, contrast)
+    if shots_per_phase < 1:
+        raise DimensionError(f"shots_per_phase {shots_per_phase} below 1: no counts to fit")
+    for name, grid in (("preparations", preparations), ("filters", filters)):
+        if not grid:
+            raise DimensionError(f"{name} is empty: no cells to simulate")
     seed_seq = _seed_tuple(seed)
     efficiencies = tuple(float(e) for e in efficiencies)
     resample = len(set(efficiencies)) > 1
-    kept = (min(efficiencies),) * 4 if resample else efficiencies
     mus, nus = sorted(preparations), sorted(filters)
     grid = list(itertools.product(range(len(mus)), range(len(nus))))
     # each cell's phase streams, then its resampling stream
@@ -667,14 +673,10 @@ def _simulate_cells(ch, preparations, filters, phases, shots_per_phase, efficien
     counts = _count_cells(ch, [pure_pair(preparations[mu], ch.spin_dim) for mu in mus],
                           [filters[nu] for nu in nus], phases, shots_per_phase, efficiencies,
                           contrast, [r[:len(phases)] for r in cell_rngs])
-
-    cells = []
-    for (i_mu, i_nu), cell_counts, streams in zip(grid, counts, cell_rngs):
-        if resample:
-            cell_counts = _thin(cell_counts, efficiencies, kept[0], streams[-1])
-        cells.append((mus[i_mu], nus[i_nu], _dataset(cell_counts, phases, shots_per_phase,
-                                                     seed_seq + (i_mu, i_nu), kept)))
-    return cells
+    if resample:
+        for cell_counts, streams in zip(counts, cell_rngs):
+            _thin(cell_counts, efficiencies, min(efficiencies), streams[-1])
+    return phases, counts
 
 
 def run_experiment(
@@ -694,26 +696,23 @@ def run_experiment(
     the minimum efficiency before fitting, mirroring the count-rate
     correction used on the measured data. Cell (mu, nu) is
     ``simulate_fringes(..., seed=seed + (i_mu, i_nu))`` and resamples from
-    the generator of ``seed + (i_mu, i_nu, 997)``. The generators of all
-    cells are seeded together, the probability tables of all cells are
-    built in one pass before any draw (each preparation's kets validated
-    once, each filter's amplitudes formed once), and all cells are fitted
-    together. A fit
-    needs counts, so ``shots_per_phase`` below 1 is a :class:`DimensionError`.
+    the generator of ``seed + (i_mu, i_nu, 997)``. The draws of all cells
+    fill one (cells, 4, phases) counts array, which one batched SVD fits
+    (:func:`fit_fringes` of each cell). A fit needs counts, so
+    ``shots_per_phase`` below 1 is a :class:`DimensionError`, and so is an
+    empty ``preparations`` or ``filters``.
     """
-    if shots_per_phase < 1:
-        raise DimensionError(f"shots_per_phase {shots_per_phase} below 1: no counts to fit")
     preparations = rectilinear_preparations() if preparations is None else preparations
     filters = rectilinear_filters() if filters is None else filters
-    cells = _simulate_cells(ch, preparations, filters, phases, shots_per_phase,
-                            efficiencies, contrast, seed)
-    fits = _fit_cells([ds for _, _, ds in cells])
+    phases, counts = _simulate_cells(ch, preparations, filters, phases, shots_per_phase,
+                                     efficiencies, contrast, seed)
+    fits = _fit_counts(np.array(phases), counts)
     return [
         FractionalVisibilityRecord(
             mu=mu, nu=nu, p=min(fit.p_hat, 1.0), visibility=fit.visibility,
             sigma_p=fit.sigma_p, sigma_v=fit.sigma_v,
         )
-        for (mu, nu, _), fit in zip(cells, fits)
+        for (mu, nu), fit in zip(itertools.product(sorted(preparations), sorted(filters)), fits)
     ]
 
 

@@ -310,6 +310,20 @@ def test_orthonormal_filter_bound_rejects_incomplete_basis():
         orthonormal_filter_bound(rows, filters)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1.05])
+def test_exact_records_give_an_exact_distinguishability_bound(scale):
+    # zero record sigmas give sigma_d exactly 0.0, also when the visibility
+    # bound clamps to 1 and the distinguishability bound reaches 0
+    from dataclasses import replace
+
+    records = [replace(r, p=max(r.p, abs(scale * r.visibility)), visibility=scale * r.visibility,
+                       sigma_p=0.0, sigma_v=0.0)
+               for r in measured_records()]
+    cert = bound_from_visibilities(swap_certificate(measured_records()), records)
+    assert (cert.vg_lower == 1.0) == (scale > 1.0)
+    assert cert.sigma_vg == 0.0 and cert.sigma_d == 0.0
+
+
 def test_global_phase_invariance_of_bound():
     records = measured_records()
     cert = swap_certificate(records)

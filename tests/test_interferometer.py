@@ -43,12 +43,12 @@ from whichway import (
     write_dataset_csv,
 )
 from whichway.channels import pure_pair
-from whichway import interferometer
+from whichway import _streams, interferometer
 from whichway._streams import generators, seed_words
 from whichway.interferometer import (
     _allocate,
     _count_cells,
-    _fit_cells,
+    _fit_counts,
     _probability_tables,
     _simulate_cells,
     _unitary_rows,
@@ -325,6 +325,43 @@ def test_run_experiment_without_shots_is_a_dimension_error(shots):
         run_experiment(pauli_mixture_channel(), shots_per_phase=shots, seed=1)
 
 
+@pytest.mark.parametrize("empty", ["preparations", "filters"])
+def test_run_experiment_refuses_an_empty_grid(monkeypatch, empty):
+    def no_streams(*args):
+        raise AssertionError("a stream was seeded")
+
+    monkeypatch.setattr(_streams, "generators", no_streams)
+    with pytest.raises(DimensionError, match=f"^{empty} is empty"):
+        run_experiment(pauli_mixture_channel(), **{empty: {}}, seed=1)
+
+
+@pytest.mark.parametrize("shots", [2.5, 10.0, np.float64(100.0), "10"])
+@pytest.mark.parametrize("simulate", ["simulate_fringes", "run_experiment"])
+def test_counting_refuses_a_shot_count_that_is_not_an_integer(simulate, shots):
+    ch = pauli_mixture_channel()
+    with pytest.raises(DimensionError, match="shots_per_phase"):
+        if simulate == "simulate_fringes":
+            simulate_fringes(ch, PREPS["hh"], FILTERS["hh"], shots_per_phase=shots)
+        else:
+            run_experiment(ch, shots_per_phase=shots)
+
+
+def test_counting_accepts_a_numpy_integer_shot_count():
+    ch = pauli_mixture_channel()
+    ds = simulate_fringes(ch, PREPS["hh"], FILTERS["hh"], shots_per_phase=np.int64(50), seed=2)
+    assert ds.totals().max() == 50
+    assert len(run_experiment(ch, shots_per_phase=np.int32(50), seed=2)) == 16
+
+
+@pytest.mark.parametrize("phases", [(0.0, 2.0, 1.0, 4.0), (0.0, 1.0, 1.0, 4.0)])
+def test_counting_refuses_phases_that_do_not_increase(phases):
+    ch = pauli_mixture_channel()
+    with pytest.raises(DimensionError, match="phases must be strictly increasing"):
+        simulate_fringes(ch, PREPS["hh"], FILTERS["hh"], phases=phases)
+    with pytest.raises(DimensionError, match="phases must be strictly increasing"):
+        run_experiment(ch, phases=phases)
+
+
 def test_run_experiment_subset_request():
     ch = pauli_mixture_channel()
     preps = {"hh": PREPS["hh"]}
@@ -503,13 +540,13 @@ def _assert_experiment_matches_oracle(ch, seed, **kwargs):
     """Counts of every cell equal the default_rng oracle's bit for bit; the
     records, fitted together here and one cell at a time there, agree
     within 1e-15."""
-    got_cells = _simulate_cells(ch, PREPS, FILTERS, None, **kwargs, seed=seed)
+    phases, counts = _simulate_cells(ch, PREPS, FILTERS, None, **kwargs, seed=seed)
     want_cells = ref.simulate_cells(ch, seed, **kwargs)
-    assert len(got_cells) == len(want_cells) == 16
-    for (g_mu, g_nu, g), (w_mu, w_nu, w) in zip(got_cells, want_cells):
-        assert (g_mu, g_nu, g.efficiencies) == (w_mu, w_nu, w.efficiencies)
-        for name in COUNT_FIELDS:
-            assert np.array_equal(getattr(g, name), getattr(w, name)), (g_mu, g_nu, name)
+    assert counts.shape == (16, 4, 13) and len(want_cells) == 16
+    for cell, (mu, nu, want) in zip(counts, want_cells):
+        assert phases == want.phases
+        for row, name in zip(cell, COUNT_FIELDS):
+            assert np.array_equal(row, getattr(want, name)), (mu, nu, name)
     _assert_records_close(run_experiment(ch, seed=seed, **kwargs),
                           ref.run_experiment(ch, seed, **kwargs), 1e-15)
 
@@ -570,8 +607,9 @@ def test_counts_match_default_rng_oracle(label, seed, efficiencies):
 
 @pytest.mark.parametrize("efficiencies", [(1.0,) * 4, (0.9, 1.0, 0.75, 0.8)])
 @pytest.mark.parametrize("label", ["pauli", "pooled(2,3,17)"])
-def test_run_experiment_analyses_the_channel_once_and_builds_one_dataset_per_cell(
-        monkeypatch, label, efficiencies):
+def test_run_experiment_builds_no_dataset(monkeypatch, label, efficiencies):
+    # the channel's unitary rows are analysed once for all 16 cells, and the
+    # counts go to the fit as one array
     calls = {"rows": 0, "datasets": 0}
     rows, post_init = interferometer._unitary_rows, FringeDataset.__post_init__
 
@@ -588,7 +626,7 @@ def test_run_experiment_analyses_the_channel_once_and_builds_one_dataset_per_cel
     records = run_experiment(ORACLE_CHANNELS[label], shots_per_phase=500,
                              efficiencies=efficiencies, seed=5)
     assert len(records) == 16
-    assert calls == {"rows": 1, "datasets": 16}
+    assert calls == {"rows": 1, "datasets": 0}
 
 
 FIT_FIELDS = ("p_hat", "visibility", "sigma_p", "sigma_v", "residual_rms")
@@ -651,7 +689,7 @@ def _counts_dataset(phases, plus, minus, ref0, ref1):
     )
 
 
-def test_fit_cells_gives_a_cell_with_a_zero_total_phase_its_own_factorization(monkeypatch):
+def test_fit_counts_fits_a_zero_total_phase_cell_in_the_same_svd(monkeypatch):
     ch = pauli_mixture_channel()
     cells = [simulate_fringes(ch, PREPS[mu], FILTERS[nu], shots_per_phase=500,
                               contrast=0.9, seed=(5, c))
@@ -664,8 +702,9 @@ def test_fit_cells_gives_a_cell_with_a_zero_total_phase_its_own_factorization(mo
 
     svd, factorizations = np.linalg.svd, []
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: factorizations.append(1) or svd(*a, **k))
-    fits = _fit_cells(cells)
-    assert len(factorizations) == 2
+    stacked = np.array([[getattr(ds, name) for name in COUNT_FIELDS] for ds in cells])
+    fits = _fit_counts(np.array(cells[0].phases), stacked)
+    assert len(factorizations) == 1
     monkeypatch.setattr(np.linalg, "svd", svd)
     for fit, ds in zip(fits, cells):
         alone = fit_fringes(ds)
@@ -673,6 +712,22 @@ def test_fit_cells_gives_a_cell_with_a_zero_total_phase_its_own_factorization(mo
                      (fit.sigma_p, alone.sigma_p), (fit.sigma_v, alone.sigma_v),
                      (fit.residual_rms, alone.residual_rms)):
             assert abs(a - b) <= 1e-15
+
+
+@pytest.mark.parametrize("populated, message", [
+    ((0, 1, 2), "need >= 4 populated phases"),
+    ((0, 1, 2, 3), "span below half a period"),
+    ((0, 1, 2, 6), "degenerate design matrix"),
+])
+def test_fit_counts_refuses_a_later_cell_on_its_own_populated_phases(populated, message):
+    phases = np.array([0.0, 1e-7, 2e-7, 1.0, 2.0, 2.5, np.pi, 4.0, 5.0, 6.0])
+    counts = np.full((3, 4, len(phases)), 10, dtype=np.int64)
+    assert len(_fit_counts(phases, counts)) == 3
+    keep = np.zeros(len(phases), dtype=bool)
+    keep[list(populated)] = True
+    counts[2, :, ~keep] = 0
+    with pytest.raises(NumericalError, match=message):
+        _fit_counts(phases, counts)
 
 
 def _inconsistent_tables(ch, kets, filters, phases, contrast, shots_per_phase):
