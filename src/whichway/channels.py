@@ -70,11 +70,14 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 class Preparation:
     """Input spin preparation for the two arms.
 
-    Either a single pure pair (psi0, psi1) or a weighted ensemble of pure
+    Either a single pure pair (psi0, psi1) or a weighted ensemble of n pure
     pairs; the per-arm states ``rho0`` and ``rho1``, the weighted mixtures
     of |psi_i^m><psi_i^m|, are built once at construction and are read-only.
-    The weights must sum to one within 1e-10 and are stored divided by their
-    sum, so rho0 and rho1 have unit trace to round-off.
+    So is ``factors``, the (2, d, n) stack of the d x n factors
+    S_i = [sqrt(w_m) psi_i^m]_m, with S_i S_i^dag = rho_i, from which
+    :mod:`whichway.duality` forms the environment factors. The weights must
+    sum to one within 1e-10 and are stored divided by their sum, so rho0 and
+    rho1 have unit trace to round-off.
     """
 
     spin_dim: int
@@ -83,6 +86,7 @@ class Preparation:
     label: str = ""
     rho0: np.ndarray = field(init=False, repr=False)
     rho1: np.ndarray = field(init=False, repr=False)
+    factors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.weights) != len(self.pairs) or not self.pairs:
@@ -108,6 +112,9 @@ class Preparation:
         rho.flags.writeable = False
         object.__setattr__(self, "rho0", rho[0])
         object.__setattr__(self, "rho1", rho[1])
+        factors = kets.transpose(1, 2, 0) * np.sqrt(weights)  # factors[i] = S_i
+        factors.flags.writeable = False
+        object.__setattr__(self, "factors", factors)
 
     @classmethod
     def pure(cls, psi0, psi1, label: str = "") -> "Preparation":

@@ -28,9 +28,11 @@ and it is the root fidelity of the same two states,
 
 the last form by Uhlmann's theorem (Nielsen & Chuang, Thm 9.4): X_i is a
 purification of e_i, and the polar factors of X_0 and X_1 leave the
-singular values unchanged. A thin QR, X_i^dag = P_i T_i with P_i an
-isometry, brings the norm down to that of the r x r matrix T_0 T_1^dag,
-r = min(K, d*n), so neither state is eigendecomposed.
+singular values unchanged. The d*n x d*n matrix X_0^dag X_1 is already
+min(K, d*n)-sided when d*n <= K, and its trace norm is taken directly.
+When d*n > K a thin QR, X_i^dag = P_i T_i with P_i an isometry, brings the
+norm down to that of the K x K matrix T_0 T_1^dag. The route depends only
+on the shape of the factors, and neither state is eigendecomposed.
 
 The operator inside the first norm is x y^dag / d, where column k of x (of
 y) is the vectorized (A_k sqrt(rho0))^T (the (B_k sqrt(rho1))^T). Its Gram
@@ -84,12 +86,12 @@ INEQUALITY_SLACK_FLOOR = -1e-8
 def _factors(ch: PathChannel, prep: Preparation) -> np.ndarray:
     """The (2, K, d*n) stack x of environment factors, e_i = x[i] x[i]^dag.
 
-    Row k of x[0] (of x[1]) is A_k S_0 (B_k S_1) flattened, where the d x n
-    factor S_i = [sqrt(w_m) psi_i^m]_m of the n preparation kets has
+    Row k of x[0] (of x[1]) is A_k S_0 (B_k S_1) flattened, where
+    S_i = prep.factors[i], the d x n factor [sqrt(w_m) psi_i^m]_m of the n
+    preparation kets that :class:`Preparation` builds once, has
     S_i S_i^dag = rho_i.
     """
-    s = np.array(prep.pairs).transpose(1, 2, 0) * np.sqrt(prep.weights)  # s[i] = S_i
-    return (ch.kraus.swapaxes(0, 1) @ s[:, None]).reshape(2, ch.n_kraus, -1)
+    return (ch.kraus.swapaxes(0, 1) @ prep.factors[:, None]).reshape(2, ch.n_kraus, -1)
 
 
 def _environment(ch: PathChannel, prep: Preparation) -> tuple[np.ndarray, np.ndarray]:
@@ -141,9 +143,10 @@ def _d_and_vg(ch: PathChannel, prep: Preparation) -> tuple[float, float]:
     """(D, V_G) from the K x d*n environment factors X_i of :func:`_factors`.
 
     D is half the trace norm of X_0 X_0^dag - X_1 X_1^dag (one K x K
-    ``eigvalsh``). V_G = F(e0, e1) = ||X_0^dag X_1||_1 by Uhlmann's theorem;
-    one batched QR gives X_i^dag = P_i T_i with P_i an isometry, so V_G is
-    the trace norm of the r x r matrix T_0 T_1^dag, r = min(K, d*n).
+    ``eigvalsh``). V_G = F(e0, e1) = ||X_0^dag X_1||_1 by Uhlmann's theorem,
+    taken on a min(K, d*n)-sided matrix: X_0^dag X_1 itself when d*n <= K;
+    when d*n > K, one batched QR gives X_i^dag = P_i T_i with P_i an
+    isometry, and V_G is the trace norm of the K x K matrix T_0 T_1^dag.
 
     Checks: each arm's trace must be one within 1e-10, else
     :class:`PositivityError`; V_G above 1 + 1e-9, or D below the
@@ -151,8 +154,11 @@ def _d_and_vg(ch: PathChannel, prep: Preparation) -> tuple[float, float]:
     """
     x, e = _environment(ch, prep)
     d_value = _trace_distance(e[0], e[1])
-    t = np.linalg.qr(x.conj().swapaxes(1, 2), mode="r")
-    v_value = trace_norm(t[0] @ t[1].conj().T)
+    if x.shape[2] <= x.shape[1]:
+        v_value = trace_norm(x[0].conj().T @ x[1])
+    else:
+        t = np.linalg.qr(x.conj().swapaxes(1, 2), mode="r")
+        v_value = trace_norm(t[0] @ t[1].conj().T)
     if v_value > 1.0 + ATOL_DERIVED:
         raise NumericalError(f"generalized visibility {v_value!r} exceeds 1")
     v_value = min(v_value, 1.0)

@@ -604,12 +604,18 @@ def _fit_counts(phases: np.ndarray, counts: np.ndarray) -> list[FitResult]:
     """
     totals = counts.sum(axis=1)
     populated = totals > 0
-    for mask in populated:
-        phi = phases[mask]
-        if phi.size < 4 or len(set(np.round(phi, 12))) < 4:
+    # Rounding keeps the phases sorted, so equal rounded phases form runs; a
+    # cell's distinct populated phases are its runs with a populated phase.
+    starts = np.flatnonzero(np.diff(np.round(phases, 12), prepend=np.nan) != 0)
+    distinct = np.logical_or.reduceat(populated, starts, axis=1).sum(axis=1)
+    span = (np.where(populated, phases, -np.inf).max(axis=1, initial=-np.inf)
+            - np.where(populated, phases, np.inf).min(axis=1, initial=np.inf))
+    sparse, narrow = distinct < 4, span < np.pi
+    failing = np.flatnonzero(sparse | narrow)
+    if failing.size:  # the first failing cell names the fault
+        if sparse[failing[0]]:
             raise NumericalError("insufficient phase coverage: need >= 4 populated phases")
-        if phi.max() - phi.min() < np.pi:
-            raise NumericalError("insufficient phase coverage: span below half a period")
+        raise NumericalError("insufficient phase coverage: span below half a period")
 
     c, s = 0.5 * np.cos(phases), 0.5 * np.sin(phases)
     half = np.full_like(c, 0.5)

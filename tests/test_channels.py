@@ -345,6 +345,26 @@ def test_preparation_validation():
     np.testing.assert_allclose(prep.rho1, np.eye(3) / 3, atol=1e-12)
 
 
+def test_preparation_factors_are_read_only_square_roots_of_the_arm_states():
+    rng = np.random.default_rng(11)
+    preps = (
+        Preparation.pure(random_ket(3, rng), random_ket(3, rng)),
+        Preparation.ensemble(rng.dirichlet(np.ones(3)),
+                             [(random_ket(4, rng), random_ket(4, rng)) for _ in range(3)]),
+        Preparation.completely_mixed(8),
+        # weights off one by 5e-11 are accepted and stored divided by their sum
+        Preparation.ensemble([0.3, 0.7 + 5e-11], [(ket(0, 2), ket(1, 2)), (ket(1, 2), ket(1, 2))]),
+    )
+    for prep in preps:
+        s = prep.factors
+        assert s.shape == (2, prep.spin_dim, len(prep.pairs))
+        assert not s.flags.writeable
+        with pytest.raises(ValueError):
+            s[0, 0, 0] = 1.0
+        for s_i, rho in zip(s, (prep.rho0, prep.rho1)):
+            assert np.abs(s_i @ s_i.conj().T - rho).max() <= 1e-15
+
+
 def test_pure_pair_accepts_pure_preparations_and_ket_tuples():
     h, v = ket(0, 2), ket(1, 2)
     for prep in (Preparation.pure(h, v), (h, v)):

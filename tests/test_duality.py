@@ -356,20 +356,28 @@ def test_environment_trace_check_still_fires(monkeypatch):
 
 
 def test_verify_at_the_kraus_cap_eigendecomposes_no_environment_state(monkeypatch):
-    # d=2, K=256: V_G comes from the 256 x 2n factors, so no eigh runs and
-    # no SVD operand is larger than min(K, d*n) = 2n on a side
-    ch = random_path_channel(2, 256, seed=7)
-    preps = (Preparation.pure(H, V), Preparation.completely_mixed(2))
-    eigh, svd, calls = np.linalg.eigh, np.linalg.svd, []
+    # V_G comes from the K x d*n factors, so no eigh runs and no SVD operand
+    # is larger than min(K, d*n) on a side. At d=2, K=256 (d*n <= K) the
+    # d*n x d*n matrix X_0^dag X_1 needs no QR; at d=16, K=1 (d*n > K) one
+    # batched QR shrinks it to K x K.
+    cases = (
+        (random_path_channel(2, 256, seed=7), Preparation.pure(H, V), 0),
+        (random_path_channel(2, 256, seed=7), Preparation.completely_mixed(2), 0),
+        (random_path_channel(16, 1, seed=7), Preparation.completely_mixed(16), 1),
+    )
+    eigh, svd, qr, calls = np.linalg.eigh, np.linalg.svd, np.linalg.qr, []
     monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append("eigh") or eigh(*a, **k))
     monkeypatch.setattr(np.linalg, "svd",
                         lambda a, *r, **k: calls.append(np.shape(a)) or svd(a, *r, **k))
-    for prep in preps:
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append("qr") or qr(*a, **k))
+    for ch, prep, n_qr in cases:
         calls.clear()
         verify_inequality(ch, prep)
         side = min(ch.n_kraus, ch.spin_dim * len(prep.pairs))
+        shapes = [c for c in calls if c != "qr"]
         assert "eigh" not in calls
-        assert calls and all(max(shape) <= side for shape in calls)
+        assert calls.count("qr") == n_qr
+        assert shapes and all(max(shape) <= side for shape in shapes)
 
 
 def test_fuchs_van_de_graaf_floor_violation_is_numerical(monkeypatch):

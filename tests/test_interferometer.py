@@ -730,6 +730,17 @@ def test_fit_counts_refuses_a_later_cell_on_its_own_populated_phases(populated, 
         _fit_counts(phases, counts)
 
 
+def test_fit_counts_names_the_fault_of_the_first_failing_cell():
+    phases = np.linspace(0.0, 2 * np.pi, 13)
+    sparse, narrow = np.zeros((2, 4, 13), dtype=np.int64)
+    sparse[:, [0, 12]] = 10  # two phases
+    narrow[:, :5] = 10  # five phases spanning 2.6 rad
+    for cells, message in (((narrow, sparse), "span below half a period"),
+                           ((sparse, narrow), "need >= 4 populated phases")):
+        with pytest.raises(NumericalError, match=message):
+            _fit_counts(phases, np.array(cells))
+
+
 def _inconsistent_tables(ch, kets, filters, phases, contrast, shots_per_phase):
     # plus - minus = cos(phi) but plus + minus = |cos(phi)|: |V| near 1
     # against p near 2/pi, far outside the 3-sigma envelope at 64 phases

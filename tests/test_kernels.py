@@ -7,7 +7,8 @@ block-map, kron-loop and two-eigendecomposition forms they replaced, and D
 and V_G from the K x d*n environment factors with the eigendecompositions of
 the two K x K environment states, the d^2 x d^2 sandwich and state routes
 and the partial-trace distinguishability, also at the CLI caps of K (256)
-and d (16); the ensembles of three kets at d = 8, K = 4 give K < d*n.
+and d (16); the ensembles of three kets at d = 8, K = 4 give K < d*n, and
+ensembles of K / d kets give d*n == K, the edge of the route without a QR.
 """
 
 import numpy as np
@@ -126,6 +127,16 @@ def _rank_deficient(d, rng):
     return Preparation.ensemble(rng.dirichlet(np.ones(m)), pairs)
 
 
+def _filling(d, k, rng):
+    """Preparations of n = K / d pairs, so that d*n == K: the largest n for
+    which V_G needs no QR (none where d does not divide K)."""
+    if k % d:
+        return ()
+    n = k // d
+    pairs = [(random_ket(d, rng), random_ket(d, rng)) for _ in range(n)]
+    return (Preparation.ensemble(rng.dirichlet(np.ones(n)), pairs),)
+
+
 @pytest.mark.parametrize("d,k", SIZES + CAPS)
 def test_d_and_vg_match_the_retired_routes(d, k):
     ch = _channel(d, k)
@@ -133,7 +144,7 @@ def test_d_and_vg_match_the_retired_routes(d, k):
     pure, ensemble = _preparations(d, rng)
     mixed = Preparation.completely_mixed(d)
     preps = (pure, mixed) if (d, k) in CAPS else (pure, ensemble, mixed, _rank_deficient(d, rng))
-    for prep in preps:
+    for prep in preps + _filling(d, k, rng):
         rep = verify_inequality(ch, prep)
         gram_d, gram_vg = ref.gram_route(ch, prep)
         sandwich = min(d * trace_norm(visibility_operator(ch, prep)), 1.0)
