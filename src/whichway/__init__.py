@@ -78,8 +78,6 @@ from .interferometer import (
 )
 from .linalg import (
     SpinState,
-    dagger,
-    fidelity,
     ket,
     matrix_sqrt,
     partial_trace,

@@ -44,7 +44,9 @@ from .channels import PathChannel, Preparation, pure_pair
 from .errors import ContractionError, DimensionError, NonFiniteError, SupportError
 from .linalg import (
     ATOL_DERIVED,
+    density_matrix,
     factor_sandwich,
+    finite_array,
     hermitian_part,
     ket,
     psd_eigh,
@@ -213,12 +215,8 @@ def _certify(
     """:func:`verify_alpha_constraint` given each arm's (support projector,
     pseudo-inverse) of sqrt(rho)^T. An arm whose two matrices are one object
     (a pure preparation) makes the pseudo-inverse sandwich equal the support
-    sandwich, so U-hat is then the projected L."""
-    for mu, nu in alphas:
-        if mu not in preps:
-            raise DimensionError(f"coefficient references unknown preparation {mu!r}")
-        if nu not in filters:
-            raise DimensionError(f"coefficient references unknown filter {nu!r}")
+    sandwich, so U-hat is then the projected L. ``preps`` holds checked
+    unit kets, and every referenced preparation and filter has dimension d."""
     n = len(alphas)
     kets = np.array([preps[mu] for mu, _ in alphas], dtype=complex).reshape(n, 2, d)
     chis = np.array([(filters[nu].chi0, filters[nu].chi1) for _, nu in alphas],
@@ -267,13 +265,33 @@ def verify_alpha_constraint(
     projector and pseudo-inverse come from one eigendecomposition of the
     density matrix rho, with the checks of :func:`psd_eigh`.
 
+    The inputs are checked first: the coefficients by :func:`finite_array`;
+    each rho by :func:`density_matrix`, the two of one dimension d; each
+    referenced preparation by :func:`pure_pair` (unit kets of dimension d);
+    each referenced filter for dimension d. A failed check, or a coefficient
+    that names an unknown preparation or filter, raises
+    :class:`NonFiniteError`, :class:`PositivityError` or
+    :class:`DimensionError`.
+
     Raises :class:`SupportError` if the factorization does not exist and
     :class:`ContractionError` if the slack exceeds ``CONTRACTION_TOL``.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
-    rho1 = np.asarray(rho1, dtype=complex)
-    return _certify(alphas, preps, filters, rho0.shape[0],
-                    _root_support(rho0), _root_support(rho1))
+    finite_array(list(alphas.values()), "coefficients")
+    rho0, rho1 = density_matrix(rho0, "rho0"), density_matrix(rho1, "rho1")
+    if rho0.shape != rho1.shape:
+        raise DimensionError(f"rho0 and rho1 dimensions differ: {rho0.shape} vs {rho1.shape}")
+    d = rho0.shape[0]
+    kets = {}
+    for mu, nu in alphas:
+        if mu not in preps:
+            raise DimensionError(f"coefficient references unknown preparation {mu!r}")
+        if nu not in filters:
+            raise DimensionError(f"coefficient references unknown filter {nu!r}")
+        if filters[nu].chi0.size != d:
+            raise DimensionError(f"filter {nu!r} does not have the states' dimension {d}")
+        if mu not in kets:
+            kets[mu] = pure_pair(preps[mu], d)
+    return _certify(alphas, kets, filters, d, _root_support(rho0), _root_support(rho1))
 
 
 def bound_from_visibilities(cert: BoundCertificate, records) -> BoundCertificate:

@@ -34,7 +34,6 @@ from ._files import write_text
 from .errors import DimensionError, PositivityError
 from .linalg import (
     ATOL_STRUCT,
-    dagger,
     density_matrix,
     finite_array,
     hermitian_part,
@@ -71,21 +70,19 @@ class Preparation:
     """Input spin preparation for the two arms.
 
     Either a single pure pair (psi0, psi1) or a weighted ensemble of n pure
-    pairs; the per-arm states ``rho0`` and ``rho1``, the weighted mixtures
-    of |psi_i^m><psi_i^m|, are built once at construction and are read-only.
-    So is ``factors``, the (2, d, n) stack of the d x n factors
-    S_i = [sqrt(w_m) psi_i^m]_m, with S_i S_i^dag = rho_i, from which
-    :mod:`whichway.duality` forms the environment factors. The weights must
-    sum to one within 1e-10 and are stored divided by their sum, so rho0 and
-    rho1 have unit trace to round-off.
+    pairs. The one stored form of the per-arm states is ``factors``, the
+    read-only (2, d, n) stack of the d x n factors S_i = [sqrt(w_m) psi_i^m]_m,
+    built once at construction: rho_i, the weighted mixture of
+    |psi_i^m><psi_i^m|, is S_i S_i^dag, and :mod:`whichway.duality` forms
+    the environment factors from S_i. The weights must sum to one within
+    1e-10 and are stored divided by their sum, so each rho_i has unit trace
+    to round-off.
     """
 
     spin_dim: int
     weights: tuple[float, ...]
     pairs: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
     label: str = ""
-    rho0: np.ndarray = field(init=False, repr=False)
-    rho1: np.ndarray = field(init=False, repr=False)
     factors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -107,11 +104,6 @@ class Preparation:
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "weights", weights)
         kets = np.array(pairs)  # kets[m, i] = psi_i^m
-        rho = np.einsum("m,mia,mib->iab", weights, kets, kets.conj())
-        rho = (rho + rho.conj().swapaxes(1, 2)) / 2
-        rho.flags.writeable = False
-        object.__setattr__(self, "rho0", rho[0])
-        object.__setattr__(self, "rho1", rho[1])
         factors = kets.transpose(1, 2, 0) * np.sqrt(weights)  # factors[i] = S_i
         factors.flags.writeable = False
         object.__setattr__(self, "factors", factors)
@@ -214,7 +206,7 @@ def block_map(ch: PathChannel, i: int, j: int, sigma: np.ndarray) -> np.ndarray:
         raise DimensionError(f"operator shape {sigma.shape} != spin dim {ch.spin_dim}")
     out = np.zeros_like(sigma)
     for ki, kj in zip(ch.kraus[:, i], ch.kraus[:, j]):
-        out += ki @ sigma @ dagger(kj)
+        out += ki @ sigma @ kj.conj().T
     return out
 
 

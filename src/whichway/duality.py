@@ -177,10 +177,12 @@ def _sandwich_route(ch: PathChannel, s0: np.ndarray, s1: np.ndarray) -> np.ndarr
 def visibility_operator(ch: PathChannel, prep: Preparation) -> np.ndarray:
     """The d^2 x d^2 operator N of the definition, whose trace norm (times
     d) is the generalized visibility: N = (sqrt(rho0)^T x 1) M
-    (sqrt(rho1)^T x 1) with M = block_choi(ch, 0, 1)."""
+    (sqrt(rho1)^T x 1) with M = block_choi(ch, 0, 1) and each
+    rho_i = S_i S_i^dag formed from the factor S_i = prep.factors[i]."""
     if ch.spin_dim != prep.spin_dim:
         raise DimensionError("channel and preparation spin dimensions differ")
-    return _sandwich_route(ch, matrix_sqrt(prep.rho0), matrix_sqrt(prep.rho1))
+    s0, s1 = (matrix_sqrt(s @ s.conj().T) for s in prep.factors)
+    return _sandwich_route(ch, s0, s1)
 
 
 def generalized_visibility(ch: PathChannel, prep: Preparation) -> float:

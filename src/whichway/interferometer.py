@@ -319,7 +319,9 @@ class FringeDataset:
 
     counts_plus/minus are the interference detectors; counts_ref0/ref1 monitor
     the non-filtered components of each arm for normalization. Phases must be
-    finite and strictly increasing. Datasets compare and hash by identity.
+    finite and strictly increasing. Counts are stored as int64; a NaN or
+    infinite count raises :class:`NonFiniteError` and a non-integral one
+    :class:`DimensionError`. Datasets compare and hash by identity.
     """
 
     phases: tuple[float, ...]
@@ -335,7 +337,12 @@ class FringeDataset:
         m = len(self.phases)
         _check_phases(self.phases)
         for name in ("counts_plus", "counts_minus", "counts_ref0", "counts_ref1"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
+            arr = np.asarray(getattr(self, name))
+            if arr.dtype.kind not in "iu":
+                values = finite_array(arr, name)
+                if (values != np.round(values.real)).any():
+                    raise DimensionError(f"{name} has a non-integral count")
+            arr = np.asarray(arr, dtype=np.int64)
             object.__setattr__(self, name, arr)
             if arr.shape != (m,):
                 raise DimensionError(f"{name} length does not match phases")

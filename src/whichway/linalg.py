@@ -15,7 +15,9 @@ for finite entries, unit kets and density matrices are written once, here:
 :func:`finite_array`, :func:`unit_ket` (norm one within 1e-10) and
 :func:`density_matrix` (Hermitian, PSD and unit trace within 1e-10); the
 last two raise :class:`NonFiniteError` for a NaN or infinite entry, whatever
-else is wrong with the input.
+else is wrong with the input. The root fidelity of two states is not formed
+here: :mod:`whichway.duality` takes it from their factors by Uhlmann's
+theorem, and the route through two eigendecompositions is a test oracle.
 """
 
 from __future__ import annotations
@@ -36,10 +38,8 @@ __all__ = [
     "ATOL_DERIVED",
     "PSD_ATOL",
     "SpinState",
-    "dagger",
     "density_matrix",
     "factor_sandwich",
-    "fidelity",
     "finite_array",
     "hermitian_part",
     "is_hermitian",
@@ -53,15 +53,10 @@ __all__ = [
 
 
 def _as_matrix(m) -> np.ndarray:
-    a = np.asarray(getattr(m, "matrix", m), dtype=complex)
+    a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise DimensionError(f"expected a matrix, got array of shape {a.shape}")
     return a
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -118,7 +113,7 @@ def density_matrix(m, what: str) -> np.ndarray:
     m = finite_array(m, what)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"{what} shape {m.shape} is not square")
-    if np.max(np.abs(m - m.conj().T)) > ATOL_STRUCT:
+    if not is_hermitian(m):
         raise PositivityError(f"{what} is not Hermitian within 1e-10")
     w = np.linalg.eigvalsh(hermitian_part(m))
     if w.min() < -ATOL_STRUCT:
@@ -166,23 +161,6 @@ def matrix_sqrt(m: np.ndarray) -> np.ndarray:
     :func:`psd_eigh`, whose checks and tolerances it shares."""
     w, v = psd_eigh(m)
     return hermitian_part((v * np.sqrt(w)) @ v.conj().T)
-
-
-def fidelity(rho, sigma) -> float:
-    """Root fidelity ||sqrt(rho) sqrt(sigma)||_1 of two PSD matrices of
-    equal dimension.
-
-    With rho = U diag(a) U^dag and sigma = W diag(b) W^dag from
-    :func:`psd_eigh`, which runs its checks on both, the norm is that of
-    diag(sqrt(a)) U^dag W diag(sqrt(b)): the unitaries outside leave the
-    singular values unchanged, so neither square root is formed.
-    """
-    r, s = _as_matrix(rho), _as_matrix(sigma)
-    if r.shape != s.shape:
-        raise DimensionError(f"dimension mismatch: {r.shape} vs {s.shape}")
-    a, u = psd_eigh(r)
-    b, w = psd_eigh(s)
-    return trace_norm(np.sqrt(a)[:, None] * (u.conj().T @ w) * np.sqrt(b))
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
@@ -241,12 +219,3 @@ class SpinState:
         m = density_matrix(m, "state")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def pure(cls, psi: np.ndarray) -> "SpinState":
-        psi = unit_ket(psi, "ket")
-        return cls(psi.size, np.outer(psi, psi.conj()))
-
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "SpinState":
-        return cls(dim, np.eye(dim, dtype=complex) / dim)

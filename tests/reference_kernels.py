@@ -26,10 +26,14 @@ have no production caller and serve only as oracles, and so do:
 - :func:`fit_fringes`, the fringe fit by ``np.linalg.lstsq`` on each
   cell's populated phases and an explicit inverse of the normal matrix,
   which checks the production fit without sharing its SVD route;
-- :func:`gram_route`, D and V_G from the two K x K environment states
-  built from rho_i (:func:`gram`) through an ``eigvalsh`` of their
-  difference and ``linalg.fidelity``, which checks the factor route of
-  ``duality`` at K up to 256.
+- :func:`eigh_fidelity`, the root fidelity of two PSD matrices from one
+  ``psd_eigh`` of each, and :func:`gram_route`, D and V_G from the two
+  K x K environment states built from rho_i (:func:`gram`) through an
+  ``eigvalsh`` of their difference and :func:`eigh_fidelity`, which check
+  the factor route of ``duality`` at K up to 256.
+
+The per-arm states rho_i come from :func:`mixed_state`, a loop over the
+ensemble that shares nothing with ``Preparation.factors``.
 """
 
 import cmath
@@ -60,12 +64,12 @@ from whichway import interferometer
 from whichway.interferometer import FringeDataset, _allocate, _seed_tuple
 from whichway.linalg import (
     ATOL_DERIVED,
-    dagger,
+    _as_matrix,
     density_matrix,
-    fidelity as eigh_fidelity,
     hermitian_part,
     matrix_sqrt,
     partial_trace,
+    psd_eigh,
     trace_norm,
 )
 
@@ -89,7 +93,7 @@ def block_choi(ch, i, j):
     out = np.zeros((d * d, d * d), dtype=complex)
     for pair in ch.kraus_pairs:
         ki, kj = pair[i], pair[j]
-        out += np.kron(eye, ki) @ proj @ dagger(np.kron(eye, kj))
+        out += np.kron(eye, ki) @ proj @ np.kron(eye, kj).conj().T
     return out
 
 
@@ -166,7 +170,7 @@ def choi_state(ch):
         k_full[:d, :d] = a
         k_full[d:, d:] = b
         lifted = np.kron(eye, k_full)
-        out += lifted @ proj @ dagger(lifted)
+        out += lifted @ proj @ lifted.conj().T
     return out
 
 
@@ -194,7 +198,7 @@ def dilate(ch):
 
 def environment_state(v, rho, d, k):
     """Tr_spin(v rho v^dag) through the full dk x dk operator."""
-    return partial_trace(v @ rho @ dagger(v), (d, k), keep=1)
+    return partial_trace(v @ rho @ v.conj().T, (d, k), keep=1)
 
 
 def mixed_state(prep, side):
@@ -225,7 +229,7 @@ def visibility_state(ch, s0, s1):
     sandwiched = np.kron(eye, s0) @ proj @ np.kron(eye, s1)
     out = np.zeros_like(sandwiched)
     for a, b in ch.kraus_pairs:
-        out += np.kron(eye, a) @ sandwiched @ dagger(np.kron(eye, b))
+        out += np.kron(eye, a) @ sandwiched @ np.kron(eye, b).conj().T
     return out
 
 
@@ -241,7 +245,7 @@ def state_route(ch, s0, s1):
 
 def visibility_state_route(ch, prep):
     """d ||N||_1 with N from :func:`state_route` of the matrix_sqrt roots."""
-    s0, s1 = matrix_sqrt(prep.rho0), matrix_sqrt(prep.rho1)
+    s0, s1 = matrix_sqrt(mixed_state(prep, 0)), matrix_sqrt(mixed_state(prep, 1))
     return ch.spin_dim * trace_norm(state_route(ch, s0, s1))
 
 
@@ -302,7 +306,7 @@ def brute_force_visibility(ch: PathChannel, prep: Preparation, seed: int = 0) ->
         u, ok = _newton_polar(x0)
         if u is None:
             continue
-        if np.max(np.abs(dagger(u) @ u - np.eye(dim))) > 1e-9:
+        if np.max(np.abs(u.conj().T @ u - np.eye(dim))) > 1e-9:
             ok = False
         value = d * abs(np.trace(u @ n))
         best = max(best, value)
@@ -319,13 +323,30 @@ def fidelity(rho, sigma):
     return trace_norm(matrix_sqrt(rho) @ matrix_sqrt(sigma))
 
 
+def eigh_fidelity(rho, sigma) -> float:
+    """Root fidelity ||sqrt(rho) sqrt(sigma)||_1 of two PSD matrices of
+    equal dimension.
+
+    With rho = U diag(a) U^dag and sigma = W diag(b) W^dag from
+    :func:`psd_eigh`, which runs its checks on both, the norm is that of
+    diag(sqrt(a)) U^dag W diag(sqrt(b)): the unitaries outside leave the
+    singular values unchanged, so neither square root is formed.
+    """
+    r, s = _as_matrix(rho), _as_matrix(sigma)
+    if r.shape != s.shape:
+        raise DimensionError(f"dimension mismatch: {r.shape} vs {s.shape}")
+    a, u = psd_eigh(r)
+    b, w = psd_eigh(s)
+    return trace_norm(np.sqrt(a)[:, None] * (u.conj().T @ w) * np.sqrt(b))
+
+
 def distinguishability(ch, prep):
     """||e0 - e1||_1 / 2 by an SVD, with e_i the partial traces of the full
     dK x dK operators v_i rho_i v_i^dag of the kron-form dilation."""
     d, k = ch.spin_dim, ch.n_kraus
     v0, v1 = dilate(ch)
-    e0 = environment_state(v0, prep.rho0, d, k)
-    e1 = environment_state(v1, prep.rho1, d, k)
+    e0 = environment_state(v0, mixed_state(prep, 0), d, k)
+    e1 = environment_state(v1, mixed_state(prep, 1), d, k)
     return 0.5 * trace_norm(e0 - e1)
 
 
@@ -339,8 +360,8 @@ def gram(kraus, rho):
 def gram_route(ch, prep):
     """(D, V_G) from the two K x K environment states: D from the eigenvalues
     of e0 - e1, V_G = F(e0, e1) from the two ``psd_eigh`` factors of
-    ``linalg.fidelity``, clamped at 1."""
-    e0, e1 = gram(ch.kraus[:, 0], prep.rho0), gram(ch.kraus[:, 1], prep.rho1)
+    :func:`eigh_fidelity`, clamped at 1."""
+    e0, e1 = (gram(ch.kraus[:, side], mixed_state(prep, side)) for side in (0, 1))
     d_value = 0.5 * float(np.abs(np.linalg.eigvalsh(e0 - e1)).sum())
     return d_value, min(eigh_fidelity(e0, e1), 1.0)
 
@@ -446,7 +467,7 @@ def unitary_rows(ch):
     eye = np.eye(d)
     rows = []
     for a, b in ch.kraus_pairs:
-        ga, gb = dagger(a) @ a, dagger(b) @ b
+        ga, gb = a.conj().T @ a, b.conj().T @ b
         wa = np.trace(ga).real / d
         wb = np.trace(gb).real / d
         if wa < 1e-12 or abs(wa - wb) > ATOL_DERIVED:

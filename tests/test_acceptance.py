@@ -13,7 +13,7 @@ from conftest import (
     random_orthonormal_filters,
     random_preparation,
 )
-from reference_kernels import brute_force_visibility
+from reference_kernels import brute_force_visibility, eigh_fidelity, mixed_state
 from whichway import (
     FractionalVisibilityRecord,
     FringeDataset,
@@ -22,7 +22,6 @@ from whichway import (
     distinguishability,
     environment_states,
     explicit_transpose_dilation,
-    fidelity,
     fit_fringes,
     fractional_visibility,
     generalized_visibility,
@@ -79,7 +78,7 @@ def test_criterion_02_worked_channel_closed_forms():
         sigma0 = g @ g.conj().T
         sigma0 /= np.trace(sigma0).real
         vg = generalized_visibility(replace_channel(sigma0), prep)
-        ok &= abs(vg - fidelity(prep.rho0, prep.rho1)) <= 1e-9
+        ok &= abs(vg - eigh_fidelity(mixed_state(prep, 0), mixed_state(prep, 1))) <= 1e-9
     pure = Preparation.pure(random_ket(2, rng), random_ket(2, rng))
     ok &= abs(generalized_visibility(transpose_channel(2), pure) - 0.5) <= 1e-9
     mixed = Preparation.completely_mixed(2)

@@ -19,6 +19,7 @@ from whichway import (
     FractionalVisibilityRecord,
     NonFiniteError,
     PathChannel,
+    PositivityError,
     Preparation,
     SupportError,
     bound_from_visibilities,
@@ -34,6 +35,7 @@ from whichway import (
     rectilinear_preparations,
     single_preparation_certificate,
     swap_certificate,
+    transpose_channel,
     verify_alpha_constraint,
     verify_inequality,
     write_records_csv,
@@ -180,6 +182,74 @@ def test_contraction_violation_detected():
             alphas, rectilinear_preparations(), rectilinear_filters(),
             np.eye(2) / 2, np.eye(2) / 2,
         )
+
+
+def _hh_transpose_records():
+    """Exact records of the hh preparation under the transpose channel in
+    the complete filter basis {hh, vv}, and its true V_G (1/2)."""
+    ch, filters = transpose_channel(2), rectilinear_filters()
+    records = [fractional_visibility(ch, (H, H), filters[nu], mu="hh") for nu in ("hh", "vv")]
+    return records, generalized_visibility(ch, Preparation.pure(H, H))
+
+
+def test_verify_alpha_constraint_rejects_kets_off_unit_norm():
+    # kets of norm 1/2 with the coefficients scaled by 4 would certify
+    # V_G >= 1 against a true V_G of 1/2
+    records, true_vg = _hh_transpose_records()
+    assert true_vg == pytest.approx(0.5, abs=1e-12)
+    alphas = {r.key: 4.0 * np.exp(-1j * np.angle(r.visibility)) for r in records}
+    rho = np.outer(H, H.conj())
+    with pytest.raises(DimensionError, match="psi0 norm 0.5 differs from 1"):
+        verify_alpha_constraint(alphas, {"hh": (0.5 * H, 0.5 * H)}, rectilinear_filters(),
+                                rho, rho)
+    cert = verify_alpha_constraint({k: a / 4 for k, a in alphas.items()}, {"hh": (H, H)},
+                                   rectilinear_filters(), rho, rho)
+    assert bound_from_visibilities(cert, records).vg_lower <= true_vg + 1e-12
+
+
+def test_verify_alpha_constraint_rejects_a_density_matrix_of_trace_two():
+    # with rho = 1 the swap family with doubled coefficients is a contraction
+    alphas = {k: 1.0 for k in SWAP_KEYS}
+    with pytest.raises(PositivityError, match="rho0 trace differs from one"):
+        verify_alpha_constraint(alphas, rectilinear_preparations(), rectilinear_filters(),
+                                np.eye(2), np.eye(2))
+    with pytest.raises(PositivityError, match="rho1 trace differs from one"):
+        verify_alpha_constraint(alphas, rectilinear_preparations(), rectilinear_filters(),
+                                np.eye(2) / 2, np.eye(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_verify_alpha_constraint_rejects_non_finite_inputs(bad):
+    half = np.eye(2, dtype=complex) / 2
+    psi = H.copy()
+    psi[1] = bad
+    with pytest.raises(NonFiniteError, match="psi1"):
+        verify_alpha_constraint({("m", "hh"): 0.5}, {"m": (H, psi)}, rectilinear_filters(),
+                                half, half)
+    rho = half.copy()
+    rho[0, 1] = bad
+    with pytest.raises(NonFiniteError, match="rho1"):
+        verify_alpha_constraint({("hh", "hh"): 0.5}, rectilinear_preparations(),
+                                rectilinear_filters(), half, rho)
+    with pytest.raises(NonFiniteError, match="coefficients"):
+        verify_alpha_constraint({("hh", "hh"): bad}, rectilinear_preparations(),
+                                rectilinear_filters(), half, half)
+
+
+def test_verify_alpha_constraint_rejects_mismatched_inputs():
+    preps, filters = rectilinear_preparations(), rectilinear_filters()
+    third, half = np.eye(3) / 3, np.eye(2) / 2
+    with pytest.raises(DimensionError, match="filter 'hh' does not have the states' dimension 3"):
+        verify_alpha_constraint({("hh", "hh"): 0.5}, preps, filters, third, third)
+    with pytest.raises(DimensionError, match="dimensions differ"):
+        verify_alpha_constraint({("hh", "hh"): 0.5}, preps, filters, half, third)
+    three = {"hh": FilterPair(ket(0, 3), ket(0, 3))}
+    with pytest.raises(DimensionError, match="dimension 3"):
+        verify_alpha_constraint({("hh", "hh"): 0.5}, preps, three, third, third)
+    with pytest.raises(DimensionError, match="unknown preparation 'xx'"):
+        verify_alpha_constraint({("xx", "hh"): 0.5}, preps, filters, half, half)
+    with pytest.raises(DimensionError, match="unknown filter 'xx'"):
+        verify_alpha_constraint({("hh", "xx"): 0.5}, preps, filters, half, half)
 
 
 def test_bound_from_measured_records():

@@ -16,6 +16,7 @@ from reference_kernels import (
     apply_via_choi,
     choi_state,
     max_entangled_state,
+    mixed_state,
 )
 from whichway import (
     DimensionError,
@@ -319,7 +320,7 @@ def test_path_spin_state_rejects_unbalanced_paths():
 def test_validated_states_are_read_only_copies():
     source = np.eye(2, dtype=complex) / 2
     spin = SpinState(2, source)
-    mixed = SpinState.maximally_mixed(2)
+    mixed = SpinState(2, np.eye(2) / 2)
     path = PathSpinState.from_preparation(Preparation.pure(ket(0, 2), ket(1, 2)))
     blocks = path.blocks.copy()
     for arr in (spin.matrix, mixed.matrix, path.blocks, PathSpinState(2, blocks).blocks):
@@ -341,8 +342,10 @@ def test_preparation_validation():
     with pytest.raises(DimensionError):
         Preparation.ensemble([0.5, 0.6], [(ket(0, 2), ket(0, 2))] * 2)  # weights
     prep = Preparation.completely_mixed(3)
-    np.testing.assert_allclose(prep.rho0, np.eye(3) / 3, atol=1e-12)
-    np.testing.assert_allclose(prep.rho1, np.eye(3) / 3, atol=1e-12)
+    for side in (0, 1):
+        s = prep.factors[side]
+        np.testing.assert_allclose(s @ s.conj().T, np.eye(3) / 3, atol=1e-12)
+        np.testing.assert_allclose(mixed_state(prep, side), np.eye(3) / 3, atol=1e-12)
 
 
 def test_preparation_factors_are_read_only_square_roots_of_the_arm_states():
@@ -361,8 +364,8 @@ def test_preparation_factors_are_read_only_square_roots_of_the_arm_states():
         assert not s.flags.writeable
         with pytest.raises(ValueError):
             s[0, 0, 0] = 1.0
-        for s_i, rho in zip(s, (prep.rho0, prep.rho1)):
-            assert np.abs(s_i @ s_i.conj().T - rho).max() <= 1e-15
+        for side, s_i in enumerate(s):
+            assert np.abs(s_i @ s_i.conj().T - mixed_state(prep, side)).max() <= 1e-15
 
 
 def test_pure_pair_accepts_pure_preparations_and_ket_tuples():
@@ -436,7 +439,7 @@ def _dataset():
     lambda: PathSpinState.from_preparation(Preparation.completely_mixed(2)),
     lambda: FilterPair(ket(0, 2), ket(1, 2)),
     _dataset,
-    lambda: SpinState.maximally_mixed(2),
+    lambda: SpinState(2, np.eye(2) / 2),
     lambda: swap_certificate(measured_records()),
     lambda: verify_noise_program(pauli_noise_program()).rows[0],
 ], ids=["PathChannel", "Preparation", "PathSpinState", "FilterPair", "FringeDataset",

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import measured_records
+from reference_kernels import mixed_state
 from whichway import read_records_csv, save_channel, transpose_channel, write_records_csv
 from whichway.cli import (
     EXIT_INPUT,
@@ -127,11 +128,11 @@ def test_reproduce_simulated_is_deterministic(capsys):
 
 def test_parse_preparation_tokens():
     prep = parse_preparation("pure:d,a", 2)
-    np.testing.assert_allclose(prep.rho0, np.ones((2, 2)) / 2, atol=1e-12)
+    np.testing.assert_allclose(mixed_state(prep, 0), np.ones((2, 2)) / 2, atol=1e-12)
     prep = parse_preparation("ensemble:0.5,h,h;0.5,v,v", 2)
-    np.testing.assert_allclose(prep.rho0, np.eye(2) / 2, atol=1e-12)
+    np.testing.assert_allclose(mixed_state(prep, 0), np.eye(2) / 2, atol=1e-12)
     prep = parse_preparation("pure:0,2", 3)
-    assert prep.rho1[2, 2] == pytest.approx(1.0)
+    assert mixed_state(prep, 1)[2, 2] == pytest.approx(1.0)
     with pytest.raises(ValueError):
         parse_preparation("pure:h", 2)
     with pytest.raises(ValueError):

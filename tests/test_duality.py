@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_ket, random_preparation, random_unitary
-from reference_kernels import brute_force_visibility
+from reference_kernels import brute_force_visibility, eigh_fidelity, mixed_state
 from whichway import (
     DimensionError,
     NumericalError,
@@ -14,7 +14,6 @@ from whichway import (
     distinguishability,
     environment_states,
     explicit_transpose_dilation,
-    fidelity,
     generalized_visibility,
     identity_channel,
     ket,
@@ -64,7 +63,8 @@ def test_environment_states_via_replica_contraction():
     prep = random_preparation(2, rng)
     d, k = 2, ch.n_kraus
     phi = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
-    for side, rho in ((0, prep.rho0), (1, prep.rho1)):
+    for side in (0, 1):
+        rho = mixed_state(prep, side)
         vecs = []
         for a, b in ch.kraus_pairs:
             op = b if side else a
@@ -116,7 +116,7 @@ def test_visibility_replace_channel_is_fidelity():
         prep = random_preparation(d, rng)
         ch = replace_channel(random_density(d, rng))
         assert generalized_visibility(ch, prep) == pytest.approx(
-            fidelity(prep.rho0, prep.rho1), abs=1e-9
+            eigh_fidelity(mixed_state(prep, 0), mixed_state(prep, 1)), abs=1e-9
         )
 
 
@@ -141,7 +141,8 @@ def test_visibility_transpose_channel_closed_forms():
 
     ch3 = transpose_channel(3)
     prep3 = random_preparation(3, rng)
-    expected = root_eigenvalue_sum(prep3.rho0) * root_eigenvalue_sum(prep3.rho1) / 3
+    rho0, rho1 = mixed_state(prep3, 0), mixed_state(prep3, 1)
+    expected = root_eigenvalue_sum(rho0) * root_eigenvalue_sum(rho1) / 3
     assert generalized_visibility(ch3, prep3) == pytest.approx(expected, abs=1e-9)
 
 

@@ -416,6 +416,32 @@ def test_dataset_validation():
         )
 
 
+@pytest.mark.parametrize("field", COUNT_FIELDS)
+def test_dataset_refuses_non_integral_and_non_finite_counts(field):
+    ones = np.ones(5, dtype=np.int64)
+
+    def build(counts):
+        kwargs = dict.fromkeys(COUNT_FIELDS, ones)
+        kwargs[field] = counts
+        return FringeDataset(phases=tuple(np.arange(5.0)), shots_per_phase=10, seed=(0,),
+                             efficiencies=(1.0,) * 4, **kwargs)
+
+    with pytest.raises(DimensionError, match=f"{field} has a non-integral count"):
+        build([1.7] * 5)
+    with pytest.raises(DimensionError, match="non-integral"):
+        build(np.array([1, 1, 1, 1, 1 + 1e-9]))
+    with pytest.raises(DimensionError, match="non-integral"):
+        build(np.array([1, 1, 1, 1, 1 + 1j]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteError, match=f"NaN or infinite entry in {field}"):
+            build(np.array([1.0, bad, 1.0, 1.0, 1.0]))
+    # integral counts in any numeric type are stored as int64
+    for counts in ([2] * 5, np.full(5, 2.0), np.full(5, 2, dtype=np.uint8)):
+        stored = getattr(build(counts), field)
+        assert stored.dtype == np.int64
+        np.testing.assert_array_equal(stored, 2)
+
+
 # ---------------------------------------------------------------------------
 # Stream contract: the batched probability table against the per-(phase, row)
 # loop of tests/reference_kernels.py, bit for bit.

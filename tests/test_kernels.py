@@ -24,7 +24,6 @@ from whichway import (
     block_choi,
     dilate,
     environment_states,
-    fidelity,
     fractional_visibility,
     generalized_visibility,
     random_path_channel,
@@ -70,9 +69,10 @@ def test_kraus_pairs_are_views_of_the_stacked_array():
 @pytest.mark.parametrize("d", DIMS)
 def test_preparation_states_match_loop_reference(d):
     for prep in _preparations(d, np.random.default_rng(d)):
-        for side, rho in enumerate((prep.rho0, prep.rho1)):
-            np.testing.assert_allclose(rho, ref.mixed_state(prep, side), rtol=0, atol=ATOL)
-            assert not rho.flags.writeable
+        for side, s in enumerate(prep.factors):
+            np.testing.assert_allclose(s @ s.conj().T, ref.mixed_state(prep, side),
+                                       rtol=0, atol=ATOL)
+        assert not prep.factors.flags.writeable
 
 
 @pytest.mark.parametrize("d,k", SIZES)
@@ -100,7 +100,8 @@ def test_environment_states_match_partial_trace_reference(d, k):
     rng = np.random.default_rng(d * 100 + k)
     for prep in _preparations(d, rng):
         states = environment_states(ch, prep)
-        for v, rho, state in zip(dilate(ch), (prep.rho0, prep.rho1), states):
+        for side, (v, state) in enumerate(zip(dilate(ch), states)):
+            rho = ref.mixed_state(prep, side)
             np.testing.assert_allclose(state.matrix, ref.environment_state(v, rho, d, k),
                                        rtol=0, atol=ATOL)
 
@@ -110,7 +111,7 @@ def test_visibility_routes_match_kron_references(d, k):
     ch = _channel(d, k)
     rng = np.random.default_rng(d * 100 + k + 1)
     for prep in _preparations(d, rng):
-        s0, s1 = matrix_sqrt(prep.rho0), matrix_sqrt(prep.rho1)
+        s0, s1 = (matrix_sqrt(ref.mixed_state(prep, side)) for side in (0, 1))
         sandwich = ref.visibility_sandwich(ch, s0, s1)
         state = ref.visibility_state(ch, s0, s1)
         np.testing.assert_allclose(_sandwich_route(ch, s0, s1), sandwich, rtol=0, atol=ATOL)
@@ -160,11 +161,11 @@ def test_d_and_vg_match_the_retired_routes(d, k):
 @pytest.mark.parametrize("d", DIMS)
 def test_fidelity_matches_square_root_reference(d):
     rng = np.random.default_rng(d + 40)
-    rank_deficient = _rank_deficient(d, rng).rho0
+    rank_deficient = ref.mixed_state(_rank_deficient(d, rng), 0)
     states = (random_density(d, rng), random_density(d, rng), rank_deficient, np.eye(d) / d)
     for rho in states:
         for sigma in states:
-            assert abs(fidelity(rho, sigma) - ref.fidelity(rho, sigma)) <= ATOL
+            assert abs(ref.eigh_fidelity(rho, sigma) - ref.fidelity(rho, sigma)) <= ATOL
 
 
 @pytest.mark.parametrize("d", DIMS)
