@@ -72,6 +72,6 @@ uneven = ww.simulate_fringes(
 )
 evened = ww.binomial_resample(uneven, 0.75, seed=(SEED, 2))
 print()
-print(f"efficiency correction: raw totals {int(uneven.totals().sum())} -> "
-      f"resampled {int(evened.totals().sum())} at common efficiency 0.75")
+print(f"efficiency correction: raw totals {int(uneven.counts.sum())} -> "
+      f"resampled {int(evened.counts.sum())} at common efficiency 0.75")
 print(ww.fit_report(ww.fit_fringes(evened)))

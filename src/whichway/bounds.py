@@ -75,8 +75,8 @@ CONTRACTION_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class FilterPair:
-    """Spin filters applied in the upper (chi0) and lower (chi1) arm;
-    compared and hashed by identity."""
+    """Spin filters applied in the upper (chi0) and lower (chi1) arm, stored
+    as read-only copies of unit kets; compared and hashed by identity."""
 
     chi0: np.ndarray = field(repr=False)
     chi1: np.ndarray = field(repr=False)

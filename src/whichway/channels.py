@@ -74,9 +74,9 @@ class Preparation:
     read-only (2, d, n) stack of the d x n factors S_i = [sqrt(w_m) psi_i^m]_m,
     built once at construction: rho_i, the weighted mixture of
     |psi_i^m><psi_i^m|, is S_i S_i^dag, and :mod:`whichway.duality` forms
-    the environment factors from S_i. The weights must sum to one within
-    1e-10 and are stored divided by their sum, so each rho_i has unit trace
-    to round-off.
+    the environment factors from S_i; ``pairs`` holds read-only copies of
+    the kets. The weights must sum to one within 1e-10 and are stored
+    divided by their sum, so each rho_i has unit trace to round-off.
     """
 
     spin_dim: int

@@ -12,9 +12,11 @@ One simulation route serves :func:`simulate_fringes` (one cell) and
 probability tables of all cells, for all phases, in one pass before any draw,
 validating each preparation's kets and forming each filter's chi^dag U
 amplitudes once. The draws run cell by cell on Python ints and fill one
-(cells, 4, phases) counts array. One fit serves every cell of that array with
-one batched thin SVD; a phase without counts in a cell has its design rows
-zeroed, so it drops out of that cell's fit.
+(cells, 4, phases) counts array, detectors in the order plus, minus, ref0,
+ref1; a :class:`FringeDataset` holds one cell of it as a read-only copy. One
+fit serves every cell of that array with one batched thin SVD; a phase
+without counts in a cell has its design rows zeroed, so it drops out of that
+cell's fit.
 
 Random streams: phase j of a cell seeded ``seed`` draws from its own
 generator, the one ``np.random.default_rng(seed + (j,))`` gives: one
@@ -71,7 +73,7 @@ from .channels import (
     block_map,
     pure_pair,
 )
-from .errors import ConventionError, DimensionError, NumericalError
+from .errors import ConventionError, DimensionError, NonFiniteError, NumericalError
 from .linalg import ATOL_DERIVED, finite_array
 
 __all__ = [
@@ -306,56 +308,77 @@ def program_channel(report: ProgramReport) -> PathChannel:
 # Counting simulation
 
 
-def _check_phases(phases) -> None:
-    """Refuse phases that are not finite and strictly increasing."""
+_DETECTORS = ("plus", "minus", "ref0", "ref1")
+
+
+def _phase_tuple(phases) -> tuple[float, ...]:
+    """The phases as floats; refuses phases that are not finite and strictly
+    increasing."""
+    phases = tuple(float(p) for p in phases)
     finite_array(phases, "phases")
     if any(b <= a for a, b in zip(phases, phases[1:])):
         raise DimensionError("phases must be strictly increasing")
+    return phases
+
+
+def _counting_settings(shots_per_phase, efficiencies) -> tuple[float, float, float, float]:
+    """The efficiencies as floats; refuses efficiencies that are not four
+    values in (0, 1] and a shot count that is not a nonnegative integer."""
+    efficiencies = tuple(float(e) for e in efficiencies)
+    if len(efficiencies) != 4 or any(not 0.0 < e <= 1.0 for e in efficiencies):
+        raise DimensionError("efficiencies must be four values in (0, 1]")
+    if not isinstance(shots_per_phase, (int, np.integer)):
+        raise DimensionError(f"shots_per_phase {shots_per_phase!r} is not an integer")
+    if shots_per_phase < 0:
+        raise DimensionError("shots_per_phase must be nonnegative")
+    return efficiencies
+
+
+def _refuse_rows(bad: np.ndarray, error: type, message: str) -> None:
+    """Raise ``error`` naming the first detector with a True entry in ``bad``."""
+    rows = np.flatnonzero(bad.any(axis=1))
+    if rows.size:
+        raise error(message.format(_DETECTORS[rows[0]]))
 
 
 @dataclass(frozen=True, eq=False)
 class FringeDataset:
     """Phase-indexed detector counts.
 
-    counts_plus/minus are the interference detectors; counts_ref0/ref1 monitor
-    the non-filtered components of each arm for normalization. Phases must be
-    finite and strictly increasing. Counts are stored as int64; a NaN or
-    infinite count raises :class:`NonFiniteError` and a non-integral one
-    :class:`DimensionError`. Datasets compare and hash by identity.
+    ``counts`` is a read-only int64 copy of shape (4, phases): the
+    interference detectors plus and minus, then ref0 and ref1, which monitor
+    the non-filtered component of each arm. Phases are stored as floats and
+    must be finite and strictly increasing; the settings are checked as the
+    simulators check them. A NaN or infinite count raises
+    :class:`NonFiniteError`, a non-integral one or one outside
+    [0, shots_per_phase] :class:`DimensionError`, naming its detector.
+    Datasets compare and hash by identity.
     """
 
     phases: tuple[float, ...]
-    counts_plus: np.ndarray
-    counts_minus: np.ndarray
-    counts_ref0: np.ndarray
-    counts_ref1: np.ndarray
+    counts: np.ndarray
     shots_per_phase: int
     seed: tuple[int, ...]
     efficiencies: tuple[float, float, float, float]
 
     def __post_init__(self):
-        m = len(self.phases)
-        _check_phases(self.phases)
-        for name in ("counts_plus", "counts_minus", "counts_ref0", "counts_ref1"):
-            arr = np.asarray(getattr(self, name))
-            if arr.dtype.kind not in "iu":
-                values = finite_array(arr, name)
-                if (values != np.round(values.real)).any():
-                    raise DimensionError(f"{name} has a non-integral count")
-            arr = np.asarray(arr, dtype=np.int64)
-            object.__setattr__(self, name, arr)
-            if arr.shape != (m,):
-                raise DimensionError(f"{name} length does not match phases")
-            if arr.min(initial=0) < 0 or arr.max(initial=0) > self.shots_per_phase:
-                raise DimensionError(f"{name} outside [0, shots_per_phase]")
-
-    def totals(self) -> np.ndarray:
-        return self.counts_plus + self.counts_minus + self.counts_ref0 + self.counts_ref1
-
-
-def _counts(ds: FringeDataset) -> np.ndarray:
-    """A copy of the dataset's counts as one (4, phases) array."""
-    return np.array([ds.counts_plus, ds.counts_minus, ds.counts_ref0, ds.counts_ref1])
+        phases = _phase_tuple(self.phases)
+        efficiencies = _counting_settings(self.shots_per_phase, self.efficiencies)
+        counts = np.asarray(self.counts)
+        if counts.shape != (4, len(phases)):
+            raise DimensionError(f"counts shape {counts.shape} is not (4, {len(phases)} phases)")
+        if counts.dtype.kind not in "iu":
+            values = counts.astype(complex)
+            _refuse_rows(~np.isfinite(values), NonFiniteError, "NaN or infinite entry in {} counts")
+            _refuse_rows(values != np.round(values.real), DimensionError,
+                         "{} counts have a non-integral entry")
+        counts = np.array(counts, dtype=np.int64)
+        _refuse_rows((counts < 0) | (counts > self.shots_per_phase), DimensionError,
+                     "{} counts outside [0, shots_per_phase]")
+        counts.flags.writeable = False
+        object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "efficiencies", efficiencies)
 
 
 def _seed_tuple(seed) -> tuple[int, ...]:
@@ -447,22 +470,11 @@ def _probability_tables(ch, kets, filters, phases, contrast, shots_per_phase):
     return [allocation[r] for r in live], pvals
 
 
-def _counting_phases(phases, shots_per_phase, efficiencies, contrast) -> tuple[float, ...]:
-    """Validate the counting settings; the phases as floats (13 over
-    [0, 2 pi] by default)."""
+def _counting_phases(phases, contrast) -> tuple[float, ...]:
+    """Validate the contrast; the phases as floats (13 over [0, 2 pi] by default)."""
     if not 0.0 < contrast <= 1.0:
         raise DimensionError(f"contrast {contrast} outside (0, 1]")
-    if len(efficiencies) != 4 or any(not 0.0 < e <= 1.0 for e in efficiencies):
-        raise DimensionError("efficiencies must be four values in (0, 1]")
-    if not isinstance(shots_per_phase, (int, np.integer)):
-        raise DimensionError(f"shots_per_phase {shots_per_phase!r} is not an integer")
-    if shots_per_phase < 0:
-        raise DimensionError("shots_per_phase must be nonnegative")
-    if phases is None:
-        phases = np.linspace(0.0, 2.0 * np.pi, 13)
-    phases = tuple(float(p) for p in phases)
-    _check_phases(phases)
-    return phases
+    return _phase_tuple(np.linspace(0.0, 2.0 * np.pi, 13) if phases is None else phases)
 
 
 def _count_cells(ch, kets, filters, phases, shots_per_phase, efficiencies, contrast,
@@ -482,12 +494,6 @@ def _count_cells(ch, kets, filters, phases, shots_per_phase, efficiencies, contr
                           for n, e in zip((plus, minus, ref0, ref1), efficiencies)])
     counts = np.array(drawn, dtype=np.int64).reshape(len(tables), len(phases), 4)
     return counts.transpose(0, 2, 1)
-
-
-def _dataset(counts, phases, shots_per_phase, seed_seq, efficiencies) -> FringeDataset:
-    """The dataset of (4, phases) counts, detectors in field order."""
-    return FringeDataset(phases, *counts, shots_per_phase, seed_seq,
-                         tuple(float(e) for e in efficiencies))
 
 
 def simulate_fringes(
@@ -523,12 +529,13 @@ def simulate_fringes(
     """
     from ._streams import generators
 
-    phases = _counting_phases(phases, shots_per_phase, efficiencies, contrast)
+    efficiencies = _counting_settings(shots_per_phase, efficiencies)
+    phases = _counting_phases(phases, contrast)
     seed_seq = _seed_tuple(seed)
     rngs = generators(seed_seq, np.arange(len(phases))[:, None])
     (counts,) = _count_cells(ch, [pure_pair(prep, ch.spin_dim)], [filt], phases,
                              shots_per_phase, efficiencies, contrast, [rngs])
-    return _dataset(counts, phases, shots_per_phase, seed_seq, efficiencies)
+    return FringeDataset(phases, counts, shots_per_phase, seed_seq, efficiencies)
 
 
 def _thin(counts: np.ndarray, efficiencies, reference_efficiency: float, rng) -> None:
@@ -550,9 +557,10 @@ def binomial_resample(ds: FringeDataset, reference_efficiency: float, seed=0) ->
             f"reference efficiency {reference_efficiency} must be in (0, min(efficiencies)]"
         )
     (rng,) = generators(_seed_tuple(seed), np.empty((1, 0)))
-    counts = _counts(ds)
+    counts = ds.counts.copy()
     _thin(counts, ds.efficiencies, reference_efficiency, rng)
-    return _dataset(counts, ds.phases, ds.shots_per_phase, ds.seed, (reference_efficiency,) * 4)
+    return FringeDataset(ds.phases, counts, ds.shots_per_phase, ds.seed,
+                         (reference_efficiency,) * 4)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +605,7 @@ def fit_fringes(ds: FringeDataset) -> FitResult:
     counts take no part. The model is linear in (p, Re V, Im V);
     uncertainties come from the fit covariance.
     """
-    return _fit_counts(np.asarray(ds.phases, dtype=float), _counts(ds)[None])[0]
+    return _fit_counts(np.array(ds.phases), ds.counts[None])[0]
 
 
 def _fit_counts(phases: np.ndarray, counts: np.ndarray) -> list[FitResult]:
@@ -666,14 +674,14 @@ def _simulate_cells(ch, preparations, filters, phases, shots_per_phase, efficien
     efficiencies differ, the counts are thinned in place to the lowest."""
     from ._streams import generators
 
-    phases = _counting_phases(phases, shots_per_phase, efficiencies, contrast)
+    efficiencies = _counting_settings(shots_per_phase, efficiencies)
+    phases = _counting_phases(phases, contrast)
     if shots_per_phase < 1:
         raise DimensionError(f"shots_per_phase {shots_per_phase} below 1: no counts to fit")
     for name, grid in (("preparations", preparations), ("filters", filters)):
         if not grid:
             raise DimensionError(f"{name} is empty: no cells to simulate")
     seed_seq = _seed_tuple(seed)
-    efficiencies = tuple(float(e) for e in efficiencies)
     resample = len(set(efficiencies)) > 1
     mus, nus = sorted(preparations), sorted(filters)
     grid = list(itertools.product(range(len(mus)), range(len(nus))))
@@ -739,22 +747,12 @@ def write_dataset_csv(ds: FringeDataset, path_or_buffer) -> None:
     with _csv_text(path_or_buffer, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(_DS_FIELDS)
-        for j, phi in enumerate(ds.phases):
-            writer.writerow([
-                repr(float(phi)), int(ds.counts_plus[j]), int(ds.counts_minus[j]),
-                int(ds.counts_ref0[j]), int(ds.counts_ref1[j]),
-            ])
+        writer.writerows([repr(phi), *n] for phi, n in zip(ds.phases, ds.counts.T.tolist()))
 
 
 def read_dataset_csv(path_or_buffer, shots_per_phase: int, seed=0,
                      efficiencies=(1.0, 1.0, 1.0, 1.0)) -> FringeDataset:
     rows = _csv_rows(path_or_buffer, _DS_FIELDS, (float, int, int, int, int))
-    return FringeDataset(
-        phases=tuple(r[0] for r in rows),
-        counts_plus=np.array([r[1] for r in rows], dtype=np.int64),
-        counts_minus=np.array([r[2] for r in rows], dtype=np.int64),
-        counts_ref0=np.array([r[3] for r in rows], dtype=np.int64),
-        counts_ref1=np.array([r[4] for r in rows], dtype=np.int64),
-        shots_per_phase=shots_per_phase, seed=_seed_tuple(seed),
-        efficiencies=tuple(float(e) for e in efficiencies),
-    )
+    counts = np.array([r[1:] for r in rows], dtype=np.int64).reshape(-1, 4).T
+    return FringeDataset(tuple(r[0] for r in rows), counts, shots_per_phase,
+                         _seed_tuple(seed), efficiencies)

@@ -538,26 +538,16 @@ def simulate_fringes(ch, prep, filt, phases=None, shots_per_phase=10_000,
             counts[i, j] = (
                 rng.binomial(int(raw[i]), efficiencies[i]) if efficiencies[i] < 1.0 else int(raw[i])
             )
-    return FringeDataset(
-        phases=phases,
-        counts_plus=counts[0], counts_minus=counts[1],
-        counts_ref0=counts[2], counts_ref1=counts[3],
-        shots_per_phase=shots_per_phase, seed=seed_seq,
-        efficiencies=tuple(float(e) for e in efficiencies),
-    )
+    return FringeDataset(phases, counts, shots_per_phase, seed_seq, efficiencies)
 
 
 def binomial_resample(ds, reference_efficiency, seed):
     """Counts thinned to the reference efficiency from
     ``np.random.default_rng(seed)``, one detector at a time."""
     rng = np.random.default_rng(_seed_tuple(seed))
-    counts = {}
-    for name, e in zip(("counts_plus", "counts_minus", "counts_ref0", "counts_ref1"),
-                       ds.efficiencies):
-        ratio = reference_efficiency / e
-        n = getattr(ds, name)
-        counts[name] = rng.binomial(n, ratio).astype(np.int64) if ratio < 1.0 else n.copy()
-    return replace(ds, efficiencies=(reference_efficiency,) * 4, **counts)
+    ratios = [reference_efficiency / e for e in ds.efficiencies]
+    counts = [rng.binomial(n, r) if r < 1.0 else n for n, r in zip(ds.counts, ratios)]
+    return replace(ds, counts=np.array(counts), efficiencies=(reference_efficiency,) * 4)
 
 
 def simulate_cells(ch, seed, shots_per_phase=10_000, efficiencies=(1.0, 1.0, 1.0, 1.0),
@@ -597,8 +587,7 @@ def fit_fringes(ds):
     variance over 2 * (populated phases) - 3 degrees of freedom; sigma_v is
     the delta-method spread of |V| along V / |V|, or the mean of the two
     V variances when |V| <= 1e-12."""
-    counts = np.array([ds.counts_plus, ds.counts_minus, ds.counts_ref0, ds.counts_ref1],
-                      dtype=float)
+    counts = ds.counts.astype(float)
     total = counts.sum(axis=0)
     rows, y = [], []
     for sign, n in ((1.0, counts[0]), (-1.0, counts[1])):

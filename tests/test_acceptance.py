@@ -234,14 +234,10 @@ def test_criterion_10_fit_coverage():
     for _ in range(100):
         mean_plus = n * 0.5 * (p_true + v_true * np.cos(phases + delta))
         mean_minus = n * 0.5 * (p_true - v_true * np.cos(phases + delta))
-        ds = FringeDataset(
-            phases=tuple(phases),
-            counts_plus=rng.poisson(mean_plus),
-            counts_minus=rng.poisson(mean_minus),
-            counts_ref0=rng.poisson(np.full(len(phases), n * 0.25)),
-            counts_ref1=rng.poisson(np.full(len(phases), n * 0.25)),
-            shots_per_phase=n, seed=(0,), efficiencies=(1.0,) * 4,
-        )
+        counts = [rng.poisson(mean_plus), rng.poisson(mean_minus),
+                  rng.poisson(np.full(len(phases), n * 0.25)),
+                  rng.poisson(np.full(len(phases), n * 0.25))]
+        ds = FringeDataset(tuple(phases), np.array(counts), n, (0,), (1.0,) * 4)
         fit = fit_fringes(ds)
         if (abs(fit.p_hat - p_true) <= 3 * fit.sigma_p
                 and abs(abs(fit.visibility) - v_true) <= 3 * fit.sigma_v):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -323,11 +325,22 @@ def test_validated_states_are_read_only_copies():
     mixed = SpinState(2, np.eye(2) / 2)
     path = PathSpinState.from_preparation(Preparation.pure(ket(0, 2), ket(1, 2)))
     blocks = path.blocks.copy()
-    for arr in (spin.matrix, mixed.matrix, path.blocks, PathSpinState(2, blocks).blocks):
+    chi, psi, counts = ket(0, 2), ket(0, 2), np.ones((4, 3), dtype=np.int64)
+    filt = FilterPair(chi, ket(1, 2))
+    prep = Preparation.pure(psi, ket(1, 2))
+    ds = FringeDataset((0.0, 1.0, 2.0), counts, 10, (0,), (1.0,) * 4)
+    for arr in (spin.matrix, mixed.matrix, path.blocks, PathSpinState(2, blocks).blocks,
+                filt.chi0, filt.chi1, *prep.pairs[0], ds.counts):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
-            arr[(0,) * arr.ndim] = 5.0
-    assert source.flags.writeable and blocks.flags.writeable  # the caller's arrays stay free
+            arr[(0,) * arr.ndim] = 5
+    # the caller's arrays stay free, and editing them leaves the checked copies alone
+    assert all(a.flags.writeable for a in (source, blocks, chi, psi, counts))
+    chi[0], psi[0], counts[0] = 5, 3, 99
+    np.testing.assert_array_equal(filt.chi0, [1, 0])
+    np.testing.assert_array_equal(pure_pair(prep, 2)[0], [1, 0])
+    np.testing.assert_array_equal(prep.factors[0], [[1], [0]])
+    assert ds.counts.max() == 1
     assert np.trace(mixed.matrix).real == 1.0
 
 
@@ -428,9 +441,9 @@ def test_max_entangled_matches_choi_vector():
     assert v[0] == pytest.approx(1 / np.sqrt(2))
 
 
-def _dataset():
-    zeros = np.zeros(3, dtype=np.int64)
-    return FringeDataset((0.0, 1.0, 2.0), zeros, zeros, zeros, zeros, 10, (0,), (1.0,) * 4)
+def _dataset(counts=None):
+    counts = np.zeros((4, 3), dtype=np.int64) if counts is None else counts
+    return FringeDataset((0.0, 1.0, 2.0), counts, 10, (0,), (1.0,) * 4)
 
 
 @pytest.mark.parametrize("build", [
@@ -449,3 +462,29 @@ def test_array_holding_objects_compare_and_hash_by_identity(build):
     assert a == a
     assert not a == b and a != b
     assert len({a, b, a}) == 2
+
+
+@pytest.mark.parametrize("build, inputs", [
+    (lambda a, b: PathChannel(2, ((a, b),)),
+     (np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex))),
+    (Preparation.pure, (ket(0, 2), ket(1, 2))),
+    (lambda a, b: Preparation.ensemble([0.5, 0.5], [(a, b), (b, a)]), (ket(0, 2), ket(1, 2))),
+    (FilterPair, (ket(0, 2), ket(1, 2))),
+    (lambda m: SpinState(2, m), (np.eye(2, dtype=complex) / 2,)),
+    (_dataset, (np.ones((4, 3), dtype=np.int64),)),
+], ids=["PathChannel", "Preparation.pure", "Preparation.ensemble", "FilterPair", "SpinState",
+        "FringeDataset"])
+def test_validated_arrays_are_stored_as_read_only_copies(build, inputs):
+    obj = build(*inputs)
+    stored, fields = [], [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    while fields:
+        value = fields.pop()
+        if isinstance(value, np.ndarray):
+            stored.append(value)
+        elif isinstance(value, tuple):
+            fields.extend(value)
+    assert stored
+    for arr in stored:
+        assert not arr.flags.writeable
+        assert not any(np.shares_memory(arr, x) for x in inputs)
+    assert all(x.flags.writeable for x in inputs)

@@ -57,7 +57,7 @@ from whichway.interferometer import (
 H, V = ket(0, 2), ket(1, 2)
 PREPS = rectilinear_preparations()
 FILTERS = rectilinear_filters()
-COUNT_FIELDS = ("counts_plus", "counts_minus", "counts_ref0", "counts_ref1")
+DETECTORS = ("plus", "minus", "ref0", "ref1")
 
 
 def _proportional(a, b, atol=1e-12):
@@ -136,20 +136,16 @@ def test_simulate_zero_shots_gives_zero_counts():
     ds = simulate_fringes(
         pauli_mixture_channel(), PREPS["hh"], FILTERS["hh"], shots_per_phase=0, seed=1
     )
-    assert ds.totals().sum() == 0
+    assert ds.counts.sum() == 0
 
 
 def test_simulate_deterministic_under_seed():
     ch = pauli_mixture_channel()
     a = simulate_fringes(ch, PREPS["hh"], FILTERS["hh"], shots_per_phase=5000, seed=42)
     b = simulate_fringes(ch, PREPS["hh"], FILTERS["hh"], shots_per_phase=5000, seed=42)
-    for name in ("counts_plus", "counts_minus", "counts_ref0", "counts_ref1"):
-        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    np.testing.assert_array_equal(a.counts, b.counts)
     c = simulate_fringes(ch, PREPS["hh"], FILTERS["hh"], shots_per_phase=5000, seed=43)
-    assert any(
-        not np.array_equal(getattr(a, n), getattr(c, n))
-        for n in ("counts_plus", "counts_minus")
-    )
+    assert not np.array_equal(a.counts[:2], c.counts[:2])
 
 
 def test_simulated_counts_match_expected_probabilities():
@@ -158,7 +154,7 @@ def test_simulated_counts_match_expected_probabilities():
     ds = simulate_fringes(ch, PREPS["hh"], FILTERS["hh"], shots_per_phase=shots, seed=7)
     for j, phi in enumerate(ds.phases):
         p_plus, p_minus = ref.detection_probabilities(0.5, 0.5, phi)
-        for count, prob in ((ds.counts_plus[j], p_plus), (ds.counts_minus[j], p_minus)):
+        for count, prob in ((ds.counts[0, j], p_plus), (ds.counts[1, j], p_minus)):
             sigma = np.sqrt(shots * max(prob * (1 - prob), 1e-12))
             assert abs(count - shots * prob) < 5 * sigma + 5
 
@@ -193,8 +189,7 @@ def test_binomial_resample_ratio_one_is_identity():
     ch = pauli_mixture_channel()
     ds = simulate_fringes(ch, PREPS["hh"], FILTERS["hh"], shots_per_phase=2000, seed=9)
     out = binomial_resample(ds, 1.0, seed=5)
-    for name in ("counts_plus", "counts_minus", "counts_ref0", "counts_ref1"):
-        np.testing.assert_array_equal(getattr(out, name), getattr(ds, name))
+    np.testing.assert_array_equal(out.counts, ds.counts)
 
 
 def test_binomial_resample_scales_expected_counts():
@@ -203,16 +198,14 @@ def test_binomial_resample_scales_expected_counts():
         ch, PREPS["hh"], FILTERS["hh"], shots_per_phase=20_000,
         efficiencies=(0.9, 0.6, 0.9, 0.6), seed=11,
     )
-    base = ds.counts_plus.sum()
+    base = ds.counts[0].sum()
     means = []
     for s in range(100):
         out = binomial_resample(ds, 0.6, seed=s)
-        means.append(out.counts_plus.sum())
+        means.append(out.counts[0].sum())
     ratio = np.mean(means) / base
     assert ratio == pytest.approx(0.6 / 0.9, abs=0.01)
-    np.testing.assert_array_equal(
-        binomial_resample(ds, 0.6, seed=0).counts_minus, ds.counts_minus
-    )
+    np.testing.assert_array_equal(binomial_resample(ds, 0.6, seed=0).counts[1], ds.counts[1])
 
 
 def test_binomial_resample_zero_counts_and_validation():
@@ -221,7 +214,7 @@ def test_binomial_resample_zero_counts_and_validation():
         shots_per_phase=0, efficiencies=(0.9, 0.9, 0.9, 0.9), seed=1,
     )
     out = binomial_resample(ds, 0.5, seed=2)
-    assert out.totals().sum() == 0
+    assert out.counts.sum() == 0
     with pytest.raises(DimensionError):
         binomial_resample(ds, 0.95, seed=2)
 
@@ -234,11 +227,8 @@ def test_fit_recovers_exact_noiseless_model():
     plus = np.round(n * 0.5 * (p + v * np.cos(phases + delta))).astype(int)
     minus = np.round(n * 0.5 * (p - v * np.cos(phases + delta))).astype(int)
     ref = np.full(len(phases), n // 4, dtype=int)
-    ds = FringeDataset(
-        phases=tuple(phases), counts_plus=plus, counts_minus=minus,
-        counts_ref0=ref, counts_ref1=ref, shots_per_phase=n, seed=(0,),
-        efficiencies=(1.0,) * 4,
-    )
+    ds = FringeDataset(phases=tuple(phases), counts=np.array([plus, minus, ref, ref]),
+                       shots_per_phase=n, seed=(0,), efficiencies=(1.0,) * 4)
     fit = fit_fringes(ds)
     assert fit.p_hat == pytest.approx(p, abs=1e-9)
     assert abs(fit.visibility) == pytest.approx(v, abs=1e-9)
@@ -253,23 +243,16 @@ def test_fit_zero_visibility_without_spurious_significance():
     minus = rng.poisson(n * 0.25, size=len(phases))
     ref = rng.poisson(n * 0.25, size=len(phases))
     ref2 = rng.poisson(n * 0.25, size=len(phases))
-    ds = FringeDataset(
-        phases=tuple(phases), counts_plus=plus, counts_minus=minus,
-        counts_ref0=ref, counts_ref1=ref2, shots_per_phase=n, seed=(0,),
-        efficiencies=(1.0,) * 4,
-    )
+    ds = FringeDataset(phases=tuple(phases), counts=np.array([plus, minus, ref, ref2]),
+                       shots_per_phase=n, seed=(0,), efficiencies=(1.0,) * 4)
     fit = fit_fringes(ds)
     assert abs(fit.visibility) < 4 * fit.sigma_v + 1e-6
 
 
 def test_fit_requires_phase_coverage():
     n = 100
-    ds = FringeDataset(
-        phases=(0.0, 0.1, 0.2), counts_plus=np.array([10, 10, 10]),
-        counts_minus=np.array([10, 10, 10]), counts_ref0=np.array([10, 10, 10]),
-        counts_ref1=np.array([10, 10, 10]), shots_per_phase=n, seed=(0,),
-        efficiencies=(1.0,) * 4,
-    )
+    ds = FringeDataset(phases=(0.0, 0.1, 0.2), counts=np.full((4, 3), 10), shots_per_phase=n,
+                       seed=(0,), efficiencies=(1.0,) * 4)
     from whichway import NumericalError
 
     with pytest.raises(NumericalError):
@@ -282,12 +265,8 @@ def test_fit_refuses_a_design_conditioned_beyond_1e12(gap, degenerate):
     # normal equations is about 1.5e14 for gap 1e-7 and 1.5e8 for gap 1e-4
     from whichway import NumericalError
 
-    counts = np.array([10, 10, 10, 10])
-    ds = FringeDataset(
-        phases=(0.0, gap, 2 * gap, np.pi), counts_plus=counts, counts_minus=counts,
-        counts_ref0=counts, counts_ref1=counts, shots_per_phase=40, seed=(0,),
-        efficiencies=(1.0,) * 4,
-    )
+    ds = FringeDataset(phases=(0.0, gap, 2 * gap, np.pi), counts=np.full((4, 4), 10),
+                       shots_per_phase=40, seed=(0,), efficiencies=(1.0,) * 4)
     if degenerate:
         with pytest.raises(NumericalError, match="degenerate design"):
             fit_fringes(ds)
@@ -349,7 +328,7 @@ def test_counting_refuses_a_shot_count_that_is_not_an_integer(simulate, shots):
 def test_counting_accepts_a_numpy_integer_shot_count():
     ch = pauli_mixture_channel()
     ds = simulate_fringes(ch, PREPS["hh"], FILTERS["hh"], shots_per_phase=np.int64(50), seed=2)
-    assert ds.totals().max() == 50
+    assert ds.counts.sum(axis=0).max() == 50
     assert len(run_experiment(ch, shots_per_phase=np.int32(50), seed=2)) == 16
 
 
@@ -392,54 +371,79 @@ def test_dataset_csv_round_trip(tmp_path):
     write_dataset_csv(ds, path)
     back = read_dataset_csv(path, shots_per_phase=ds.shots_per_phase, seed=ds.seed)
     assert back.phases == ds.phases
-    np.testing.assert_array_equal(back.counts_plus, ds.counts_plus)
-    np.testing.assert_array_equal(back.counts_ref1, ds.counts_ref1)
+    np.testing.assert_array_equal(back.counts, ds.counts)
     buf = io.StringIO()
     write_dataset_csv(ds, buf)
     assert buf.getvalue().splitlines()[0] == "phase,n_plus,n_minus,n_ref0,n_ref1"
 
 
+def _dataset(counts, phases=(0.0, 1.0), shots_per_phase=10, efficiencies=(1.0,) * 4):
+    return FringeDataset(phases, counts, shots_per_phase, (0,), efficiencies)
+
+
 def test_dataset_validation():
-    with pytest.raises(DimensionError):
-        FringeDataset(
-            phases=(0.0, 0.0), counts_plus=np.array([1, 1]),
-            counts_minus=np.array([1, 1]), counts_ref0=np.array([1, 1]),
-            counts_ref1=np.array([1, 1]), shots_per_phase=10, seed=(0,),
-            efficiencies=(1.0,) * 4,
-        )
-    with pytest.raises(DimensionError):
-        FringeDataset(
-            phases=(0.0, 1.0), counts_plus=np.array([11, 1]),
-            counts_minus=np.array([1, 1]), counts_ref0=np.array([1, 1]),
-            counts_ref1=np.array([1, 1]), shots_per_phase=10, seed=(0,),
-            efficiencies=(1.0,) * 4,
-        )
+    with pytest.raises(DimensionError, match="strictly increasing"):
+        _dataset(np.ones((4, 2)), phases=(0.0, 0.0))
+    with pytest.raises(DimensionError, match="plus counts outside"):
+        _dataset(np.array([[11, 1], [1, 1], [1, 1], [1, 1]]))
+    with pytest.raises(DimensionError, match="ref1 counts outside"):
+        _dataset(np.array([[1, 1], [1, 1], [1, 1], [1, -1]]))
+    for shape in ((2,), (4, 3), (2, 4)):
+        with pytest.raises(DimensionError, match=r"counts shape .* is not \(4, 2 phases\)"):
+            _dataset(np.ones(shape, dtype=np.int64))
 
 
-@pytest.mark.parametrize("field", COUNT_FIELDS)
-def test_dataset_refuses_non_integral_and_non_finite_counts(field):
-    ones = np.ones(5, dtype=np.int64)
+@pytest.mark.parametrize("settings, message", [
+    (dict(efficiencies=(2.0, 1, 1, 1)), "efficiencies"),
+    (dict(efficiencies=(np.nan, 1, 1, 1)), "efficiencies"),
+    (dict(efficiencies=(1.0, 1.0, 1.0)), "efficiencies"),
+    (dict(efficiencies=(1.0, 1.0, 0.0, 1.0)), "efficiencies"),
+    (dict(shots_per_phase=10.5), "shots_per_phase"),
+    (dict(shots_per_phase=-1), "shots_per_phase"),
+], ids=["efficiency-2", "efficiency-nan", "three-efficiencies", "efficiency-0", "shots-10.5",
+        "shots-negative"])
+def test_dataset_refuses_the_settings_the_simulators_refuse(settings, message):
+    counts = np.zeros((4, 2), dtype=np.int64)
+    with pytest.raises(DimensionError, match=message):
+        _dataset(counts, **settings)
+    text = "phase,n_plus,n_minus,n_ref0,n_ref1\n0.0,0,0,0,0\n1.0,0,0,0,0\n"
+    with pytest.raises(DimensionError, match=message):
+        read_dataset_csv(io.StringIO(text), **{"shots_per_phase": 10, **settings})
+    with pytest.raises(DimensionError, match=message):
+        simulate_fringes(pauli_mixture_channel(), PREPS["hh"], FILTERS["hh"], **settings)
 
-    def build(counts):
-        kwargs = dict.fromkeys(COUNT_FIELDS, ones)
-        kwargs[field] = counts
-        return FringeDataset(phases=tuple(np.arange(5.0)), shots_per_phase=10, seed=(0,),
-                             efficiencies=(1.0,) * 4, **kwargs)
 
-    with pytest.raises(DimensionError, match=f"{field} has a non-integral count"):
+def test_dataset_stores_phases_and_efficiencies_as_float_tuples():
+    a = _dataset(np.ones((4, 3)), phases=np.arange(3), efficiencies=np.array([1, 1, 1, 1]))
+    b = _dataset(np.ones((4, 3)), phases=[0, 1.0, 2])
+    assert a.phases == b.phases == (0.0, 1.0, 2.0)
+    assert all(type(x) is float for x in a.phases + a.efficiencies)
+    assert a.efficiencies == (1.0,) * 4 and (a.phases == b.phases) is True
+
+
+@pytest.mark.parametrize("row", range(4), ids=DETECTORS)
+def test_dataset_refuses_non_integral_and_non_finite_counts(row):
+    name = DETECTORS[row]
+
+    def build(values):
+        counts = np.ones((4, 5), dtype=np.asarray(values).dtype)
+        counts[row] = values
+        return _dataset(counts, phases=tuple(np.arange(5.0)))
+
+    with pytest.raises(DimensionError, match=f"^{name} counts have a non-integral entry"):
         build([1.7] * 5)
-    with pytest.raises(DimensionError, match="non-integral"):
+    with pytest.raises(DimensionError, match=f"^{name} counts have a non-integral entry"):
         build(np.array([1, 1, 1, 1, 1 + 1e-9]))
-    with pytest.raises(DimensionError, match="non-integral"):
+    with pytest.raises(DimensionError, match=f"^{name} counts have a non-integral entry"):
         build(np.array([1, 1, 1, 1, 1 + 1j]))
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(NonFiniteError, match=f"NaN or infinite entry in {field}"):
+        with pytest.raises(NonFiniteError, match=f"NaN or infinite entry in {name} counts"):
             build(np.array([1.0, bad, 1.0, 1.0, 1.0]))
     # integral counts in any numeric type are stored as int64
-    for counts in ([2] * 5, np.full(5, 2.0), np.full(5, 2, dtype=np.uint8)):
-        stored = getattr(build(counts), field)
+    for values in ([2] * 5, np.full(5, 2.0), np.full(5, 2, dtype=np.uint8)):
+        stored = build(values).counts
         assert stored.dtype == np.int64
-        np.testing.assert_array_equal(stored, 2)
+        np.testing.assert_array_equal(stored[row], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +481,7 @@ def test_simulated_counts_match_loop_reference(kind, shots):
                               contrast=contrast, seed=(31, c))
                 got = simulate_fringes(ch, prep, filt, **kwargs)
                 want = ref.simulate_fringes(ch, prep, filt, **kwargs)
-                for name in COUNT_FIELDS:
-                    assert np.array_equal(getattr(got, name), getattr(want, name)), (
-                        name, efficiencies, contrast, c)
+                assert np.array_equal(got.counts, want.counts), (efficiencies, contrast, c)
 
 
 @pytest.mark.parametrize("shots", [3, 10_000])
@@ -519,8 +521,7 @@ def test_batched_counts_match_loop_reference(kind):
             want = ref.simulate_fringes(ch, kets[seed[1]], filters[seed[2]], phases=phases,
                                         shots_per_phase=shots, efficiencies=efficiencies,
                                         contrast=0.96, seed=seed)
-            for row, name in zip(n, COUNT_FIELDS):
-                assert np.array_equal(row, getattr(want, name)), (seed, name)
+            assert np.array_equal(n, want.counts), seed
 
 
 def _unitary_mixture(d, weights, rng):
@@ -571,8 +572,7 @@ def _assert_experiment_matches_oracle(ch, seed, **kwargs):
     assert counts.shape == (16, 4, 13) and len(want_cells) == 16
     for cell, (mu, nu, want) in zip(counts, want_cells):
         assert phases == want.phases
-        for row, name in zip(cell, COUNT_FIELDS):
-            assert np.array_equal(row, getattr(want, name)), (mu, nu, name)
+        assert np.array_equal(cell, want.counts), (mu, nu)
     _assert_records_close(run_experiment(ch, seed=seed, **kwargs),
                           ref.run_experiment(ch, seed, **kwargs), 1e-15)
 
@@ -620,14 +620,12 @@ def test_counts_match_default_rng_oracle(label, seed, efficiencies):
     for mu, nu in (("hh", "hh"), ("vh", "hv")):
         got = simulate_fringes(ch, PREPS[mu], FILTERS[nu], seed=seed, **kwargs)
         want = ref.simulate_fringes(ch, PREPS[mu], FILTERS[nu], seed=seed, **kwargs)
-        for name in COUNT_FIELDS:
-            assert np.array_equal(getattr(got, name), getattr(want, name)), (mu, nu, name)
+        assert np.array_equal(got.counts, want.counts), (mu, nu)
     ds = simulate_fringes(ch, PREPS["hh"], FILTERS["hh"], seed=seed, **kwargs)
     reference = min(efficiencies) / 2
     got = binomial_resample(ds, reference, seed=seed)
     want = ref.binomial_resample(ds, reference, seed)
-    for name in COUNT_FIELDS:
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(got.counts, want.counts)
     _assert_experiment_matches_oracle(ch, seed, **kwargs)
 
 
@@ -684,7 +682,7 @@ def test_fits_with_zero_total_phases_match_lstsq_oracle(label):
     # without counts, a different set in each cell
     cells = _assert_fits_match_lstsq_oracle(ORACLE_CHANNELS[label], 4, shots_per_phase=3,
                                             efficiencies=(0.3, 0.4, 0.35, 0.3), contrast=0.96)
-    empty = [tuple(ds.totals() == 0) for _, _, ds in cells]
+    empty = [tuple(ds.counts.sum(axis=0) == 0) for _, _, ds in cells]
     assert sum(map(any, empty)) == 16 and len(set(empty)) > 8
 
 
@@ -707,28 +705,19 @@ def test_seed_words_match_numpy_seed_sequence(prefix, tail):
         assert rng.bit_generator.state == np.random.default_rng(entropy).bit_generator.state
 
 
-def _counts_dataset(phases, plus, minus, ref0, ref1):
-    return FringeDataset(
-        phases=phases, counts_plus=plus, counts_minus=minus, counts_ref0=ref0,
-        counts_ref1=ref1, shots_per_phase=int(np.max(plus + minus + ref0 + ref1)),
-        seed=(0,), efficiencies=(1.0,) * 4,
-    )
-
-
 def test_fit_counts_fits_a_zero_total_phase_cell_in_the_same_svd(monkeypatch):
     ch = pauli_mixture_channel()
     cells = [simulate_fringes(ch, PREPS[mu], FILTERS[nu], shots_per_phase=500,
                               contrast=0.9, seed=(5, c))
              for c, (mu, nu) in enumerate((("hh", "hh"), ("hv", "vh"), ("vh", "hh")))]
-    counts = [getattr(cells[1], name).copy() for name in COUNT_FIELDS]
-    for arr in counts:
-        arr[4] = 0
-    cells[1] = _counts_dataset(np.array(cells[1].phases), *counts)  # phases as an array
-    assert cells[1].totals()[4] == 0 and (cells[0].totals() > 0).all()
+    counts = cells[1].counts.copy()
+    counts[:, 4] = 0
+    cells[1] = _dataset(counts, phases=np.array(cells[1].phases), shots_per_phase=500)
+    assert cells[1].counts.sum(axis=0)[4] == 0 and (cells[0].counts.sum(axis=0) > 0).all()
 
     svd, factorizations = np.linalg.svd, []
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: factorizations.append(1) or svd(*a, **k))
-    stacked = np.array([[getattr(ds, name) for name in COUNT_FIELDS] for ds in cells])
+    stacked = np.array([ds.counts for ds in cells])
     fits = _fit_counts(np.array(cells[0].phases), stacked)
     assert len(factorizations) == 1
     monkeypatch.setattr(np.linalg, "svd", svd)
