@@ -64,8 +64,9 @@ print("contrast/2; the measured records in demo 03 show residual hardware")
 print("coherence there and certify 0.58 instead.")
 
 # 4. Detector-efficiency correction: unequal efficiencies are equalized by
-#    binomial resampling before fitting (run_experiment does this
-#    automatically when efficiencies differ).
+#    binomial resampling before fitting. run_experiment does the same when
+#    efficiencies differ: it draws every detector at the lowest efficiency,
+#    which is resampling in one step.
 uneven = ww.simulate_fringes(
     mixture, preps["hh"], filters["hh"], shots_per_phase=10_000,
     efficiencies=(0.95, 0.75, 0.9, 0.85), contrast=0.96, seed=(SEED, 1),

@@ -365,6 +365,16 @@ def rectilinear_filters() -> dict[str, FilterPair]:
     return dict(_rectilinear_sets()[1])
 
 
+@functools.cache
+def _mixed_support() -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_root_support` of the completely mixed qubit state 1/2, computed
+    once and read-only."""
+    support = _root_support(np.eye(2, dtype=complex) / 2)
+    for m in support:
+        m.flags.writeable = False
+    return support
+
+
 def _optimal_phase(value: complex) -> complex:
     mag = abs(value)
     return value.conjugate() / mag if mag > 0 else 1.0 + 0.0j
@@ -377,6 +387,9 @@ def swap_certificate(records) -> BoundCertificate:
     reconstructs a unitary U for any phases; choosing theta = -arg V aligns
     every term, so the bound is
     (|V^{hh,hh}| + |V^{hv,vh}| + |V^{vh,hv}| + |V^{vv,vv}|) / 2, clamped to 1.
+    It is :func:`verify_alpha_constraint` with both arms completely mixed,
+    run on the rectilinear sets and the support of 1/2, which are checked
+    and built once.
     """
     recs = _record_map(records)
     alphas = {}
@@ -384,10 +397,9 @@ def swap_certificate(records) -> BoundCertificate:
         if key not in recs:
             raise DimensionError(f"missing record for {key}")
         alphas[key] = 0.5 * _optimal_phase(recs[key].visibility)
-    eye2 = np.eye(2, dtype=complex) / 2
-    cert = verify_alpha_constraint(
-        alphas, rectilinear_preparations(), rectilinear_filters(), eye2, eye2
-    )
+    preps, filters = _rectilinear_sets()
+    support = _mixed_support()
+    cert = _certify(alphas, dict(preps), dict(filters), 2, support, support)
     return bound_from_visibilities(cert, recs)
 
 

@@ -322,10 +322,13 @@ def random_path_channel(d: int, n_kraus: int, seed: int) -> PathChannel:
     Each side draws n_kraus complex Ginibre matrices G_k, stacks them into
     one (n_kraus * d, d) matrix G = U S V^dag (thin SVD) and keeps the
     isometry polar factor U V^dag = G (G^dag G)^(-1/2), which is trace
-    preserving to round-off however ill-conditioned the draw.
+    preserving to round-off however ill-conditioned the draw. A seed that
+    is not a nonnegative integer raises :class:`DimensionError`.
     """
     if n_kraus < 1:
         raise DimensionError("n_kraus must be >= 1")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DimensionError(f"seed {seed!r} is not a nonnegative integer")
     rng = np.random.default_rng(seed)
 
     def draw_side():

@@ -10,30 +10,28 @@ interference detectors.
 One simulation route serves :func:`simulate_fringes` (one cell) and
 :func:`run_experiment` (every preparation/filter cell): it builds the
 probability tables of all cells, for all phases, in one pass before any draw,
-validating each preparation's kets and forming each filter's chi^dag U
-amplitudes once. The draws run cell by cell on Python ints and fill one
+from the per-Kraus amplitudes of every cell, formed in one contraction. Each
+cell then draws its counts as two arrays, and the cells fill one
 (cells, 4, phases) counts array, detectors in the order plus, minus, ref0,
 ref1; a :class:`FringeDataset` holds one cell of it as a read-only copy. One
 fit serves every cell of that array with one batched thin SVD; a phase
 without counts in a cell has its design rows zeroed, so it drops out of that
 cell's fit.
 
-Random streams: phase j of a cell seeded ``seed`` draws from its own
-generator, the one ``np.random.default_rng(seed + (j,))`` gives: one
-multinomial per arm-unitary row with a nonzero share of the shots, in row
-order, then one binomial per detector with efficiency below one, in detector
-order (plus, minus, ref0, ref1). :func:`run_experiment` seeds cell (mu, nu)
-with ``seed + (i_mu, i_nu)`` and its efficiency resampling with
-``seed + (i_mu, i_nu, 997)``. Counts for a given seed are part of the
-interface and stay fixed.
-
-The generators are not built by ``default_rng``: ``whichway._streams``
-computes numpy's ``SeedSequence`` hash for all streams of a call at once
-(all 16 x 13 phase streams and 16 resampling streams of
-:func:`run_experiment` in one pass) and hands the words to numpy's own
-``PCG64`` and ``Generator``. An oracle test pins the words and generator
-states to numpy's ``SeedSequence`` and ``default_rng``, and the counts to a
-``default_rng`` reference simulator.
+Random streams: a cell seeded ``seed`` draws from one generator,
+``np.random.default_rng(seed)``. It first makes one ``multinomial`` call over
+its (phases, rows, 4) probability table, each row with its share of the
+shots, which numpy draws in C order over (phase, row); then, if any
+efficiency is below one, one ``binomial`` call that thins the summed
+(4, phases) counts by the detector efficiencies, in C order over
+(detector, phase). :func:`simulate_fringes` is that one cell.
+:func:`run_experiment` seeds cell (mu, nu) with ``seed + (i_mu, i_nu)`` and
+draws it at the lowest efficiency m on every detector: thinning by e and then
+resampling by m / e is thinning by m, as Bin(Bin(n, e), m / e) = Bin(n, m).
+:func:`binomial_resample` makes one ``binomial`` call over (detector, phase)
+from ``np.random.default_rng(seed)``. Counts for a given seed are part of the
+interface and stay fixed. The drawing functions reach ``numpy.random`` only
+when they run, so importing the package does not load it.
 
 Jones convention: rotation-conjugated retarders
 
@@ -70,7 +68,6 @@ from .channels import (
     PAULI_Y,
     PAULI_Z,
     PathChannel,
-    block_map,
     pure_pair,
 )
 from .errors import ConventionError, DimensionError, NonFiniteError, NumericalError
@@ -327,11 +324,21 @@ def _counting_settings(shots_per_phase, efficiencies) -> tuple[float, float, flo
     efficiencies = tuple(float(e) for e in efficiencies)
     if len(efficiencies) != 4 or any(not 0.0 < e <= 1.0 for e in efficiencies):
         raise DimensionError("efficiencies must be four values in (0, 1]")
-    if not isinstance(shots_per_phase, (int, np.integer)):
+    if isinstance(shots_per_phase, bool) or not isinstance(shots_per_phase, (int, np.integer)):
         raise DimensionError(f"shots_per_phase {shots_per_phase!r} is not an integer")
     if shots_per_phase < 0:
         raise DimensionError("shots_per_phase must be nonnegative")
     return efficiencies
+
+
+def _seed_tuple(seed) -> tuple[int, ...]:
+    """The seed as a tuple of ints; refuses a seed that is not a nonnegative
+    integer or a tuple or list of them."""
+    entries = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
+    if any(isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 0
+           for s in entries):
+        raise DimensionError(f"seed {seed!r}: seed entries must be nonnegative integers")
+    return tuple(int(s) for s in entries)
 
 
 def _refuse_rows(bad: np.ndarray, error: type, message: str) -> None:
@@ -349,7 +356,7 @@ class FringeDataset:
     interference detectors plus and minus, then ref0 and ref1, which monitor
     the non-filtered component of each arm. Phases are stored as floats and
     must be finite and strictly increasing; the settings are checked as the
-    simulators check them. A NaN or infinite count raises
+    simulators check them, and so is the seed. A NaN or infinite count raises
     :class:`NonFiniteError`, a non-integral one or one outside
     [0, shots_per_phase] :class:`DimensionError`, naming its detector.
     Datasets compare and hash by identity.
@@ -379,20 +386,11 @@ class FringeDataset:
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "efficiencies", efficiencies)
-
-
-def _seed_tuple(seed) -> tuple[int, ...]:
-    if isinstance(seed, (int, np.integer)):
-        seed = (int(seed),)
-    seed = tuple(int(s) for s in seed)
-    if any(s < 0 for s in seed):
-        raise DimensionError("seed entries must be nonnegative integers")
-    return seed
+        object.__setattr__(self, "seed", _seed_tuple(self.seed))
 
 
 def _unitary_rows(ch: PathChannel):
-    """Weights w_k and arm-unitary pairs kraus[k] / sqrt(w_k), shape
-    (K, 2, d, d), if every Kraus pair is a sub-normalized unitary pair
+    """Weights w_k, if every Kraus pair is a sub-normalized unitary pair
     (A_k^dag A_k = B_k^dag B_k = w_k 1 within 1e-9, w_k >= 1e-12); None
     otherwise."""
     d = ch.spin_dim
@@ -403,7 +401,7 @@ def _unitary_rows(ch: PathChannel):
         return None
     if np.abs(gram - w[..., None, None] * np.eye(d)).max() > ATOL_DERIVED:
         return None
-    return wa, ch.kraus / np.sqrt(wa)[:, None, None, None]
+    return wa
 
 
 def _allocate(shots: int, weights) -> list[int]:
@@ -418,47 +416,32 @@ def _allocate(shots: int, weights) -> list[int]:
 
 
 def _probability_tables(ch, kets, filters, phases, contrast, shots_per_phase):
-    """Shots of each arm-unitary row with a nonzero share, in row order, and
-    the (cells, phases, those rows, 4) detection probabilities of the plus,
-    minus, ref0 and ref1 detectors, each row normalised. The cells are every
-    (preparation, filter) pair, preparations major; ``kets`` holds each
-    preparation's (psi0, psi1)."""
-    rows = _unitary_rows(ch)
-    amps = []  # per cell: f0, f1 and v of each row
-    if rows is None:
-        # pooled fallback: exact mixture probabilities as a single row
-        weights = [1.0]
-        for psi0, psi1 in kets:
-            r00 = block_map(ch, 0, 0, np.outer(psi0, psi0.conj()))
-            r11 = block_map(ch, 1, 1, np.outer(psi1, psi1.conj()))
-            r01 = block_map(ch, 0, 1, np.outer(psi0, psi1.conj()))
-            for filt in filters:
-                chi0, chi1 = filt.chi0, filt.chi1
-                amps.append(([(chi0.conj() @ r00 @ chi0).real],
-                             [(chi1.conj() @ r11 @ chi1).real],
-                             [chi0.conj() @ r01 @ chi1]))
-    else:
-        weights, u = rows
-        # each filter's chi^dag U rows, formed once
-        left = [((f.chi0.conj() @ u[:, 0])[:, None, :], (f.chi1.conj() @ u[:, 1])[:, None, :])
-                for f in filters]
-        for psi0, psi1 in kets:
-            for l0, l1 in left:
-                a0, a1 = (l0 @ psi0)[:, 0].tolist(), (l1 @ psi1)[:, 0].tolist()
-                # per-row Python scalars: numpy's array abs, square and complex
-                # product round differently in the last bit, and these bits set
-                # the probabilities behind the seeded draws
-                amps.append(([abs(a) ** 2 for a in a0], [abs(a) ** 2 for a in a1],
-                             [a * b.conjugate() for a, b in zip(a0, a1)]))
+    """Shots of each row and the (cells, phases, rows, 4) detection
+    probabilities of the plus, minus, ref0 and ref1 detectors, each row
+    normalised. The cells are every (preparation, filter) pair, preparations
+    major; ``kets`` holds each preparation's (psi0, psi1).
 
-    allocation = _allocate(shots_per_phase, weights)
-    live = [r for r, n in enumerate(allocation) if n > 0]
-    f0, f1, v = (np.array(x)[:, live] for x in zip(*amps))
-    cv = contrast * v[:, None, :]
-    phasor = np.exp(1j * np.array(phases))[:, None]
-    # Re(cv e^{i phi}) from two rounded products, as the scalar complex
-    # product forms it; a vectorised complex product may fuse them
-    osc = cv.real * phasor.real - cv.imag * phasor.imag
+    The per-Kraus amplitudes x_k = <chi0|A_k|psi0> and y_k = <chi1|B_k|psi1>
+    of every cell come from one contraction. If every Kraus pair is a
+    sub-normalized unitary pair of weight w_k, row k is the arm-unitary pair
+    (A_k, B_k) / sqrt(w_k), with f0 = |x_k|^2 / w_k, f1 = |y_k|^2 / w_k and
+    v = x_k y_k* / w_k, and takes its largest-remainder share of the shots.
+    Otherwise one pooled row takes every shot, with the exact mixture
+    f0 = sum_k |x_k|^2, f1 = sum_k |y_k|^2 and v = sum_k x_k y_k*.
+    """
+    psi = np.array(kets, dtype=complex)
+    chi = np.array([(f.chi0, f.chi1) for f in filters], dtype=complex)
+    amps = np.einsum("fia,kiab,pib->ipfk", chi.conj(), ch.kraus, psi)
+    x, y = amps.reshape(2, -1, len(ch.kraus))
+    f0, f1, v = np.abs(x) ** 2, np.abs(y) ** 2, x * y.conj()
+    weights = _unitary_rows(ch)
+    if weights is None:
+        weights = [1.0]
+        f0, f1, v = (a.sum(axis=1, keepdims=True) for a in (f0, f1, v))
+    else:
+        f0, f1, v = f0 / weights, f1 / weights, v / weights
+
+    osc = (contrast * v[:, None, :] * np.exp(1j * np.array(phases))[:, None]).real
     mean = (0.5 * (f0 + f1))[:, None, :]
     pvals = np.empty(osc.shape + (4,))
     pvals[..., 0] = 0.5 * (mean + osc)
@@ -467,7 +450,7 @@ def _probability_tables(ch, kets, filters, phases, contrast, shots_per_phase):
     pvals[..., 3] = (0.5 * (1.0 - f1))[:, None, :]
     np.clip(pvals, 0.0, None, out=pvals)
     pvals /= pvals.sum(axis=-1, keepdims=True)
-    return [allocation[r] for r in live], pvals
+    return np.array(_allocate(shots_per_phase, weights)), pvals
 
 
 def _counting_phases(phases, contrast) -> tuple[float, ...]:
@@ -478,22 +461,20 @@ def _counting_phases(phases, contrast) -> tuple[float, ...]:
 
 
 def _count_cells(ch, kets, filters, phases, shots_per_phase, efficiencies, contrast,
-                 rngs) -> np.ndarray:
+                 seeds) -> np.ndarray:
     """(cells, 4, phases) detector counts of the cells of
-    :func:`_probability_tables`, cell c drawing phase j from rngs[c][j] as
-    :func:`simulate_fringes` documents; the settings are already checked."""
+    :func:`_probability_tables`, cell c drawn from
+    ``np.random.default_rng(seeds[c])`` in the order the module documents;
+    the settings are already checked."""
     shots, tables = _probability_tables(ch, kets, filters, phases, contrast, shots_per_phase)
-    drawn = []
-    for table, cell_rngs in zip(tables, rngs):
-        for rng, p_j in zip(cell_rngs, table):
-            plus = minus = ref0 = ref1 = 0
-            for n_shots, p in zip(shots, p_j):
-                a, b, c, d = rng.multinomial(n_shots, p).tolist()
-                plus, minus, ref0, ref1 = plus + a, minus + b, ref0 + c, ref1 + d
-            drawn.append([rng.binomial(n, e) if e < 1.0 else n
-                          for n, e in zip((plus, minus, ref0, ref1), efficiencies)])
-    counts = np.array(drawn, dtype=np.int64).reshape(len(tables), len(phases), 4)
-    return counts.transpose(0, 2, 1)
+    thin = np.array(efficiencies)[:, None]
+    counts = np.empty((len(tables), 4, len(phases)), dtype=np.int64)
+    for out, table, seed in zip(counts, tables, seeds):
+        rng = np.random.default_rng(seed)
+        out[:] = rng.multinomial(shots, table).sum(axis=1).T
+        if min(efficiencies) < 1.0:
+            out[:] = rng.binomial(out, thin)
+    return counts
 
 
 def simulate_fringes(
@@ -516,49 +497,27 @@ def simulate_fringes(
     factor. The photons are then distributed multinomially over the four
     detectors and each detector is thinned binomially by its efficiency.
 
-    Stream contract: phase j draws from its own generator, the one
-    ``np.random.default_rng(seed + (j,))`` would give. It makes one
-    ``multinomial`` call per row with a nonzero share of the shots, in row
-    order, then one ``binomial`` call per detector with efficiency below
-    one, in detector order (plus, minus, ref0, ref1). The counts for a given
-    seed are therefore fixed, whatever the other phases or cells. The
-    generators of all phases are seeded together by ``whichway._streams``,
-    which hashes every stream's seed as ``np.random.SeedSequence`` does and
-    hands the words to numpy's ``PCG64``; an oracle test pins the words and
-    generator states to numpy's own.
+    The draws come from ``np.random.default_rng(seed)``, in the order the
+    module docstring states, so the counts for a given seed are fixed.
     """
-    from ._streams import generators
-
     efficiencies = _counting_settings(shots_per_phase, efficiencies)
     phases = _counting_phases(phases, contrast)
-    seed_seq = _seed_tuple(seed)
-    rngs = generators(seed_seq, np.arange(len(phases))[:, None])
+    seed = _seed_tuple(seed)
     (counts,) = _count_cells(ch, [pure_pair(prep, ch.spin_dim)], [filt], phases,
-                             shots_per_phase, efficiencies, contrast, [rngs])
-    return FringeDataset(phases, counts, shots_per_phase, seed_seq, efficiencies)
-
-
-def _thin(counts: np.ndarray, efficiencies, reference_efficiency: float, rng) -> None:
-    """Thin (4, phases) counts in place to the reference efficiency: one
-    binomial draw per detector of higher efficiency, in detector order."""
-    for r, e in enumerate(efficiencies):
-        ratio = reference_efficiency / e
-        if ratio < 1.0:
-            counts[r] = rng.binomial(counts[r], ratio)
+                             shots_per_phase, efficiencies, contrast, [seed])
+    return FringeDataset(phases, counts, shots_per_phase, seed, efficiencies)
 
 
 def binomial_resample(ds: FringeDataset, reference_efficiency: float, seed=0) -> FringeDataset:
     """Thin every detector's counts so all share the reference efficiency,
-    drawing from the generator ``np.random.default_rng(seed)`` would give."""
-    from ._streams import generators
-
+    with one ``binomial`` call over (detector, phase) from
+    ``np.random.default_rng(seed)``."""
     if not 0.0 < reference_efficiency <= min(ds.efficiencies):
         raise DimensionError(
             f"reference efficiency {reference_efficiency} must be in (0, min(efficiencies)]"
         )
-    (rng,) = generators(_seed_tuple(seed), np.empty((1, 0)))
-    counts = ds.counts.copy()
-    _thin(counts, ds.efficiencies, reference_efficiency, rng)
+    ratios = reference_efficiency / np.array(ds.efficiencies)
+    counts = np.random.default_rng(_seed_tuple(seed)).binomial(ds.counts, ratios[:, None])
     return FringeDataset(ds.phases, counts, ds.shots_per_phase, ds.seed,
                          (reference_efficiency,) * 4)
 
@@ -670,10 +629,8 @@ def _fit_counts(phases: np.ndarray, counts: np.ndarray) -> list[FitResult]:
 def _simulate_cells(ch, preparations, filters, phases, shots_per_phase, efficiencies,
                     contrast, seed) -> tuple[tuple[float, ...], np.ndarray]:
     """The phases and the (cells, 4, phases) counts of :func:`run_experiment`,
-    cells over the sorted (mu, nu) grid, preparations major. When the
-    efficiencies differ, the counts are thinned in place to the lowest."""
-    from ._streams import generators
-
+    cells over the sorted (mu, nu) grid, preparations major, every detector
+    drawn at the lowest efficiency."""
     efficiencies = _counting_settings(shots_per_phase, efficiencies)
     phases = _counting_phases(phases, contrast)
     if shots_per_phase < 1:
@@ -681,22 +638,12 @@ def _simulate_cells(ch, preparations, filters, phases, shots_per_phase, efficien
     for name, grid in (("preparations", preparations), ("filters", filters)):
         if not grid:
             raise DimensionError(f"{name} is empty: no cells to simulate")
-    seed_seq = _seed_tuple(seed)
-    resample = len(set(efficiencies)) > 1
+    seed = _seed_tuple(seed)
     mus, nus = sorted(preparations), sorted(filters)
-    grid = list(itertools.product(range(len(mus)), range(len(nus))))
-    # each cell's phase streams, then its resampling stream
-    stream_ids = list(range(len(phases))) + ([997] if resample else [])
-    tail = [(i_mu, i_nu, j) for i_mu, i_nu in grid for j in stream_ids]
-    rngs = generators(seed_seq, np.array(tail, dtype=np.int64).reshape(-1, 3))
-    per_cell = len(stream_ids)
-    cell_rngs = [rngs[c * per_cell:(c + 1) * per_cell] for c in range(len(grid))]
+    seeds = [seed + cell for cell in itertools.product(range(len(mus)), range(len(nus)))]
     counts = _count_cells(ch, [pure_pair(preparations[mu], ch.spin_dim) for mu in mus],
-                          [filters[nu] for nu in nus], phases, shots_per_phase, efficiencies,
-                          contrast, [r[:len(phases)] for r in cell_rngs])
-    if resample:
-        for cell_counts, streams in zip(counts, cell_rngs):
-            _thin(cell_counts, efficiencies, min(efficiencies), streams[-1])
+                          [filters[nu] for nu in nus], phases, shots_per_phase,
+                          (min(efficiencies),) * 4, contrast, seeds)
     return phases, counts
 
 
@@ -713,13 +660,13 @@ def run_experiment(
 ) -> list[FractionalVisibilityRecord]:
     """Simulate and fit every (preparation, filter) cell.
 
-    Non-uniform detector efficiencies are equalized by binomial resampling to
-    the minimum efficiency before fitting, mirroring the count-rate
-    correction used on the measured data. Cell (mu, nu) is
-    ``simulate_fringes(..., seed=seed + (i_mu, i_nu))`` and resamples from
-    the generator of ``seed + (i_mu, i_nu, 997)``. The draws of all cells
-    fill one (cells, 4, phases) counts array, which one batched SVD fits
-    (:func:`fit_fringes` of each cell). A fit needs counts, so
+    Non-uniform detector efficiencies are equalized to the minimum
+    efficiency m before fitting, mirroring the binomial resampling used on
+    the measured data: since resampling thinned counts by m / e is thinning
+    by m, cell (mu, nu) is ``simulate_fringes(..., efficiencies=(m,) * 4,
+    seed=seed + (i_mu, i_nu))``, drawn as the module docstring states. The
+    draws of all cells fill one (cells, 4, phases) counts array, which one
+    batched SVD fits (:func:`fit_fringes` of each cell). A fit needs counts, so
     ``shots_per_phase`` below 1 is a :class:`DimensionError`, and so is an
     empty ``preparations`` or ``filters``.
     """

@@ -480,9 +480,10 @@ def unitary_rows(ch):
 
 
 def probability_table(ch, psi0, psi1, filt, phases, contrast, shots_per_phase):
-    """Shots of each row with a nonzero share and, per phase, the list of
-    those rows' normalised detector probabilities, built one (phase, row)
-    at a time."""
+    """Shots of each row and, per phase, the list of the rows' normalised
+    detector probabilities, built one (phase, row) at a time from the
+    arm-unitary pairs of :func:`unitary_rows`, or from one pooled row of
+    ``block_map`` terms."""
     chi0, chi1 = filt.chi0, filt.chi1
     rows = unitary_rows(ch)
     if rows is None:
@@ -501,9 +502,7 @@ def probability_table(ch, psi0, psi1, filt, phases, contrast, shots_per_phase):
     table = []
     for phi in phases:
         per_row = []
-        for n_shots, (_, f0, f1, v) in zip(allocation, cells):
-            if n_shots == 0:
-                continue
+        for _, f0, f1, v in cells:
             osc = (contrast * v * np.exp(1j * phi)).real
             pvals = np.array([
                 0.5 * (0.5 * (f0 + f1) + osc),
@@ -514,48 +513,48 @@ def probability_table(ch, psi0, psi1, filt, phases, contrast, shots_per_phase):
             pvals = np.clip(pvals, 0.0, None)
             per_row.append(pvals / pvals.sum())
         table.append(per_row)
-    return [n for n in allocation if n > 0], table
+    return allocation, table
 
 
 def simulate_fringes(ch, prep, filt, phases=None, shots_per_phase=10_000,
                      efficiencies=(1.0, 1.0, 1.0, 1.0), contrast=1.0, seed=0):
     """Counts of one cell drawn from :func:`probability_table` by one
-    scalar multinomial per (phase, row) and one binomial per thinned
-    detector."""
+    generator, ``np.random.default_rng(seed)``: one scalar multinomial per
+    (phase, row), phases outer, then one scalar binomial per
+    (detector, phase), detectors outer."""
     psi0, psi1 = pure_pair(prep, ch.spin_dim)
     if phases is None:
         phases = np.linspace(0.0, 2.0 * np.pi, 13)
     phases = tuple(float(p) for p in phases)
     seed_seq = _seed_tuple(seed)
     shots, table = probability_table(ch, psi0, psi1, filt, phases, contrast, shots_per_phase)
-    counts = np.zeros((4, len(phases)), dtype=np.int64)
+    rng = np.random.default_rng(seed_seq)
+    raw = np.zeros((4, len(phases)), dtype=np.int64)
     for j, per_row in enumerate(table):
-        rng = np.random.default_rng(seed_seq + (j,))
-        raw = np.zeros(4, dtype=np.int64)
         for n_shots, pvals in zip(shots, per_row):
-            raw += rng.multinomial(n_shots, pvals)
-        for i in range(4):
-            counts[i, j] = (
-                rng.binomial(int(raw[i]), efficiencies[i]) if efficiencies[i] < 1.0 else int(raw[i])
-            )
+            raw[:, j] += rng.multinomial(n_shots, pvals)
+    counts = np.zeros_like(raw)
+    for i in range(4):
+        for j in range(len(phases)):
+            counts[i, j] = rng.binomial(raw[i, j], efficiencies[i])
     return FringeDataset(phases, counts, shots_per_phase, seed_seq, efficiencies)
 
 
 def binomial_resample(ds, reference_efficiency, seed):
     """Counts thinned to the reference efficiency from
-    ``np.random.default_rng(seed)``, one detector at a time."""
+    ``np.random.default_rng(seed)``, one scalar binomial per
+    (detector, phase), detectors outer."""
     rng = np.random.default_rng(_seed_tuple(seed))
-    ratios = [reference_efficiency / e for e in ds.efficiencies]
-    counts = [rng.binomial(n, r) if r < 1.0 else n for n, r in zip(ds.counts, ratios)]
+    counts = [[rng.binomial(n, reference_efficiency / e) for n in row]
+              for row, e in zip(ds.counts.tolist(), ds.efficiencies)]
     return replace(ds, counts=np.array(counts), efficiencies=(reference_efficiency,) * 4)
 
 
 def simulate_cells(ch, seed, shots_per_phase=10_000, efficiencies=(1.0, 1.0, 1.0, 1.0),
                    contrast=1.0):
     """(mu, nu, dataset) of the 16 rectilinear cells, one cell at a time:
-    :func:`simulate_fringes` above seeded ``seed + (i_mu, i_nu)``, then
-    :func:`binomial_resample` above seeded ``seed + (i_mu, i_nu, 997)``
-    when the efficiencies differ."""
+    :func:`simulate_fringes` above seeded ``seed + (i_mu, i_nu)``, with every
+    detector at the lowest efficiency."""
     preparations, filters = rectilinear_preparations(), rectilinear_filters()
     seed_seq = _seed_tuple(seed)
     cells = []
@@ -563,10 +562,9 @@ def simulate_cells(ch, seed, shots_per_phase=10_000, efficiencies=(1.0, 1.0, 1.0
         for i_nu, nu in enumerate(sorted(filters)):
             ds = simulate_fringes(
                 ch, preparations[mu], filters[nu], shots_per_phase=shots_per_phase,
-                efficiencies=efficiencies, contrast=contrast, seed=seed_seq + (i_mu, i_nu),
+                efficiencies=(min(efficiencies),) * 4, contrast=contrast,
+                seed=seed_seq + (i_mu, i_nu),
             )
-            if len(set(ds.efficiencies)) > 1:
-                ds = binomial_resample(ds, min(ds.efficiencies), seed_seq + (i_mu, i_nu, 997))
             cells.append((mu, nu, ds))
     return cells
 

@@ -556,6 +556,31 @@ def test_swap_certificate_on_exact_records_is_sound(k, seed):
     assert cert.vg_lower <= generalized_visibility(ch, Preparation.completely_mixed(2)) + 1e-9
 
 
+def test_swap_certificate_equals_the_checked_route_without_rechecking(monkeypatch):
+    # swap_certificate runs verify_alpha_constraint's certificate on the
+    # rectilinear sets and a cached support of 1/2: it validates no density
+    # matrix and no ket per call, and its certificate agrees within 1e-15
+    import whichway.bounds as bounds
+
+    records = measured_records()
+    eye2 = np.eye(2) / 2
+    want = bound_from_visibilities(verify_alpha_constraint(
+        swap_certificate(records).alphas, rectilinear_preparations(), rectilinear_filters(),
+        eye2, eye2), records)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("swap_certificate re-validated a constant input")
+
+    for name in ("density_matrix", "pure_pair", "_root_support"):
+        monkeypatch.setattr(bounds, name, refuse)
+    got = swap_certificate(records)
+    assert got.alphas == want.alphas
+    assert np.abs(got.u_hat - want.u_hat).max() <= 1e-15
+    for name in ("contraction_slack", "vg_lower", "d_upper", "sigma_vg", "sigma_d"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-15, name
+    assert not any(m.flags.writeable for m in bounds._mixed_support())
+
+
 def test_general_certificates_with_full_rank_states():
     # the rectilinear rank-one terms span all operators on the two replicas,
     # so any contraction sandwiched between full-rank state factors yields a

@@ -247,6 +247,12 @@ def test_explicit_transpose_dilation_blocks():
         )
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, True, "7"])
+def test_random_channel_refuses_a_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(DimensionError, match="seed .* is not a nonnegative integer"):
+        random_path_channel(2, 2, seed)
+
+
 def test_random_channel_deterministic_under_seed():
     a = random_path_channel(2, 3, seed=7)
     b = random_path_channel(2, 3, seed=7)

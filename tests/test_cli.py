@@ -64,6 +64,12 @@ def test_malformed_channel_exits_2(capsys):
     assert "input error" in err
 
 
+def test_random_channel_with_a_negative_seed_exits_2(capsys):
+    code, out, err = run_cli(capsys, "vg", "--channel", "random:2:-1", "--prep", "mixed")
+    assert code == EXIT_INPUT and out == ""
+    assert "seed -1 is not a nonnegative integer" in err
+
+
 def test_malformed_file_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("garbage\n")
