@@ -30,8 +30,8 @@ def describe(name, prep):
     d_val = distinguishability(e0, e1)
     v_val = generalized_visibility(channel, prep)
     print(f"preparation: {name}")
-    print(f"  environment state, arm 0 diag: {np.round(np.diag(e0.matrix).real, 3)}")
-    print(f"  environment state, arm 1 diag: {np.round(np.diag(e1.matrix).real, 3)}")
+    print(f"  environment state, arm 0 diag: {np.round(np.diag(e0).real, 3)}")
+    print(f"  environment state, arm 1 diag: {np.round(np.diag(e1).real, 3)}")
     print(f"  D = {d_val:.4f}   V_G = {v_val:.4f}   D^2 + V_G^2 = {d_val**2 + v_val**2:.4f}")
     print()
 

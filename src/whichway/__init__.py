@@ -77,7 +77,6 @@ from .interferometer import (
     write_dataset_csv,
 )
 from .linalg import (
-    SpinState,
     ket,
     matrix_sqrt,
     partial_trace,

@@ -121,11 +121,10 @@ class FractionalVisibilityRecord:
 
 
 def _record_map(records) -> dict[tuple[str, str], FractionalVisibilityRecord]:
-    """Records keyed by (mu, nu); a repeated key raises :class:`DimensionError`."""
-    if isinstance(records, dict):
-        return dict(records)
+    """Records keyed by their own (mu, nu), a dict read as its values; a
+    repeated key raises :class:`DimensionError`."""
     out = {}
-    for rec in records:
+    for rec in records.values() if isinstance(records, dict) else records:
         if rec.key in out:
             raise DimensionError(f"duplicate record for {rec.key}")
         out[rec.key] = rec

@@ -64,7 +64,6 @@ from .errors import DimensionError, NumericalError, PositivityError
 from .linalg import (
     ATOL_DERIVED,
     ATOL_STRUCT,
-    SpinState,
     factor_sandwich,
     is_hermitian,
     matrix_sqrt,
@@ -107,18 +106,20 @@ def _environment(ch: PathChannel, prep: Preparation) -> tuple[np.ndarray, np.nda
     return x, e
 
 
-def environment_states(ch: PathChannel, prep: Preparation) -> tuple[SpinState, SpinState]:
-    """Normalized environment states correlated with arm 0 and arm 1.
+def environment_states(ch: PathChannel, prep: Preparation) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized environment states (e0, e1) correlated with arm 0 and arm 1.
 
     The Gram matrices Tr(A_k rho_i A_l^dag) of the arm-i Kraus factors, i.e.
     Tr_spin(v_i rho_i v_i^dag) for the isometries v_i of :func:`dilate`,
     built as X_i X_i^dag from the factors behind :func:`generalized_visibility`
-    and validated as :class:`SpinState`. For
-    :func:`explicit_transpose_dilation` the environment basis is the four
-    transition tags e_1..e_4.
+    and returned as read-only K x K views of one stack. Each has unit trace
+    within 1e-10 (else :class:`PositivityError`), and is Hermitian and PSD
+    by construction. For :func:`explicit_transpose_dilation` the environment
+    basis is the four transition tags e_1..e_4.
     """
     e = _environment(ch, prep)[1]
-    return SpinState(ch.n_kraus, e[0]), SpinState(ch.n_kraus, e[1])
+    e.flags.writeable = False
+    return e[0], e[1]
 
 
 def _trace_distance(m0: np.ndarray, m1: np.ndarray) -> float:
@@ -129,9 +130,9 @@ def _trace_distance(m0: np.ndarray, m1: np.ndarray) -> float:
 
 def distinguishability(e0, e1) -> float:
     """Half the trace norm of the difference of two environment states,
-    given as :class:`SpinState` or as matrices Hermitian within 1e-10."""
-    m0 = np.asarray(getattr(e0, "matrix", e0), dtype=complex)
-    m1 = np.asarray(getattr(e1, "matrix", e1), dtype=complex)
+    given as matrices whose difference is Hermitian within 1e-10."""
+    m0 = np.asarray(e0, dtype=complex)
+    m1 = np.asarray(e1, dtype=complex)
     if m0.shape != m1.shape:
         raise DimensionError(f"environment dimensions differ: {m0.shape} vs {m1.shape}")
     if not is_hermitian(m0 - m1):

@@ -701,5 +701,4 @@ def read_dataset_csv(path_or_buffer, shots_per_phase: int, seed=0,
                      efficiencies=(1.0, 1.0, 1.0, 1.0)) -> FringeDataset:
     rows = _csv_rows(path_or_buffer, _DS_FIELDS, (float, int, int, int, int))
     counts = np.array([r[1:] for r in rows], dtype=np.int64).reshape(-1, 4).T
-    return FringeDataset(tuple(r[0] for r in rows), counts, shots_per_phase,
-                         _seed_tuple(seed), efficiencies)
+    return FringeDataset(tuple(r[0] for r in rows), counts, shots_per_phase, seed, efficiencies)

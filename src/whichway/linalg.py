@@ -23,7 +23,6 @@ theorem, and the route through two eigendecompositions is a test oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +36,6 @@ __all__ = [
     "ATOL_STRUCT",
     "ATOL_DERIVED",
     "PSD_ATOL",
-    "SpinState",
     "density_matrix",
     "factor_sandwich",
     "finite_array",
@@ -199,24 +197,3 @@ def factor_sandwich(left: np.ndarray, m: np.ndarray, right: np.ndarray) -> np.nd
     t = (left @ m.reshape(d, d**3)).reshape(d * d, d, d)
     return (t.swapaxes(1, 2) @ right).swapaxes(1, 2).reshape(d * d, d * d)
 
-
-@dataclass(frozen=True, eq=False)
-class SpinState:
-    """A validated density matrix on the internal (spin) subsystem.
-
-    Finite entries, Hermiticity, positivity (smallest eigenvalue >= -1e-10)
-    and unit trace are enforced at construction by :func:`density_matrix`.
-    ``matrix`` is a read-only copy, so the checked state cannot be edited.
-    Compared and hashed by identity.
-    """
-
-    dim: int
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape != (self.dim, self.dim):
-            raise DimensionError(f"state shape {m.shape} != ({self.dim}, {self.dim})")
-        m = density_matrix(m, "state")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)

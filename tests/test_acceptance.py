@@ -94,19 +94,19 @@ def test_criterion_03_erasure_by_mixing():
     e0, e1 = environment_states(ch, Preparation.pure(H, H))
     ref0 = np.zeros((4, 4), dtype=complex); ref0[0, 0] = ref0[1, 1] = 0.5
     ref1 = np.zeros((4, 4), dtype=complex); ref1[0, 0] = ref1[2, 2] = 0.5
-    ok &= np.max(np.abs(e0.matrix - ref0)) <= 1e-10
-    ok &= np.max(np.abs(e1.matrix - ref1)) <= 1e-10
+    ok &= np.max(np.abs(e0 - ref0)) <= 1e-10
+    ok &= np.max(np.abs(e1 - ref1)) <= 1e-10
     ok &= abs(distinguishability(e0, e1) - 0.5) <= 1e-9
 
     f0, f1 = environment_states(ch, Preparation.pure(V, V))
     ref0 = np.zeros((4, 4), dtype=complex); ref0[2, 2] = ref0[3, 3] = 0.5
     ref1 = np.zeros((4, 4), dtype=complex); ref1[1, 1] = ref1[3, 3] = 0.5
-    ok &= np.max(np.abs(f0.matrix - ref0)) <= 1e-10
-    ok &= np.max(np.abs(f1.matrix - ref1)) <= 1e-10
+    ok &= np.max(np.abs(f0 - ref0)) <= 1e-10
+    ok &= np.max(np.abs(f1 - ref1)) <= 1e-10
 
     g0, g1 = environment_states(ch, Preparation.completely_mixed(2))
-    ok &= np.max(np.abs(g0.matrix - np.eye(4) / 4)) <= 1e-10
-    ok &= np.max(np.abs(g1.matrix - np.eye(4) / 4)) <= 1e-10
+    ok &= np.max(np.abs(g0 - np.eye(4) / 4)) <= 1e-10
+    ok &= np.max(np.abs(g1 - np.eye(4) / 4)) <= 1e-10
     ok &= distinguishability(g0, g1) <= 1e-9
     _criterion(3, "which-way erasure: D = 1/2 for |h>, D = 0 for the mixed ensemble, "
                   "environment states entrywise correct", ok)

@@ -328,6 +328,28 @@ def test_repeated_record_key_is_a_dimension_error():
     assert swap_certificate(records).vg_lower == pytest.approx(0.9605, abs=1e-12)
 
 
+def test_a_dict_of_records_is_keyed_by_each_records_own_cell():
+    # the four largest |V| filed under the swap cells would certify
+    # vg_lower = 1 above the true V_G = 0.9909 of the mixed preparation
+    ch = random_path_channel(2, 2, 0)
+    preps, filters = rectilinear_preparations(), rectilinear_filters()
+    records = [fractional_visibility(ch, preps[m], filters[n], mu=m)
+               for m in preps for n in filters]
+    top = sorted(records, key=lambda r: -abs(r.visibility))[:4]
+    assert not {r.key for r in top} & set(SWAP_KEYS)
+    mislabelled = dict(zip(SWAP_KEYS, top))
+    with pytest.raises(DimensionError, match="missing record"):
+        swap_certificate(mislabelled)
+    cert = swap_certificate(records)
+    with pytest.raises(DimensionError, match="missing"):
+        bound_from_visibilities(cert, mislabelled)
+    with pytest.raises(DimensionError, match="no records"):
+        single_preparation_certificate("hh", {("hh", r.nu): r for r in records if r.mu == "vv"})
+    by_cell = swap_certificate({("x", str(i)): r for i, r in enumerate(records)})
+    assert by_cell.vg_lower == cert.vg_lower
+    assert cert.vg_lower <= verify_inequality(ch, Preparation.completely_mixed(2)).visibility
+
+
 def test_orthonormal_filter_bound_measured_row():
     row = [r for r in measured_records() if r.mu == "hh"]
     assert orthonormal_filter_bound(row, rectilinear_filters()) == pytest.approx(

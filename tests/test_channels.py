@@ -26,10 +26,10 @@ from whichway import (
     PathChannel,
     PositivityError,
     Preparation,
-    SpinState,
     block_choi,
     block_map,
     dilate,
+    environment_states,
     explicit_transpose_dilation,
     identity_channel,
     ket,
@@ -326,28 +326,26 @@ def test_path_spin_state_rejects_unbalanced_paths():
 
 
 def test_validated_states_are_read_only_copies():
-    source = np.eye(2, dtype=complex) / 2
-    spin = SpinState(2, source)
-    mixed = SpinState(2, np.eye(2) / 2)
+    e0, e1 = environment_states(explicit_transpose_dilation(), Preparation.completely_mixed(2))
     path = PathSpinState.from_preparation(Preparation.pure(ket(0, 2), ket(1, 2)))
     blocks = path.blocks.copy()
     chi, psi, counts = ket(0, 2), ket(0, 2), np.ones((4, 3), dtype=np.int64)
     filt = FilterPair(chi, ket(1, 2))
     prep = Preparation.pure(psi, ket(1, 2))
     ds = FringeDataset((0.0, 1.0, 2.0), counts, 10, (0,), (1.0,) * 4)
-    for arr in (spin.matrix, mixed.matrix, path.blocks, PathSpinState(2, blocks).blocks,
+    for arr in (e0, e1, path.blocks, PathSpinState(2, blocks).blocks,
                 filt.chi0, filt.chi1, *prep.pairs[0], ds.counts):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 5
     # the caller's arrays stay free, and editing them leaves the checked copies alone
-    assert all(a.flags.writeable for a in (source, blocks, chi, psi, counts))
+    assert all(a.flags.writeable for a in (blocks, chi, psi, counts))
     chi[0], psi[0], counts[0] = 5, 3, 99
     np.testing.assert_array_equal(filt.chi0, [1, 0])
     np.testing.assert_array_equal(pure_pair(prep, 2)[0], [1, 0])
     np.testing.assert_array_equal(prep.factors[0], [[1], [0]])
     assert ds.counts.max() == 1
-    assert np.trace(mixed.matrix).real == 1.0
+    np.testing.assert_array_equal(e0, np.eye(4) / 4)
 
 
 def test_empty_ensemble_is_a_dimension_error():
@@ -458,11 +456,10 @@ def _dataset(counts=None):
     lambda: PathSpinState.from_preparation(Preparation.completely_mixed(2)),
     lambda: FilterPair(ket(0, 2), ket(1, 2)),
     _dataset,
-    lambda: SpinState(2, np.eye(2) / 2),
     lambda: swap_certificate(measured_records()),
     lambda: verify_noise_program(pauli_noise_program()).rows[0],
 ], ids=["PathChannel", "Preparation", "PathSpinState", "FilterPair", "FringeDataset",
-        "SpinState", "BoundCertificate", "RowReport"])
+        "BoundCertificate", "RowReport"])
 def test_array_holding_objects_compare_and_hash_by_identity(build):
     a, b = build(), build()
     assert a == a
@@ -476,9 +473,8 @@ def test_array_holding_objects_compare_and_hash_by_identity(build):
     (Preparation.pure, (ket(0, 2), ket(1, 2))),
     (lambda a, b: Preparation.ensemble([0.5, 0.5], [(a, b), (b, a)]), (ket(0, 2), ket(1, 2))),
     (FilterPair, (ket(0, 2), ket(1, 2))),
-    (lambda m: SpinState(2, m), (np.eye(2, dtype=complex) / 2,)),
     (_dataset, (np.ones((4, 3), dtype=np.int64),)),
-], ids=["PathChannel", "Preparation.pure", "Preparation.ensemble", "FilterPair", "SpinState",
+], ids=["PathChannel", "Preparation.pure", "Preparation.ensemble", "FilterPair",
         "FringeDataset"])
 def test_validated_arrays_are_stored_as_read_only_copies(build, inputs):
     obj = build(*inputs)

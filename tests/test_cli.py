@@ -455,3 +455,29 @@ def test_trace_targets_resolve_and_cli_uses_only_public_names():
                 and node.value.id in modules and node.attr.startswith("_")):
             private.append(f"{node.value.id}.{node.attr}")
     assert private == []
+
+
+def test_package_exports_resolve_and_come_from_each_modules_all():
+    # a name removed from a module cannot linger in its __all__ or in the
+    # package namespace
+    import whichway
+
+    modules = ("linalg", "channels", "duality", "bounds", "interferometer")
+    exported = {}
+    for layer in modules:
+        module = importlib.import_module(f"whichway.{layer}")
+        exported[layer] = set(module.__all__)
+        assert len(module.__all__) == len(exported[layer]), f"whichway.{layer}.__all__"
+        for name in module.__all__:
+            assert hasattr(module, name), f"whichway.{layer}.{name}"
+
+    tree = ast.parse((ROOT / "src" / "whichway" / "__init__.py").read_text(encoding="utf-8"))
+    imported = [(node.module, alias.name) for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names]
+    assert {layer for layer, _ in imported} == {*modules, "errors"}
+    stale = [f"{layer}.{name}" for layer, name in imported
+             if layer in exported and name not in exported[layer]]
+    assert stale == []
+    assert all(hasattr(whichway, name) for _, name in imported)
+    assert not hasattr(whichway, "SpinState")

@@ -37,22 +37,22 @@ def _env_projector(indices, dim=4):
 def test_environment_states_horizontal_preparation():
     ch = explicit_transpose_dilation()
     e0, e1 = environment_states(ch, Preparation.pure(H, H))
-    np.testing.assert_allclose(e0.matrix, _env_projector([0, 1]), atol=1e-10)
-    np.testing.assert_allclose(e1.matrix, _env_projector([0, 2]), atol=1e-10)
+    np.testing.assert_allclose(e0, _env_projector([0, 1]), atol=1e-10)
+    np.testing.assert_allclose(e1, _env_projector([0, 2]), atol=1e-10)
 
 
 def test_environment_states_vertical_preparation():
     ch = explicit_transpose_dilation()
     e0, e1 = environment_states(ch, Preparation.pure(V, V))
-    np.testing.assert_allclose(e0.matrix, _env_projector([2, 3]), atol=1e-10)
-    np.testing.assert_allclose(e1.matrix, _env_projector([1, 3]), atol=1e-10)
+    np.testing.assert_allclose(e0, _env_projector([2, 3]), atol=1e-10)
+    np.testing.assert_allclose(e1, _env_projector([1, 3]), atol=1e-10)
 
 
 def test_environment_states_mixed_preparation_coincide():
     ch = explicit_transpose_dilation()
     e0, e1 = environment_states(ch, Preparation.completely_mixed(2))
-    np.testing.assert_allclose(e0.matrix, np.eye(4) / 4, atol=1e-10)
-    np.testing.assert_allclose(e1.matrix, np.eye(4) / 4, atol=1e-10)
+    np.testing.assert_allclose(e0, np.eye(4) / 4, atol=1e-10)
+    np.testing.assert_allclose(e1, np.eye(4) / 4, atol=1e-10)
 
 
 def test_environment_states_via_replica_contraction():
@@ -77,7 +77,7 @@ def test_environment_states_via_replica_contraction():
         contracted = proj @ weight
         t = contracted.reshape(d, d, k, d, d, k)
         env = d * np.einsum("abnabm->nm", t)
-        direct = environment_states(ch, prep)[side].matrix
+        direct = environment_states(ch, prep)[side]
         np.testing.assert_allclose(env, direct, atol=1e-10)
 
 
@@ -280,7 +280,7 @@ def test_explicit_dilation_environment_is_the_transpose_channels_relabelled(kind
     tags = [0, 2, 1, 3]  # environment kets e2 and e3 swap places
     for explicit, canonical in zip(environment_states(explicit_transpose_dilation(), prep),
                                    environment_states(transpose_channel(2), prep)):
-        np.testing.assert_allclose(explicit.matrix, canonical.matrix[np.ix_(tags, tags)],
+        np.testing.assert_allclose(explicit, canonical[np.ix_(tags, tags)],
                                    rtol=0, atol=1e-15)
 
 
@@ -379,6 +379,28 @@ def test_verify_at_the_kraus_cap_eigendecomposes_no_environment_state(monkeypatc
         assert "eigh" not in calls
         assert calls.count("qr") == n_qr
         assert shapes and all(max(shape) <= side for shape in shapes)
+
+
+def test_environment_states_at_the_kraus_cap_are_unchecked_read_only_gram_matrices(monkeypatch):
+    # e_i = X_i X_i^dag is Hermitian and PSD by construction and its trace is
+    # checked where it is built, so no K x K eigendecomposition runs, and the
+    # states are that product itself, not a re-validated copy
+    import whichway.duality as duality
+
+    ch, prep = random_path_channel(2, 256, seed=7), Preparation.pure(H, V)
+    x = duality._factors(ch, prep)
+    gram = x @ x.conj().swapaxes(1, 2)
+    eigh, eigvalsh, calls = np.linalg.eigh, np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append("eigh") or eigh(*a, **k))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda *a, **k: calls.append("eigvalsh") or eigvalsh(*a, **k))
+    states = environment_states(ch, prep)
+    assert calls == []
+    assert len(states) == 2
+    for state, expected in zip(states, gram):
+        assert type(state) is np.ndarray and state.shape == (256, 256)
+        assert not state.flags.writeable
+        np.testing.assert_array_equal(state, expected)
 
 
 def test_fuchs_van_de_graaf_floor_violation_is_numerical(monkeypatch):

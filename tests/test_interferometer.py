@@ -345,6 +345,9 @@ def test_dataset_refuses_a_seed_the_simulators_refuse(seed):
         FringeDataset((0.0, 1.0), counts, 10, seed, (1.0,) * 4)
     with pytest.raises(DimensionError, match="seed entries must be nonnegative integers"):
         simulate_fringes(pauli_mixture_channel(), PREPS["hh"], FILTERS["hh"], seed=seed)
+    text = "phase,n_plus,n_minus,n_ref0,n_ref1\n0.0,0,0,0,0\n"
+    with pytest.raises(DimensionError, match="seed entries must be nonnegative integers"):
+        read_dataset_csv(io.StringIO(text), shots_per_phase=10, seed=seed)
 
 
 def test_dataset_stores_its_seed_as_a_tuple_of_ints():

@@ -102,8 +102,10 @@ def test_environment_states_match_partial_trace_reference(d, k):
         states = environment_states(ch, prep)
         for side, (v, state) in enumerate(zip(dilate(ch), states)):
             rho = ref.mixed_state(prep, side)
-            np.testing.assert_allclose(state.matrix, ref.environment_state(v, rho, d, k),
+            np.testing.assert_allclose(state, ref.environment_state(v, rho, d, k),
                                        rtol=0, atol=ATOL)
+            assert np.abs(state - state.conj().T).max() <= 1e-12
+            assert np.linalg.eigvalsh(state).min() >= -1e-12
 
 
 @pytest.mark.parametrize("d,k", SIZES)

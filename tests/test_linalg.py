@@ -13,7 +13,6 @@ from whichway import (
     PathChannel,
     PositivityError,
     Preparation,
-    SpinState,
     ket,
     matrix_sqrt,
     partial_trace,
@@ -21,7 +20,7 @@ from whichway import (
     trace_norm,
 )
 from whichway.channels import pure_pair
-from whichway.linalg import unit_ket
+from whichway.linalg import density_matrix, unit_ket
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=1, max_value=4)
@@ -157,16 +156,16 @@ def test_max_entangled_state():
         np.testing.assert_allclose(v, expected, atol=1e-15)
 
 
-def test_spin_state_validation():
-    SpinState(2, np.eye(2) / 2)
-    with pytest.raises(PositivityError):
-        SpinState(2, np.array([[0.6, 0.0], [0.0, 0.5]]))  # trace != 1
-    with pytest.raises(PositivityError):
-        SpinState(2, np.array([[1.1, 0.0], [0.0, -0.1]]))  # not PSD
-    with pytest.raises(PositivityError):
-        SpinState(2, np.array([[0.5, 0.3], [0.0, 0.5]]))  # not Hermitian
-    with pytest.raises(DimensionError):
-        SpinState(3, np.eye(2) / 2)
+def test_density_matrix_validation():
+    density_matrix(np.eye(2) / 2, "state")
+    with pytest.raises(PositivityError, match="trace"):
+        density_matrix(np.array([[0.6, 0.0], [0.0, 0.5]]), "state")
+    with pytest.raises(PositivityError, match="not PSD"):
+        density_matrix(np.array([[1.1, 0.0], [0.0, -0.1]]), "state")
+    with pytest.raises(PositivityError, match="not Hermitian"):
+        density_matrix(np.array([[0.5, 0.3], [0.0, 0.5]]), "state")
+    with pytest.raises(DimensionError, match="not square"):
+        density_matrix(np.eye(3, 2) / 2, "state")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan),
@@ -211,7 +210,7 @@ NON_FINITE_CASES = {
     "Preparation.ensemble": (
         np.array([0.25, 0.75]), lambda w: Preparation.ensemble(w, [(_H, _H), (_V, _H)])
     ),
-    "SpinState": (_HALF, lambda m: SpinState(2, m)),
+    "density_matrix": (_HALF, lambda m: density_matrix(m, "state")),
     "FilterPair": (np.array([_H, _V]), lambda a: FilterPair(a[0], a[1])),
     "PathSpinState": (np.array([[_PLUS, _PLUS], [_PLUS, _PLUS]]) / 2,
                       lambda b: PathSpinState(2, b)),
