@@ -1,4 +1,6 @@
-"""The one place the package opens a file for writing.
+"""The one place the package opens a file, and the one that knows the CSV
+dialect: the :mod:`csv` defaults (``\r\n`` line ends) in ASCII, a header row
+first. Each reader and writer takes a path or an open text buffer.
 
 An existing file is rewritten in place and then cut to length, never
 truncated to zero first: on ext4, truncating a file and writing it again
@@ -8,6 +10,8 @@ microseconds for the write. The rewrite is not atomic.
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import stat
 
@@ -26,3 +30,53 @@ def write_text(path, text: str) -> None:
         fh.write(data)
         if stat.S_ISREG(os.fstat(fd).st_mode):
             fh.truncate()
+
+
+def read_text(path_or_buffer) -> str:
+    """The rest of an open text buffer, or the whole of the ASCII file at a
+    path with its ``\\r\\n`` and ``\\r`` line ends read as ``\\n``."""
+    if isinstance(path_or_buffer, io.TextIOBase):
+        return path_or_buffer.read()
+    with open(path_or_buffer, "r", encoding="ascii") as fh:
+        return fh.read()
+
+
+def read_csv(path_or_buffer, fields: list[str], types) -> list[list]:
+    """The data rows of a CSV whose header is ``fields``, blank lines
+    skipped, each field converted by the matching callable of ``types``. A
+    different header, or a row with a field count other than
+    ``len(fields)``, raises ValueError naming the line; a field its
+    conversion rejects raises ValueError naming the line and the column."""
+    reader = csv.reader(io.StringIO(read_text(path_or_buffer), newline=""))
+    header = next(reader, None)
+    if header != fields:
+        raise ValueError(f"unexpected CSV header {header}, expected {fields}")
+    rows = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(fields):
+            raise ValueError(f"CSV line {reader.line_num}: expected "
+                             f"{len(fields)} fields, got {len(row)}")
+        values = []
+        for name, convert, text in zip(fields, types, row):
+            try:
+                values.append(convert(text))
+            except ValueError as exc:
+                raise ValueError(
+                    f"CSV line {reader.line_num}, column {name}: {exc}") from None
+        rows.append(values)
+    return rows
+
+
+def write_csv(path_or_buffer, fields: list[str], rows) -> None:
+    """Write a CSV of header ``fields`` and then ``rows`` to an open text
+    buffer, or as ASCII to a path through :func:`write_text`."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(fields)
+    writer.writerows(rows)
+    if isinstance(path_or_buffer, io.TextIOBase):
+        path_or_buffer.write(buf.getvalue())
+    else:
+        write_text(path_or_buffer, buf.getvalue())

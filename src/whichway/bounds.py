@@ -30,16 +30,13 @@ A list of records that repeats a (mu, nu) key raises :class:`DimensionError`.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._files import write_text
+from ._files import read_csv, write_csv
 from .channels import PathChannel, Preparation, pure_pair
 from .errors import ContractionError, DimensionError, NonFiniteError, SupportError
 from .linalg import (
@@ -440,62 +437,12 @@ def single_preparation_certificate(
 _CSV_FIELDS = ["mu", "nu", "p", "re_V", "im_V", "sigma_p", "sigma_V"]
 
 
-@contextmanager
-def _csv_text(path_or_buffer, mode: str):
-    """An open text buffer as it is, or a path as an ASCII CSV file: opened
-    for reading (``mode`` "r"), or, for "w", a buffer whose text
-    :func:`write_text` writes to the path when the block ends."""
-    if isinstance(path_or_buffer, io.TextIOBase):
-        yield path_or_buffer
-    elif mode == "r":
-        with open(path_or_buffer, "r", newline="", encoding="ascii") as fh:
-            yield fh
-    else:
-        buf = io.StringIO(newline="")
-        yield buf
-        write_text(path_or_buffer, buf.getvalue())
-
-
-def _csv_rows(path_or_buffer, fields: list[str], types) -> list[list]:
-    """The data rows of a CSV whose header is ``fields``, blank lines
-    skipped, each field converted by the matching callable of ``types``. A
-    different header, or a row with a field count other than
-    ``len(fields)``, raises ValueError naming the line; a field its
-    conversion rejects raises ValueError naming the line and the column."""
-    with _csv_text(path_or_buffer, "r") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != fields:
-            raise ValueError(f"unexpected CSV header {header}, expected {fields}")
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(fields):
-                raise ValueError(f"CSV line {reader.line_num}: expected "
-                                 f"{len(fields)} fields, got {len(row)}")
-            values = []
-            for name, convert, text in zip(fields, types, row):
-                try:
-                    values.append(convert(text))
-                except ValueError as exc:
-                    raise ValueError(
-                        f"CSV line {reader.line_num}, column {name}: {exc}") from None
-            rows.append(values)
-        return rows
-
-
 def write_records_csv(records, path_or_buffer) -> None:
-    recs = list(_record_map(records).values())
-    with _csv_text(path_or_buffer, "w") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_FIELDS)
-        for r in recs:
-            writer.writerow([
-                r.mu, r.nu, repr(float(r.p)),
-                repr(float(r.visibility.real)), repr(float(r.visibility.imag)),
-                repr(float(r.sigma_p)), repr(float(r.sigma_v)),
-            ])
+    write_csv(path_or_buffer, _CSV_FIELDS, [
+        [r.mu, r.nu, repr(float(r.p)), repr(float(r.visibility.real)),
+         repr(float(r.visibility.imag)), repr(float(r.sigma_p)), repr(float(r.sigma_v))]
+        for r in _record_map(records).values()
+    ])
 
 
 def read_records_csv(path_or_buffer) -> list[FractionalVisibilityRecord]:
@@ -506,7 +453,7 @@ def read_records_csv(path_or_buffer) -> list[FractionalVisibilityRecord]:
             mu=mu, nu=nu, p=p, visibility=complex(re_v, im_v), sigma_p=sigma_p, sigma_v=sigma_v,
         )
         for mu, nu, p, re_v, im_v, sigma_p, sigma_v
-        in _csv_rows(path_or_buffer, _CSV_FIELDS, (str, str) + (float,) * 5)
+        in read_csv(path_or_buffer, _CSV_FIELDS, (str, str) + (float,) * 5)
     ]
     _record_map(records)
     return records

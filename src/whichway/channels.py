@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._files import write_text
+from ._files import read_text, write_text
 from .errors import DimensionError, PositivityError
 from .linalg import (
     ATOL_STRUCT,
@@ -322,11 +322,13 @@ def random_path_channel(d: int, n_kraus: int, seed: int) -> PathChannel:
     Each side draws n_kraus complex Ginibre matrices G_k, stacks them into
     one (n_kraus * d, d) matrix G = U S V^dag (thin SVD) and keeps the
     isometry polar factor U V^dag = G (G^dag G)^(-1/2), which is trace
-    preserving to round-off however ill-conditioned the draw. A seed that
-    is not a nonnegative integer raises :class:`DimensionError`.
+    preserving to round-off however ill-conditioned the draw. A ``d`` or
+    ``n_kraus`` that is not an integer >= 1, or a seed that is not a
+    nonnegative integer, raises :class:`DimensionError`; a bool is neither.
     """
-    if n_kraus < 1:
-        raise DimensionError("n_kraus must be >= 1")
+    for name, value in (("d", d), ("n_kraus", n_kraus)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise DimensionError(f"{name} must be >= 1 and an integer, got {value!r}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DimensionError(f"seed {seed!r} is not a nonnegative integer")
     rng = np.random.default_rng(seed)
@@ -428,5 +430,4 @@ def save_channel(ch: PathChannel, path) -> None:
 
 
 def load_channel(path) -> PathChannel:
-    with open(path, "r", encoding="ascii") as fh:
-        return loads_channel(fh.read())
+    return loads_channel(read_text(path))

@@ -231,7 +231,7 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
-_COMPLEMENTARY = {"hh": "vv", "vv": "hh", "hv": "vh", "vh": "hv"}
+_COMPLEMENTARY = (("hh", "vv"), ("hv", "vh"))
 
 
 def cmd_reproduce(args) -> int:
@@ -275,9 +275,8 @@ def cmd_reproduce(args) -> int:
     lines.append("single-preparation bounds (complementary orthonormal filters):")
     best = None
     for mu in sorted({r.mu for r in records}):
-        for nu in sorted(n for (m, n) in recs if m == mu):
-            partner = _COMPLEMENTARY.get(nu)
-            if partner is None or (mu, partner) not in recs or partner < nu:
+        for nu, partner in _COMPLEMENTARY:
+            if (mu, nu) not in recs or (mu, partner) not in recs:
                 continue
             subset = [recs[(mu, nu)], recs[(mu, partner)]]
             sub_cert = bnd.single_preparation_certificate(mu, subset)

@@ -64,8 +64,8 @@ from .errors import DimensionError, NumericalError, PositivityError
 from .linalg import (
     ATOL_DERIVED,
     ATOL_STRUCT,
+    density_matrix,
     factor_sandwich,
-    is_hermitian,
     matrix_sqrt,
     trace_norm,
 )
@@ -129,14 +129,12 @@ def _trace_distance(m0: np.ndarray, m1: np.ndarray) -> float:
 
 
 def distinguishability(e0, e1) -> float:
-    """Half the trace norm of the difference of two environment states,
-    given as matrices whose difference is Hermitian within 1e-10."""
-    m0 = np.asarray(e0, dtype=complex)
-    m1 = np.asarray(e1, dtype=complex)
+    """Half the trace norm of the difference of two environment states of
+    one dimension, each checked by :func:`~whichway.linalg.density_matrix`."""
+    m0 = density_matrix(e0, "environment state e0")
+    m1 = density_matrix(e1, "environment state e1")
     if m0.shape != m1.shape:
         raise DimensionError(f"environment dimensions differ: {m0.shape} vs {m1.shape}")
-    if not is_hermitian(m0 - m1):
-        raise PositivityError("environment states are not Hermitian within 1e-10")
     return _trace_distance(m0, m1)
 
 

@@ -48,18 +48,16 @@ and reports the member that matches the requested program.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._files import read_csv, write_csv
 from .bounds import (
     FilterPair,
     FractionalVisibilityRecord,
-    _csv_rows,
-    _csv_text,
     rectilinear_filters,
     rectilinear_preparations,
 )
@@ -691,14 +689,12 @@ _DS_FIELDS = ["phase", "n_plus", "n_minus", "n_ref0", "n_ref1"]
 
 
 def write_dataset_csv(ds: FringeDataset, path_or_buffer) -> None:
-    with _csv_text(path_or_buffer, "w") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_DS_FIELDS)
-        writer.writerows([repr(phi), *n] for phi, n in zip(ds.phases, ds.counts.T.tolist()))
+    write_csv(path_or_buffer, _DS_FIELDS,
+              ([repr(phi), *n] for phi, n in zip(ds.phases, ds.counts.T.tolist())))
 
 
 def read_dataset_csv(path_or_buffer, shots_per_phase: int, seed=0,
                      efficiencies=(1.0, 1.0, 1.0, 1.0)) -> FringeDataset:
-    rows = _csv_rows(path_or_buffer, _DS_FIELDS, (float, int, int, int, int))
+    rows = read_csv(path_or_buffer, _DS_FIELDS, (float, int, int, int, int))
     counts = np.array([r[1:] for r in rows], dtype=np.int64).reshape(-1, 4).T
     return FringeDataset(tuple(r[0] for r in rows), counts, shots_per_phase, seed, efficiencies)

@@ -805,6 +805,7 @@ def test_records_csv_round_trip(tmp_path):
         assert back.sigma_v == rec.sigma_v
     buf = io.StringIO()
     write_records_csv(records, buf)
+    assert buf.getvalue().encode("ascii") == path.read_bytes()
     buf.seek(0)
     assert len(read_records_csv(buf)) == len(records)
 

@@ -42,7 +42,13 @@ from whichway import (
     verify_noise_program,
 )
 from whichway.bounds import FilterPair
-from whichway.channels import dumps_channel, loads_channel, pure_pair
+from whichway.channels import (
+    dumps_channel,
+    load_channel,
+    loads_channel,
+    pure_pair,
+    save_channel,
+)
 from whichway.interferometer import FringeDataset
 
 ALL_BUILDERS = [
@@ -253,6 +259,14 @@ def test_random_channel_refuses_a_seed_that_is_not_a_nonnegative_integer(seed):
         random_path_channel(2, 2, seed)
 
 
+@pytest.mark.parametrize("d, n_kraus", [
+    (2, 2.5), (2, True), (2, 0), (2, "2"), (2.0, 1), (False, 1), (-1, 1), (0, 1),
+])
+def test_random_channel_refuses_a_size_that_is_not_a_positive_integer(d, n_kraus):
+    with pytest.raises(DimensionError, match="(d|n_kraus) must be >= 1"):
+        random_path_channel(d, n_kraus, 0)
+
+
 def test_random_channel_deterministic_under_seed():
     a = random_path_channel(2, 3, seed=7)
     b = random_path_channel(2, 3, seed=7)
@@ -405,12 +419,16 @@ def test_channel_file_round_trip_bit_identical(tmp_path):
     again = dumps_channel(loads_channel(text))
     assert text == again
     path = tmp_path / "channel.txt"
-    path.write_text(text, encoding="ascii")
-    loaded = loads_channel(path.read_text(encoding="ascii"))
+    save_channel(ch, path)
+    assert path.read_bytes() == text.encode("ascii")
+    loaded = load_channel(path)
     for (a0, a1), (b0, b1) in zip(ch.kraus_pairs, loaded.kraus_pairs):
         np.testing.assert_array_equal(a0, b0)
         np.testing.assert_array_equal(a1, b1)
     assert loaded.metadata == {k: str(v) for k, v in ch.metadata.items()}
+    crlf = tmp_path / "channel_crlf.txt"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert dumps_channel(load_channel(crlf)) == text
 
 
 def test_channel_file_round_trip_spinless():

@@ -7,6 +7,7 @@ from conftest import random_density, random_ket, random_preparation, random_unit
 from reference_kernels import brute_force_visibility, eigh_fidelity, mixed_state
 from whichway import (
     DimensionError,
+    NonFiniteError,
     NumericalError,
     PathChannel,
     PositivityError,
@@ -98,6 +99,18 @@ def test_distinguishability_rejects_non_hermitian_states():
     skew = np.array([[0.5, 0.1], [0.0, 0.5]])
     with pytest.raises(PositivityError):
         distinguishability(skew, np.eye(2) / 2)
+
+
+def test_distinguishability_refuses_inputs_that_are_not_states():
+    with pytest.raises(PositivityError, match="e0 trace differs from one"):
+        distinguishability(2 * np.eye(2), np.zeros((2, 2)))
+    with pytest.raises(PositivityError, match="e1 trace differs from one"):
+        distinguishability(np.eye(2) / 2, np.zeros((2, 2)))
+    nan = np.full((2, 2), np.nan)
+    with pytest.raises(NonFiniteError):
+        distinguishability(nan, np.eye(2) / 2)
+    with pytest.raises(NonFiniteError):
+        distinguishability(np.eye(2) / 2, nan)
 
 
 def test_visibility_identity_channel_is_one():

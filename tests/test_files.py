@@ -3,7 +3,7 @@
 Each writer, run over an existing longer file, leaves exactly the bytes it
 writes to a new file, in the same inode; ``--out /dev/null`` succeeds (the
 file is not a regular one, so it is not cut to length); and no other module
-of ``src/whichway`` opens a file for writing.
+of ``src/whichway`` opens a file, for writing or reading, or imports ``csv``.
 """
 
 import ast
@@ -75,16 +75,21 @@ def test_non_ascii_text_leaves_the_file_untouched(tmp_path):
     assert path.read_bytes() == b"old\n"
 
 
+def _is_open_call(node) -> bool:
+    """Whether ``node`` calls ``open`` or ``fdopen``, bare or as an attribute."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return name in ("open", "fdopen")
+
+
 def _writing_opens(source: str) -> list[int]:
     """Lines of ``open``/``fdopen`` calls whose mode writes ("w", "a", "x"
     or "+") or is not a string literal."""
     lines = []
     for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name not in ("open", "fdopen"):
+        if not _is_open_call(node):
             continue
         mode = node.args[1] if len(node.args) > 1 else next(
             (k.value for k in node.keywords if k.arg == "mode"), None)
@@ -96,14 +101,50 @@ def _writing_opens(source: str) -> list[int]:
     return lines
 
 
-def test_only_write_text_opens_files_for_writing():
+def _opens_and_csv_imports(source: str) -> list[int]:
+    """Lines of ``open``/``fdopen`` calls in any mode and of imports of
+    ``csv``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found = any(alias.name.split(".")[0] == "csv" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found = (node.module or "").split(".")[0] == "csv"
+        else:
+            found = _is_open_call(node)
+        if found:
+            lines.append(node.lineno)
+    return lines
+
+
+def _offenders(scan) -> list[str]:
     package = ROOT / "src" / "whichway"
-    offenders = [
+    return [
         f"{path.relative_to(package)}:{line}"
         for path in sorted(package.rglob("*.py")) if path.name != "_files.py"
-        for line in _writing_opens(path.read_text(encoding="utf-8"))
+        for line in scan(path.read_text(encoding="utf-8"))
     ]
-    assert offenders == []
+
+
+def test_only_write_text_opens_files_for_writing():
+    assert _offenders(_writing_opens) == []
+
+
+def test_only_files_module_opens_files_or_imports_csv():
+    assert _offenders(_opens_and_csv_imports) == []
+
+
+@pytest.mark.parametrize("source", [
+    'open(p, "r", encoding="ascii")', "open(p)", "p.open()", "os.fdopen(fd)",
+    "os.open(p, os.O_RDONLY)", "import csv", "import os, csv", "from csv import reader",
+])
+def test_open_and_csv_scan_flags(source):
+    assert _opens_and_csv_imports(source) == [1]
+
+
+@pytest.mark.parametrize("source", ["import io", "from . import csvlike", "read_csv(p)"])
+def test_open_and_csv_scan_passes(source):
+    assert _opens_and_csv_imports(source) == []
 
 
 @pytest.mark.parametrize("call", [

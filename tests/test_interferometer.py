@@ -400,6 +400,7 @@ def test_dataset_csv_round_trip(tmp_path):
     buf = io.StringIO()
     write_dataset_csv(ds, buf)
     assert buf.getvalue().splitlines()[0] == "phase,n_plus,n_minus,n_ref0,n_ref1"
+    assert buf.getvalue().encode("ascii") == path.read_bytes()
 
 
 def _dataset(counts, phases=(0.0, 1.0), shots_per_phase=10, efficiencies=(1.0,) * 4):
