@@ -17,8 +17,9 @@ OUT.mkdir(exist_ok=True)
 SEED = 2024
 
 # 1. The plate program: four rows of half/quarter-wave settings, one per
-#    arm-unitary pair. The verifier reports the Jones arrangement under
-#    which every row matches its target, including the (Y,-Y) sign.
+#    arm-unitary pair. The verifier checks every row against its target,
+#    including the (Y,-Y) sign, under the package's one Jones convention
+#    (quarter plates straddling both arms, circular-left frame).
 report = ww.verify_noise_program(ww.pauli_noise_program())
 print(f"plate program verified (max deviation {report.max_deviation:.1e})")
 print(f"  active convention: {report.convention}")

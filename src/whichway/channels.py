@@ -403,6 +403,8 @@ def loads_channel(text: str) -> PathChannel:
         idx += 1
     if d is None or n is None:
         raise ValueError("channel spec file is missing spin_dim or pairs")
+    if d < 1:
+        raise DimensionError(f"spin_dim must be >= 1, got {d}")
 
     def parse_block(line: str, tag: str) -> np.ndarray:
         head, _, rest = line.partition(" ")

@@ -27,8 +27,8 @@ class ContractionError(WhichWayError, ValueError):
 
 
 class ConventionError(WhichWayError, ValueError):
-    """No member of the documented Jones-convention family reproduces the
-    requested wave-plate program."""
+    """A wave-plate program row does not realize its target arm-unitary pair
+    under the documented Jones convention."""
 
 
 class NumericalError(WhichWayError, RuntimeError):

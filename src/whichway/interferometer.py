@@ -33,17 +33,17 @@ from ``np.random.default_rng(seed)``. Counts for a given seed are part of the
 interface and stay fixed. The drawing functions reach ``numpy.random`` only
 when they run, so importing the package does not load it.
 
-Jones convention: rotation-conjugated retarders
+Jones convention, :data:`CONVENTION`: rotation-conjugated retarders
 
     HWP(theta) = R(theta) diag(1, -1) R(-theta)
     QWP(theta) = R(theta) diag(1,  i) R(-theta)
 
-with R(theta) the counterclockwise rotation by theta. A one-half-wave plus
-one-quarter-wave chain in each arm cannot reproduce an identity arm unitary
-(their Bloch rotation angles are pi and pi/2, so the product always rotates
-by at least pi/2), so the verifier scans a documented family of arrangements
-and polarization frames, including quarter plates that straddle both arms,
-and reports the member that matches the requested program.
+with R(theta) the counterclockwise rotation by theta. The two quarter plates
+straddle both arms, so arm i of a row realizes W QWP(q2) HWP(h_i) QWP(q1) W^dag
+in the circular-left frame W = (1 - iX)/sqrt(2). A one-half-wave plus
+one-quarter-wave chain in a single arm cannot reproduce an identity arm
+unitary (their Bloch rotation angles are pi and pi/2, so the product always
+rotates by at least pi/2), which is why the quarter plates straddle.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ from .errors import ConventionError, DimensionError, NonFiniteError, NumericalEr
 from .linalg import ATOL_DERIVED, finite_array
 
 __all__ = [
+    "CONVENTION",
     "FitResult",
     "FringeDataset",
     "NoiseProgram",
@@ -91,6 +92,8 @@ __all__ = [
     "verify_noise_program",
     "write_dataset_csv",
 ]
+
+CONVENTION = "straddling quarter plates, circular-left frame"
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -114,15 +117,12 @@ class WavePlateSetting:
             raise DimensionError(f"angle {self.angle_deg} outside [-180, 180] degrees")
 
 
-def _rotation(theta_rad: float) -> np.ndarray:
-    c, s = math.cos(theta_rad), math.sin(theta_rad)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def jones_matrix(setting: WavePlateSetting, mirror_angles: bool = False) -> np.ndarray:
-    """Jones matrix of a wave plate in the documented convention."""
-    theta = math.radians(setting.angle_deg) * (-1 if mirror_angles else 1)
-    r = _rotation(theta)
+def jones_matrix(setting: WavePlateSetting) -> np.ndarray:
+    """Jones matrix R(theta) diag(1, -1 or i) R(-theta) of a half or quarter
+    plate at theta = ``setting.angle_deg``, in the lab frame."""
+    theta = math.radians(setting.angle_deg)
+    c, s = math.cos(theta), math.sin(theta)
+    r = np.array([[c, -s], [s, c]], dtype=complex)
     retard = np.diag([1.0, -1.0 if setting.kind == "half" else 1.0j]).astype(complex)
     return r @ retard @ r.conj().T
 
@@ -201,92 +201,47 @@ class ProgramReport:
         return max(r.deviation for r in self.rows)
 
 
-def _mat(setting: WavePlateSetting | None, mirror: bool) -> np.ndarray:
-    if setting is None:
-        return np.eye(2, dtype=complex)
-    return jones_matrix(setting, mirror_angles=mirror)
-
-
-_FRAMES = {
-    "rectilinear": np.eye(2, dtype=complex),
-    "circular-left": (np.eye(2) - 1j * PAULI_X) / np.sqrt(2),
-    "circular-right": (np.eye(2) + 1j * PAULI_X) / np.sqrt(2),
-}
-
-
-def _compose_row(row: NoiseRow, arrangement: str, mirror: bool):
-    h0, h1 = _mat(row.h0, mirror), _mat(row.h1, mirror)
-    q1, q2 = _mat(row.q1, mirror), _mat(row.q2, mirror)
-    if arrangement == "per-arm half-then-quarter":
-        return q1 @ h0, q2 @ h1
-    if arrangement == "per-arm quarter-then-half":
-        return h0 @ q1, h1 @ q2
-    if arrangement == "straddling quarter plates":
-        return q2 @ h0 @ q1, q2 @ h1 @ q1
-    raise DimensionError(f"unknown arrangement {arrangement!r}")
+_FRAME = (np.eye(2) - 1j * PAULI_X) / np.sqrt(2)
 
 
 def _match_row(u0, u1, k0, k1):
-    """Shared-phase comparison of an arm-unitary pair against its target."""
+    """Shared-phase comparison of an arm-unitary pair against its target. The
+    phase is read off the target's largest entry, which is 1 for a +-Pauli
+    target."""
     flat = np.concatenate([k0.reshape(-1), k1.reshape(-1)])
     idx = int(np.argmax(np.abs(flat)))
-    ref = flat[idx]
-    got = np.concatenate([u0.reshape(-1), u1.reshape(-1)])[idx]
-    if abs(ref) < 1e-12:
-        return False, np.inf, 1.0 + 0.0j
-    phase = got / ref
-    if abs(abs(phase) - 1.0) > ATOL_DERIVED:
-        return False, np.inf, phase
-    dev = max(np.max(np.abs(u0 - phase * k0)), np.max(np.abs(u1 - phase * k1)))
-    return dev <= ATOL_DERIVED, float(dev), phase
-
-
-def _candidate_conventions():
-    for arrangement in (
-        "per-arm half-then-quarter",
-        "per-arm quarter-then-half",
-        "straddling quarter plates",
-    ):
-        for mirror in (False, True):
-            for frame_name in ("rectilinear", "circular-left", "circular-right"):
-                label = arrangement + (", mirrored angles" if mirror else "")
-                label += f", {frame_name} frame"
-                yield label, arrangement, mirror, frame_name
+    phase = np.concatenate([u0.reshape(-1), u1.reshape(-1)])[idx] / flat[idx]
+    dev = float(max(np.max(np.abs(u0 - phase * k0)), np.max(np.abs(u1 - phase * k1))))
+    return abs(abs(phase) - 1.0) <= ATOL_DERIVED and dev <= ATOL_DERIVED, dev, phase
 
 
 def verify_noise_program(prog: NoiseProgram) -> ProgramReport:
-    """Find the member of the documented convention family under which every
-    row realizes its target pair up to a shared phase within 1e-9
-    (``ATOL_DERIVED``).
+    """Check that every row realizes its target pair under :data:`CONVENTION`
+    up to a shared phase within 1e-9 (``ATOL_DERIVED``).
 
-    Returns the per-row deviations and frame-corrected effective arm
-    unitaries; raises :class:`ConventionError` with per-candidate diagnostics
-    if no member matches.
+    Arm i of a row realizes W QWP(q2) HWP(h_i) QWP(q1) W^dag; a missing plate
+    is the identity. Returns the per-row deviations and frame-corrected
+    effective arm unitaries; raises :class:`ConventionError` naming every row
+    that fails, with its deviation.
     """
-    diagnostics = []
-    for label, arrangement, mirror, frame_name in _candidate_conventions():
-        w = _FRAMES[frame_name]
-        reports = []
-        worst = 0.0
-        for row in prog.rows:
-            u0, u1 = _compose_row(row, arrangement, mirror)
-            u0 = w @ u0 @ w.conj().T
-            u1 = w @ u1 @ w.conj().T
-            k0, k1 = row.target_pair()
-            ok, dev, phase = _match_row(u0, u1, k0, k1)
-            if not ok:
-                worst = max(worst, dev if np.isfinite(dev) else 1.0)
-                reports = None
-                break
-            worst = max(worst, dev)
+    reports, failures = [], []
+    for row in prog.rows:
+        h0, h1, q1, q2 = (
+            _PAULI["I"] if s is None else jones_matrix(s)
+            for s in (row.h0, row.h1, row.q1, row.q2)
+        )
+        u0, u1 = (_FRAME @ (q2 @ h @ q1) @ _FRAME.conj().T for h in (h0, h1))
+        ok, dev, phase = _match_row(u0, u1, *row.target_pair())
+        if ok:
             reports.append(RowReport(row.target, dev, phase, (u0, u1)))
-        if reports is not None:
-            return ProgramReport(convention=label, rows=tuple(reports))
-        diagnostics.append(f"{label}: max deviation {worst:.3e}")
-    raise ConventionError(
-        "no documented Jones convention reproduces the program:\n  "
-        + "\n  ".join(diagnostics)
-    )
+        else:
+            failures.append(f"{row.target}: max deviation {dev:.3e}")
+    if failures:
+        raise ConventionError(
+            f"rows not realized under the {CONVENTION} convention:\n  "
+            + "\n  ".join(failures)
+        )
+    return ProgramReport(convention=CONVENTION, rows=tuple(reports))
 
 
 def program_channel(report: ProgramReport) -> PathChannel:
@@ -659,7 +614,7 @@ def run_experiment(
     """Simulate and fit every (preparation, filter) cell.
 
     Non-uniform detector efficiencies are equalized to the minimum
-    efficiency m before fitting, mirroring the binomial resampling used on
+    efficiency m before fitting, like the binomial resampling used on
     the measured data: since resampling thinned counts by m / e is thinning
     by m, cell (mu, nu) is ``simulate_fringes(..., efficiencies=(m,) * 4,
     seed=seed + (i_mu, i_nu))``, drawn as the module docstring states. The

@@ -446,6 +446,13 @@ def test_channel_file_rejects_garbage():
         loads_channel(text.replace("pairs 1", "pairs 2"))
 
 
+@pytest.mark.parametrize("spin_dim", [0, -1])
+def test_channel_file_refuses_spin_dim_below_one(spin_dim):
+    text = dumps_channel(identity_channel(2)).replace("spin_dim 2", f"spin_dim {spin_dim}")
+    with pytest.raises(DimensionError, match=f"spin_dim must be >= 1, got {spin_dim}"):
+        loads_channel(text)
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_channel_file_rejects_non_finite_entries(bad):
     text = dumps_channel(identity_channel(2))

@@ -80,6 +80,16 @@ def test_malformed_file_exits_2(capsys, tmp_path):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("spin_dim", [0, -1])
+def test_channel_file_with_spin_dim_below_one_exits_2(capsys, tmp_path, spin_dim):
+    path = tmp_path / "bad_dim.txt"
+    save_channel(transpose_channel(2), path)
+    path.write_text(path.read_text().replace("spin_dim 2", f"spin_dim {spin_dim}"))
+    code, out, err = run_cli(capsys, "vg", "--channel", f"file:{path}", "--prep", "mixed")
+    assert code == EXIT_INPUT and out == ""
+    assert f"spin_dim must be >= 1, got {spin_dim}" in err
+
+
 def test_channel_file_round_trip_through_cli(capsys, tmp_path):
     path = tmp_path / "transpose.txt"
     save_channel(transpose_channel(2), path)

@@ -1,6 +1,7 @@
 import io
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -118,7 +119,7 @@ def test_identity_program_with_plates_removed():
     prog = NoiseProgram(rows=(NoiseRow("I,I", None, None, None, None),))
     report = verify_noise_program(prog)
     assert report.max_deviation <= 1e-12
-    assert report.convention.startswith("per-arm")
+    assert report.convention == interferometer.CONVENTION
 
 
 def test_unrealizable_program_raises_convention_error():
@@ -127,6 +128,38 @@ def test_unrealizable_program_raises_convention_error():
     ))
     with pytest.raises(ConventionError):
         verify_noise_program(prog)
+
+
+def test_convention_error_names_each_failing_row_with_its_deviation():
+    bad = NoiseRow("Y,-Y", WavePlateSetting("half", 10.0), None, None, None)
+    with pytest.raises(ConventionError) as info:
+        verify_noise_program(NoiseProgram(rows=(bad,)))
+    message = str(info.value)
+    assert interferometer.CONVENTION in message
+    assert re.search(r"^  Y,-Y: max deviation \d\.\d{3}e[+-]\d\d$", message, re.M)
+    # every failing row is named, in program order, and no passing row is
+    standard = pauli_noise_program().rows
+    prog = NoiseProgram(rows=(standard[0], bad, standard[3], NoiseRow("X,X", *[None] * 4)))
+    with pytest.raises(ConventionError) as info:
+        verify_noise_program(prog)
+    named = [line.split(":")[0].strip() for line in str(info.value).splitlines()[1:]]
+    assert named == ["Y,-Y", "X,X"]
+
+
+@pytest.mark.parametrize("order", ["half-then-quarter", "quarter-then-half"])
+def test_one_half_and_one_quarter_plate_in_one_arm_never_give_the_identity(order):
+    # |tr U| / 2 = |cos(Bloch angle / 2)| <= 1/sqrt(2): the product of a pi and
+    # a pi/2 rotation rotates by at least pi/2, so it is never +-identity and a
+    # per-arm chain cannot realize the (I, I) row; the bound is attained
+    half = np.array([jones_matrix(WavePlateSetting("half", a))
+                     for a in np.linspace(-180.0, 180.0, 721)])
+    quarter = np.array([jones_matrix(WavePlateSetting("quarter", a))
+                        for a in np.linspace(-180.0, 180.0, 181)])
+    h, q = half[:, None], quarter[None, :]
+    chain = q @ h if order == "half-then-quarter" else h @ q
+    overlap = np.abs(np.trace(chain, axis1=-2, axis2=-1)) / 2
+    assert overlap.max() <= 1 / np.sqrt(2) + 1e-12
+    assert overlap.max() >= 1 / np.sqrt(2) - 1e-12
 
 
 def test_simulate_zero_shots_gives_zero_counts():
