@@ -11,19 +11,20 @@ demo 03 give.
 from pathlib import Path
 
 import whichway as ww
+from whichway.interferometer import CONVENTION
 
 OUT = Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)
 SEED = 2024
 
-# 1. The plate program: four rows of half/quarter-wave settings, one per
+# 1. The plate program: four rows of plate angles in degrees, one per
 #    arm-unitary pair. The verifier checks every row against its target,
 #    including the (Y,-Y) sign, under the package's one Jones convention
 #    (quarter plates straddling both arms, circular-left frame).
-report = ww.verify_noise_program(ww.pauli_noise_program())
-print(f"plate program verified (max deviation {report.max_deviation:.1e})")
-print(f"  active convention: {report.convention}")
-mixture = ww.program_channel(report)
+rows = ww.verify_noise_program(ww.pauli_noise_program())
+print(f"plate program verified (max deviation {max(r.deviation for r in rows):.1e})")
+print(f"  active convention: {CONVENTION}")
+mixture = ww.program_channel(rows)
 
 # 2. Simulate one fringe scan and look at the raw counts.
 preps, filters = ww.rectilinear_preparations(), ww.rectilinear_filters()

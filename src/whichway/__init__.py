@@ -60,10 +60,8 @@ from .errors import (
 from .interferometer import (
     FitResult,
     FringeDataset,
-    NoiseProgram,
     NoiseRow,
-    ProgramReport,
-    WavePlateSetting,
+    RowReport,
     binomial_resample,
     fit_fringes,
     fit_report,

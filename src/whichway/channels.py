@@ -37,6 +37,7 @@ from .linalg import (
     density_matrix,
     finite_array,
     hermitian_part,
+    int_at_least,
     ket,
     unit_ket,
 )
@@ -123,6 +124,7 @@ class Preparation:
     @classmethod
     def completely_mixed(cls, dim: int, label: str = "mixed") -> "Preparation":
         """Uniform ensemble of basis pairs (|l>, |l>): rho_0 = rho_1 = 1/d."""
+        dim = int_at_least(dim, "dim", 1)
         pairs = tuple((ket(l, dim), ket(l, dim)) for l in range(dim))
         return cls(dim, (1.0 / dim,) * dim, pairs, label=label)
 
@@ -168,9 +170,7 @@ class PathChannel:
     kraus: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        d = self.spin_dim
-        if d < 1:
-            raise DimensionError("spin_dim must be >= 1")
+        d = int_at_least(self.spin_dim, "spin_dim", 1)
         pairs = tuple(
             (np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
             for a, b in self.kraus_pairs
@@ -245,6 +245,7 @@ def dilate(ch: PathChannel) -> np.ndarray:
 
 
 def identity_channel(d: int) -> PathChannel:
+    d = int_at_least(d, "d", 1)
     eye = np.eye(d, dtype=complex)
     return PathChannel(d, ((eye, eye),), label=f"identity(d={d})")
 
@@ -272,6 +273,7 @@ def replace_channel(sigma0: np.ndarray) -> PathChannel:
 
 def transpose_channel(d: int) -> PathChannel:
     """Cross block sigma -> sigma^T / d; each arm completely depolarized."""
+    d = int_at_least(d, "d", 1)
     pairs = []
     s = 1.0 / np.sqrt(d)
     for k in range(d):
@@ -326,11 +328,8 @@ def random_path_channel(d: int, n_kraus: int, seed: int) -> PathChannel:
     ``n_kraus`` that is not an integer >= 1, or a seed that is not a
     nonnegative integer, raises :class:`DimensionError`; a bool is neither.
     """
-    for name, value in (("d", d), ("n_kraus", n_kraus)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-            raise DimensionError(f"{name} must be >= 1 and an integer, got {value!r}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DimensionError(f"seed {seed!r} is not a nonnegative integer")
+    d, n_kraus = int_at_least(d, "d", 1), int_at_least(n_kraus, "n_kraus", 1)
+    seed = int_at_least(seed, "seed", 0)
     rng = np.random.default_rng(seed)
 
     def draw_side():
@@ -382,6 +381,15 @@ def dumps_channel(ch: PathChannel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _header_int(text: str, key: str) -> int:
+    """The value of a ``spin_dim`` or ``pairs`` header line, an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = text
+    return int_at_least(value, key, 1)
+
+
 def loads_channel(text: str) -> PathChannel:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != _MAGIC:
@@ -392,9 +400,9 @@ def loads_channel(text: str) -> PathChannel:
     while idx < len(lines) and lines[idx] != "pair":
         key, _, rest = lines[idx].partition(" ")
         if key == "spin_dim":
-            d = int(rest)
+            d = _header_int(rest, key)
         elif key == "pairs":
-            n = int(rest)
+            n = _header_int(rest, key)
         elif key == "meta":
             mkey, _, mval = rest.partition(" ")
             metadata[mkey] = mval
@@ -403,8 +411,6 @@ def loads_channel(text: str) -> PathChannel:
         idx += 1
     if d is None or n is None:
         raise ValueError("channel spec file is missing spin_dim or pairs")
-    if d < 1:
-        raise DimensionError(f"spin_dim must be >= 1, got {d}")
 
     def parse_block(line: str, tag: str) -> np.ndarray:
         head, _, rest = line.partition(" ")

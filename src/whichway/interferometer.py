@@ -44,6 +44,10 @@ in the circular-left frame W = (1 - iX)/sqrt(2). A one-half-wave plus
 one-quarter-wave chain in a single arm cannot reproduce an identity arm
 unitary (their Bloch rotation angles are pi and pi/2, so the product always
 rotates by at least pi/2), which is why the quarter plates straddle.
+
+A plate program is a sequence of rows (:class:`NoiseRow`), each a target
+label and four angles in degrees; the slot of an angle fixes its plate's
+kind. All-zero angles realize (1, 1), since QWP(0) HWP(0) QWP(0) = 1.
 """
 
 from __future__ import annotations
@@ -69,17 +73,14 @@ from .channels import (
     pure_pair,
 )
 from .errors import ConventionError, DimensionError, NonFiniteError, NumericalError
-from .linalg import ATOL_DERIVED, finite_array
+from .linalg import ATOL_DERIVED, finite_array, int_at_least
 
 __all__ = [
     "CONVENTION",
     "FitResult",
     "FringeDataset",
-    "NoiseProgram",
     "NoiseRow",
-    "ProgramReport",
     "RowReport",
-    "WavePlateSetting",
     "binomial_resample",
     "fit_fringes",
     "fit_report",
@@ -103,40 +104,32 @@ _PAULI = {
 }
 
 
-@dataclass(frozen=True)
-class WavePlateSetting:
-    """A half- or quarter-wave plate at a principal-axis angle in degrees."""
-
-    kind: str
-    angle_deg: float
-
-    def __post_init__(self):
-        if self.kind not in ("half", "quarter"):
-            raise DimensionError(f"unknown wave plate kind {self.kind!r}")
-        if not -180.0 <= self.angle_deg <= 180.0:
-            raise DimensionError(f"angle {self.angle_deg} outside [-180, 180] degrees")
-
-
-def jones_matrix(setting: WavePlateSetting) -> np.ndarray:
-    """Jones matrix R(theta) diag(1, -1 or i) R(-theta) of a half or quarter
-    plate at theta = ``setting.angle_deg``, in the lab frame."""
-    theta = math.radians(setting.angle_deg)
+def jones_matrix(kind: str, angle_deg: float) -> np.ndarray:
+    """Jones matrix R(theta) diag(1, -1 or i) R(-theta) of a "half" or
+    "quarter" plate at theta = ``angle_deg``, in the lab frame; another kind,
+    or an angle outside [-180, 180] degrees, raises :class:`DimensionError`."""
+    if kind not in ("half", "quarter"):
+        raise DimensionError(f"unknown wave plate kind {kind!r}")
+    if not -180.0 <= angle_deg <= 180.0:
+        raise DimensionError(f"angle {angle_deg} outside [-180, 180] degrees")
+    theta = math.radians(angle_deg)
     c, s = math.cos(theta), math.sin(theta)
     r = np.array([[c, -s], [s, c]], dtype=complex)
-    retard = np.diag([1.0, -1.0 if setting.kind == "half" else 1.0j]).astype(complex)
+    retard = np.diag([1.0, -1.0 if kind == "half" else 1.0j]).astype(complex)
     return r @ retard @ r.conj().T
 
 
 @dataclass(frozen=True)
 class NoiseRow:
-    """One plate setting row: per-arm half-wave plates h0/h1, the two quarter
-    plates q1/q2, and the targeted arm-unitary pair label (e.g. "Y,-Y")."""
+    """One plate setting row: the targeted arm-unitary pair label (e.g.
+    "Y,-Y") and the plate angles in degrees, the half-wave plates h0/h1 of
+    the two arms and the quarter plates q1/q2 that straddle both."""
 
     target: str
-    h0: WavePlateSetting | None
-    h1: WavePlateSetting | None
-    q1: WavePlateSetting | None
-    q2: WavePlateSetting | None
+    h0: float
+    h1: float
+    q1: float
+    q2: float
 
     def target_pair(self) -> tuple[np.ndarray, np.ndarray]:
         names = self.target.split(",")
@@ -153,87 +146,57 @@ class NoiseRow:
         return out[0], out[1]
 
 
-@dataclass(frozen=True)
-class NoiseProgram:
-    """Equal-weight list of plate rows realizing a mixture of arm-unitary
-    pairs."""
-
-    rows: tuple[NoiseRow, ...]
-
-    def __post_init__(self):
-        if not self.rows:
-            raise DimensionError("a noise program needs at least one row")
-
-
-def pauli_noise_program() -> NoiseProgram:
+def pauli_noise_program() -> tuple[NoiseRow, ...]:
     """The four-row plate program for the equal mixture of (1,1), (X,X),
     (Y,-Y), (Z,Z)."""
-
-    def half(a):
-        return WavePlateSetting("half", a)
-
-    def quarter(a):
-        return WavePlateSetting("quarter", a)
-
-    return NoiseProgram(rows=(
-        NoiseRow("I,I", half(-45), half(-45), quarter(45), quarter(45)),
-        NoiseRow("X,X", half(45), half(45), quarter(45), quarter(-45)),
-        NoiseRow("Y,-Y", half(0), half(90), quarter(45), quarter(45)),
-        NoiseRow("Z,Z", half(0), half(0), quarter(45), quarter(-45)),
-    ))
+    return (
+        NoiseRow("I,I", -45.0, -45.0, 45.0, 45.0),
+        NoiseRow("X,X", 45.0, 45.0, 45.0, -45.0),
+        NoiseRow("Y,-Y", 0.0, 90.0, 45.0, 45.0),
+        NoiseRow("Z,Z", 0.0, 0.0, 45.0, -45.0),
+    )
 
 
 @dataclass(frozen=True, eq=False)
 class RowReport:
     target: str
     deviation: float
-    phase: complex
     effective_pair: tuple[np.ndarray, np.ndarray] = field(repr=False)
-
-
-@dataclass(frozen=True)
-class ProgramReport:
-    convention: str
-    rows: tuple[RowReport, ...]
-
-    @property
-    def max_deviation(self) -> float:
-        return max(r.deviation for r in self.rows)
 
 
 _FRAME = (np.eye(2) - 1j * PAULI_X) / np.sqrt(2)
 
 
-def _match_row(u0, u1, k0, k1):
-    """Shared-phase comparison of an arm-unitary pair against its target. The
-    phase is read off the target's largest entry, which is 1 for a +-Pauli
-    target."""
+def _match_row(u0, u1, k0, k1) -> tuple[bool, float]:
+    """Shared-phase comparison of an arm-unitary pair against its target:
+    whether it matches, and its deviation. The phase is read off the
+    target's largest entry, which is 1 for a +-Pauli target."""
     flat = np.concatenate([k0.reshape(-1), k1.reshape(-1)])
     idx = int(np.argmax(np.abs(flat)))
     phase = np.concatenate([u0.reshape(-1), u1.reshape(-1)])[idx] / flat[idx]
     dev = float(max(np.max(np.abs(u0 - phase * k0)), np.max(np.abs(u1 - phase * k1))))
-    return abs(abs(phase) - 1.0) <= ATOL_DERIVED and dev <= ATOL_DERIVED, dev, phase
+    return abs(abs(phase) - 1.0) <= ATOL_DERIVED and dev <= ATOL_DERIVED, dev
 
 
-def verify_noise_program(prog: NoiseProgram) -> ProgramReport:
+def verify_noise_program(rows) -> tuple[RowReport, ...]:
     """Check that every row realizes its target pair under :data:`CONVENTION`
     up to a shared phase within 1e-9 (``ATOL_DERIVED``).
 
-    Arm i of a row realizes W QWP(q2) HWP(h_i) QWP(q1) W^dag; a missing plate
-    is the identity. Returns the per-row deviations and frame-corrected
-    effective arm unitaries; raises :class:`ConventionError` naming every row
-    that fails, with its deviation.
+    Arm i of a row realizes W QWP(q2) HWP(h_i) QWP(q1) W^dag. Returns each
+    row's deviation and frame-corrected effective arm unitaries; raises
+    :class:`DimensionError` for no rows and :class:`ConventionError` naming
+    every row that fails, with its deviation.
     """
+    if not rows:
+        raise DimensionError("a noise program needs at least one row")
     reports, failures = [], []
-    for row in prog.rows:
-        h0, h1, q1, q2 = (
-            _PAULI["I"] if s is None else jones_matrix(s)
-            for s in (row.h0, row.h1, row.q1, row.q2)
-        )
-        u0, u1 = (_FRAME @ (q2 @ h @ q1) @ _FRAME.conj().T for h in (h0, h1))
-        ok, dev, phase = _match_row(u0, u1, *row.target_pair())
+    for row in rows:
+        q1, q2 = jones_matrix("quarter", row.q1), jones_matrix("quarter", row.q2)
+        u0, u1 = (_FRAME @ (q2 @ jones_matrix("half", h) @ q1) @ _FRAME.conj().T
+                  for h in (row.h0, row.h1))
+        ok, dev = _match_row(u0, u1, *row.target_pair())
         if ok:
-            reports.append(RowReport(row.target, dev, phase, (u0, u1)))
+            reports.append(RowReport(row.target, dev, (u0, u1)))
         else:
             failures.append(f"{row.target}: max deviation {dev:.3e}")
     if failures:
@@ -241,16 +204,13 @@ def verify_noise_program(prog: NoiseProgram) -> ProgramReport:
             f"rows not realized under the {CONVENTION} convention:\n  "
             + "\n  ".join(failures)
         )
-    return ProgramReport(convention=CONVENTION, rows=tuple(reports))
+    return tuple(reports)
 
 
-def program_channel(report: ProgramReport) -> PathChannel:
+def program_channel(reports: tuple[RowReport, ...]) -> PathChannel:
     """Equal-weight mixture channel of the verified effective arm unitaries."""
-    n = len(report.rows)
-    scale = 1.0 / np.sqrt(n)
-    pairs = tuple(
-        (scale * r.effective_pair[0], scale * r.effective_pair[1]) for r in report.rows
-    )
+    scale = 1.0 / np.sqrt(len(reports))
+    pairs = tuple((scale * r.effective_pair[0], scale * r.effective_pair[1]) for r in reports)
     return PathChannel(2, pairs, label="noise-program")
 
 
@@ -277,10 +237,7 @@ def _counting_settings(shots_per_phase, efficiencies) -> tuple[float, float, flo
     efficiencies = tuple(float(e) for e in efficiencies)
     if len(efficiencies) != 4 or any(not 0.0 < e <= 1.0 for e in efficiencies):
         raise DimensionError("efficiencies must be four values in (0, 1]")
-    if isinstance(shots_per_phase, bool) or not isinstance(shots_per_phase, (int, np.integer)):
-        raise DimensionError(f"shots_per_phase {shots_per_phase!r} is not an integer")
-    if shots_per_phase < 0:
-        raise DimensionError("shots_per_phase must be nonnegative")
+    int_at_least(shots_per_phase, "shots_per_phase", 0)
     return efficiencies
 
 
@@ -288,10 +245,7 @@ def _seed_tuple(seed) -> tuple[int, ...]:
     """The seed as a tuple of ints; refuses a seed that is not a nonnegative
     integer or a tuple or list of them."""
     entries = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    if any(isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 0
-           for s in entries):
-        raise DimensionError(f"seed {seed!r}: seed entries must be nonnegative integers")
-    return tuple(int(s) for s in entries)
+    return tuple(int_at_least(s, "seed", 0) for s in entries)
 
 
 def _refuse_rows(bad: np.ndarray, error: type, message: str) -> None:

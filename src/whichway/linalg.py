@@ -11,7 +11,8 @@ Tolerance policy: structural checks on constructed objects use
 (1e-9), the checks of :func:`psd_eigh` use ``PSD_ATOL`` (1e-8), and
 certificates ``bounds.CONTRACTION_TOL`` (1e-8); none is a parameter.
 Statistical tolerances live with the Monte Carlo code. The rules
-for finite entries, unit kets and density matrices are written once, here:
+for integers, finite entries, unit kets and density matrices are written
+once, here: :func:`int_at_least` (a bool is not an integer),
 :func:`finite_array`, :func:`unit_ket` (norm one within 1e-10) and
 :func:`density_matrix` (Hermitian, PSD and unit trace within 1e-10); the
 last two raise :class:`NonFiniteError` for a NaN or infinite entry, whatever
@@ -40,6 +41,7 @@ __all__ = [
     "factor_sandwich",
     "finite_array",
     "hermitian_part",
+    "int_at_least",
     "is_hermitian",
     "ket",
     "matrix_sqrt",
@@ -68,8 +70,18 @@ def is_hermitian(m: np.ndarray, atol: float = ATOL_STRUCT) -> bool:
     return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= atol
 
 
+def int_at_least(value, what: str, minimum: int) -> int:
+    """``value`` as an int; raises :class:`DimensionError` naming ``what`` and
+    the value unless it is an integer (a bool is not) of at least
+    ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise DimensionError(f"{what} must be >= {minimum} and an integer, got {value!r}")
+    return int(value)
+
+
 def ket(index: int, dim: int) -> np.ndarray:
     """Computational basis vector |index> of the given dimension."""
+    int_at_least(dim, "dim", 1)
     if not 0 <= index < dim:
         raise DimensionError(f"basis index {index} out of range for dim {dim}")
     v = np.zeros(dim, dtype=complex)

@@ -41,6 +41,7 @@ from whichway import (
     verify_inequality,
     verify_noise_program,
 )
+from whichway.interferometer import CONVENTION
 
 H, V = ket(0, 2), ket(1, 2)
 SWAP_CELLS = (("hh", "hh"), ("hv", "vh"), ("vh", "hv"), ("vv", "vv"))
@@ -184,15 +185,16 @@ def test_criterion_07_certificate_verification_and_soundness():
 
 
 def test_criterion_08_wave_plate_table():
-    report = verify_noise_program(pauli_noise_program())
-    ok = report.max_deviation <= 1e-9
-    row = {r.target: r for r in report.rows}["Y,-Y"]
+    rows = verify_noise_program(pauli_noise_program())
+    deviation = max(r.deviation for r in rows)
+    ok = deviation <= 1e-9
+    row = {r.target: r for r in rows}["Y,-Y"]
     ok &= np.max(np.abs(row.effective_pair[0] + row.effective_pair[1])) <= 1e-9
-    avg = program_channel(report)
+    avg = program_channel(rows)
     ref = pauli_mixture_channel()
     ok &= np.max(np.abs(block_choi(avg, 0, 1) - block_choi(ref, 0, 1))) <= 1e-9
     _criterion(8, f"plate table realizes all four pairs "
-                  f"(convention: {report.convention}; dev {report.max_deviation:.1e}) "
+                  f"(convention: {CONVENTION}; dev {deviation:.1e}) "
                   "and averages to the half-transpose cross block", ok)
 
 

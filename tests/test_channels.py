@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -255,7 +256,7 @@ def test_explicit_transpose_dilation_blocks():
 
 @pytest.mark.parametrize("seed", [-1, 2.5, True, "7"])
 def test_random_channel_refuses_a_seed_that_is_not_a_nonnegative_integer(seed):
-    with pytest.raises(DimensionError, match="seed .* is not a nonnegative integer"):
+    with pytest.raises(DimensionError, match="seed must be >= 0 and an integer, got "):
         random_path_channel(2, 2, seed)
 
 
@@ -446,10 +447,28 @@ def test_channel_file_rejects_garbage():
         loads_channel(text.replace("pairs 1", "pairs 2"))
 
 
+@pytest.mark.parametrize("line, message", [
+    ("pairs 0", "pairs must be >= 1 and an integer, got 0"),
+    ("pairs -1", "pairs must be >= 1 and an integer, got -1"),
+    ("pairs x", "pairs must be >= 1 and an integer, got 'x'"),
+    ("spin_dim abc", "spin_dim must be >= 1 and an integer, got 'abc'"),
+    ("spin_dim 2.0", "spin_dim must be >= 1 and an integer, got '2.0'"),
+], ids=["pairs-0", "pairs-minus-1", "pairs-x", "spin_dim-abc", "spin_dim-2.0"])
+def test_channel_file_refuses_a_header_count_that_is_not_a_positive_integer(line, message):
+    # the header is checked before any block is parsed: the blocks here are
+    # garbage, and the error still names the header field and its value
+    key = line.split()[0]
+    text = dumps_channel(identity_channel(2))
+    text = re.sub(rf"^{key} .*$", line, text, flags=re.M)
+    text = re.sub(r"^(A|B) .*$", r"\1 not numbers", text, flags=re.M)
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        loads_channel(text)
+
+
 @pytest.mark.parametrize("spin_dim", [0, -1])
 def test_channel_file_refuses_spin_dim_below_one(spin_dim):
     text = dumps_channel(identity_channel(2)).replace("spin_dim 2", f"spin_dim {spin_dim}")
-    with pytest.raises(DimensionError, match=f"spin_dim must be >= 1, got {spin_dim}"):
+    with pytest.raises(DimensionError, match=f"spin_dim must be >= 1 and an integer, got {spin_dim}"):
         loads_channel(text)
 
 
@@ -482,7 +501,7 @@ def _dataset(counts=None):
     lambda: FilterPair(ket(0, 2), ket(1, 2)),
     _dataset,
     lambda: swap_certificate(measured_records()),
-    lambda: verify_noise_program(pauli_noise_program()).rows[0],
+    lambda: verify_noise_program(pauli_noise_program())[0],
 ], ids=["PathChannel", "Preparation", "PathSpinState", "FilterPair", "FringeDataset",
         "BoundCertificate", "RowReport"])
 def test_array_holding_objects_compare_and_hash_by_identity(build):

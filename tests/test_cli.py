@@ -67,7 +67,7 @@ def test_malformed_channel_exits_2(capsys):
 def test_random_channel_with_a_negative_seed_exits_2(capsys):
     code, out, err = run_cli(capsys, "vg", "--channel", "random:2:-1", "--prep", "mixed")
     assert code == EXIT_INPUT and out == ""
-    assert "seed -1 is not a nonnegative integer" in err
+    assert "seed must be >= 0 and an integer, got -1" in err
 
 
 def test_malformed_file_exits_2(capsys, tmp_path):
@@ -87,7 +87,7 @@ def test_channel_file_with_spin_dim_below_one_exits_2(capsys, tmp_path, spin_dim
     path.write_text(path.read_text().replace("spin_dim 2", f"spin_dim {spin_dim}"))
     code, out, err = run_cli(capsys, "vg", "--channel", f"file:{path}", "--prep", "mixed")
     assert code == EXIT_INPUT and out == ""
-    assert f"spin_dim must be >= 1, got {spin_dim}" in err
+    assert f"spin_dim must be >= 1 and an integer, got {spin_dim}" in err
 
 
 def test_channel_file_round_trip_through_cli(capsys, tmp_path):

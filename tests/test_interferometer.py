@@ -15,12 +15,11 @@ from whichway import (
     ConventionError,
     DimensionError,
     FringeDataset,
-    NoiseProgram,
     NoiseRow,
     NonFiniteError,
     NumericalError,
     PathChannel,
-    WavePlateSetting,
+    RowReport,
     binomial_resample,
     block_choi,
     fit_fringes,
@@ -65,16 +64,16 @@ def _proportional(a, b, atol=1e-12):
 
 
 def test_jones_half_wave_anchors():
-    h0 = jones_matrix(WavePlateSetting("half", 0.0))
+    h0 = jones_matrix("half", 0.0)
     assert _proportional(h0, np.diag([1.0, -1.0]).astype(complex))
-    h45 = jones_matrix(WavePlateSetting("half", 45.0))
+    h45 = jones_matrix("half", 45.0)
     assert _proportional(h45, np.array([[0, 1], [1, 0]], dtype=complex))
 
 
 def test_jones_quarter_squares_to_half():
     for angle in (-30.0, 0.0, 45.0, 72.5):
-        q = jones_matrix(WavePlateSetting("quarter", angle))
-        h = jones_matrix(WavePlateSetting("half", angle))
+        q = jones_matrix("quarter", angle)
+        h = jones_matrix("half", angle)
         assert _proportional(q @ q, h)
 
 
@@ -82,31 +81,47 @@ def test_jones_matrices_unitary():
     rng = np.random.default_rng(0)
     for _ in range(20):
         kind = "half" if rng.random() < 0.5 else "quarter"
-        m = jones_matrix(WavePlateSetting(kind, float(rng.uniform(-180, 180))))
+        m = jones_matrix(kind, float(rng.uniform(-180, 180)))
         np.testing.assert_allclose(m @ m.conj().T, np.eye(2), atol=1e-12)
 
 
-def test_wave_plate_setting_validation():
-    with pytest.raises(DimensionError):
-        WavePlateSetting("third", 10.0)
-    with pytest.raises(DimensionError):
-        WavePlateSetting("half", 200.0)
+def test_jones_matrix_validation():
+    for kind, angle, message in (
+        ("third", 10.0, "unknown wave plate kind 'third'"),
+        ("half", 200.0, "angle 200.0 outside [-180, 180] degrees"),
+        ("quarter", -180.5, "angle -180.5 outside [-180, 180] degrees"),
+        ("half", float("nan"), "angle nan outside [-180, 180] degrees"),
+    ):
+        with pytest.raises(DimensionError, match=re.escape(message)):
+            jones_matrix(kind, angle)
+
+
+def test_empty_noise_program_is_refused():
+    with pytest.raises(DimensionError, match="a noise program needs at least one row"):
+        verify_noise_program(())
 
 
 def test_verify_standard_noise_program():
-    report = verify_noise_program(pauli_noise_program())
-    assert report.max_deviation <= 1e-9
-    assert len(report.rows) == 4
+    reports = verify_noise_program(pauli_noise_program())
+    assert isinstance(reports, tuple) and len(reports) == 4
+    assert all(isinstance(r, RowReport) for r in reports)
+    assert [r.target for r in reports] == ["I,I", "X,X", "Y,-Y", "Z,Z"]
+    assert max(r.deviation for r in reports) <= 1e-9
     # the (Y,-Y) row keeps its relative sign: the matched effective pair is
     # e^{i gamma} (Y, -Y), so the two arm unitaries must be opposite
-    row = {r.target: r for r in report.rows}["Y,-Y"]
+    row = {r.target: r for r in reports}["Y,-Y"]
     u0, u1 = row.effective_pair
     np.testing.assert_allclose(u0, -u1, atol=1e-9)
 
 
+def test_standard_program_rows_hold_angles_in_degrees():
+    for row in pauli_noise_program():
+        angles = (row.h0, row.h1, row.q1, row.q2)
+        assert all(type(a) is float and -180.0 <= a <= 180.0 for a in angles)
+
+
 def test_verified_program_matches_mixture_channel():
-    report = verify_noise_program(pauli_noise_program())
-    avg = program_channel(report)
+    avg = program_channel(verify_noise_program(pauli_noise_program()))
     ref = pauli_mixture_channel()
     for i in (0, 1):
         for j in (0, 1):
@@ -115,33 +130,52 @@ def test_verified_program_matches_mixture_channel():
             )
 
 
-def test_identity_program_with_plates_removed():
-    prog = NoiseProgram(rows=(NoiseRow("I,I", None, None, None, None),))
-    report = verify_noise_program(prog)
-    assert report.max_deviation <= 1e-12
-    assert report.convention == interferometer.CONVENTION
+def test_effective_pairs_follow_the_convention_at_random_angles():
+    # arm i realizes W QWP(q2) HWP(h_i) QWP(q1) W^dag, W = (1 - iX)/sqrt(2).
+    # Turning every plate of a row by the same angle a conjugates the lab
+    # product by R(a), a rotation about Z in the W frame, so the (I, I) and
+    # (Z, Z) rows of the standard program stay realized at any a.
+    rng = np.random.default_rng(2025)
+    w = (np.eye(2) - 1j * np.array([[0, 1], [1, 0]])) / np.sqrt(2)
+    rows = tuple(
+        NoiseRow(row.target, row.h0 + a, row.h1 + a, row.q1 + a, row.q2 + a)
+        for row in pauli_noise_program() if row.target in ("I,I", "Z,Z")
+        for a in rng.uniform(-90.0, 90.0, 25)
+    )
+    reports = verify_noise_program(rows)
+    assert len(reports) == len(rows)
+    for row, report in zip(rows, reports):
+        assert report.target == row.target and report.deviation <= 1e-9
+        for h, u in zip((row.h0, row.h1), report.effective_pair):
+            lab = jones_matrix("quarter", row.q2) @ jones_matrix("half", h) \
+                @ jones_matrix("quarter", row.q1)
+            np.testing.assert_allclose(u, w @ lab @ w.conj().T, rtol=0, atol=1e-12)
+
+
+def test_identity_program_at_zero_angles():
+    (report,) = verify_noise_program((NoiseRow("I,I", 0.0, 0.0, 0.0, 0.0),))
+    assert report.deviation <= 1e-12
+    for u in report.effective_pair:
+        np.testing.assert_allclose(u, np.eye(2), atol=1e-12)
 
 
 def test_unrealizable_program_raises_convention_error():
-    prog = NoiseProgram(rows=(
-        NoiseRow("Y,-Y", WavePlateSetting("half", 10.0), None, None, None),
-    ))
     with pytest.raises(ConventionError):
-        verify_noise_program(prog)
+        verify_noise_program((NoiseRow("Y,-Y", 10.0, 0.0, 0.0, 0.0),))
 
 
 def test_convention_error_names_each_failing_row_with_its_deviation():
-    bad = NoiseRow("Y,-Y", WavePlateSetting("half", 10.0), None, None, None)
+    bad = NoiseRow("Y,-Y", 10.0, 0.0, 0.0, 0.0)
     with pytest.raises(ConventionError) as info:
-        verify_noise_program(NoiseProgram(rows=(bad,)))
+        verify_noise_program((bad,))
     message = str(info.value)
     assert interferometer.CONVENTION in message
     assert re.search(r"^  Y,-Y: max deviation \d\.\d{3}e[+-]\d\d$", message, re.M)
     # every failing row is named, in program order, and no passing row is
-    standard = pauli_noise_program().rows
-    prog = NoiseProgram(rows=(standard[0], bad, standard[3], NoiseRow("X,X", *[None] * 4)))
+    standard = pauli_noise_program()
+    rows = (standard[0], bad, standard[3], NoiseRow("X,X", 0.0, 0.0, 0.0, 0.0))
     with pytest.raises(ConventionError) as info:
-        verify_noise_program(prog)
+        verify_noise_program(rows)
     named = [line.split(":")[0].strip() for line in str(info.value).splitlines()[1:]]
     assert named == ["Y,-Y", "X,X"]
 
@@ -151,10 +185,8 @@ def test_one_half_and_one_quarter_plate_in_one_arm_never_give_the_identity(order
     # |tr U| / 2 = |cos(Bloch angle / 2)| <= 1/sqrt(2): the product of a pi and
     # a pi/2 rotation rotates by at least pi/2, so it is never +-identity and a
     # per-arm chain cannot realize the (I, I) row; the bound is attained
-    half = np.array([jones_matrix(WavePlateSetting("half", a))
-                     for a in np.linspace(-180.0, 180.0, 721)])
-    quarter = np.array([jones_matrix(WavePlateSetting("quarter", a))
-                        for a in np.linspace(-180.0, 180.0, 181)])
+    half = np.array([jones_matrix("half", a) for a in np.linspace(-180.0, 180.0, 721)])
+    quarter = np.array([jones_matrix("quarter", a) for a in np.linspace(-180.0, 180.0, 181)])
     h, q = half[:, None], quarter[None, :]
     chain = q @ h if order == "half-then-quarter" else h @ q
     overlap = np.abs(np.trace(chain, axis1=-2, axis2=-1)) / 2
@@ -365,21 +397,21 @@ def test_counting_accepts_a_numpy_integer_shot_count():
 def test_counting_refuses_a_bool_shot_count():
     # bool is an int subclass; True is not a shot count
     ch = pauli_mixture_channel()
-    with pytest.raises(DimensionError, match="shots_per_phase True is not an integer"):
+    with pytest.raises(DimensionError, match="shots_per_phase must be >= 0 and an integer, got True"):
         simulate_fringes(ch, PREPS["hh"], FILTERS["hh"], shots_per_phase=True)
-    with pytest.raises(DimensionError, match="shots_per_phase True is not an integer"):
+    with pytest.raises(DimensionError, match="shots_per_phase must be >= 0 and an integer, got True"):
         _dataset(np.zeros((4, 2), dtype=np.int64), shots_per_phase=True)
 
 
 @pytest.mark.parametrize("seed", [[-3, "x"], (1, -2), -1, 2.5, "12", (True,)])
 def test_dataset_refuses_a_seed_the_simulators_refuse(seed):
     counts = np.zeros((4, 2), dtype=np.int64)
-    with pytest.raises(DimensionError, match="seed entries must be nonnegative integers"):
+    with pytest.raises(DimensionError, match="seed must be >= 0 and an integer, got "):
         FringeDataset((0.0, 1.0), counts, 10, seed, (1.0,) * 4)
-    with pytest.raises(DimensionError, match="seed entries must be nonnegative integers"):
+    with pytest.raises(DimensionError, match="seed must be >= 0 and an integer, got "):
         simulate_fringes(pauli_mixture_channel(), PREPS["hh"], FILTERS["hh"], seed=seed)
     text = "phase,n_plus,n_minus,n_ref0,n_ref1\n0.0,0,0,0,0\n"
-    with pytest.raises(DimensionError, match="seed entries must be nonnegative integers"):
+    with pytest.raises(DimensionError, match="seed must be >= 0 and an integer, got "):
         read_dataset_csv(io.StringIO(text), shots_per_phase=10, seed=seed)
 
 

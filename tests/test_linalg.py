@@ -1,3 +1,7 @@
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,14 +17,18 @@ from whichway import (
     PathChannel,
     PositivityError,
     Preparation,
+    identity_channel,
     ket,
     matrix_sqrt,
     partial_trace,
     replace_channel,
     trace_norm,
+    transpose_channel,
 )
 from whichway.channels import pure_pair
 from whichway.linalg import density_matrix, unit_ket
+
+ROOT = Path(__file__).resolve().parents[1]
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=1, max_value=4)
@@ -237,3 +245,70 @@ def test_non_finite_entry_is_rejected(name, data):
     bad_input.flat[index] = complex(bad_input.flat[index].real, bad) if imaginary else bad
     with pytest.raises(NonFiniteError):
         build(bad_input)
+
+
+_EYE1, _EYE2 = np.eye(1, dtype=complex), np.eye(2, dtype=complex)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: PathChannel(2.0, ((_EYE2, _EYE2),)), "spin_dim must be >= 1 and an integer, got 2.0"),
+    (lambda: PathChannel(True, ((_EYE1, _EYE1),)), "spin_dim must be >= 1 and an integer, got True"),
+    (lambda: identity_channel(2.0), "d must be >= 1 and an integer, got 2.0"),
+    (lambda: ket(0, 2.0), "dim must be >= 1 and an integer, got 2.0"),
+    (lambda: Preparation.completely_mixed(2.5), "dim must be >= 1 and an integer, got 2.5"),
+    (lambda: Preparation.completely_mixed(0), "dim must be >= 1 and an integer, got 0"),
+    (lambda: transpose_channel(0), "d must be >= 1 and an integer, got 0"),
+], ids=["PathChannel-float", "PathChannel-bool", "identity_channel", "ket", "completely_mixed-2.5",
+        "completely_mixed-0", "transpose_channel-0"])
+def test_dimensions_must_be_integers_of_at_least_one(build, message):
+    # pyproject.toml turns warnings into errors, so a divide-by-zero warning
+    # before the refusal fails this test too
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        build()
+
+
+def _bool_isinstance_calls(source: str, allowed: str = "") -> list[int]:
+    """Lines of ``isinstance(x, bool)`` or ``isinstance(x, (..., bool, ...))``
+    calls outside the function named ``allowed``."""
+    tree = ast.parse(source)
+    skip = {id(node) for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef) and func.name == allowed
+            for node in ast.walk(func)}
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in skip or not isinstance(node, ast.Call) or len(node.args) != 2:
+            continue
+        if not (isinstance(node.func, ast.Name) and node.func.id == "isinstance"):
+            continue
+        kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+        if any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_int_at_least_checks_for_bools():
+    package = ROOT / "src" / "whichway"
+    offenders = [
+        f"{path.relative_to(package)}:{line}"
+        for path in sorted(package.rglob("*.py"))
+        for line in _bool_isinstance_calls(path.read_text(encoding="utf-8"),
+                                           "int_at_least" if path.name == "linalg.py" else "")
+    ]
+    assert offenders == []
+
+
+@pytest.mark.parametrize("source", [
+    "isinstance(v, bool)", "isinstance(v, (bool, np.bool_))",
+    "ok = isinstance(v, (int, bool)) or v < 0",
+    "def int_at_least(v):\n    pass\nisinstance(v, bool)",
+])
+def test_bool_isinstance_scan_flags(source):
+    assert _bool_isinstance_calls(source, "int_at_least") == [source.count("\n") + 1]
+
+
+@pytest.mark.parametrize("source", [
+    "isinstance(v, int)", "isinstance(v, (int, np.integer))", "bool(v)",
+    "def int_at_least(v):\n    return isinstance(v, bool)",
+])
+def test_bool_isinstance_scan_passes(source):
+    assert _bool_isinstance_calls(source, "int_at_least") == []
