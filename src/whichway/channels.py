@@ -19,14 +19,15 @@ an explicit dilation such as :func:`explicit_transpose_dilation` is a
 environment ket |e_k>. The joint path x spin state and the channel's action
 on it are test oracles in ``tests/reference_kernels.py``.
 
-The array-holding classes (:class:`Preparation`, :class:`PathChannel`)
-compare and hash by identity: two separately built objects are unequal even
-when their arrays agree.
+Each class keeps one stored form, :class:`PathChannel` its ``kraus`` and
+:class:`Preparation` its ``weights`` and ``factors``. Both compare and hash
+by identity: two separately built objects are unequal even when their
+arrays agree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -68,26 +69,24 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 @dataclass(frozen=True, eq=False)
 class Preparation:
-    """Input spin preparation for the two arms.
+    """Input spin preparation for the two arms, built from n weighted pure
+    pairs (psi0^m, psi1^m) of unit kets of one dimension d (n = 1: pure).
 
-    Either a single pure pair (psi0, psi1) or a weighted ensemble of n pure
-    pairs. The one stored form of the per-arm states is ``factors``, the
-    read-only (2, d, n) stack of the d x n factors S_i = [sqrt(w_m) psi_i^m]_m,
-    built once at construction: rho_i, the weighted mixture of
-    |psi_i^m><psi_i^m|, is S_i S_i^dag, and :mod:`whichway.duality` forms
-    the environment factors from S_i; ``pairs`` holds read-only copies of
-    the kets. The weights must sum to one within 1e-10 and are stored
-    divided by their sum, so each rho_i has unit trace to round-off.
+    The kets are not kept: the one stored form of the per-arm states is
+    ``factors``, the read-only (2, d, n) stack of the factors
+    S_i = [sqrt(w_m) psi_i^m]_m. rho_i, the weighted mixture of
+    |psi_i^m><psi_i^m|, is S_i S_i^dag. The weights must be positive, sum to
+    one within 1e-10 and are stored divided by their sum, so each rho_i has
+    unit trace to round-off.
     """
 
-    spin_dim: int
     weights: tuple[float, ...]
-    pairs: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
-    label: str = ""
+    pairs: InitVar[tuple]
     factors: np.ndarray = field(init=False, repr=False)
+    label: str = ""
 
-    def __post_init__(self):
-        if len(self.weights) != len(self.pairs) or not self.pairs:
+    def __post_init__(self, pairs):
+        if len(self.weights) != len(pairs) or not pairs:
             raise DimensionError("weights and pure pairs must align and be non-empty")
         finite_array(self.weights, "ensemble weights")
         if any(w <= 0 for w in self.weights):
@@ -95,54 +94,50 @@ class Preparation:
         total = sum(self.weights)
         if abs(total - 1.0) > ATOL_STRUCT:
             raise DimensionError("ensemble weights must sum to 1 within 1e-10")
-        pairs = tuple(
-            (unit_ket(p0, "psi0"), unit_ket(p1, "psi1")) for p0, p1 in self.pairs
-        )
-        for p0, p1 in pairs:
-            if p0.size != self.spin_dim or p1.size != self.spin_dim:
-                raise DimensionError("preparation kets do not match spin_dim")
+        kets = [(unit_ket(p0, "psi0"), unit_ket(p1, "psi1")) for p0, p1 in pairs]
+        if len({psi.size for pair in kets for psi in pair}) != 1:
+            raise DimensionError("preparation kets must all have one dimension")
         weights = tuple(float(w / total) for w in self.weights)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "weights", weights)
-        kets = np.array(pairs)  # kets[m, i] = psi_i^m
-        factors = kets.transpose(1, 2, 0) * np.sqrt(weights)  # factors[i] = S_i
+        factors = np.array(kets).transpose(1, 2, 0) * np.sqrt(weights)  # factors[i] = S_i
         factors.flags.writeable = False
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "factors", factors)
 
     @classmethod
     def pure(cls, psi0, psi1, label: str = "") -> "Preparation":
-        psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
-        return cls(psi0.size, (1.0,), ((psi0, psi1),), label=label)
+        return cls((1.0,), ((psi0, psi1),), label=label)
 
     @classmethod
     def ensemble(cls, weights, pairs, label: str = "") -> "Preparation":
-        pairs = tuple((np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)) for a, b in pairs)
-        if not pairs:
-            raise DimensionError("weights and pure pairs must align and be non-empty")
-        return cls(pairs[0][0].size, tuple(weights), pairs, label=label)
+        return cls(tuple(weights), tuple(pairs), label=label)
 
     @classmethod
     def completely_mixed(cls, dim: int, label: str = "mixed") -> "Preparation":
         """Uniform ensemble of basis pairs (|l>, |l>): rho_0 = rho_1 = 1/d."""
         dim = int_at_least(dim, "dim", 1)
         pairs = tuple((ket(l, dim), ket(l, dim)) for l in range(dim))
-        return cls(dim, (1.0 / dim,) * dim, pairs, label=label)
+        return cls((1.0 / dim,) * dim, pairs, label=label)
+
+    @property
+    def spin_dim(self) -> int:
+        return self.factors.shape[1]
 
     @property
     def is_pure(self) -> bool:
-        return len(self.pairs) == 1
+        return self.factors.shape[2] == 1
 
 
 def pure_pair(prep, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The kets (psi0, psi1) of a pure :class:`Preparation` or of a
+    """The kets (psi0, psi1) of a pure :class:`Preparation`, read-only views
+    of column 0 of its factors (sqrt(1) psi_i = psi_i exactly), or of a
     (psi0, psi1) tuple of unit kets (checked by :func:`unit_ket`), checked
     to have dimension d."""
     if isinstance(prep, Preparation):
         if not prep.is_pure:
             raise DimensionError(
-                f"expected a pure preparation, got an ensemble of {len(prep.pairs)} pairs"
+                f"expected a pure preparation, got an ensemble of {len(prep.weights)} pairs"
             )
-        psi0, psi1 = prep.pairs[0]
+        psi0, psi1 = prep.factors[:, :, 0]
     else:
         psi0, psi1 = prep
         psi0, psi1 = unit_ket(psi0, "psi0"), unit_ket(psi1, "psi1")
@@ -155,42 +150,39 @@ def pure_pair(prep, d: int) -> tuple[np.ndarray, np.ndarray]:
 class PathChannel:
     """Path-preserving channel stored as one stacked Kraus array.
 
-    ``kraus`` has shape (K, 2, d, d): ``kraus[k, 0]`` is A_k and
-    ``kraus[k, 1]`` is B_k. It is built once at construction and is read-only;
-    ``kraus_pairs`` holds the pairs (A_k, B_k) as views into it. Entries must
-    be finite, and trace preservation (sum A^dag A = sum B^dag B = 1) is
-    enforced in operator norm within 1e-10, so every state the channel
-    outputs has unit trace within 1e-10.
+    ``kraus``, an array or a sequence of pairs (A_k, B_k), is stored as a
+    read-only copy of shape (K, 2, d, d), K, d >= 1, else
+    :class:`DimensionError`; ``spin_dim`` and ``n_kraus`` read its shape.
+    Entries must be finite, and trace preservation (sum A^dag A = sum B^dag B
+    = 1) is enforced in operator norm within 1e-10, so every state the
+    channel outputs has unit trace within 1e-10.
     """
 
-    spin_dim: int
-    kraus_pairs: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
+    kraus: np.ndarray = field(repr=False)
     label: str = ""
     metadata: dict = field(default_factory=dict)
-    kraus: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        d = int_at_least(self.spin_dim, "spin_dim", 1)
-        pairs = tuple(
-            (np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-            for a, b in self.kraus_pairs
-        )
-        if not pairs:
-            raise DimensionError("a channel needs at least one Kraus pair")
-        for a, b in pairs:
-            if a.shape != (d, d) or b.shape != (d, d):
-                raise DimensionError("Kraus blocks must be d x d")
-        kraus = finite_array(pairs, "Kraus blocks")
+        try:
+            kraus = np.array(self.kraus, dtype=complex)
+        except ValueError:
+            raise DimensionError("Kraus pairs do not stack into one (K, 2, d, d) array") from None
+        if kraus.ndim != 4 or kraus.shape[1:3] != (2, kraus.shape[3]) or not kraus.size:
+            raise DimensionError(f"Kraus stack shape {kraus.shape} is not (K, 2, d, d), K, d >= 1")
+        finite_array(kraus, "Kraus blocks")
         kraus.flags.writeable = False
         object.__setattr__(self, "kraus", kraus)
-        object.__setattr__(self, "kraus_pairs", tuple((k[0], k[1]) for k in kraus))
         gram = np.einsum("ksji,ksjl->sil", kraus.conj(), kraus)
-        err = np.abs(np.linalg.eigvalsh(gram - np.eye(d))).max(axis=1)
+        err = np.abs(np.linalg.eigvalsh(gram - np.eye(self.spin_dim))).max(axis=1)
         for name, side in (("A", 0), ("B", 1)):
             if err[side] > ATOL_STRUCT:
                 raise PositivityError(
                     f"{name}-side Kraus blocks are not trace preserving within 1e-10"
                 )
+
+    @property
+    def spin_dim(self) -> int:
+        return self.kraus.shape[2]
 
     @property
     def n_kraus(self) -> int:
@@ -247,7 +239,7 @@ def dilate(ch: PathChannel) -> np.ndarray:
 def identity_channel(d: int) -> PathChannel:
     d = int_at_least(d, "d", 1)
     eye = np.eye(d, dtype=complex)
-    return PathChannel(d, ((eye, eye),), label=f"identity(d={d})")
+    return PathChannel(((eye, eye),), label=f"identity(d={d})")
 
 
 def replace_channel(sigma0: np.ndarray) -> PathChannel:
@@ -267,8 +259,8 @@ def replace_channel(sigma0: np.ndarray) -> PathChannel:
         root = np.sqrt(w[r])
         for l in range(d):
             op = root * np.outer(vecs[:, r], ket(l, d).conj())
-            pairs.append((op, op.copy()))
-    return PathChannel(d, tuple(pairs), label=f"replace(d={d})")
+            pairs.append((op, op))
+    return PathChannel(pairs, label=f"replace(d={d})")
 
 
 def transpose_channel(d: int) -> PathChannel:
@@ -281,7 +273,7 @@ def transpose_channel(d: int) -> PathChannel:
             a = s * np.outer(ket(k, d), ket(l, d).conj())
             b = s * np.outer(ket(l, d), ket(k, d).conj())
             pairs.append((a, b))
-    return PathChannel(d, tuple(pairs), label=f"transpose(d={d})")
+    return PathChannel(pairs, label=f"transpose(d={d})")
 
 
 def pauli_mixture_channel() -> PathChannel:
@@ -292,7 +284,7 @@ def pauli_mixture_channel() -> PathChannel:
         (0.5 * k0, 0.5 * k1)
         for k0, k1 in ((eye, eye), (PAULI_X, PAULI_X), (PAULI_Y, -PAULI_Y), (PAULI_Z, PAULI_Z))
     )
-    return PathChannel(2, pairs, label="pauli_mixture")
+    return PathChannel(pairs, label="pauli_mixture")
 
 
 def explicit_transpose_dilation() -> PathChannel:
@@ -315,7 +307,7 @@ def explicit_transpose_dilation() -> PathChannel:
         (s * np.outer(out0, in0.conj()), s * np.outer(out1, in1.conj()))
         for out0, in0, out1, in1 in transitions
     )
-    return PathChannel(2, pairs)
+    return PathChannel(pairs)
 
 
 def random_path_channel(d: int, n_kraus: int, seed: int) -> PathChannel:
@@ -337,10 +329,8 @@ def random_path_channel(d: int, n_kraus: int, seed: int) -> PathChannel:
         u, _, vh = np.linalg.svd(g.reshape(n_kraus * d, d), full_matrices=False)
         return (u @ vh).reshape(n_kraus, d, d)
 
-    side_a, side_b = draw_side(), draw_side()
     return PathChannel(
-        d,
-        tuple(zip(side_a, side_b)),
+        np.stack((draw_side(), draw_side()), axis=1),
         label=f"random(d={d},k={n_kraus},seed={seed})",
         metadata={"rng": "numpy.random.default_rng (PCG64)", "seed": int(seed)},
     )
@@ -374,7 +364,7 @@ def dumps_channel(ch: PathChannel) -> str:
     lines = [_MAGIC, f"spin_dim {ch.spin_dim}", f"pairs {ch.n_kraus}"]
     for key in sorted(ch.metadata):
         lines.append(f"meta {key} {ch.metadata[key]}")
-    for a, b in ch.kraus_pairs:
+    for a, b in ch.kraus:
         lines.append("pair")
         lines.append("A " + _fmt_row(a))
         lines.append("B " + _fmt_row(b))
@@ -430,7 +420,7 @@ def loads_channel(text: str) -> PathChannel:
         idx += 3
     if idx != len(lines):
         raise ValueError("trailing content after declared Kraus pairs")
-    return PathChannel(d, tuple(pairs), label="from-file", metadata=metadata)
+    return PathChannel(pairs, label="from-file", metadata=metadata)
 
 
 def save_channel(ch: PathChannel, path) -> None:

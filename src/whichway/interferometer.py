@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,9 +108,12 @@ _PAULI = {
 def jones_matrix(kind: str, angle_deg: float) -> np.ndarray:
     """Jones matrix R(theta) diag(1, -1 or i) R(-theta) of a "half" or
     "quarter" plate at theta = ``angle_deg``, in the lab frame; another kind,
-    or an angle outside [-180, 180] degrees, raises :class:`DimensionError`."""
+    or an angle that is not a real number in [-180, 180] degrees, raises
+    :class:`DimensionError`."""
     if kind not in ("half", "quarter"):
         raise DimensionError(f"unknown wave plate kind {kind!r}")
+    if not isinstance(angle_deg, numbers.Real):
+        raise DimensionError(f"angle {angle_deg!r} is not a real number")
     if not -180.0 <= angle_deg <= 180.0:
         raise DimensionError(f"angle {angle_deg} outside [-180, 180] degrees")
     theta = math.radians(angle_deg)
@@ -208,10 +212,13 @@ def verify_noise_program(rows) -> tuple[RowReport, ...]:
 
 
 def program_channel(reports: tuple[RowReport, ...]) -> PathChannel:
-    """Equal-weight mixture channel of the verified effective arm unitaries."""
+    """Equal-weight mixture channel of the verified effective arm unitaries;
+    no reports raise :class:`DimensionError`."""
+    if not reports:
+        raise DimensionError("a noise program channel needs at least one row report")
     scale = 1.0 / np.sqrt(len(reports))
-    pairs = tuple((scale * r.effective_pair[0], scale * r.effective_pair[1]) for r in reports)
-    return PathChannel(2, pairs, label="noise-program")
+    return PathChannel(scale * np.array([r.effective_pair for r in reports]),
+                       label="noise-program")
 
 
 # ---------------------------------------------------------------------------

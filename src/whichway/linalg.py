@@ -82,7 +82,7 @@ def int_at_least(value, what: str, minimum: int) -> int:
 def ket(index: int, dim: int) -> np.ndarray:
     """Computational basis vector |index> of the given dimension."""
     int_at_least(dim, "dim", 1)
-    if not 0 <= index < dim:
+    if int_at_least(index, "index", 0) >= dim:
         raise DimensionError(f"basis index {index} out of range for dim {dim}")
     v = np.zeros(dim, dtype=complex)
     v[index] = 1.0

@@ -91,7 +91,7 @@ def block_choi(ch, i, j):
     proj = np.outer(phi, phi.conj())
     eye = np.eye(d)
     out = np.zeros((d * d, d * d), dtype=complex)
-    for pair in ch.kraus_pairs:
+    for pair in ch.kraus:
         ki, kj = pair[i], pair[j]
         out += np.kron(eye, ki) @ proj @ np.kron(eye, kj).conj().T
     return out
@@ -136,7 +136,7 @@ class PathSpinState:
     @classmethod
     def from_preparation(cls, prep: Preparation) -> "PathSpinState":
         """State of (|0>|psi0^m> + |1>|psi1^m>)/sqrt(2), mixed over the ensemble."""
-        kets = np.array(prep.pairs)  # kets[m, i] = psi_i^m
+        kets = preparation_kets(prep)
         b = 0.5 * np.einsum("m,mia,mjb->ijab", prep.weights, kets, kets.conj())
         return cls(prep.spin_dim, b)
 
@@ -165,7 +165,7 @@ def choi_state(ch):
     proj = np.outer(phi, phi.conj())
     eye = np.eye(dim)
     out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for a, b in ch.kraus_pairs:
+    for a, b in ch.kraus:
         k_full = np.zeros((dim, dim), dtype=complex)
         k_full[:d, :d] = a
         k_full[d:, d:] = b
@@ -189,7 +189,7 @@ def dilate(ch):
     d, k = ch.spin_dim, ch.n_kraus
     v0 = np.zeros((d * k, d), dtype=complex)
     v1 = np.zeros((d * k, d), dtype=complex)
-    for n, (a, b) in enumerate(ch.kraus_pairs):
+    for n, (a, b) in enumerate(ch.kraus):
         e = np.eye(k)[:, [n]]
         v0 += np.kron(a, e)
         v1 += np.kron(b, e)
@@ -201,10 +201,16 @@ def environment_state(v, rho, d, k):
     return partial_trace(v @ rho @ v.conj().T, (d, k), keep=1)
 
 
+def preparation_kets(prep):
+    """kets[m, i] = psi_i^m, read back from the factor columns
+    sqrt(w_m) psi_i^m."""
+    return prep.factors.transpose(2, 0, 1) / np.sqrt(prep.weights)[:, None, None]
+
+
 def mixed_state(prep, side):
     """sum_m w_m |psi_side^m><psi_side^m| by a loop over the ensemble."""
     out = np.zeros((prep.spin_dim, prep.spin_dim), dtype=complex)
-    for w, pair in zip(prep.weights, prep.pairs):
+    for w, pair in zip(prep.weights, preparation_kets(prep)):
         out += w * np.outer(pair[side], pair[side].conj())
     return out
 
@@ -228,7 +234,7 @@ def visibility_state(ch, s0, s1):
     proj = np.outer(phi, phi.conj())
     sandwiched = np.kron(eye, s0) @ proj @ np.kron(eye, s1)
     out = np.zeros_like(sandwiched)
-    for a, b in ch.kraus_pairs:
+    for a, b in ch.kraus:
         out += np.kron(eye, a) @ sandwiched @ np.kron(eye, b).conj().T
     return out
 
@@ -466,7 +472,7 @@ def unitary_rows(ch):
     d = ch.spin_dim
     eye = np.eye(d)
     rows = []
-    for a, b in ch.kraus_pairs:
+    for a, b in ch.kraus:
         ga, gb = a.conj().T @ a, b.conj().T @ b
         wa = np.trace(ga).real / d
         wb = np.trace(gb).real / d

@@ -366,7 +366,7 @@ def test_orthonormal_filter_bound_coherent_dephasing_reaches_one():
     # the lower arm: full visibility is recoverable by sorting components
     d = 3
     phases = np.exp(1j * np.array([0.4, -1.1, 2.2]))
-    ch = PathChannel(d, ((np.eye(d, dtype=complex), np.diag(phases)),))
+    ch = PathChannel(((np.eye(d, dtype=complex), np.diag(phases)),))
     psi = np.ones(d, dtype=complex) / np.sqrt(d)
     filters = {
         f"f{k}": FilterPair(ket(k, d), ket(k, d), label=f"f{k}") for k in range(d)

@@ -69,13 +69,13 @@ ALL_BUILDERS = [
 def test_builders_trace_preserving(ch):
     d = ch.spin_dim
     for side in (0, 1):
-        acc = sum(p[side].conj().T @ p[side] for p in ch.kraus_pairs)
+        acc = sum(p[side].conj().T @ p[side] for p in ch.kraus)
         np.testing.assert_allclose(acc, np.eye(d), atol=1e-9)
 
 
 def test_trace_preservation_enforced():
     with pytest.raises(PositivityError):
-        PathChannel(2, ((np.eye(2) * 0.5, np.eye(2)),))
+        PathChannel(((np.eye(2) * 0.5, np.eye(2)),))
 
 
 def test_apply_identity_channel_is_noop():
@@ -209,7 +209,7 @@ def test_dilate_round_trips_block_maps(ch):
     assert v.shape == (2, d * k, d)
     # Kraus pair n read back off environment ket n
     a, b = v.reshape(2, d, k, d)
-    back = PathChannel(d, tuple((a[:, n], b[:, n]) for n in range(k)))
+    back = PathChannel([(a[:, n], b[:, n]) for n in range(k)])
     for i in (0, 1):
         for j in (0, 1):
             np.testing.assert_allclose(
@@ -271,12 +271,10 @@ def test_random_channel_refuses_a_size_that_is_not_a_positive_integer(d, n_kraus
 def test_random_channel_deterministic_under_seed():
     a = random_path_channel(2, 3, seed=7)
     b = random_path_channel(2, 3, seed=7)
-    for (a0, a1), (b0, b1) in zip(a.kraus_pairs, b.kraus_pairs):
-        np.testing.assert_array_equal(a0, b0)
-        np.testing.assert_array_equal(a1, b1)
+    np.testing.assert_array_equal(a.kraus, b.kraus)
     c = random_path_channel(2, 3, seed=8)
     assert any(
-        np.max(np.abs(p[0] - q[0])) > 1e-6 for p, q in zip(a.kraus_pairs, c.kraus_pairs)
+        np.max(np.abs(p[0] - q[0])) > 1e-6 for p, q in zip(a.kraus, c.kraus)
     )
     assert "rng" in a.metadata
 
@@ -309,10 +307,10 @@ def test_kraus_mixing_leaves_block_maps_invariant():
     w = random_unitary(3, rng)
     mixed_pairs = []
     for j in range(3):
-        a = sum(w[j, k] * ch.kraus_pairs[k][0] for k in range(3))
-        b = sum(w[j, k] * ch.kraus_pairs[k][1] for k in range(3))
+        a = sum(w[j, k] * ch.kraus[k, 0] for k in range(3))
+        b = sum(w[j, k] * ch.kraus[k, 1] for k in range(3))
         mixed_pairs.append((a, b))
-    mixed = PathChannel(2, tuple(mixed_pairs))
+    mixed = PathChannel(mixed_pairs)
     for i in (0, 1):
         for j in (0, 1):
             np.testing.assert_allclose(
@@ -349,7 +347,7 @@ def test_validated_states_are_read_only_copies():
     prep = Preparation.pure(psi, ket(1, 2))
     ds = FringeDataset((0.0, 1.0, 2.0), counts, 10, (0,), (1.0,) * 4)
     for arr in (e0, e1, path.blocks, PathSpinState(2, blocks).blocks,
-                filt.chi0, filt.chi1, *prep.pairs[0], ds.counts):
+                filt.chi0, filt.chi1, *pure_pair(prep, 2), ds.counts):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 5
@@ -366,6 +364,61 @@ def test_validated_states_are_read_only_copies():
 def test_empty_ensemble_is_a_dimension_error():
     with pytest.raises(DimensionError, match="non-empty"):
         Preparation.ensemble([], [])
+
+
+@pytest.mark.parametrize("weights, pairs", [
+    ([1.0], []),
+    ([1.0], [(ket(0, 2), ket(0, 3))]),
+    ([0.5, 0.5], [(ket(0, 2), ket(1, 2)), (ket(0, 3), ket(1, 3))]),
+], ids=["no-pairs", "unequal-within-a-pair", "unequal-across-pairs"])
+def test_ensemble_of_no_pairs_or_unequal_dimensions_is_a_dimension_error(weights, pairs):
+    with pytest.raises(DimensionError):
+        Preparation.ensemble(weights, pairs)
+
+
+_EYE2, _EYE3 = np.eye(2, dtype=complex), np.eye(3, dtype=complex)
+
+
+@pytest.mark.parametrize("kraus", [
+    (),
+    np.zeros((0, 2, 2, 2)),
+    np.zeros((1, 2, 0, 0)),
+    np.zeros((1, 2, 2, 3)),
+    [(_EYE2, _EYE3)],
+    np.array([_EYE2, _EYE2]),
+    [(_EYE2, _EYE2), (_EYE3, _EYE3)],
+    np.zeros((1, 3, 2, 2)),
+], ids=["empty", "empty-stack", "zero-dim", "non-square", "unequal-blocks", "3d-array",
+        "ragged-pairs", "three-sides"])
+def test_malformed_kraus_stack_is_a_dimension_error(kraus):
+    with pytest.raises(DimensionError):
+        PathChannel(kraus)
+
+
+def test_each_class_stores_one_form():
+    assert [f.name for f in dataclasses.fields(PathChannel)] == ["kraus", "label", "metadata"]
+    assert [f.name for f in dataclasses.fields(Preparation)] == ["weights", "factors", "label"]
+    ch = random_path_channel(3, 4, seed=7)
+    assert ch.kraus.shape == (4, 2, 3, 3) and ch.kraus.dtype == np.complex128
+    assert (ch.spin_dim, ch.n_kraus) == (3, 4)
+    prep = Preparation.completely_mixed(5)
+    assert prep.factors.shape == (2, 5, 5)
+    assert (prep.spin_dim, prep.is_pure) == (5, False)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_factor_columns_are_the_weighted_kets_passed_in(d):
+    rng = np.random.default_rng(d)
+    for n in (1, 2, 3, 5):
+        weights = rng.dirichlet(np.ones(n))
+        pairs = [(random_ket(d, rng), random_ket(d, rng)) for _ in range(n)]
+        prep = Preparation.ensemble(weights, pairs)
+        np.testing.assert_allclose(prep.weights, weights, rtol=1e-15)
+        assert prep.factors.shape == (2, d, n) and prep.is_pure == (n == 1)
+        for m, pair in enumerate(pairs):
+            for i in (0, 1):
+                np.testing.assert_array_equal(prep.factors[i][:, m],
+                                              np.sqrt(prep.weights[m]) * pair[i])
 
 
 def test_preparation_validation():
@@ -392,7 +445,7 @@ def test_preparation_factors_are_read_only_square_roots_of_the_arm_states():
     )
     for prep in preps:
         s = prep.factors
-        assert s.shape == (2, prep.spin_dim, len(prep.pairs))
+        assert s.shape == (2, prep.spin_dim, len(prep.weights))
         assert not s.flags.writeable
         with pytest.raises(ValueError):
             s[0, 0, 0] = 1.0
@@ -423,9 +476,7 @@ def test_channel_file_round_trip_bit_identical(tmp_path):
     save_channel(ch, path)
     assert path.read_bytes() == text.encode("ascii")
     loaded = load_channel(path)
-    for (a0, a1), (b0, b1) in zip(ch.kraus_pairs, loaded.kraus_pairs):
-        np.testing.assert_array_equal(a0, b0)
-        np.testing.assert_array_equal(a1, b1)
+    np.testing.assert_array_equal(ch.kraus, loaded.kraus)
     assert loaded.metadata == {k: str(v) for k, v in ch.metadata.items()}
     crlf = tmp_path / "channel_crlf.txt"
     crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
@@ -512,14 +563,15 @@ def test_array_holding_objects_compare_and_hash_by_identity(build):
 
 
 @pytest.mark.parametrize("build, inputs", [
-    (lambda a, b: PathChannel(2, ((a, b),)),
+    (lambda a, b: PathChannel(((a, b),)),
      (np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex))),
+    (PathChannel, (np.array([[np.eye(2), [[0, 1], [1, 0]]]], dtype=complex),)),
     (Preparation.pure, (ket(0, 2), ket(1, 2))),
     (lambda a, b: Preparation.ensemble([0.5, 0.5], [(a, b), (b, a)]), (ket(0, 2), ket(1, 2))),
     (FilterPair, (ket(0, 2), ket(1, 2))),
     (_dataset, (np.ones((4, 3), dtype=np.int64),)),
-], ids=["PathChannel", "Preparation.pure", "Preparation.ensemble", "FilterPair",
-        "FringeDataset"])
+], ids=["PathChannel", "PathChannel-ndarray", "Preparation.pure", "Preparation.ensemble",
+        "FilterPair", "FringeDataset"])
 def test_validated_arrays_are_stored_as_read_only_copies(build, inputs):
     obj = build(*inputs)
     stored, fields = [], [getattr(obj, f.name) for f in dataclasses.fields(obj)]

@@ -67,7 +67,7 @@ def test_environment_states_via_replica_contraction():
     for side in (0, 1):
         rho = mixed_state(prep, side)
         vecs = []
-        for a, b in ch.kraus_pairs:
+        for a, b in ch.kraus:
             op = b if side else a
             vecs.append(np.kron(np.eye(d), op) @ phi)
         lam = np.zeros((d * d * k,), dtype=complex)
@@ -201,10 +201,10 @@ def test_distinguishability_independent_of_kraus_representation():
         w = random_unitary(3, rng)
         pairs = []
         for j in range(3):
-            a = sum(w[j, k] * ch.kraus_pairs[k][0] for k in range(3))
-            b = sum(w[j, k] * ch.kraus_pairs[k][1] for k in range(3))
+            a = sum(w[j, k] * ch.kraus[k, 0] for k in range(3))
+            b = sum(w[j, k] * ch.kraus[k, 1] for k in range(3))
             pairs.append((a, b))
-        mixed = PathChannel(2, tuple(pairs))
+        mixed = PathChannel(pairs)
         val = distinguishability(*environment_states(mixed, prep))
         assert val == pytest.approx(ref, abs=1e-9)
 
@@ -329,7 +329,7 @@ def test_environment_trace_beyond_1e10_is_a_positivity_error():
     # before any environment state could leave unit trace by more than 1e-10
     a = np.sqrt(1.0 + 5e-10) * np.eye(2)
     with pytest.raises(PositivityError, match="not trace preserving within 1e-10"):
-        PathChannel(2, ((a, a),))
+        PathChannel(((a, a),))
 
 
 def _near_trace_preserving(d, err):
@@ -348,9 +348,9 @@ def test_trace_tolerances_agree(d, err):
     # states; a channel outside is refused when it is built
     if err > 1e-10:
         with pytest.raises(PositivityError, match="not trace preserving"):
-            PathChannel(d, _near_trace_preserving(d, err))
+            PathChannel(_near_trace_preserving(d, err))
         return
-    ch = PathChannel(d, _near_trace_preserving(d, err))
+    ch = PathChannel(_near_trace_preserving(d, err))
     uniform = np.full(d, 1.0 / np.sqrt(d))
     prep = Preparation.ensemble([0.5 + 0.245e-10, 0.5 + 0.245e-10],
                                 [(uniform, uniform), (uniform, uniform)])
@@ -387,7 +387,7 @@ def test_verify_at_the_kraus_cap_eigendecomposes_no_environment_state(monkeypatc
     for ch, prep, n_qr in cases:
         calls.clear()
         verify_inequality(ch, prep)
-        side = min(ch.n_kraus, ch.spin_dim * len(prep.pairs))
+        side = min(ch.n_kraus, ch.spin_dim * len(prep.weights))
         shapes = [c for c in calls if c != "qr"]
         assert "eigh" not in calls
         assert calls.count("qr") == n_qr

@@ -53,19 +53,6 @@ def _preparations(d, rng):
     return pure, ensemble
 
 
-def test_kraus_pairs_are_views_of_the_stacked_array():
-    ch = _channel(3, 4)
-    assert ch.kraus.shape == (4, 2, 3, 3)
-    assert ch.kraus.dtype == np.complex128
-    for k, (a, b) in enumerate(ch.kraus_pairs):
-        assert np.shares_memory(a, ch.kraus) and np.shares_memory(b, ch.kraus)
-        np.testing.assert_array_equal(a, ch.kraus[k, 0])
-        np.testing.assert_array_equal(b, ch.kraus[k, 1])
-    assert not ch.kraus.flags.writeable
-    with pytest.raises(ValueError):
-        ch.kraus_pairs[0][0][0, 0] = 0.0
-
-
 @pytest.mark.parametrize("d", DIMS)
 def test_preparation_states_match_loop_reference(d):
     for prep in _preparations(d, np.random.default_rng(d)):

@@ -222,7 +222,7 @@ NON_FINITE_CASES = {
     "FilterPair": (np.array([_H, _V]), lambda a: FilterPair(a[0], a[1])),
     "PathSpinState": (np.array([[_PLUS, _PLUS], [_PLUS, _PLUS]]) / 2,
                       lambda b: PathSpinState(2, b)),
-    "PathChannel": (_KRAUS, lambda k: PathChannel(2, tuple((x[0], x[1]) for x in k))),
+    "PathChannel": (_KRAUS, PathChannel),
     "FractionalVisibilityRecord": (
         np.array([0.5, 0.25, -0.25, 0.01, 0.01]),
         lambda a: FractionalVisibilityRecord("hh", "hh", a[0], complex(a[1], a[2]), a[3], a[4]),
@@ -247,24 +247,26 @@ def test_non_finite_entry_is_rejected(name, data):
         build(bad_input)
 
 
-_EYE1, _EYE2 = np.eye(1, dtype=complex), np.eye(2, dtype=complex)
-
-
 @pytest.mark.parametrize("build, message", [
-    (lambda: PathChannel(2.0, ((_EYE2, _EYE2),)), "spin_dim must be >= 1 and an integer, got 2.0"),
-    (lambda: PathChannel(True, ((_EYE1, _EYE1),)), "spin_dim must be >= 1 and an integer, got True"),
     (lambda: identity_channel(2.0), "d must be >= 1 and an integer, got 2.0"),
     (lambda: ket(0, 2.0), "dim must be >= 1 and an integer, got 2.0"),
+    (lambda: ket(True, 2), "index must be >= 0 and an integer, got True"),
+    (lambda: ket(0.5, 2), "index must be >= 0 and an integer, got 0.5"),
+    (lambda: ket(2, 2), "basis index 2 out of range for dim 2"),
     (lambda: Preparation.completely_mixed(2.5), "dim must be >= 1 and an integer, got 2.5"),
     (lambda: Preparation.completely_mixed(0), "dim must be >= 1 and an integer, got 0"),
     (lambda: transpose_channel(0), "d must be >= 1 and an integer, got 0"),
-], ids=["PathChannel-float", "PathChannel-bool", "identity_channel", "ket", "completely_mixed-2.5",
-        "completely_mixed-0", "transpose_channel-0"])
+], ids=["identity_channel", "ket", "ket-bool-index", "ket-float-index", "ket-index-2",
+        "completely_mixed-2.5", "completely_mixed-0", "transpose_channel-0"])
 def test_dimensions_must_be_integers_of_at_least_one(build, message):
     # pyproject.toml turns warnings into errors, so a divide-by-zero warning
     # before the refusal fails this test too
     with pytest.raises(DimensionError, match=re.escape(message)):
         build()
+
+
+def test_ket_takes_a_numpy_integer_index():
+    np.testing.assert_array_equal(ket(np.int64(1), 2), [0, 1])
 
 
 def _bool_isinstance_calls(source: str, allowed: str = "") -> list[int]:
