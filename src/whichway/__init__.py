@@ -58,7 +58,6 @@ from .errors import (
     WhichWayError,
 )
 from .interferometer import (
-    FitResult,
     FringeDataset,
     NoiseRow,
     RowReport,

@@ -41,6 +41,7 @@ from .channels import PathChannel, Preparation, pure_pair
 from .errors import ContractionError, DimensionError, NonFiniteError, SupportError
 from .linalg import (
     ATOL_DERIVED,
+    ATOL_STRUCT,
     density_matrix,
     factor_sandwich,
     finite_array,
@@ -86,10 +87,16 @@ class FilterPair:
             raise DimensionError("filter kets have different dimensions")
 
 
+def _beyond_envelope(visibility, p, sigma_p, sigma_v):
+    """The 3-sigma rule |V| > p + 3 (sigma_p + sigma_v) + 1e-10, elementwise."""
+    return abs(visibility) > p + 3 * (sigma_p + sigma_v) + ATOL_STRUCT
+
+
 @dataclass(frozen=True)
 class FractionalVisibilityRecord:
     """One (preparation, filter) cell: filtering probability p and complex
-    fringe amplitude V, with measurement uncertainties (0 for exact theory)."""
+    fringe amplitude V, with measurement uncertainties and the fit's
+    residual rms (all 0 for exact theory and for records read from CSV)."""
 
     mu: str
     nu: str
@@ -97,16 +104,20 @@ class FractionalVisibilityRecord:
     visibility: complex
     sigma_p: float = 0.0
     sigma_v: float = 0.0
+    residual_rms: float = 0.0
 
     def __post_init__(self):
         v = complex(self.visibility)
-        if not all(map(math.isfinite, (self.p, v.real, v.imag, self.sigma_p, self.sigma_v))):
+        p, sigma_p, sigma_v, rms = self.p, self.sigma_p, self.sigma_v, self.residual_rms
+        # a NaN or infinite entry makes the sum non-finite; only then are the entries scanned
+        if not math.isfinite(p + v.real + v.imag + sigma_p + sigma_v + rms) and not all(
+                map(math.isfinite, (p, v.real, v.imag, sigma_p, sigma_v, rms))):
             raise NonFiniteError(f"NaN or infinite entry in record ({self.mu}, {self.nu})")
-        if not 0.0 <= self.p <= 1.0 + 1e-12:
-            raise DimensionError(f"filtering probability {self.p} outside [0, 1]")
-        if self.sigma_p < 0 or self.sigma_v < 0:
+        if not 0.0 <= p <= 1.0 + 1e-12:
+            raise DimensionError(f"filtering probability {p} outside [0, 1]")
+        if sigma_p < 0 or sigma_v < 0 or rms < 0:
             raise DimensionError("uncertainties must be nonnegative")
-        if abs(self.visibility) > self.p + 3 * (self.sigma_p + self.sigma_v) + 1e-10:
+        if _beyond_envelope(v, p, sigma_p, sigma_v):
             raise DimensionError(
                 f"|V|={abs(self.visibility):.6g} exceeds p={self.p:.6g} beyond "
                 f"3 sigma for record ({self.mu}, {self.nu})"
@@ -152,10 +163,8 @@ def fractional_visibility(
     p = 0.5 * (np.vdot(x, x).real + np.vdot(y, y).real)
     if not mu and isinstance(prep, Preparation):
         mu = prep.label
-    return FractionalVisibilityRecord(
-        mu=mu, nu=filt.label, p=min(max(float(p), 0.0), 1.0),
-        visibility=complex(np.vdot(y, x)),
-    )
+    return FractionalVisibilityRecord(mu, filt.label, min(max(float(p), 0.0), 1.0),
+                                      complex(np.vdot(y, x)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,13 +457,9 @@ def write_records_csv(records, path_or_buffer) -> None:
 def read_records_csv(path_or_buffer) -> list[FractionalVisibilityRecord]:
     """Records from a records CSV; a repeated (mu, nu) raises
     :class:`DimensionError`."""
-    records = [
-        FractionalVisibilityRecord(
-            mu=mu, nu=nu, p=p, visibility=complex(re_v, im_v), sigma_p=sigma_p, sigma_v=sigma_v,
-        )
-        for mu, nu, p, re_v, im_v, sigma_p, sigma_v
-        in read_csv(path_or_buffer, _CSV_FIELDS, (str, str) + (float,) * 5)
-    ]
+    records = [FractionalVisibilityRecord(mu, nu, p, complex(re_v, im_v), sigma_p, sigma_v)
+               for mu, nu, p, re_v, im_v, sigma_p, sigma_v
+               in read_csv(path_or_buffer, _CSV_FIELDS, (str, str) + (float,) * 5)]
     _record_map(records)
     return records
 

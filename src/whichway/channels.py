@@ -27,6 +27,7 @@ arrays agree.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -94,7 +95,13 @@ class Preparation:
         total = sum(self.weights)
         if abs(total - 1.0) > ATOL_STRUCT:
             raise DimensionError("ensemble weights must sum to 1 within 1e-10")
-        kets = [(unit_ket(p0, "psi0"), unit_ket(p1, "psi1")) for p0, p1 in pairs]
+        kets = []
+        for m, pair in enumerate(pairs):
+            try:
+                psi0, psi1 = pair
+            except (TypeError, ValueError):
+                raise DimensionError(f"pure pair {m} is not two kets (psi0, psi1)") from None
+            kets.append((unit_ket(psi0, "psi0"), unit_ket(psi1, "psi1")))
         if len({psi.size for pair in kets for psi in pair}) != 1:
             raise DimensionError("preparation kets must all have one dimension")
         weights = tuple(float(w / total) for w in self.weights)
@@ -155,7 +162,8 @@ class PathChannel:
     :class:`DimensionError`; ``spin_dim`` and ``n_kraus`` read its shape.
     Entries must be finite, and trace preservation (sum A^dag A = sum B^dag B
     = 1) is enforced in operator norm within 1e-10, so every state the
-    channel outputs has unit trace within 1e-10.
+    channel outputs has unit trace within 1e-10. ``metadata`` is stored as a
+    copy of the mapping given; anything else raises :class:`DimensionError`.
     """
 
     kraus: np.ndarray = field(repr=False)
@@ -172,6 +180,9 @@ class PathChannel:
         finite_array(kraus, "Kraus blocks")
         kraus.flags.writeable = False
         object.__setattr__(self, "kraus", kraus)
+        if not isinstance(self.metadata, Mapping):
+            raise DimensionError(f"metadata {self.metadata!r} is not a mapping")
+        object.__setattr__(self, "metadata", dict(self.metadata))
         gram = np.einsum("ksji,ksjl->sil", kraus.conj(), kraus)
         err = np.abs(np.linalg.eigvalsh(gram - np.eye(self.spin_dim))).max(axis=1)
         for name, side in (("A", 0), ("B", 1)):

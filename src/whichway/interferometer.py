@@ -16,7 +16,9 @@ cell then draws its counts as two arrays, and the cells fill one
 ref1; a :class:`FringeDataset` holds one cell of it as a read-only copy. One
 fit serves every cell of that array with one batched thin SVD; a phase
 without counts in a cell has its design rows zeroed, so it drops out of that
-cell's fit.
+cell's fit, and each fitted cell is a :class:`FractionalVisibilityRecord`
+that carries its residual rms; a fit beyond the records' 3-sigma envelope
+raises :class:`NumericalError`.
 
 Random streams: a cell seeded ``seed`` draws from one generator,
 ``np.random.default_rng(seed)``. It first makes one ``multinomial`` call over
@@ -63,6 +65,7 @@ from ._files import read_csv, write_csv
 from .bounds import (
     FilterPair,
     FractionalVisibilityRecord,
+    _beyond_envelope,
     rectilinear_filters,
     rectilinear_preparations,
 )
@@ -78,7 +81,6 @@ from .linalg import ATOL_DERIVED, finite_array, int_at_least
 
 __all__ = [
     "CONVENTION",
-    "FitResult",
     "FringeDataset",
     "NoiseRow",
     "RowReport",
@@ -440,55 +442,38 @@ def binomial_resample(ds: FringeDataset, reference_efficiency: float, seed=0) ->
 # Fringe fitting
 
 
-@dataclass(frozen=True)
-class FitResult:
-    """Joint sinusoidal fit of both interference detectors."""
-
-    p_hat: float
-    visibility: complex
-    sigma_p: float
-    sigma_v: float
-    residual_rms: float
-
-    def __post_init__(self):
-        if abs(self.visibility) > self.p_hat + 3 * (self.sigma_p + self.sigma_v) + 1e-9:
-            raise NumericalError(
-                "fitted |V| exceeds p beyond the 3-sigma envelope; fit inconsistent"
-            )
-
-
-def fit_report(fit: FitResult) -> str:
+def fit_report(rec: FractionalVisibilityRecord) -> str:
     """Structured text summary of a fringe fit."""
-    mag = abs(fit.visibility)
-    delta = float(np.angle(fit.visibility))
     return "\n".join([
         "fringe fit",
-        f"  p     = {fit.p_hat:.4f} +/- {fit.sigma_p:.4f}",
-        f"  |V|   = {mag:.4f} +/- {fit.sigma_v:.4f}",
-        f"  phase = {delta:+.4f} rad",
-        f"  residual rms = {fit.residual_rms:.2e}",
+        f"  p     = {rec.p:.4f} +/- {rec.sigma_p:.4f}",
+        f"  |V|   = {abs(rec.visibility):.4f} +/- {rec.sigma_v:.4f}",
+        f"  phase = {float(np.angle(rec.visibility)):+.4f} rad",
+        f"  residual rms = {rec.residual_rms:.2e}",
     ])
 
 
-def fit_fringes(ds: FringeDataset) -> FitResult:
-    """Least-squares fit of counts to T_j * (p +/- Re(V e^{i phi})) / 2.
+def fit_fringes(ds: FringeDataset) -> FractionalVisibilityRecord:
+    """Least-squares fit of counts to T_j * (p +/- Re(V e^{i phi})) / 2, as
+    an unlabelled record (mu = nu = "").
 
     The per-phase normalization T_j is the total count over all four
     detectors (the reference detectors complete the total); phases with no
     counts take no part. The model is linear in (p, Re V, Im V);
-    uncertainties come from the fit covariance.
+    uncertainties come from the fit covariance, and p is clipped to [0, 1].
     """
-    return _fit_counts(np.array(ds.phases), ds.counts[None])[0]
+    return _fit_counts(np.array(ds.phases), ds.counts[None], [("", "")])[0]
 
 
-def _fit_counts(phases: np.ndarray, counts: np.ndarray) -> list[FitResult]:
+def _fit_counts(phases: np.ndarray, counts: np.ndarray, keys) -> list[FractionalVisibilityRecord]:
     """:func:`fit_fringes` of every cell of (cells, 4, phases) counts over
-    the same strictly increasing phases.
+    the same strictly increasing phases, cell c labelled by the c-th key.
 
     The design and data rows of a phase with no counts in a cell are zeroed,
     so that phase drops out of the cell's fit, which has
     2 * (populated phases) - 3 degrees of freedom. One batched thin SVD then
-    fits every cell, and each cell keeps every check of its own fit.
+    fits every cell, and each cell keeps every check of its own fit, the
+    records' 3-sigma envelope included.
     """
     totals = counts.sum(axis=1)
     populated = totals > 0
@@ -536,8 +521,13 @@ def _fit_counts(phases: np.ndarray, counts: np.ndarray) -> list[FitResult]:
     sigma_p = np.sqrt(np.maximum(var * unit_cov[:, 0, 0], 0.0))
     sigma_v = np.sqrt(np.maximum(var * spread_v, 0.0))
     rms = np.sqrt(sq / n_rows)
-    return [FitResult(max(b[0], 0.0), complex(b[1], b[2]), *spread)
-            for b, *spread in zip(beta.tolist(), sigma_p.tolist(), sigma_v.tolist(), rms.tolist())]
+    p = np.clip(beta[:, 0], 0.0, 1.0)
+    vis = beta[:, 1] + 1j * beta[:, 2]
+    if _beyond_envelope(vis, p, sigma_p, sigma_v).any():
+        raise NumericalError("fitted |V| exceeds p beyond the 3-sigma envelope; fit inconsistent")
+    return [FractionalVisibilityRecord(mu, nu, *fields) for (mu, nu), *fields
+            in zip(keys, p.tolist(), vis.tolist(), sigma_p.tolist(), sigma_v.tolist(),
+                   rms.tolist())]
 
 
 def _simulate_cells(ch, preparations, filters, phases, shots_per_phase, efficiencies,
@@ -588,14 +578,8 @@ def run_experiment(
     filters = rectilinear_filters() if filters is None else filters
     phases, counts = _simulate_cells(ch, preparations, filters, phases, shots_per_phase,
                                      efficiencies, contrast, seed)
-    fits = _fit_counts(np.array(phases), counts)
-    return [
-        FractionalVisibilityRecord(
-            mu=mu, nu=nu, p=min(fit.p_hat, 1.0), visibility=fit.visibility,
-            sigma_p=fit.sigma_p, sigma_v=fit.sigma_v,
-        )
-        for (mu, nu), fit in zip(itertools.product(sorted(preparations), sorted(filters)), fits)
-    ]
+    return _fit_counts(np.array(phases), counts,
+                       itertools.product(sorted(preparations), sorted(filters)))
 
 
 # ---------------------------------------------------------------------------

@@ -576,7 +576,7 @@ def simulate_cells(ch, seed, shots_per_phase=10_000, efficiencies=(1.0, 1.0, 1.0
 
 
 class Fit(NamedTuple):
-    p_hat: float
+    p: float
     visibility: complex
     sigma_p: float
     sigma_v: float
@@ -610,20 +610,20 @@ def fit_fringes(ds):
         spread = grad @ cov[1:, 1:] @ grad
     else:
         spread = 0.5 * (cov[1, 1] + cov[2, 2])
-    return Fit(p_hat=max(float(beta[0]), 0.0), visibility=complex(beta[1], beta[2]),
+    return Fit(p=float(np.clip(beta[0], 0.0, 1.0)), visibility=complex(beta[1], beta[2]),
                sigma_p=float(np.sqrt(max(var * cov[0, 0], 0.0))),
                sigma_v=float(np.sqrt(max(var * spread, 0.0))),
                residual_rms=float(np.sqrt(np.mean(resid**2))))
 
 
+def fit_record(ds):
+    """:func:`fit_fringes` above as an unlabelled record, as the production
+    ``fit_fringes`` returns it."""
+    return FractionalVisibilityRecord("", "", *fit_fringes(ds))
+
+
 def run_experiment(ch, seed, fit=interferometer.fit_fringes, **kwargs):
     """The cells of :func:`simulate_cells`, each fitted on its own by
-    ``fit`` (the production ``fit_fringes`` unless given)."""
-    records = []
-    for mu, nu, ds in simulate_cells(ch, seed, **kwargs):
-        fit_result = fit(ds)
-        records.append(FractionalVisibilityRecord(
-            mu=mu, nu=nu, p=min(fit_result.p_hat, 1.0), visibility=fit_result.visibility,
-            sigma_p=fit_result.sigma_p, sigma_v=fit_result.sigma_v,
-        ))
-    return records
+    ``fit`` (the production ``fit_fringes`` unless given) and labelled with
+    its (mu, nu)."""
+    return [replace(fit(ds), mu=mu, nu=nu) for mu, nu, ds in simulate_cells(ch, seed, **kwargs)]

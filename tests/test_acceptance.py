@@ -4,6 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines while the
 suite runs.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from conftest import (
 )
 from reference_kernels import brute_force_visibility, eigh_fidelity, mixed_state
 from whichway import (
-    FractionalVisibilityRecord,
     FringeDataset,
     Preparation,
     block_choi,
@@ -207,11 +208,7 @@ def _swap_pipeline_bound(contrast: float, seed: int) -> float:
             ch, preps[mu], filters[nu], shots_per_phase=10_000,
             contrast=contrast, seed=(seed, i),
         )
-        fit = fit_fringes(ds)
-        records.append(FractionalVisibilityRecord(
-            mu=mu, nu=nu, p=min(fit.p_hat, 1.0), visibility=fit.visibility,
-            sigma_p=fit.sigma_p, sigma_v=fit.sigma_v,
-        ))
+        records.append(dataclasses.replace(fit_fringes(ds), mu=mu, nu=nu))
     return swap_certificate(records).vg_lower
 
 
@@ -241,7 +238,7 @@ def test_criterion_10_fit_coverage():
                   rng.poisson(np.full(len(phases), n * 0.25))]
         ds = FringeDataset(tuple(phases), np.array(counts), n, (0,), (1.0,) * 4)
         fit = fit_fringes(ds)
-        if (abs(fit.p_hat - p_true) <= 3 * fit.sigma_p
+        if (abs(fit.p - p_true) <= 3 * fit.sigma_p
                 and abs(abs(fit.visibility) - v_true) <= 3 * fit.sigma_v):
             hits += 1
     _criterion(10, f"fit recovers (p, |V|) within 3 sigma in {hits}/100 "

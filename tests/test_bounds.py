@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -33,6 +34,7 @@ from whichway import (
     read_records_csv,
     rectilinear_filters,
     rectilinear_preparations,
+    run_experiment,
     single_preparation_certificate,
     swap_certificate,
     transpose_channel,
@@ -108,8 +110,26 @@ def test_record_validation():
         FractionalVisibilityRecord(mu="a", nu="b", p=0.1, visibility=0.5)
     with pytest.raises(DimensionError):
         FractionalVisibilityRecord(mu="a", nu="b", p=1.4, visibility=0.0)
+    with pytest.raises(DimensionError, match="nonnegative"):
+        FractionalVisibilityRecord(mu="a", nu="b", p=0.1, visibility=0.0, residual_rms=-1e-3)
     # 3-sigma envelope admits noisy records
     FractionalVisibilityRecord(mu="a", nu="b", p=0.1, visibility=0.11, sigma_v=0.01)
+
+
+def test_record_fields_and_the_records_without_a_residual():
+    assert [f.name for f in dataclasses.fields(FractionalVisibilityRecord)] == [
+        "mu", "nu", "p", "visibility", "sigma_p", "sigma_v", "residual_rms"]
+    ch = pauli_mixture_channel()
+    rec = fractional_visibility(ch, rectilinear_preparations()["hh"], rectilinear_filters()["hh"])
+    assert (rec.sigma_p, rec.sigma_v, rec.residual_rms) == (0.0, 0.0, 0.0)
+    # the records CSV has no residual column: a fitted record reads back without one
+    fitted = run_experiment(ch, shots_per_phase=500, seed=3)
+    buf = io.StringIO()
+    write_records_csv(fitted, buf)
+    buf.seek(0)
+    for rec, back in zip(fitted, read_records_csv(buf)):
+        assert rec.residual_rms > 0 and back.residual_rms == 0.0
+        assert dataclasses.replace(back, residual_rms=rec.residual_rms) == rec
 
 
 @pytest.mark.parametrize("field,value", [
@@ -121,12 +141,20 @@ def test_record_validation():
     ("sigma_p", float("inf")),
     ("sigma_v", float("nan")),
     ("sigma_v", float("inf")),
+    ("residual_rms", float("nan")),
+    ("residual_rms", float("inf")),
 ])
 def test_record_rejects_non_finite_fields(field, value):
     kwargs = dict(mu="a", nu="b", p=0.5, visibility=0.25 + 0.0j, sigma_p=0.01, sigma_v=0.01)
     kwargs[field] = value
     with pytest.raises(NonFiniteError, match=r"NaN or infinite entry in record \(a, b\)"):
         FractionalVisibilityRecord(**kwargs)
+
+
+def test_record_whose_finite_entries_sum_past_the_float_range_is_accepted():
+    rec = FractionalVisibilityRecord("a", "b", 0.5, 0.25, sigma_p=1e308, sigma_v=1e308,
+                                     residual_rms=1e308)
+    assert rec.sigma_p + rec.sigma_v == float("inf")
 
 
 def test_swap_alpha_family_reconstructs_a_unitary():

@@ -395,6 +395,27 @@ def test_malformed_kraus_stack_is_a_dimension_error(kraus):
         PathChannel(kraus)
 
 
+def test_ensemble_pair_that_is_not_two_kets_is_a_dimension_error():
+    h = ket(0, 2)
+    for pairs, index in (([(h, h, h)], 0), ([(h, h), (h,)], 1), ([(h, h), 5], 1)):
+        with pytest.raises(DimensionError, match=f"pure pair {index} is not two kets"):
+            Preparation.ensemble([1.0 / len(pairs)] * len(pairs), pairs)
+
+
+def test_channel_stores_a_copy_of_its_metadata():
+    metadata = {"a": 1}
+    ch = PathChannel(identity_channel(2).kraus, metadata=metadata)
+    metadata["b"] = 2
+    assert ch.metadata == {"a": 1}
+    assert "meta b" not in dumps_channel(ch)
+
+
+@pytest.mark.parametrize("metadata", [None, [("a", 1)], "a"])
+def test_channel_metadata_that_is_not_a_mapping_is_a_dimension_error(metadata):
+    with pytest.raises(DimensionError, match="is not a mapping"):
+        PathChannel(identity_channel(2).kraus, metadata=metadata)
+
+
 def test_each_class_stores_one_form():
     assert [f.name for f in dataclasses.fields(PathChannel)] == ["kraus", "label", "metadata"]
     assert [f.name for f in dataclasses.fields(Preparation)] == ["weights", "factors", "label"]

@@ -14,6 +14,7 @@ from conftest import random_ket, random_orthonormal_filters, random_unitary
 from whichway import (
     ConventionError,
     DimensionError,
+    FractionalVisibilityRecord,
     FringeDataset,
     NoiseRow,
     NonFiniteError,
@@ -245,7 +246,7 @@ def test_simulate_pooled_fallback_for_non_unitary_rows():
     ds = simulate_fringes(ch, PREPS["hv"], FILTERS["hh"], shots_per_phase=50_000, seed=3)
     fit = fit_fringes(ds)
     assert abs(fit.visibility) < 5 * fit.sigma_v + 1e-3
-    assert fit.p_hat == pytest.approx(0.5, abs=0.02)
+    assert fit.p == pytest.approx(0.5, abs=0.02)
     # identical arm preparations keep full coherence through the replacement
     ds2 = simulate_fringes(ch, PREPS["hh"], FILTERS["hh"], shots_per_phase=50_000, seed=3)
     fit2 = fit_fringes(ds2)
@@ -297,7 +298,7 @@ def test_fit_recovers_exact_noiseless_model():
     ds = FringeDataset(phases=tuple(phases), counts=np.array([plus, minus, ref, ref]),
                        shots_per_phase=n, seed=(0,), efficiencies=(1.0,) * 4)
     fit = fit_fringes(ds)
-    assert fit.p_hat == pytest.approx(p, abs=1e-9)
+    assert fit.p == pytest.approx(p, abs=1e-9)
     assert abs(fit.visibility) == pytest.approx(v, abs=1e-9)
     assert fit.visibility.real == pytest.approx(v, abs=1e-9)
 
@@ -338,7 +339,7 @@ def test_fit_refuses_a_design_conditioned_beyond_1e12(gap, degenerate):
         with pytest.raises(NumericalError, match="degenerate design"):
             fit_fringes(ds)
     else:
-        assert fit_fringes(ds).p_hat == pytest.approx(0.5, abs=1e-9)
+        assert fit_fringes(ds).p == pytest.approx(0.5, abs=1e-9)
 
 
 def test_fit_consistency_envelope_on_simulated_data():
@@ -349,7 +350,36 @@ def test_fit_consistency_envelope_on_simulated_data():
             contrast=0.9, seed=(100, s),
         )
         fit = fit_fringes(ds)
-        assert abs(fit.visibility) <= fit.p_hat + 3 * (fit.sigma_p + fit.sigma_v)
+        assert abs(fit.visibility) <= fit.p + 3 * (fit.sigma_p + fit.sigma_v)
+
+
+@pytest.mark.parametrize("excess", [0.5e-10, 1.5e-10])
+def test_record_and_fit_refuse_past_the_same_3_sigma_envelope(excess):
+    # |V| = p + 3 (sigma_p + sigma_v) + excess; past the 1e-10 slack a
+    # hand-built record is bad input and a fit is a numerical fault
+    sigma = 0.01
+
+    def record():
+        return FractionalVisibilityRecord("a", "b", 0.5, 0.5 + 6 * sigma + excess, sigma, sigma)
+
+    # noiseless counts with p = 1/2 and V = 1/2 + excess, so the fitted sigmas
+    # are round-off; every |cos| is at most 1/2, so every count is >= 0
+    n = 8 * 10**10
+    phases = np.array([1 / 3, 1 / 2, 2 / 3, 4 / 3, 3 / 2, 5 / 3]) * np.pi
+    fringe = np.array([1, 0, -1, -1, 0, 1]) * (n // 8 + round(excess * n / 4))
+    ds = FringeDataset(tuple(phases), np.array([n // 4 + fringe, n // 4 - fringe,
+                                                [n // 4] * 6, [n // 4] * 6]),
+                       n, (0,), (1.0,) * 4)
+    if excess > 1e-10:
+        with pytest.raises(DimensionError, match="beyond 3 sigma"):
+            record()
+        with pytest.raises(NumericalError, match="beyond the 3-sigma envelope"):
+            fit_fringes(ds)
+    else:
+        record()
+        fit = fit_fringes(ds)
+        assert abs(fit.visibility) - fit.p == pytest.approx(excess, abs=1e-13)
+        assert fit.sigma_p + fit.sigma_v < 1e-13
 
 
 def test_run_experiment_produces_grid_consistent_with_theory():
@@ -669,13 +699,17 @@ def _assert_experiment_matches_oracle(ch, seed, **kwargs):
                           ref.run_experiment(ch, seed, **kwargs), 1e-15)
 
 
+FIT_FIELDS = ("p", "visibility", "sigma_p", "sigma_v", "residual_rms")
+
+
 def _assert_records_close(got, want, atol):
+    """Equal keys, and every fitted field, the residual rms too, within atol."""
     assert len(got) == len(want) == 16
     for g, w in zip(got, want):
         assert (g.mu, g.nu) == (w.mu, w.nu)
-        for a, b in ((g.p, w.p), (g.visibility, w.visibility),
-                     (g.sigma_p, w.sigma_p), (g.sigma_v, w.sigma_v)):
-            assert abs(a - b) <= atol, (g.mu, g.nu, a, b)
+        for name in FIT_FIELDS:
+            a, b = getattr(g, name), getattr(w, name)
+            assert abs(a - b) <= atol, (g.mu, g.nu, name, a, b)
 
 
 @pytest.mark.parametrize("seed", [1, 7, 42, 9001])
@@ -765,9 +799,6 @@ def test_one_generator_per_cell(monkeypatch, efficiencies):
     assert seeds == [(9,), (3,)]
 
 
-FIT_FIELDS = ("p_hat", "visibility", "sigma_p", "sigma_v", "residual_rms")
-
-
 def _assert_fits_match_lstsq_oracle(ch, seed, **kwargs):
     """fit_fringes of each oracle cell, and the records of run_experiment,
     agree with the lstsq oracle within 1e-12."""
@@ -777,7 +808,7 @@ def _assert_fits_match_lstsq_oracle(ch, seed, **kwargs):
         for name in FIT_FIELDS:
             assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12, (mu, nu, name)
     _assert_records_close(run_experiment(ch, seed=seed, **kwargs),
-                          ref.run_experiment(ch, seed, fit=ref.fit_fringes, **kwargs), 1e-12)
+                          ref.run_experiment(ch, seed, fit=ref.fit_record, **kwargs), 1e-12)
     return cells
 
 
@@ -811,15 +842,13 @@ def test_fit_counts_fits_a_zero_total_phase_cell_in_the_same_svd(monkeypatch):
     svd, factorizations = np.linalg.svd, []
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: factorizations.append(1) or svd(*a, **k))
     stacked = np.array([ds.counts for ds in cells])
-    fits = _fit_counts(np.array(cells[0].phases), stacked)
+    fits = _fit_counts(np.array(cells[0].phases), stacked, [("", "")] * 3)
     assert len(factorizations) == 1
     monkeypatch.setattr(np.linalg, "svd", svd)
     for fit, ds in zip(fits, cells):
         alone = fit_fringes(ds)
-        for a, b in ((fit.p_hat, alone.p_hat), (fit.visibility, alone.visibility),
-                     (fit.sigma_p, alone.sigma_p), (fit.sigma_v, alone.sigma_v),
-                     (fit.residual_rms, alone.residual_rms)):
-            assert abs(a - b) <= 1e-15
+        for name in FIT_FIELDS:
+            assert abs(getattr(fit, name) - getattr(alone, name)) <= 1e-15
 
 
 @pytest.mark.parametrize("populated, message", [
@@ -830,12 +859,13 @@ def test_fit_counts_fits_a_zero_total_phase_cell_in_the_same_svd(monkeypatch):
 def test_fit_counts_refuses_a_later_cell_on_its_own_populated_phases(populated, message):
     phases = np.array([0.0, 1e-7, 2e-7, 1.0, 2.0, 2.5, np.pi, 4.0, 5.0, 6.0])
     counts = np.full((3, 4, len(phases)), 10, dtype=np.int64)
-    assert len(_fit_counts(phases, counts)) == 3
+    keys = [("", "")] * 3
+    assert len(_fit_counts(phases, counts, keys)) == 3
     keep = np.zeros(len(phases), dtype=bool)
     keep[list(populated)] = True
     counts[2, :, ~keep] = 0
     with pytest.raises(NumericalError, match=message):
-        _fit_counts(phases, counts)
+        _fit_counts(phases, counts, keys)
 
 
 def test_fit_counts_names_the_fault_of_the_first_failing_cell():
@@ -846,7 +876,7 @@ def test_fit_counts_names_the_fault_of_the_first_failing_cell():
     for cells, message in (((narrow, sparse), "span below half a period"),
                            ((sparse, narrow), "need >= 4 populated phases")):
         with pytest.raises(NumericalError, match=message):
-            _fit_counts(phases, np.array(cells))
+            _fit_counts(phases, np.array(cells), [("", "")] * 2)
 
 
 def _inconsistent_tables(ch, kets, filters, phases, contrast, shots_per_phase):
