@@ -109,9 +109,7 @@ class FractionalVisibilityRecord:
     def __post_init__(self):
         v = complex(self.visibility)
         p, sigma_p, sigma_v, rms = self.p, self.sigma_p, self.sigma_v, self.residual_rms
-        # a NaN or infinite entry makes the sum non-finite; only then are the entries scanned
-        if not math.isfinite(p + v.real + v.imag + sigma_p + sigma_v + rms) and not all(
-                map(math.isfinite, (p, v.real, v.imag, sigma_p, sigma_v, rms))):
+        if not all(map(math.isfinite, (p, v.real, v.imag, sigma_p, sigma_v, rms))):
             raise NonFiniteError(f"NaN or infinite entry in record ({self.mu}, {self.nu})")
         if not 0.0 <= p <= 1.0 + 1e-12:
             raise DimensionError(f"filtering probability {p} outside [0, 1]")
@@ -160,11 +158,13 @@ def fractional_visibility(
 
     x = ch.kraus[:, 0] @ psi0 @ chi0.conj()
     y = ch.kraus[:, 1] @ psi1 @ chi1.conj()
-    p = 0.5 * (np.vdot(x, x).real + np.vdot(y, y).real)
+    p = min(max(0.5 * float(np.vdot(x, x).real + np.vdot(y, y).real), 0.0), 1.0)
     if not mu and isinstance(prep, Preparation):
         mu = prep.label
-    return FractionalVisibilityRecord(mu, filt.label, min(max(float(p), 0.0), 1.0),
-                                      complex(np.vdot(y, x)))
+    return FractionalVisibilityRecord(
+        mu=mu, nu=filt.label, p=p,
+        visibility=complex(np.vdot(y, x)),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -457,9 +457,13 @@ def write_records_csv(records, path_or_buffer) -> None:
 def read_records_csv(path_or_buffer) -> list[FractionalVisibilityRecord]:
     """Records from a records CSV; a repeated (mu, nu) raises
     :class:`DimensionError`."""
-    records = [FractionalVisibilityRecord(mu, nu, p, complex(re_v, im_v), sigma_p, sigma_v)
-               for mu, nu, p, re_v, im_v, sigma_p, sigma_v
-               in read_csv(path_or_buffer, _CSV_FIELDS, (str, str) + (float,) * 5)]
+    records = [
+        FractionalVisibilityRecord(
+            mu=mu, nu=nu, p=p, visibility=complex(re_v, im_v), sigma_p=sigma_p, sigma_v=sigma_v,
+        )
+        for mu, nu, p, re_v, im_v, sigma_p, sigma_v
+        in read_csv(path_or_buffer, _CSV_FIELDS, (str, str) + (float,) * 5)
+    ]
     _record_map(records)
     return records
 
