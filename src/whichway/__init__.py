@@ -13,8 +13,10 @@ from .bounds import (
     BoundCertificate,
     FilterPair,
     FractionalVisibilityRecord,
+    RunBounds,
     bound_from_visibilities,
     certificate_report,
+    certify_run,
     fractional_visibility,
     read_records_csv,
     rectilinear_filters,

@@ -26,6 +26,11 @@ both come from one eigendecomposition of rho. For a pure preparation
 sqrt(|psi><psi|)^T = psi* psi^T is its own support projector and its own
 pseudo-inverse, so no eigendecomposition runs.
 A list of records that repeats a (mu, nu) key raises :class:`DimensionError`.
+
+A certificate stores ``vg_lower`` and ``sigma_vg`` and derives the bound
+sqrt(1 - vg_lower^2) on D and its delta-method sigma. :func:`certify_run`
+returns all of a run's bounds: the four-term one, one single-preparation
+bound per preparation and complementary filter pair, and the best of those.
 """
 
 from __future__ import annotations
@@ -55,8 +60,10 @@ __all__ = [
     "BoundCertificate",
     "FilterPair",
     "FractionalVisibilityRecord",
+    "RunBounds",
     "bound_from_visibilities",
     "certificate_report",
+    "certify_run",
     "fractional_visibility",
     "read_records_csv",
     "rectilinear_filters",
@@ -68,6 +75,7 @@ __all__ = [
 ]
 
 SWAP_KEYS = (("hh", "hh"), ("hv", "vh"), ("vh", "hv"), ("vv", "vv"))
+COMPLEMENTARY = (("hh", "vv"), ("hv", "vh"))
 CONTRACTION_TOL = 1e-8
 
 
@@ -107,9 +115,14 @@ class FractionalVisibilityRecord:
     residual_rms: float = 0.0
 
     def __post_init__(self):
-        v = complex(self.visibility)
         p, sigma_p, sigma_v, rms = self.p, self.sigma_p, self.sigma_v, self.residual_rms
-        if not all(map(math.isfinite, (p, v.real, v.imag, sigma_p, sigma_v, rms))):
+        try:
+            v = complex(self.visibility + 0j)  # + 0j refuses a string complex() would parse
+            finite = all(map(math.isfinite, (p, v.real, v.imag, sigma_p, sigma_v, rms)))
+        except TypeError:
+            raise DimensionError(
+                f"record ({self.mu}, {self.nu}) holds a field that is not a number") from None
+        if not finite:
             raise NonFiniteError(f"NaN or infinite entry in record ({self.mu}, {self.nu})")
         if not 0.0 <= p <= 1.0 + 1e-12:
             raise DimensionError(f"filtering probability {p} outside [0, 1]")
@@ -172,23 +185,31 @@ class BoundCertificate:
     """A verified coefficient set with its reconstructed contraction.
 
     ``contraction_slack`` is the largest eigenvalue of U^dag U minus one.
-    The bound fields stay None until records are folded in by
-    :func:`bound_from_visibilities`. Compared and hashed by identity.
+    ``vg_lower`` and its uncertainty ``sigma_vg`` stay None until records
+    are folded in by :func:`bound_from_visibilities`; ``d_upper`` and
+    ``sigma_d`` are derived from them. Compared and hashed by identity.
     """
 
     alphas: dict[tuple[str, str], complex]
     u_hat: np.ndarray = field(repr=False)
     contraction_slack: float
     vg_lower: float | None = None
-    d_upper: float | None = None
     sigma_vg: float | None = None
-    sigma_d: float | None = None
 
-    def __post_init__(self):
-        if self.vg_lower is not None:
-            expected = float(np.sqrt(max(1.0 - self.vg_lower**2, 0.0)))
-            if abs(self.d_upper - expected) > 1e-12:
-                raise DimensionError("d_upper != sqrt(1 - vg_lower^2) within 1e-12")
+    @property
+    def d_upper(self) -> float | None:
+        """The distinguishability bound sqrt(1 - vg_lower^2)."""
+        if self.vg_lower is None:
+            return None
+        return math.sqrt(max(1.0 - self.vg_lower**2, 0.0))
+
+    @property
+    def sigma_d(self) -> float | None:
+        """The delta-method uncertainty of ``d_upper``, capped at 1 because
+        it degenerates as the bound reaches 0."""
+        if self.vg_lower is None or self.sigma_vg is None:
+            return None
+        return min(self.vg_lower / max(self.d_upper, 1e-12) * self.sigma_vg, 1.0)
 
 
 def _root_support(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -302,9 +323,9 @@ def verify_alpha_constraint(
 def bound_from_visibilities(cert: BoundCertificate, records) -> BoundCertificate:
     """Fold measured fractional visibilities into a verified certificate.
 
-    vg_lower = |sum alpha V| clamped to [0, 1]; its uncertainty is the linear
-    worst-case sum of the record uncertainties, and the distinguishability
-    bound follows as sqrt(1 - vg_lower^2) with the delta-method sigma.
+    vg_lower = |sum alpha V| clamped to [0, 1]; its uncertainty sigma_vg is
+    the linear worst-case sum of the record uncertainties. The certificate
+    derives the distinguishability bound and its sigma from these two.
     """
     recs = _record_map(records)
     total = 0.0 + 0.0j
@@ -314,11 +335,7 @@ def bound_from_visibilities(cert: BoundCertificate, records) -> BoundCertificate
             raise DimensionError(f"missing fractional-visibility record for {key}")
         total += alpha * recs[key].visibility
         sigma += abs(alpha) * recs[key].sigma_v
-    vg = float(min(abs(total), 1.0))
-    d_up = float(np.sqrt(max(1.0 - vg**2, 0.0)))
-    # delta method; capped because it degenerates as the bound reaches 0
-    sigma_d = float(min(vg / max(d_up, 1e-12) * sigma, 1.0))
-    return replace(cert, vg_lower=vg, d_upper=d_up, sigma_vg=float(sigma), sigma_d=sigma_d)
+    return replace(cert, vg_lower=float(min(abs(total), 1.0)), sigma_vg=float(sigma))
 
 
 def _complete_basis_check(filters: dict[str, FilterPair], nus: list[str]) -> int:
@@ -438,6 +455,43 @@ def single_preparation_certificate(
     r0, r1 = _ket_support(psi0), _ket_support(psi1)
     cert = _certify(alphas, {mu: (psi0, psi1)}, filters, d, (r0, r0), (r1, r1))
     return bound_from_visibilities(cert, recs)
+
+
+@dataclass(frozen=True, eq=False)
+class RunBounds:
+    """What one run's records certify (:func:`certify_run`): ``swap``, the
+    four-term certificate, or None with the reason in ``swap_unavailable``;
+    ``singles``, keyed (mu, nu, partner) in sorted mu, then ``COMPLEMENTARY``
+    order; ``best``, the key of the first largest ``vg_lower``, or None."""
+
+    swap: BoundCertificate | None
+    swap_unavailable: str | None
+    singles: dict[tuple[str, str, str], BoundCertificate]
+    best: tuple[str, str, str] | None
+
+
+def certify_run(records) -> RunBounds:
+    """Every bound one run's records certify: :func:`swap_certificate`, whose
+    DimensionError (a missing swap cell) becomes ``swap_unavailable``, and a
+    :func:`single_preparation_certificate` per preparation mu and pair in
+    ``COMPLEMENTARY`` whose two records are present. Records that certify
+    neither, or repeat a (mu, nu), raise :class:`DimensionError`."""
+    recs = _record_map(records)
+    try:
+        swap, swap_unavailable = swap_certificate(recs), None
+    except DimensionError as exc:
+        swap, swap_unavailable = None, str(exc)
+    singles = {}
+    for mu in sorted({mu for mu, _ in recs}):
+        for pair in COMPLEMENTARY:
+            if all((mu, nu) in recs for nu in pair):
+                singles[(mu, *pair)] = single_preparation_certificate(
+                    mu, [recs[(mu, nu)] for nu in pair])
+    if swap is None and not singles:
+        raise DimensionError(f"no bound certified: the {len(recs)} records support neither "
+                             "the four-term bound nor a single-preparation bound")
+    best = max(singles, key=lambda key: singles[key].vg_lower, default=None)
+    return RunBounds(swap, swap_unavailable, singles, best)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,16 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+def _ket_pair(pair, m: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Pure pair ``m`` as two kets checked by :func:`unit_ket`; anything but
+    two kets raises :class:`DimensionError`."""
+    try:
+        psi0, psi1 = pair
+    except (TypeError, ValueError):
+        raise DimensionError(f"pure pair {m} is not two kets (psi0, psi1)") from None
+    return unit_ket(psi0, "psi0"), unit_ket(psi1, "psi1")
+
+
 @dataclass(frozen=True, eq=False)
 class Preparation:
     """Input spin preparation for the two arms, built from n weighted pure
@@ -87,24 +97,22 @@ class Preparation:
     label: str = ""
 
     def __post_init__(self, pairs):
-        if len(self.weights) != len(pairs) or not pairs:
+        try:
+            weights, pairs = tuple(self.weights), tuple(pairs)
+        except TypeError:
+            raise DimensionError("weights and pure pairs must be sequences") from None
+        if len(weights) != len(pairs) or not pairs:
             raise DimensionError("weights and pure pairs must align and be non-empty")
-        finite_array(self.weights, "ensemble weights")
-        if any(w <= 0 for w in self.weights):
+        finite_array(weights, "ensemble weights")
+        if any(w <= 0 for w in weights):
             raise DimensionError("ensemble weights must be positive")
-        total = sum(self.weights)
+        total = sum(weights)
         if abs(total - 1.0) > ATOL_STRUCT:
             raise DimensionError("ensemble weights must sum to 1 within 1e-10")
-        kets = []
-        for m, pair in enumerate(pairs):
-            try:
-                psi0, psi1 = pair
-            except (TypeError, ValueError):
-                raise DimensionError(f"pure pair {m} is not two kets (psi0, psi1)") from None
-            kets.append((unit_ket(psi0, "psi0"), unit_ket(psi1, "psi1")))
+        kets = [_ket_pair(pair, m) for m, pair in enumerate(pairs)]
         if len({psi.size for pair in kets for psi in pair}) != 1:
             raise DimensionError("preparation kets must all have one dimension")
-        weights = tuple(float(w / total) for w in self.weights)
+        weights = tuple(float(w / total) for w in weights)
         factors = np.array(kets).transpose(1, 2, 0) * np.sqrt(weights)  # factors[i] = S_i
         factors.flags.writeable = False
         object.__setattr__(self, "weights", weights)
@@ -116,7 +124,7 @@ class Preparation:
 
     @classmethod
     def ensemble(cls, weights, pairs, label: str = "") -> "Preparation":
-        return cls(tuple(weights), tuple(pairs), label=label)
+        return cls(weights, pairs, label=label)
 
     @classmethod
     def completely_mixed(cls, dim: int, label: str = "mixed") -> "Preparation":
@@ -146,8 +154,7 @@ def pure_pair(prep, d: int) -> tuple[np.ndarray, np.ndarray]:
             )
         psi0, psi1 = prep.factors[:, :, 0]
     else:
-        psi0, psi1 = prep
-        psi0, psi1 = unit_ket(psi0, "psi0"), unit_ket(psi1, "psi1")
+        psi0, psi1 = _ket_pair(prep)
     if psi0.size != d or psi1.size != d:
         raise DimensionError(f"preparation kets do not have dimension {d}")
     return psi0, psi1

@@ -8,7 +8,8 @@ verify               both quantities plus the trade-off slack 1 - D^2 - V_G^2
 table                theory grid of filtering probabilities and fractional
                      visibilities for the four-unitary noise mixture
 reproduce            full pipeline: simulate (or ingest measured records via
-                     --from-csv), fit, and assemble visibility/which-way bounds
+                     --from-csv), fit, and print the visibility/which-way
+                     bounds that bounds.certify_run returns
 
 Channel grammar (--channel): identity | transpose | pauli | replace[:STATE]
 | random:K:SEED | file:PATH. Preparation grammar (--prep): pure:S0,S1 |
@@ -23,11 +24,12 @@ Kraus pairs).
 Exit codes: 0 success, 1 constraint violation, 2 input error, 3 numerical
 failure. A reproduce run that certifies no bound (neither the four-term
 bound nor any single-preparation bound, as with a header-only records CSV)
-is an input error, and so is an empty --out, --filters or --from-csv,
-refused at parse time. For verify, a slack below -1e-8 is a numerical failure,
-as is D < 1 - V_G: DualityReport refuses both, and verify exits 3 whatever
---tol. Otherwise verify exits 0 if the slack is at least -tol (--tol,
-default 1e-8) and 1 if it lies in [-1e-8, -tol).
+is an input error (certify_run raises DimensionError), and so is an empty
+--out, --filters or --from-csv, refused at parse time. For verify, a slack
+below -1e-8 is a numerical failure, as is D < 1 - V_G: DualityReport
+refuses both, and verify exits 3 whatever --tol. Otherwise verify exits 0
+if the slack is at least -tol (--tol, default 1e-8) and 1 if it lies in
+[-1e-8, -tol).
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from ._files import write_text
 from .errors import (
     ContractionError,
     ConventionError,
-    DimensionError,
     NumericalError,
     SupportError,
 )
@@ -231,9 +232,6 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
-_COMPLEMENTARY = (("hh", "vv"), ("hv", "vh"))
-
-
 def cmd_reproduce(args) -> int:
     if args.from_csv is not None:
         records = bnd.read_records_csv(args.from_csv)
@@ -259,42 +257,31 @@ def cmd_reproduce(args) -> int:
             f"simulated records (seed={args.seed}, shots/phase={args.shots}, "
             f"contrast={args.contrast})"
         )
-    recs = {r.key: r for r in records}
+    run = bnd.certify_run(records)
 
     lines = [f"source: {source}", f"records: {len(records)}"]
-    cert = None
-    try:
-        cert = bnd.swap_certificate(records)
+    if run.swap is not None:
+        cert = run.swap
         lines.append("four-term mixed-preparation bound:")
         lines.append(f"  V_G >= {cert.vg_lower:.4f} +/- {cert.sigma_vg:.4f}")
         lines.append(f"  D   <= {cert.d_upper:.4f} +/- {cert.sigma_d:.4f}")
         lines.append(f"  contraction slack = {cert.contraction_slack:.3e}")
-    except DimensionError as exc:
-        lines.append(f"four-term mixed-preparation bound unavailable: {exc}")
+    else:
+        lines.append(f"four-term mixed-preparation bound unavailable: {run.swap_unavailable}")
 
     lines.append("single-preparation bounds (complementary orthonormal filters):")
-    best = None
-    for mu in sorted({r.mu for r in records}):
-        for nu, partner in _COMPLEMENTARY:
-            if (mu, nu) not in recs or (mu, partner) not in recs:
-                continue
-            subset = [recs[(mu, nu)], recs[(mu, partner)]]
-            sub_cert = bnd.single_preparation_certificate(mu, subset)
-            lines.append(
-                f"  mu={mu}, nu in {{{nu},{partner}}}: V_G >= {sub_cert.vg_lower:.4f} "
-                f"+/- {sub_cert.sigma_vg:.4f}  ->  D <= {sub_cert.d_upper:.4f} "
-                f"+/- {sub_cert.sigma_d:.4f}"
-            )
-            if best is None or sub_cert.vg_lower > best[1].vg_lower:
-                best = (mu, sub_cert)
-    if best is not None:
+    for (mu, nu, partner), cert in run.singles.items():
         lines.append(
-            f"  best single preparation: mu={best[0]} "
-            f"(V_G >= {best[1].vg_lower:.4f}, D <= {best[1].d_upper:.4f})"
+            f"  mu={mu}, nu in {{{nu},{partner}}}: V_G >= {cert.vg_lower:.4f} "
+            f"+/- {cert.sigma_vg:.4f}  ->  D <= {cert.d_upper:.4f} "
+            f"+/- {cert.sigma_d:.4f}"
         )
-    elif cert is None:
-        raise ValueError(f"no bound certified: the {len(records)} records support neither "
-                         "the four-term bound nor a single-preparation bound")
+    if run.best is not None:
+        cert = run.singles[run.best]
+        lines.append(
+            f"  best single preparation: mu={run.best[0]} "
+            f"(V_G >= {cert.vg_lower:.4f}, D <= {cert.d_upper:.4f})"
+        )
     _emit("\n".join(lines), args.out)
     return EXIT_OK
 

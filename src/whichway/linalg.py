@@ -99,15 +99,19 @@ def finite_array(a, what: str) -> np.ndarray:
 
 
 def unit_ket(psi, what: str) -> np.ndarray:
-    """``psi`` as a read-only copy of a finite complex vector; a norm
-    differing from one beyond 1e-10 raises :class:`DimensionError`.
+    """``psi`` as a read-only copy of a finite complex vector; an input that
+    numpy cannot read as complex numbers, or a norm differing from one
+    beyond 1e-10, raises :class:`DimensionError`.
 
     One pass: the norm sqrt(<psi|psi>) is non-finite whenever an entry is,
     so the entry scan of :func:`finite_array` runs only then. A NaN or
     infinite entry raises :class:`NonFiniteError`; finite entries whose
     squared norm overflows raise :class:`DimensionError`.
     """
-    psi = np.array(psi, dtype=complex).reshape(-1)
+    try:
+        psi = np.array(psi, dtype=complex).reshape(-1)
+    except (TypeError, ValueError):
+        raise DimensionError(f"{what} is not a vector of complex numbers") from None
     psi.flags.writeable = False
     n = math.sqrt(np.vdot(psi, psi).real)
     if not math.isfinite(n):

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +23,11 @@ from whichway import (
     PathChannel,
     PositivityError,
     Preparation,
+    RunBounds,
     SupportError,
     bound_from_visibilities,
     certificate_report,
+    certify_run,
     fractional_visibility,
     generalized_visibility,
     identity_channel,
@@ -46,6 +49,7 @@ from reference_kernels import detection_probabilities, orthonormal_filter_bound,
 from whichway.bounds import SWAP_KEYS, _ket_support, _root_support
 
 H, V = ket(0, 2), ket(1, 2)
+DEMO_RECORDS = Path(__file__).resolve().parents[1] / "demos" / "data" / "measured_records.csv"
 
 
 def test_detection_probabilities_extremes():
@@ -112,6 +116,9 @@ def test_record_validation():
         FractionalVisibilityRecord(mu="a", nu="b", p=1.4, visibility=0.0)
     with pytest.raises(DimensionError, match="nonnegative"):
         FractionalVisibilityRecord(mu="a", nu="b", p=0.1, visibility=0.0, residual_rms=-1e-3)
+    for p, visibility in (("0.5", 0.1), (0.5, "0.1"), (0.5, None)):
+        with pytest.raises(DimensionError, match=r"record \(a, b\) holds a field that is not a"):
+            FractionalVisibilityRecord("a", "b", p, visibility)
     # 3-sigma envelope admits noisy records
     FractionalVisibilityRecord(mu="a", nu="b", p=0.1, visibility=0.11, sigma_v=0.01)
 
@@ -864,3 +871,89 @@ def test_certificate_report_mentions_bounds():
     cert = swap_certificate(measured_records())
     text = certificate_report(cert)
     assert "0.9605" in text and "slack" in text
+
+
+def test_certificate_derives_its_distinguishability_bound():
+    cert = swap_certificate(measured_records())
+    assert [f.name for f in dataclasses.fields(cert)] == [
+        "alphas", "u_hat", "contraction_slack", "vg_lower", "sigma_vg"]
+    assert cert.d_upper == np.sqrt(1 - cert.vg_lower**2)
+    assert cert.sigma_d == cert.vg_lower / cert.d_upper * cert.sigma_vg
+    bare = dataclasses.replace(cert, vg_lower=None, sigma_vg=None)
+    assert bare.d_upper is None and bare.sigma_d is None
+
+
+def _reference_run(records):
+    """The bounds of one run by the loop ``reproduce`` used to hold: the swap
+    certificate or its DimensionError text, one single-preparation
+    certificate per preparation and complementary pair, and the key of the
+    first strictly largest bound."""
+    recs = {r.key: r for r in records}
+    try:
+        swap, why = swap_certificate(records), None
+    except DimensionError as exc:
+        swap, why = None, str(exc)
+    singles, best = {}, None
+    for mu in sorted({r.mu for r in records}):
+        for nu, partner in (("hh", "vv"), ("hv", "vh")):
+            if (mu, nu) in recs and (mu, partner) in recs:
+                cert = single_preparation_certificate(mu, [recs[(mu, nu)], recs[(mu, partner)]])
+                singles[(mu, nu, partner)] = cert
+                if best is None or cert.vg_lower > singles[best].vg_lower:
+                    best = (mu, nu, partner)
+    return swap, why, singles, best
+
+
+def _theory_grid():
+    ch, preps, filters = pauli_mixture_channel(), rectilinear_preparations(), rectilinear_filters()
+    return [fractional_visibility(ch, preps[mu], filters[nu], mu=mu)
+            for mu in sorted(preps) for nu in sorted(filters)]
+
+
+@pytest.mark.parametrize("source, keep", [
+    ("csv", None), (1, None), (7, None), (9001, None), ("theory", None),
+    ("csv", {"hh", "vv"}), ("csv", {"hh", "hv", "vh"}), (7, {"hv", "vh", "vv"}),
+], ids=["csv", "seed-1", "seed-7", "seed-9001", "theory-ties", "csv-hh-vv", "csv-no-vv",
+        "seed-7-no-hh"])
+def test_certify_run_matches_the_reference_loop_bit_for_bit(source, keep):
+    if source == "csv":
+        records = read_records_csv(DEMO_RECORDS)
+    elif source == "theory":
+        records = _theory_grid()
+    else:
+        records = run_experiment(pauli_mixture_channel(), shots_per_phase=10_000,
+                                 contrast=0.96, seed=source)
+    if keep is not None:
+        records = [r for r in records if r.nu in keep]
+    run = certify_run(records)
+    swap, why, singles, best = _reference_run(records)
+    assert [f.name for f in dataclasses.fields(RunBounds)] == [
+        "swap", "swap_unavailable", "singles", "best"]
+    assert (run.swap is None, run.swap_unavailable) == (swap is None, why)
+    assert list(run.singles) == list(singles) and run.best == best
+    pairs = [(run.singles[key], singles[key]) for key in singles]
+    for got, want in pairs + ([(run.swap, swap)] if swap is not None else []):
+        assert got.alphas == want.alphas
+        for name in ("vg_lower", "d_upper", "sigma_vg", "sigma_d", "contraction_slack"):
+            assert getattr(got, name) == getattr(want, name), name
+    if source == "theory":
+        # four single-preparation bounds tie at 0.5; the first one is best
+        assert best == ("hh", "hh", "vv")
+
+
+@pytest.mark.parametrize("records", [
+    [],
+    [r for r in measured_records() if r.nu == "hh"],
+    [r for r in _theory_grid() if r.nu in ("hh", "hv")],
+], ids=["no-records", "one-filter", "half-of-each-pair"])
+def test_certify_run_refuses_records_that_certify_nothing(records):
+    with pytest.raises(DimensionError, match=(
+            f"no bound certified: the {len(records)} records support neither the four-term "
+            "bound nor a single-preparation bound")):
+        certify_run(records)
+
+
+def test_certify_run_refuses_a_repeated_record():
+    records = measured_records()
+    with pytest.raises(DimensionError, match=r"duplicate record for \('hh', 'hh'\)"):
+        certify_run(records + records[:1])

@@ -370,7 +370,11 @@ def test_empty_ensemble_is_a_dimension_error():
     ([1.0], []),
     ([1.0], [(ket(0, 2), ket(0, 3))]),
     ([0.5, 0.5], [(ket(0, 2), ket(1, 2)), (ket(0, 3), ket(1, 3))]),
-], ids=["no-pairs", "unequal-within-a-pair", "unequal-across-pairs"])
+    ([1.0], 5),
+    ([1.0], None),
+    ([1.0], [("a", "b")]),
+], ids=["no-pairs", "unequal-within-a-pair", "unequal-across-pairs", "pairs-not-a-sequence",
+        "pairs-none", "string-kets"])
 def test_ensemble_of_no_pairs_or_unequal_dimensions_is_a_dimension_error(weights, pairs):
     with pytest.raises(DimensionError):
         Preparation.ensemble(weights, pairs)
@@ -400,6 +404,8 @@ def test_ensemble_pair_that_is_not_two_kets_is_a_dimension_error():
     for pairs, index in (([(h, h, h)], 0), ([(h, h), (h,)], 1), ([(h, h), 5], 1)):
         with pytest.raises(DimensionError, match=f"pure pair {index} is not two kets"):
             Preparation.ensemble([1.0 / len(pairs)] * len(pairs), pairs)
+    with pytest.raises(DimensionError, match="pure pair 0 is not two kets"):
+        pure_pair((h, h, h), 2)
 
 
 def test_channel_stores_a_copy_of_its_metadata():

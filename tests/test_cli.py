@@ -3,6 +3,7 @@ import errno
 import importlib
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,17 @@ import pytest
 
 from conftest import measured_records
 from reference_kernels import mixed_state
-from whichway import read_records_csv, save_channel, transpose_channel, write_records_csv
+from whichway import (
+    DimensionError,
+    certify_run,
+    pauli_mixture_channel,
+    read_records_csv,
+    rectilinear_filters,
+    run_experiment,
+    save_channel,
+    transpose_channel,
+    write_records_csv,
+)
 from whichway.cli import (
     EXIT_INPUT,
     EXIT_NUMERICAL,
@@ -286,6 +297,81 @@ def test_reproduce_with_a_single_filter_certifies_nothing_and_exits_2(capsys):
     assert code == EXIT_INPUT
     assert out == ""
     assert "input error: no bound certified: the 4 records" in err
+
+
+def _printed_bounds(out: str) -> dict:
+    """The bounds a ``reproduce`` report prints, as strings."""
+    swap = re.search(r"V_G >= (\S+) \+/- (\S+)\n  D   <= (\S+) \+/- (\S+)\n"
+                     r"  contraction slack = (\S+)", out)
+    why = re.search(r"bound unavailable: (.*)", out)
+    singles = re.findall(r"mu=(\w+), nu in \{(\w+),(\w+)\}: V_G >= (\S+) \+/- (\S+)  ->  "
+                         r"D <= (\S+) \+/- (\S+)", out)
+    best = re.search(r"best single preparation: mu=(\w+) \(V_G >= (\S+), D <= (\S+)\)", out)
+    return {"swap": swap and swap.groups(), "swap_unavailable": why and why.group(1),
+            "singles": {tuple(row[:3]): row[3:] for row in singles},
+            "best": best and best.groups()}
+
+
+def _bounds_to_print(run) -> dict:
+    """:func:`certify_run`'s result at the precision ``reproduce`` prints."""
+    def fields(cert):
+        return tuple(f"{getattr(cert, name):.4f}"
+                     for name in ("vg_lower", "sigma_vg", "d_upper", "sigma_d"))
+    swap = run.swap and (*fields(run.swap), f"{run.swap.contraction_slack:.3e}")
+    best = run.best and run.singles[run.best]
+    return {"swap": swap, "swap_unavailable": run.swap_unavailable,
+            "singles": {key: fields(cert) for key, cert in run.singles.items()},
+            "best": best and (run.best[0], fields(best)[0], fields(best)[2])}
+
+
+_SEED_7 = ("--seed", "7", "--shots", "10000", "--contrast", "0.96")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (_SEED_7, EXIT_OK),
+    (("--from-csv", "demos/data/measured_records.csv"), EXIT_OK),
+    (_SEED_7 + ("--filters", "hh"), EXIT_INPUT),
+    (_SEED_7 + ("--filters", "hh,vv"), EXIT_OK),
+    (_SEED_7 + ("--filters", "hh,hv,vh"), EXIT_OK),
+    (("--from-csv", "HEADER"), EXIT_INPUT),
+], ids=["seed-7", "measured-csv", "filters-hh", "filters-hh-vv", "filters-hh-hv-vh",
+        "header-only-csv"])
+def test_certify_run_agrees_with_the_printed_bounds(capsys, monkeypatch, tmp_path, argv,
+                                                    expected):
+    monkeypatch.chdir(ROOT)
+    header = tmp_path / "header.csv"
+    header.write_text("mu,nu,p,re_V,im_V,sigma_p,sigma_V\n", encoding="ascii")
+    argv = [str(header) if a == "HEADER" else a for a in argv]
+    code, out, err = run_cli(capsys, "reproduce", *argv)
+    assert code == expected
+    if argv[0] == "--from-csv":
+        records = read_records_csv(argv[1])
+    else:
+        filters = rectilinear_filters()
+        if "--filters" in argv:
+            filters = {nu: filters[nu] for nu in argv[-1].split(",")}
+        records = run_experiment(pauli_mixture_channel(), filters=filters,
+                                 shots_per_phase=10_000, contrast=0.96, seed=7)
+    if expected == EXIT_INPUT:
+        with pytest.raises(DimensionError) as exc:
+            certify_run(records)
+        assert (out, err) == ("", f"input error: {exc.value}\n")
+    else:
+        assert err == ""
+        assert _printed_bounds(out) == _bounds_to_print(certify_run(records))
+
+
+def test_cli_holds_no_certification_policy():
+    # a run's bounds come from bounds.certify_run; the CLI only prints them
+    tree = ast.parse((ROOT / "src" / "whichway" / "cli.py").read_text(encoding="utf-8"))
+    called = {node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name))}
+    assert "certify_run" in called
+    assert not called & {"swap_certificate", "single_preparation_certificate"}
+    names = {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    assert not any("COMPLEMENTARY" in name for name in names)
 
 
 def test_reproduce_from_csv_with_a_non_numeric_field_names_line_and_column(capsys, tmp_path):

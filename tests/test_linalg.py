@@ -1,4 +1,5 @@
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from whichway import (
     PathChannel,
     PositivityError,
     Preparation,
+    WhichWayError,
     identity_channel,
     ket,
     matrix_sqrt,
@@ -192,6 +194,11 @@ def test_unit_ket_overflowing_norm_is_dimension_error():
         unit_ket(np.full(2, 1e200, dtype=complex), "psi")
     with pytest.raises(DimensionError):
         unit_ket(np.array([1e200, 0.0]), "psi")
+    # and so does an input numpy cannot read as complex numbers
+    with pytest.raises(DimensionError, match="psi is not a vector of complex numbers"):
+        unit_ket("a", "psi")
+    with pytest.raises(DimensionError, match="chi0 is not a vector of complex numbers"):
+        FilterPair("a", "b")
 
 
 @pytest.mark.parametrize("d", [1, 2, 5])
@@ -314,3 +321,66 @@ def test_bool_isinstance_scan_flags(source):
 ])
 def test_bool_isinstance_scan_passes(source):
     assert _bool_isinstance_calls(source, "int_at_least") == []
+
+
+# Modules whose every ``raise`` names a WhichWayError subclass; the one
+# exemption is the parameterised ``raise error(...)`` of
+# interferometer._refuse_rows, whose callers pass the class.
+ERROR_CONTRACT_MODULES = ("bounds", "duality", "linalg", "interferometer")
+
+
+def _foreign_raises(source: str, namespace: dict, exempt: tuple[str, str] = ("", "")) -> list[int]:
+    """Lines of ``raise X`` or ``raise X(...)`` whose X is not a plain name
+    bound in ``namespace`` to a WhichWayError subclass; ``exempt`` is a
+    (function, name) pair allowed inside that function. A bare re-raise
+    passes."""
+    tree = ast.parse(source)
+    owner = {}
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            owner.update((id(node), func.name) for node in ast.walk(func))
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        name = exc.id if isinstance(exc, ast.Name) else None
+        if (owner.get(id(node)), name) == exempt:
+            continue
+        cls = namespace.get(name)
+        if not (isinstance(cls, type) and issubclass(cls, WhichWayError)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_library_modules_raise_only_package_errors():
+    package = ROOT / "src" / "whichway"
+    offenders = []
+    for name in ERROR_CONTRACT_MODULES:
+        module = importlib.import_module(f"whichway.{name}")
+        exempt = ("_refuse_rows", "error") if name == "interferometer" else ("", "")
+        offenders += [f"{name}.py:{line}" for line in _foreign_raises(
+            (package / f"{name}.py").read_text(encoding="utf-8"), vars(module), exempt)]
+    assert offenders == []
+
+
+_SCAN_NAMESPACE = {"DimensionError": DimensionError, "ValueError": ValueError}
+
+
+@pytest.mark.parametrize("source", [
+    "raise ValueError('x')", "raise KeyError", "raise make()('x')",
+    "raise error('x')", "def other(error):\n    raise error('x')",
+    "def _refuse_rows(error):\n    raise ValueError('x')",
+])
+def test_foreign_raise_scan_flags(source):
+    assert _foreign_raises(source, _SCAN_NAMESPACE, ("_refuse_rows", "error")) == [
+        source.count("\n") + 1]
+
+
+@pytest.mark.parametrize("source", [
+    "raise DimensionError('x')", "raise DimensionError('x') from None", "raise DimensionError",
+    "try:\n    pass\nexcept KeyError:\n    raise",
+    "def _refuse_rows(error):\n    raise error('x')",
+])
+def test_foreign_raise_scan_passes(source):
+    assert _foreign_raises(source, _SCAN_NAMESPACE, ("_refuse_rows", "error")) == []
