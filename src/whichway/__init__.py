@@ -53,6 +53,7 @@ from .errors import (
     ContractionError,
     ConventionError,
     DimensionError,
+    InputFormatError,
     NonFiniteError,
     NumericalError,
     PositivityError,

@@ -15,6 +15,8 @@ import io
 import os
 import stat
 
+from .errors import InputFormatError
+
 
 def write_text(path, text: str) -> None:
     """Write ``text`` as ASCII to ``path``, creating the file or rewriting it
@@ -45,25 +47,26 @@ def read_csv(path_or_buffer, fields: list[str], types) -> list[list]:
     """The data rows of a CSV whose header is ``fields``, blank lines
     skipped, each field converted by the matching callable of ``types``. A
     different header, or a row with a field count other than
-    ``len(fields)``, raises ValueError naming the line; a field its
-    conversion rejects raises ValueError naming the line and the column."""
+    ``len(fields)``, raises :class:`InputFormatError` naming the line; a
+    field its conversion rejects raises it naming the line and the
+    column."""
     reader = csv.reader(io.StringIO(read_text(path_or_buffer), newline=""))
     header = next(reader, None)
     if header != fields:
-        raise ValueError(f"unexpected CSV header {header}, expected {fields}")
+        raise InputFormatError(f"unexpected CSV header {header}, expected {fields}")
     rows = []
     for row in reader:
         if not row:
             continue
         if len(row) != len(fields):
-            raise ValueError(f"CSV line {reader.line_num}: expected "
-                             f"{len(fields)} fields, got {len(row)}")
+            raise InputFormatError(f"CSV line {reader.line_num}: expected "
+                                   f"{len(fields)} fields, got {len(row)}")
         values = []
         for name, convert, text in zip(fields, types, row):
             try:
                 values.append(convert(text))
             except ValueError as exc:
-                raise ValueError(
+                raise InputFormatError(
                     f"CSV line {reader.line_num}, column {name}: {exc}") from None
         rows.append(values)
     return rows

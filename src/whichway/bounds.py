@@ -13,22 +13,33 @@ This module verifies such certificates and assembles the two worked
 coefficient families (complete orthonormal filters for one preparation, and
 the four-term swap family for the completely mixed preparation).
 
-Both kernels work on the channel's stacked Kraus array. A theory record
-(:func:`fractional_visibility`) comes from the per-Kraus amplitudes
-<chi0|A_k|psi0> and <chi1|B_k|psi1> alone, never forming a d^2 x d^2
-matrix; the block-map and block-Choi routes to the same numbers are test
-oracles. A certificate check builds L as one product of stacked rank-one
-factors and needs, per arm, the support projector and pseudo-inverse of
-sqrt(rho)^T; its slack must not exceed ``CONTRACTION_TOL`` (1e-8). For a
-density matrix (:func:`verify_alpha_constraint`, :func:`swap_certificate`)
-both come from one eigendecomposition of rho. For a pure preparation
-(:func:`single_preparation_certificate`) they come from the unit ket:
-sqrt(|psi><psi|)^T = psi* psi^T is its own support projector and its own
-pseudo-inverse, so no eigendecomposition runs.
-A list of records that repeats a (mu, nu) key raises :class:`DimensionError`.
+A theory record (:func:`fractional_visibility`) comes from the channel's
+stacked Kraus array through the per-Kraus amplitudes <chi0|A_k|psi0> and
+<chi1|B_k|psi1> alone, never forming a d^2 x d^2 matrix; the block-map and
+block-Choi routes to the same numbers are test oracles.
+
+One kernel checks every certificate, from projected kets. It takes the n
+coefficients as one complex array, the terms' preparation kets and filter
+kets as (2, n, d) stacks, and per arm the support projector P and
+pseudo-inverse of sqrt(rho)^T. Since (P x 1)(psi x chi) = (P psi) x chi,
+it projects the kets with one small matmul per arm instead of sandwiching
+the d^2 x d^2 operator L. One einsum per arm stacks the rank-one factors of
+L, of its projection and (for mixed arms) of U-hat, and one batched product
+forms the three. The leak check compares two Frobenius norms from ``vdot``;
+the slack is the largest eigenvalue of U-hat^dag U-hat minus one, from one
+``eigvalsh``, and must not exceed ``CONTRACTION_TOL`` (1e-8). For a density
+matrix (:func:`verify_alpha_constraint`, :func:`swap_certificate`) P and
+the pseudo-inverse come from one eigendecomposition of rho. For a pure
+preparation (:func:`single_preparation_certificate`) they come from the
+unit ket: sqrt(|psi><psi|)^T = psi* psi^T is its own support projector and
+its own pseudo-inverse, so no eigendecomposition runs, and U-hat is the
+projected L. A list of records that repeats a (mu, nu) key raises
+:class:`DimensionError`.
 
 A certificate stores ``vg_lower`` and ``sigma_vg`` and derives the bound
-sqrt(1 - vg_lower^2) on D and its delta-method sigma. :func:`certify_run`
+sqrt(1 - vg_lower^2) on D and its delta-method sigma; the swap and
+single-preparation certificates are built with their records already folded
+in, by the rule :func:`bound_from_visibilities` applies. :func:`certify_run`
 returns all of a run's bounds: the four-term one, one single-preparation
 bound per preparation and complementary filter pair, and the best of those.
 """
@@ -37,7 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,9 +59,7 @@ from .linalg import (
     ATOL_DERIVED,
     ATOL_STRUCT,
     density_matrix,
-    factor_sandwich,
     finite_array,
-    hermitian_part,
     ket,
     psd_eigh,
     unit_ket,
@@ -186,8 +195,9 @@ class BoundCertificate:
 
     ``contraction_slack`` is the largest eigenvalue of U^dag U minus one.
     ``vg_lower`` and its uncertainty ``sigma_vg`` stay None until records
-    are folded in by :func:`bound_from_visibilities`; ``d_upper`` and
-    ``sigma_d`` are derived from them. Compared and hashed by identity.
+    are folded in (by :func:`bound_from_visibilities`, or as the swap and
+    single-preparation certificates are built); ``d_upper`` and ``sigma_d``
+    are derived from them. Compared and hashed by identity.
     """
 
     alphas: dict[tuple[str, str], complex]
@@ -225,53 +235,66 @@ def _root_support(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ket_support(psi: np.ndarray) -> np.ndarray:
-    """sqrt(|psi><psi|)^T = psi* psi^T for a unit ket psi: the projector
-    onto its own range, and so its own pseudo-inverse."""
-    return np.outer(psi.conj(), psi)
+    """sqrt(|psi><psi|)^T = psi* psi^T for a unit ket psi, or for each ket of
+    a stack in one broadcast product: the projector onto its own range, and
+    so its own pseudo-inverse."""
+    return psi.conj()[..., :, None] * psi[..., None, :]
 
 
 def _certify(
-    alphas: dict[tuple[str, str], complex],
-    preps: dict[str, tuple[np.ndarray, np.ndarray]],
-    filters: dict[str, FilterPair],
-    d: int,
+    alphas: np.ndarray,
+    kets: np.ndarray,
+    chis: np.ndarray,
     support0: tuple[np.ndarray, np.ndarray],
     support1: tuple[np.ndarray, np.ndarray],
-) -> BoundCertificate:
-    """:func:`verify_alpha_constraint` given each arm's (support projector,
-    pseudo-inverse) of sqrt(rho)^T. An arm whose two matrices are one object
-    (a pure preparation) makes the pseudo-inverse sandwich equal the support
-    sandwich, so U-hat is then the projected L. ``preps`` holds checked
-    unit kets, and every referenced preparation and filter has dimension d."""
-    n = len(alphas)
-    kets = np.array([preps[mu] for mu, _ in alphas], dtype=complex).reshape(n, 2, d)
-    chis = np.array([(filters[nu].chi0, filters[nu].chi1) for _, nu in alphas],
-                    dtype=complex).reshape(n, 2, d)
-    u = (kets[:, 1, :, None].conj() * chis[:, 1, None, :]).reshape(n, d * d)
-    w = (kets[:, 0, :, None] * chis[:, 0, None, :].conj()).reshape(n, d * d)
-    left = (u.T * np.array(list(alphas.values()), dtype=complex)) @ w
+) -> tuple[np.ndarray, float]:
+    """(U-hat, contraction slack) of the n complex coefficients ``alphas``.
 
-    p0, inv0 = support0
-    p1, inv1 = support1
+    ``kets`` and ``chis`` broadcast to (2, n, d): row m of arm i holds the
+    preparation ket psi_i and the filter ket chi_i of term m, checked unit
+    kets of one dimension d. Each support is an arm's (support projector,
+    pseudo-inverse) of sqrt(rho)^T; arms whose two matrices are one object
+    (pure preparations) make U-hat the projected L. Of
+    L = sum_m alpha_m (psi1* x chi1)(psi0 x chi0*)^T, the rows psi1* are
+    projected by P1 (and inv1) and the columns psi0 by P0^T (and inv0^T).
+    """
+    (p0, inv0), (p1, inv1) = support0, support1
+    pure = p0 is inv0 and p1 is inv1
+    row, col = kets[1].conj(), kets[0]
+    rows = np.array((row, row @ p1.T) if pure else (row, row @ p1.T, row @ inv1.T))
+    cols = np.array((col, col @ p0) if pure else (col, col @ p0, col @ inv0))
+    s, (n, d) = len(rows), chis.shape[1:]
+    u = np.einsum("sma,mb->smab", rows, chis[1] * alphas[:, None]).reshape(s, n, d * d)
+    w = np.einsum("smc,me->smce", cols, chis[0].conj()).reshape(s, n, d * d)
+    mats = u.transpose(0, 2, 1) @ w
+    left, projected, u_hat = mats[0], mats[1], mats[-1]
 
-    norm_l = np.linalg.norm(left)
-    projected = factor_sandwich(p1, left, p0)
-    if np.linalg.norm(left - projected) > CONTRACTION_TOL * max(norm_l, 1e-12):
+    leak = left - projected
+    norm_l = math.sqrt(np.vdot(left, left).real)
+    if math.sqrt(np.vdot(leak, leak).real) > CONTRACTION_TOL * max(norm_l, 1e-12):
         raise SupportError(
             "combination leaks outside the support of the preparation states; "
             "no contraction factorization exists"
         )
-
-    if p0 is inv0 and p1 is inv1:
-        u_hat = projected
-    else:
-        u_hat = factor_sandwich(inv1, left, inv0)
-    gram = u_hat.conj().T @ u_hat
-    slack = float(np.linalg.eigvalsh(hermitian_part(gram)).max() - 1.0)
+    # eigvalsh reads one triangle of the Hermitian U-hat^dag U-hat
+    slack = float(np.linalg.eigvalsh(u_hat.conj().T @ u_hat)[-1] - 1.0)
     if slack > CONTRACTION_TOL:
         raise ContractionError(
             f"contraction violated: slack {slack:.3e} > tol {CONTRACTION_TOL:.1e}")
-    return BoundCertificate(alphas=dict(alphas), u_hat=u_hat, contraction_slack=slack)
+    return u_hat, slack
+
+
+def _folded(alphas: dict, records, u_hat: np.ndarray, slack: float) -> BoundCertificate:
+    """The certificate of a checked coefficient set with ``records``, one per
+    coefficient in the order of ``alphas``, folded in: vg_lower =
+    |sum alpha V| clamped to [0, 1] and sigma_vg = sum |alpha| sigma_V, the
+    linear worst-case sum of the record uncertainties."""
+    total = 0.0 + 0.0j
+    sigma = 0.0
+    for alpha, rec in zip(alphas.values(), records):
+        total += alpha * rec.visibility
+        sigma += abs(alpha) * rec.sigma_v
+    return BoundCertificate(alphas, u_hat, slack, float(min(abs(total), 1.0)), float(sigma))
 
 
 def verify_alpha_constraint(
@@ -283,18 +306,19 @@ def verify_alpha_constraint(
 ) -> BoundCertificate:
     """Check that the coefficient set factorizes through a contraction.
 
-    Builds L = sum alpha (|psi0><psi1|)^T x |chi1><chi0| as one product
-    (U^T alpha) W of the stacked rank-one factors u = psi1* x chi1 and
-    w = psi0 x chi0*, verifies that its row/column supports lie inside the
-    supports of the sqrt(rho)^T factors, reconstructs U through
-    pseudo-inverses and reports the contraction slack. Each arm's support
-    projector and pseudo-inverse come from one eigendecomposition of the
-    density matrix rho, with the checks of :func:`psd_eigh`.
+    Builds L = sum alpha (|psi0><psi1|)^T x |chi1><chi0| from the stacked
+    rank-one factors u = psi1* x chi1 and w = psi0 x chi0*, verifies that
+    its row/column supports lie inside the supports of the sqrt(rho)^T
+    factors, reconstructs U through pseudo-inverses and reports the
+    contraction slack. Each arm's support projector and pseudo-inverse come
+    from one eigendecomposition of the density matrix rho, with the checks
+    of :func:`psd_eigh`.
 
-    The inputs are checked first: the coefficients by :func:`finite_array`;
-    each rho by :func:`density_matrix`, the two of one dimension d; each
-    referenced preparation by :func:`pure_pair` (unit kets of dimension d);
-    each referenced filter for dimension d. A failed check, or a coefficient
+    The inputs are checked first: the coefficients by :func:`finite_array`,
+    one complex number each, and stored as Python complex numbers; each rho
+    by :func:`density_matrix`, the two of one dimension d; each referenced
+    preparation by :func:`pure_pair` (unit kets of dimension d); each
+    referenced filter for dimension d. A failed check, or a coefficient
     that names an unknown preparation or filter, raises
     :class:`NonFiniteError`, :class:`PositivityError` or
     :class:`DimensionError`.
@@ -302,7 +326,9 @@ def verify_alpha_constraint(
     Raises :class:`SupportError` if the factorization does not exist and
     :class:`ContractionError` if the slack exceeds ``CONTRACTION_TOL``.
     """
-    finite_array(list(alphas.values()), "coefficients")
+    coeffs = finite_array(list(alphas.values()), "coefficients")
+    if coeffs.shape != (len(alphas),):
+        raise DimensionError("coefficients must be one complex number each")
     rho0, rho1 = density_matrix(rho0, "rho0"), density_matrix(rho1, "rho1")
     if rho0.shape != rho1.shape:
         raise DimensionError(f"rho0 and rho1 dimensions differ: {rho0.shape} vs {rho1.shape}")
@@ -317,7 +343,11 @@ def verify_alpha_constraint(
             raise DimensionError(f"filter {nu!r} does not have the states' dimension {d}")
         if mu not in kets:
             kets[mu] = pure_pair(preps[mu], d)
-    return _certify(alphas, kets, filters, d, _root_support(rho0), _root_support(rho1))
+    # (psi0, psi1, chi0, chi1) x term x d
+    terms = np.array([(*kets[mu], filters[nu].chi0, filters[nu].chi1) for mu, nu in alphas],
+                     dtype=complex).reshape(len(alphas), 4, d).transpose(1, 0, 2)
+    u_hat, slack = _certify(coeffs, terms[:2], terms[2:], _root_support(rho0), _root_support(rho1))
+    return BoundCertificate(dict(zip(alphas, coeffs.tolist())), u_hat, slack)
 
 
 def bound_from_visibilities(cert: BoundCertificate, records) -> BoundCertificate:
@@ -328,20 +358,18 @@ def bound_from_visibilities(cert: BoundCertificate, records) -> BoundCertificate
     derives the distinguishability bound and its sigma from these two.
     """
     recs = _record_map(records)
-    total = 0.0 + 0.0j
-    sigma = 0.0
-    for key, alpha in cert.alphas.items():
+    for key in cert.alphas:
         if key not in recs:
             raise DimensionError(f"missing fractional-visibility record for {key}")
-        total += alpha * recs[key].visibility
-        sigma += abs(alpha) * recs[key].sigma_v
-    return replace(cert, vg_lower=float(min(abs(total), 1.0)), sigma_vg=float(sigma))
+    return _folded(cert.alphas, [recs[key] for key in cert.alphas],
+                   cert.u_hat, cert.contraction_slack)
 
 
-def _complete_basis_check(filters: dict[str, FilterPair], nus: list[str]) -> int:
+def _complete_basis_check(filters: dict[str, FilterPair], nus: list[str]) -> np.ndarray:
     """Check that the upper-arm kets and the lower-arm kets of the filters
     ``nus`` each form a complete orthonormal basis, with both Gram matrices
-    from one stacked product; returns the dimension d."""
+    from one stacked product; returns the (2, n, d) stack of the kets, arm
+    by arm in the order of ``nus``."""
     unknown = [nu for nu in nus if nu not in filters]
     if unknown:
         raise DimensionError(f"records reference unknown filters {unknown}")
@@ -356,22 +384,30 @@ def _complete_basis_check(filters: dict[str, FilterPair], nus: list[str]) -> int
     stack = np.array([[f.chi0 for f in filts], [f.chi1 for f in filts]])
     gram = stack.conj() @ stack.transpose(0, 2, 1)
     off = np.abs(gram - np.eye(d)).max(axis=(1, 2))
-    for which, err in zip(("upper-arm", "lower-arm"), off):
+    for which, err in zip(("upper-arm", "lower-arm"), off.tolist()):
         if err > ATOL_DERIVED:
             raise DimensionError(f"{which} filter states are not orthonormal within 1e-9")
-    return d
+    return stack
 
 
 @functools.cache
-def _rectilinear_sets() -> tuple[tuple, tuple]:
+def _rectilinear_sets() -> tuple[tuple, tuple, np.ndarray]:
     """(label, preparation pair) and (label, filter pair) items over one
-    read-only h and v ket, built and validated once."""
+    read-only h and v ket, built and validated once, and the read-only
+    (2, 2, 4, 2) stack of the preparation kets and the filter kets of the
+    ``SWAP_KEYS`` terms."""
     h, v = ket(0, 2), ket(1, 2)
     h.flags.writeable = v.flags.writeable = False
     states = {"h": h, "v": v}
     labels = [(a + b, states[a], states[b]) for a in "hv" for b in "hv"]
-    return (tuple((lab, (x, y)) for lab, x, y in labels),
-            tuple((lab, FilterPair(x, y, label=lab)) for lab, x, y in labels))
+    pairs = {lab: (x, y) for lab, x, y in labels}
+    # (preparation kets, filter kets) x arm x SWAP_KEYS term x 2
+    swap = np.array([[[pairs[key[i]][arm] for key in SWAP_KEYS] for arm in (0, 1)]
+                     for i in (0, 1)])
+    swap.flags.writeable = False
+    return (tuple(pairs.items()),
+            tuple((lab, FilterPair(x, y, label=lab)) for lab, x, y in labels),
+            swap)
 
 
 def rectilinear_preparations() -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -410,19 +446,19 @@ def swap_certificate(records) -> BoundCertificate:
     every term, so the bound is
     (|V^{hh,hh}| + |V^{hv,vh}| + |V^{vh,hv}| + |V^{vv,vv}|) / 2, clamped to 1.
     It is :func:`verify_alpha_constraint` with both arms completely mixed,
-    run on the rectilinear sets and the support of 1/2, which are checked
-    and built once.
+    run on the rectilinear kets and the support of 1/2, which are checked,
+    stacked and built once.
     """
     recs = _record_map(records)
-    alphas = {}
     for key in SWAP_KEYS:
         if key not in recs:
             raise DimensionError(f"missing record for {key}")
-        alphas[key] = 0.5 * _optimal_phase(recs[key].visibility)
-    preps, filters = _rectilinear_sets()
+    rows = [recs[key] for key in SWAP_KEYS]
+    alphas = [0.5 * _optimal_phase(rec.visibility) for rec in rows]
+    kets, chis = _rectilinear_sets()[2]
     support = _mixed_support()
-    cert = _certify(alphas, dict(preps), dict(filters), 2, support, support)
-    return bound_from_visibilities(cert, recs)
+    u_hat, slack = _certify(np.array(alphas), kets, chis, support, support)
+    return _folded(dict(zip(SWAP_KEYS, alphas)), rows, u_hat, slack)
 
 
 def single_preparation_certificate(
@@ -444,17 +480,18 @@ def single_preparation_certificate(
     """
     preps = rectilinear_preparations() if preps is None else preps
     filters = rectilinear_filters() if filters is None else filters
-    recs = {k: r for k, r in _record_map(records).items() if r.mu == mu}
-    if not recs:
+    rows = [rec for rec in _record_map(records).values() if rec.mu == mu]
+    if not rows:
         raise DimensionError(f"no records for preparation {mu!r}")
-    d = _complete_basis_check(filters, [r.nu for r in recs.values()])
+    chis = _complete_basis_check(filters, [rec.nu for rec in rows])
     if mu not in preps:
         raise DimensionError(f"no preparation {mu!r}")
-    alphas = {key: _optimal_phase(rec.visibility) for key, rec in recs.items()}
-    psi0, psi1 = pure_pair(preps[mu], d)
-    r0, r1 = _ket_support(psi0), _ket_support(psi1)
-    cert = _certify(alphas, {mu: (psi0, psi1)}, filters, d, (r0, r0), (r1, r1))
-    return bound_from_visibilities(cert, recs)
+    psi = np.array(pure_pair(preps[mu], chis.shape[2]))
+    r0, r1 = _ket_support(psi)
+    alphas = [_optimal_phase(rec.visibility) for rec in rows]
+    # one object as both matrices of an arm takes the kernel's pure route
+    u_hat, slack = _certify(np.array(alphas), psi[:, None], chis, (r0, r0), (r1, r1))
+    return _folded({rec.key: a for rec, a in zip(rows, alphas)}, rows, u_hat, slack)
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,7 +33,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from ._files import read_text, write_text
-from .errors import DimensionError, PositivityError
+from .errors import DimensionError, InputFormatError, PositivityError
 from .linalg import (
     ATOL_STRUCT,
     density_matrix,
@@ -86,8 +86,9 @@ class Preparation:
     The kets are not kept: the one stored form of the per-arm states is
     ``factors``, the read-only (2, d, n) stack of the factors
     S_i = [sqrt(w_m) psi_i^m]_m. rho_i, the weighted mixture of
-    |psi_i^m><psi_i^m|, is S_i S_i^dag. The weights must be positive, sum to
-    one within 1e-10 and are stored divided by their sum, so each rho_i has
+    |psi_i^m><psi_i^m|, is S_i S_i^dag. The weights must be real numbers
+    (checked as floats after :func:`finite_array`), positive, sum to one
+    within 1e-10 and are stored divided by their sum, so each rho_i has
     unit trace to round-off.
     """
 
@@ -103,7 +104,10 @@ class Preparation:
             raise DimensionError("weights and pure pairs must be sequences") from None
         if len(weights) != len(pairs) or not pairs:
             raise DimensionError("weights and pure pairs must align and be non-empty")
-        finite_array(weights, "ensemble weights")
+        values = finite_array(weights, "ensemble weights")
+        if values.ndim != 1 or values.imag.any():
+            raise DimensionError("ensemble weights must be real numbers, one per pair")
+        weights = values.real.tolist()
         if any(w <= 0 for w in weights):
             raise DimensionError("ensemble weights must be positive")
         total = sum(weights)
@@ -112,7 +116,7 @@ class Preparation:
         kets = [_ket_pair(pair, m) for m, pair in enumerate(pairs)]
         if len({psi.size for pair in kets for psi in pair}) != 1:
             raise DimensionError("preparation kets must all have one dimension")
-        weights = tuple(float(w / total) for w in weights)
+        weights = tuple(w / total for w in weights)
         factors = np.array(kets).transpose(1, 2, 0) * np.sqrt(weights)  # factors[i] = S_i
         factors.flags.writeable = False
         object.__setattr__(self, "weights", weights)
@@ -401,7 +405,7 @@ def _header_int(text: str, key: str) -> int:
 def loads_channel(text: str) -> PathChannel:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != _MAGIC:
-        raise ValueError(f"not a channel spec file (missing '{_MAGIC}' header)")
+        raise InputFormatError(f"not a channel spec file (missing '{_MAGIC}' header)")
     d = n = None
     metadata: dict = {}
     idx = 1
@@ -415,29 +419,32 @@ def loads_channel(text: str) -> PathChannel:
             mkey, _, mval = rest.partition(" ")
             metadata[mkey] = mval
         else:
-            raise ValueError(f"unrecognized channel spec line: {lines[idx]!r}")
+            raise InputFormatError(f"unrecognized channel spec line: {lines[idx]!r}")
         idx += 1
     if d is None or n is None:
-        raise ValueError("channel spec file is missing spin_dim or pairs")
+        raise InputFormatError("channel spec file is missing spin_dim or pairs")
 
     def parse_block(line: str, tag: str) -> np.ndarray:
         head, _, rest = line.partition(" ")
         if head != tag:
-            raise ValueError(f"expected '{tag}' block line, got {line!r}")
-        vals = [float(tok) for tok in rest.split()]
+            raise InputFormatError(f"expected '{tag}' block line, got {line!r}")
+        try:
+            vals = [float(tok) for tok in rest.split()]
+        except ValueError:
+            raise InputFormatError(f"{tag} block holds a token that is not a number") from None
         if len(vals) != 2 * d * d:
-            raise ValueError(f"{tag} block has {len(vals)} numbers, expected {2 * d * d}")
+            raise InputFormatError(f"{tag} block has {len(vals)} numbers, expected {2 * d * d}")
         arr = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
         return arr.reshape(d, d)
 
     pairs = []
     for _ in range(n):
-        if idx >= len(lines) or lines[idx] != "pair":
-            raise ValueError("channel spec file truncated: missing 'pair' block")
+        if idx + 2 >= len(lines) or lines[idx] != "pair":
+            raise InputFormatError("channel spec file truncated: missing 'pair' block")
         pairs.append((parse_block(lines[idx + 1], "A"), parse_block(lines[idx + 2], "B")))
         idx += 3
     if idx != len(lines):
-        raise ValueError("trailing content after declared Kraus pairs")
+        raise InputFormatError("trailing content after declared Kraus pairs")
     return PathChannel(pairs, label="from-file", metadata=metadata)
 
 

@@ -9,6 +9,11 @@ class DimensionError(WhichWayError, ValueError):
     """Operands have incompatible or invalid dimensions."""
 
 
+class InputFormatError(WhichWayError, ValueError):
+    """A file or text input does not follow its documented format: a records
+    or dataset CSV, or a channel spec."""
+
+
 class NonFiniteError(WhichWayError, ValueError):
     """An input holds a NaN or infinite entry where a finite number is required."""
 

@@ -91,8 +91,17 @@ def ket(index: int, dim: int) -> np.ndarray:
 
 def finite_array(a, what: str) -> np.ndarray:
     """``a`` as a complex array; raises :class:`NonFiniteError` on a NaN or
-    infinite entry."""
-    a = np.asarray(a, dtype=complex)
+    infinite entry, and :class:`DimensionError` naming ``what`` for an input
+    that numpy cannot read as numbers or can read only by parsing text (a
+    str or bytes entry)."""
+    try:
+        raw = np.asarray(a)
+        a = raw.astype(complex, copy=False)
+    except (TypeError, ValueError):
+        raw = None
+    if raw is None or raw.dtype.kind in "SU" or raw.dtype.kind == "O" and any(
+            isinstance(x, (str, bytes)) for x in raw.flat):
+        raise DimensionError(f"{what} is not an array of numbers")
     if not np.isfinite(a).all():
         raise NonFiniteError(f"NaN or infinite entry in {what}")
     return a

@@ -19,6 +19,7 @@ from whichway import (
     DimensionError,
     FilterPair,
     FractionalVisibilityRecord,
+    InputFormatError,
     NonFiniteError,
     PathChannel,
     PositivityError,
@@ -193,6 +194,29 @@ def test_zero_alphas_give_slack_minus_one():
     )
     assert cert.contraction_slack == pytest.approx(-1.0, abs=1e-12)
     assert np.max(np.abs(cert.u_hat)) == 0.0
+
+
+@pytest.mark.parametrize("alpha", ["x", "0.5", b"0.5", [0.5, 0.5]],
+                         ids=["malformed-string", "numeric-string", "bytes", "pair"])
+def test_coefficients_that_are_not_numbers_are_a_dimension_error(alpha):
+    # a numeric string used to be stored in the certificate as it was given,
+    # and bound_from_visibilities then died on it with a bare TypeError
+    with pytest.raises(DimensionError, match="coefficients"):
+        verify_alpha_constraint({("hh", "hh"): alpha}, rectilinear_preparations(),
+                                rectilinear_filters(), np.eye(2) / 2, np.eye(2) / 2)
+
+
+def test_certificate_stores_its_checked_coefficients_as_numbers():
+    alphas = {("hh", "hh"): 0, ("vv", "vv"): np.float64(0.25), ("hv", "vh"): np.complex64(0.5j)}
+    cert = verify_alpha_constraint(alphas, rectilinear_preparations(), rectilinear_filters(),
+                                   np.eye(2) / 2, np.eye(2) / 2)
+    assert [type(a) for a in cert.alphas.values()] == [complex] * 3
+    assert cert.alphas == {("hh", "hh"): 0j, ("vv", "vv"): 0.25 + 0j, ("hv", "vh"): 0.5j}
+    recs = [r for r in measured_records() if r.key in alphas]
+    folded = bound_from_visibilities(cert, recs)
+    v = {r.key: r.visibility for r in recs}
+    assert folded.vg_lower == pytest.approx(
+        abs(0.25 * v[("vv", "vv")] + 0.5j * v[("hv", "vh")]), rel=0, abs=1e-15)
 
 
 def test_support_violation_detected():

@@ -23,6 +23,7 @@ from reference_kernels import (
 )
 from whichway import (
     DimensionError,
+    InputFormatError,
     NonFiniteError,
     PathChannel,
     PositivityError,
@@ -514,6 +515,43 @@ def test_channel_file_round_trip_spinless():
     ch = random_path_channel(1, 3, seed=2)
     text = dumps_channel(ch)
     assert dumps_channel(loads_channel(text)) == text
+
+
+def _without_last_token_pair(text):
+    lines = text.splitlines()
+    lines[4] = lines[4].rsplit(" ", 2)[0]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda t: "not a channel file\n", "not a channel spec file (missing 'whichway-channel v1' header)"),
+    (lambda t: t.replace("pairs 1", "pairs 1\nbogus 1"), "unrecognized channel spec line: 'bogus 1'"),
+    (lambda t: t.replace("spin_dim 2\n", ""), "channel spec file is missing spin_dim or pairs"),
+    (lambda t: t.replace("\nA ", "\nC "), "expected 'A' block line, got 'C "),
+    (_without_last_token_pair, "A block has 6 numbers, expected 8"),
+    (lambda t: t.replace("pairs 1", "pairs 2"), "channel spec file truncated: missing 'pair' block"),
+    (lambda t: t + "extra\n", "trailing content after declared Kraus pairs"),
+    (lambda t: re.sub(r"^A \S+", "A x", t, flags=re.M), "A block holds a token that is not a number"),
+    (lambda t: t.split("A ")[0], "channel spec file truncated: missing 'pair' block"),
+], ids=["magic", "unknown-line", "no-spin-dim", "block-tag", "block-length", "missing-pair",
+        "trailing", "non-number", "pair-without-blocks"])
+def test_channel_file_format_faults_are_input_format_errors(edit, message):
+    # the last two escaped as a bare ValueError and a bare IndexError
+    with pytest.raises(InputFormatError, match=re.escape(message)):
+        loads_channel(edit(dumps_channel(identity_channel(2))))
+
+
+@pytest.mark.parametrize("weights, message", [
+    (["a"], "ensemble weights is not an array of numbers"),
+    (["1"], "ensemble weights is not an array of numbers"),
+    ([1j], "ensemble weights must be real numbers, one per pair"),
+    ([[1.0]], "ensemble weights must be real numbers, one per pair"),
+], ids=["malformed-string", "numeric-string", "complex", "nested"])
+def test_ensemble_weights_that_are_not_real_numbers_are_a_dimension_error(weights, message):
+    # the strings used to raise a bare ValueError and a bare TypeError
+    h = ket(0, 2)
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        Preparation.ensemble(weights, [(h, h)])
 
 
 def test_channel_file_rejects_garbage():

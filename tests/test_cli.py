@@ -91,6 +91,16 @@ def test_malformed_file_exits_2(capsys, tmp_path):
     assert "input error" in err
 
 
+def test_channel_file_cut_after_a_pair_line_exits_2(capsys, tmp_path):
+    # used to end in a traceback from a bare IndexError
+    path = tmp_path / "cut.txt"
+    save_channel(transpose_channel(2), path)
+    path.write_text(path.read_text().split("\nA ")[0] + "\n")
+    code, out, err = run_cli(capsys, "vg", "--channel", f"file:{path}", "--prep", "mixed")
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "input error: channel spec file truncated: missing 'pair' block\n"
+
+
 @pytest.mark.parametrize("spin_dim", [0, -1])
 def test_channel_file_with_spin_dim_below_one_exits_2(capsys, tmp_path, spin_dim):
     path = tmp_path / "bad_dim.txt"

@@ -7,6 +7,7 @@ of ``src/whichway`` opens a file, for writing or reading, or imports ``csv``.
 """
 
 import ast
+import io
 import os
 from pathlib import Path
 
@@ -14,7 +15,9 @@ import pytest
 
 from conftest import measured_records
 from whichway import (
+    InputFormatError,
     pauli_mixture_channel,
+    read_records_csv,
     rectilinear_filters,
     rectilinear_preparations,
     save_channel,
@@ -23,7 +26,7 @@ from whichway import (
     write_dataset_csv,
     write_records_csv,
 )
-from whichway._files import write_text
+from whichway._files import read_csv, write_text
 from whichway.cli import EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -158,3 +161,20 @@ def test_writing_open_scan_flags(call):
 @pytest.mark.parametrize("call", ['open(p, "r", encoding="ascii")', "open(p)", "p.open()"])
 def test_writing_open_scan_passes_reads(call):
     assert _writing_opens(call) == []
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "unexpected CSV header None, expected ['a', 'b']"),
+    ("a,c\n", "unexpected CSV header ['a', 'c'], expected ['a', 'b']"),
+    ("a,b\n1,2,3\n", "CSV line 2: expected 2 fields, got 3"),
+    ("a,b\n\n1,x\n", "CSV line 3, column b: could not convert string to float: 'x'"),
+], ids=["empty", "header", "field-count", "field"])
+def test_csv_format_faults_are_input_format_errors(text, message):
+    with pytest.raises(InputFormatError) as exc:
+        read_csv(io.StringIO(text), ["a", "b"], (float, float))
+    assert str(exc.value) == message
+
+
+def test_records_csv_from_an_empty_file_is_an_input_format_error():
+    with pytest.raises(InputFormatError, match="unexpected CSV header None"):
+        read_records_csv(os.devnull)

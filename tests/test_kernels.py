@@ -11,6 +11,8 @@ and d (16); the ensembles of three kets at d = 8, K = 4 give K < d*n, and
 ensembles of K / d kets give d*n == K, the edge of the route without a QR.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -19,14 +21,20 @@ from conftest import random_density, random_ket, random_orthonormal_filters, ran
 from whichway import (
     ContractionError,
     FilterPair,
+    FractionalVisibilityRecord,
     Preparation,
     SupportError,
     block_choi,
+    bound_from_visibilities,
     dilate,
     environment_states,
     fractional_visibility,
     generalized_visibility,
     random_path_channel,
+    rectilinear_filters,
+    rectilinear_preparations,
+    single_preparation_certificate,
+    swap_certificate,
     verify_alpha_constraint,
     verify_inequality,
     visibility_operator,
@@ -303,3 +311,71 @@ def test_alpha_constraint_keeps_small_eigenvalues_in_the_support(d):
     expected = ref.verify_alpha_constraint(alphas, preps, filters, rho, rho)
     np.testing.assert_allclose(cert.u_hat, expected.u_hat, rtol=0, atol=1e-6)
     assert cert.contraction_slack == pytest.approx(-0.75, abs=1e-6)
+
+
+def _assert_same_certificate(got, want):
+    """U-hat and the slack within 1e-12; the coefficients and the bound
+    equal."""
+    np.testing.assert_allclose(got.u_hat, want.u_hat, rtol=0, atol=ATOL)
+    assert abs(got.contraction_slack - want.contraction_slack) <= ATOL
+    assert got.alphas == want.alphas
+    assert got.vg_lower == want.vg_lower
+
+
+def _contraction_scaled(scale, alphas, preps, filters, rho0, rho1):
+    """``alphas`` rescaled so that the oracle's U-hat has spectral norm
+    ``scale``, as Python complex numbers."""
+    u_ref = ref.verify_alpha_constraint(alphas, preps, filters, rho0, rho1, tol=np.inf).u_hat
+    return {key: complex(scale / np.linalg.norm(u_ref, 2) * a) for key, a in alphas.items()}
+
+
+LEAK_MESSAGE = ("combination leaks outside the support of the preparation states; "
+                "no contraction factorization exists")
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_certificate_kernel_matches_the_kron_oracle_on_every_route(d):
+    rng = np.random.default_rng(490 + d)
+    # one pure preparation, complete orthonormal filters, exact records
+    ch = random_path_channel(d, 3, seed=490 + d)
+    preps = {"m": (random_ket(d, rng), random_ket(d, rng))}
+    filters = random_orthonormal_filters(d, rng)
+    records = [fractional_visibility(ch, preps["m"], f, mu="m") for f in filters.values()]
+    cert = single_preparation_certificate("m", records, preps=preps, filters=filters)
+    rhos = [np.outer(psi, psi.conj()) for psi in preps["m"]]
+    _assert_same_certificate(cert, bound_from_visibilities(
+        ref.verify_alpha_constraint(cert.alphas, preps, filters, *rhos), records))
+
+    # the four-term set on exact records of a random qubit channel of Kraus rank d
+    ch = random_path_channel(2, d, seed=590 + d)
+    preps, filters = rectilinear_preparations(), rectilinear_filters()
+    records = [fractional_visibility(ch, preps[mu], filters[nu], mu=mu)
+               for mu in preps for nu in filters]
+    cert = swap_certificate(records)
+    eye2 = np.eye(2) / 2
+    _assert_same_certificate(cert, bound_from_visibilities(
+        ref.verify_alpha_constraint(cert.alphas, preps, filters, eye2, eye2), records))
+
+    # general sets between full-rank and rank-deficient states
+    for rank in sorted({1, max(d - 1, 1), d}):
+        alphas, preps, filters, rho0, rho1 = _supported_inputs(d, rank, rng)
+        alphas = _contraction_scaled(0.5, alphas, preps, filters, rho0, rho1)
+        records = [FractionalVisibilityRecord(mu, nu, p=1.0, sigma_v=0.01,
+                                              visibility=complex(*rng.uniform(-0.5, 0.5, 2)))
+                   for mu, nu in alphas]
+        got = verify_alpha_constraint(alphas, preps, filters, rho0, rho1)
+        want = ref.verify_alpha_constraint(alphas, preps, filters, rho0, rho1)
+        _assert_same_certificate(bound_from_visibilities(got, records),
+                                 bound_from_visibilities(want, records))
+
+    # a leaking set and an over-long one keep their errors and messages
+    if d > 1:
+        alphas, _, filters, rho0, rho1 = _supported_inputs(d, d - 1, rng)
+        preps = {f"m{n}": (random_ket(d, rng), random_ket(d, rng)) for n in range(3)}
+        with pytest.raises(SupportError, match=f"^{re.escape(LEAK_MESSAGE)}$"):
+            verify_alpha_constraint(alphas, preps, filters, rho0, rho1)
+    alphas, preps, filters, rho0, rho1 = _supported_inputs(d, d, rng)
+    alphas = _contraction_scaled(1.5, alphas, preps, filters, rho0, rho1)
+    with pytest.raises(ContractionError,
+                       match=r"^contraction violated: slack 1\.250e\+00 > tol 1\.0e-08$"):
+        verify_alpha_constraint(alphas, preps, filters, rho0, rho1)

@@ -326,7 +326,7 @@ def test_bool_isinstance_scan_passes(source):
 # Modules whose every ``raise`` names a WhichWayError subclass; the one
 # exemption is the parameterised ``raise error(...)`` of
 # interferometer._refuse_rows, whose callers pass the class.
-ERROR_CONTRACT_MODULES = ("bounds", "duality", "linalg", "interferometer")
+ERROR_CONTRACT_MODULES = ("_files", "bounds", "channels", "duality", "linalg", "interferometer")
 
 
 def _foreign_raises(source: str, namespace: dict, exempt: tuple[str, str] = ("", "")) -> list[int]:
