@@ -14,6 +14,7 @@ import csv
 import io
 import os
 import stat
+import sys
 
 from .errors import InputFormatError
 
@@ -34,13 +35,29 @@ def write_text(path, text: str) -> None:
             fh.truncate()
 
 
+def stdout_to_devnull() -> None:
+    """Point the stdout file descriptor at :data:`os.devnull`, so that no
+    later flush of a stdout whose reader has gone can raise again."""
+    fd = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(fd, sys.stdout.fileno())
+    os.close(fd)
+
+
 def read_text(path_or_buffer) -> str:
     """The rest of an open text buffer, or the whole of the ASCII file at a
-    path with its ``\\r\\n`` and ``\\r`` line ends read as ``\\n``."""
+    path with its ``\\r\\n`` and ``\\r`` line ends read as ``\\n``. A
+    byte outside ASCII raises :class:`InputFormatError` naming the path and
+    the byte's offset in the file."""
     if isinstance(path_or_buffer, io.TextIOBase):
         return path_or_buffer.read()
-    with open(path_or_buffer, "r", encoding="ascii") as fh:
-        return fh.read()
+    with open(path_or_buffer, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path_or_buffer}: byte 0x{data[exc.start]:02x} at offset "
+                               f"{exc.start} is not ASCII") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def read_csv(path_or_buffer, fields: list[str], types) -> list[list]:

@@ -22,7 +22,8 @@ before any operator is built (transpose --d 100 would otherwise build 10^4
 Kraus pairs).
 
 Exit codes: 0 success, 1 constraint violation, 2 input error, 3 numerical
-failure. A reproduce run that certifies no bound (neither the four-term
+failure. A closed stdout pipe (``whichway ... | head``) ends the run quietly
+with exit 0. A reproduce run that certifies no bound (neither the four-term
 bound nor any single-preparation bound, as with a header-only records CSV)
 is an input error (certify_run raises DimensionError), and so is an empty
 --out, --filters or --from-csv, refused at parse time. For verify, a slack
@@ -43,14 +44,17 @@ from . import bounds as bnd
 from . import channels as chn
 from . import duality as dua
 from . import interferometer as itf
-from ._files import write_text
+from ._files import stdout_to_devnull, write_text
 from .errors import (
     ContractionError,
     ConventionError,
+    DimensionError,
+    InputFormatError,
     NumericalError,
     SupportError,
+    WhichWayError,
 )
-from .linalg import ket
+from .linalg import int_at_least, ket, real_in
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -74,18 +78,18 @@ def _parse_state(token: str, d: int) -> np.ndarray:
     token = token.strip()
     if token in _STATE_TOKENS:
         if d != 2:
-            raise ValueError(f"state token {token!r} is only defined for d=2")
+            raise DimensionError(f"state token {token!r} is only defined for d=2")
         return _STATE_TOKENS[token]
     try:
         index = int(token)
     except ValueError:
-        raise ValueError(f"unknown state token {token!r}") from None
+        raise InputFormatError(f"unknown state token {token!r}") from None
     return ket(index, d)
 
 
 def parse_channel(spec: str, d: int) -> chn.PathChannel:
     if not 1 <= d <= MAX_SPIN_DIM:
-        raise ValueError(f"--d must be in 1..{MAX_SPIN_DIM}, got {d}")
+        raise DimensionError(f"--d must be in 1..{MAX_SPIN_DIM}, got {d}")
     kind, _, rest = spec.partition(":")
     if kind == "identity":
         return chn.identity_channel(d)
@@ -93,7 +97,7 @@ def parse_channel(spec: str, d: int) -> chn.PathChannel:
         return chn.transpose_channel(d)
     if kind == "pauli":
         if d != 2:
-            raise ValueError("the pauli mixture channel is defined for d=2")
+            raise DimensionError("the pauli mixture channel is defined for d=2")
         return chn.pauli_mixture_channel()
     if kind == "replace":
         if rest:
@@ -107,13 +111,13 @@ def parse_channel(spec: str, d: int) -> chn.PathChannel:
             k_str, seed_str = rest.split(":")
             k, seed = int(k_str), int(seed_str)
         except ValueError:
-            raise ValueError("random channel spec must be random:K:SEED") from None
+            raise InputFormatError("random channel spec must be random:K:SEED") from None
         if not 1 <= k <= MAX_KRAUS:
-            raise ValueError(f"random:K:SEED needs K in 1..{MAX_KRAUS}, got {k}")
+            raise DimensionError(f"random:K:SEED needs K in 1..{MAX_KRAUS}, got {k}")
         return chn.random_path_channel(d, k, seed)
     if kind == "file":
         return chn.load_channel(rest)
-    raise ValueError(f"unknown channel spec {spec!r}")
+    raise InputFormatError(f"unknown channel spec {spec!r}")
 
 
 def parse_preparation(spec: str, d: int) -> chn.Preparation:
@@ -121,7 +125,7 @@ def parse_preparation(spec: str, d: int) -> chn.Preparation:
     if kind == "pure":
         tokens = rest.split(",")
         if len(tokens) != 2:
-            raise ValueError("pure preparation spec must be pure:S0,S1")
+            raise InputFormatError("pure preparation spec must be pure:S0,S1")
         return chn.Preparation.pure(
             _parse_state(tokens[0], d), _parse_state(tokens[1], d), label=spec
         )
@@ -132,20 +136,22 @@ def parse_preparation(spec: str, d: int) -> chn.Preparation:
         for part in rest.split(";"):
             fields = part.split(",")
             if len(fields) != 3:
-                raise ValueError("ensemble terms must be W,S0,S1")
+                raise InputFormatError("ensemble terms must be W,S0,S1")
             weights.append(float(fields[0]))
             pairs.append((_parse_state(fields[1], d), _parse_state(fields[2], d)))
         return chn.Preparation.ensemble(weights, pairs, label=spec)
-    raise ValueError(f"unknown preparation spec {spec!r}")
+    raise InputFormatError(f"unknown preparation spec {spec!r}")
 
 
-def _at_least(kind, low, flag: str):
-    """argparse type of ``flag``: a finite ``kind`` (float or int) >= ``low``."""
+def _at_least(kind, check, low, flag: str):
+    """argparse type of ``flag``: ``kind(text)`` (float or int) checked by
+    ``check(value, flag, low)`` (:func:`real_in` or :func:`int_at_least`),
+    whose error argparse reports as ``argument FLAG: ...`` with exit 2."""
     def parse(text: str):
-        value = kind(text)
-        if not np.isfinite(value) or value < low:
-            raise argparse.ArgumentTypeError(f"{flag} must be finite and >= {low}, got {text!r}")
-        return value
+        try:
+            return check(kind(text), flag, low)
+        except WhichWayError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     parse.__name__ = kind.__name__  # argparse reports "invalid float value: 'abc'"
     return parse
 
@@ -238,13 +244,13 @@ def cmd_reproduce(args) -> int:
         source = f"records from {args.from_csv}"
     else:
         if args.seed is None:
-            raise ValueError("--seed is required when simulating (no --from-csv)")
+            raise InputFormatError("--seed is required when simulating (no --from-csv)")
         filters = bnd.rectilinear_filters()
         if args.filters is not None:
             wanted = [f.strip() for f in args.filters.split(",")]
             unknown = [f for f in wanted if f not in filters]
             if unknown:
-                raise ValueError(f"unknown filter labels {unknown}")
+                raise InputFormatError(f"unknown filter labels {unknown}")
             filters = {f: filters[f] for f in wanted}
         records = itf.run_experiment(
             chn.pauli_mixture_channel(),
@@ -315,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify the trade-off")
     add_common(p_verify)
-    p_verify.add_argument("--tol", type=_at_least(float, 0.0, "--tol"), default=1e-8,
+    p_verify.add_argument("--tol", type=_at_least(float, real_in, 0.0, "--tol"), default=1e-8,
                           help="tolerance for the trade-off check, finite and >= 0")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -326,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("reproduce", help="simulate / ingest records and bound")
     p_rep.add_argument("--seed", type=int, help="master seed (required when simulating)")
-    p_rep.add_argument("--shots", type=_at_least(int, 1, "--shots"), default=10_000,
+    p_rep.add_argument("--shots", type=_at_least(int, int_at_least, 1, "--shots"), default=10_000,
                        help="shots per phase, >= 1")
     p_rep.add_argument("--contrast", type=float, default=0.96,
                        help="fringe contrast factor in (0, 1]")
@@ -345,7 +351,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout: end quietly, as CPython's notes on
+        # SIGPIPE advise.
+        stdout_to_devnull()
+        return EXIT_OK
     except (SupportError, ContractionError) as exc:
         print(f"constraint violated: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

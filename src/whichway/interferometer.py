@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,7 +76,7 @@ from .channels import (
     pure_pair,
 )
 from .errors import ConventionError, DimensionError, NonFiniteError, NumericalError
-from .linalg import ATOL_DERIVED, finite_array, int_at_least
+from .linalg import ATOL_DERIVED, finite_array, int_at_least, real_in
 
 __all__ = [
     "CONVENTION",
@@ -111,14 +110,11 @@ def jones_matrix(kind: str, angle_deg: float) -> np.ndarray:
     """Jones matrix R(theta) diag(1, -1 or i) R(-theta) of a "half" or
     "quarter" plate at theta = ``angle_deg``, in the lab frame; another kind,
     or an angle that is not a real number in [-180, 180] degrees, raises
-    :class:`DimensionError`."""
+    :class:`DimensionError`, and a NaN or infinite angle
+    :class:`NonFiniteError`."""
     if kind not in ("half", "quarter"):
         raise DimensionError(f"unknown wave plate kind {kind!r}")
-    if not isinstance(angle_deg, numbers.Real):
-        raise DimensionError(f"angle {angle_deg!r} is not a real number")
-    if not -180.0 <= angle_deg <= 180.0:
-        raise DimensionError(f"angle {angle_deg} outside [-180, 180] degrees")
-    theta = math.radians(angle_deg)
+    theta = math.radians(real_in(angle_deg, "angle", -180.0, 180.0, unit="degrees"))
     c, s = math.cos(theta), math.sin(theta)
     r = np.array([[c, -s], [s, c]], dtype=complex)
     retard = np.diag([1.0, -1.0 if kind == "half" else 1.0j]).astype(complex)
@@ -138,7 +134,7 @@ class NoiseRow:
     q2: float
 
     def target_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        names = self.target.split(",")
+        names = self.target.split(",") if isinstance(self.target, str) else ()
         if len(names) != 2:
             raise DimensionError(f"target {self.target!r} is not a pair label")
         out = []
@@ -231,10 +227,12 @@ _DETECTORS = ("plus", "minus", "ref0", "ref1")
 
 
 def _phase_tuple(phases) -> tuple[float, ...]:
-    """The phases as floats; refuses phases that are not finite and strictly
-    increasing."""
-    phases = tuple(float(p) for p in phases)
-    finite_array(phases, "phases")
+    """The phases as floats; refuses phases that are not a 1-D array of
+    finite real numbers, strictly increasing."""
+    values = finite_array(phases, "phases")
+    if values.ndim != 1 or values.imag.any():
+        raise DimensionError("phases must be a 1-D array of real numbers")
+    phases = tuple(values.real.tolist())
     if any(b <= a for a, b in zip(phases, phases[1:])):
         raise DimensionError("phases must be strictly increasing")
     return phases
@@ -242,10 +240,13 @@ def _phase_tuple(phases) -> tuple[float, ...]:
 
 def _counting_settings(shots_per_phase, efficiencies) -> tuple[float, float, float, float]:
     """The efficiencies as floats; refuses efficiencies that are not four
-    values in (0, 1] and a shot count that is not a nonnegative integer."""
-    efficiencies = tuple(float(e) for e in efficiencies)
-    if len(efficiencies) != 4 or any(not 0.0 < e <= 1.0 for e in efficiencies):
+    real numbers in (0, 1] and a shot count that is not a nonnegative
+    integer."""
+    efficiencies = tuple(efficiencies) if np.iterable(efficiencies) else ()
+    if len(efficiencies) != 4:
         raise DimensionError("efficiencies must be four values in (0, 1]")
+    efficiencies = tuple(real_in(e, f"efficiencies[{i}]", 0.0, 1.0, open_low=True)
+                         for i, e in enumerate(efficiencies))
     int_at_least(shots_per_phase, "shots_per_phase", 0)
     return efficiencies
 
@@ -369,11 +370,11 @@ def _probability_tables(ch, kets, filters, phases, contrast, shots_per_phase):
     return np.array(_allocate(shots_per_phase, weights)), pvals
 
 
-def _counting_phases(phases, contrast) -> tuple[float, ...]:
-    """Validate the contrast; the phases as floats (13 over [0, 2 pi] by default)."""
-    if not 0.0 < contrast <= 1.0:
-        raise DimensionError(f"contrast {contrast} outside (0, 1]")
-    return _phase_tuple(np.linspace(0.0, 2.0 * np.pi, 13) if phases is None else phases)
+def _counting_phases(phases, contrast) -> tuple[tuple[float, ...], float]:
+    """The phases as floats (13 over [0, 2 pi] by default) and the contrast,
+    a real number in (0, 1], as a float."""
+    phases = np.linspace(0.0, 2.0 * np.pi, 13) if phases is None else phases
+    return _phase_tuple(phases), real_in(contrast, "contrast", 0.0, 1.0, open_low=True)
 
 
 def _count_cells(ch, kets, filters, phases, shots_per_phase, efficiencies, contrast,
@@ -417,7 +418,7 @@ def simulate_fringes(
     module docstring states, so the counts for a given seed are fixed.
     """
     efficiencies = _counting_settings(shots_per_phase, efficiencies)
-    phases = _counting_phases(phases, contrast)
+    phases, contrast = _counting_phases(phases, contrast)
     seed = _seed_tuple(seed)
     (counts,) = _count_cells(ch, [pure_pair(prep, ch.spin_dim)], [filt], phases,
                              shots_per_phase, efficiencies, contrast, [seed])
@@ -425,13 +426,11 @@ def simulate_fringes(
 
 
 def binomial_resample(ds: FringeDataset, reference_efficiency: float, seed=0) -> FringeDataset:
-    """Thin every detector's counts so all share the reference efficiency,
-    with one ``binomial`` call over (detector, phase) from
-    ``np.random.default_rng(seed)``."""
-    if not 0.0 < reference_efficiency <= min(ds.efficiencies):
-        raise DimensionError(
-            f"reference efficiency {reference_efficiency} must be in (0, min(efficiencies)]"
-        )
+    """Thin every detector's counts so all share the reference efficiency, a
+    real number in (0, min(efficiencies)], with one ``binomial`` call over
+    (detector, phase) from ``np.random.default_rng(seed)``."""
+    reference_efficiency = real_in(reference_efficiency, "reference_efficiency", 0.0,
+                                   min(ds.efficiencies), open_low=True)
     ratios = reference_efficiency / np.array(ds.efficiencies)
     counts = np.random.default_rng(_seed_tuple(seed)).binomial(ds.counts, ratios[:, None])
     return FringeDataset(ds.phases, counts, ds.shots_per_phase, ds.seed,
@@ -536,7 +535,7 @@ def _simulate_cells(ch, preparations, filters, phases, shots_per_phase, efficien
     cells over the sorted (mu, nu) grid, preparations major, every detector
     drawn at the lowest efficiency."""
     efficiencies = _counting_settings(shots_per_phase, efficiencies)
-    phases = _counting_phases(phases, contrast)
+    phases, contrast = _counting_phases(phases, contrast)
     if shots_per_phase < 1:
         raise DimensionError(f"shots_per_phase {shots_per_phase} below 1: no counts to fit")
     for name, grid in (("preparations", preparations), ("filters", filters)):

@@ -11,14 +11,19 @@ Tolerance policy: structural checks on constructed objects use
 (1e-9), the checks of :func:`psd_eigh` use ``PSD_ATOL`` (1e-8), and
 certificates ``bounds.CONTRACTION_TOL`` (1e-8); none is a parameter.
 Statistical tolerances live with the Monte Carlo code. The rules
-for integers, finite entries, unit kets and density matrices are written
-once, here: :func:`int_at_least` (a bool is not an integer),
-:func:`finite_array`, :func:`unit_ket` (norm one within 1e-10) and
-:func:`density_matrix` (Hermitian, PSD and unit trace within 1e-10); the
-last two raise :class:`NonFiniteError` for a NaN or infinite entry, whatever
-else is wrong with the input. The root fidelity of two states is not formed
-here: :mod:`whichway.duality` takes it from their factors by Uhlmann's
-theorem, and the route through two eigendecompositions is a test oracle.
+for integers, real settings, finite entries, unit kets and density matrices
+are written once, here: :func:`int_at_least` (a bool is not an integer),
+:func:`real_in` (a real number in an interval, returned as a float; a bool,
+text, None or an array is not one), :func:`finite_array`, :func:`unit_ket`
+(norm one within 1e-10) and :func:`density_matrix` (Hermitian, PSD and unit
+trace within 1e-10); all but :func:`int_at_least` raise
+:class:`NonFiniteError` for a NaN or infinite value or entry, whatever else
+is wrong with it. Every real-valued setting of the package (wave-plate
+angles, detector efficiencies, contrast, phases, ``--tol``) is checked by
+:func:`real_in` or :func:`finite_array`. The root fidelity of two states is
+not formed here: :mod:`whichway.duality` takes it from their factors by
+Uhlmann's theorem, and the route through two eigendecompositions is a test
+oracle.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ __all__ = [
     "matrix_sqrt",
     "partial_trace",
     "psd_eigh",
+    "real_in",
     "trace_norm",
     "unit_ket",
 ]
@@ -77,6 +83,25 @@ def int_at_least(value, what: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise DimensionError(f"{what} must be >= {minimum} and an integer, got {value!r}")
     return int(value)
+
+
+def real_in(value, what: str, low: float, high: float = math.inf, *,
+            open_low: bool = False, unit: str = "") -> float:
+    """``value`` as a float. A value that is not a real number (a Python
+    int or float, or a numpy integer or floating scalar) raises
+    :class:`DimensionError` naming ``what`` and the value; so does one
+    outside [low, high], or (low, high] if ``open_low``, with ``unit`` after
+    the interval. NaN and +-inf raise :class:`NonFiniteError`."""
+    # type(), not isinstance: a bool is an int, but not a real setting
+    if type(value) not in (int, float) and not isinstance(value, (np.integer, np.floating)):
+        raise DimensionError(f"{what} {value!r} is not a real number")
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        raise NonFiniteError(f"{what} {value} is not finite")
+    if not (low < value if open_low else low <= value) or value > high:
+        lo, hi = (repr(float(end)).removesuffix(".0") for end in (low, high))
+        interval = ("(" if open_low else "[") + f"{lo}, {hi}" + (")" if high == math.inf else "]")
+        raise DimensionError(f"{what} {value} outside {interval}{unit and ' ' + unit}")
+    return float(value)
 
 
 def ket(index: int, dim: int) -> np.ndarray:

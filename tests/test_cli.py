@@ -4,6 +4,8 @@ import importlib
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -587,3 +589,19 @@ def test_package_exports_resolve_and_come_from_each_modules_all():
     assert stale == []
     assert all(hasattr(whichway, name) for _, name in imported)
     assert not hasattr(whichway, "SpinState")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_pipe_ends_the_run_quietly(unbuffered):
+    # the reader is gone before the run starts, as in `whichway ... | true`;
+    # unbuffered, print itself meets the broken pipe, buffered the final flush
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONUNBUFFERED": unbuffered}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "whichway.cli", "reproduce", "--seed", "1",
+                               "--shots", "5"], stdout=write, stderr=subprocess.PIPE, env=env,
+                              timeout=60, check=False)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")

@@ -16,7 +16,9 @@ import pytest
 from conftest import measured_records
 from whichway import (
     InputFormatError,
+    load_channel,
     pauli_mixture_channel,
+    read_dataset_csv,
     read_records_csv,
     rectilinear_filters,
     rectilinear_preparations,
@@ -27,7 +29,7 @@ from whichway import (
     write_records_csv,
 )
 from whichway._files import read_csv, write_text
-from whichway.cli import EXIT_OK, main
+from whichway.cli import EXIT_INPUT, EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -178,3 +180,38 @@ def test_csv_format_faults_are_input_format_errors(text, message):
 def test_records_csv_from_an_empty_file_is_an_input_format_error():
     with pytest.raises(InputFormatError, match="unexpected CSV header None"):
         read_records_csv(os.devnull)
+
+
+NON_ASCII_READERS = {
+    "read_records_csv": read_records_csv,
+    "read_dataset_csv": lambda path: read_dataset_csv(path, shots_per_phase=10),
+    "load_channel": load_channel,
+}
+
+
+@pytest.mark.parametrize("read", NON_ASCII_READERS.values(), ids=NON_ASCII_READERS.keys())
+def test_a_non_ascii_file_is_an_input_format_error(tmp_path, read):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"mu,nu\r\nh\xe9,hh\r\n")
+    with pytest.raises(InputFormatError) as exc:
+        read(path)
+    assert str(exc.value) == f"{path}: byte 0xe9 at offset 8 is not ASCII"
+
+
+def test_cli_reports_a_non_ascii_records_csv_as_an_input_error(tmp_path, capsys):
+    path = tmp_path / "records.csv"
+    path.write_bytes(b"mu,nu,p,re_V,im_V,sigma_p,sigma_V\r\nh\xe9,hh,1,0,0,0,0\r\n")
+    assert main(["reproduce", "--from-csv", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {path}: byte 0xe9 at offset 36 is not ASCII\n"
+
+
+def test_line_ends_read_as_newlines(tmp_path):
+    path = tmp_path / "records.csv"
+    write_records_csv(measured_records(), path)
+    text = path.read_bytes()
+    assert b"\r\n" in text
+    for ends in (text, text.replace(b"\r\n", b"\r"), text.replace(b"\r\n", b"\n")):
+        path.write_bytes(ends)
+        assert read_records_csv(path) == read_records_csv(io.StringIO(text.decode("ascii")))

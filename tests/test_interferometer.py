@@ -21,6 +21,7 @@ from whichway import (
     NumericalError,
     PathChannel,
     RowReport,
+    WhichWayError,
     binomial_resample,
     block_choi,
     fit_fringes,
@@ -87,15 +88,15 @@ def test_jones_matrices_unitary():
 
 
 def test_jones_matrix_validation():
-    for kind, angle, message in (
-        ("third", 10.0, "unknown wave plate kind 'third'"),
-        ("half", 200.0, "angle 200.0 outside [-180, 180] degrees"),
-        ("quarter", -180.5, "angle -180.5 outside [-180, 180] degrees"),
-        ("half", float("nan"), "angle nan outside [-180, 180] degrees"),
-        ("half", "10", "angle '10' is not a real number"),
-        ("quarter", None, "angle None is not a real number"),
+    for kind, angle, error, message in (
+        ("third", 10.0, DimensionError, "unknown wave plate kind 'third'"),
+        ("half", 200.0, DimensionError, "angle 200.0 outside [-180, 180] degrees"),
+        ("quarter", -180.5, DimensionError, "angle -180.5 outside [-180, 180] degrees"),
+        ("half", float("nan"), NonFiniteError, "angle nan is not finite"),
+        ("half", "10", DimensionError, "angle '10' is not a real number"),
+        ("quarter", None, DimensionError, "angle None is not a real number"),
     ):
-        with pytest.raises(DimensionError, match=re.escape(message)):
+        with pytest.raises(error, match=re.escape(message)):
             jones_matrix(kind, angle)
 
 
@@ -429,6 +430,56 @@ def test_counting_accepts_a_numpy_integer_shot_count():
     assert len(run_experiment(ch, shots_per_phase=np.int32(50), seed=2)) == 16
 
 
+def _resample(reference):
+    ds = simulate_fringes(pauli_mixture_channel(), PREPS["hh"], FILTERS["hh"],
+                          shots_per_phase=10, efficiencies=(0.9,) * 4, seed=1)
+    return binomial_resample(ds, reference)
+
+
+def _experiment(**settings):
+    return run_experiment(pauli_mixture_channel(), **settings)
+
+
+# Each setting that is not a real number (text, a bool, None, an array) or
+# not a 1-D array of them, and each NaN or infinite one, with the exact
+# package error it raises.
+SETTING_PROBES = {
+    "contrast-text": (lambda: _experiment(contrast="0.5"), DimensionError),
+    "contrast-none": (lambda: _experiment(contrast=None), DimensionError),
+    "contrast-nan": (lambda: _experiment(contrast=np.nan), NonFiniteError),
+    "efficiencies-text": (lambda: _experiment(efficiencies="abcd"), DimensionError),
+    "efficiencies-none": (lambda: _experiment(efficiencies=None), DimensionError),
+    "efficiencies-text-and-bool": (lambda: _experiment(efficiencies=("0.9", 1, 1, True)),
+                                   DimensionError),
+    "efficiencies-bool": (lambda: _experiment(efficiencies=(1, 1, 1, True)), DimensionError),
+    "efficiencies-inf": (lambda: _experiment(efficiencies=(1, 1, 1, np.inf)), NonFiniteError),
+    "phases-text": (lambda: _experiment(phases="abc"), DimensionError),
+    "phases-scalar": (lambda: _experiment(phases=3.0), DimensionError),
+    "phases-2d": (lambda: _experiment(phases=np.linspace(0, 6, 14).reshape(2, 7)),
+                  DimensionError),
+    "phases-digits": (lambda: _experiment(phases=tuple(str(i) for i in range(13))),
+                      DimensionError),
+    "phases-complex": (lambda: _experiment(phases=np.linspace(0, 6, 13) + 1j), DimensionError),
+    "reference-text": (lambda: _resample("0.5"), DimensionError),
+    "reference-nan": (lambda: _resample(np.nan), NonFiniteError),
+    "dataset-text-phase": (lambda: FringeDataset(("a",), np.zeros((4, 1), dtype=np.int64), 1, 0,
+                                                 (1.0,) * 4), DimensionError),
+    "angle-bool": (lambda: jones_matrix("half", True), DimensionError),
+    "angle-inf": (lambda: jones_matrix("quarter", np.inf), NonFiniteError),
+    "target-not-text": (lambda: verify_noise_program((NoiseRow(5, 0, 0, 0, 0),)),
+                        DimensionError),
+    "target-pair-not-text": (lambda: NoiseRow(5, 0, 0, 0, 0).target_pair(), DimensionError),
+}
+
+
+@pytest.mark.parametrize("name", SETTING_PROBES)
+def test_bad_settings_raise_their_exact_package_error(name):
+    probe, error = SETTING_PROBES[name]
+    with pytest.raises(WhichWayError) as exc:
+        probe()
+    assert type(exc.value) is error, repr(exc.value)
+
+
 def test_counting_refuses_a_bool_shot_count():
     # bool is an int subclass; True is not a shot count
     ch = pauli_mixture_channel()
@@ -519,23 +570,24 @@ def test_dataset_validation():
             _dataset(np.ones(shape, dtype=np.int64))
 
 
-@pytest.mark.parametrize("settings, message", [
-    (dict(efficiencies=(2.0, 1, 1, 1)), "efficiencies"),
-    (dict(efficiencies=(np.nan, 1, 1, 1)), "efficiencies"),
-    (dict(efficiencies=(1.0, 1.0, 1.0)), "efficiencies"),
-    (dict(efficiencies=(1.0, 1.0, 0.0, 1.0)), "efficiencies"),
-    (dict(shots_per_phase=10.5), "shots_per_phase"),
-    (dict(shots_per_phase=-1), "shots_per_phase"),
+@pytest.mark.parametrize("settings, error, message", [
+    (dict(efficiencies=(2.0, 1, 1, 1)), DimensionError, "efficiencies"),
+    (dict(efficiencies=(np.nan, 1, 1, 1)), NonFiniteError,
+     re.escape("efficiencies[0] nan is not finite")),
+    (dict(efficiencies=(1.0, 1.0, 1.0)), DimensionError, "efficiencies"),
+    (dict(efficiencies=(1.0, 1.0, 0.0, 1.0)), DimensionError, "efficiencies"),
+    (dict(shots_per_phase=10.5), DimensionError, "shots_per_phase"),
+    (dict(shots_per_phase=-1), DimensionError, "shots_per_phase"),
 ], ids=["efficiency-2", "efficiency-nan", "three-efficiencies", "efficiency-0", "shots-10.5",
         "shots-negative"])
-def test_dataset_refuses_the_settings_the_simulators_refuse(settings, message):
+def test_dataset_refuses_the_settings_the_simulators_refuse(settings, error, message):
     counts = np.zeros((4, 2), dtype=np.int64)
-    with pytest.raises(DimensionError, match=message):
+    with pytest.raises(error, match=message):
         _dataset(counts, **settings)
     text = "phase,n_plus,n_minus,n_ref0,n_ref1\n0.0,0,0,0,0\n1.0,0,0,0,0\n"
-    with pytest.raises(DimensionError, match=message):
+    with pytest.raises(error, match=message):
         read_dataset_csv(io.StringIO(text), **{"shots_per_phase": 10, **settings})
-    with pytest.raises(DimensionError, match=message):
+    with pytest.raises(error, match=message):
         simulate_fringes(pauli_mixture_channel(), PREPS["hh"], FILTERS["hh"], **settings)
 
 
