@@ -1,6 +1,9 @@
 """The one place the package opens a file, and the one that knows the CSV
 dialect: the :mod:`csv` defaults (``\r\n`` line ends) in ASCII, a header row
-first. Each reader and writer takes a path or an open text buffer.
+first. Each reader and writer takes a path (a ``str`` or an
+:class:`os.PathLike`) or, except :func:`write_text`, an open text buffer;
+anything else, a bool or an int file descriptor included, raises
+:class:`DimensionError` before any file is opened.
 
 An existing file is rewritten in place and then cut to length, never
 truncated to zero first: on ext4, truncating a file and writing it again
@@ -16,7 +19,17 @@ import os
 import stat
 import sys
 
-from .errors import InputFormatError
+from .errors import DimensionError, InputFormatError
+
+
+def _checked(path, buffer_ok: bool = False):
+    """``path`` if it is a ``str`` or an :class:`os.PathLike`, or, when
+    ``buffer_ok``, an :class:`io.TextIOBase`; :class:`DimensionError`
+    otherwise."""
+    if isinstance(path, (str, os.PathLike)) or buffer_ok and isinstance(path, io.TextIOBase):
+        return path
+    raise DimensionError(f"expected a path{' or a text buffer' if buffer_ok else ''}, "
+                         f"got {path!r}")
 
 
 def write_text(path, text: str) -> None:
@@ -28,7 +41,7 @@ def write_text(path, text: str) -> None:
     regular file is cut to length: ``ftruncate`` fails on ``/dev/null``.
     """
     data = text.encode("ascii")
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    fd = os.open(_checked(path), os.O_WRONLY | os.O_CREAT, 0o666)
     with open(fd, "wb") as fh:
         fh.write(data)
         if stat.S_ISREG(os.fstat(fd).st_mode):
@@ -48,7 +61,7 @@ def read_text(path_or_buffer) -> str:
     path with its ``\\r\\n`` and ``\\r`` line ends read as ``\\n``. A
     byte outside ASCII raises :class:`InputFormatError` naming the path and
     the byte's offset in the file."""
-    if isinstance(path_or_buffer, io.TextIOBase):
+    if isinstance(_checked(path_or_buffer, buffer_ok=True), io.TextIOBase):
         return path_or_buffer.read()
     with open(path_or_buffer, "rb") as fh:
         data = fh.read()
@@ -96,7 +109,7 @@ def write_csv(path_or_buffer, fields: list[str], rows) -> None:
     writer = csv.writer(buf)
     writer.writerow(fields)
     writer.writerows(rows)
-    if isinstance(path_or_buffer, io.TextIOBase):
+    if isinstance(_checked(path_or_buffer, buffer_ok=True), io.TextIOBase):
         path_or_buffer.write(buf.getvalue())
     else:
         write_text(path_or_buffer, buf.getvalue())

@@ -149,10 +149,17 @@ class FractionalVisibilityRecord:
 
 
 def _record_map(records) -> dict[tuple[str, str], FractionalVisibilityRecord]:
-    """Records keyed by their own (mu, nu), a dict read as its values; a
-    repeated key raises :class:`DimensionError`."""
+    """Records keyed by their own (mu, nu), a dict read as its values; an
+    argument that is not iterable, an entry that is not a
+    :class:`FractionalVisibilityRecord` and a repeated key raise
+    :class:`DimensionError`."""
+    records = records.values() if isinstance(records, dict) else records
+    if not np.iterable(records):
+        raise DimensionError(f"records must be an iterable of records, got {records!r}")
     out = {}
-    for rec in records.values() if isinstance(records, dict) else records:
+    for rec in records:
+        if not isinstance(rec, FractionalVisibilityRecord):
+            raise DimensionError(f"{rec!r} is not a FractionalVisibilityRecord")
         if rec.key in out:
             raise DimensionError(f"duplicate record for {rec.key}")
         out[rec.key] = rec

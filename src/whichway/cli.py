@@ -137,7 +137,11 @@ def parse_preparation(spec: str, d: int) -> chn.Preparation:
             fields = part.split(",")
             if len(fields) != 3:
                 raise InputFormatError("ensemble terms must be W,S0,S1")
-            weights.append(float(fields[0]))
+            try:
+                weights.append(float(fields[0]))
+            except ValueError:
+                raise InputFormatError(f"ensemble term {part!r}: weight field {fields[0]!r} "
+                                       "is not a number") from None
             pairs.append((_parse_state(fields[1], d), _parse_state(fields[2], d)))
         return chn.Preparation.ensemble(weights, pairs, label=spec)
     raise InputFormatError(f"unknown preparation spec {spec!r}")

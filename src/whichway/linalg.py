@@ -14,7 +14,8 @@ Statistical tolerances live with the Monte Carlo code. The rules
 for integers, real settings, finite entries, unit kets and density matrices
 are written once, here: :func:`int_at_least` (a bool is not an integer),
 :func:`real_in` (a real number in an interval, returned as a float; a bool,
-text, None or an array is not one), :func:`finite_array`, :func:`unit_ket`
+text, None or an array is not one), :func:`finite_array` (an array of
+numbers; an array of bools or text is not one), :func:`unit_ket`
 (norm one within 1e-10) and :func:`density_matrix` (Hermitian, PSD and unit
 trace within 1e-10); all but :func:`int_at_least` raise
 :class:`NonFiniteError` for a NaN or infinite value or entry, whatever else
@@ -117,14 +118,14 @@ def ket(index: int, dim: int) -> np.ndarray:
 def finite_array(a, what: str) -> np.ndarray:
     """``a`` as a complex array; raises :class:`NonFiniteError` on a NaN or
     infinite entry, and :class:`DimensionError` naming ``what`` for an input
-    that numpy cannot read as numbers or can read only by parsing text (a
-    str or bytes entry)."""
+    that numpy cannot read as numbers, can read only by parsing text (a
+    str or bytes entry) or reads as bools."""
     try:
         raw = np.asarray(a)
         a = raw.astype(complex, copy=False)
     except (TypeError, ValueError):
         raw = None
-    if raw is None or raw.dtype.kind in "SU" or raw.dtype.kind == "O" and any(
+    if raw is None or raw.dtype.kind in "bSU" or raw.dtype.kind == "O" and any(
             isinstance(x, (str, bytes)) for x in raw.flat):
         raise DimensionError(f"{what} is not an array of numbers")
     if not np.isfinite(a).all():

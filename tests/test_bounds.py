@@ -381,6 +381,29 @@ def test_repeated_record_key_is_a_dimension_error():
     assert swap_certificate(records).vg_lower == pytest.approx(0.9605, abs=1e-12)
 
 
+RECORD_TAKERS = {
+    "swap_certificate": swap_certificate,
+    "certify_run": certify_run,
+    "single_preparation_certificate": lambda recs: single_preparation_certificate("hh", recs),
+    "bound_from_visibilities": lambda recs: bound_from_visibilities(
+        swap_certificate(measured_records()), recs),
+    "write_records_csv": lambda recs: write_records_csv(recs, io.StringIO()),
+}
+
+
+@pytest.mark.parametrize("records, message", [
+    (5, "records must be an iterable of records, got 5"),
+    ([1, 2], "1 is not a FractionalVisibilityRecord"),
+    ({("hh", "hh"): "hh"}, "'hh' is not a FractionalVisibilityRecord"),
+], ids=["not-iterable", "ints", "dict-of-text"])
+@pytest.mark.parametrize("take", RECORD_TAKERS.values(), ids=RECORD_TAKERS.keys())
+def test_records_that_are_not_records_are_a_dimension_error(take, records, message):
+    # 5 raised a bare TypeError, and [1, 2] an AttributeError
+    with pytest.raises(DimensionError) as exc:
+        take(records)
+    assert str(exc.value) == message
+
+
 def test_a_dict_of_records_is_keyed_by_each_records_own_cell():
     # the four largest |V| filed under the swap cells would certify
     # vg_lower = 1 above the true V_G = 0.9909 of the mixed preparation

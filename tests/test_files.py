@@ -2,19 +2,19 @@
 
 Each writer, run over an existing longer file, leaves exactly the bytes it
 writes to a new file, in the same inode; ``--out /dev/null`` succeeds (the
-file is not a regular one, so it is not cut to length); and no other module
-of ``src/whichway`` opens a file, for writing or reading, or imports ``csv``.
+file is not a regular one, so it is not cut to length). That no other module
+of ``src/whichway`` opens a file or imports ``csv`` is a rule of
+``tests/test_static_rules.py``.
 """
 
-import ast
 import io
 import os
-from pathlib import Path
 
 import pytest
 
 from conftest import measured_records
 from whichway import (
+    DimensionError,
     InputFormatError,
     load_channel,
     pauli_mixture_channel,
@@ -30,8 +30,6 @@ from whichway import (
 )
 from whichway._files import read_csv, write_text
 from whichway.cli import EXIT_INPUT, EXIT_OK, main
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def _vg_out(path):
@@ -80,89 +78,34 @@ def test_non_ascii_text_leaves_the_file_untouched(tmp_path):
     assert path.read_bytes() == b"old\n"
 
 
-def _is_open_call(node) -> bool:
-    """Whether ``node`` calls ``open`` or ``fdopen``, bare or as an attribute."""
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-    return name in ("open", "fdopen")
+PATH_TAKERS = {
+    "read_records_csv": read_records_csv,
+    "read_dataset_csv": lambda path: read_dataset_csv(path, shots_per_phase=10),
+    "load_channel": load_channel,
+    "write_records_csv": lambda path: write_records_csv(measured_records(), path),
+    "save_channel": lambda path: save_channel(transpose_channel(2), path),
+    "write_text": lambda path: write_text(path, "x\n"),
+}
 
 
-def _writing_opens(source: str) -> list[int]:
-    """Lines of ``open``/``fdopen`` calls whose mode writes ("w", "a", "x"
-    or "+") or is not a string literal."""
-    lines = []
-    for node in ast.walk(ast.parse(source)):
-        if not _is_open_call(node):
-            continue
-        mode = node.args[1] if len(node.args) > 1 else next(
-            (k.value for k in node.keywords if k.arg == "mode"), None)
-        if mode is None:
-            continue
-        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) \
-                or set(mode.value) & set("wax+"):
-            lines.append(node.lineno)
-    return lines
+@pytest.mark.parametrize("path", [True, 2, None, 1.5, b"records.csv"],
+                         ids=["bool", "fd", "none", "float", "bytes"])
+@pytest.mark.parametrize("take", PATH_TAKERS.values(), ids=PATH_TAKERS.keys())
+def test_a_path_that_is_not_a_str_or_path_like_is_refused_before_any_open(monkeypatch, take, path):
+    # True opened (and closed) file descriptor 1, and 2 raised a bare TypeError
+    def opened(*args, **kwargs):
+        raise AssertionError(f"opened {args[0]!r}")
+
+    monkeypatch.setattr("builtins.open", opened)
+    monkeypatch.setattr(os, "open", opened)
+    with pytest.raises(DimensionError) as exc:
+        take(path)
+    assert str(exc.value).startswith("expected a path") and str(exc.value).endswith(f"got {path!r}")
 
 
-def _opens_and_csv_imports(source: str) -> list[int]:
-    """Lines of ``open``/``fdopen`` calls in any mode and of imports of
-    ``csv``."""
-    lines = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            found = any(alias.name.split(".")[0] == "csv" for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            found = (node.module or "").split(".")[0] == "csv"
-        else:
-            found = _is_open_call(node)
-        if found:
-            lines.append(node.lineno)
-    return lines
-
-
-def _offenders(scan) -> list[str]:
-    package = ROOT / "src" / "whichway"
-    return [
-        f"{path.relative_to(package)}:{line}"
-        for path in sorted(package.rglob("*.py")) if path.name != "_files.py"
-        for line in scan(path.read_text(encoding="utf-8"))
-    ]
-
-
-def test_only_write_text_opens_files_for_writing():
-    assert _offenders(_writing_opens) == []
-
-
-def test_only_files_module_opens_files_or_imports_csv():
-    assert _offenders(_opens_and_csv_imports) == []
-
-
-@pytest.mark.parametrize("source", [
-    'open(p, "r", encoding="ascii")', "open(p)", "p.open()", "os.fdopen(fd)",
-    "os.open(p, os.O_RDONLY)", "import csv", "import os, csv", "from csv import reader",
-])
-def test_open_and_csv_scan_flags(source):
-    assert _opens_and_csv_imports(source) == [1]
-
-
-@pytest.mark.parametrize("source", ["import io", "from . import csvlike", "read_csv(p)"])
-def test_open_and_csv_scan_passes(source):
-    assert _opens_and_csv_imports(source) == []
-
-
-@pytest.mark.parametrize("call", [
-    'open(p, "w", encoding="ascii")', "open(p, mode='a')", 'io.open(p, "x")',
-    'os.fdopen(fd, "wb")', 'open(p, "r+")', "open(p, mode)",
-])
-def test_writing_open_scan_flags(call):
-    assert _writing_opens(call) == [1]
-
-
-@pytest.mark.parametrize("call", ['open(p, "r", encoding="ascii")', "open(p)", "p.open()"])
-def test_writing_open_scan_passes_reads(call):
-    assert _writing_opens(call) == []
+def test_write_text_takes_no_text_buffer():
+    with pytest.raises(DimensionError, match="expected a path, got <_io.StringIO"):
+        write_text(io.StringIO(), "x\n")
 
 
 @pytest.mark.parametrize("text, message", [

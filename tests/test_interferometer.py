@@ -460,10 +460,13 @@ SETTING_PROBES = {
     "phases-digits": (lambda: _experiment(phases=tuple(str(i) for i in range(13))),
                       DimensionError),
     "phases-complex": (lambda: _experiment(phases=np.linspace(0, 6, 13) + 1j), DimensionError),
+    "phases-bool": (lambda: _experiment(phases=(False, True)), DimensionError),
     "reference-text": (lambda: _resample("0.5"), DimensionError),
     "reference-nan": (lambda: _resample(np.nan), NonFiniteError),
     "dataset-text-phase": (lambda: FringeDataset(("a",), np.zeros((4, 1), dtype=np.int64), 1, 0,
                                                  (1.0,) * 4), DimensionError),
+    "dataset-bool-phases": (lambda: FringeDataset((False, True), np.zeros((4, 2), dtype=np.int64),
+                                                  1, 0, (1.0,) * 4), DimensionError),
     "angle-bool": (lambda: jones_matrix("half", True), DimensionError),
     "angle-inf": (lambda: jones_matrix("quarter", np.inf), NonFiniteError),
     "target-not-text": (lambda: verify_noise_program((NoiseRow(5, 0, 0, 0, 0),)),

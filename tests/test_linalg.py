@@ -1,8 +1,5 @@
-import ast
-import importlib
 import math
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +16,6 @@ from whichway import (
     PathChannel,
     PositivityError,
     Preparation,
-    WhichWayError,
     identity_channel,
     ket,
     matrix_sqrt,
@@ -30,8 +26,6 @@ from whichway import (
 )
 from whichway.channels import pure_pair
 from whichway.linalg import density_matrix, real_in, unit_ket
-
-ROOT = Path(__file__).resolve().parents[1]
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=1, max_value=4)
@@ -316,198 +310,3 @@ def test_real_in_keeps_closed_ends():
     assert real_in(-180, "angle", -180.0, 180.0) == -180.0
     assert real_in(1, "contrast", 0.0, 1.0, open_low=True) == 1.0
     assert real_in(1e308, "tol", 0.0) == 1e308
-
-
-def _bool_isinstance_calls(source: str, allowed: str = "") -> list[int]:
-    """Lines of ``isinstance(x, bool)`` or ``isinstance(x, (..., bool, ...))``
-    calls outside the function named ``allowed``."""
-    tree = ast.parse(source)
-    skip = {id(node) for func in ast.walk(tree)
-            if isinstance(func, ast.FunctionDef) and func.name == allowed
-            for node in ast.walk(func)}
-    lines = []
-    for node in ast.walk(tree):
-        if id(node) in skip or not isinstance(node, ast.Call) or len(node.args) != 2:
-            continue
-        if not (isinstance(node.func, ast.Name) and node.func.id == "isinstance"):
-            continue
-        kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
-        if any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds):
-            lines.append(node.lineno)
-    return lines
-
-
-def test_only_int_at_least_checks_for_bools():
-    package = ROOT / "src" / "whichway"
-    offenders = [
-        f"{path.relative_to(package)}:{line}"
-        for path in sorted(package.rglob("*.py"))
-        for line in _bool_isinstance_calls(path.read_text(encoding="utf-8"),
-                                           "int_at_least" if path.name == "linalg.py" else "")
-    ]
-    assert offenders == []
-
-
-@pytest.mark.parametrize("source", [
-    "isinstance(v, bool)", "isinstance(v, (bool, np.bool_))",
-    "ok = isinstance(v, (int, bool)) or v < 0",
-    "def int_at_least(v):\n    pass\nisinstance(v, bool)",
-])
-def test_bool_isinstance_scan_flags(source):
-    assert _bool_isinstance_calls(source, "int_at_least") == [source.count("\n") + 1]
-
-
-@pytest.mark.parametrize("source", [
-    "isinstance(v, int)", "isinstance(v, (int, np.integer))", "bool(v)",
-    "def int_at_least(v):\n    return isinstance(v, bool)",
-])
-def test_bool_isinstance_scan_passes(source):
-    assert _bool_isinstance_calls(source, "int_at_least") == []
-
-
-# Modules whose every ``raise`` names a WhichWayError subclass, and the
-# (function, exception) pairs each exempts: the parameterised
-# ``raise error(...)`` of interferometer._refuse_rows, whose callers pass the
-# class, and the ArgumentTypeError of the CLI's argparse type helpers (the
-# inner ``parse`` of ``_at_least`` and ``_non_empty``), which argparse
-# reports as ``argument FLAG: ...`` with exit 2.
-ERROR_CONTRACT_MODULES = ("_files", "bounds", "channels", "duality", "linalg", "interferometer",
-                          "cli")
-EXEMPT_RAISES = {
-    "interferometer": {("_refuse_rows", "error")},
-    "cli": {("parse", "argparse.ArgumentTypeError")},
-}
-
-
-def _foreign_raises(source: str, namespace: dict, exempt=frozenset()) -> list[int]:
-    """Lines of ``raise X`` or ``raise X(...)`` whose X is not a plain name
-    bound in ``namespace`` to a WhichWayError subclass; ``exempt`` holds the
-    (function, name) pairs allowed inside that function, a dotted name for
-    an attribute. A bare re-raise passes."""
-    tree = ast.parse(source)
-    owner = {}
-    for func in ast.walk(tree):
-        if isinstance(func, ast.FunctionDef):
-            owner.update((id(node), func.name) for node in ast.walk(func))
-    lines = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Raise) or node.exc is None:
-            continue
-        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-        name = ast.unparse(exc) if isinstance(exc, (ast.Name, ast.Attribute)) else None
-        if (owner.get(id(node)), name) in exempt:
-            continue
-        cls = namespace.get(name)
-        if not (isinstance(cls, type) and issubclass(cls, WhichWayError)):
-            lines.append(node.lineno)
-    return lines
-
-
-def test_library_modules_raise_only_package_errors():
-    package = ROOT / "src" / "whichway"
-    offenders = []
-    for name in ERROR_CONTRACT_MODULES:
-        module = importlib.import_module(f"whichway.{name}")
-        offenders += [f"{name}.py:{line}" for line in _foreign_raises(
-            (package / f"{name}.py").read_text(encoding="utf-8"), vars(module),
-            EXEMPT_RAISES.get(name, frozenset()))]
-    assert offenders == []
-
-
-_SCAN_NAMESPACE = {"DimensionError": DimensionError, "ValueError": ValueError}
-_SCAN_EXEMPT = {("_refuse_rows", "error"), ("parse", "argparse.ArgumentTypeError")}
-
-
-@pytest.mark.parametrize("source", [
-    "raise ValueError('x')", "raise KeyError", "raise make()('x')",
-    "raise error('x')", "def other(error):\n    raise error('x')",
-    "def _refuse_rows(error):\n    raise ValueError('x')",
-    "raise argparse.ArgumentTypeError('x')",
-    "def parse(text):\n    raise argparse.ArgumentError('x')",
-    "def parse(text):\n    raise ArgumentTypeError('x')",
-])
-def test_foreign_raise_scan_flags(source):
-    assert _foreign_raises(source, _SCAN_NAMESPACE, _SCAN_EXEMPT) == [source.count("\n") + 1]
-
-
-@pytest.mark.parametrize("source", [
-    "raise DimensionError('x')", "raise DimensionError('x') from None", "raise DimensionError",
-    "try:\n    pass\nexcept KeyError:\n    raise",
-    "def _refuse_rows(error):\n    raise error('x')",
-    "def _at_least(flag):\n    def parse(text):\n        raise argparse.ArgumentTypeError('x')",
-])
-def test_foreign_raise_scan_passes(source):
-    assert _foreign_raises(source, _SCAN_NAMESPACE, _SCAN_EXEMPT) == []
-
-
-# The inline checks of a real setting that ``real_in`` retired, and where
-# each named exemption may keep one: the record check (p in [0, 1 + 1e-12],
-# beside its five-field finiteness check) and the CLI's integer caps on --d
-# and K.
-INLINE_REAL_EXEMPT = {
-    "bounds.py": {"FractionalVisibilityRecord.__post_init__"},
-    "cli.py": {"parse_channel"},
-}
-
-
-def _inline_real_checks(source: str, exempt=frozenset()) -> list[int]:
-    """Lines of chained comparisons (``not lo < x <= hi``), imports of
-    ``numbers`` and uses of ``numbers.Real`` outside the functions in
-    ``exempt``, each named with its class (``Class.method``)."""
-    lines = []
-
-    def visit(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            scope = f"{scope}.{node.name}" if scope else node.name
-            if scope in exempt:
-                return
-        if (isinstance(node, ast.Compare) and len(node.ops) > 1
-                or isinstance(node, ast.Attribute) and ast.unparse(node) == "numbers.Real"
-                or isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names)
-                or isinstance(node, ast.ImportFrom) and node.module == "numbers"):
-            lines.append(node.lineno)
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(ast.parse(source), "")
-    return lines
-
-
-def test_only_real_in_checks_real_settings_inline():
-    package = ROOT / "src" / "whichway"
-    offenders = [
-        f"{path.name}:{line}"
-        for path in sorted(package.glob("*.py")) if path.name != "linalg.py"
-        for line in _inline_real_checks(path.read_text(encoding="utf-8"),
-                                        INLINE_REAL_EXEMPT.get(path.name, frozenset()))
-    ]
-    assert offenders == []
-
-
-_REAL_SCAN_EXEMPT = set().union(*INLINE_REAL_EXEMPT.values())
-
-
-@pytest.mark.parametrize("source", [
-    # the retired checks of jones_matrix, _counting_settings, _counting_phases
-    # and binomial_resample, as they were
-    "if not isinstance(angle_deg, numbers.Real): pass",
-    "if not -180.0 <= angle_deg <= 180.0: pass",
-    "ok = any(not 0.0 < e <= 1.0 for e in efficiencies)",
-    "if not 0.0 < contrast <= 1.0: pass",
-    "if not 0.0 < reference_efficiency <= min(ds.efficiencies): pass",
-    "import numbers", "from numbers import Real", "import math, numbers",
-    "class FringeDataset:\n    def __post_init__(self):\n        ok = 0 < self.p <= 1",
-    "def _counting_phases(c):\n    return 0 < c <= 1",
-], ids=["numbers-real", "angle", "efficiencies", "contrast", "reference", "import",
-        "import-from", "import-list", "other-class", "other-function"])
-def test_inline_real_check_scan_flags(source):
-    assert _inline_real_checks(source, _REAL_SCAN_EXEMPT) == [source.count("\n") + 1]
-
-
-@pytest.mark.parametrize("source", [
-    "real_in(contrast, 'contrast', 0.0, 1.0, open_low=True)", "ok = a < b", "ok = a < b and b <= c",
-    "class FractionalVisibilityRecord:\n    def __post_init__(self):\n        ok = 0 <= p <= 1",
-    "def parse_channel(d):\n    return 1 <= d <= 16",
-])
-def test_inline_real_check_scan_passes(source):
-    assert _inline_real_checks(source, _REAL_SCAN_EXEMPT) == []

@@ -1,0 +1,328 @@
+"""The package's static code rules, in one table with one walker.
+
+Each file of ``src/whichway`` is parsed once, and :func:`walk` yields every
+node with its module and the qualified name of the def or class around it.
+A :class:`Rule` row holds a predicate that names the offence a node commits
+(or returns None), the modules it covers, its exemptions, each keyed
+(module, qualname) with a reason, and planted sources: each ``flags`` source
+is flagged once, at its last line, and each ``passes`` source passes, when
+parsed as the module it is listed under. The positive structure checks (the
+CLI calls ``certify_run``; the benchmark's trace targets and the package
+exports resolve) read the same parsed trees.
+"""
+
+import ast
+import importlib
+import types
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, NamedTuple
+
+import pytest
+
+from whichway import WhichWayError
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "whichway"
+MODULES = tuple(sorted(path.stem for path in PACKAGE.glob("*.py")))
+
+
+def walk(module: str, tree: ast.AST):
+    """Yield ``(module, qualname, node)`` for every node of ``tree``. The
+    qualname dots the names of the enclosing defs and classes (``Class.method``,
+    ``outer.inner``; a def or class is inside its own) and is "" at module
+    level."""
+    stack = [("", tree)]
+    while stack:
+        scope, node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        yield module, scope, node
+        stack.extend((scope, child) for child in ast.iter_child_nodes(node))
+
+
+TREES = {m: ast.parse((PACKAGE / f"{m}.py").read_text(encoding="utf-8")) for m in MODULES}
+NODES = {m: tuple(walk(m, tree)) for m, tree in TREES.items()}
+
+
+def namespace(module: str) -> dict:
+    return vars(importlib.import_module("whichway" if module == "__init__" else f"whichway.{module}"))
+
+
+def _name(node) -> str | None:
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _open_call(node) -> str | None:
+    """``open`` or ``fdopen`` if ``node`` calls it, bare or as an attribute."""
+    if isinstance(node, ast.Call) and _name(node.func) in ("open", "fdopen"):
+        return _name(node.func)
+    return None
+
+
+def writing_open(node, ns):
+    """An ``open``/``fdopen`` call whose mode writes ("w", "a", "x" or "+")
+    or is not a string literal."""
+    name = _open_call(node)
+    if not name:
+        return None
+    mode = node.args[1] if len(node.args) > 1 else next(
+        (k.value for k in node.keywords if k.arg == "mode"), None)
+    if mode is not None and (not (isinstance(mode, ast.Constant) and isinstance(mode.value, str))
+                             or set(mode.value) & set("wax+")):
+        return f"{name} with mode {ast.unparse(mode)}"
+    return None
+
+
+def open_or_csv(node, ns):
+    """An ``open``/``fdopen`` call in any mode, or an import of ``csv``."""
+    if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "csv" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "csv"):
+        return "import of csv"
+    return _open_call(node)
+
+
+def bool_isinstance(node, ns):
+    """``isinstance(x, bool)`` or ``isinstance(x, (..., bool, ...))``."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2):
+        return None
+    kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+    if any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds):
+        return "isinstance(..., bool)"
+    return None
+
+
+def foreign_raise(node, ns):
+    """``raise X`` or ``raise X(...)`` whose X is not a plain name bound in
+    the module to a WhichWayError subclass; a bare re-raise passes."""
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return None
+    name = ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+    cls = ns.get(name)
+    return None if isinstance(cls, type) and issubclass(cls, WhichWayError) else f"raise {name}"
+
+
+def inline_real(node, ns):
+    """A chained comparison (``not lo < x <= hi``), an import of ``numbers``
+    or a use of ``numbers.Real``."""
+    if isinstance(node, ast.Compare) and len(node.ops) > 1:
+        return "chained comparison"
+    if isinstance(node, ast.Attribute) and ast.unparse(node) == "numbers.Real":
+        return "numbers.Real"
+    if (isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "numbers"):
+        return "import of numbers"
+    return None
+
+
+def certification_policy(node, ns):
+    """A certificate builder or ``COMPLEMENTARY``, named or called."""
+    name = _name(node)
+    if name and ("COMPLEMENTARY" in name
+                 or name in ("swap_certificate", "single_preparation_certificate")):
+        return name
+    return None
+
+
+def private_name(node, ns):
+    """An import of a private name from the package, or an attribute of a
+    package module whose name starts with ``_``."""
+    if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "whichway"):
+        private = [a.name for a in node.names if a.name.startswith("_")]
+        return f"import of {', '.join(private)}" if private else None
+    if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and isinstance(node.value, ast.Name)):
+        module = ns.get(node.value.id)
+        if isinstance(module, types.ModuleType) and module.__name__.split(".")[0] == "whichway":
+            return ast.unparse(node)
+    return None
+
+
+class Exempt(NamedTuple):
+    module: str
+    qualname: str  # covers the defs and classes nested in it too
+    reason: str
+    offence: str = ""  # the one offence allowed there; "" allows any
+
+    def covers(self, module: str, qualname: str, offence: str) -> bool:
+        return (module == self.module and self.offence in ("", offence)
+                and (qualname == self.qualname or qualname.startswith(self.qualname + ".")))
+
+
+@dataclass(frozen=True)
+class Rule:
+    name: str
+    offence: Callable  # (node, module namespace) -> the offence, or None
+    modules: tuple
+    exempt: tuple
+    flags: dict  # module -> sources
+    passes: dict
+
+    def offenders(self, module: str, nodes) -> list[tuple[int, str]]:
+        ns = namespace(module)
+        return sorted((node.lineno, what) for _, qualname, node in nodes
+                      if (what := self.offence(node, ns))
+                      and not any(e.covers(module, qualname, what) for e in self.exempt))
+
+
+_ARGPARSE = "argparse reports ArgumentTypeError as `argument FLAG: ...` with exit 2"
+
+RULES = (
+    Rule("writing-open", writing_open, MODULES, (
+        Exempt("_files", "write_text", "the one writer of every file the package writes"),
+        Exempt("_files", "stdout_to_devnull", "points stdout at os.devnull after a broken pipe"),
+    ), flags={"bounds": (
+        'open(p, "w", encoding="ascii")', "open(p, mode='a')", 'io.open(p, "x")',
+        'os.fdopen(fd, "wb")', 'open(p, "r+")', "open(p, mode)",
+    )}, passes={"bounds": ('open(p, "r", encoding="ascii")', "open(p)", "p.open()")}),
+    # _files is the one module that opens a file and knows the CSV dialect
+    Rule("open-or-csv", open_or_csv, tuple(m for m in MODULES if m != "_files"), (), flags={
+        "bounds": ('open(p, "r", encoding="ascii")', "open(p)", "p.open()", "os.fdopen(fd)",
+                   "os.open(p, os.O_RDONLY)", "import csv", "import os, csv",
+                   "from csv import reader"),
+    }, passes={"bounds": ("import io", "from . import csvlike", "read_csv(p)")}),
+    Rule("bool-isinstance", bool_isinstance, MODULES, (
+        Exempt("linalg", "int_at_least", "the one integer rule: a bool is not an integer"),
+    ), flags={"linalg": (
+        "isinstance(v, bool)", "isinstance(v, (bool, np.bool_))",
+        "ok = isinstance(v, (int, bool)) or v < 0",
+        "def int_at_least(v):\n    pass\nisinstance(v, bool)",
+    ), "interferometer": ("ok = not any(isinstance(p, bool) for p in phases)",)}, passes={"linalg": (
+        "isinstance(v, int)", "isinstance(v, (int, np.integer))", "bool(v)",
+        "def int_at_least(v):\n    return isinstance(v, bool)",
+    )}),
+    Rule("foreign-raise", foreign_raise, MODULES, (
+        Exempt("interferometer", "_refuse_rows", "its callers pass the package error class",
+               "raise error"),
+        Exempt("cli", "_at_least.parse", _ARGPARSE, "raise argparse.ArgumentTypeError"),
+        Exempt("cli", "_non_empty.parse", _ARGPARSE, "raise argparse.ArgumentTypeError"),
+    ), flags={"cli": (
+        "raise ValueError('x')", "raise KeyError", "raise make()('x')",
+        "raise argparse.ArgumentTypeError('x')",
+        "def parse(text):\n    raise argparse.ArgumentError('x')",
+        "def parse(text):\n    raise ArgumentTypeError('x')",
+    ), "interferometer": (
+        "raise error('x')", "def other(error):\n    raise error('x')",
+        "def _refuse_rows(error):\n    raise ValueError('x')",
+    )}, passes={"cli": (
+        "raise DimensionError('x')", "raise DimensionError('x') from None", "raise DimensionError",
+        "try:\n    pass\nexcept KeyError:\n    raise",
+        "def _at_least(flag):\n    def parse(text):\n        raise argparse.ArgumentTypeError('x')",
+    ), "interferometer": ("def _refuse_rows(error):\n    raise error('x')",)}),
+    # linalg holds real_in, the one rule for a real setting
+    Rule("inline-real", inline_real, tuple(m for m in MODULES if m != "linalg"), (
+        Exempt("bounds", "FractionalVisibilityRecord.__post_init__",
+               "p in [0, 1 + 1e-12], beside the record's five-field finiteness check"),
+        Exempt("cli", "parse_channel", "the CLI's integer caps on --d and K"),
+    ), flags={"bounds": (
+        # the retired checks of jones_matrix, _counting_settings, _counting_phases
+        # and binomial_resample, as they were
+        "if not isinstance(angle_deg, numbers.Real): pass",
+        "if not -180.0 <= angle_deg <= 180.0: pass",
+        "ok = any(not 0.0 < e <= 1.0 for e in efficiencies)",
+        "if not 0.0 < contrast <= 1.0: pass",
+        "if not 0.0 < reference_efficiency <= min(ds.efficiencies): pass",
+        "import numbers", "from numbers import Real", "import math, numbers",
+        "class FringeDataset:\n    def __post_init__(self):\n        ok = 0 < self.p <= 1",
+        "def _counting_phases(c):\n    return 0 < c <= 1",
+    )}, passes={"bounds": (
+        "real_in(contrast, 'contrast', 0.0, 1.0, open_low=True)", "ok = a < b",
+        "ok = a < b and b <= c",
+        "class FractionalVisibilityRecord:\n    def __post_init__(self):\n        ok = 0 <= p <= 1",
+    ), "cli": ("def parse_channel(d):\n    return 1 <= d <= 16",)}),
+    # a run's bounds come from bounds.certify_run; the CLI only prints them
+    Rule("cli-certification-policy", certification_policy, ("cli",), (), flags={"cli": (
+        "bnd.swap_certificate(records)", "single_preparation_certificate(mu, records)",
+        "pairs = bnd.COMPLEMENTARY", "for pair in COMPLEMENTARY_PAIRS: pass",
+    )}, passes={"cli": ("bnd.certify_run(records)", "print(bnd.certificate_report(cert))")}),
+    Rule("cli-private-names", private_name, ("cli",), (), flags={"cli": (
+        "bnd._record_map(records)", "from .bounds import _record_map",
+        "from whichway.interferometer import _phase_tuple", "itf._phase_tuple(phases)",
+    )}, passes={"cli": (
+        "from ._files import write_text", "bnd.certify_run(records)", "sys._getframe()",
+    )}),
+)
+
+
+def _planted(kind: str) -> list:
+    return [pytest.param(rule, module, source, id=f"{rule.name}-{source}")
+            for rule in RULES for module, sources in getattr(rule, kind).items()
+            for source in sources]
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.name)
+def test_the_package_obeys_the_rule(rule):
+    offenders = [f"src/whichway/{m}.py:{line}: {what}"
+                 for m in rule.modules for line, what in rule.offenders(m, NODES[m])]
+    assert offenders == []
+
+
+@pytest.mark.parametrize("rule, module, source", _planted("flags"))
+def test_planted_flag(rule, module, source):
+    lines = [line for line, _ in rule.offenders(module, walk(module, ast.parse(source)))]
+    assert lines == [source.count("\n") + 1]
+
+
+@pytest.mark.parametrize("rule, module, source", _planted("passes"))
+def test_planted_pass(rule, module, source):
+    assert rule.offenders(module, walk(module, ast.parse(source))) == []
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.name)
+def test_every_exemption_suppresses_a_node_of_the_package(rule):
+    for e in rule.exempt:
+        ns = namespace(e.module)
+        assert e.module in rule.modules and e.reason
+        assert any(e.covers(e.module, qualname, what) for _, qualname, node in NODES[e.module]
+                   if (what := rule.offence(node, ns))), e
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.name)
+def test_every_rule_plants_a_flag_and_a_pass(rule):
+    assert any(rule.flags.values()) and any(rule.passes.values())
+
+
+def test_cli_calls_certify_run():
+    assert any(isinstance(node, ast.Call) and _name(node.func) == "certify_run"
+               for _, _, node in NODES["cli"])
+
+
+def test_trace_targets_resolve():
+    # TARGETS of bench/tracing.py, read with ast: nothing under bench/ is
+    # imported or written
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    targets = next((ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign) and [_name(t) for t in node.targets] == [
+                        "TARGETS"]), None)
+    assert targets is not None, "bench/tracing.py defines no TARGETS"
+    assert sum(map(len, targets.values())) == 21
+    for layer, names in targets.items():
+        module = importlib.import_module(f"whichway.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"whichway.{layer}.{name}"
+
+
+def test_package_exports_resolve_and_come_from_each_modules_all():
+    # a name removed from a module cannot linger in its __all__ or in the
+    # package namespace
+    import whichway
+
+    modules = ("linalg", "channels", "duality", "bounds", "interferometer")
+    exported = {}
+    for layer in modules:
+        module = importlib.import_module(f"whichway.{layer}")
+        exported[layer] = set(module.__all__)
+        assert len(module.__all__) == len(exported[layer]), f"whichway.{layer}.__all__"
+        for name in module.__all__:
+            assert hasattr(module, name), f"whichway.{layer}.{name}"
+
+    imported = [(node.module, alias.name) for node in TREES["__init__"].body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names]
+    assert {layer for layer, _ in imported} == {*modules, "errors"}
+    stale = [f"{layer}.{name}" for layer, name in imported
+             if layer in exported and name not in exported[layer]]
+    assert stale == []
+    assert all(hasattr(whichway, name) for _, name in imported)
+    assert not hasattr(whichway, "SpinState")
