@@ -1,6 +1,8 @@
 """The one place the package opens a file, and the one that knows the CSV
 dialect: the :mod:`csv` defaults (``\r\n`` line ends) in ASCII, a header row
-first. Each reader and writer takes a path (a ``str`` or an
+first. Text that is not ASCII raises :class:`InputFormatError`, on read
+naming the byte's offset and on write, before anything is written, the
+character's. Each reader and writer takes a path (a ``str`` or an
 :class:`os.PathLike`) or, except :func:`write_text`, an open text buffer;
 anything else, a bool or an int file descriptor included, raises
 :class:`DimensionError` before any file is opened.
@@ -32,16 +34,27 @@ def _checked(path, buffer_ok: bool = False):
                          f"got {path!r}")
 
 
+def _ascii(text: str, target) -> bytes:
+    """``text`` encoded as ASCII; a character outside ASCII raises
+    :class:`InputFormatError` naming ``target`` and the character's
+    offset in the text."""
+    try:
+        return text.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise InputFormatError(f"{target}: character U+{ord(text[exc.start]):04X} at offset "
+                               f"{exc.start} is not ASCII") from None
+
+
 def write_text(path, text: str) -> None:
     """Write ``text`` as ASCII to ``path``, creating the file or rewriting it
     in place (same inode, no stale tail).
 
     The text is encoded before the file is touched, so a non-ASCII character
-    raises :class:`UnicodeEncodeError` and leaves the file as it was. Only a
+    raises :class:`InputFormatError` and leaves the file as it was. Only a
     regular file is cut to length: ``ftruncate`` fails on ``/dev/null``.
     """
-    data = text.encode("ascii")
-    fd = os.open(_checked(path), os.O_WRONLY | os.O_CREAT, 0o666)
+    data = _ascii(text, _checked(path))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     with open(fd, "wb") as fh:
         fh.write(data)
         if stat.S_ISREG(os.fstat(fd).st_mode):
@@ -104,12 +117,15 @@ def read_csv(path_or_buffer, fields: list[str], types) -> list[list]:
 
 def write_csv(path_or_buffer, fields: list[str], rows) -> None:
     """Write a CSV of header ``fields`` and then ``rows`` to an open text
-    buffer, or as ASCII to a path through :func:`write_text`."""
+    buffer, or to a path through :func:`write_text`; either way a non-ASCII
+    character raises :class:`InputFormatError` before anything is written."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(fields)
     writer.writerows(rows)
+    text = buf.getvalue()
     if isinstance(_checked(path_or_buffer, buffer_ok=True), io.TextIOBase):
-        path_or_buffer.write(buf.getvalue())
+        _ascii(text, path_or_buffer)
+        path_or_buffer.write(text)
     else:
-        write_text(path_or_buffer, buf.getvalue())
+        write_text(path_or_buffer, text)

@@ -26,10 +26,12 @@ failure. A closed stdout pipe (``whichway ... | head``) ends the run quietly
 with exit 0. A reproduce run that certifies no bound (neither the four-term
 bound nor any single-preparation bound, as with a header-only records CSV)
 is an input error (certify_run raises DimensionError), and so is an empty
---out, --filters or --from-csv, refused at parse time. For verify, a slack
-below -1e-8 is a numerical failure, as is D < 1 - V_G: DualityReport
-refuses both, and verify exits 3 whatever --tol. Otherwise verify exits 0
-if the slack is at least -tol (--tol, default 1e-8) and 1 if it lies in
+--out, --filters or --from-csv, refused at parse time. vg,
+distinguishability and verify print lines of one verify_inequality report,
+so for each a slack below -1e-8 is a numerical failure, as is
+D < 1 - V_G: DualityReport refuses both, and the command exits 3 whatever
+--tol. Otherwise vg and distinguishability exit 0, and verify exits 0 if
+the slack is at least -tol (--tol, default 1e-8) and 1 if it lies in
 [-1e-8, -tol).
 """
 
@@ -184,33 +186,28 @@ def _fixed(x: float, digits: int = 4) -> str:
     return f"{round(x, digits) + 0.0:.{digits}f}"
 
 
-def cmd_vg(args) -> int:
-    ch = parse_channel(args.channel, args.d)
-    prep = parse_preparation(args.prep, args.d)
-    _emit(f"V_G = {dua.generalized_visibility(ch, prep):.4f}", args.out)
-    return EXIT_OK
-
-
-def cmd_distinguishability(args) -> int:
-    ch = parse_channel(args.channel, args.d)
-    prep = parse_preparation(args.prep, args.d)
-    _emit(f"D = {dua.verify_inequality(ch, prep).distinguishability:.4f}", args.out)
-    return EXIT_OK
-
-
-def cmd_verify(args) -> int:
-    ch = parse_channel(args.channel, args.d)
-    prep = parse_preparation(args.prep, args.d)
-    report = dua.verify_inequality(ch, prep)
-    v_val = report.visibility
-    bound = float(np.sqrt(max(1.0 - v_val**2, 0.0)))
-    lines = [
+def _duality_lines(command: str, report: dua.DualityReport) -> list[str]:
+    """The lines ``vg``, ``distinguishability`` or ``verify`` prints."""
+    if command == "vg":
+        return [f"V_G = {report.visibility:.4f}"]
+    if command == "distinguishability":
+        return [f"D = {report.distinguishability:.4f}"]
+    bound = float(np.sqrt(max(1.0 - report.visibility**2, 0.0)))
+    return [
         f"D     = {report.distinguishability:.4f}",
-        f"V_G   = {v_val:.4f}",
+        f"V_G   = {report.visibility:.4f}",
         f"D_max = {bound:.4f}  (sqrt(1 - V_G^2))",
         f"slack = {_fixed(report.slack)}  (1 - D^2 - V_G^2)",
     ]
-    _emit("\n".join(lines), args.out)
+
+
+def cmd_duality(args) -> int:
+    """``vg``, ``distinguishability`` and ``verify``: the lines of one
+    :func:`~whichway.duality.verify_inequality` report."""
+    ch = parse_channel(args.channel, args.d)
+    prep = parse_preparation(args.prep, args.d)
+    report = dua.verify_inequality(ch, prep)
+    _emit("\n".join(_duality_lines(args.command, report)), args.out)
     return EXIT_OK if report.slack >= -args.tol else EXIT_VIOLATION
 
 
@@ -225,17 +222,14 @@ def cmd_table(args) -> int:
         for nu in labels
     ]
     recs = {r.key: r for r in records}
-    lines = ["fractional visibilities V (rows mu, columns nu)"]
     header = "      " + "  ".join(f"{nu:>7}" for nu in labels)
-    lines.append(header)
-    for mu in labels:
-        cells = "  ".join(f"{abs(recs[(mu, nu)].visibility):7.4f}" for nu in labels)
-        lines.append(f"{mu:>4}  {cells}")
-    lines.append("filtering probabilities p")
-    lines.append(header)
-    for mu in labels:
-        cells = "  ".join(f"{recs[(mu, nu)].p:7.4f}" for nu in labels)
-        lines.append(f"{mu:>4}  {cells}")
+    lines = []
+    for title, value in (("fractional visibilities V (rows mu, columns nu)",
+                          lambda r: abs(r.visibility)),
+                         ("filtering probabilities p", lambda r: r.p)):
+        lines += [title, header]
+        lines += [f"{mu:>4}  " + "  ".join(f"{value(recs[(mu, nu)]):7.4f}" for nu in labels)
+                  for mu in labels]
     if args.out is not None:
         bnd.write_records_csv(records, args.out)
     print("\n".join(lines))
@@ -315,19 +309,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=_non_empty("--out"),
                        help="write the primary output to this path")
 
-    p_vg = sub.add_parser("vg", help="generalized visibility")
-    add_common(p_vg)
-    p_vg.set_defaults(func=cmd_vg)
-
-    p_d = sub.add_parser("distinguishability", help="which-way distinguishability")
-    add_common(p_d)
-    p_d.set_defaults(func=cmd_distinguishability)
-
-    p_verify = sub.add_parser("verify", help="verify the trade-off")
-    add_common(p_verify)
-    p_verify.add_argument("--tol", type=_at_least(float, real_in, 0.0, "--tol"), default=1e-8,
-                          help="tolerance for the trade-off check, finite and >= 0")
-    p_verify.set_defaults(func=cmd_verify)
+    for name, help_text in (("vg", "generalized visibility"),
+                            ("distinguishability", "which-way distinguishability"),
+                            ("verify", "verify the trade-off")):
+        p = sub.add_parser(name, help=help_text)
+        add_common(p)
+        # verify's --tol defaults to the report's slack floor, which vg and
+        # distinguishability keep: they exit 0 or 3
+        p.set_defaults(func=cmd_duality, tol=-dua.INEQUALITY_SLACK_FLOOR)
+        if name == "verify":
+            p.add_argument("--tol", type=_at_least(float, real_in, 0.0, "--tol"),
+                           help="tolerance for the trade-off check, finite and >= 0")
 
     p_table = sub.add_parser("table", help="theory grid for the noise mixture")
     p_table.add_argument("--out", type=_non_empty("--out"),

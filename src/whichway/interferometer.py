@@ -14,11 +14,12 @@ from the per-Kraus amplitudes of every cell, formed in one contraction. Each
 cell then draws its counts as two arrays, and the cells fill one
 (cells, 4, phases) counts array, detectors in the order plus, minus, ref0,
 ref1; a :class:`FringeDataset` holds one cell of it as a read-only copy. One
-fit serves every cell of that array with one batched thin SVD; a phase
-without counts in a cell has its design rows zeroed, so it drops out of that
-cell's fit, and each fitted cell is a :class:`FractionalVisibilityRecord`
-that carries its residual rms; a fit beyond the records' 3-sigma envelope
-raises :class:`NumericalError`.
+fit serves every cell of that array in closed form: p is the mean of the
+detector sum, and V solves the 2 x 2 normal equations of the detector
+difference, one batched inverse for all cells. A phase without counts in a
+cell takes no part in that cell's fit, and each fitted cell is a
+:class:`FractionalVisibilityRecord` that carries its residual rms; a fit
+beyond the records' 3-sigma envelope raises :class:`NumericalError`.
 
 Random streams: a cell seeded ``seed`` draws from one generator,
 ``np.random.default_rng(seed)``. It first makes one ``multinomial`` call over
@@ -468,11 +469,13 @@ def _fit_counts(phases: np.ndarray, counts: np.ndarray, keys) -> list[Fractional
     """:func:`fit_fringes` of every cell of (cells, 4, phases) counts over
     the same strictly increasing phases, cell c labelled by the c-th key.
 
-    The design and data rows of a phase with no counts in a cell are zeroed,
-    so that phase drops out of the cell's fit, which has
-    2 * (populated phases) - 3 degrees of freedom. One batched thin SVD then
-    fits every cell, and each cell keeps every check of its own fit, the
-    records' 3-sigma envelope included.
+    Over a cell's m populated phases, the detector sum n+/T + n-/T fits p
+    and the difference n+/T - n-/T fits b . (Re V, Im V), b = (cos phi,
+    -sin phi): the normal matrix is diag(m, G) / 2, G the 2 x 2 Gram matrix
+    of b, so p is the mean sum and one batched 2 x 2 inverse of G gives V.
+    The residual variance is pooled over both detectors, 2m - 3 degrees of
+    freedom, and each cell keeps every check of its own fit, the records'
+    3-sigma envelope included.
     """
     totals = counts.sum(axis=1)
     populated = totals > 0
@@ -489,39 +492,35 @@ def _fit_counts(phases: np.ndarray, counts: np.ndarray, keys) -> list[Fractional
             raise NumericalError("insufficient phase coverage: need >= 4 populated phases")
         raise NumericalError("insufficient phase coverage: span below half a period")
 
-    c, s = 0.5 * np.cos(phases), 0.5 * np.sin(phases)
-    half = np.full_like(c, 0.5)
-    design = np.concatenate([np.stack([half, c, -s], -1), np.stack([half, -c, s], -1)])
-    rows = np.tile(populated, 2)  # plus rows, then minus rows
-    design = np.where(rows[..., None], design, 0.0)
-    y = (counts[:, :2] / np.where(populated, totals, 1)[:, None]).reshape(len(counts), -1)
-
-    # The thin SVD of each cell's design gives the condition number of its
-    # normal equations, (s_max / s_min)^2, its least-squares solution and its
-    # covariance up to the residual variance.
-    u, s, vt = np.linalg.svd(design, full_matrices=False)
-    if (s[:, 0] ** 2 > 1e12 * s[:, -1] ** 2).any():
+    # an unpopulated phase has zero sum, difference and weight
+    y = counts[:, :2] / np.where(populated, totals, 1)[:, None]
+    total, diff = y[:, 0] + y[:, 1], y[:, 0] - y[:, 1]
+    b = np.stack([np.cos(phases), -np.sin(phases)])
+    m = populated.sum(axis=1)
+    gram = (populated[:, None, :] * b) @ b.T
+    # tr G = m, so (s_max / s_min)^2 = max(m, l_max) / min(m, l_min) of the
+    # design is m / l_min, l_min the smaller eigenvalue of G
+    l_min = 0.5 * m - np.hypot(0.5 * (gram[:, 0, 0] - gram[:, 1, 1]), gram[:, 0, 1])
+    if (m > 1e12 * l_min).any():
         raise NumericalError("degenerate design matrix: phases do not constrain the fit")
-    v = vt.swapaxes(1, 2)
-    beta = (v @ ((u.swapaxes(1, 2) @ y[..., None]) / s[..., None]))[..., 0]
-    resid = y - (design @ beta[..., None])[..., 0]
-    sq = np.einsum("ci,ci->c", resid, resid)
-    n_rows = rows.sum(axis=1)
-    var = sq / (n_rows - 3)
-    unit_cov = (v / s[:, None, :] ** 2) @ vt
+    g_inv = np.linalg.inv(gram)
+    p_hat = total.sum(axis=1) / m
+    beta = (g_inv @ (diff @ b.T)[..., None])[..., 0]
+    # the plus and minus residuals are (sum residual +/- difference residual) / 2
+    resid = np.where(populated, [total - p_hat[:, None], diff - beta @ b], 0.0)
+    sq = 0.5 * np.einsum("icj,icj->c", resid, resid)
+    # twice the pooled variance: the covariance of (p, V) is scale * diag(1 / m, G^-1)
+    scale = 2.0 * sq / (2 * m - 3)
 
-    mag = np.hypot(beta[:, 1], beta[:, 2])
-    grad = beta[:, 1:] / np.where(mag > 1e-12, mag, 1.0)[:, None]
-    spread_v = np.where(
-        mag > 1e-12,
-        np.einsum("ci,cij,cj->c", grad, unit_cov[:, 1:, 1:], grad),
-        0.5 * (unit_cov[:, 1, 1] + unit_cov[:, 2, 2]),
-    )
-    sigma_p = np.sqrt(np.maximum(var * unit_cov[:, 0, 0], 0.0))
-    sigma_v = np.sqrt(np.maximum(var * spread_v, 0.0))
-    rms = np.sqrt(sq / n_rows)
-    p = np.clip(beta[:, 0], 0.0, 1.0)
-    vis = beta[:, 1] + 1j * beta[:, 2]
+    mag = np.hypot(beta[:, 0], beta[:, 1])
+    grad = beta / np.where(mag > 1e-12, mag, 1.0)[:, None]
+    spread_v = np.where(mag > 1e-12, np.einsum("ci,cij,cj->c", grad, g_inv, grad),
+                        0.5 * (g_inv[:, 0, 0] + g_inv[:, 1, 1]))
+    sigma_p = np.sqrt(scale / m)
+    sigma_v = np.sqrt(scale * spread_v)
+    rms = np.sqrt(sq / (2 * m))
+    p = np.clip(p_hat, 0.0, 1.0)
+    vis = beta[:, 0] + 1j * beta[:, 1]
     if _beyond_envelope(vis, p, sigma_p, sigma_v).any():
         raise NumericalError("fitted |V| exceeds p beyond the 3-sigma envelope; fit inconsistent")
     return [FractionalVisibilityRecord(mu, nu, *fields) for (mu, nu), *fields
@@ -569,9 +568,9 @@ def run_experiment(
     by m, cell (mu, nu) is ``simulate_fringes(..., efficiencies=(m,) * 4,
     seed=seed + (i_mu, i_nu))``, drawn as the module docstring states. The
     draws of all cells fill one (cells, 4, phases) counts array, which one
-    batched SVD fits (:func:`fit_fringes` of each cell). A fit needs counts, so
-    ``shots_per_phase`` below 1 is a :class:`DimensionError`, and so is an
-    empty ``preparations`` or ``filters``.
+    closed-form fit serves (:func:`fit_fringes` of each cell). A fit needs
+    counts, so ``shots_per_phase`` below 1 is a :class:`DimensionError`, and
+    so is an empty ``preparations`` or ``filters``.
     """
     preparations = rectilinear_preparations() if preparations is None else preparations
     filters = rectilinear_filters() if filters is None else filters

@@ -15,7 +15,7 @@ for integers, real settings, finite entries, unit kets and density matrices
 are written once, here: :func:`int_at_least` (a bool is not an integer),
 :func:`real_in` (a real number in an interval, returned as a float; a bool,
 text, None or an array is not one), :func:`finite_array` (an array of
-numbers; an array of bools or text is not one), :func:`unit_ket`
+numbers; one with a bool or text entry is not one), :func:`unit_ket`
 (norm one within 1e-10) and :func:`density_matrix` (Hermitian, PSD and unit
 trace within 1e-10); all but :func:`int_at_least` raise
 :class:`NonFiniteError` for a NaN or infinite value or entry, whatever else
@@ -119,18 +119,22 @@ def finite_array(a, what: str) -> np.ndarray:
     """``a`` as a complex array; raises :class:`NonFiniteError` on a NaN or
     infinite entry, and :class:`DimensionError` naming ``what`` for an input
     that numpy cannot read as numbers, can read only by parsing text (a
-    str or bytes entry) or reads as bools."""
+    str or bytes entry) or reads as bools, a bool among numbers included."""
     try:
         raw = np.asarray(a)
-        a = raw.astype(complex, copy=False)
+        values = raw.astype(complex, copy=False)
     except (TypeError, ValueError):
         raw = None
-    if raw is None or raw.dtype.kind in "bSU" or raw.dtype.kind == "O" and any(
-            isinstance(x, (str, bytes)) for x in raw.flat):
+    # numpy reads [False, 0.5] as [0.0, 0.5] and parses text in an object
+    # array, so the entries of an input that is not a numeric ndarray are
+    # read one by one; a numeric ndarray has one kind
+    scan = raw is not None and (raw.dtype.kind == "O" or not isinstance(a, np.ndarray))
+    entries = np.array(a, dtype=object).flat if scan else [raw]
+    if raw is None or any(np.asarray(x).dtype.kind in "bSU" for x in entries):
         raise DimensionError(f"{what} is not an array of numbers")
-    if not np.isfinite(a).all():
+    if not np.isfinite(values).all():
         raise NonFiniteError(f"NaN or infinite entry in {what}")
-    return a
+    return values
 
 
 def unit_ket(psi, what: str) -> np.ndarray:

@@ -556,8 +556,8 @@ def binomial_resample(ds, reference_efficiency, seed):
     return replace(ds, counts=np.array(counts), efficiencies=(reference_efficiency,) * 4)
 
 
-def simulate_cells(ch, seed, shots_per_phase=10_000, efficiencies=(1.0, 1.0, 1.0, 1.0),
-                   contrast=1.0):
+def simulate_cells(ch, seed, phases=None, shots_per_phase=10_000,
+                   efficiencies=(1.0, 1.0, 1.0, 1.0), contrast=1.0):
     """(mu, nu, dataset) of the 16 rectilinear cells, one cell at a time:
     :func:`simulate_fringes` above seeded ``seed + (i_mu, i_nu)``, with every
     detector at the lowest efficiency."""
@@ -567,7 +567,7 @@ def simulate_cells(ch, seed, shots_per_phase=10_000, efficiencies=(1.0, 1.0, 1.0
     for i_mu, mu in enumerate(sorted(preparations)):
         for i_nu, nu in enumerate(sorted(filters)):
             ds = simulate_fringes(
-                ch, preparations[mu], filters[nu], shots_per_phase=shots_per_phase,
+                ch, preparations[mu], filters[nu], phases, shots_per_phase=shots_per_phase,
                 efficiencies=(min(efficiencies),) * 4, contrast=contrast,
                 seed=seed_seq + (i_mu, i_nu),
             )

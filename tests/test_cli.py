@@ -268,6 +268,17 @@ def test_tol_is_a_verify_option_only():
         assert exc.value.code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("command", ["vg", "distinguishability", "verify"])
+def test_duality_commands_share_the_slack_floor(capsys, monkeypatch, command):
+    # D = V_G = 0.9 leaves slack -0.62, below the -1e-8 floor of DualityReport
+    import whichway.duality as dua
+
+    monkeypatch.setattr(dua, "_d_and_vg", lambda ch, prep: (0.9, 0.9))
+    code, out, err = run_cli(capsys, command, "--channel", "identity", "--prep", "mixed")
+    assert code == EXIT_NUMERICAL and out == ""
+    assert err.startswith("numerical failure: trade-off violated: D=0.9, V_G=0.9")
+
+
 @pytest.mark.parametrize("channel,prep", [
     ("replace", "pure:h,v"),
     ("replace:h", "ensemble:0.3,h,v;0.7,d,a"),
@@ -408,7 +419,7 @@ def test_out_of_range_numbers_are_refused_at_parse_time(capsys, monkeypatch, arg
     def refuse(args):
         raise AssertionError("the subcommand ran")
 
-    monkeypatch.setattr(cli, "cmd_verify", refuse)
+    monkeypatch.setattr(cli, "cmd_duality", refuse)
     monkeypatch.setattr(cli, "cmd_reproduce", refuse)
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
@@ -433,7 +444,7 @@ def test_empty_strings_are_refused_at_parse_time(capsys, monkeypatch, argv):
     def refuse(args):
         raise AssertionError("the subcommand ran")
 
-    for name in ("cmd_vg", "cmd_distinguishability", "cmd_verify", "cmd_table", "cmd_reproduce"):
+    for name in ("cmd_duality", "cmd_table", "cmd_reproduce"):
         monkeypatch.setattr(cli, name, refuse)
     with pytest.raises(SystemExit) as exc:
         main(list(argv))

@@ -9,6 +9,7 @@ of ``src/whichway`` opens a file or imports ``csv`` is a rule of
 
 import io
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +17,7 @@ from conftest import measured_records
 from whichway import (
     DimensionError,
     InputFormatError,
+    PathChannel,
     load_channel,
     pauli_mixture_channel,
     read_dataset_csv,
@@ -73,9 +75,42 @@ def test_out_to_dev_null_succeeds(capsys):
 def test_non_ascii_text_leaves_the_file_untouched(tmp_path):
     path = tmp_path / "kept.txt"
     path.write_bytes(b"old\n")
-    with pytest.raises(UnicodeEncodeError):
+    with pytest.raises(InputFormatError) as exc:
         write_text(path, "V_G \u2265 1\n")
+    assert str(exc.value) == f"{path}: character U+2265 at offset 4 is not ASCII"
     assert path.read_bytes() == b"old\n"
+
+
+def _non_ascii_records():
+    return [replace(r, mu="h\u00e9") if r.key == ("hh", "hh") else r
+            for r in measured_records()]
+
+
+NON_ASCII_WRITERS = {
+    "write_records_csv": lambda target: write_records_csv(_non_ascii_records(), target),
+    "save_channel": lambda target: save_channel(
+        PathChannel(transpose_channel(2).kraus, metadata={"source": "caf\u00e9"}), target),
+}
+
+
+@pytest.mark.parametrize("write, offset", [
+    (NON_ASCII_WRITERS["write_records_csv"], 36),
+    (NON_ASCII_WRITERS["save_channel"], 54),
+], ids=NON_ASCII_WRITERS.keys())
+def test_non_ascii_text_is_refused_before_a_path_is_opened(tmp_path, write, offset):
+    path = tmp_path / "out.txt"
+    with pytest.raises(InputFormatError) as exc:
+        write(path)
+    assert str(exc.value) == f"{path}: character U+00E9 at offset {offset} is not ASCII"
+    assert not path.exists()
+
+
+def test_non_ascii_label_is_refused_before_a_buffer_is_written():
+    buf = io.StringIO()
+    with pytest.raises(InputFormatError) as exc:
+        write_records_csv(_non_ascii_records(), buf)
+    assert str(exc.value) == f"{buf}: character U+00E9 at offset 36 is not ASCII"
+    assert buf.getvalue() == ""
 
 
 PATH_TAKERS = {

@@ -39,6 +39,7 @@ from whichway import (
     run_experiment,
     simulate_fringes,
     transpose_channel,
+    verify_alpha_constraint,
     verify_noise_program,
     write_dataset_csv,
 )
@@ -467,6 +468,14 @@ SETTING_PROBES = {
                                                  (1.0,) * 4), DimensionError),
     "dataset-bool-phases": (lambda: FringeDataset((False, True), np.zeros((4, 2), dtype=np.int64),
                                                   1, 0, (1.0,) * 4), DimensionError),
+    "dataset-bool-among-phases": (lambda: FringeDataset((False, 0.5, 1.0, 2.0),
+                                                        np.zeros((4, 4), dtype=np.int64), 1, 0,
+                                                        (1.0,) * 4), DimensionError),
+    "phases-numpy-bool-among-numbers": (lambda: _experiment(phases=[np.bool_(False), 1.0, 2.0,
+                                                                    4.0]), DimensionError),
+    "alpha-bool-coefficient": (lambda: verify_alpha_constraint(
+        {("hh", "hh"): True, ("vv", "vv"): 0.5}, PREPS, FILTERS, np.eye(2) / 2, np.eye(2) / 2),
+        DimensionError),
     "angle-bool": (lambda: jones_matrix("half", True), DimensionError),
     "angle-inf": (lambda: jones_matrix("quarter", np.inf), NonFiniteError),
     "target-not-text": (lambda: verify_noise_program((NoiseRow(5, 0, 0, 0, 0),)),
@@ -884,7 +893,29 @@ def test_fits_with_zero_total_phases_match_lstsq_oracle(label):
     assert sum(map(any, empty)) == 16 and len(set(empty)) > 8
 
 
-def test_fit_counts_fits_a_zero_total_phase_cell_in_the_same_svd(monkeypatch):
+def _irregular_phases(seed, low, high, n):
+    return np.sort(np.random.default_rng(seed).uniform(low, high, n))
+
+
+IRREGULAR_PHASES = {
+    "random-9": _irregular_phases(1, 0.0, 2 * np.pi, 9),
+    "random-17": _irregular_phases(2, 0.0, 2 * np.pi, 17),
+    "just-over-pi": np.r_[0.0, _irregular_phases(3, 0.1, np.pi, 6), np.pi + 0.01],
+    "beyond-2pi": _irregular_phases(4, 0.0, 3 * np.pi, 12),
+}
+
+
+@pytest.mark.parametrize("phases", IRREGULAR_PHASES.values(), ids=IRREGULAR_PHASES.keys())
+def test_fits_on_irregular_phases_match_lstsq_oracle(phases):
+    # The default grid has sum cos(phi) sin(phi) = 0, so only these grids
+    # give the 2 x 2 Gram matrix of (cos phi, -sin phi) an off-diagonal
+    # entry in every cell.
+    assert abs(np.cos(phases) @ np.sin(phases)) > 0.1
+    _assert_fits_match_lstsq_oracle(ORACLE_CHANNELS["pauli"], 4, phases=phases,
+                                    shots_per_phase=1000, contrast=0.96)
+
+
+def test_fit_counts_fits_in_closed_form_and_matches_each_cell_alone(monkeypatch):
     ch = pauli_mixture_channel()
     cells = [simulate_fringes(ch, PREPS[mu], FILTERS[nu], shots_per_phase=500,
                               contrast=0.9, seed=(5, c))
@@ -894,12 +925,14 @@ def test_fit_counts_fits_a_zero_total_phase_cell_in_the_same_svd(monkeypatch):
     cells[1] = _dataset(counts, phases=np.array(cells[1].phases), shots_per_phase=500)
     assert cells[1].counts.sum(axis=0)[4] == 0 and (cells[0].counts.sum(axis=0) > 0).all()
 
-    svd, factorizations = np.linalg.svd, []
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: factorizations.append(1) or svd(*a, **k))
-    stacked = np.array([ds.counts for ds in cells])
-    fits = _fit_counts(np.array(cells[0].phases), stacked, [("", "")] * 3)
-    assert len(factorizations) == 1
-    monkeypatch.setattr(np.linalg, "svd", svd)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fit called a least-squares factorization")
+
+    with monkeypatch.context() as patch:
+        for name in ("svd", "lstsq", "pinv"):
+            patch.setattr(np.linalg, name, refuse)
+        stacked = np.array([ds.counts for ds in cells])
+        fits = _fit_counts(np.array(cells[0].phases), stacked, [("", "")] * 3)
     for fit, ds in zip(fits, cells):
         alone = fit_fringes(ds)
         for name in FIT_FIELDS:
