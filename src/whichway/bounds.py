@@ -88,16 +88,25 @@ COMPLEMENTARY = (("hh", "vv"), ("hv", "vh"))
 CONTRACTION_TOL = 1e-8
 
 
+def _text(value, what: str) -> str:
+    """``value`` if it is a str, else :class:`DimensionError` naming ``what``."""
+    if not isinstance(value, str):
+        raise DimensionError(f"{what} {value!r} is not a str")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class FilterPair:
     """Spin filters applied in the upper (chi0) and lower (chi1) arm, stored
-    as read-only copies of unit kets; compared and hashed by identity."""
+    as read-only copies of unit kets, with a str label; compared and hashed
+    by identity."""
 
     chi0: np.ndarray = field(repr=False)
     chi1: np.ndarray = field(repr=False)
     label: str = ""
 
     def __post_init__(self):
+        _text(self.label, "filter label")
         for name in ("chi0", "chi1"):
             object.__setattr__(self, name, unit_ket(getattr(self, name), name))
         if self.chi0.size != self.chi1.size:
@@ -111,9 +120,9 @@ def _beyond_envelope(visibility, p, sigma_p, sigma_v):
 
 @dataclass(frozen=True)
 class FractionalVisibilityRecord:
-    """One (preparation, filter) cell: filtering probability p and complex
-    fringe amplitude V, with measurement uncertainties and the fit's
-    residual rms (all 0 for exact theory and for records read from CSV)."""
+    """One (preparation, filter) cell, labelled by str mu and nu: filtering
+    probability p and complex fringe amplitude V, with uncertainties and the
+    fit's residual rms (all 0 for exact theory and for records from CSV)."""
 
     mu: str
     nu: str
@@ -124,6 +133,8 @@ class FractionalVisibilityRecord:
     residual_rms: float = 0.0
 
     def __post_init__(self):
+        _text(self.mu, "record mu")
+        _text(self.nu, "record nu")
         p, sigma_p, sigma_v, rms = self.p, self.sigma_p, self.sigma_v, self.residual_rms
         try:
             v = complex(self.visibility + 0j)  # + 0j refuses a string complex() would parse
@@ -177,8 +188,10 @@ def fractional_visibility(
     The per-Kraus amplitudes x_k = <chi0|A_k|psi0> and y_k = <chi1|B_k|psi1>
     come from two batched matrix-vector products, in O(K d^2); then
     V = sum_k x_k y_k* and p = (sum_k |x_k|^2 + sum_k |y_k|^2) / 2, clipped
-    to [0, 1]. The record runs its own checks (finite fields, |V| <= p).
+    to [0, 1]. The record runs its own checks (labels, finite fields, |V| <= p).
     """
+    if not _text(mu, "mu") and isinstance(prep, Preparation):
+        mu = prep.label
     d = ch.spin_dim
     psi0, psi1 = pure_pair(prep, d)
     if filt.chi0.size != d:
@@ -188,8 +201,6 @@ def fractional_visibility(
     x = ch.kraus[:, 0] @ psi0 @ chi0.conj()
     y = ch.kraus[:, 1] @ psi1 @ chi1.conj()
     p = min(max(0.5 * float(np.vdot(x, x).real + np.vdot(y, y).real), 0.0), 1.0)
-    if not mu and isinstance(prep, Preparation):
-        mu = prep.label
     return FractionalVisibilityRecord(
         mu=mu, nu=filt.label, p=p,
         visibility=complex(np.vdot(y, x)),
@@ -232,7 +243,7 @@ class BoundCertificate:
 def _root_support(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(projector onto the range, pseudo-inverse) of sqrt(rho)^T, from one
     eigendecomposition of rho: sqrt(rho)^T = v* sqrt(w) v^T."""
-    w, v = psd_eigh(rho)
+    w, v = psd_eigh(rho, "rho")
     root = np.sqrt(w)
     mask = root > root.max() * 1e-10 + 1e-300
     vec = v[:, mask].conj()
@@ -483,10 +494,12 @@ def single_preparation_certificate(
     the filters' raises :class:`DimensionError`. Each arm's support
     projector and pseudo-inverse is psi* psi^T, so no eigendecomposition
     runs; the leak and contraction checks are those of
-    :func:`verify_alpha_constraint`.
+    :func:`verify_alpha_constraint`. A ``mu`` that is not a str raises
+    :class:`DimensionError`.
     """
     preps = rectilinear_preparations() if preps is None else preps
     filters = rectilinear_filters() if filters is None else filters
+    _text(mu, "mu")
     rows = [rec for rec in _record_map(records).values() if rec.mu == mu]
     if not rows:
         raise DimensionError(f"no records for preparation {mu!r}")

@@ -38,9 +38,9 @@ from .linalg import (
     ATOL_STRUCT,
     density_matrix,
     finite_array,
-    hermitian_part,
     int_at_least,
     ket,
+    psd_eigh,
     unit_ket,
 )
 
@@ -168,9 +168,10 @@ def pure_pair(prep, d: int) -> tuple[np.ndarray, np.ndarray]:
 class PathChannel:
     """Path-preserving channel stored as one stacked Kraus array.
 
-    ``kraus``, an array or a sequence of pairs (A_k, B_k), is stored as a
-    read-only copy of shape (K, 2, d, d), K, d >= 1, else
-    :class:`DimensionError`; ``spin_dim`` and ``n_kraus`` read its shape.
+    ``kraus``, an array or a sequence of pairs (A_k, B_k) read by
+    :func:`~whichway.linalg.finite_array`, is stored as a read-only copy of
+    shape (K, 2, d, d), K, d >= 1, else :class:`DimensionError`;
+    ``spin_dim`` and ``n_kraus`` read its shape.
     Entries must be finite, and trace preservation (sum A^dag A = sum B^dag B
     = 1) is enforced in operator norm within 1e-10, so every state the
     channel outputs has unit trace within 1e-10. ``metadata`` is stored as a
@@ -182,13 +183,9 @@ class PathChannel:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        try:
-            kraus = np.array(self.kraus, dtype=complex)
-        except ValueError:
-            raise DimensionError("Kraus pairs do not stack into one (K, 2, d, d) array") from None
+        kraus = np.array(finite_array(self.kraus, "Kraus blocks"))
         if kraus.ndim != 4 or kraus.shape[1:3] != (2, kraus.shape[3]) or not kraus.size:
             raise DimensionError(f"Kraus stack shape {kraus.shape} is not (K, 2, d, d), K, d >= 1")
-        finite_array(kraus, "Kraus blocks")
         kraus.flags.writeable = False
         object.__setattr__(self, "kraus", kraus)
         if not isinstance(self.metadata, Mapping):
@@ -212,10 +209,10 @@ class PathChannel:
 
 
 def block_map(ch: PathChannel, i: int, j: int, sigma: np.ndarray) -> np.ndarray:
-    """Apply the block map L_ij to a spin operator."""
+    """Apply the block map L_ij to a spin operator, a finite d x d array."""
     if i not in (0, 1) or j not in (0, 1):
         raise DimensionError("path indices must be 0 or 1")
-    sigma = np.asarray(sigma, dtype=complex)
+    sigma = finite_array(sigma, "sigma")
     if sigma.shape != (ch.spin_dim, ch.spin_dim):
         raise DimensionError(f"operator shape {sigma.shape} != spin dim {ch.spin_dim}")
     out = np.zeros_like(sigma)
@@ -273,7 +270,7 @@ def replace_channel(sigma0: np.ndarray) -> PathChannel:
     """
     sigma0 = density_matrix(sigma0, "sigma0")
     d = sigma0.shape[0]
-    w, vecs = np.linalg.eigh(hermitian_part(sigma0))
+    w, vecs = psd_eigh(sigma0, "sigma0")
     pairs = []
     for r in range(d):
         if w[r] <= ATOL_STRUCT:

@@ -347,8 +347,8 @@ def _probability_tables(ch, kets, filters, phases, contrast, shots_per_phase):
     Otherwise one pooled row takes every shot, with the exact mixture
     f0 = sum_k |x_k|^2, f1 = sum_k |y_k|^2 and v = sum_k x_k y_k*.
     """
-    psi = np.array(kets, dtype=complex)
-    chi = np.array([(f.chi0, f.chi1) for f in filters], dtype=complex)
+    psi = np.array(kets)
+    chi = np.array([(f.chi0, f.chi1) for f in filters])
     amps = np.einsum("fia,kiab,pib->ipfk", chi.conj(), ch.kraus, psi)
     x, y = amps.reshape(2, -1, len(ch.kraus))
     f0, f1, v = np.abs(x) ** 2, np.abs(y) ** 2, x * y.conj()

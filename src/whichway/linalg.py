@@ -7,24 +7,24 @@ factor to C^d x C^d with ``np.kron(np.eye(d), .)``, but contract reshaped
 arrays instead (:func:`factor_sandwich` and the channel kernels).
 
 Tolerance policy: structural checks on constructed objects use
-``ATOL_STRUCT`` (1e-10), derived numerical identities use ``ATOL_DERIVED``
-(1e-9), the checks of :func:`psd_eigh` use ``PSD_ATOL`` (1e-8), and
-certificates ``bounds.CONTRACTION_TOL`` (1e-8); none is a parameter.
-Statistical tolerances live with the Monte Carlo code. The rules
-for integers, real settings, finite entries, unit kets and density matrices
+``ATOL_STRUCT`` (1e-10), and so does the one Hermitian and PSD check,
+:func:`psd_eigh`'s; derived numerical identities use ``ATOL_DERIVED``
+(1e-9) and certificates ``bounds.CONTRACTION_TOL`` (1e-8); none is a
+parameter. Statistical tolerances live with the Monte Carlo code. The
+rules for integers, real settings, arrays, unit kets and density matrices
 are written once, here: :func:`int_at_least` (a bool is not an integer),
 :func:`real_in` (a real number in an interval, returned as a float; a bool,
-text, None or an array is not one), :func:`finite_array` (an array of
-numbers; one with a bool or text entry is not one), :func:`unit_ket`
-(norm one within 1e-10) and :func:`density_matrix` (Hermitian, PSD and unit
-trace within 1e-10); all but :func:`int_at_least` raise
-:class:`NonFiniteError` for a NaN or infinite value or entry, whatever else
-is wrong with it. Every real-valued setting of the package (wave-plate
-angles, detector efficiencies, contrast, phases, ``--tol``) is checked by
-:func:`real_in` or :func:`finite_array`. The root fidelity of two states is
-not formed here: :mod:`whichway.duality` takes it from their factors by
-Uhlmann's theorem, and the route through two eigendecompositions is a test
-oracle.
+text, None or an array is not one), one array rule that every reader of an
+outside array goes through (text, a bool or None, alone or among numbers,
+is not a number), :func:`finite_array` (that rule with finite entries),
+:func:`unit_ket` (norm one within 1e-10) and :func:`density_matrix`
+(:func:`psd_eigh` and unit trace within 1e-10). A NaN or infinite entry of
+an array of the right kind and shape raises :class:`NonFiniteError`. Every
+real-valued setting (wave-plate angles, detector efficiencies, contrast,
+phases, ``--tol``) is checked by :func:`real_in` or :func:`finite_array`.
+The root fidelity of two states is not formed here: :mod:`whichway.duality`
+takes it from their factors by Uhlmann's theorem, and the route through two
+eigendecompositions is a test oracle.
 """
 
 from __future__ import annotations
@@ -33,22 +33,19 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteError, PositivityError
+from .errors import DimensionError, NonFiniteError, NumericalError, PositivityError
 
 ATOL_STRUCT = 1e-10
 ATOL_DERIVED = 1e-9
-PSD_ATOL = 1e-8
 
 __all__ = [
     "ATOL_STRUCT",
     "ATOL_DERIVED",
-    "PSD_ATOL",
     "density_matrix",
     "factor_sandwich",
     "finite_array",
     "hermitian_part",
     "int_at_least",
-    "is_hermitian",
     "ket",
     "matrix_sqrt",
     "partial_trace",
@@ -59,22 +56,9 @@ __all__ = [
 ]
 
 
-def _as_matrix(m) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a matrix, got array of shape {a.shape}")
-    return a
-
-
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m^dag) / 2."""
-    m = np.asarray(m)
+    """(m + m^dag) / 2 of a square ndarray."""
     return (m + m.conj().T) / 2
-
-
-def is_hermitian(m: np.ndarray, atol: float = ATOL_STRUCT) -> bool:
-    m = _as_matrix(m)
-    return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= atol
 
 
 def int_at_least(value, what: str, minimum: int) -> int:
@@ -115,42 +99,58 @@ def ket(index: int, dim: int) -> np.ndarray:
     return v
 
 
-def finite_array(a, what: str) -> np.ndarray:
-    """``a`` as a complex array; raises :class:`NonFiniteError` on a NaN or
-    infinite entry, and :class:`DimensionError` naming ``what`` for an input
-    that numpy cannot read as numbers, can read only by parsing text (a
-    str or bytes entry) or reads as bools, a bool among numbers included."""
+def _holds_numbers(a) -> bool:
+    """Whether ``a`` is a number (not a bool, text or None) or holds only
+    numbers; a numeric ndarray is judged by its dtype, without a scan."""
+    if isinstance(a, (list, tuple)):
+        return all(map(_holds_numbers, a))
+    if type(a) in (int, float, complex):
+        return True
+    a = np.asarray(a)
+    if a.dtype.kind == "O" and a.ndim:
+        return all(map(_holds_numbers, a.flat))
+    return a.dtype.kind in "iufc"
+
+
+def _numbers(a, what: str) -> np.ndarray:
+    """``a`` as a complex array, not checked for finiteness: the one rule
+    that reads an outside array. An input numpy cannot read as numbers, or
+    reads only by parsing text, or that holds a bool or None (which numpy
+    reads as 0/1 and NaN) raises :class:`DimensionError` naming ``what``."""
     try:
         raw = np.asarray(a)
         values = raw.astype(complex, copy=False)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raw = None
-    # numpy reads [False, 0.5] as [0.0, 0.5] and parses text in an object
-    # array, so the entries of an input that is not a numeric ndarray are
-    # read one by one; a numeric ndarray has one kind
-    scan = raw is not None and (raw.dtype.kind == "O" or not isinstance(a, np.ndarray))
-    entries = np.array(a, dtype=object).flat if scan else [raw]
-    if raw is None or any(np.asarray(x).dtype.kind in "bSU" for x in entries):
+    if raw is None or not (raw is a and raw.dtype.kind in "iufc" or _holds_numbers(a)):
         raise DimensionError(f"{what} is not an array of numbers")
+    return values
+
+
+def finite_array(a, what: str) -> np.ndarray:
+    """``a`` read by the array rule; a NaN or infinite entry raises
+    :class:`NonFiniteError`."""
+    values = _numbers(a, what)
     if not np.isfinite(values).all():
         raise NonFiniteError(f"NaN or infinite entry in {what}")
     return values
 
 
-def unit_ket(psi, what: str) -> np.ndarray:
-    """``psi`` as a read-only copy of a finite complex vector; an input that
-    numpy cannot read as complex numbers, or a norm differing from one
-    beyond 1e-10, raises :class:`DimensionError`.
+def _square(m, what: str) -> np.ndarray:
+    """``m`` read by the array rule as a square matrix of side >= 1, else
+    :class:`DimensionError`."""
+    m = _numbers(m, what)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise DimensionError(f"{what} shape {m.shape} is not square with side >= 1")
+    return m
 
-    One pass: the norm sqrt(<psi|psi>) is non-finite whenever an entry is,
-    so the entry scan of :func:`finite_array` runs only then. A NaN or
-    infinite entry raises :class:`NonFiniteError`; finite entries whose
-    squared norm overflows raise :class:`DimensionError`.
-    """
-    try:
-        psi = np.array(psi, dtype=complex).reshape(-1)
-    except (TypeError, ValueError):
-        raise DimensionError(f"{what} is not a vector of complex numbers") from None
+
+def unit_ket(psi, what: str) -> np.ndarray:
+    """``psi`` as a read-only copy of a finite complex vector of norm one
+    within 1e-10, else :class:`DimensionError`. One pass: the norm is
+    non-finite whenever an entry is, so only then are the entries checked,
+    a NaN or infinite one raising :class:`NonFiniteError`."""
+    psi = _numbers(psi, what).flatten()
     psi.flags.writeable = False
     n = math.sqrt(np.vdot(psi, psi).real)
     if not math.isfinite(n):
@@ -160,77 +160,75 @@ def unit_ket(psi, what: str) -> np.ndarray:
     return psi
 
 
-def density_matrix(m, what: str) -> np.ndarray:
-    """``m`` as a finite, square complex matrix; one that is not Hermitian,
-    PSD (smallest eigenvalue >= -1e-10) and of unit trace within 1e-10
-    raises :class:`PositivityError`."""
-    m = finite_array(m, what)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"{what} shape {m.shape} is not square")
-    if not is_hermitian(m):
+def psd_eigh(m, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, v), w ascending, of a finite square matrix
+    that is Hermitian within 1e-10 with no eigenvalue below -1e-10, else
+    :class:`PositivityError` naming ``what``. Eigenvalues in [-1e-10, 0),
+    round-off, and those within 1e-12 (relative) of zero are zeroed: the
+    square root of eigensolver round-off would inject sqrt(eps) ~ 1e-8
+    noise into the null space of rank-deficient inputs, while zeroing
+    perturbs the re-multiplication identity by at most 1e-12.
+    """
+    m = finite_array(_square(m, what), what)
+    if np.abs(m - m.conj().T).max() > ATOL_STRUCT:
         raise PositivityError(f"{what} is not Hermitian within 1e-10")
-    w = np.linalg.eigvalsh(hermitian_part(m))
+    w, v = np.linalg.eigh(hermitian_part(m))
     if w.min() < -ATOL_STRUCT:
         raise PositivityError(f"{what} not PSD: smallest eigenvalue {w.min():.3e}")
+    w[w < max(w.max(), 0.0) * 1e-12] = 0.0
+    return w, v
+
+
+def density_matrix(m, what: str) -> np.ndarray:
+    """``m`` as a complex matrix that :func:`psd_eigh` accepts; one whose
+    trace differs from one beyond 1e-10 raises :class:`PositivityError`."""
+    m = _square(m, what)
+    psd_eigh(m, what)
     tr = np.trace(m)
     if abs(tr.real - 1.0) > ATOL_STRUCT or abs(tr.imag) > ATOL_STRUCT:
         raise PositivityError(f"{what} trace differs from one beyond 1e-10")
     return m
 
 
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values of a square matrix."""
-    m = _as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"trace norm needs a square matrix, got {m.shape}")
-    return float(np.linalg.svd(m, compute_uv=False).sum())
+def trace_norm(m) -> float:
+    """Sum of singular values of a square matrix. One pass: a NaN or
+    infinite entry makes the SVD fail or sum to a non-finite value, so only
+    then are the entries checked, raising :class:`NonFiniteError`."""
+    m = _square(m, "trace norm input")
+    try:
+        total = float(np.linalg.svd(m, compute_uv=False).sum())
+    except np.linalg.LinAlgError:
+        total = math.nan
+    if not math.isfinite(total):
+        finite_array(m, "trace norm input")
+        raise NumericalError(f"trace norm of finite entries is {total}")
+    return total
 
 
-def psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition (w, v), w ascending, of a Hermitian PSD matrix.
-
-    The input must be square and Hermitian within ``PSD_ATOL`` (1e-8), else
-    :class:`PositivityError`. Eigenvalues in [-PSD_ATOL, 0) are treated as
-    round-off and clamped to zero; anything below -PSD_ATOL raises
-    :class:`PositivityError`. Eigenvalues within 1e-12 (relative) of zero
-    are zeroed outright: taking the square root of eigensolver round-off
-    would otherwise inject sqrt(eps) ~ 1e-8 noise into the null space of
-    rank-deficient inputs, while zeroing perturbs the re-multiplication
-    identity by at most 1e-12.
-    """
-    m = _as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"PSD eigendecomposition needs a square matrix, got {m.shape}")
-    if not is_hermitian(m, atol=PSD_ATOL):
-        raise PositivityError("PSD eigendecomposition input is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(hermitian_part(m))
-    if w.min() < -PSD_ATOL:
-        raise PositivityError(f"matrix not PSD: smallest eigenvalue {w.min():.3e}")
-    w[w < max(w.max(), 0.0) * 1e-12] = 0.0
-    return w, v
-
-
-def matrix_sqrt(m: np.ndarray) -> np.ndarray:
+def matrix_sqrt(m) -> np.ndarray:
     """Hermitian PSD square root from the clamped eigendecomposition of
     :func:`psd_eigh`, whose checks and tolerances it shares."""
-    w, v = psd_eigh(m)
+    w, v = psd_eigh(m, "matrix")
     return hermitian_part((v * np.sqrt(w)) @ v.conj().T)
 
 
-def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
+def partial_trace(m, dims: tuple[int, int], keep: int) -> np.ndarray:
     """Trace out one factor of a bipartite operator.
 
     Parameters
     ----------
     m : ndarray
-        Operator on a tensor product space of shape (d0*d1, d0*d1).
+        Finite operator on a tensor product space of shape (d0*d1, d0*d1).
     dims : (d0, d1)
-        Dimensions of the two factors, in kron order.
+        Dimensions of the two factors, in kron order, integers >= 1.
     keep : int
         Which factor to keep (0 or 1).
     """
-    m = _as_matrix(m)
-    d0, d1 = dims
+    m = finite_array(_square(m, "operator"), "operator")
+    dims = tuple(dims) if np.iterable(dims) else (dims,)
+    if len(dims) != 2:
+        raise DimensionError(f"dims {dims} is not two factor dimensions")
+    d0, d1 = (int_at_least(d, "factor dimension", 1) for d in dims)
     if m.shape != (d0 * d1, d0 * d1):
         raise DimensionError(f"operator shape {m.shape} != declared factors {dims}")
     t = m.reshape(d0, d1, d0, d1)

@@ -64,7 +64,6 @@ from whichway import interferometer
 from whichway.interferometer import FringeDataset, _allocate, _seed_tuple
 from whichway.linalg import (
     ATOL_DERIVED,
-    _as_matrix,
     density_matrix,
     hermitian_part,
     matrix_sqrt,
@@ -338,11 +337,10 @@ def eigh_fidelity(rho, sigma) -> float:
     diag(sqrt(a)) U^dag W diag(sqrt(b)): the unitaries outside leave the
     singular values unchanged, so neither square root is formed.
     """
-    r, s = _as_matrix(rho), _as_matrix(sigma)
-    if r.shape != s.shape:
-        raise DimensionError(f"dimension mismatch: {r.shape} vs {s.shape}")
-    a, u = psd_eigh(r)
-    b, w = psd_eigh(s)
+    a, u = psd_eigh(rho, "rho")
+    b, w = psd_eigh(sigma, "sigma")
+    if a.shape != b.shape:
+        raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return trace_norm(np.sqrt(a)[:, None] * (u.conj().T @ w) * np.sqrt(b))
 
 

@@ -404,6 +404,27 @@ def test_records_that_are_not_records_are_a_dimension_error(take, records, messa
     assert str(exc.value) == message
 
 
+_LABEL = np.array(["hh", "vv"])
+_HH = ket(0, 2), ket(0, 2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FractionalVisibilityRecord(_LABEL, "hh", 0.5, 0.1),
+    lambda: FractionalVisibilityRecord(3, "hh", 0.5, 0.1),
+    lambda: FractionalVisibilityRecord("hh", 3, 0.5, 0.1),
+    lambda: FilterPair(*_HH, label=3),
+    lambda: FilterPair(*_HH, label=_LABEL),
+    lambda: fractional_visibility(identity_channel(2), _HH, rectilinear_filters()["hh"], mu=_LABEL),
+    lambda: fractional_visibility(identity_channel(2), _HH, rectilinear_filters()["hh"], mu=3),
+    lambda: single_preparation_certificate(_LABEL, measured_records()),
+], ids=["record-mu-array", "record-mu-int", "record-nu-int", "filter-label-int",
+        "filter-label-array", "fractional-mu-array", "fractional-mu-int", "single-mu-array"])
+def test_a_label_that_is_not_a_str_is_a_dimension_error(build):
+    # an array label raised numpy's ambiguous-truth ValueError, or was stored
+    with pytest.raises(DimensionError, match="is not a str"):
+        build()
+
+
 def test_a_dict_of_records_is_keyed_by_each_records_own_cell():
     # the four largest |V| filed under the swap cells would certify
     # vg_lower = 1 above the true V_G = 0.9909 of the mixed preparation

@@ -20,6 +20,7 @@ from whichway import (
     NonFiniteError,
     NumericalError,
     PathChannel,
+    Preparation,
     RowReport,
     WhichWayError,
     binomial_resample,
@@ -462,6 +463,10 @@ SETTING_PROBES = {
                       DimensionError),
     "phases-complex": (lambda: _experiment(phases=np.linspace(0, 6, 13) + 1j), DimensionError),
     "phases-bool": (lambda: _experiment(phases=(False, True)), DimensionError),
+    "phases-none-among-numbers": (lambda: _experiment(phases=[0.0, None, 2.0, 4.0]),
+                                  DimensionError),
+    "weights-none-among-numbers": (lambda: Preparation.ensemble([0.5, None], [(H, H), (V, V)]),
+                                   DimensionError),
     "reference-text": (lambda: _resample("0.5"), DimensionError),
     "reference-nan": (lambda: _resample(np.nan), NonFiniteError),
     "dataset-text-phase": (lambda: FringeDataset(("a",), np.zeros((4, 1), dtype=np.int64), 1, 0,

@@ -13,9 +13,12 @@ from whichway import (
     FilterPair,
     FractionalVisibilityRecord,
     NonFiniteError,
+    NumericalError,
     PathChannel,
     PositivityError,
     Preparation,
+    block_map,
+    distinguishability,
     identity_channel,
     ket,
     matrix_sqrt,
@@ -146,6 +149,30 @@ def test_partial_trace_dimension_check():
         partial_trace(np.eye(4), (2, 3), keep=0)
 
 
+@pytest.mark.parametrize("dims", ["ab", 4, (2, 2, 1), (2.0, 2), (True, 4)])
+def test_partial_trace_dims_are_two_integers(dims):
+    with pytest.raises(DimensionError):
+        partial_trace(np.eye(4) / 4, dims, keep=0)
+
+
+def test_trace_norm_of_finite_entries_that_overflow_is_a_numerical_error():
+    with pytest.raises(NumericalError):
+        trace_norm(np.full((2, 2), 1e308))
+
+
+@pytest.mark.parametrize("build", [matrix_sqrt, lambda m: density_matrix(m, "state")],
+                         ids=["matrix_sqrt", "density_matrix"])
+def test_psd_checks_share_one_tolerance_of_1e_10(build):
+    # matrix_sqrt once took a Hermitian defect or a negative eigenvalue up
+    # to 1e-8, where density_matrix refused one beyond 1e-10
+    with pytest.raises(PositivityError, match="not Hermitian within 1e-10"):
+        build(np.array([[0.5, 5e-9], [0.0, 0.5]]))
+    with pytest.raises(PositivityError, match="not PSD"):
+        build(np.diag([1.0 + 5e-9, -5e-9]))
+    build(np.array([[0.5, 5e-11], [0.0, 0.5]]))
+    build(np.diag([1.0 + 5e-11, -5e-11]))
+
+
 def test_transpose_involution_and_dagger():
     rng = np.random.default_rng(6)
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -189,10 +216,10 @@ def test_unit_ket_overflowing_norm_is_dimension_error():
         unit_ket(np.full(2, 1e200, dtype=complex), "psi")
     with pytest.raises(DimensionError):
         unit_ket(np.array([1e200, 0.0]), "psi")
-    # and so does an input numpy cannot read as complex numbers
-    with pytest.raises(DimensionError, match="psi is not a vector of complex numbers"):
+    # and so does an input that is not an array of numbers
+    with pytest.raises(DimensionError, match="psi is not an array of numbers"):
         unit_ket("a", "psi")
-    with pytest.raises(DimensionError, match="chi0 is not a vector of complex numbers"):
+    with pytest.raises(DimensionError, match="chi0 is not an array of numbers"):
         FilterPair("a", "b")
 
 
@@ -231,7 +258,49 @@ NON_FINITE_CASES = {
     ),
     "replace_channel": (_HALF, replace_channel),
     "pure_pair": (np.array([_H, _V]), lambda a: pure_pair((a[0], a[1]), 2)),
+    "trace_norm": (_HALF, trace_norm),
+    "matrix_sqrt": (_HALF, matrix_sqrt),
+    "partial_trace": (np.kron(_HALF, _HALF), lambda m: partial_trace(m, (2, 2), 0)),
+    "block_map": (_HALF, lambda s: block_map(identity_channel(2), 0, 1, s)),
 }
+# Every reader of an outside array, each given the valid input above in one
+# of four forms that are not numbers: the entries as text (which numpy
+# parses), as bools, or as nested lists whose first entry is None or True.
+NOT_NUMBERS = {name: case for name, case in NON_FINITE_CASES.items()
+               if name not in ("PathSpinState", "FractionalVisibilityRecord")} | {
+    "unit_ket": (_H, lambda a: unit_ket(a, "psi")),
+    "distinguishability": (_HALF, lambda e: distinguishability(e, _HALF)),
+}
+
+
+def _first_entry(valid, entry):
+    lists = valid.astype(object)
+    lists.flat[0] = entry
+    return lists.tolist()
+
+
+NOT_NUMBER_FORMS = {
+    "text": lambda valid: np.real(valid).astype(str),
+    "bool": lambda valid: valid.astype(bool),
+    "none-among-numbers": lambda valid: _first_entry(valid, None),
+    "bool-among-numbers": lambda valid: _first_entry(valid, True),
+}
+
+
+@pytest.mark.parametrize("form", NOT_NUMBER_FORMS)
+@pytest.mark.parametrize("name", sorted(NOT_NUMBERS))
+def test_an_input_that_is_not_numbers_is_a_dimension_error(name, form):
+    valid, build = NOT_NUMBERS[name]
+    build(valid.copy())
+    with pytest.raises(DimensionError, match="is not an array of numbers"):
+        build(NOT_NUMBER_FORMS[form](valid))
+
+
+@pytest.mark.parametrize("name", ["density_matrix", "distinguishability", "matrix_sqrt",
+                                  "partial_trace", "replace_channel", "trace_norm"])
+def test_a_matrix_of_side_zero_is_a_dimension_error(name):
+    with pytest.raises(DimensionError, match=r"shape \(0, 0\) is not square with side >= 1"):
+        NOT_NUMBERS[name][1](np.zeros((0, 0)))
 
 
 @pytest.mark.parametrize("name", sorted(NON_FINITE_CASES))

@@ -139,6 +139,34 @@ def private_name(node, ns):
     return None
 
 
+def _root_name(node) -> str | None:
+    """The name an attribute or subscript chain starts from (``self`` of
+    ``self.kraus[0]``), or None."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def raw_array_read(node, ns):
+    """A call of ``eigh``, or a def that reads one of its own parameters with
+    ``np.array``/``np.asarray(..., dtype=complex)``: the array rule and
+    ``psd_eigh`` in ``linalg`` do both."""
+    if isinstance(node, ast.Call) and _name(node.func) == "eigh":
+        return ast.unparse(node.func)
+    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return None
+    a = node.args
+    params = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p}
+    for call in ast.walk(node):
+        if not (isinstance(call, ast.Call) and _name(call.func) in ("array", "asarray")
+                and call.args and _root_name(call.args[0]) in params):
+            continue
+        dtype = [k.value for k in call.keywords if k.arg == "dtype"] + call.args[1:2]
+        if any(ast.unparse(d) == "complex" for d in dtype):
+            return f"{ast.unparse(call)} of a parameter"
+    return None
+
+
 class Exempt(NamedTuple):
     module: str
     qualname: str  # covers the defs and classes nested in it too
@@ -231,6 +259,29 @@ RULES = (
         "ok = a < b and b <= c",
         "class FractionalVisibilityRecord:\n    def __post_init__(self):\n        ok = 0 <= p <= 1",
     ), "cli": ("def parse_channel(d):\n    return 1 <= d <= 16",)}),
+    # linalg holds the one array rule and psd_eigh; a def is flagged at its
+    # first line, so a planted conversion is a one-line def
+    Rule("raw-array-read", raw_array_read, tuple(m for m in MODULES if m != "linalg"), (),
+         flags={"channels": (
+             # the retired reads of replace_channel, block_map and PathChannel
+             "def replace_channel(sigma0):\n    w, vecs = np.linalg.eigh(hermitian_part(sigma0))",
+             "def block_map(ch, i, j, sigma): sigma = np.asarray(sigma, dtype=complex)",
+             "def __post_init__(self): kraus = np.array(self.kraus, dtype=complex)",
+             "def f(m): return numpy.array(m[0], complex)",
+             "w, v = scipy.linalg.eigh(m)", "from numpy.linalg import eigh\nw, v = eigh(m)",
+         ), "interferometer": (
+             "def _probability_tables(ch, kets, filters): psi = np.array(kets, dtype=complex)",
+             "def f(*kets, **kw): return np.asarray(kw['a'], dtype=complex)",
+         )}, passes={"channels": (
+             "def f(sigma0): return psd_eigh(sigma0, 'sigma0')",
+             "def f(sigma): return finite_array(sigma, 'sigma')",
+             "def f(a): return np.array([a.chi0, a.chi1], dtype=complex)",
+             "def f(kets): return np.array(kets)",
+             "def f(m): return np.asarray(m, dtype=float)",
+             "def f(): return np.eye(2, dtype=complex)",
+             "np.linalg.eigvalsh(m)",
+             "def f(a): return np.array(b, dtype=complex)",
+         )}),
     # a run's bounds come from bounds.certify_run; the CLI only prints them
     Rule("cli-certification-policy", certification_policy, ("cli",), (), flags={"cli": (
         "bnd.swap_certificate(records)", "single_preparation_certificate(mu, records)",
