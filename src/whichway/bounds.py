@@ -36,6 +36,17 @@ its own pseudo-inverse, so no eigendecomposition runs, and U-hat is the
 projected L. A list of records that repeats a (mu, nu) key raises
 :class:`DimensionError`.
 
+The constants of the rectilinear h/v grid are built and checked once, on
+first use, and are read-only: the four preparation kets and filter pairs
+(:func:`rectilinear_preparations` and :func:`rectilinear_filters` return
+fresh dicts over them), the ket stacks of the four swap terms and the
+support of the completely mixed state 1/2 (:func:`swap_certificate`), and
+a table of the kets, supports and filter stacks of the 16 default
+single-preparation certificates, one per preparation and ordered
+complementary filter pair (:func:`single_preparation_certificate` with
+``preps`` and ``filters`` both None). A default call takes its kernel
+inputs from these and re-checks none of them.
+
 A certificate stores ``vg_lower`` and ``sigma_vg`` and derives the bound
 sqrt(1 - vg_lower^2) on D and its delta-method sigma; the swap and
 single-preparation certificates are built with their records already folded
@@ -49,6 +60,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -58,7 +70,8 @@ from .errors import ContractionError, DimensionError, NonFiniteError, SupportErr
 from .linalg import (
     ATOL_DERIVED,
     ATOL_STRUCT,
-    density_matrix,
+    _density_eigh,
+    _text,
     finite_array,
     ket,
     psd_eigh,
@@ -86,13 +99,6 @@ __all__ = [
 SWAP_KEYS = (("hh", "hh"), ("hv", "vh"), ("vh", "hv"), ("vv", "vv"))
 COMPLEMENTARY = (("hh", "vv"), ("hv", "vh"))
 CONTRACTION_TOL = 1e-8
-
-
-def _text(value, what: str) -> str:
-    """``value`` if it is a str, else :class:`DimensionError` naming ``what``."""
-    if not isinstance(value, str):
-        raise DimensionError(f"{what} {value!r} is not a str")
-    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,10 +246,10 @@ class BoundCertificate:
         return min(self.vg_lower / max(self.d_upper, 1e-12) * self.sigma_vg, 1.0)
 
 
-def _root_support(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(projector onto the range, pseudo-inverse) of sqrt(rho)^T, from one
-    eigendecomposition of rho: sqrt(rho)^T = v* sqrt(w) v^T."""
-    w, v = psd_eigh(rho, "rho")
+def _root_support(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(projector onto the range, pseudo-inverse) of sqrt(rho)^T, from the
+    eigendecomposition (w, v) of rho that :func:`psd_eigh` returns:
+    sqrt(rho)^T = v* sqrt(w) v^T."""
     root = np.sqrt(w)
     mask = root > root.max() * 1e-10 + 1e-300
     vec = v[:, mask].conj()
@@ -329,8 +335,8 @@ def verify_alpha_constraint(
     its row/column supports lie inside the supports of the sqrt(rho)^T
     factors, reconstructs U through pseudo-inverses and reports the
     contraction slack. Each arm's support projector and pseudo-inverse come
-    from one eigendecomposition of the density matrix rho, with the checks
-    of :func:`psd_eigh`.
+    from the one eigendecomposition of the density matrix rho that checks
+    it.
 
     The inputs are checked first: the coefficients by :func:`finite_array`,
     one complex number each, and stored as Python complex numbers; each rho
@@ -347,7 +353,8 @@ def verify_alpha_constraint(
     coeffs = finite_array(list(alphas.values()), "coefficients")
     if coeffs.shape != (len(alphas),):
         raise DimensionError("coefficients must be one complex number each")
-    rho0, rho1 = density_matrix(rho0, "rho0"), density_matrix(rho1, "rho1")
+    rho0, w0, v0 = _density_eigh(rho0, "rho0")
+    rho1, w1, v1 = _density_eigh(rho1, "rho1")
     if rho0.shape != rho1.shape:
         raise DimensionError(f"rho0 and rho1 dimensions differ: {rho0.shape} vs {rho1.shape}")
     d = rho0.shape[0]
@@ -364,7 +371,8 @@ def verify_alpha_constraint(
     # (psi0, psi1, chi0, chi1) x term x d
     terms = np.array([(*kets[mu], filters[nu].chi0, filters[nu].chi1) for mu, nu in alphas],
                      dtype=complex).reshape(len(alphas), 4, d).transpose(1, 0, 2)
-    u_hat, slack = _certify(coeffs, terms[:2], terms[2:], _root_support(rho0), _root_support(rho1))
+    u_hat, slack = _certify(coeffs, terms[:2], terms[2:], _root_support(w0, v0),
+                            _root_support(w1, v1))
     return BoundCertificate(dict(zip(alphas, coeffs.tolist())), u_hat, slack)
 
 
@@ -445,7 +453,7 @@ def rectilinear_filters() -> dict[str, FilterPair]:
 def _mixed_support() -> tuple[np.ndarray, np.ndarray]:
     """:func:`_root_support` of the completely mixed qubit state 1/2, computed
     once and read-only."""
-    support = _root_support(np.eye(2, dtype=complex) / 2)
+    support = _root_support(*psd_eigh(np.eye(2, dtype=complex) / 2, "rho"))
     for m in support:
         m.flags.writeable = False
     return support
@@ -479,6 +487,28 @@ def swap_certificate(records) -> BoundCertificate:
     return _folded(dict(zip(SWAP_KEYS, alphas)), rows, u_hat, slack)
 
 
+@functools.cache
+def _rectilinear_singles() -> MappingProxyType:
+    """The kernel inputs of :func:`single_preparation_certificate` on the
+    rectilinear sets, keyed (mu, (nu, partner)) for every preparation mu and
+    ordered ``COMPLEMENTARY`` pair: the (2, 1, 2) stack of mu's kets,
+    checked by :func:`pure_pair`, their (2, 2, 2) supports psi* psi^T and
+    the (2, 2, 2) filter stack of :func:`_complete_basis_check`. Its 16
+    entries, every default input that certifies, are read-only and built
+    and checked once."""
+    preps, filters = rectilinear_preparations(), rectilinear_filters()
+    table = {}
+    for mu, pair in preps.items():
+        psi = np.array(pure_pair(pair, 2))
+        terms = (psi[:, None].copy(), _ket_support(psi))
+        for nus in COMPLEMENTARY + tuple(nus[::-1] for nus in COMPLEMENTARY):
+            table[(mu, nus)] = (*terms, _complete_basis_check(filters, nus))
+    for entry in table.values():
+        for m in entry:
+            m.flags.writeable = False
+    return MappingProxyType(table)
+
+
 def single_preparation_certificate(
     mu: str,
     records,
@@ -496,21 +526,32 @@ def single_preparation_certificate(
     runs; the leak and contraction checks are those of
     :func:`verify_alpha_constraint`. A ``mu`` that is not a str raises
     :class:`DimensionError`.
+
+    With ``preps`` and ``filters`` both None (the rectilinear sets), a
+    record set that certifies, one rectilinear mu with an ordered
+    complementary filter pair, takes its kets, supports and filter stack
+    from a table built and checked once; any other set takes the general
+    route, which raises what it raises for explicit sets.
     """
-    preps = rectilinear_preparations() if preps is None else preps
-    filters = rectilinear_filters() if filters is None else filters
     _text(mu, "mu")
     rows = [rec for rec in _record_map(records).values() if rec.mu == mu]
     if not rows:
         raise DimensionError(f"no records for preparation {mu!r}")
-    chis = _complete_basis_check(filters, [rec.nu for rec in rows])
-    if mu not in preps:
-        raise DimensionError(f"no preparation {mu!r}")
-    psi = np.array(pure_pair(preps[mu], chis.shape[2]))
-    r0, r1 = _ket_support(psi)
+    nus = tuple(rec.nu for rec in rows)
+    terms = _rectilinear_singles().get((mu, nus)) if preps is None and filters is None else None
+    if terms is None:
+        preps = rectilinear_preparations() if preps is None else preps
+        filters = rectilinear_filters() if filters is None else filters
+        chis = _complete_basis_check(filters, nus)
+        if mu not in preps:
+            raise DimensionError(f"no preparation {mu!r}")
+        psi = np.array(pure_pair(preps[mu], chis.shape[2]))
+        kets, (r0, r1) = psi[:, None], _ket_support(psi)
+    else:
+        kets, (r0, r1), chis = terms
     alphas = [_optimal_phase(rec.visibility) for rec in rows]
     # one object as both matrices of an arm takes the kernel's pure route
-    u_hat, slack = _certify(np.array(alphas), psi[:, None], chis, (r0, r0), (r1, r1))
+    u_hat, slack = _certify(np.array(alphas), kets, chis, (r0, r0), (r1, r1))
     return _folded({rec.key: a for rec, a in zip(rows, alphas)}, rows, u_hat, slack)
 
 

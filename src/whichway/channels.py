@@ -34,15 +34,7 @@ import numpy as np
 
 from ._files import read_text, write_text
 from .errors import DimensionError, InputFormatError, PositivityError
-from .linalg import (
-    ATOL_STRUCT,
-    density_matrix,
-    finite_array,
-    int_at_least,
-    ket,
-    psd_eigh,
-    unit_ket,
-)
+from .linalg import ATOL_STRUCT, _density_eigh, _text, finite_array, int_at_least, ket, unit_ket
 
 __all__ = [
     "PathChannel",
@@ -89,7 +81,8 @@ class Preparation:
     |psi_i^m><psi_i^m|, is S_i S_i^dag. The weights must be real numbers
     (checked as floats after :func:`finite_array`), positive, sum to one
     within 1e-10 and are stored divided by their sum, so each rho_i has
-    unit trace to round-off.
+    unit trace to round-off. A ``label`` that is not a str raises
+    :class:`DimensionError`.
     """
 
     weights: tuple[float, ...]
@@ -98,6 +91,7 @@ class Preparation:
     label: str = ""
 
     def __post_init__(self, pairs):
+        _text(self.label, "preparation label")
         try:
             weights, pairs = tuple(self.weights), tuple(pairs)
         except TypeError:
@@ -175,7 +169,8 @@ class PathChannel:
     Entries must be finite, and trace preservation (sum A^dag A = sum B^dag B
     = 1) is enforced in operator norm within 1e-10, so every state the
     channel outputs has unit trace within 1e-10. ``metadata`` is stored as a
-    copy of the mapping given; anything else raises :class:`DimensionError`.
+    copy of the mapping given; anything else, and a ``label`` that is not a
+    str, raises :class:`DimensionError`.
     """
 
     kraus: np.ndarray = field(repr=False)
@@ -183,6 +178,7 @@ class PathChannel:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _text(self.label, "channel label")
         kraus = np.array(finite_array(self.kraus, "Kraus blocks"))
         if kraus.ndim != 4 or kraus.shape[1:3] != (2, kraus.shape[3]) or not kraus.size:
             raise DimensionError(f"Kraus stack shape {kraus.shape} is not (K, 2, d, d), K, d >= 1")
@@ -268,9 +264,8 @@ def replace_channel(sigma0: np.ndarray) -> PathChannel:
     with sigma0, which must be a density matrix (Hermitian, PSD, unit trace)
     for a completely positive realization to exist.
     """
-    sigma0 = density_matrix(sigma0, "sigma0")
+    sigma0, w, vecs = _density_eigh(sigma0, "sigma0")
     d = sigma0.shape[0]
-    w, vecs = psd_eigh(sigma0, "sigma0")
     pairs = []
     for r in range(d):
         if w[r] <= ATOL_STRUCT:

@@ -55,6 +55,7 @@ kind. All-zero angles realize (1, 1), since QWP(0) HWP(0) QWP(0) = 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -77,7 +78,7 @@ from .channels import (
     pure_pair,
 )
 from .errors import ConventionError, DimensionError, NonFiniteError, NumericalError
-from .linalg import ATOL_DERIVED, finite_array, int_at_least, real_in
+from .linalg import ATOL_DERIVED, _numbers, finite_array, int_at_least, real_in
 
 __all__ = [
     "CONVENTION",
@@ -239,6 +240,9 @@ def _phase_tuple(phases) -> tuple[float, ...]:
     return phases
 
 
+_DEFAULT_PHASES = _phase_tuple(np.linspace(0.0, 2.0 * np.pi, 13))
+
+
 def _counting_settings(shots_per_phase, efficiencies) -> tuple[float, float, float, float]:
     """The efficiencies as floats; refuses efficiencies that are not four
     real numbers in (0, 1] and a shot count that is not a nonnegative
@@ -274,7 +278,9 @@ class FringeDataset:
     interference detectors plus and minus, then ref0 and ref1, which monitor
     the non-filtered component of each arm. Phases are stored as floats and
     must be finite and strictly increasing; the settings are checked as the
-    simulators check them, and so is the seed. A NaN or infinite count raises
+    simulators check them, and so is the seed. The counts are read by the
+    array rule of :mod:`whichway.linalg`, so text, a bool or None among them
+    raises :class:`DimensionError`. A NaN or infinite count raises
     :class:`NonFiniteError`, a non-integral one or one outside
     [0, shots_per_phase] :class:`DimensionError`, naming its detector.
     Datasets compare and hash by identity.
@@ -289,15 +295,13 @@ class FringeDataset:
     def __post_init__(self):
         phases = _phase_tuple(self.phases)
         efficiencies = _counting_settings(self.shots_per_phase, self.efficiencies)
-        counts = np.asarray(self.counts)
-        if counts.shape != (4, len(phases)):
-            raise DimensionError(f"counts shape {counts.shape} is not (4, {len(phases)} phases)")
-        if counts.dtype.kind not in "iu":
-            values = counts.astype(complex)
-            _refuse_rows(~np.isfinite(values), NonFiniteError, "NaN or infinite entry in {} counts")
-            _refuse_rows(values != np.round(values.real), DimensionError,
-                         "{} counts have a non-integral entry")
-        counts = np.array(counts, dtype=np.int64)
+        values = _numbers(self.counts, "counts")
+        if values.shape != (4, len(phases)):
+            raise DimensionError(f"counts shape {values.shape} is not (4, {len(phases)} phases)")
+        _refuse_rows(~np.isfinite(values), NonFiniteError, "NaN or infinite entry in {} counts")
+        _refuse_rows(values != np.round(values.real), DimensionError,
+                     "{} counts have a non-integral entry")
+        counts = np.array(self.counts, dtype=np.int64)
         _refuse_rows((counts < 0) | (counts > self.shots_per_phase), DimensionError,
                      "{} counts outside [0, shots_per_phase]")
         counts.flags.writeable = False
@@ -333,11 +337,13 @@ def _allocate(shots: int, weights) -> list[int]:
     return base
 
 
-def _probability_tables(ch, kets, filters, phases, contrast, shots_per_phase):
+def _probability_tables(ch, kets, chis, phases, contrast, shots_per_phase):
     """Shots of each row and the (cells, phases, rows, 4) detection
     probabilities of the plus, minus, ref0 and ref1 detectors, each row
     normalised. The cells are every (preparation, filter) pair, preparations
-    major; ``kets`` holds each preparation's (psi0, psi1).
+    major; ``kets`` holds each preparation's checked (psi0, psi1) and
+    ``chis`` each filter's (chi0, chi1), as an (n, 2, d) array or a sequence
+    of pairs.
 
     The per-Kraus amplitudes x_k = <chi0|A_k|psi0> and y_k = <chi1|B_k|psi1>
     of every cell come from one contraction. If every Kraus pair is a
@@ -347,8 +353,7 @@ def _probability_tables(ch, kets, filters, phases, contrast, shots_per_phase):
     Otherwise one pooled row takes every shot, with the exact mixture
     f0 = sum_k |x_k|^2, f1 = sum_k |y_k|^2 and v = sum_k x_k y_k*.
     """
-    psi = np.array(kets)
-    chi = np.array([(f.chi0, f.chi1) for f in filters])
+    psi, chi = np.asarray(kets), np.asarray(chis)
     amps = np.einsum("fia,kiab,pib->ipfk", chi.conj(), ch.kraus, psi)
     x, y = amps.reshape(2, -1, len(ch.kraus))
     f0, f1, v = np.abs(x) ** 2, np.abs(y) ** 2, x * y.conj()
@@ -372,19 +377,20 @@ def _probability_tables(ch, kets, filters, phases, contrast, shots_per_phase):
 
 
 def _counting_phases(phases, contrast) -> tuple[tuple[float, ...], float]:
-    """The phases as floats (13 over [0, 2 pi] by default) and the contrast,
-    a real number in (0, 1], as a float."""
-    phases = np.linspace(0.0, 2.0 * np.pi, 13) if phases is None else phases
-    return _phase_tuple(phases), real_in(contrast, "contrast", 0.0, 1.0, open_low=True)
+    """The phases as floats (by default ``_DEFAULT_PHASES``, the 13 over
+    [0, 2 pi], checked once) and the contrast, a real number in (0, 1], as a
+    float."""
+    phases = _DEFAULT_PHASES if phases is None else _phase_tuple(phases)
+    return phases, real_in(contrast, "contrast", 0.0, 1.0, open_low=True)
 
 
-def _count_cells(ch, kets, filters, phases, shots_per_phase, efficiencies, contrast,
+def _count_cells(ch, kets, chis, phases, shots_per_phase, efficiencies, contrast,
                  seeds) -> np.ndarray:
     """(cells, 4, phases) detector counts of the cells of
     :func:`_probability_tables`, cell c drawn from
     ``np.random.default_rng(seeds[c])`` in the order the module documents;
     the settings are already checked."""
-    shots, tables = _probability_tables(ch, kets, filters, phases, contrast, shots_per_phase)
+    shots, tables = _probability_tables(ch, kets, chis, phases, contrast, shots_per_phase)
     thin = np.array(efficiencies)[:, None]
     counts = np.empty((len(tables), 4, len(phases)), dtype=np.int64)
     for out, table, seed in zip(counts, tables, seeds):
@@ -421,8 +427,8 @@ def simulate_fringes(
     efficiencies = _counting_settings(shots_per_phase, efficiencies)
     phases, contrast = _counting_phases(phases, contrast)
     seed = _seed_tuple(seed)
-    (counts,) = _count_cells(ch, [pure_pair(prep, ch.spin_dim)], [filt], phases,
-                             shots_per_phase, efficiencies, contrast, [seed])
+    (counts,) = _count_cells(ch, [pure_pair(prep, ch.spin_dim)], [(filt.chi0, filt.chi1)],
+                             phases, shots_per_phase, efficiencies, contrast, [seed])
     return FringeDataset(phases, counts, shots_per_phase, seed, efficiencies)
 
 
@@ -528,25 +534,49 @@ def _fit_counts(phases: np.ndarray, counts: np.ndarray, keys) -> list[Fractional
                    rms.tolist())]
 
 
+@functools.cache
+def _rectilinear_grid() -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray, np.ndarray]:
+    """The sorted labels of the rectilinear preparations and filters and the
+    read-only (4, 2, 2) stacks of their kets, (psi0, psi1) per preparation
+    (checked by :func:`pure_pair` for dimension 2) and (chi0, chi1) per
+    filter: :func:`run_experiment`'s default grid, built and checked once."""
+    preps, filters = rectilinear_preparations(), rectilinear_filters()
+    mus, nus = tuple(sorted(preps)), tuple(sorted(filters))
+    kets = np.array([pure_pair(preps[mu], 2) for mu in mus])
+    chis = np.array([(filters[nu].chi0, filters[nu].chi1) for nu in nus])
+    kets.flags.writeable = chis.flags.writeable = False
+    return mus, nus, kets, chis
+
+
 def _simulate_cells(ch, preparations, filters, phases, shots_per_phase, efficiencies,
-                    contrast, seed) -> tuple[tuple[float, ...], np.ndarray]:
-    """The phases and the (cells, 4, phases) counts of :func:`run_experiment`,
-    cells over the sorted (mu, nu) grid, preparations major, every detector
-    drawn at the lowest efficiency."""
+                    contrast, seed) -> tuple[tuple[float, ...], np.ndarray, itertools.product]:
+    """The phases, the (cells, 4, phases) counts and the (mu, nu) keys of
+    :func:`run_experiment`, cells over the sorted (mu, nu) grid,
+    preparations major, every detector drawn at the lowest efficiency. A
+    ``preparations`` or ``filters`` of None is the rectilinear set; with
+    both None and a spin dimension of 2 the grid is
+    :func:`_rectilinear_grid`."""
     efficiencies = _counting_settings(shots_per_phase, efficiencies)
     phases, contrast = _counting_phases(phases, contrast)
     if shots_per_phase < 1:
         raise DimensionError(f"shots_per_phase {shots_per_phase} below 1: no counts to fit")
+    rectilinear = preparations is None and filters is None
+    preparations = rectilinear_preparations() if preparations is None else preparations
+    filters = rectilinear_filters() if filters is None else filters
     for name, grid in (("preparations", preparations), ("filters", filters)):
         if not grid:
             raise DimensionError(f"{name} is empty: no cells to simulate")
     seed = _seed_tuple(seed)
-    mus, nus = sorted(preparations), sorted(filters)
+    if rectilinear and ch.spin_dim == 2:
+        mus, nus, kets, chis = _rectilinear_grid()
+    else:
+        mus, nus = sorted(preparations), sorted(filters)
+        kets = [pure_pair(preparations[mu], ch.spin_dim) for mu in mus]
+        chis = [(filters[nu].chi0, filters[nu].chi1) for nu in nus]
     seeds = [seed + cell for cell in itertools.product(range(len(mus)), range(len(nus)))]
-    counts = _count_cells(ch, [pure_pair(preparations[mu], ch.spin_dim) for mu in mus],
-                          [filters[nu] for nu in nus], phases, shots_per_phase,
-                          (min(efficiencies),) * 4, contrast, seeds)
-    return phases, counts
+    counts = _count_cells(ch, kets, chis, phases, shots_per_phase, (min(efficiencies),) * 4,
+                          contrast, seeds)
+    return phases, counts, itertools.product(mus, nus)
 
 
 def run_experiment(
@@ -571,13 +601,15 @@ def run_experiment(
     closed-form fit serves (:func:`fit_fringes` of each cell). A fit needs
     counts, so ``shots_per_phase`` below 1 is a :class:`DimensionError`, and
     so is an empty ``preparations`` or ``filters``.
+
+    The defaults are constants built and checked once: ``phases=None`` is
+    the tuple of 13 phases over [0, 2 pi], and with ``preparations`` and
+    ``filters`` both None a channel of spin dimension 2 takes the sorted
+    labels and the (4, 2, 2) ket and filter stacks of the rectilinear sets.
     """
-    preparations = rectilinear_preparations() if preparations is None else preparations
-    filters = rectilinear_filters() if filters is None else filters
-    phases, counts = _simulate_cells(ch, preparations, filters, phases, shots_per_phase,
-                                     efficiencies, contrast, seed)
-    return _fit_counts(np.array(phases), counts,
-                       itertools.product(sorted(preparations), sorted(filters)))
+    phases, counts, keys = _simulate_cells(ch, preparations, filters, phases, shots_per_phase,
+                                           efficiencies, contrast, seed)
+    return _fit_counts(np.array(phases), counts, keys)
 
 
 # ---------------------------------------------------------------------------

@@ -11,17 +11,19 @@ Tolerance policy: structural checks on constructed objects use
 :func:`psd_eigh`'s; derived numerical identities use ``ATOL_DERIVED``
 (1e-9) and certificates ``bounds.CONTRACTION_TOL`` (1e-8); none is a
 parameter. Statistical tolerances live with the Monte Carlo code. The
-rules for integers, real settings, arrays, unit kets and density matrices
-are written once, here: :func:`int_at_least` (a bool is not an integer),
-:func:`real_in` (a real number in an interval, returned as a float; a bool,
-text, None or an array is not one), one array rule that every reader of an
-outside array goes through (text, a bool or None, alone or among numbers,
-is not a number), :func:`finite_array` (that rule with finite entries),
-:func:`unit_ket` (norm one within 1e-10) and :func:`density_matrix`
-(:func:`psd_eigh` and unit trace within 1e-10). A NaN or infinite entry of
-an array of the right kind and shape raises :class:`NonFiniteError`. Every
-real-valued setting (wave-plate angles, detector efficiencies, contrast,
-phases, ``--tol``) is checked by :func:`real_in` or :func:`finite_array`.
+rules for integers, real settings, labels, arrays, unit kets and density
+matrices are written once, here: :func:`int_at_least` (a bool is not an
+integer), :func:`real_in` (a real number in an interval, returned as a
+float; a bool, text, None or an array is not one), one label rule (a label
+is a str), one array rule that every reader of an outside array goes
+through (text, a bool or None, alone or among numbers, is not a number),
+:func:`finite_array` (that rule with finite entries), :func:`unit_ket`
+(norm one within 1e-10) and :func:`density_matrix` (:func:`psd_eigh` and
+unit trace within 1e-10, from one eigendecomposition that its callers in
+the package reuse). A NaN or infinite entry of an array of the right
+kind and shape raises :class:`NonFiniteError`. Every real-valued setting
+(wave-plate angles, detector efficiencies, contrast, phases, ``--tol``) is
+checked by :func:`real_in` or :func:`finite_array`.
 The root fidelity of two states is not formed here: :mod:`whichway.duality`
 takes it from their factors by Uhlmann's theorem, and the route through two
 eigendecompositions is a test oracle.
@@ -87,6 +89,13 @@ def real_in(value, what: str, low: float, high: float = math.inf, *,
         interval = ("(" if open_low else "[") + f"{lo}, {hi}" + (")" if high == math.inf else "]")
         raise DimensionError(f"{what} {value} outside {interval}{unit and ' ' + unit}")
     return float(value)
+
+
+def _text(value, what: str) -> str:
+    """``value`` if it is a str, else :class:`DimensionError` naming ``what``."""
+    if not isinstance(value, str):
+        raise DimensionError(f"{what} {value!r} is not a str")
+    return value
 
 
 def ket(index: int, dim: int) -> np.ndarray:
@@ -179,15 +188,22 @@ def psd_eigh(m, what: str) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def density_matrix(m, what: str) -> np.ndarray:
-    """``m`` as a complex matrix that :func:`psd_eigh` accepts; one whose
-    trace differs from one beyond 1e-10 raises :class:`PositivityError`."""
+def _density_eigh(m, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m, w, v): ``m`` as a complex matrix that :func:`psd_eigh` accepts,
+    with that eigendecomposition (w, v); one whose trace differs from one
+    beyond 1e-10 raises :class:`PositivityError`."""
     m = _square(m, what)
-    psd_eigh(m, what)
+    w, v = psd_eigh(m, what)
     tr = np.trace(m)
     if abs(tr.real - 1.0) > ATOL_STRUCT or abs(tr.imag) > ATOL_STRUCT:
         raise PositivityError(f"{what} trace differs from one beyond 1e-10")
-    return m
+    return m, w, v
+
+
+def density_matrix(m, what: str) -> np.ndarray:
+    """``m`` as a complex matrix that :func:`psd_eigh` accepts; one whose
+    trace differs from one beyond 1e-10 raises :class:`PositivityError`."""
+    return _density_eigh(m, what)[0]
 
 
 def trace_norm(m) -> float:

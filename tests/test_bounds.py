@@ -36,6 +36,7 @@ from whichway import (
     pauli_mixture_channel,
     random_path_channel,
     read_records_csv,
+    replace_channel,
     rectilinear_filters,
     rectilinear_preparations,
     run_experiment,
@@ -48,6 +49,7 @@ from whichway import (
 )
 from reference_kernels import detection_probabilities, orthonormal_filter_bound, swap_estimate
 from whichway.bounds import SWAP_KEYS, _ket_support, _root_support
+from whichway.linalg import psd_eigh
 
 H, V = ket(0, 2), ket(1, 2)
 DEMO_RECORDS = Path(__file__).resolve().parents[1] / "demos" / "data" / "measured_records.csv"
@@ -417,10 +419,17 @@ _HH = ket(0, 2), ket(0, 2)
     lambda: fractional_visibility(identity_channel(2), _HH, rectilinear_filters()["hh"], mu=_LABEL),
     lambda: fractional_visibility(identity_channel(2), _HH, rectilinear_filters()["hh"], mu=3),
     lambda: single_preparation_certificate(_LABEL, measured_records()),
+    lambda: PathChannel(identity_channel(2).kraus, label=_LABEL),
+    lambda: PathChannel(identity_channel(2).kraus, label=3),
+    lambda: Preparation.pure(*_HH, label=_LABEL),
+    lambda: Preparation.completely_mixed(2, label=3),
 ], ids=["record-mu-array", "record-mu-int", "record-nu-int", "filter-label-int",
-        "filter-label-array", "fractional-mu-array", "fractional-mu-int", "single-mu-array"])
+        "filter-label-array", "fractional-mu-array", "fractional-mu-int", "single-mu-array",
+        "channel-label-array", "channel-label-int", "preparation-label-array",
+        "preparation-label-int"])
 def test_a_label_that_is_not_a_str_is_a_dimension_error(build):
-    # an array label raised numpy's ambiguous-truth ValueError, or was stored
+    # an array label raised numpy's ambiguous-truth ValueError (for a channel
+    # or preparation, in verify_inequality), or was stored
     with pytest.raises(DimensionError, match="is not a str"):
         build()
 
@@ -584,7 +593,7 @@ def test_single_preparation_ket_route_matches_eigh_route(d):
         assert (cert.vg_lower, cert.d_upper) == (oracle.vg_lower, oracle.d_upper)
         for psi in (psi0, psi1):
             support = _ket_support(psi)
-            for ref in _root_support(np.outer(psi, psi.conj())):
+            for ref in _root_support(*psd_eigh(np.outer(psi, psi.conj()), "rho")):
                 np.testing.assert_allclose(support, ref, rtol=0, atol=1e-12)
 
 
@@ -690,7 +699,7 @@ def test_swap_certificate_equals_the_checked_route_without_rechecking(monkeypatc
     def refuse(*args, **kwargs):
         raise AssertionError("swap_certificate re-validated a constant input")
 
-    for name in ("density_matrix", "pure_pair", "_root_support"):
+    for name in ("_density_eigh", "pure_pair", "_root_support"):
         monkeypatch.setattr(bounds, name, refuse)
     got = swap_certificate(records)
     assert got.alphas == want.alphas
@@ -698,6 +707,39 @@ def test_swap_certificate_equals_the_checked_route_without_rechecking(monkeypatc
     for name in ("contraction_slack", "vg_lower", "d_upper", "sigma_vg", "sigma_d"):
         assert abs(getattr(got, name) - getattr(want, name)) <= 1e-15, name
     assert not any(m.flags.writeable for m in bounds._mixed_support())
+
+
+@pytest.mark.parametrize("mu, nus, message", [
+    ("hh", ("hh",), "upper-arm filters do not form a complete basis (1 vectors in dim 2)"),
+    ("hh", ("hh", "vv", "hv"),
+     "upper-arm filters do not form a complete basis (3 vectors in dim 2)"),
+    ("hh", ("hh", "hv"), "upper-arm filter states are not orthonormal within 1e-9"),
+    ("hh", ("hh", "vh"), "lower-arm filter states are not orthonormal within 1e-9"),
+    ("hh", ("hh", "ab"), "records reference unknown filters ['ab']"),
+    ("xx", ("hh", "vv"), "no preparation 'xx'"),
+])
+def test_default_certificate_keeps_the_errors_of_the_checked_route(mu, nus, message):
+    # a record set outside the built-once table of default certificates
+    # takes the checked route and raises what the explicit sets raise
+    records = [FractionalVisibilityRecord(mu, nu, 0.5, 0.1) for nu in nus]
+    for sets in ({}, {"preps": rectilinear_preparations(), "filters": rectilinear_filters()}):
+        with pytest.raises(DimensionError) as exc:
+            single_preparation_certificate(mu, records, **sets)
+        assert str(exc.value) == message
+
+
+def test_each_density_matrix_is_decomposed_once(monkeypatch):
+    # the eigendecomposition that checks a density matrix also gives the
+    # eigenpairs replace_channel and verify_alpha_constraint use
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    rho = np.diag([0.7, 0.3]).astype(complex)
+    replace_channel(rho)
+    assert len(calls) == 1
+    calls.clear()
+    verify_alpha_constraint(dict.fromkeys(SWAP_KEYS, 0.5), rectilinear_preparations(),
+                            rectilinear_filters(), np.eye(2) / 2, np.eye(2) / 2)
+    assert len(calls) == 2
 
 
 def test_general_certificates_with_full_rank_states():

@@ -46,12 +46,12 @@ def _sample(label):
     preps, filters = rectilinear_preparations(), rectilinear_filters()
     draws = []
     for s in range(SEEDS):
-        phases, counts = _simulate_cells(ch, preps, filters, None, SHOTS, EFFICIENCIES,
-                                         CONTRAST, (2024, s))
+        phases, counts, _ = _simulate_cells(ch, preps, filters, None, SHOTS, EFFICIENCIES,
+                                            CONTRAST, (2024, s))
         draws.append(counts.transpose(0, 2, 1))
     kets = [pure_pair(preps[mu], 2) for mu in sorted(preps)]
-    shots, tables = _probability_tables(ch, kets, [filters[nu] for nu in sorted(filters)],
-                                        phases, CONTRAST, SHOTS)
+    chis = [(filters[nu].chi0, filters[nu].chi1) for nu in sorted(filters)]
+    shots, tables = _probability_tables(ch, kets, chis, phases, CONTRAST, SHOTS)
     n = np.asarray(shots, dtype=float)
     q = min(EFFICIENCIES) * tables
     mean = np.einsum("r,cjri->cji", n, q)

@@ -25,6 +25,7 @@ from whichway import (
     WhichWayError,
     binomial_resample,
     block_choi,
+    certify_run,
     fit_fringes,
     identity_channel,
     jones_matrix,
@@ -39,13 +40,14 @@ from whichway import (
     replace_channel,
     run_experiment,
     simulate_fringes,
+    single_preparation_certificate,
     transpose_channel,
     verify_alpha_constraint,
     verify_noise_program,
     write_dataset_csv,
 )
 from whichway.channels import pure_pair
-from whichway import interferometer
+from whichway import bounds, interferometer
 from whichway.interferometer import (
     _allocate,
     _count_cells,
@@ -414,6 +416,61 @@ def test_run_experiment_refuses_an_empty_grid(monkeypatch, empty):
         run_experiment(pauli_mixture_channel(), **{empty: {}}, seed=1)
 
 
+def _same_certificate(got, want):
+    assert got.alphas == want.alphas
+    assert got.u_hat.dtype == want.u_hat.dtype and got.u_hat.tobytes() == want.u_hat.tobytes()
+    for name in ("contraction_slack", "vg_lower", "sigma_vg", "d_upper", "sigma_d"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+@pytest.mark.parametrize("efficiencies", [(1.0,) * 4, (0.93, 1.0, 0.81, 0.88)])
+@pytest.mark.parametrize("seed", [1, 7, 9001])
+def test_default_run_and_certificates_equal_the_explicit_sets_bit_for_bit(seed, efficiencies):
+    # the defaults take built-once constants; the explicit rectilinear sets
+    # and linspace phases take the checked route
+    ch, kwargs = pauli_mixture_channel(), dict(efficiencies=efficiencies, contrast=0.96, seed=seed)
+    records = run_experiment(ch, **kwargs)
+    assert records == run_experiment(ch, rectilinear_preparations(), rectilinear_filters(),
+                                     phases=np.linspace(0.0, 2.0 * np.pi, 13), **kwargs)
+    run = certify_run(records)
+    recs = {rec.key: rec for rec in records}
+    assert len(run.singles) == 8
+    for (mu, *pair), cert in run.singles.items():
+        _same_certificate(cert, single_preparation_certificate(
+            mu, [recs[(mu, nu)] for nu in pair], preps=rectilinear_preparations(),
+            filters=rectilinear_filters()))
+
+
+def test_default_run_and_certificates_recheck_no_constant(monkeypatch):
+    # the rectilinear kets, filter stacks, supports and default phases are
+    # checked once, when they are built, and not on each call
+    ch = pauli_mixture_channel()
+    want_records = run_experiment(ch, efficiencies=(0.9, 1.0, 0.8, 1.0), seed=11)
+    want = certify_run(want_records)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a default run re-checked a constant input")
+
+    for module, name in ((interferometer, "pure_pair"), (interferometer, "_phase_tuple"),
+                         (bounds, "pure_pair"), (bounds, "_complete_basis_check"),
+                         (bounds, "_ket_support")):
+        monkeypatch.setattr(module, name, refuse)
+    records = run_experiment(ch, efficiencies=(0.9, 1.0, 0.8, 1.0), seed=11)
+    assert records == want_records
+    got = certify_run(records)
+    assert list(got.singles) == list(want.singles) and got.best == want.best
+    for key, cert in got.singles.items():
+        _same_certificate(cert, want.singles[key])
+    _same_certificate(got.swap, want.swap)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_default_run_keeps_the_dimension_error_of_the_checked_route(d):
+    with pytest.raises(DimensionError) as exc:
+        run_experiment(identity_channel(d), seed=1)
+    assert str(exc.value) == f"preparation kets do not have dimension {d}"
+
+
 @pytest.mark.parametrize("shots", [2.5, 10.0, np.float64(100.0), "10"])
 @pytest.mark.parametrize("simulate", ["simulate_fringes", "run_experiment"])
 def test_counting_refuses_a_shot_count_that_is_not_an_integer(simulate, shots):
@@ -476,6 +533,10 @@ SETTING_PROBES = {
     "dataset-bool-among-phases": (lambda: FringeDataset((False, 0.5, 1.0, 2.0),
                                                         np.zeros((4, 4), dtype=np.int64), 1, 0,
                                                         (1.0,) * 4), DimensionError),
+    "dataset-text-counts": (lambda: _dataset(np.full((4, 2), "5")), DimensionError),
+    "dataset-bool-counts": (lambda: _dataset(np.ones((4, 2), dtype=bool)), DimensionError),
+    "dataset-none-count": (lambda: _dataset([[None, 5], [5, 5], [5, 5], [5, 5]]),
+                           DimensionError),
     "phases-numpy-bool-among-numbers": (lambda: _experiment(phases=[np.bool_(False), 1.0, 2.0,
                                                                     4.0]), DimensionError),
     "alpha-bool-coefficient": (lambda: verify_alpha_constraint(
@@ -495,6 +556,15 @@ def test_bad_settings_raise_their_exact_package_error(name):
     with pytest.raises(WhichWayError) as exc:
         probe()
     assert type(exc.value) is error, repr(exc.value)
+
+
+@pytest.mark.parametrize("name", ["dataset-text-counts", "dataset-bool-counts",
+                                  "dataset-none-count"])
+def test_counts_that_are_not_numbers_are_refused_by_the_array_rule(name):
+    # text counts were parsed, bool counts read as 0/1, and a None count
+    # raised NonFiniteError
+    with pytest.raises(DimensionError, match="^counts is not an array of numbers$"):
+        SETTING_PROBES[name][0]()
 
 
 def test_counting_refuses_a_bool_shot_count():
@@ -691,7 +761,8 @@ def test_probability_table_matches_loop_reference(kind, shots):
         assert 0 in _allocate(shots, _unitary_rows(ch))  # a row gets no shots
     for contrast in (0.96, 1.0):
         args = (phases, contrast, shots)
-        got_shots, got = _probability_tables(ch, kets, filters, *args)
+        got_shots, got = _probability_tables(ch, kets, [(f.chi0, f.chi1) for f in filters],
+                                             *args)
         for c, ((psi0, psi1), filt) in enumerate(itertools.product(kets, filters)):
             want_shots, want = ref.probability_table(ch, psi0, psi1, filt, *args)
             assert got_shots.tolist() == want_shots
@@ -710,7 +781,8 @@ def test_batched_counts_match_loop_reference(kind):
     filters = [filt for _, filt in cells] + [cells[0][1]]
     seeds = [(13, m, f) for m in range(len(kets)) for f in range(len(filters))]
     for efficiencies in ((1.0,) * 4, (0.9, 1.0, 0.75, 1.0)):
-        counts = _count_cells(ch, kets, filters, phases, shots, efficiencies, 0.96, seeds)
+        counts = _count_cells(ch, kets, [(f.chi0, f.chi1) for f in filters], phases, shots,
+                              efficiencies, 0.96, seeds)
         assert len(counts) == len(seeds)
         for seed, n in zip(seeds, counts):
             want = ref.simulate_fringes(ch, kets[seed[1]], filters[seed[2]], phases=phases,
@@ -758,7 +830,7 @@ def _assert_experiment_matches_oracle(ch, seed, **kwargs):
     """Counts of every cell equal the scalar default_rng oracle's bit for bit; the
     records, fitted together here and one cell at a time there, agree
     within 1e-15."""
-    phases, counts = _simulate_cells(ch, PREPS, FILTERS, None, **kwargs, seed=seed)
+    phases, counts, _ = _simulate_cells(ch, PREPS, FILTERS, None, **kwargs, seed=seed)
     want_cells = ref.simulate_cells(ch, seed, **kwargs)
     assert counts.shape == (16, 4, 13) and len(want_cells) == 16
     for cell, (mu, nu, want) in zip(counts, want_cells):

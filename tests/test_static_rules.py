@@ -8,16 +8,21 @@ A :class:`Rule` row holds a predicate that names the offence a node commits
 is flagged once, at its last line, and each ``passes`` source passes, when
 parsed as the module it is listed under. The positive structure checks (the
 CLI calls ``certify_run``; the benchmark's trace targets and the package
-exports resolve) read the same parsed trees.
+exports resolve) read the same parsed trees. One check runs code: every
+``functools.cache`` constant of the package holds only read-only arrays.
 """
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import types
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+import numpy as np
 import pytest
 
 from whichway import WhichWayError
@@ -377,3 +382,38 @@ def test_package_exports_resolve_and_come_from_each_modules_all():
     assert stale == []
     assert all(hasattr(whichway, name) for _, name in imported)
     assert not hasattr(whichway, "SpinState")
+
+
+def _arrays(value):
+    """Every ndarray reachable from ``value`` through tuples, lists,
+    mappings (keys and values) and dataclass fields."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, Mapping):
+        for item in value.items():
+            yield from _arrays(item)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        for f in dataclasses.fields(value):
+            yield from _arrays(getattr(value, f.name))
+
+
+def test_cached_constants_hold_only_read_only_arrays():
+    # a functools.cache result is shared by every caller, so an array in it
+    # that could be written through a view the package returns would change
+    # every later result
+    cached = {f"{m}.{name}": fn for m in MODULES for name, fn in namespace(m).items()
+              if hasattr(fn, "cache_info") and fn.__module__ == f"whichway.{m}"}
+    constant = {name: fn for name, fn in cached.items()
+                if not inspect.signature(fn).parameters}
+    assert {"bounds._rectilinear_sets", "bounds._mixed_support", "bounds._rectilinear_singles",
+            "interferometer._rectilinear_grid"} <= set(constant)
+    for name, fn in constant.items():
+        arrays = list(_arrays(fn()))
+        assert arrays, name
+        assert not [a.shape for a in arrays if a.flags.writeable], name
+    box = dataclasses.make_dataclass("Box", ["m"])(np.zeros(1))
+    planted = ({"k": [np.zeros(2)]}, types.MappingProxyType({("a",): (box,)}))
+    assert [a.shape for a in _arrays(planted)] == [(2,), (1,)]
