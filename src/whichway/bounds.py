@@ -18,34 +18,41 @@ stacked Kraus array through the per-Kraus amplitudes <chi0|A_k|psi0> and
 <chi1|B_k|psi1> alone, never forming a d^2 x d^2 matrix; the block-map and
 block-Choi routes to the same numbers are test oracles.
 
-One kernel checks every certificate, from projected kets. It takes the n
-coefficients as one complex array, the terms' preparation kets and filter
-kets as (2, n, d) stacks, and per arm the support projector P and
-pseudo-inverse of sqrt(rho)^T. Since (P x 1)(psi x chi) = (P psi) x chi,
-it projects the kets with one small matmul per arm instead of sandwiching
-the d^2 x d^2 operator L. One einsum per arm stacks the rank-one factors of
-L, of its projection and (for mixed arms) of U-hat, and one batched product
-forms the three. The leak check compares two Frobenius norms from ``vdot``;
-the slack is the largest eigenvalue of U-hat^dag U-hat minus one, from one
-``eigvalsh``, and must not exceed ``CONTRACTION_TOL`` (1e-8). For a density
-matrix (:func:`verify_alpha_constraint`, :func:`swap_certificate`) P and
-the pseudo-inverse come from one eigendecomposition of rho. For a pure
+One kernel checks every certificate, from projected kets, in two steps.
+The preparation step takes the terms' preparation kets and filter kets as
+(2, n, d) stacks and per arm the support projector P and pseudo-inverse of
+sqrt(rho)^T. Since (P x 1)(psi x chi) = (P psi) x chi, it projects the
+kets with one small matmul per arm instead of sandwiching the d^2 x d^2
+operator L, and one einsum stacks the column factors of L, of its
+projection and (for mixed arms) of U-hat. None of these stacks depends on
+the coefficients. The evaluation step takes the n coefficients as one
+complex array, weighs the row factors by them with one einsum, and one
+batched product forms the three operators. The leak check compares two
+Frobenius norms from ``vdot``; the slack is the largest eigenvalue of
+U-hat^dag U-hat minus one, from one ``eigvalsh``, and must not exceed
+``CONTRACTION_TOL`` (1e-8). For a density matrix
+(:func:`verify_alpha_constraint`, :func:`swap_certificate`) P and the
+pseudo-inverse come from one eigendecomposition of rho. For a pure
 preparation (:func:`single_preparation_certificate`) they come from the
 unit ket: sqrt(|psi><psi|)^T = psi* psi^T is its own support projector and
 its own pseudo-inverse, so no eigendecomposition runs, and U-hat is the
 projected L. A list of records that repeats a (mu, nu) key raises
 :class:`DimensionError`.
 
-The constants of the rectilinear h/v grid are built and checked once, on
-first use, and are read-only: the four preparation kets and filter pairs
-(:func:`rectilinear_preparations` and :func:`rectilinear_filters` return
-fresh dicts over them), the ket stacks of the four swap terms and the
-support of the completely mixed state 1/2 (:func:`swap_certificate`), and
-a table of the kets, supports and filter stacks of the 16 default
+The paper's rectilinear h/v grid is one constant, built and checked on
+first use, every array in it read-only: the four preparation kets and
+filter pairs (:func:`rectilinear_preparations` and
+:func:`rectilinear_filters` return fresh dicts over them), their (4, 2, 2)
+ket stack (the default cells of
+:func:`~whichway.interferometer.run_experiment`), the prepared stacks of
+the four swap terms on the support of the completely mixed state 1/2
+(:func:`swap_certificate`), and the prepared stacks of the 16 default
 single-preparation certificates, one per preparation and ordered
 complementary filter pair (:func:`single_preparation_certificate` with
-``preps`` and ``filters`` both None). A default call takes its kernel
-inputs from these and re-checks none of them.
+``preps`` and ``filters`` both None). A default call runs only the
+evaluation step on these and re-checks none of them;
+:func:`verify_alpha_constraint` and explicit sets run both steps on each
+call.
 
 A certificate stores ``vg_lower`` and ``sigma_vg`` and derives the bound
 sqrt(1 - vg_lower^2) on D and its delta-method sigma; the swap and
@@ -71,6 +78,7 @@ from .linalg import (
     ATOL_DERIVED,
     ATOL_STRUCT,
     _density_eigh,
+    _frozen,
     _text,
     finite_array,
     ket,
@@ -265,14 +273,14 @@ def _ket_support(psi: np.ndarray) -> np.ndarray:
     return psi.conj()[..., :, None] * psi[..., None, :]
 
 
-def _certify(
-    alphas: np.ndarray,
+def _stacks(
     kets: np.ndarray,
     chis: np.ndarray,
     support0: tuple[np.ndarray, np.ndarray],
     support1: tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, float]:
-    """(U-hat, contraction slack) of the n complex coefficients ``alphas``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stacks (rows, chi1, w) of a certificate's n terms, which
+    :func:`_certify` reads with the coefficients; none depends on them.
 
     ``kets`` and ``chis`` broadcast to (2, n, d): row m of arm i holds the
     preparation ket psi_i and the filter ket chi_i of term m, checked unit
@@ -280,7 +288,10 @@ def _certify(
     pseudo-inverse) of sqrt(rho)^T; arms whose two matrices are one object
     (pure preparations) make U-hat the projected L. Of
     L = sum_m alpha_m (psi1* x chi1)(psi0 x chi0*)^T, the rows psi1* are
-    projected by P1 (and inv1) and the columns psi0 by P0^T (and inv0^T).
+    projected by P1 (and inv1) and the columns psi0 by P0^T (and inv0^T):
+    ``rows`` stacks psi1* and its projections, ``chi1`` is the lower-arm
+    filter kets, and ``w`` the (s, n, d^2) column factors psi0 x chi0* of L,
+    of its projection and (for mixed arms) of U-hat.
     """
     (p0, inv0), (p1, inv1) = support0, support1
     pure = p0 is inv0 and p1 is inv1
@@ -288,8 +299,18 @@ def _certify(
     rows = np.array((row, row @ p1.T) if pure else (row, row @ p1.T, row @ inv1.T))
     cols = np.array((col, col @ p0) if pure else (col, col @ p0, col @ inv0))
     s, (n, d) = len(rows), chis.shape[1:]
-    u = np.einsum("sma,mb->smab", rows, chis[1] * alphas[:, None]).reshape(s, n, d * d)
     w = np.einsum("smc,me->smce", cols, chis[0].conj()).reshape(s, n, d * d)
+    return rows, chis[1], w
+
+
+def _certify(alphas: np.ndarray, stacks) -> tuple[np.ndarray, float]:
+    """(U-hat, contraction slack) of the n complex coefficients ``alphas``
+    on the :func:`_stacks` of their terms: the row factors
+    u = psi1* x (alpha chi1) of L, of its projection and of U-hat meet the
+    column factors ``w`` in one batched product."""
+    rows, chi1, w = stacks
+    s, n, dd = w.shape
+    u = np.einsum("sma,mb->smab", rows, chi1 * alphas[:, None]).reshape(s, n, dd)
     mats = u.transpose(0, 2, 1) @ w
     left, projected, u_hat = mats[0], mats[1], mats[-1]
 
@@ -371,8 +392,8 @@ def verify_alpha_constraint(
     # (psi0, psi1, chi0, chi1) x term x d
     terms = np.array([(*kets[mu], filters[nu].chi0, filters[nu].chi1) for mu, nu in alphas],
                      dtype=complex).reshape(len(alphas), 4, d).transpose(1, 0, 2)
-    u_hat, slack = _certify(coeffs, terms[:2], terms[2:], _root_support(w0, v0),
-                            _root_support(w1, v1))
+    u_hat, slack = _certify(coeffs, _stacks(terms[:2], terms[2:], _root_support(w0, v0),
+                                            _root_support(w1, v1)))
     return BoundCertificate(dict(zip(alphas, coeffs.tolist())), u_hat, slack)
 
 
@@ -416,47 +437,72 @@ def _complete_basis_check(filters: dict[str, FilterPair], nus: list[str]) -> np.
     return stack
 
 
+def _single_stacks(preps, filters: dict[str, FilterPair], mu: str, nus) -> tuple:
+    """The :func:`_stacks` of preparation ``mu`` with the filters ``nus``,
+    which :func:`_complete_basis_check` checks first; each arm's support
+    projector and pseudo-inverse are one object, psi* psi^T."""
+    chis = _complete_basis_check(filters, nus)
+    if mu not in preps:
+        raise DimensionError(f"no preparation {mu!r}")
+    psi = np.array(pure_pair(preps[mu], chis.shape[2]))
+    r0, r1 = _ket_support(psi)
+    # one object as both matrices of an arm takes the kernel's pure route
+    return _stacks(psi[:, None], chis, (r0, r0), (r1, r1))
+
+
 @functools.cache
-def _rectilinear_sets() -> tuple[tuple, tuple, np.ndarray]:
-    """(label, preparation pair) and (label, filter pair) items over one
-    read-only h and v ket, built and validated once, and the read-only
-    (2, 2, 4, 2) stack of the preparation kets and the filter kets of the
-    ``SWAP_KEYS`` terms."""
-    h, v = ket(0, 2), ket(1, 2)
-    h.flags.writeable = v.flags.writeable = False
-    states = {"h": h, "v": v}
-    labels = [(a + b, states[a], states[b]) for a in "hv" for b in "hv"]
-    pairs = {lab: (x, y) for lab, x, y in labels}
+def _rectilinear_grid() -> MappingProxyType:
+    """The rectilinear h/v grid, built and checked once, every array in it
+    read-only:
+
+    - ``labels``, hh, hv, vh, vv (sorted): label xy is the preparation
+      (x, y) and the filter pair with x in the upper arm, y in the lower;
+    - ``preparations`` and ``filters``, keyed by label, over one h and one
+      v ket;
+    - ``pairs``, the (4, 2, 2) stack of each label's two kets, which is
+      both the preparation and the filter stack of the default cells;
+    - ``swap``, the :func:`_stacks` of the ``SWAP_KEYS`` terms with both
+      arms completely mixed, from one eigendecomposition of 1/2;
+    - ``singles``, the :func:`_stacks` of the 16 default single-preparation
+      certificates, keyed (mu, (nu, partner)) for every preparation mu and
+      ordered ``COMPLEMENTARY`` pair.
+    """
+    states = {"h": _frozen(ket(0, 2)), "v": _frozen(ket(1, 2))}
+    labels = tuple(a + b for a in "hv" for b in "hv")
+    preps = {lab: (states[lab[0]], states[lab[1]]) for lab in labels}
+    filters = {lab: FilterPair(*pair, label=lab) for lab, pair in preps.items()}
     # (preparation kets, filter kets) x arm x SWAP_KEYS term x 2
-    swap = np.array([[[pairs[key[i]][arm] for key in SWAP_KEYS] for arm in (0, 1)]
-                     for i in (0, 1)])
-    swap.flags.writeable = False
-    return (tuple(pairs.items()),
-            tuple((lab, FilterPair(x, y, label=lab)) for lab, x, y in labels),
-            swap)
+    kets, chis = np.array([[[preps[key[i]][arm] for key in SWAP_KEYS] for arm in (0, 1)]
+                           for i in (0, 1)])
+    mixed = _root_support(*psd_eigh(np.eye(2, dtype=complex) / 2, "rho"))
+    orders = COMPLEMENTARY + tuple(nus[::-1] for nus in COMPLEMENTARY)
+    singles = {(mu, nus): _single_stacks(preps, filters, mu, nus)
+               for mu in labels for nus in orders}
+    swap = _stacks(kets, chis, mixed, mixed)
+    for stacks in (swap, *singles.values()):
+        for a in stacks:
+            _frozen(a)
+    return MappingProxyType({
+        "labels": labels,
+        "preparations": MappingProxyType(preps),
+        "filters": MappingProxyType(filters),
+        "pairs": _frozen(np.array(list(preps.values()))),
+        "swap": swap,
+        "singles": MappingProxyType(singles),
+    })
 
 
 def rectilinear_preparations() -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """The four pure h/v preparation pairs, labelled hh, hv, vh, vv: a fresh
     dict on each call over kets that are shared and read-only."""
-    return dict(_rectilinear_sets()[0])
+    return dict(_rectilinear_grid()["preparations"])
 
 
 def rectilinear_filters() -> dict[str, FilterPair]:
     """The four h/v filter pairs; label xy filters x in the upper arm and y
     in the lower arm. A fresh dict on each call over filter pairs that are
     built once and hold shared, read-only kets."""
-    return dict(_rectilinear_sets()[1])
-
-
-@functools.cache
-def _mixed_support() -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_root_support` of the completely mixed qubit state 1/2, computed
-    once and read-only."""
-    support = _root_support(*psd_eigh(np.eye(2, dtype=complex) / 2, "rho"))
-    for m in support:
-        m.flags.writeable = False
-    return support
+    return dict(_rectilinear_grid()["filters"])
 
 
 def _optimal_phase(value: complex) -> complex:
@@ -472,8 +518,10 @@ def swap_certificate(records) -> BoundCertificate:
     every term, so the bound is
     (|V^{hh,hh}| + |V^{hv,vh}| + |V^{vh,hv}| + |V^{vv,vv}|) / 2, clamped to 1.
     It is :func:`verify_alpha_constraint` with both arms completely mixed,
-    run on the rectilinear kets and the support of 1/2, which are checked,
-    stacked and built once.
+    run on the rectilinear grid: the stacks of the four terms, projected on
+    the support of 1/2, are prepared once with the grid, so a call only
+    weighs them by its coefficients and runs the leak and contraction
+    checks.
     """
     recs = _record_map(records)
     for key in SWAP_KEYS:
@@ -481,32 +529,8 @@ def swap_certificate(records) -> BoundCertificate:
             raise DimensionError(f"missing record for {key}")
     rows = [recs[key] for key in SWAP_KEYS]
     alphas = [0.5 * _optimal_phase(rec.visibility) for rec in rows]
-    kets, chis = _rectilinear_sets()[2]
-    support = _mixed_support()
-    u_hat, slack = _certify(np.array(alphas), kets, chis, support, support)
+    u_hat, slack = _certify(np.array(alphas), _rectilinear_grid()["swap"])
     return _folded(dict(zip(SWAP_KEYS, alphas)), rows, u_hat, slack)
-
-
-@functools.cache
-def _rectilinear_singles() -> MappingProxyType:
-    """The kernel inputs of :func:`single_preparation_certificate` on the
-    rectilinear sets, keyed (mu, (nu, partner)) for every preparation mu and
-    ordered ``COMPLEMENTARY`` pair: the (2, 1, 2) stack of mu's kets,
-    checked by :func:`pure_pair`, their (2, 2, 2) supports psi* psi^T and
-    the (2, 2, 2) filter stack of :func:`_complete_basis_check`. Its 16
-    entries, every default input that certifies, are read-only and built
-    and checked once."""
-    preps, filters = rectilinear_preparations(), rectilinear_filters()
-    table = {}
-    for mu, pair in preps.items():
-        psi = np.array(pure_pair(pair, 2))
-        terms = (psi[:, None].copy(), _ket_support(psi))
-        for nus in COMPLEMENTARY + tuple(nus[::-1] for nus in COMPLEMENTARY):
-            table[(mu, nus)] = (*terms, _complete_basis_check(filters, nus))
-    for entry in table.values():
-        for m in entry:
-            m.flags.writeable = False
-    return MappingProxyType(table)
 
 
 def single_preparation_certificate(
@@ -529,29 +553,23 @@ def single_preparation_certificate(
 
     With ``preps`` and ``filters`` both None (the rectilinear sets), a
     record set that certifies, one rectilinear mu with an ordered
-    complementary filter pair, takes its kets, supports and filter stack
-    from a table built and checked once; any other set takes the general
-    route, which raises what it raises for explicit sets.
+    complementary filter pair, reads its stacks from the rectilinear grid,
+    where its 16 such sets are checked and prepared once; any other set
+    takes the general route, which checks and prepares its stacks on each
+    call and raises what it raises for explicit sets.
     """
     _text(mu, "mu")
     rows = [rec for rec in _record_map(records).values() if rec.mu == mu]
     if not rows:
         raise DimensionError(f"no records for preparation {mu!r}")
     nus = tuple(rec.nu for rec in rows)
-    terms = _rectilinear_singles().get((mu, nus)) if preps is None and filters is None else None
-    if terms is None:
-        preps = rectilinear_preparations() if preps is None else preps
-        filters = rectilinear_filters() if filters is None else filters
-        chis = _complete_basis_check(filters, nus)
-        if mu not in preps:
-            raise DimensionError(f"no preparation {mu!r}")
-        psi = np.array(pure_pair(preps[mu], chis.shape[2]))
-        kets, (r0, r1) = psi[:, None], _ket_support(psi)
-    else:
-        kets, (r0, r1), chis = terms
+    default = preps is None and filters is None
+    stacks = _rectilinear_grid()["singles"].get((mu, nus)) if default else None
+    if stacks is None:
+        stacks = _single_stacks(rectilinear_preparations() if preps is None else preps,
+                                rectilinear_filters() if filters is None else filters, mu, nus)
     alphas = [_optimal_phase(rec.visibility) for rec in rows]
-    # one object as both matrices of an arm takes the kernel's pure route
-    u_hat, slack = _certify(np.array(alphas), kets, chis, (r0, r0), (r1, r1))
+    u_hat, slack = _certify(np.array(alphas), stacks)
     return _folded({rec.key: a for rec, a in zip(rows, alphas)}, rows, u_hat, slack)
 
 

@@ -27,14 +27,25 @@ arrays agree.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Mapping
 from dataclasses import InitVar, dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from ._files import read_text, write_text
 from .errors import DimensionError, InputFormatError, PositivityError
-from .linalg import ATOL_STRUCT, _density_eigh, _text, finite_array, int_at_least, ket, unit_ket
+from .linalg import (
+    ATOL_STRUCT,
+    _density_eigh,
+    _frozen,
+    _text,
+    finite_array,
+    int_at_least,
+    ket,
+    unit_ket,
+)
 
 __all__ = [
     "PathChannel",
@@ -55,9 +66,9 @@ __all__ = [
     "transpose_channel",
 ]
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+PAULI_X = _frozen(np.array([[0, 1], [1, 0]], dtype=complex))
+PAULI_Y = _frozen(np.array([[0, -1j], [1j, 0]], dtype=complex))
+PAULI_Z = _frozen(np.array([[1, 0], [0, -1]], dtype=complex))
 
 
 def _ket_pair(pair, m: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -169,13 +180,15 @@ class PathChannel:
     Entries must be finite, and trace preservation (sum A^dag A = sum B^dag B
     = 1) is enforced in operator norm within 1e-10, so every state the
     channel outputs has unit trace within 1e-10. ``metadata`` is stored as a
-    copy of the mapping given; anything else, and a ``label`` that is not a
-    str, raises :class:`DimensionError`.
+    read-only view (``MappingProxyType``) of a copy of the mapping given;
+    anything else, and a ``label`` that is not a str, raises
+    :class:`DimensionError`. A copied or unpickled channel is built again
+    through these checks.
     """
 
     kraus: np.ndarray = field(repr=False)
     label: str = ""
-    metadata: dict = field(default_factory=dict)
+    metadata: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         _text(self.label, "channel label")
@@ -186,7 +199,7 @@ class PathChannel:
         object.__setattr__(self, "kraus", kraus)
         if not isinstance(self.metadata, Mapping):
             raise DimensionError(f"metadata {self.metadata!r} is not a mapping")
-        object.__setattr__(self, "metadata", dict(self.metadata))
+        object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
         gram = np.einsum("ksji,ksjl->sil", kraus.conj(), kraus)
         err = np.abs(np.linalg.eigvalsh(gram - np.eye(self.spin_dim))).max(axis=1)
         for name, side in (("A", 0), ("B", 1)):
@@ -194,6 +207,11 @@ class PathChannel:
                 raise PositivityError(
                     f"{name}-side Kraus blocks are not trace preserving within 1e-10"
                 )
+
+    def __reduce__(self):
+        # a MappingProxyType cannot be pickled, and the constructor makes
+        # the copy's arrays read-only again
+        return PathChannel, (self.kraus, self.label, dict(self.metadata))
 
     @property
     def spin_dim(self) -> int:
@@ -204,10 +222,14 @@ class PathChannel:
         return self.kraus.shape[0]
 
 
+def _path_indices(i, j) -> tuple[int, int]:
+    """The path indices i and j, each an integer 0 or 1."""
+    return int_at_least(i, "path index i", 0, 1), int_at_least(j, "path index j", 0, 1)
+
+
 def block_map(ch: PathChannel, i: int, j: int, sigma: np.ndarray) -> np.ndarray:
     """Apply the block map L_ij to a spin operator, a finite d x d array."""
-    if i not in (0, 1) or j not in (0, 1):
-        raise DimensionError("path indices must be 0 or 1")
+    i, j = _path_indices(i, j)
     sigma = finite_array(sigma, "sigma")
     if sigma.shape != (ch.spin_dim, ch.spin_dim):
         raise DimensionError(f"operator shape {sigma.shape} != spin dim {ch.spin_dim}")
@@ -225,8 +247,7 @@ def block_choi(ch: PathChannel, i: int, j: int) -> np.ndarray:
     K^(1) = B, since (1 x K^(i)_k)|Phi+> = vec(K^(i)_k^T)/sqrt(d); the
     block Choi matrix is the Gram matrix X_i X_j^dag / d.
     """
-    if i not in (0, 1) or j not in (0, 1):
-        raise DimensionError("path indices must be 0 or 1")
+    i, j = _path_indices(i, j)
     d, k = ch.spin_dim, ch.n_kraus
     x, y = (ch.kraus[:, side].transpose(2, 1, 0).reshape(d * d, k) for side in (i, j))
     return x @ y.conj().T / d
@@ -290,9 +311,15 @@ def transpose_channel(d: int) -> PathChannel:
     return PathChannel(pairs, label=f"transpose(d={d})")
 
 
+@functools.cache
 def pauli_mixture_channel() -> PathChannel:
     """Equal-weight mixture of the arm-unitary pairs (1,1), (X,X), (Y,-Y),
-    (Z,Z); its cross block is sigma -> sigma^T / 2."""
+    (Z,Z); its cross block is sigma -> sigma^T / 2.
+
+    It is built and checked on the first call, and every call returns that
+    one shared channel: its ``kraus`` is read-only and its ``metadata`` a
+    read-only mapping, so no caller can change what the others see.
+    """
     eye = np.eye(2, dtype=complex)
     pairs = tuple(
         (0.5 * k0, 0.5 * k1)

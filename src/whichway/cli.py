@@ -56,7 +56,7 @@ from .errors import (
     SupportError,
     WhichWayError,
 )
-from .linalg import int_at_least, ket, real_in
+from .linalg import int_at_least, ket, real_in, unit_ket
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -66,14 +66,15 @@ EXIT_NUMERICAL = 3
 MAX_SPIN_DIM = 16
 MAX_KRAUS = 256
 
-_STATE_TOKENS = {
+# read-only copies: _parse_state hands out these shared kets
+_STATE_TOKENS = {token: unit_ket(psi, f"state token {token!r}") for token, psi in {
     "h": np.array([1.0, 0.0], dtype=complex),
     "v": np.array([0.0, 1.0], dtype=complex),
     "d": np.array([1.0, 1.0], dtype=complex) / np.sqrt(2),
     "a": np.array([1.0, -1.0], dtype=complex) / np.sqrt(2),
     "l": np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2),
     "r": np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2),
-}
+}.items()}
 
 
 def _parse_state(token: str, d: int) -> np.ndarray:

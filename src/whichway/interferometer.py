@@ -55,7 +55,6 @@ kind. All-zero angles realize (1, 1), since QWP(0) HWP(0) QWP(0) = 1.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -67,6 +66,7 @@ from .bounds import (
     FilterPair,
     FractionalVisibilityRecord,
     _beyond_envelope,
+    _rectilinear_grid,
     rectilinear_filters,
     rectilinear_preparations,
 )
@@ -78,7 +78,7 @@ from .channels import (
     pure_pair,
 )
 from .errors import ConventionError, DimensionError, NonFiniteError, NumericalError
-from .linalg import ATOL_DERIVED, _numbers, finite_array, int_at_least, real_in
+from .linalg import ATOL_DERIVED, _frozen, _numbers, _text, finite_array, int_at_least, real_in
 
 __all__ = [
     "CONVENTION",
@@ -101,7 +101,7 @@ __all__ = [
 CONVENTION = "straddling quarter plates, circular-left frame"
 
 _PAULI = {
-    "I": np.eye(2, dtype=complex),
+    "I": _frozen(np.eye(2, dtype=complex)),
     "X": PAULI_X,
     "Y": PAULI_Y,
     "Z": PAULI_Z,
@@ -110,11 +110,11 @@ _PAULI = {
 
 def jones_matrix(kind: str, angle_deg: float) -> np.ndarray:
     """Jones matrix R(theta) diag(1, -1 or i) R(-theta) of a "half" or
-    "quarter" plate at theta = ``angle_deg``, in the lab frame; another kind,
-    or an angle that is not a real number in [-180, 180] degrees, raises
-    :class:`DimensionError`, and a NaN or infinite angle
-    :class:`NonFiniteError`."""
-    if kind not in ("half", "quarter"):
+    "quarter" plate at theta = ``angle_deg``, in the lab frame; a kind that
+    is not a str, another kind, or an angle that is not a real number in
+    [-180, 180] degrees, raises :class:`DimensionError`, and a NaN or
+    infinite angle :class:`NonFiniteError`."""
+    if _text(kind, "wave plate kind") not in ("half", "quarter"):
         raise DimensionError(f"unknown wave plate kind {kind!r}")
     theta = math.radians(real_in(angle_deg, "angle", -180.0, 180.0, unit="degrees"))
     c, s = math.cos(theta), math.sin(theta)
@@ -168,7 +168,7 @@ class RowReport:
     effective_pair: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
 
-_FRAME = (np.eye(2) - 1j * PAULI_X) / np.sqrt(2)
+_FRAME = _frozen((np.eye(2) - 1j * PAULI_X) / np.sqrt(2))
 
 
 def _match_row(u0, u1, k0, k1) -> tuple[bool, float]:
@@ -241,18 +241,22 @@ def _phase_tuple(phases) -> tuple[float, ...]:
 
 
 _DEFAULT_PHASES = _phase_tuple(np.linspace(0.0, 2.0 * np.pi, 13))
+_MAX_SHOTS = 2**62
 
 
 def _counting_settings(shots_per_phase, efficiencies) -> tuple[float, float, float, float]:
     """The efficiencies as floats; refuses efficiencies that are not four
-    real numbers in (0, 1] and a shot count that is not a nonnegative
-    integer."""
+    real numbers in (0, 1] and a shot count that is not an integer in
+    [0, 2^62]. The draws and the counts are int64, and a phase's counts,
+    summed over the detectors and the channel's rows, can exceed the shot
+    count by the float rounding of the split across rows, so the cap is
+    half the int64 range."""
     efficiencies = tuple(efficiencies) if np.iterable(efficiencies) else ()
     if len(efficiencies) != 4:
         raise DimensionError("efficiencies must be four values in (0, 1]")
     efficiencies = tuple(real_in(e, f"efficiencies[{i}]", 0.0, 1.0, open_low=True)
                          for i, e in enumerate(efficiencies))
-    int_at_least(shots_per_phase, "shots_per_phase", 0)
+    int_at_least(shots_per_phase, "shots_per_phase", 0, _MAX_SHOTS)
     return efficiencies
 
 
@@ -376,6 +380,15 @@ def _probability_tables(ch, kets, chis, phases, contrast, shots_per_phase):
     return np.array(_allocate(shots_per_phase, weights)), pvals
 
 
+def _filter_kets(filt: FilterPair, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(chi0, chi1) of a filter pair of spin dimension d, else
+    :class:`DimensionError` naming the filter."""
+    if filt.chi0.size != d:
+        raise DimensionError(f"filter {filt.label!r} does not have the channel's spin "
+                             f"dimension {d}")
+    return filt.chi0, filt.chi1
+
+
 def _counting_phases(phases, contrast) -> tuple[tuple[float, ...], float]:
     """The phases as floats (by default ``_DEFAULT_PHASES``, the 13 over
     [0, 2 pi], checked once) and the contrast, a real number in (0, 1], as a
@@ -427,7 +440,7 @@ def simulate_fringes(
     efficiencies = _counting_settings(shots_per_phase, efficiencies)
     phases, contrast = _counting_phases(phases, contrast)
     seed = _seed_tuple(seed)
-    (counts,) = _count_cells(ch, [pure_pair(prep, ch.spin_dim)], [(filt.chi0, filt.chi1)],
+    (counts,) = _count_cells(ch, [pure_pair(prep, ch.spin_dim)], [_filter_kets(filt, ch.spin_dim)],
                              phases, shots_per_phase, efficiencies, contrast, [seed])
     return FringeDataset(phases, counts, shots_per_phase, seed, efficiencies)
 
@@ -534,28 +547,14 @@ def _fit_counts(phases: np.ndarray, counts: np.ndarray, keys) -> list[Fractional
                    rms.tolist())]
 
 
-@functools.cache
-def _rectilinear_grid() -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray, np.ndarray]:
-    """The sorted labels of the rectilinear preparations and filters and the
-    read-only (4, 2, 2) stacks of their kets, (psi0, psi1) per preparation
-    (checked by :func:`pure_pair` for dimension 2) and (chi0, chi1) per
-    filter: :func:`run_experiment`'s default grid, built and checked once."""
-    preps, filters = rectilinear_preparations(), rectilinear_filters()
-    mus, nus = tuple(sorted(preps)), tuple(sorted(filters))
-    kets = np.array([pure_pair(preps[mu], 2) for mu in mus])
-    chis = np.array([(filters[nu].chi0, filters[nu].chi1) for nu in nus])
-    kets.flags.writeable = chis.flags.writeable = False
-    return mus, nus, kets, chis
-
-
 def _simulate_cells(ch, preparations, filters, phases, shots_per_phase, efficiencies,
                     contrast, seed) -> tuple[tuple[float, ...], np.ndarray, itertools.product]:
     """The phases, the (cells, 4, phases) counts and the (mu, nu) keys of
     :func:`run_experiment`, cells over the sorted (mu, nu) grid,
     preparations major, every detector drawn at the lowest efficiency. A
     ``preparations`` or ``filters`` of None is the rectilinear set; with
-    both None and a spin dimension of 2 the grid is
-    :func:`_rectilinear_grid`."""
+    both None and a spin dimension of 2 the cells are the labels and the
+    ket stack of the rectilinear grid, built and checked once."""
     efficiencies = _counting_settings(shots_per_phase, efficiencies)
     phases, contrast = _counting_phases(phases, contrast)
     if shots_per_phase < 1:
@@ -568,11 +567,13 @@ def _simulate_cells(ch, preparations, filters, phases, shots_per_phase, efficien
             raise DimensionError(f"{name} is empty: no cells to simulate")
     seed = _seed_tuple(seed)
     if rectilinear and ch.spin_dim == 2:
-        mus, nus, kets, chis = _rectilinear_grid()
+        grid = _rectilinear_grid()
+        mus = nus = grid["labels"]
+        kets = chis = grid["pairs"]
     else:
         mus, nus = sorted(preparations), sorted(filters)
         kets = [pure_pair(preparations[mu], ch.spin_dim) for mu in mus]
-        chis = [(filters[nu].chi0, filters[nu].chi1) for nu in nus]
+        chis = [_filter_kets(filters[nu], ch.spin_dim) for nu in nus]
     seeds = [seed + cell for cell in itertools.product(range(len(mus)), range(len(nus)))]
     counts = _count_cells(ch, kets, chis, phases, shots_per_phase, (min(efficiencies),) * 4,
                           contrast, seeds)
@@ -605,7 +606,10 @@ def run_experiment(
     The defaults are constants built and checked once: ``phases=None`` is
     the tuple of 13 phases over [0, 2 pi], and with ``preparations`` and
     ``filters`` both None a channel of spin dimension 2 takes the sorted
-    labels and the (4, 2, 2) ket and filter stacks of the rectilinear sets.
+    labels and the (4, 2, 2) ket stack of the rectilinear grid, which serves
+    as both the preparation and the filter stack. A filter whose dimension
+    is not the channel's raises :class:`DimensionError`, and so does a
+    ``shots_per_phase`` above 2^62.
     """
     phases, counts, keys = _simulate_cells(ch, preparations, filters, phases, shots_per_phase,
                                            efficiencies, contrast, seed)

@@ -12,10 +12,11 @@ Tolerance policy: structural checks on constructed objects use
 (1e-9) and certificates ``bounds.CONTRACTION_TOL`` (1e-8); none is a
 parameter. Statistical tolerances live with the Monte Carlo code. The
 rules for integers, real settings, labels, arrays, unit kets and density
-matrices are written once, here: :func:`int_at_least` (a bool is not an
-integer), :func:`real_in` (a real number in an interval, returned as a
+matrices are written once, here: :func:`int_at_least` (an integer in a
+range, a bool is not one; path indices, ``keep`` and shot counts go
+through it), :func:`real_in` (a real number in an interval, returned as a
 float; a bool, text, None or an array is not one), one label rule (a label
-is a str), one array rule that every reader of an outside array goes
+is a str, a wave-plate kind too), one array rule that every reader of an outside array goes
 through (text, a bool or None, alone or among numbers, is not a number),
 :func:`finite_array` (that rule with finite entries), :func:`unit_ket`
 (norm one within 1e-10) and :func:`density_matrix` (:func:`psd_eigh` and
@@ -63,13 +64,22 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def int_at_least(value, what: str, minimum: int) -> int:
+def int_at_least(value, what: str, minimum: int, maximum: int | None = None) -> int:
     """``value`` as an int; raises :class:`DimensionError` naming ``what`` and
     the value unless it is an integer (a bool is not) of at least
-    ``minimum``."""
+    ``minimum`` and, if ``maximum`` is given, at most ``maximum``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise DimensionError(f"{what} must be >= {minimum} and an integer, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise DimensionError(f"{what} must be <= {maximum}, got {value!r}")
     return int(value)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, made read-only: for arrays that are built once and
+    shared, such as module-level constants."""
+    a.flags.writeable = False
+    return a
 
 
 def real_in(value, what: str, low: float, high: float = math.inf, *,
@@ -247,12 +257,9 @@ def partial_trace(m, dims: tuple[int, int], keep: int) -> np.ndarray:
     d0, d1 = (int_at_least(d, "factor dimension", 1) for d in dims)
     if m.shape != (d0 * d1, d0 * d1):
         raise DimensionError(f"operator shape {m.shape} != declared factors {dims}")
+    keep = int_at_least(keep, "keep", 0, 1)
     t = m.reshape(d0, d1, d0, d1)
-    if keep == 0:
-        return np.einsum("abcb->ac", t)
-    if keep == 1:
-        return np.einsum("abad->bd", t)
-    raise DimensionError("keep must be 0 or 1")
+    return np.einsum("abad->bd" if keep else "abcb->ac", t)
 
 
 def factor_sandwich(left: np.ndarray, m: np.ndarray, right: np.ndarray) -> np.ndarray:

@@ -686,8 +686,9 @@ def test_swap_certificate_on_exact_records_is_sound(k, seed):
 
 def test_swap_certificate_equals_the_checked_route_without_rechecking(monkeypatch):
     # swap_certificate runs verify_alpha_constraint's certificate on the
-    # rectilinear sets and a cached support of 1/2: it validates no density
-    # matrix and no ket per call, and its certificate agrees within 1e-15
+    # stacks the rectilinear grid prepares once on the support of 1/2: it
+    # validates no density matrix and no ket and prepares no stack per call,
+    # and its certificate agrees within 1e-15
     import whichway.bounds as bounds
 
     records = measured_records()
@@ -699,14 +700,14 @@ def test_swap_certificate_equals_the_checked_route_without_rechecking(monkeypatc
     def refuse(*args, **kwargs):
         raise AssertionError("swap_certificate re-validated a constant input")
 
-    for name in ("_density_eigh", "pure_pair", "_root_support"):
+    for name in ("_density_eigh", "pure_pair", "_root_support", "_stacks"):
         monkeypatch.setattr(bounds, name, refuse)
     got = swap_certificate(records)
     assert got.alphas == want.alphas
     assert np.abs(got.u_hat - want.u_hat).max() <= 1e-15
     for name in ("contraction_slack", "vg_lower", "d_upper", "sigma_vg", "sigma_d"):
         assert abs(getattr(got, name) - getattr(want, name)) <= 1e-15, name
-    assert not any(m.flags.writeable for m in bounds._mixed_support())
+    assert not any(m.flags.writeable for m in bounds._rectilinear_grid()["swap"])
 
 
 @pytest.mark.parametrize("mu, nus, message", [

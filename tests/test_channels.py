@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import re
 
 import numpy as np
@@ -415,6 +417,46 @@ def test_channel_stores_a_copy_of_its_metadata():
     metadata["b"] = 2
     assert ch.metadata == {"a": 1}
     assert "meta b" not in dumps_channel(ch)
+
+
+def test_channel_metadata_is_read_only():
+    ch = random_path_channel(2, 2, seed=1)
+    with pytest.raises(TypeError):
+        ch.metadata["seed"] = 2
+    assert ch.metadata == {"rng": "numpy.random.default_rng (PCG64)", "seed": 1}
+
+
+def test_a_copied_or_pickled_channel_is_rebuilt_read_only():
+    ch = random_path_channel(2, 2, seed=1)
+    for twin in (pickle.loads(pickle.dumps(ch)), copy.deepcopy(ch), copy.copy(ch)):
+        assert twin is not ch and (twin.label, twin.metadata) == (ch.label, ch.metadata)
+        np.testing.assert_array_equal(twin.kraus, ch.kraus)
+        assert not twin.kraus.flags.writeable
+        with pytest.raises(TypeError):
+            twin.metadata["seed"] = 2
+
+
+def test_the_pauli_mixture_channel_is_one_shared_read_only_channel():
+    ch = pauli_mixture_channel()
+    assert ch is pauli_mixture_channel()
+    with pytest.raises(ValueError, match="read-only"):
+        ch.kraus[0, 0, 0, 0] = 2
+    with pytest.raises(TypeError):
+        ch.metadata["label"] = "x"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ch.label = "x"
+
+
+def test_module_level_pauli_arrays_are_read_only():
+    # one write to PAULI_X used to make every later pauli_mixture_channel()
+    # raise PositivityError and the noise program ConventionError
+    from whichway import channels, interferometer
+
+    for m in (channels.PAULI_X, channels.PAULI_Y, channels.PAULI_Z,
+              interferometer._PAULI["I"], interferometer._FRAME):
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 1] = 2
+    assert len(verify_noise_program(pauli_noise_program())) == 4
 
 
 @pytest.mark.parametrize("metadata", [None, [("a", 1)], "a"])

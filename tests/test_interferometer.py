@@ -14,6 +14,7 @@ from conftest import random_ket, random_orthonormal_filters, random_unitary
 from whichway import (
     ConventionError,
     DimensionError,
+    FilterPair,
     FractionalVisibilityRecord,
     FringeDataset,
     NoiseRow,
@@ -462,6 +463,68 @@ def test_default_run_and_certificates_recheck_no_constant(monkeypatch):
     for key, cert in got.singles.items():
         _same_certificate(cert, want.singles[key])
     _same_certificate(got.swap, want.swap)
+
+
+def test_default_routes_prepare_no_certificate_stack_per_call(monkeypatch):
+    # the swap certificate, the 16 default single-preparation certificates
+    # and the default run read the rectilinear grid, whose stacks are
+    # prepared once; they stay bit-identical to the unpatched calls
+    ch = pauli_mixture_channel()
+    records = run_experiment(ch, efficiencies=(0.9, 1.0, 0.8, 1.0), contrast=0.96, seed=5)
+    recs = {rec.key: rec for rec in records}
+    singles = [(mu, nus) for mu in sorted(PREPS) for pair in bounds.COMPLEMENTARY
+               for nus in (pair, pair[::-1])]
+    assert len(singles) == 16
+    want_swap = bounds.swap_certificate(records)
+    want = [single_preparation_certificate(mu, [recs[(mu, nu)] for nu in nus])
+            for mu, nus in singles]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a default route prepared certificate stacks")
+
+    monkeypatch.setattr(bounds, "_stacks", refuse)
+    monkeypatch.setattr(bounds, "_single_stacks", refuse)
+    assert run_experiment(pauli_mixture_channel(), efficiencies=(0.9, 1.0, 0.8, 1.0),
+                          contrast=0.96, seed=5) == records
+    _same_certificate(bounds.swap_certificate(records), want_swap)
+    for (mu, nus), cert in zip(singles, want):
+        _same_certificate(single_preparation_certificate(mu, [recs[(mu, nu)] for nu in nus]),
+                          cert)
+    # an explicit set still prepares its stacks on each call
+    with pytest.raises(AssertionError, match="prepared certificate stacks"):
+        single_preparation_certificate("hh", [recs[("hh", "hh")], recs[("hh", "vv")]],
+                                       preps=PREPS, filters=FILTERS)
+
+
+def test_a_filter_of_another_dimension_is_a_dimension_error():
+    # the filter kets used to meet the channel only in a numpy broadcast
+    message = "filter 'hh' does not have the channel's spin dimension 3"
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        simulate_fringes(identity_channel(3), (ket(0, 3), ket(0, 3)), rectilinear_filters()["hh"])
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        run_experiment(identity_channel(3), preparations={"a": (ket(0, 3), ket(0, 3))})
+    with pytest.raises(DimensionError, match="spin dimension 2"):
+        run_experiment(pauli_mixture_channel(), filters={"x": FilterPair(ket(0, 3), ket(1, 3))})
+
+
+@pytest.mark.parametrize("shots", [2**62 + 1, 2**63, 2**70, np.uint64(2**63)])
+@pytest.mark.parametrize("simulate", ["simulate_fringes", "run_experiment"])
+def test_counting_refuses_a_shot_count_beyond_the_int64_draws(simulate, shots):
+    # 2**70 passed the integer rule and then failed to cast to int64
+    ch = pauli_mixture_channel()
+    with pytest.raises(DimensionError, match=f"shots_per_phase must be <= {2**62}, got "):
+        if simulate == "simulate_fringes":
+            simulate_fringes(ch, PREPS["hh"], FILTERS["hh"], shots_per_phase=shots)
+        else:
+            run_experiment(ch, shots_per_phase=shots)
+
+
+def test_counting_draws_the_largest_shot_count():
+    ch = pauli_mixture_channel()
+    ds = simulate_fringes(ch, PREPS["hv"], FILTERS["vh"], shots_per_phase=2**62, seed=2)
+    assert (ds.counts.sum(axis=0) == 2**62).all()
+    records = run_experiment(random_path_channel(2, 16, 3), shots_per_phase=2**62, seed=2)
+    assert len(records) == 16
 
 
 @pytest.mark.parametrize("d", [1, 3])

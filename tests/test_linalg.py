@@ -17,9 +17,11 @@ from whichway import (
     PathChannel,
     PositivityError,
     Preparation,
+    block_choi,
     block_map,
     distinguishability,
     identity_channel,
+    jones_matrix,
     ket,
     matrix_sqrt,
     partial_trace,
@@ -153,6 +155,35 @@ def test_partial_trace_dimension_check():
 def test_partial_trace_dims_are_two_integers(dims):
     with pytest.raises(DimensionError):
         partial_trace(np.eye(4) / 4, dims, keep=0)
+
+
+_ID2 = identity_channel(2)
+
+# each index or kind parameter, and a value of the right type outside its range
+INDEX_CALLS = {
+    "jones_matrix-kind": (lambda v: jones_matrix(v, 10.0), "third"),
+    "partial_trace-keep": (lambda v: partial_trace(np.eye(4), (2, 2), v), 2),
+    "block_choi-i": (lambda v: block_choi(_ID2, v, 1), 2),
+    "block_choi-j": (lambda v: block_choi(_ID2, 0, v), -1),
+    "block_map-i": (lambda v: block_map(_ID2, v, 1, np.eye(2)), -1),
+    "block_map-j": (lambda v: block_map(_ID2, 0, v, np.eye(2)), 2),
+}
+
+
+@pytest.mark.parametrize("value", ["array", "bool", "out-of-range"])
+@pytest.mark.parametrize("call", INDEX_CALLS)
+def test_indices_and_kinds_go_through_the_package_rules(call, value):
+    # an array raised numpy's ambiguous-truth ValueError, and
+    # block_choi(ch, True, 1) raised "axes don't match array"
+    fn, outside = INDEX_CALLS[call]
+    with pytest.raises(DimensionError):
+        fn({"array": np.array([0, 1]), "bool": True, "out-of-range": outside}[value])
+
+
+def test_numpy_integer_indices_are_accepted():
+    np.testing.assert_array_equal(block_choi(_ID2, np.int64(0), np.int32(1)),
+                                  block_choi(_ID2, 0, 1))
+    np.testing.assert_array_equal(partial_trace(np.eye(4), (2, 2), np.int64(1)), 2 * np.eye(2))
 
 
 def test_trace_norm_of_finite_entries_that_overflow_is_a_numerical_error():

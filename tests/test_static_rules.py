@@ -9,7 +9,8 @@ is flagged once, at its last line, and each ``passes`` source passes, when
 parsed as the module it is listed under. The positive structure checks (the
 CLI calls ``certify_run``; the benchmark's trace targets and the package
 exports resolve) read the same parsed trees. One check runs code: every
-``functools.cache`` constant of the package holds only read-only arrays.
+module-level array of the package, alone or in a module-level container,
+and every array of a ``functools.cache`` constant is read-only.
 """
 
 import ast
@@ -152,6 +153,18 @@ def _root_name(node) -> str | None:
     return node.id if isinstance(node, ast.Name) else None
 
 
+def cache_decorator(node, ns):
+    """A def decorated with ``functools.cache``, ``lru_cache`` or
+    ``cached_property``, bare, as an attribute or called."""
+    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return None
+    for dec in node.decorator_list:
+        if _name(dec.func if isinstance(dec, ast.Call) else dec) in (
+                "cache", "lru_cache", "cached_property"):
+            return f"@{ast.unparse(dec)}"
+    return None
+
+
 def raw_array_read(node, ns):
     """A call of ``eigh``, or a def that reads one of its own parameters with
     ``np.array``/``np.asarray(..., dtype=complex)``: the array rule and
@@ -287,6 +300,30 @@ RULES = (
              "np.linalg.eigvalsh(m)",
              "def f(a): return np.array(b, dtype=complex)",
          )}),
+    # the constants of the paper's run are built once, in one grid and one
+    # channel; a cache per module, or one keyed on a caller's arguments,
+    # would hand every caller one shared result to check
+    Rule("cache-decorator", cache_decorator, MODULES, (
+        Exempt("bounds", "_rectilinear_grid", "the one rectilinear grid", "@functools.cache"),
+        Exempt("channels", "pauli_mixture_channel", "the one shared Pauli-mixture channel",
+               "@functools.cache"),
+    ), flags={"bounds": (
+        # the retired per-module caches, as they were
+        "@functools.cache\ndef _rectilinear_sets(): pass",
+        "@functools.cache\ndef _mixed_support(): pass",
+        "@functools.cache\ndef _rectilinear_singles(): pass",
+        "@functools.lru_cache(maxsize=None)\ndef _rectilinear_grid(): pass",
+        "@cache\ndef _rectilinear_grid(): pass",
+        "class Run:\n    @functools.cached_property\n    def bounds(self): pass",
+    ), "interferometer": (
+        "@functools.cache\ndef _rectilinear_grid(): pass",
+        "@functools.cache\ndef pauli_mixture_channel(): pass",
+    )}, passes={"bounds": (
+        "@functools.cache\ndef _rectilinear_grid(): pass",
+        "@functools.wraps(f)\ndef g(): pass",
+        "def cache(): pass",
+        "@staticmethod\ndef f(): pass",
+    ), "channels": ("@functools.cache\ndef pauli_mixture_channel(): pass",)}),
     # a run's bounds come from bounds.certify_run; the CLI only prints them
     Rule("cli-certification-policy", certification_policy, ("cli",), (), flags={"cli": (
         "bnd.swap_certificate(records)", "single_preparation_certificate(mu, records)",
@@ -401,15 +438,19 @@ def _arrays(value):
 
 
 def test_cached_constants_hold_only_read_only_arrays():
-    # a functools.cache result is shared by every caller, so an array in it
-    # that could be written through a view the package returns would change
+    # a module-level array and a functools.cache result are shared by every
+    # caller, so an array among them that could be written would change
     # every later result
+    found = {f"{m}.{name}": list(_arrays(value)) for m in MODULES
+             for name, value in namespace(m).items() if not name.startswith("__")}
+    found = {name: arrays for name, arrays in found.items() if arrays}
+    assert {"channels.PAULI_X", "interferometer._FRAME", "interferometer._PAULI"} <= set(found)
+    assert not [name for name, arrays in found.items() if any(a.flags.writeable for a in arrays)]
     cached = {f"{m}.{name}": fn for m in MODULES for name, fn in namespace(m).items()
               if hasattr(fn, "cache_info") and fn.__module__ == f"whichway.{m}"}
     constant = {name: fn for name, fn in cached.items()
                 if not inspect.signature(fn).parameters}
-    assert {"bounds._rectilinear_sets", "bounds._mixed_support", "bounds._rectilinear_singles",
-            "interferometer._rectilinear_grid"} <= set(constant)
+    assert {"bounds._rectilinear_grid", "channels.pauli_mixture_channel"} <= set(constant)
     for name, fn in constant.items():
         arrays = list(_arrays(fn()))
         assert arrays, name
