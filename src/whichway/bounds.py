@@ -79,6 +79,7 @@ from .linalg import (
     ATOL_STRUCT,
     _density_eigh,
     _frozen,
+    _mapping,
     _text,
     finite_array,
     ket,
@@ -125,6 +126,15 @@ class FilterPair:
             object.__setattr__(self, name, unit_ket(getattr(self, name), name))
         if self.chi0.size != self.chi1.size:
             raise DimensionError("filter kets have different dimensions")
+
+
+def _filter_kets(filt: FilterPair, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(chi0, chi1) of a filter pair of spin dimension d, else
+    :class:`DimensionError` naming the filter and both dimensions: the one
+    filter-dimension check."""
+    if filt.chi0.size != d:
+        raise DimensionError(f"filter {filt.label!r} has dimension {filt.chi0.size}, not {d}")
+    return filt.chi0, filt.chi1
 
 
 def _beyond_envelope(visibility, p, sigma_p, sigma_v):
@@ -206,12 +216,8 @@ def fractional_visibility(
     """
     if not _text(mu, "mu") and isinstance(prep, Preparation):
         mu = prep.label
-    d = ch.spin_dim
-    psi0, psi1 = pure_pair(prep, d)
-    if filt.chi0.size != d:
-        raise DimensionError("filter dimension does not match channel")
-    chi0, chi1 = filt.chi0, filt.chi1
-
+    psi0, psi1 = pure_pair(prep, ch.spin_dim)
+    chi0, chi1 = _filter_kets(filt, ch.spin_dim)
     x = ch.kraus[:, 0] @ psi0 @ chi0.conj()
     y = ch.kraus[:, 1] @ psi1 @ chi1.conj()
     p = min(max(0.5 * float(np.vdot(x, x).real + np.vdot(y, y).real), 0.0), 1.0)
@@ -363,14 +369,17 @@ def verify_alpha_constraint(
     one complex number each, and stored as Python complex numbers; each rho
     by :func:`density_matrix`, the two of one dimension d; each referenced
     preparation by :func:`pure_pair` (unit kets of dimension d); each
-    referenced filter for dimension d. A failed check, or a coefficient
-    that names an unknown preparation or filter, raises
+    referenced filter for dimension d; ``alphas``, ``preps`` and
+    ``filters`` must be mappings. A failed check, or a coefficient that
+    names an unknown preparation or filter, raises
     :class:`NonFiniteError`, :class:`PositivityError` or
     :class:`DimensionError`.
 
     Raises :class:`SupportError` if the factorization does not exist and
     :class:`ContractionError` if the slack exceeds ``CONTRACTION_TOL``.
     """
+    for name, value in (("alphas", alphas), ("preps", preps), ("filters", filters)):
+        _mapping(value, name)
     coeffs = finite_array(list(alphas.values()), "coefficients")
     if coeffs.shape != (len(alphas),):
         raise DimensionError("coefficients must be one complex number each")
@@ -379,18 +388,18 @@ def verify_alpha_constraint(
     if rho0.shape != rho1.shape:
         raise DimensionError(f"rho0 and rho1 dimensions differ: {rho0.shape} vs {rho1.shape}")
     d = rho0.shape[0]
-    kets = {}
+    kets, chis = {}, {}
     for mu, nu in alphas:
         if mu not in preps:
             raise DimensionError(f"coefficient references unknown preparation {mu!r}")
         if nu not in filters:
             raise DimensionError(f"coefficient references unknown filter {nu!r}")
-        if filters[nu].chi0.size != d:
-            raise DimensionError(f"filter {nu!r} does not have the states' dimension {d}")
+        if nu not in chis:
+            chis[nu] = _filter_kets(filters[nu], d)
         if mu not in kets:
             kets[mu] = pure_pair(preps[mu], d)
     # (psi0, psi1, chi0, chi1) x term x d
-    terms = np.array([(*kets[mu], filters[nu].chi0, filters[nu].chi1) for mu, nu in alphas],
+    terms = np.array([(*kets[mu], *chis[nu]) for mu, nu in alphas],
                      dtype=complex).reshape(len(alphas), 4, d).transpose(1, 0, 2)
     u_hat, slack = _certify(coeffs, _stacks(terms[:2], terms[2:], _root_support(w0, v0),
                                             _root_support(w1, v1)))
@@ -420,15 +429,12 @@ def _complete_basis_check(filters: dict[str, FilterPair], nus: list[str]) -> np.
     unknown = [nu for nu in nus if nu not in filters]
     if unknown:
         raise DimensionError(f"records reference unknown filters {unknown}")
-    filts = [filters[nu] for nu in nus]
-    d = filts[0].chi0.size
-    if any(f.chi0.size != d for f in filts):
-        raise DimensionError("filters have different dimensions")
-    if len(filts) != d:
+    d = filters[nus[0]].chi0.size
+    stack = np.array(list(zip(*(_filter_kets(filters[nu], d) for nu in nus))))
+    if len(nus) != d:
         raise DimensionError(
-            f"upper-arm filters do not form a complete basis ({len(filts)} vectors in dim {d})"
+            f"upper-arm filters do not form a complete basis ({len(nus)} vectors in dim {d})"
         )
-    stack = np.array([[f.chi0 for f in filts], [f.chi1 for f in filts]])
     gram = stack.conj() @ stack.transpose(0, 2, 1)
     off = np.abs(gram - np.eye(d)).max(axis=(1, 2))
     for which, err in zip(("upper-arm", "lower-arm"), off.tolist()):
@@ -548,7 +554,8 @@ def single_preparation_certificate(
     the filters' raises :class:`DimensionError`. Each arm's support
     projector and pseudo-inverse is psi* psi^T, so no eigendecomposition
     runs; the leak and contraction checks are those of
-    :func:`verify_alpha_constraint`. A ``mu`` that is not a str raises
+    :func:`verify_alpha_constraint`. A ``mu`` that is not a str, and a
+    ``preps`` or ``filters`` that is neither None nor a mapping, raises
     :class:`DimensionError`.
 
     With ``preps`` and ``filters`` both None (the rectilinear sets), a
@@ -566,8 +573,9 @@ def single_preparation_certificate(
     default = preps is None and filters is None
     stacks = _rectilinear_grid()["singles"].get((mu, nus)) if default else None
     if stacks is None:
-        stacks = _single_stacks(rectilinear_preparations() if preps is None else preps,
-                                rectilinear_filters() if filters is None else filters, mu, nus)
+        preps = rectilinear_preparations() if preps is None else _mapping(preps, "preps")
+        filters = rectilinear_filters() if filters is None else _mapping(filters, "filters")
+        stacks = _single_stacks(preps, filters, mu, nus)
     alphas = [_optimal_phase(rec.visibility) for rec in rows]
     u_hat, slack = _certify(np.array(alphas), stacks)
     return _folded({rec.key: a for rec, a in zip(rows, alphas)}, rows, u_hat, slack)

@@ -40,6 +40,7 @@ from .linalg import (
     ATOL_STRUCT,
     _density_eigh,
     _frozen,
+    _mapping,
     _text,
     finite_array,
     int_at_least,
@@ -197,9 +198,8 @@ class PathChannel:
             raise DimensionError(f"Kraus stack shape {kraus.shape} is not (K, 2, d, d), K, d >= 1")
         kraus.flags.writeable = False
         object.__setattr__(self, "kraus", kraus)
-        if not isinstance(self.metadata, Mapping):
-            raise DimensionError(f"metadata {self.metadata!r} is not a mapping")
-        object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
+        object.__setattr__(self, "metadata",
+                           MappingProxyType(dict(_mapping(self.metadata, "metadata"))))
         gram = np.einsum("ksji,ksjl->sil", kraus.conj(), kraus)
         err = np.abs(np.linalg.eigvalsh(gram - np.eye(self.spin_dim))).max(axis=1)
         for name, side in (("A", 0), ("B", 1)):
@@ -239,18 +239,21 @@ def block_map(ch: PathChannel, i: int, j: int, sigma: np.ndarray) -> np.ndarray:
     return out
 
 
+def _choi_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k (1 x a_k)|Phi+><Phi+|(1 x b_k^dag) of two (K, d, d) stacks, as
+    x y^dag / d: column k of x (of y) is the row-major vec(a_k^T) (vec(b_k^T)),
+    since (1 x a_k)|Phi+> = vec(a_k^T) / sqrt(d)."""
+    k, d, _ = a.shape
+    x, y = (m.transpose(2, 1, 0).reshape(d * d, k) for m in (a, b))
+    return x @ y.conj().T / d
+
+
 def block_choi(ch: PathChannel, i: int, j: int) -> np.ndarray:
     """(I x L_ij) acting on the maximally entangled projector of two spin
-    replicas; a d^2 x d^2 matrix that fully encodes the block map.
-
-    Column k of the (d^2, K) factor X_i is vec(K^(i)_k^T), K^(0) = A,
-    K^(1) = B, since (1 x K^(i)_k)|Phi+> = vec(K^(i)_k^T)/sqrt(d); the
-    block Choi matrix is the Gram matrix X_i X_j^dag / d.
-    """
+    replicas, a d^2 x d^2 matrix that fully encodes the block map: the
+    :func:`_choi_gram` of K^(i) and K^(j), K^(0) = A, K^(1) = B."""
     i, j = _path_indices(i, j)
-    d, k = ch.spin_dim, ch.n_kraus
-    x, y = (ch.kraus[:, side].transpose(2, 1, 0).reshape(d * d, k) for side in (i, j))
-    return x @ y.conj().T / d
+    return _choi_gram(ch.kraus[:, i], ch.kraus[:, j])
 
 
 def dilate(ch: PathChannel) -> np.ndarray:

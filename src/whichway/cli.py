@@ -244,13 +244,14 @@ def cmd_reproduce(args) -> int:
     else:
         if args.seed is None:
             raise InputFormatError("--seed is required when simulating (no --from-csv)")
-        filters = bnd.rectilinear_filters()
+        filters = None  # the rectilinear set, by the library's default route
         if args.filters is not None:
+            known = bnd.rectilinear_filters()
             wanted = [f.strip() for f in args.filters.split(",")]
-            unknown = [f for f in wanted if f not in filters]
+            unknown = [f for f in wanted if f not in known]
             if unknown:
                 raise InputFormatError(f"unknown filter labels {unknown}")
-            filters = {f: filters[f] for f in wanted}
+            filters = {f: known[f] for f in wanted}
         records = itf.run_experiment(
             chn.pauli_mixture_channel(),
             filters=filters,

@@ -47,9 +47,11 @@ of freedom). D and V_G come from one pair of factors, and every evaluation
 checks that each environment state has unit trace within 1e-10, that V_G
 does not exceed 1 + 1e-9, and the lower half of the same theorem,
 D >= 1 - V_G within 1e-9, which fails if either number is wrong.
-:func:`visibility_operator` keeps the d^2 x d^2 operator of the definition;
-the explicit search over unitaries that maximizes |Tr(U N)| on it, and the
-route through the eigendecompositions of e0 and e1, are test oracles in
+:func:`visibility_operator` keeps the d^2 x d^2 operator of the definition,
+formed as x y^dag / d from the Kraus factors; the sandwich of the block Choi
+matrix between sqrt(rho0)^T x 1 and sqrt(rho1)^T x 1, the explicit search
+over unitaries that maximizes |Tr(U N)| on N, and the route through the
+eigendecompositions of e0 and e1 are test oracles in
 ``tests/reference_kernels.py``.
 """
 
@@ -59,16 +61,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import PathChannel, Preparation, block_choi
+from .channels import PathChannel, Preparation, _choi_gram
 from .errors import DimensionError, NumericalError, PositivityError
-from .linalg import (
-    ATOL_DERIVED,
-    ATOL_STRUCT,
-    density_matrix,
-    factor_sandwich,
-    matrix_sqrt,
-    trace_norm,
-)
+from .linalg import ATOL_DERIVED, ATOL_STRUCT, density_matrix, matrix_sqrt, trace_norm
 
 __all__ = [
     "DualityReport",
@@ -168,20 +163,16 @@ def _d_and_vg(ch: PathChannel, prep: Preparation) -> tuple[float, float]:
     return d_value, v_value
 
 
-def _sandwich_route(ch: PathChannel, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
-    """(s0^T x 1) M (s1^T x 1) with M = block_choi(ch, 0, 1)."""
-    return factor_sandwich(s0.T, block_choi(ch, 0, 1), s1.T)
-
-
 def visibility_operator(ch: PathChannel, prep: Preparation) -> np.ndarray:
     """The d^2 x d^2 operator N of the definition, whose trace norm (times
-    d) is the generalized visibility: N = (sqrt(rho0)^T x 1) M
-    (sqrt(rho1)^T x 1) with M = block_choi(ch, 0, 1) and each
+    d) is the generalized visibility: N = x y^dag / d, with column k of x
+    (of y) the vectorized (A_k sqrt(rho0))^T ((B_k sqrt(rho1))^T), by the
+    convention of :func:`~whichway.channels.block_choi`, and each
     rho_i = S_i S_i^dag formed from the factor S_i = prep.factors[i]."""
     if ch.spin_dim != prep.spin_dim:
         raise DimensionError("channel and preparation spin dimensions differ")
     s0, s1 = (matrix_sqrt(s @ s.conj().T) for s in prep.factors)
-    return _sandwich_route(ch, s0, s1)
+    return _choi_gram(ch.kraus[:, 0] @ s0, ch.kraus[:, 1] @ s1)
 
 
 def generalized_visibility(ch: PathChannel, prep: Preparation) -> float:

@@ -66,6 +66,7 @@ from .bounds import (
     FilterPair,
     FractionalVisibilityRecord,
     _beyond_envelope,
+    _filter_kets,
     _rectilinear_grid,
     rectilinear_filters,
     rectilinear_preparations,
@@ -78,7 +79,8 @@ from .channels import (
     pure_pair,
 )
 from .errors import ConventionError, DimensionError, NonFiniteError, NumericalError
-from .linalg import ATOL_DERIVED, _frozen, _numbers, _text, finite_array, int_at_least, real_in
+from .linalg import (ATOL_DERIVED, _frozen, _mapping, _numbers, _text, finite_array,
+                     int_at_least, real_in)
 
 __all__ = [
     "CONVENTION",
@@ -188,13 +190,17 @@ def verify_noise_program(rows) -> tuple[RowReport, ...]:
 
     Arm i of a row realizes W QWP(q2) HWP(h_i) QWP(q1) W^dag. Returns each
     row's deviation and frame-corrected effective arm unitaries; raises
-    :class:`DimensionError` for no rows and :class:`ConventionError` naming
+    :class:`DimensionError` for no rows and for ``rows`` that are not an
+    iterable of :class:`NoiseRow`, and :class:`ConventionError` naming
     every row that fails, with its deviation.
     """
-    if not rows:
+    entries = tuple(rows) if np.iterable(rows) else (None,)
+    if not all(isinstance(row, NoiseRow) for row in entries):
+        raise DimensionError(f"rows {rows!r} is not an iterable of NoiseRow")
+    if not entries:
         raise DimensionError("a noise program needs at least one row")
     reports, failures = [], []
-    for row in rows:
+    for row in entries:
         q1, q2 = jones_matrix("quarter", row.q1), jones_matrix("quarter", row.q2)
         u0, u1 = (_FRAME @ (q2 @ jones_matrix("half", h) @ q1) @ _FRAME.conj().T
                   for h in (row.h0, row.h1))
@@ -247,10 +253,10 @@ _MAX_SHOTS = 2**62
 def _counting_settings(shots_per_phase, efficiencies) -> tuple[float, float, float, float]:
     """The efficiencies as floats; refuses efficiencies that are not four
     real numbers in (0, 1] and a shot count that is not an integer in
-    [0, 2^62]. The draws and the counts are int64, and a phase's counts,
-    summed over the detectors and the channel's rows, can exceed the shot
-    count by the float rounding of the split across rows, so the cap is
-    half the int64 range."""
+    [0, 2^62]. The draws and the counts are int64; the split across the
+    channel's rows is exact, so a phase's counts sum to its shot count, and
+    the cap, half the int64 range, leaves every such sum a factor of two
+    below overflow."""
     efficiencies = tuple(efficiencies) if np.iterable(efficiencies) else ()
     if len(efficiencies) != 4:
         raise DimensionError("efficiencies must be four values in (0, 1]")
@@ -331,14 +337,16 @@ def _unitary_rows(ch: PathChannel):
 
 
 def _allocate(shots: int, weights) -> list[int]:
-    """Deterministic largest-remainder split of shots across weights."""
-    raw = [shots * w for w in weights]
-    base = [int(math.floor(x)) for x in raw]
-    rest = shots - sum(base)
-    order = sorted(range(len(raw)), key=lambda i: raw[i] - base[i], reverse=True)
-    for i in order[:rest]:
-        base[i] += 1
-    return base
+    """Largest-remainder split of shots across float weights, exact in
+    integers: over a common denominator weight i is n_i, row i takes
+    shots * n_i // sum(n), and the largest remainders (the first row first
+    among equal ones) take one more each, so the shares sum to ``shots``."""
+    ratios = [float(w).as_integer_ratio() for w in weights]
+    denominator = math.lcm(*(q for _, q in ratios))
+    nums = [p * (denominator // q) for p, q in ratios]
+    base, residue = zip(*(divmod(int(shots) * n, sum(nums)) for n in nums))
+    extra = sorted(range(len(nums)), key=residue.__getitem__, reverse=True)[:shots - sum(base)]
+    return [b + (i in extra) for i, b in enumerate(base)]
 
 
 def _probability_tables(ch, kets, chis, phases, contrast, shots_per_phase):
@@ -378,15 +386,6 @@ def _probability_tables(ch, kets, chis, phases, contrast, shots_per_phase):
     np.clip(pvals, 0.0, None, out=pvals)
     pvals /= pvals.sum(axis=-1, keepdims=True)
     return np.array(_allocate(shots_per_phase, weights)), pvals
-
-
-def _filter_kets(filt: FilterPair, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(chi0, chi1) of a filter pair of spin dimension d, else
-    :class:`DimensionError` naming the filter."""
-    if filt.chi0.size != d:
-        raise DimensionError(f"filter {filt.label!r} does not have the channel's spin "
-                             f"dimension {d}")
-    return filt.chi0, filt.chi1
 
 
 def _counting_phases(phases, contrast) -> tuple[tuple[float, ...], float]:
@@ -560,8 +559,9 @@ def _simulate_cells(ch, preparations, filters, phases, shots_per_phase, efficien
     if shots_per_phase < 1:
         raise DimensionError(f"shots_per_phase {shots_per_phase} below 1: no counts to fit")
     rectilinear = preparations is None and filters is None
-    preparations = rectilinear_preparations() if preparations is None else preparations
-    filters = rectilinear_filters() if filters is None else filters
+    preparations = (rectilinear_preparations() if preparations is None
+                    else _mapping(preparations, "preparations"))
+    filters = rectilinear_filters() if filters is None else _mapping(filters, "filters")
     for name, grid in (("preparations", preparations), ("filters", filters)):
         if not grid:
             raise DimensionError(f"{name} is empty: no cells to simulate")

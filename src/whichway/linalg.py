@@ -4,20 +4,22 @@ All operators are plain complex ``numpy.ndarray``s in row-major layout.
 Spin dimensions up to d = 8 are routine (operators on two spin replicas are
 then 64 x 64), and speed matters: the production kernels never lift a d x d
 factor to C^d x C^d with ``np.kron(np.eye(d), .)``, but contract reshaped
-arrays instead (:func:`factor_sandwich` and the channel kernels).
+arrays instead (the channel kernels).
 
 Tolerance policy: structural checks on constructed objects use
 ``ATOL_STRUCT`` (1e-10), and so does the one Hermitian and PSD check,
 :func:`psd_eigh`'s; derived numerical identities use ``ATOL_DERIVED``
 (1e-9) and certificates ``bounds.CONTRACTION_TOL`` (1e-8); none is a
 parameter. Statistical tolerances live with the Monte Carlo code. The
-rules for integers, real settings, labels, arrays, unit kets and density
-matrices are written once, here: :func:`int_at_least` (an integer in a
-range, a bool is not one; path indices, ``keep`` and shot counts go
+rules for integers, real settings, labels, mappings, arrays, unit kets and
+density matrices are written once, here: :func:`int_at_least` (an integer
+in a range, a bool is not one; path indices, ``keep`` and shot counts go
 through it), :func:`real_in` (a real number in an interval, returned as a
 float; a bool, text, None or an array is not one), one label rule (a label
-is a str, a wave-plate kind too), one array rule that every reader of an outside array goes
-through (text, a bool or None, alone or among numbers, is not a number),
+is a str, a wave-plate kind too), one mapping rule (named preparations,
+filters, coefficients and channel metadata come in a ``Mapping``), one
+array rule that every reader of an outside array goes through (text, a
+bool or None, alone or among numbers, is not a number),
 :func:`finite_array` (that rule with finite entries), :func:`unit_ket`
 (norm one within 1e-10) and :func:`density_matrix` (:func:`psd_eigh` and
 unit trace within 1e-10, from one eigendecomposition that its callers in
@@ -33,6 +35,7 @@ eigendecompositions is a test oracle.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -45,7 +48,6 @@ __all__ = [
     "ATOL_STRUCT",
     "ATOL_DERIVED",
     "density_matrix",
-    "factor_sandwich",
     "finite_array",
     "hermitian_part",
     "int_at_least",
@@ -105,6 +107,13 @@ def _text(value, what: str) -> str:
     """``value`` if it is a str, else :class:`DimensionError` naming ``what``."""
     if not isinstance(value, str):
         raise DimensionError(f"{what} {value!r} is not a str")
+    return value
+
+
+def _mapping(value, what: str) -> Mapping:
+    """``value`` if it is a ``Mapping``, else :class:`DimensionError` naming ``what``."""
+    if not isinstance(value, Mapping):
+        raise DimensionError(f"{what} {value!r} is not a mapping")
     return value
 
 
@@ -260,16 +269,3 @@ def partial_trace(m, dims: tuple[int, int], keep: int) -> np.ndarray:
     keep = int_at_least(keep, "keep", 0, 1)
     t = m.reshape(d0, d1, d0, d1)
     return np.einsum("abad->bd" if keep else "abcb->ac", t)
-
-
-def factor_sandwich(left: np.ndarray, m: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """(left x 1) m (right x 1) for a d^2 x d^2 matrix m on C^d x C^d.
-
-    Contracts the first tensor factor of m with ``left`` from the left and
-    with ``right`` from the right through reshapes, never forming the
-    d^2 x d^2 lifts of the d x d factors.
-    """
-    d = left.shape[0]
-    t = (left @ m.reshape(d, d**3)).reshape(d * d, d, d)
-    return (t.swapaxes(1, 2) @ right).swapaxes(1, 2).reshape(d * d, d * d)
-

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import re
 from pathlib import Path
 
 import numpy as np
@@ -294,7 +295,7 @@ def test_verify_alpha_constraint_rejects_non_finite_inputs(bad):
 def test_verify_alpha_constraint_rejects_mismatched_inputs():
     preps, filters = rectilinear_preparations(), rectilinear_filters()
     third, half = np.eye(3) / 3, np.eye(2) / 2
-    with pytest.raises(DimensionError, match="filter 'hh' does not have the states' dimension 3"):
+    with pytest.raises(DimensionError, match="filter 'hh' has dimension 2, not 3"):
         verify_alpha_constraint({("hh", "hh"): 0.5}, preps, filters, third, third)
     with pytest.raises(DimensionError, match="dimensions differ"):
         verify_alpha_constraint({("hh", "hh"): 0.5}, preps, filters, half, third)
@@ -305,6 +306,18 @@ def test_verify_alpha_constraint_rejects_mismatched_inputs():
         verify_alpha_constraint({("xx", "hh"): 0.5}, preps, filters, half, half)
     with pytest.raises(DimensionError, match="unknown filter 'xx'"):
         verify_alpha_constraint({("hh", "xx"): 0.5}, preps, filters, half, half)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((5, {}, {}), "alphas 5 is not a mapping"),
+    (({("hh", "hh"): 0.5}, "hh", {}), "preps 'hh' is not a mapping"),
+    (({("hh", "hh"): 0.5}, {}, [1]), "filters [1] is not a mapping"),
+], ids=["alphas", "preps", "filters"])
+def test_verify_alpha_constraint_containers_that_are_not_mappings_are_a_dimension_error(
+        args, message):
+    # alphas=5 raised an AttributeError
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        verify_alpha_constraint(*args, np.eye(2) / 2, np.eye(2) / 2)
 
 
 def test_bound_from_measured_records():
@@ -628,8 +641,19 @@ def test_single_preparation_certificate_rejects_mismatched_inputs():
     with pytest.raises(DimensionError, match="unknown filters"):
         single_preparation_certificate("hh", row, filters={"hh": rectilinear_filters()["hh"]})
     ragged = {"hh": rectilinear_filters()["hh"], "vv": FilterPair(ket(1, 3), ket(1, 3))}
-    with pytest.raises(DimensionError, match="different dimensions"):
+    with pytest.raises(DimensionError, match="filter '' has dimension 3, not 2"):
         single_preparation_certificate("hh", row, filters=ragged)
+
+
+@pytest.mark.parametrize("sets, message", [
+    (dict(preps=5), "preps 5 is not a mapping"),
+    (dict(filters="ab"), "filters 'ab' is not a mapping"),
+], ids=["preps", "filters"])
+def test_single_preparation_sets_that_are_not_mappings_are_a_dimension_error(sets, message):
+    # preps=5 raised a bare TypeError
+    row = [r for r in measured_records() if r.mu == "hh"]
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        single_preparation_certificate("hh", row, **sets)
 
 
 def _lower_arm_defect():

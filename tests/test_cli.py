@@ -23,6 +23,7 @@ from whichway import (
     transpose_channel,
     write_records_csv,
 )
+from whichway import interferometer as itf
 from whichway.cli import (
     EXIT_INPUT,
     EXIT_NUMERICAL,
@@ -162,6 +163,23 @@ def test_reproduce_simulated_is_deterministic(capsys):
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
+
+
+@pytest.mark.parametrize("flags, filters", [((), None), (("--filters", "hh,vv"), ["hh", "vv"])],
+                         ids=["default", "filters"])
+def test_reproduce_runs_the_library_default_without_filters(capsys, monkeypatch, flags,
+                                                            filters):
+    # the CLI passed a fresh rectilinear dict, so it never ran the grid route
+    seen = []
+
+    def run(ch, filters=None, **kwargs):
+        seen.append(filters if filters is None else sorted(filters))
+        return run_experiment(ch, filters=filters, **kwargs)
+
+    monkeypatch.setattr(itf, "run_experiment", run)
+    code, _, _ = run_cli(capsys, "reproduce", "--seed", "3", "--shots", "1000", *flags)
+    assert code == EXIT_OK
+    assert seen == [filters]
 
 
 def test_parse_preparation_tokens():

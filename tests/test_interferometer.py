@@ -105,6 +105,16 @@ def test_jones_matrix_validation():
             jones_matrix(kind, angle)
 
 
+@pytest.mark.parametrize("rows, message", [
+    (5, "rows 5 is not an iterable of NoiseRow"),
+    ("ab", "rows 'ab' is not an iterable of NoiseRow"),
+], ids=["number", "text"])
+def test_noise_program_rows_that_are_not_noise_rows_are_a_dimension_error(rows, message):
+    # 5 raised a bare TypeError, and "ab" an AttributeError
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        verify_noise_program(rows)
+
+
 def test_empty_noise_program_is_refused():
     with pytest.raises(DimensionError, match="a noise program needs at least one row"):
         verify_noise_program(())
@@ -498,12 +508,12 @@ def test_default_routes_prepare_no_certificate_stack_per_call(monkeypatch):
 
 def test_a_filter_of_another_dimension_is_a_dimension_error():
     # the filter kets used to meet the channel only in a numpy broadcast
-    message = "filter 'hh' does not have the channel's spin dimension 3"
+    message = "filter 'hh' has dimension 2, not 3"
     with pytest.raises(DimensionError, match=re.escape(message)):
         simulate_fringes(identity_channel(3), (ket(0, 3), ket(0, 3)), rectilinear_filters()["hh"])
     with pytest.raises(DimensionError, match=re.escape(message)):
         run_experiment(identity_channel(3), preparations={"a": (ket(0, 3), ket(0, 3))})
-    with pytest.raises(DimensionError, match="spin dimension 2"):
+    with pytest.raises(DimensionError, match="filter '' has dimension 3, not 2"):
         run_experiment(pauli_mixture_channel(), filters={"x": FilterPair(ket(0, 3), ket(1, 3))})
 
 
@@ -525,6 +535,27 @@ def test_counting_draws_the_largest_shot_count():
     assert (ds.counts.sum(axis=0) == 2**62).all()
     records = run_experiment(random_path_channel(2, 16, 3), shots_per_phase=2**62, seed=2)
     assert len(records) == 16
+
+
+@pytest.mark.parametrize("shots", [2**53 + 1, 2**62])
+def test_the_shot_split_sums_to_the_shot_count(shots):
+    # the float split lost 2044 of 2**62 shots over the plate program's
+    # four weights of 0.2499999999999999
+    program = program_channel(verify_noise_program(pauli_noise_program()))
+    for ch in (pauli_mixture_channel(), program):
+        assert sum(_allocate(shots, _unitary_rows(ch))) == shots
+    ds = simulate_fringes(program, PREPS["hv"], FILTERS["vh"], shots_per_phase=shots, seed=2)
+    assert (ds.counts.sum(axis=0) == shots).all()
+
+
+@pytest.mark.parametrize("grid, message", [
+    (dict(preparations=5), "preparations 5 is not a mapping"),
+    (dict(filters="ab"), "filters 'ab' is not a mapping"),
+], ids=["preparations-number", "filters-text"])
+def test_run_experiment_grids_that_are_not_mappings_are_a_dimension_error(grid, message):
+    # both raised a bare TypeError
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        run_experiment(pauli_mixture_channel(), **grid)
 
 
 @pytest.mark.parametrize("d", [1, 3])

@@ -185,6 +185,18 @@ def raw_array_read(node, ns):
     return None
 
 
+def filter_dimension(node, ns):
+    """A comparison with the dimension of a filter ket, ``.chi0.size`` or
+    ``.chi1.size``."""
+    if not isinstance(node, ast.Compare):
+        return None
+    for side in (node.left, *node.comparators):
+        if (isinstance(side, ast.Attribute) and side.attr == "size"
+                and _name(side.value) in ("chi0", "chi1")):
+            return f"comparison with {ast.unparse(side)}"
+    return None
+
+
 class Exempt(NamedTuple):
     module: str
     qualname: str  # covers the defs and classes nested in it too
@@ -324,6 +336,27 @@ RULES = (
         "def cache(): pass",
         "@staticmethod\ndef f(): pass",
     ), "channels": ("@functools.cache\ndef pauli_mixture_channel(): pass",)}),
+    # bounds._filter_kets is the one filter-dimension check; a filter pair
+    # checks that its own two kets agree
+    Rule("filter-dimension", filter_dimension, MODULES, (
+        Exempt("bounds", "_filter_kets", "the one filter-dimension check"),
+        Exempt("bounds", "FilterPair.__post_init__", "the two kets of one pair agree"),
+    ), flags={"bounds": (
+        # the retired checks of fractional_visibility, verify_alpha_constraint,
+        # _complete_basis_check and interferometer._filter_kets, as they were
+        "if filt.chi0.size != d: pass",
+        "if filters[nu].chi0.size != d: pass",
+        "ok = any(f.chi0.size != d for f in filts)", "ok = chi0.size != d",
+        "def _filter_kets(filt, d):\n    pass\nok = d == filt.chi1.size",
+        "class FilterPair:\n    def check(self):\n        return self.chi0.size != self.chi1.size",
+    ), "interferometer": ("def _filter_kets(filt, d):\n    return filt.chi0.size != d",)},
+         passes={"bounds": (
+             "chi0, chi1 = _filter_kets(filt, d)", "d = filts[0].chi0.size",
+             "ok = psi0.size != d", "ok = filt.chi0.dtype != dtype",
+             "def _filter_kets(filt, d):\n    return filt.chi0.size != d",
+             "class FilterPair:\n    def __post_init__(self):\n"
+             "        ok = self.chi0.size != self.chi1.size",
+         )}),
     # a run's bounds come from bounds.certify_run; the CLI only prints them
     Rule("cli-certification-policy", certification_policy, ("cli",), (), flags={"cli": (
         "bnd.swap_certificate(records)", "single_preparation_certificate(mu, records)",
