@@ -128,12 +128,13 @@ class FilterPair:
             raise DimensionError("filter kets have different dimensions")
 
 
-def _filter_kets(filt: FilterPair, d: int) -> tuple[np.ndarray, np.ndarray]:
+def _filter_kets(filt: FilterPair, d: int, name: str) -> tuple[np.ndarray, np.ndarray]:
     """(chi0, chi1) of a filter pair of spin dimension d, else
     :class:`DimensionError` naming the filter and both dimensions: the one
-    filter-dimension check."""
+    filter-dimension check. ``name`` is the key the filter was given under,
+    or its label where it came alone."""
     if filt.chi0.size != d:
-        raise DimensionError(f"filter {filt.label!r} has dimension {filt.chi0.size}, not {d}")
+        raise DimensionError(f"filter {name!r} has dimension {filt.chi0.size}, not {d}")
     return filt.chi0, filt.chi1
 
 
@@ -217,7 +218,7 @@ def fractional_visibility(
     if not _text(mu, "mu") and isinstance(prep, Preparation):
         mu = prep.label
     psi0, psi1 = pure_pair(prep, ch.spin_dim)
-    chi0, chi1 = _filter_kets(filt, ch.spin_dim)
+    chi0, chi1 = _filter_kets(filt, ch.spin_dim, filt.label)
     x = ch.kraus[:, 0] @ psi0 @ chi0.conj()
     y = ch.kraus[:, 1] @ psi1 @ chi1.conj()
     p = min(max(0.5 * float(np.vdot(x, x).real + np.vdot(y, y).real), 0.0), 1.0)
@@ -395,7 +396,7 @@ def verify_alpha_constraint(
         if nu not in filters:
             raise DimensionError(f"coefficient references unknown filter {nu!r}")
         if nu not in chis:
-            chis[nu] = _filter_kets(filters[nu], d)
+            chis[nu] = _filter_kets(filters[nu], d, nu)
         if mu not in kets:
             kets[mu] = pure_pair(preps[mu], d)
     # (psi0, psi1, chi0, chi1) x term x d
@@ -430,7 +431,7 @@ def _complete_basis_check(filters: dict[str, FilterPair], nus: list[str]) -> np.
     if unknown:
         raise DimensionError(f"records reference unknown filters {unknown}")
     d = filters[nus[0]].chi0.size
-    stack = np.array(list(zip(*(_filter_kets(filters[nu], d) for nu in nus))))
+    stack = np.array(list(zip(*(_filter_kets(filters[nu], d, nu) for nu in nus))))
     if len(nus) != d:
         raise DimensionError(
             f"upper-arm filters do not form a complete basis ({len(nus)} vectors in dim {d})"

@@ -20,9 +20,10 @@ environment ket |e_k>. The joint path x spin state and the channel's action
 on it are test oracles in ``tests/reference_kernels.py``.
 
 Each class keeps one stored form, :class:`PathChannel` its ``kraus`` and
-:class:`Preparation` its ``weights`` and ``factors``. Both compare and hash
-by identity: two separately built objects are unequal even when their
-arrays agree.
+:class:`Preparation` its ``weights`` and ``factors``; a channel also keeps
+what its constructor derives from ``kraus`` while checking it, the
+read-only ``unitary_weights``. Both compare and hash by identity: two
+separately built objects are unequal even when their arrays agree.
 """
 
 from __future__ import annotations
@@ -37,9 +38,11 @@ import numpy as np
 from ._files import read_text, write_text
 from .errors import DimensionError, InputFormatError, PositivityError
 from .linalg import (
+    ATOL_DERIVED,
     ATOL_STRUCT,
     _density_eigh,
     _frozen,
+    _generators,
     _mapping,
     _text,
     finite_array,
@@ -170,6 +173,19 @@ def pure_pair(prep, d: int) -> tuple[np.ndarray, np.ndarray]:
     return psi0, psi1
 
 
+def _unitary_weights(grams: np.ndarray) -> np.ndarray | None:
+    """The read-only weights w_k of a (K, 2, d, d) per-Kraus Gram stack if
+    every pair is a sub-normalized unitary pair, else None."""
+    d = grams.shape[-1]
+    w = np.trace(grams, axis1=-2, axis2=-1).real / d
+    wa = w[:, 0]
+    if (wa < 1e-12).any() or (np.abs(wa - w[:, 1]) > ATOL_DERIVED).any():
+        return None
+    if np.abs(grams - w[..., None, None] * np.eye(d)).max() > ATOL_DERIVED:
+        return None
+    return _frozen(w)[:, 0]
+
+
 @dataclass(frozen=True, eq=False)
 class PathChannel:
     """Path-preserving channel stored as one stacked Kraus array.
@@ -185,11 +201,19 @@ class PathChannel:
     anything else, and a ``label`` that is not a str, raises
     :class:`DimensionError`. A copied or unpickled channel is built again
     through these checks.
+
+    ``unitary_weights`` is derived from the same per-Kraus Gram stack
+    K_k^dag K_k whose sum the trace check reads: the read-only weights w_k
+    if every Kraus pair is a sub-normalized unitary pair (A_k^dag A_k =
+    B_k^dag B_k = w_k 1 within 1e-9, w_k >= 1e-12), else None. The counting
+    simulation of :mod:`whichway.interferometer` draws such a channel as the
+    arm-unitary rows (A_k, B_k) / sqrt(w_k).
     """
 
     kraus: np.ndarray = field(repr=False)
     label: str = ""
     metadata: Mapping = field(default_factory=dict)
+    unitary_weights: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         _text(self.label, "channel label")
@@ -200,13 +224,14 @@ class PathChannel:
         object.__setattr__(self, "kraus", kraus)
         object.__setattr__(self, "metadata",
                            MappingProxyType(dict(_mapping(self.metadata, "metadata"))))
-        gram = np.einsum("ksji,ksjl->sil", kraus.conj(), kraus)
-        err = np.abs(np.linalg.eigvalsh(gram - np.eye(self.spin_dim))).max(axis=1)
+        grams = kraus.conj().swapaxes(-1, -2) @ kraus  # grams[k, s] = K^(s)_k^dag K^(s)_k
+        err = np.abs(np.linalg.eigvalsh(grams.sum(axis=0) - np.eye(self.spin_dim))).max(axis=1)
         for name, side in (("A", 0), ("B", 1)):
             if err[side] > ATOL_STRUCT:
                 raise PositivityError(
                     f"{name}-side Kraus blocks are not trace preserving within 1e-10"
                 )
+        object.__setattr__(self, "unitary_weights", _unitary_weights(grams))
 
     def __reduce__(self):
         # a MappingProxyType cannot be pickled, and the constructor makes
@@ -366,7 +391,7 @@ def random_path_channel(d: int, n_kraus: int, seed: int) -> PathChannel:
     """
     d, n_kraus = int_at_least(d, "d", 1), int_at_least(n_kraus, "n_kraus", 1)
     seed = int_at_least(seed, "seed", 0)
-    rng = np.random.default_rng(seed)
+    (rng,) = _generators((seed,))
 
     def draw_side():
         g = rng.normal(size=(n_kraus, d, d)) + 1j * rng.normal(size=(n_kraus, d, d))

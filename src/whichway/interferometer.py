@@ -21,20 +21,28 @@ cell takes no part in that cell's fit, and each fitted cell is a
 :class:`FractionalVisibilityRecord` that carries its residual rms; a fit
 beyond the records' 3-sigma envelope raises :class:`NumericalError`.
 
-Random streams: a cell seeded ``seed`` draws from one generator,
-``np.random.default_rng(seed)``. It first makes one ``multinomial`` call over
-its (phases, rows, 4) probability table, each row with its share of the
-shots, which numpy draws in C order over (phase, row); then, if any
-efficiency is below one, one ``binomial`` call that thins the summed
-(4, phases) counts by the detector efficiencies, in C order over
-(detector, phase). :func:`simulate_fringes` is that one cell.
+Random streams: a cell seeded ``seed`` draws from one generator, in the
+state ``np.random.default_rng(seed)`` gives it. It first makes one
+``multinomial`` call over its (phases, rows, 4) probability table, each row
+with its share of the shots, which numpy draws in C order over
+(phase, row); then, if any efficiency is below one, one ``binomial`` call
+that thins the summed (4, phases) counts by the detector efficiencies, in C
+order over (detector, phase). :func:`simulate_fringes` is that one cell.
 :func:`run_experiment` seeds cell (mu, nu) with ``seed + (i_mu, i_nu)`` and
 draws it at the lowest efficiency m on every detector: thinning by e and then
 resampling by m / e is thinning by m, as Bin(Bin(n, e), m / e) = Bin(n, m).
 :func:`binomial_resample` makes one ``binomial`` call over (detector, phase)
-from ``np.random.default_rng(seed)``. Counts for a given seed are part of the
+from a generator seeded ``seed``. Every generator comes from
+:func:`~whichway.linalg._generators`, which splits a run's seed into
+SeedSequence's uint32 entropy words once and appends each cell's
+(i_mu, i_nu) to them, the words ``default_rng`` would read from the tuple,
+so the states are the same. Counts for a given seed are part of the
 interface and stay fixed. The drawing functions reach ``numpy.random`` only
 when they run, so importing the package does not load it.
+
+The phases of a run are checked once, into a read-only grid that also holds
+what the draws and the fit read from them (:func:`_phase_grid`); the 13
+default phases are that grid, built at import.
 
 Jones convention, :data:`CONVENTION`: rotation-conjugated retarders
 
@@ -79,8 +87,8 @@ from .channels import (
     pure_pair,
 )
 from .errors import ConventionError, DimensionError, NonFiniteError, NumericalError
-from .linalg import (ATOL_DERIVED, _frozen, _mapping, _numbers, _text, finite_array,
-                     int_at_least, real_in)
+from .linalg import (ATOL_DERIVED, _frozen, _generators, _mapping, _numbers, _text,
+                     finite_array, int_at_least, real_in)
 
 __all__ = [
     "CONVENTION",
@@ -165,6 +173,11 @@ def pauli_noise_program() -> tuple[NoiseRow, ...]:
 
 @dataclass(frozen=True, eq=False)
 class RowReport:
+    """What :func:`verify_noise_program` found for one row: its target label,
+    its largest deviation from the target pair up to a shared phase, and the
+    frame-corrected arm unitaries (u0, u1) the row realizes, which
+    :func:`program_channel` mixes. Compared and hashed by identity."""
+
     target: str
     deviation: float
     effective_pair: tuple[np.ndarray, np.ndarray] = field(repr=False)
@@ -246,7 +259,34 @@ def _phase_tuple(phases) -> tuple[float, ...]:
     return phases
 
 
-_DEFAULT_PHASES = _phase_tuple(np.linspace(0.0, 2.0 * np.pi, 13))
+@dataclass(frozen=True, eq=False)
+class _PhaseGrid:
+    """Checked phases (:func:`_phase_grid`): ``phases``, the floats; and,
+    read-only, ``values``, their array, ``waves``, e^{i phi}, ``design``,
+    the (2, phases) fit design b = (cos phi, -sin phi), and ``starts``, the
+    first index of each run of phases equal to 12 decimals."""
+
+    phases: tuple[float, ...]
+    values: np.ndarray
+    waves: np.ndarray
+    design: np.ndarray
+    starts: np.ndarray
+
+
+def _phase_grid(phases) -> _PhaseGrid:
+    """The phases checked by :func:`_phase_tuple`, with the arrays that the
+    probability tables and the fit read from them, each formed once."""
+    phases = _phase_tuple(phases)
+    values = np.array(phases)
+    # rounding keeps the phases sorted, so equal rounded phases form runs,
+    # and a run starts at each phase that differs from its predecessor
+    rounded = np.round(values, 12)
+    starts = np.flatnonzero(np.concatenate(([True], rounded[1:] != rounded[:-1])))
+    design = np.stack([np.cos(values), -np.sin(values)])
+    return _PhaseGrid(phases, *map(_frozen, (values, np.exp(1j * values), design, starts)))
+
+
+_DEFAULT_PHASES = _phase_grid(np.linspace(0.0, 2.0 * np.pi, 13))
 _MAX_SHOTS = 2**62
 
 
@@ -321,21 +361,6 @@ class FringeDataset:
         object.__setattr__(self, "seed", _seed_tuple(self.seed))
 
 
-def _unitary_rows(ch: PathChannel):
-    """Weights w_k, if every Kraus pair is a sub-normalized unitary pair
-    (A_k^dag A_k = B_k^dag B_k = w_k 1 within 1e-9, w_k >= 1e-12); None
-    otherwise."""
-    d = ch.spin_dim
-    gram = ch.kraus.conj().swapaxes(-1, -2) @ ch.kraus
-    w = np.trace(gram, axis1=-2, axis2=-1).real / d
-    wa = w[:, 0]
-    if (wa < 1e-12).any() or (np.abs(wa - w[:, 1]) > ATOL_DERIVED).any():
-        return None
-    if np.abs(gram - w[..., None, None] * np.eye(d)).max() > ATOL_DERIVED:
-        return None
-    return wa
-
-
 def _allocate(shots: int, weights) -> list[int]:
     """Largest-remainder split of shots across float weights, exact in
     integers: over a common denominator weight i is n_i, row i takes
@@ -349,17 +374,17 @@ def _allocate(shots: int, weights) -> list[int]:
     return [b + (i in extra) for i, b in enumerate(base)]
 
 
-def _probability_tables(ch, kets, chis, phases, contrast, shots_per_phase):
+def _probability_tables(ch, kets, chis, grid, contrast, shots_per_phase):
     """Shots of each row and the (cells, phases, rows, 4) detection
     probabilities of the plus, minus, ref0 and ref1 detectors, each row
-    normalised. The cells are every (preparation, filter) pair, preparations
-    major; ``kets`` holds each preparation's checked (psi0, psi1) and
-    ``chis`` each filter's (chi0, chi1), as an (n, 2, d) array or a sequence
-    of pairs.
+    normalised, at the phases of ``grid`` (a :func:`_phase_grid`). The cells
+    are every (preparation, filter) pair, preparations major; ``kets`` holds
+    each preparation's checked (psi0, psi1) and ``chis`` each filter's
+    (chi0, chi1), as an (n, 2, d) array or a sequence of pairs.
 
     The per-Kraus amplitudes x_k = <chi0|A_k|psi0> and y_k = <chi1|B_k|psi1>
-    of every cell come from one contraction. If every Kraus pair is a
-    sub-normalized unitary pair of weight w_k, row k is the arm-unitary pair
+    of every cell come from one contraction. If the channel has
+    ``unitary_weights`` w_k, row k is the arm-unitary pair
     (A_k, B_k) / sqrt(w_k), with f0 = |x_k|^2 / w_k, f1 = |y_k|^2 / w_k and
     v = x_k y_k* / w_k, and takes its largest-remainder share of the shots.
     Otherwise one pooled row takes every shot, with the exact mixture
@@ -369,14 +394,14 @@ def _probability_tables(ch, kets, chis, phases, contrast, shots_per_phase):
     amps = np.einsum("fia,kiab,pib->ipfk", chi.conj(), ch.kraus, psi)
     x, y = amps.reshape(2, -1, len(ch.kraus))
     f0, f1, v = np.abs(x) ** 2, np.abs(y) ** 2, x * y.conj()
-    weights = _unitary_rows(ch)
+    weights = ch.unitary_weights
     if weights is None:
         weights = [1.0]
         f0, f1, v = (a.sum(axis=1, keepdims=True) for a in (f0, f1, v))
     else:
         f0, f1, v = f0 / weights, f1 / weights, v / weights
 
-    osc = (contrast * v[:, None, :] * np.exp(1j * np.array(phases))[:, None]).real
+    osc = (contrast * v[:, None, :] * grid.waves[:, None]).real
     mean = (0.5 * (f0 + f1))[:, None, :]
     pvals = np.empty(osc.shape + (4,))
     pvals[..., 0] = 0.5 * (mean + osc)
@@ -388,25 +413,23 @@ def _probability_tables(ch, kets, chis, phases, contrast, shots_per_phase):
     return np.array(_allocate(shots_per_phase, weights)), pvals
 
 
-def _counting_phases(phases, contrast) -> tuple[tuple[float, ...], float]:
-    """The phases as floats (by default ``_DEFAULT_PHASES``, the 13 over
-    [0, 2 pi], checked once) and the contrast, a real number in (0, 1], as a
-    float."""
-    phases = _DEFAULT_PHASES if phases is None else _phase_tuple(phases)
-    return phases, real_in(contrast, "contrast", 0.0, 1.0, open_low=True)
+def _counting_phases(phases, contrast) -> tuple[_PhaseGrid, float]:
+    """The :func:`_phase_grid` of the phases (by default ``_DEFAULT_PHASES``,
+    the 13 over [0, 2 pi], built at import) and the contrast, a real number
+    in (0, 1], as a float."""
+    grid = _DEFAULT_PHASES if phases is None else _phase_grid(phases)
+    return grid, real_in(contrast, "contrast", 0.0, 1.0, open_low=True)
 
 
-def _count_cells(ch, kets, chis, phases, shots_per_phase, efficiencies, contrast,
-                 seeds) -> np.ndarray:
+def _count_cells(ch, kets, chis, grid, shots_per_phase, efficiencies, contrast,
+                 rngs) -> np.ndarray:
     """(cells, 4, phases) detector counts of the cells of
-    :func:`_probability_tables`, cell c drawn from
-    ``np.random.default_rng(seeds[c])`` in the order the module documents;
-    the settings are already checked."""
-    shots, tables = _probability_tables(ch, kets, chis, phases, contrast, shots_per_phase)
+    :func:`_probability_tables`, cell c drawn from the generator ``rngs[c]``
+    in the order the module documents; the settings are already checked."""
+    shots, tables = _probability_tables(ch, kets, chis, grid, contrast, shots_per_phase)
     thin = np.array(efficiencies)[:, None]
-    counts = np.empty((len(tables), 4, len(phases)), dtype=np.int64)
-    for out, table, seed in zip(counts, tables, seeds):
-        rng = np.random.default_rng(seed)
+    counts = np.empty((len(tables), 4, len(grid.phases)), dtype=np.int64)
+    for out, table, rng in zip(counts, tables, rngs):
         out[:] = rng.multinomial(shots, table).sum(axis=1).T
         if min(efficiencies) < 1.0:
             out[:] = rng.binomial(out, thin)
@@ -433,25 +456,29 @@ def simulate_fringes(
     factor. The photons are then distributed multinomially over the four
     detectors and each detector is thinned binomially by its efficiency.
 
-    The draws come from ``np.random.default_rng(seed)``, in the order the
-    module docstring states, so the counts for a given seed are fixed.
+    The draws come from one generator in the state
+    ``np.random.default_rng(seed)`` gives it, in the order the module
+    docstring states, so the counts for a given seed are fixed.
     """
     efficiencies = _counting_settings(shots_per_phase, efficiencies)
-    phases, contrast = _counting_phases(phases, contrast)
+    grid, contrast = _counting_phases(phases, contrast)
     seed = _seed_tuple(seed)
-    (counts,) = _count_cells(ch, [pure_pair(prep, ch.spin_dim)], [_filter_kets(filt, ch.spin_dim)],
-                             phases, shots_per_phase, efficiencies, contrast, [seed])
-    return FringeDataset(phases, counts, shots_per_phase, seed, efficiencies)
+    chis = [_filter_kets(filt, ch.spin_dim, filt.label)]
+    (counts,) = _count_cells(ch, [pure_pair(prep, ch.spin_dim)], chis, grid, shots_per_phase,
+                             efficiencies, contrast, _generators(seed))
+    return FringeDataset(grid.phases, counts, shots_per_phase, seed, efficiencies)
 
 
 def binomial_resample(ds: FringeDataset, reference_efficiency: float, seed=0) -> FringeDataset:
     """Thin every detector's counts so all share the reference efficiency, a
     real number in (0, min(efficiencies)], with one ``binomial`` call over
-    (detector, phase) from ``np.random.default_rng(seed)``."""
+    (detector, phase) from one generator in the state
+    ``np.random.default_rng(seed)`` gives it."""
     reference_efficiency = real_in(reference_efficiency, "reference_efficiency", 0.0,
                                    min(ds.efficiencies), open_low=True)
     ratios = reference_efficiency / np.array(ds.efficiencies)
-    counts = np.random.default_rng(_seed_tuple(seed)).binomial(ds.counts, ratios[:, None])
+    (rng,) = _generators(_seed_tuple(seed))
+    counts = rng.binomial(ds.counts, ratios[:, None])
     return FringeDataset(ds.phases, counts, ds.shots_per_phase, ds.seed,
                          (reference_efficiency,) * 4)
 
@@ -480,12 +507,13 @@ def fit_fringes(ds: FringeDataset) -> FractionalVisibilityRecord:
     counts take no part. The model is linear in (p, Re V, Im V);
     uncertainties come from the fit covariance, and p is clipped to [0, 1].
     """
-    return _fit_counts(np.array(ds.phases), ds.counts[None], [("", "")])[0]
+    return _fit_counts(_phase_grid(ds.phases), ds.counts[None], [("", "")])[0]
 
 
-def _fit_counts(phases: np.ndarray, counts: np.ndarray, keys) -> list[FractionalVisibilityRecord]:
+def _fit_counts(grid: _PhaseGrid, counts: np.ndarray, keys) -> list[FractionalVisibilityRecord]:
     """:func:`fit_fringes` of every cell of (cells, 4, phases) counts over
-    the same strictly increasing phases, cell c labelled by the c-th key.
+    the phases of ``grid`` (a :func:`_phase_grid`), cell c labelled by the
+    c-th key.
 
     Over a cell's m populated phases, the detector sum n+/T + n-/T fits p
     and the difference n+/T - n-/T fits b . (Re V, Im V), b = (cos phi,
@@ -495,12 +523,12 @@ def _fit_counts(phases: np.ndarray, counts: np.ndarray, keys) -> list[Fractional
     freedom, and each cell keeps every check of its own fit, the records'
     3-sigma envelope included.
     """
+    phases, b = grid.values, grid.design
     totals = counts.sum(axis=1)
     populated = totals > 0
-    # Rounding keeps the phases sorted, so equal rounded phases form runs; a
-    # cell's distinct populated phases are its runs with a populated phase.
-    starts = np.flatnonzero(np.diff(np.round(phases, 12), prepend=np.nan) != 0)
-    distinct = np.logical_or.reduceat(populated, starts, axis=1).sum(axis=1)
+    # a cell's distinct populated phases are the grid's runs of equal
+    # rounded phases that hold a populated phase
+    distinct = np.logical_or.reduceat(populated, grid.starts, axis=1).sum(axis=1)
     span = (np.where(populated, phases, -np.inf).max(axis=1, initial=-np.inf)
             - np.where(populated, phases, np.inf).min(axis=1, initial=np.inf))
     sparse, narrow = distinct < 4, span < np.pi
@@ -513,7 +541,6 @@ def _fit_counts(phases: np.ndarray, counts: np.ndarray, keys) -> list[Fractional
     # an unpopulated phase has zero sum, difference and weight
     y = counts[:, :2] / np.where(populated, totals, 1)[:, None]
     total, diff = y[:, 0] + y[:, 1], y[:, 0] - y[:, 1]
-    b = np.stack([np.cos(phases), -np.sin(phases)])
     m = populated.sum(axis=1)
     gram = (populated[:, None, :] * b) @ b.T
     # tr G = m, so (s_max / s_min)^2 = max(m, l_max) / min(m, l_min) of the
@@ -547,37 +574,36 @@ def _fit_counts(phases: np.ndarray, counts: np.ndarray, keys) -> list[Fractional
 
 
 def _simulate_cells(ch, preparations, filters, phases, shots_per_phase, efficiencies,
-                    contrast, seed) -> tuple[tuple[float, ...], np.ndarray, itertools.product]:
-    """The phases, the (cells, 4, phases) counts and the (mu, nu) keys of
+                    contrast, seed) -> tuple[_PhaseGrid, np.ndarray, itertools.product]:
+    """The phase grid, the (cells, 4, phases) counts and the (mu, nu) keys of
     :func:`run_experiment`, cells over the sorted (mu, nu) grid,
     preparations major, every detector drawn at the lowest efficiency. A
     ``preparations`` or ``filters`` of None is the rectilinear set; with
     both None and a spin dimension of 2 the cells are the labels and the
     ket stack of the rectilinear grid, built and checked once."""
     efficiencies = _counting_settings(shots_per_phase, efficiencies)
-    phases, contrast = _counting_phases(phases, contrast)
+    grid, contrast = _counting_phases(phases, contrast)
     if shots_per_phase < 1:
         raise DimensionError(f"shots_per_phase {shots_per_phase} below 1: no counts to fit")
     rectilinear = preparations is None and filters is None
     preparations = (rectilinear_preparations() if preparations is None
                     else _mapping(preparations, "preparations"))
     filters = rectilinear_filters() if filters is None else _mapping(filters, "filters")
-    for name, grid in (("preparations", preparations), ("filters", filters)):
-        if not grid:
+    for name, entries in (("preparations", preparations), ("filters", filters)):
+        if not entries:
             raise DimensionError(f"{name} is empty: no cells to simulate")
     seed = _seed_tuple(seed)
     if rectilinear and ch.spin_dim == 2:
-        grid = _rectilinear_grid()
-        mus = nus = grid["labels"]
-        kets = chis = grid["pairs"]
+        constants = _rectilinear_grid()
+        mus = nus = constants["labels"]
+        kets = chis = constants["pairs"]
     else:
         mus, nus = sorted(preparations), sorted(filters)
         kets = [pure_pair(preparations[mu], ch.spin_dim) for mu in mus]
-        chis = [_filter_kets(filters[nu], ch.spin_dim) for nu in nus]
-    seeds = [seed + cell for cell in itertools.product(range(len(mus)), range(len(nus)))]
-    counts = _count_cells(ch, kets, chis, phases, shots_per_phase, (min(efficiencies),) * 4,
-                          contrast, seeds)
-    return phases, counts, itertools.product(mus, nus)
+        chis = [_filter_kets(filters[nu], ch.spin_dim, nu) for nu in nus]
+    counts = _count_cells(ch, kets, chis, grid, shots_per_phase, (min(efficiencies),) * 4,
+                          contrast, _generators(seed, (len(mus), len(nus))))
+    return grid, counts, itertools.product(mus, nus)
 
 
 def run_experiment(
@@ -604,16 +630,16 @@ def run_experiment(
     so is an empty ``preparations`` or ``filters``.
 
     The defaults are constants built and checked once: ``phases=None`` is
-    the tuple of 13 phases over [0, 2 pi], and with ``preparations`` and
+    the grid of 13 phases over [0, 2 pi], and with ``preparations`` and
     ``filters`` both None a channel of spin dimension 2 takes the sorted
     labels and the (4, 2, 2) ket stack of the rectilinear grid, which serves
     as both the preparation and the filter stack. A filter whose dimension
     is not the channel's raises :class:`DimensionError`, and so does a
     ``shots_per_phase`` above 2^62.
     """
-    phases, counts, keys = _simulate_cells(ch, preparations, filters, phases, shots_per_phase,
-                                           efficiencies, contrast, seed)
-    return _fit_counts(np.array(phases), counts, keys)
+    grid, counts, keys = _simulate_cells(ch, preparations, filters, phases, shots_per_phase,
+                                         efficiencies, contrast, seed)
+    return _fit_counts(grid, counts, keys)
 
 
 # ---------------------------------------------------------------------------

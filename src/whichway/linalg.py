@@ -26,7 +26,9 @@ unit trace within 1e-10, from one eigendecomposition that its callers in
 the package reuse). A NaN or infinite entry of an array of the right
 kind and shape raises :class:`NonFiniteError`. Every real-valued setting
 (wave-plate angles, detector efficiencies, contrast, phases, ``--tol``) is
-checked by :func:`real_in` or :func:`finite_array`.
+checked by :func:`real_in` or :func:`finite_array`. Every random stream of
+the package, the counting draws and the random channels alike, comes from
+one constructor of numpy generators, :func:`_generators`.
 The root fidelity of two states is not formed here: :mod:`whichway.duality`
 takes it from their factors by Uhlmann's theorem, and the route through two
 eigendecompositions is a test oracle.
@@ -34,6 +36,7 @@ eigendecompositions is a test oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Mapping
 
@@ -82,6 +85,27 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     shared, such as module-level constants."""
     a.flags.writeable = False
     return a
+
+
+def _generators(seed: tuple[int, ...], shape: tuple[int, ...] = ()) -> list:
+    """One numpy generator per index of an array of ``shape``, in C order,
+    each in the state ``np.random.default_rng(seed + index)`` gives it; one
+    generator, seeded ``seed``, for the default shape ().
+
+    ``np.random.default_rng`` reads a tuple of nonnegative ints as the
+    SeedSequence entropy of their uint32 words, each int little-endian (0 is
+    one word), one after the other. Here the seed is split into those words
+    once, and each index appends its ints (each below 2^32, one word each),
+    so the states are those of the tuples without converting the seed again
+    per index.
+    """
+    words = []
+    for s in seed:
+        words.append(s & 0xFFFFFFFF)
+        while s := s >> 32:
+            words.append(s & 0xFFFFFFFF)
+    return [np.random.default_rng(np.array(words + list(index), dtype=np.uint32))
+            for index in itertools.product(*map(range, shape))]
 
 
 def real_in(value, what: str, low: float, high: float = math.inf, *,

@@ -641,8 +641,28 @@ def test_single_preparation_certificate_rejects_mismatched_inputs():
     with pytest.raises(DimensionError, match="unknown filters"):
         single_preparation_certificate("hh", row, filters={"hh": rectilinear_filters()["hh"]})
     ragged = {"hh": rectilinear_filters()["hh"], "vv": FilterPair(ket(1, 3), ket(1, 3))}
-    with pytest.raises(DimensionError, match="filter '' has dimension 3, not 2"):
+    with pytest.raises(DimensionError, match="filter 'vv' has dimension 3, not 2"):
         single_preparation_certificate("hh", row, filters=ragged)
+
+
+def test_a_filter_of_another_dimension_is_named_by_its_key():
+    # the message named the filter's label, "" by default, where the
+    # filter came under a key
+    wide = FilterPair(ket(0, 3), ket(1, 3), label="lab")
+    message = re.escape("filter 'x' has dimension 3, not 2")
+    with pytest.raises(DimensionError, match=message):
+        run_experiment(pauli_mixture_channel(), filters={"x": wide})
+    row = [FractionalVisibilityRecord("hh", nu, 0.5, 0.1) for nu in ("hh", "x")]
+    with pytest.raises(DimensionError, match=message):  # a ragged basis
+        single_preparation_certificate("hh", row,
+                                       filters={"hh": rectilinear_filters()["hh"], "x": wide})
+    half = np.eye(2) / 2
+    with pytest.raises(DimensionError, match=message):
+        verify_alpha_constraint({("hh", "x"): 0.5}, rectilinear_preparations(), {"x": wide},
+                                half, half)
+    # a filter given alone is named by its label
+    with pytest.raises(DimensionError, match=re.escape("filter 'lab' has dimension 3, not 2")):
+        fractional_visibility(pauli_mixture_channel(), rectilinear_preparations()["hh"], wide)
 
 
 @pytest.mark.parametrize("sets, message", [

@@ -427,13 +427,19 @@ def test_channel_metadata_is_read_only():
 
 
 def test_a_copied_or_pickled_channel_is_rebuilt_read_only():
-    ch = random_path_channel(2, 2, seed=1)
-    for twin in (pickle.loads(pickle.dumps(ch)), copy.deepcopy(ch), copy.copy(ch)):
-        assert twin is not ch and (twin.label, twin.metadata) == (ch.label, ch.metadata)
-        np.testing.assert_array_equal(twin.kraus, ch.kraus)
-        assert not twin.kraus.flags.writeable
-        with pytest.raises(TypeError):
-            twin.metadata["seed"] = 2
+    # the pooled random channel has no unitary weights, the Pauli mixture four
+    for ch in (random_path_channel(2, 2, seed=1), pauli_mixture_channel()):
+        for twin in (pickle.loads(pickle.dumps(ch)), copy.deepcopy(ch), copy.copy(ch)):
+            assert twin is not ch and (twin.label, twin.metadata) == (ch.label, ch.metadata)
+            np.testing.assert_array_equal(twin.kraus, ch.kraus)
+            assert not twin.kraus.flags.writeable
+            with pytest.raises(TypeError):
+                twin.metadata["seed"] = 2
+            got, want = twin.unitary_weights, ch.unitary_weights
+            assert (got is None) == (want is None) == (ch.label != "pauli_mixture")
+            if want is not None:
+                assert got is not want and not got.flags.writeable
+                assert got.tobytes() == want.tobytes()
 
 
 def test_the_pauli_mixture_channel_is_one_shared_read_only_channel():
@@ -441,6 +447,10 @@ def test_the_pauli_mixture_channel_is_one_shared_read_only_channel():
     assert ch is pauli_mixture_channel()
     with pytest.raises(ValueError, match="read-only"):
         ch.kraus[0, 0, 0, 0] = 2
+    with pytest.raises(ValueError, match="read-only"):
+        ch.unitary_weights[0] = 1.0
+    with pytest.raises(AttributeError):
+        ch.unitary_weights = None
     with pytest.raises(TypeError):
         ch.metadata["label"] = "x"
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -466,7 +476,10 @@ def test_channel_metadata_that_is_not_a_mapping_is_a_dimension_error(metadata):
 
 
 def test_each_class_stores_one_form():
-    assert [f.name for f in dataclasses.fields(PathChannel)] == ["kraus", "label", "metadata"]
+    # unitary_weights is derived from kraus in the constructor, not passed in
+    fields = dataclasses.fields(PathChannel)
+    assert [f.name for f in fields] == ["kraus", "label", "metadata", "unitary_weights"]
+    assert [f.name for f in fields if f.init] == ["kraus", "label", "metadata"]
     assert [f.name for f in dataclasses.fields(Preparation)] == ["weights", "factors", "label"]
     ch = random_path_channel(3, 4, seed=7)
     assert ch.kraus.shape == (4, 2, 3, 3) and ch.kraus.dtype == np.complex128

@@ -48,15 +48,16 @@ from whichway import (
     write_dataset_csv,
 )
 from whichway.channels import pure_pair
-from whichway import bounds, interferometer
+from whichway import bounds, channels, interferometer
 from whichway.interferometer import (
     _allocate,
     _count_cells,
     _fit_counts,
+    _phase_grid,
     _probability_tables,
     _simulate_cells,
-    _unitary_rows,
 )
+from whichway.linalg import _generators
 
 H, V = ket(0, 2), ket(1, 2)
 PREPS = rectilinear_preparations()
@@ -513,7 +514,7 @@ def test_a_filter_of_another_dimension_is_a_dimension_error():
         simulate_fringes(identity_channel(3), (ket(0, 3), ket(0, 3)), rectilinear_filters()["hh"])
     with pytest.raises(DimensionError, match=re.escape(message)):
         run_experiment(identity_channel(3), preparations={"a": (ket(0, 3), ket(0, 3))})
-    with pytest.raises(DimensionError, match="filter '' has dimension 3, not 2"):
+    with pytest.raises(DimensionError, match="filter 'x' has dimension 3, not 2"):
         run_experiment(pauli_mixture_channel(), filters={"x": FilterPair(ket(0, 3), ket(1, 3))})
 
 
@@ -543,7 +544,7 @@ def test_the_shot_split_sums_to_the_shot_count(shots):
     # four weights of 0.2499999999999999
     program = program_channel(verify_noise_program(pauli_noise_program()))
     for ch in (pauli_mixture_channel(), program):
-        assert sum(_allocate(shots, _unitary_rows(ch))) == shots
+        assert sum(_allocate(shots, ch.unitary_weights)) == shots
     ds = simulate_fringes(program, PREPS["hv"], FILTERS["vh"], shots_per_phase=shots, seed=2)
     assert (ds.counts.sum(axis=0) == shots).all()
 
@@ -831,9 +832,9 @@ def _stream_cells(kind):
 @pytest.mark.parametrize("kind", ["pauli", "pooled", "identity3"])
 def test_simulated_counts_match_loop_reference(kind, shots):
     ch, cells = _stream_cells(kind)
-    assert (_unitary_rows(ch) is None) == (kind == "pooled")
+    assert (ch.unitary_weights is None) == (kind == "pooled")
     if kind == "pauli" and shots == 3:
-        assert 0 in _allocate(shots, _unitary_rows(ch))  # a row gets no shots
+        assert 0 in _allocate(shots, ch.unitary_weights)  # a row gets no shots
     for efficiencies in ((1.0,) * 4, (0.9, 1.0, 0.75, 1.0), (0.9, 0.8, 0.7, 0.6)):
         for contrast in (0.96, 1.0):
             for c, (prep, filt) in enumerate(cells):
@@ -852,11 +853,11 @@ def test_probability_table_matches_loop_reference(kind, shots):
     kets = [pure_pair(prep, ch.spin_dim) for prep, _ in cells]
     filters = [filt for _, filt in cells] + [cells[0][1]]  # a repeated filter
     if kind == "pauli" and shots == 3:
-        assert 0 in _allocate(shots, _unitary_rows(ch))  # a row gets no shots
+        assert 0 in _allocate(shots, ch.unitary_weights)  # a row gets no shots
     for contrast in (0.96, 1.0):
         args = (phases, contrast, shots)
         got_shots, got = _probability_tables(ch, kets, [(f.chi0, f.chi1) for f in filters],
-                                             *args)
+                                             _phase_grid(phases), contrast, shots)
         for c, ((psi0, psi1), filt) in enumerate(itertools.product(kets, filters)):
             want_shots, want = ref.probability_table(ch, psi0, psi1, filt, *args)
             assert got_shots.tolist() == want_shots
@@ -875,8 +876,9 @@ def test_batched_counts_match_loop_reference(kind):
     filters = [filt for _, filt in cells] + [cells[0][1]]
     seeds = [(13, m, f) for m in range(len(kets)) for f in range(len(filters))]
     for efficiencies in ((1.0,) * 4, (0.9, 1.0, 0.75, 1.0)):
-        counts = _count_cells(ch, kets, [(f.chi0, f.chi1) for f in filters], phases, shots,
-                              efficiencies, 0.96, seeds)
+        rngs = _generators((13,), (len(kets), len(filters)))
+        counts = _count_cells(ch, kets, [(f.chi0, f.chi1) for f in filters],
+                              _phase_grid(phases), shots, efficiencies, 0.96, rngs)
         assert len(counts) == len(seeds)
         for seed, n in zip(seeds, counts):
             want = ref.simulate_fringes(ch, kets[seed[1]], filters[seed[2]], phases=phases,
@@ -914,21 +916,24 @@ def _unitary_row_channels():
 
 @pytest.mark.parametrize("label, ch", list(_unitary_row_channels()))
 def test_unitary_rows_match_loop_reference(label, ch):
-    got, want = _unitary_rows(ch), ref.unitary_rows(ch)
+    # the channel derives its unitary weights once, from the Gram stack of
+    # its trace check
+    got, want = ch.unitary_weights, ref.unitary_rows(ch)
     assert (got is None) == (want is None)
     if want is not None:
-        assert np.array_equal(got, [w for w, _, _ in want])
+        assert got.dtype == np.float64 and not got.flags.writeable
+        assert got.tobytes() == np.array([w for w, _, _ in want]).tobytes()
 
 
 def _assert_experiment_matches_oracle(ch, seed, **kwargs):
     """Counts of every cell equal the scalar default_rng oracle's bit for bit; the
     records, fitted together here and one cell at a time there, agree
     within 1e-15."""
-    phases, counts, _ = _simulate_cells(ch, PREPS, FILTERS, None, **kwargs, seed=seed)
+    grid, counts, _ = _simulate_cells(ch, PREPS, FILTERS, None, **kwargs, seed=seed)
     want_cells = ref.simulate_cells(ch, seed, **kwargs)
     assert counts.shape == (16, 4, 13) and len(want_cells) == 16
     for cell, (mu, nu, want) in zip(counts, want_cells):
-        assert phases == want.phases
+        assert grid.phases == want.phases
         assert np.array_equal(cell, want.counts), (mu, nu)
     _assert_records_close(run_experiment(ch, seed=seed, **kwargs),
                           ref.run_experiment(ch, seed, **kwargs), 1e-15)
@@ -976,7 +981,7 @@ ORACLE_CHANNELS = {
 @pytest.mark.parametrize("label", list(ORACLE_CHANNELS))
 def test_counts_match_default_rng_oracle(label, seed, efficiencies):
     ch = ORACLE_CHANNELS[label]
-    assert (_unitary_rows(ch) is None) == (label != "pauli")  # the rest take the pooled fallback
+    assert (ch.unitary_weights is None) == (label != "pauli")  # the rest take the pooled fallback
     kwargs = dict(shots_per_phase=1000, efficiencies=efficiencies, contrast=0.96)
     for mu, nu in (("hh", "hh"), ("vh", "hv")):
         got = simulate_fringes(ch, PREPS[mu], FILTERS[nu], seed=seed, **kwargs)
@@ -993,45 +998,66 @@ def test_counts_match_default_rng_oracle(label, seed, efficiencies):
 @pytest.mark.parametrize("efficiencies", [(1.0,) * 4, (0.9, 1.0, 0.75, 0.8)])
 @pytest.mark.parametrize("label", ["pauli", "pooled(2,3,17)"])
 def test_run_experiment_builds_no_dataset(monkeypatch, label, efficiencies):
-    # the channel's unitary rows are analysed once for all 16 cells, and the
-    # counts go to the fit as one array
+    # the channel analysed its unitary rows when it was built, so a run
+    # analyses none, and the counts go to the fit as one array
     calls = {"rows": 0, "datasets": 0}
-    rows, post_init = interferometer._unitary_rows, FringeDataset.__post_init__
+    rows, post_init = channels._unitary_weights, FringeDataset.__post_init__
 
-    def counting_rows(ch):
+    def counting_rows(grams):
         calls["rows"] += 1
-        return rows(ch)
+        return rows(grams)
 
     def counting_post_init(ds):
         calls["datasets"] += 1
         post_init(ds)
 
-    monkeypatch.setattr(interferometer, "_unitary_rows", counting_rows)
+    monkeypatch.setattr(channels, "_unitary_weights", counting_rows)
     monkeypatch.setattr(FringeDataset, "__post_init__", counting_post_init)
     records = run_experiment(ORACLE_CHANNELS[label], shots_per_phase=500,
                              efficiencies=efficiencies, seed=5)
     assert len(records) == 16
-    assert calls == {"rows": 1, "datasets": 0}
+    assert calls == {"rows": 0, "datasets": 0}
 
 
 @pytest.mark.parametrize("efficiencies", [(1.0,) * 4, (0.9, 1.0, 0.75, 0.8)])
 def test_one_generator_per_cell(monkeypatch, efficiencies):
     # run_experiment builds one generator per cell and no resampling stream;
-    # simulate_fringes and binomial_resample build one each
-    seeds, default_rng = [], np.random.default_rng
+    # simulate_fringes and binomial_resample build one each; each starts in
+    # the state default_rng gives the seed tuple
+    states, default_rng = [], np.random.default_rng
 
     def counting_rng(seed):
-        seeds.append(seed)
-        return default_rng(seed)
+        rng = default_rng(seed)
+        states.append(rng.bit_generator.state)
+        return rng
 
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
     ch = pauli_mixture_channel()
     run_experiment(ch, shots_per_phase=500, efficiencies=efficiencies, seed=(5, 6))
-    assert seeds == [(5, 6, i_mu, i_nu) for i_mu in range(4) for i_nu in range(4)]
-    seeds.clear()
+    assert states == [default_rng((5, 6, i_mu, i_nu)).bit_generator.state
+                      for i_mu in range(4) for i_nu in range(4)]
+    states.clear()
     ds = simulate_fringes(ch, PREPS["hh"], FILTERS["hh"], efficiencies=efficiencies, seed=9)
     binomial_resample(ds, min(efficiencies), seed=3)
-    assert seeds == [(9,), (3,)]
+    assert states == [default_rng(9).bit_generator.state, default_rng(3).bit_generator.state]
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 1, (3, 2**33), ()],
+                         ids=["0", "2^32-1", "2^32", "2^40+5", "2^64+1", "(3,2^33)", "empty"])
+def test_generators_take_the_states_of_the_seed_tuples(seed):
+    # the seed is split into SeedSequence's uint32 words once and each
+    # cell's indices appended, which is what default_rng reads from the tuple
+    seed = seed if isinstance(seed, tuple) else (seed,)
+    for shape in ((), (4, 4), (2, 3), (1,), (3, 0)):
+        rngs = _generators(seed, shape)
+        cells = list(itertools.product(*map(range, shape)))
+        assert len(rngs) == len(cells)
+        for rng, cell in zip(rngs, cells):
+            want = np.random.default_rng(seed + cell).bit_generator.state
+            assert rng.bit_generator.state == want, (shape, cell)
+    if len(seed) == 1:
+        (rng,) = _generators(seed)
+        assert rng.bit_generator.state == np.random.default_rng(seed[0]).bit_generator.state
 
 
 def _assert_fits_match_lstsq_oracle(ch, seed, **kwargs):
@@ -1103,7 +1129,7 @@ def test_fit_counts_fits_in_closed_form_and_matches_each_cell_alone(monkeypatch)
         for name in ("svd", "lstsq", "pinv"):
             patch.setattr(np.linalg, name, refuse)
         stacked = np.array([ds.counts for ds in cells])
-        fits = _fit_counts(np.array(cells[0].phases), stacked, [("", "")] * 3)
+        fits = _fit_counts(_phase_grid(cells[0].phases), stacked, [("", "")] * 3)
     for fit, ds in zip(fits, cells):
         alone = fit_fringes(ds)
         for name in FIT_FIELDS:
@@ -1119,12 +1145,12 @@ def test_fit_counts_refuses_a_later_cell_on_its_own_populated_phases(populated, 
     phases = np.array([0.0, 1e-7, 2e-7, 1.0, 2.0, 2.5, np.pi, 4.0, 5.0, 6.0])
     counts = np.full((3, 4, len(phases)), 10, dtype=np.int64)
     keys = [("", "")] * 3
-    assert len(_fit_counts(phases, counts, keys)) == 3
+    assert len(_fit_counts(_phase_grid(phases), counts, keys)) == 3
     keep = np.zeros(len(phases), dtype=bool)
     keep[list(populated)] = True
     counts[2, :, ~keep] = 0
     with pytest.raises(NumericalError, match=message):
-        _fit_counts(phases, counts, keys)
+        _fit_counts(_phase_grid(phases), counts, keys)
 
 
 def test_fit_counts_names_the_fault_of_the_first_failing_cell():
@@ -1135,13 +1161,13 @@ def test_fit_counts_names_the_fault_of_the_first_failing_cell():
     for cells, message in (((narrow, sparse), "span below half a period"),
                            ((sparse, narrow), "need >= 4 populated phases")):
         with pytest.raises(NumericalError, match=message):
-            _fit_counts(phases, np.array(cells), [("", "")] * 2)
+            _fit_counts(_phase_grid(phases), np.array(cells), [("", "")] * 2)
 
 
-def _inconsistent_tables(ch, kets, filters, phases, contrast, shots_per_phase):
+def _inconsistent_tables(ch, kets, filters, grid, contrast, shots_per_phase):
     # plus - minus = cos(phi) but plus + minus = |cos(phi)|: |V| near 1
     # against p near 2/pi, far outside the 3-sigma envelope at 64 phases
-    c = np.cos(np.asarray(phases))
+    c = np.cos(grid.values)
     pvals = np.stack([np.maximum(c, 0), np.maximum(-c, 0), (1 - np.abs(c)) / 2,
                       (1 - np.abs(c)) / 2], axis=-1)
     cells = len(kets) * len(filters)

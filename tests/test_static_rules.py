@@ -197,6 +197,19 @@ def filter_dimension(node, ns):
     return None
 
 
+def generator_call(node, ns):
+    """A call of ``default_rng``, bare or as an attribute, or of any other
+    function of ``numpy.random`` (``np.random.f(...)``)."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    if _name(func) == "default_rng" or (isinstance(func, ast.Attribute)
+                                        and _name(func.value) == "random"
+                                        and _root_name(func.value) in ("np", "numpy")):
+        return f"{ast.unparse(func)}()"
+    return None
+
+
 class Exempt(NamedTuple):
     module: str
     qualname: str  # covers the defs and classes nested in it too
@@ -357,6 +370,24 @@ RULES = (
              "class FilterPair:\n    def __post_init__(self):\n"
              "        ok = self.chi0.size != self.chi1.size",
          )}),
+    # every random stream comes from linalg._generators, which builds each
+    # generator in the state default_rng gives the seed tuple
+    Rule("one-generator", generator_call, MODULES, (
+        Exempt("linalg", "_generators", "the one constructor of the package's generators"),
+    ), flags={"interferometer": (
+        # the retired constructors of _count_cells and binomial_resample, as they were
+        "def _count_cells(seeds):\n    for seed in seeds:\n        rng = np.random.default_rng(seed)",
+        "counts = np.random.default_rng(_seed_tuple(seed)).binomial(ds.counts, ratios)",
+        "from numpy.random import default_rng\nrng = default_rng(seed)",
+        "rng = numpy.random.default_rng([seed, 1])", "n = np.random.binomial(10, 0.5)",
+        "bits = np.random.PCG64(seed)",
+        "def _generators(seed):\n    return np.random.default_rng(seed)",
+    ), "channels": ("def random_path_channel(seed):\n    rng = np.random.default_rng(seed)",)},
+         passes={"interferometer": (
+             "(rng,) = _generators(seed)", "rngs = _generators(seed, (4, 4))",
+             "out = rng.multinomial(shots, table)", "rng.binomial(out, thin)",
+             "x = np.random", "np.linalg.inv(m)",
+         ), "linalg": ("def _generators(seed):\n    return np.random.default_rng(seed)",)}),
     # a run's bounds come from bounds.certify_run; the CLI only prints them
     Rule("cli-certification-policy", certification_policy, ("cli",), (), flags={"cli": (
         "bnd.swap_certificate(records)", "single_preparation_certificate(mu, records)",
