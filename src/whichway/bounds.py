@@ -18,25 +18,36 @@ stacked Kraus array through the per-Kraus amplitudes <chi0|A_k|psi0> and
 <chi1|B_k|psi1> alone, never forming a d^2 x d^2 matrix; the block-map and
 block-Choi routes to the same numbers are test oracles.
 
-One kernel checks every certificate, from projected kets, in two steps.
-The preparation step takes the terms' preparation kets and filter kets as
-(2, n, d) stacks and per arm the support projector P and pseudo-inverse of
-sqrt(rho)^T. Since (P x 1)(psi x chi) = (P psi) x chi, it projects the
-kets with one small matmul per arm instead of sandwiching the d^2 x d^2
-operator L, and one einsum stacks the column factors of L, of its
-projection and (for mixed arms) of U-hat. None of these stacks depends on
-the coefficients. The evaluation step takes the n coefficients as one
-complex array, weighs the row factors by them with one einsum, and one
-batched product forms the three operators. The leak check compares two
-Frobenius norms from ``vdot``; the slack is the largest eigenvalue of
-U-hat^dag U-hat minus one, from one ``eigvalsh``, and must not exceed
-``CONTRACTION_TOL`` (1e-8). For a density matrix
-(:func:`verify_alpha_constraint`, :func:`swap_certificate`) P and the
-pseudo-inverse come from one eigendecomposition of rho. For a pure
-preparation (:func:`single_preparation_certificate`) they come from the
-unit ket: sqrt(|psi><psi|)^T = psi* psi^T is its own support projector and
-its own pseudo-inverse, so no eigendecomposition runs, and U-hat is the
-projected L. A list of records that repeats a (mu, nu) key raises
+Every certificate is checked from projected kets, in two steps: a
+preparation step that does not depend on the coefficients, and an
+evaluation step that weighs its result by them. The slack is the largest
+eigenvalue of U-hat^dag U-hat minus one, from one ``eigvalsh``, and must
+not exceed ``CONTRACTION_TOL`` (1e-8). There are two evaluations.
+
+- Mixed sets (:func:`verify_alpha_constraint`, :func:`swap_certificate`):
+  one eigendecomposition of each rho gives the arm's support projector P
+  and the pseudo-inverse of sqrt(rho)^T. Since (P x 1)(psi x chi) =
+  (P psi) x chi, the preparation step projects the (2, n, d) ket stacks
+  with one small matmul per arm instead of sandwiching the d^2 x d^2
+  operator L, and stacks the column factors of L, of its projection and of
+  U-hat. The evaluation step weighs the row factors by the n coefficients,
+  forms the three operators with one batched product, runs the leak check
+  (two Frobenius norms from ``vdot``) and takes the slack.
+- Pure sets (:func:`single_preparation_certificate`): sqrt(|psi><psi|)^T
+  = psi* psi^T is its own support projector and pseudo-inverse, so no
+  eigendecomposition runs. U-hat is linear in the coefficients, so the
+  preparation step builds the (n, d^4) map from them to U-hat
+  (:func:`_pure_map`), and the evaluation is one product of the
+  coefficients with the map and the ``eigvalsh``: L is never formed and
+  no leak check runs. The check cannot fire for a pure arm: projected on
+  the kets, L becomes n0 n1 L with n_i = ||psi_i||^2, so the leak ratio
+  is |1 - n0 n1|, at most about 4e-10 for the unit kets
+  :func:`~whichway.linalg.unit_ket` accepts (norm one within 1e-10),
+  against ``CONTRACTION_TOL`` = 1e-8. :func:`certify_run` evaluates all
+  of a run's pure sets with one batched product and one batched
+  ``eigvalsh``; the one-set call is the same evaluation with one set.
+
+A list of records that repeats a (mu, nu) key raises
 :class:`DimensionError`.
 
 The paper's rectilinear h/v grid is one constant, built and checked on
@@ -46,13 +57,13 @@ filter pairs (:func:`rectilinear_preparations` and
 ket stack (the default cells of
 :func:`~whichway.interferometer.run_experiment`), the prepared stacks of
 the four swap terms on the support of the completely mixed state 1/2
-(:func:`swap_certificate`), and the prepared stacks of the 16 default
-single-preparation certificates, one per preparation and ordered
-complementary filter pair (:func:`single_preparation_certificate` with
-``preps`` and ``filters`` both None). A default call runs only the
-evaluation step on these and re-checks none of them;
-:func:`verify_alpha_constraint` and explicit sets run both steps on each
-call.
+(:func:`swap_certificate`), and the (16, 2, 16) stack of the maps of the
+16 default single-preparation certificates, one per preparation and
+ordered complementary filter pair (:func:`single_preparation_certificate`
+with ``preps`` and ``filters`` both None, and :func:`certify_run`). A
+default call runs only the evaluation step on these and re-checks none of
+them; :func:`verify_alpha_constraint` and explicit sets run both steps on
+each call.
 
 A certificate stores ``vg_lower`` and ``sigma_vg`` and derives the bound
 sqrt(1 - vg_lower^2) on D and its delta-method sigma; the swap and
@@ -286,40 +297,56 @@ def _stacks(
     support0: tuple[np.ndarray, np.ndarray],
     support1: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stacks (rows, chi1, w) of a certificate's n terms, which
+    """The stacks (rows, chi1, w) of a mixed certificate's n terms, which
     :func:`_certify` reads with the coefficients; none depends on them.
 
-    ``kets`` and ``chis`` broadcast to (2, n, d): row m of arm i holds the
+    ``kets`` and ``chis`` are (2, n, d): row m of arm i holds the
     preparation ket psi_i and the filter ket chi_i of term m, checked unit
     kets of one dimension d. Each support is an arm's (support projector,
-    pseudo-inverse) of sqrt(rho)^T; arms whose two matrices are one object
-    (pure preparations) make U-hat the projected L. Of
+    pseudo-inverse) of sqrt(rho)^T. Of
     L = sum_m alpha_m (psi1* x chi1)(psi0 x chi0*)^T, the rows psi1* are
-    projected by P1 (and inv1) and the columns psi0 by P0^T (and inv0^T):
-    ``rows`` stacks psi1* and its projections, ``chi1`` is the lower-arm
-    filter kets, and ``w`` the (s, n, d^2) column factors psi0 x chi0* of L,
-    of its projection and (for mixed arms) of U-hat.
+    projected by P1 and inv1 and the columns psi0 by P0^T and inv0^T:
+    ``rows`` stacks psi1* and its two projections, ``chi1`` is the
+    lower-arm filter kets, and ``w`` the (3, n, d^2) column factors
+    psi0 x chi0* of L, of its projection and of U-hat.
     """
     (p0, inv0), (p1, inv1) = support0, support1
-    pure = p0 is inv0 and p1 is inv1
     row, col = kets[1].conj(), kets[0]
-    rows = np.array((row, row @ p1.T) if pure else (row, row @ p1.T, row @ inv1.T))
-    cols = np.array((col, col @ p0) if pure else (col, col @ p0, col @ inv0))
+    rows = np.array((row, row @ p1.T, row @ inv1.T))
+    cols = np.array((col, col @ p0, col @ inv0))
     s, (n, d) = len(rows), chis.shape[1:]
-    w = np.einsum("smc,me->smce", cols, chis[0].conj()).reshape(s, n, d * d)
+    # a product over an axis of length one is the outer product of each term
+    w = (cols[..., None] @ chis[0].conj()[:, None, :]).reshape(s, n, d * d)
     return rows, chis[1], w
+
+
+def _contraction(u_hat: np.ndarray, slack=None) -> tuple[np.ndarray, float]:
+    """(U-hat, its slack as a float): the largest eigenvalue of
+    U-hat^dag U-hat minus one, from one ``eigvalsh`` (which reads one
+    triangle of the Hermitian product), unless ``slack`` comes with it from
+    the batched ``eigvalsh`` of :func:`certify_run`. A slack above
+    ``CONTRACTION_TOL`` raises :class:`ContractionError`."""
+    if slack is None:
+        slack = np.linalg.eigvalsh(u_hat.conj().T @ u_hat)[-1] - 1.0
+    slack = float(slack)
+    if slack > CONTRACTION_TOL:
+        raise ContractionError(
+            f"contraction violated: slack {slack:.3e} > tol {CONTRACTION_TOL:.1e}")
+    return u_hat, slack
 
 
 def _certify(alphas: np.ndarray, stacks) -> tuple[np.ndarray, float]:
     """(U-hat, contraction slack) of the n complex coefficients ``alphas``
-    on the :func:`_stacks` of their terms: the row factors
+    on the :func:`_stacks` of their mixed terms: the row factors
     u = psi1* x (alpha chi1) of L, of its projection and of U-hat meet the
-    column factors ``w`` in one batched product."""
+    column factors ``w`` in one batched product, and the leak check
+    compares the Frobenius norms of L and of L minus its projection."""
     rows, chi1, w = stacks
     s, n, dd = w.shape
-    u = np.einsum("sma,mb->smab", rows, chi1 * alphas[:, None]).reshape(s, n, dd)
+    # each term's outer product, as in _stacks
+    u = (rows[..., None] @ (chi1 * alphas[:, None])[:, None, :]).reshape(s, n, dd)
     mats = u.transpose(0, 2, 1) @ w
-    left, projected, u_hat = mats[0], mats[1], mats[-1]
+    left, projected = mats[0], mats[1]
 
     leak = left - projected
     norm_l = math.sqrt(np.vdot(left, left).real)
@@ -328,12 +355,25 @@ def _certify(alphas: np.ndarray, stacks) -> tuple[np.ndarray, float]:
             "combination leaks outside the support of the preparation states; "
             "no contraction factorization exists"
         )
-    # eigvalsh reads one triangle of the Hermitian U-hat^dag U-hat
-    slack = float(np.linalg.eigvalsh(u_hat.conj().T @ u_hat)[-1] - 1.0)
-    if slack > CONTRACTION_TOL:
-        raise ContractionError(
-            f"contraction violated: slack {slack:.3e} > tol {CONTRACTION_TOL:.1e}")
-    return u_hat, slack
+    return _contraction(mats[2])
+
+
+def _pure_map(psi: np.ndarray, chis: np.ndarray) -> np.ndarray:
+    """The (n, d^4) linear map from the n coefficients of a pure set to its
+    U-hat, flattened: row m is the outer product of the projected row
+    factor (psi1* P1^T) x chi1 and column factor (psi0 P0) x chi0* of term m,
+    with P = psi* psi^T each arm's support projector and pseudo-inverse.
+
+    ``psi`` is the (2, d) stack of the preparation's checked unit kets and
+    ``chis`` the (2, n, d) stack of the filter kets. The projected rows and
+    columns are ||psi||^2 times the unprojected ones, so neither L nor a
+    leak check is needed (see the module docstring).
+    """
+    r0, r1 = _ket_support(psi)
+    n, d = chis.shape[1:]
+    u = ((psi[1].conj() @ r1.T)[:, None] * chis[1][:, None, :]).reshape(n, d * d)
+    w = ((psi[0] @ r0)[:, None] * chis[0].conj()[:, None, :]).reshape(n, d * d)
+    return (u[:, :, None] * w[:, None, :]).reshape(n, d**4)
 
 
 def _folded(alphas: dict, records, u_hat: np.ndarray, slack: float) -> BoundCertificate:
@@ -444,17 +484,13 @@ def _complete_basis_check(filters: dict[str, FilterPair], nus: list[str]) -> np.
     return stack
 
 
-def _single_stacks(preps, filters: dict[str, FilterPair], mu: str, nus) -> tuple:
-    """The :func:`_stacks` of preparation ``mu`` with the filters ``nus``,
-    which :func:`_complete_basis_check` checks first; each arm's support
-    projector and pseudo-inverse are one object, psi* psi^T."""
+def _single_map(preps, filters: dict[str, FilterPair], mu: str, nus) -> np.ndarray:
+    """The :func:`_pure_map` of preparation ``mu`` with the filters ``nus``,
+    which :func:`_complete_basis_check` checks first."""
     chis = _complete_basis_check(filters, nus)
     if mu not in preps:
         raise DimensionError(f"no preparation {mu!r}")
-    psi = np.array(pure_pair(preps[mu], chis.shape[2]))
-    r0, r1 = _ket_support(psi)
-    # one object as both matrices of an arm takes the kernel's pure route
-    return _stacks(psi[:, None], chis, (r0, r0), (r1, r1))
+    return _pure_map(np.array(pure_pair(preps[mu], chis.shape[2])), chis)
 
 
 @functools.cache
@@ -470,9 +506,10 @@ def _rectilinear_grid() -> MappingProxyType:
       both the preparation and the filter stack of the default cells;
     - ``swap``, the :func:`_stacks` of the ``SWAP_KEYS`` terms with both
       arms completely mixed, from one eigendecomposition of 1/2;
-    - ``singles``, the :func:`_stacks` of the 16 default single-preparation
-      certificates, keyed (mu, (nu, partner)) for every preparation mu and
-      ordered ``COMPLEMENTARY`` pair.
+    - ``singles``, the (16, 2, 16) stack of the :func:`_pure_map` of the
+      16 default single-preparation certificates, one for every
+      preparation mu and ordered ``COMPLEMENTARY`` pair, and
+      ``single_index``, the position in it of each key (mu, nu, partner).
     """
     states = {"h": _frozen(ket(0, 2)), "v": _frozen(ket(1, 2))}
     labels = tuple(a + b for a in "hv" for b in "hv")
@@ -483,19 +520,19 @@ def _rectilinear_grid() -> MappingProxyType:
                            for i in (0, 1)])
     mixed = _root_support(*psd_eigh(np.eye(2, dtype=complex) / 2, "rho"))
     orders = COMPLEMENTARY + tuple(nus[::-1] for nus in COMPLEMENTARY)
-    singles = {(mu, nus): _single_stacks(preps, filters, mu, nus)
-               for mu in labels for nus in orders}
+    keys = [(mu, *nus) for mu in labels for nus in orders]
+    singles = np.array([_single_map(preps, filters, mu, nus) for mu, *nus in keys])
     swap = _stacks(kets, chis, mixed, mixed)
-    for stacks in (swap, *singles.values()):
-        for a in stacks:
-            _frozen(a)
+    for a in (*swap, singles):
+        _frozen(a)
     return MappingProxyType({
         "labels": labels,
         "preparations": MappingProxyType(preps),
         "filters": MappingProxyType(filters),
         "pairs": _frozen(np.array(list(preps.values()))),
         "swap": swap,
-        "singles": MappingProxyType(singles),
+        "singles": singles,
+        "single_index": MappingProxyType({key: i for i, key in enumerate(keys)}),
     })
 
 
@@ -554,16 +591,17 @@ def single_preparation_certificate(
     :class:`NonFiniteError`, and a norm off one or a dimension other than
     the filters' raises :class:`DimensionError`. Each arm's support
     projector and pseudo-inverse is psi* psi^T, so no eigendecomposition
-    runs; the leak and contraction checks are those of
-    :func:`verify_alpha_constraint`. A ``mu`` that is not a str, and a
-    ``preps`` or ``filters`` that is neither None nor a mapping, raises
-    :class:`DimensionError`.
+    runs. U-hat is the coefficients on the set's :func:`_pure_map`, and the
+    contraction check is that of :func:`verify_alpha_constraint`; the leak
+    check cannot fail for a pure set and does not run. A ``mu`` that is not
+    a str, and a ``preps`` or ``filters`` that is neither None nor a
+    mapping, raises :class:`DimensionError`.
 
     With ``preps`` and ``filters`` both None (the rectilinear sets), a
     record set that certifies, one rectilinear mu with an ordered
-    complementary filter pair, reads its stacks from the rectilinear grid,
+    complementary filter pair, reads its map from the rectilinear grid,
     where its 16 such sets are checked and prepared once; any other set
-    takes the general route, which checks and prepares its stacks on each
+    takes the general route, which checks and prepares its map on each
     call and raises what it raises for explicit sets.
     """
     _text(mu, "mu")
@@ -571,14 +609,23 @@ def single_preparation_certificate(
     if not rows:
         raise DimensionError(f"no records for preparation {mu!r}")
     nus = tuple(rec.nu for rec in rows)
-    default = preps is None and filters is None
-    stacks = _rectilinear_grid()["singles"].get((mu, nus)) if default else None
-    if stacks is None:
+    grid = _rectilinear_grid()
+    index = grid["single_index"].get((mu, *nus)) if preps is None and filters is None else None
+    if index is None:
         preps = rectilinear_preparations() if preps is None else _mapping(preps, "preps")
         filters = rectilinear_filters() if filters is None else _mapping(filters, "filters")
-        stacks = _single_stacks(preps, filters, mu, nus)
+        pure_map = _single_map(preps, filters, mu, nus)
+    else:
+        pure_map = grid["singles"][index]
     alphas = [_optimal_phase(rec.visibility) for rec in rows]
-    u_hat, slack = _certify(np.array(alphas), stacks)
+    dd = math.isqrt(pure_map.shape[1])
+    return _single_folded(rows, alphas, *_contraction((np.array(alphas) @ pure_map)
+                                                      .reshape(dd, dd)))
+
+
+def _single_folded(rows, alphas, u_hat, slack) -> BoundCertificate:
+    """The single-preparation certificate of the records ``rows`` with their
+    coefficients ``alphas`` and checked contraction."""
     return _folded({rec.key: a for rec, a in zip(rows, alphas)}, rows, u_hat, slack)
 
 
@@ -600,18 +647,39 @@ def certify_run(records) -> RunBounds:
     DimensionError (a missing swap cell) becomes ``swap_unavailable``, and a
     :func:`single_preparation_certificate` per preparation mu and pair in
     ``COMPLEMENTARY`` whose two records are present. Records that certify
-    neither, or repeat a (mu, nu), raise :class:`DimensionError`."""
+    neither, or repeat a (mu, nu), raise :class:`DimensionError`.
+
+    The sets on the rectilinear grid are evaluated together, with one
+    batched product and one batched ``eigvalsh`` over their maps; each is
+    bit-identical to its own call. The sets are then checked in sorted mu,
+    then ``COMPLEMENTARY`` order, and a set off the grid takes its own
+    call, so the first set that fails raises what its call raises."""
     recs = _record_map(records)
     try:
         swap, swap_unavailable = swap_certificate(recs), None
     except DimensionError as exc:
         swap, swap_unavailable = None, str(exc)
+    sets = {(mu, *pair): [recs[(mu, nu)] for nu in pair]
+            for mu in sorted({mu for mu, _ in recs}) for pair in COMPLEMENTARY
+            if all((mu, nu) in recs for nu in pair)}
+    grid = _rectilinear_grid()
+    index = grid["single_index"]
+    on_grid = [key for key in sets if key in index]
+    evaluated = {}
+    if on_grid:
+        alphas = [[_optimal_phase(rec.visibility) for rec in sets[key]] for key in on_grid]
+        maps = grid["singles"][[index[key] for key in on_grid]]
+        # the grid's U-hats are 4 x 4 (d = 2)
+        u_hats = (np.array(alphas)[:, None, :] @ maps).reshape(-1, 4, 4)
+        slacks = np.linalg.eigvalsh(u_hats.conj().transpose(0, 2, 1) @ u_hats)[:, -1] - 1.0
+        evaluated = dict(zip(on_grid, zip(alphas, u_hats, slacks)))
     singles = {}
-    for mu in sorted({mu for mu, _ in recs}):
-        for pair in COMPLEMENTARY:
-            if all((mu, nu) in recs for nu in pair):
-                singles[(mu, *pair)] = single_preparation_certificate(
-                    mu, [recs[(mu, nu)] for nu in pair])
+    for key, rows in sets.items():
+        if key in evaluated:
+            alphas, u_hat, slack = evaluated[key]
+            singles[key] = _single_folded(rows, alphas, *_contraction(u_hat, slack))
+        else:
+            singles[key] = single_preparation_certificate(key[0], rows)
     if swap is None and not singles:
         raise DimensionError(f"no bound certified: the {len(recs)} records support neither "
                              "the four-term bound nor a single-preparation bound")

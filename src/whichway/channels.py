@@ -40,6 +40,7 @@ from .errors import DimensionError, InputFormatError, PositivityError
 from .linalg import (
     ATOL_DERIVED,
     ATOL_STRUCT,
+    MAX_DIM,
     _density_eigh,
     _frozen,
     _generators,
@@ -141,8 +142,9 @@ class Preparation:
 
     @classmethod
     def completely_mixed(cls, dim: int, label: str = "mixed") -> "Preparation":
-        """Uniform ensemble of basis pairs (|l>, |l>): rho_0 = rho_1 = 1/d."""
-        dim = int_at_least(dim, "dim", 1)
+        """Uniform ensemble of basis pairs (|l>, |l>): rho_0 = rho_1 = 1/d,
+        for a ``dim`` in [1, ``MAX_DIM``]."""
+        dim = int_at_least(dim, "dim", 1, MAX_DIM)
         pairs = tuple((ket(l, dim), ket(l, dim)) for l in range(dim))
         return cls((1.0 / dim,) * dim, pairs, label=label)
 
@@ -301,7 +303,9 @@ def dilate(ch: PathChannel) -> np.ndarray:
 
 
 def identity_channel(d: int) -> PathChannel:
-    d = int_at_least(d, "d", 1)
+    """Both arms untouched: one Kraus pair (1, 1) of dimension d, at most
+    ``MAX_DIM``."""
+    d = int_at_least(d, "d", 1, MAX_DIM)
     eye = np.eye(d, dtype=complex)
     return PathChannel(((eye, eye),), label=f"identity(d={d})")
 
@@ -327,8 +331,10 @@ def replace_channel(sigma0: np.ndarray) -> PathChannel:
 
 
 def transpose_channel(d: int) -> PathChannel:
-    """Cross block sigma -> sigma^T / d; each arm completely depolarized."""
-    d = int_at_least(d, "d", 1)
+    """Cross block sigma -> sigma^T / d; each arm completely depolarized. A
+    ``d`` that is not an integer in [1, ``MAX_DIM``] raises
+    :class:`DimensionError`."""
+    d = int_at_least(d, "d", 1, MAX_DIM)
     pairs = []
     s = 1.0 / np.sqrt(d)
     for k in range(d):
@@ -386,10 +392,12 @@ def random_path_channel(d: int, n_kraus: int, seed: int) -> PathChannel:
     one (n_kraus * d, d) matrix G = U S V^dag (thin SVD) and keeps the
     isometry polar factor U V^dag = G (G^dag G)^(-1/2), which is trace
     preserving to round-off however ill-conditioned the draw. A ``d`` or
-    ``n_kraus`` that is not an integer >= 1, or a seed that is not a
-    nonnegative integer, raises :class:`DimensionError`; a bool is neither.
+    ``n_kraus`` that is not an integer in [1, ``MAX_DIM``], or a seed that
+    is not a nonnegative integer, raises :class:`DimensionError`; a bool is
+    neither.
     """
-    d, n_kraus = int_at_least(d, "d", 1), int_at_least(n_kraus, "n_kraus", 1)
+    d = int_at_least(d, "d", 1, MAX_DIM)
+    n_kraus = int_at_least(n_kraus, "n_kraus", 1, MAX_DIM)
     seed = int_at_least(seed, "seed", 0)
     (rng,) = _generators((seed,))
 

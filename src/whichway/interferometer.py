@@ -36,13 +36,17 @@ from a generator seeded ``seed``. Every generator comes from
 :func:`~whichway.linalg._generators`, which splits a run's seed into
 SeedSequence's uint32 entropy words once and appends each cell's
 (i_mu, i_nu) to them, the words ``default_rng`` would read from the tuple,
-so the states are the same. Counts for a given seed are part of the
-interface and stay fixed. The drawing functions reach ``numpy.random`` only
-when they run, so importing the package does not load it.
+so the states are the same. Since each cell has its own generator, the
+cells of a run make their ``multinomial`` calls first, one sum over the
+rows serves them all, and then each cell thins its counts. Counts for a
+given seed are part of the interface and stay fixed. The drawing functions
+reach ``numpy.random`` only when they run, so importing the package does
+not load it.
 
 The phases of a run are checked once, into a read-only grid that also holds
 what the draws and the fit read from them (:func:`_phase_grid`); the 13
-default phases are that grid, built at import.
+default phases are that grid, built at import. A :class:`FringeDataset`
+keeps the grid of its phases, so its fit checks no phase again.
 
 Jones convention, :data:`CONVENTION`: rotation-conjugated retarders
 
@@ -327,10 +331,13 @@ class FringeDataset:
     ``counts`` is a read-only int64 copy of shape (4, phases): the
     interference detectors plus and minus, then ref0 and ref1, which monitor
     the non-filtered component of each arm. Phases are stored as floats and
-    must be finite and strictly increasing; the settings are checked as the
-    simulators check them, and so is the seed. The counts are read by the
-    array rule of :mod:`whichway.linalg`, so text, a bool or None among them
-    raises :class:`DimensionError`. A NaN or infinite count raises
+    must be finite and strictly increasing; ``grid``, not an argument, is
+    their :func:`_phase_grid`, which the fit reads. A phase grid passed as
+    ``phases`` (as the simulators pass the one they checked) is taken as it
+    is, not checked again. The settings are checked as the simulators check
+    them, and so is the seed. The counts are read by the array rule of
+    :mod:`whichway.linalg`, so text, a bool or None among them raises
+    :class:`DimensionError`. A NaN or infinite count raises
     :class:`NonFiniteError`, a non-integral one or one outside
     [0, shots_per_phase] :class:`DimensionError`, naming its detector.
     Datasets compare and hash by identity.
@@ -341,9 +348,11 @@ class FringeDataset:
     shots_per_phase: int
     seed: tuple[int, ...]
     efficiencies: tuple[float, float, float, float]
+    grid: _PhaseGrid = field(init=False, repr=False)
 
     def __post_init__(self):
-        phases = _phase_tuple(self.phases)
+        grid = self.phases if isinstance(self.phases, _PhaseGrid) else _phase_grid(self.phases)
+        phases = grid.phases
         efficiencies = _counting_settings(self.shots_per_phase, self.efficiencies)
         values = _numbers(self.counts, "counts")
         if values.shape != (4, len(phases)):
@@ -356,6 +365,7 @@ class FringeDataset:
                      "{} counts outside [0, shots_per_phase]")
         counts.flags.writeable = False
         object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "efficiencies", efficiencies)
         object.__setattr__(self, "seed", _seed_tuple(self.seed))
@@ -427,13 +437,12 @@ def _count_cells(ch, kets, chis, grid, shots_per_phase, efficiencies, contrast,
     :func:`_probability_tables`, cell c drawn from the generator ``rngs[c]``
     in the order the module documents; the settings are already checked."""
     shots, tables = _probability_tables(ch, kets, chis, grid, contrast, shots_per_phase)
-    thin = np.array(efficiencies)[:, None]
-    counts = np.empty((len(tables), 4, len(grid.phases)), dtype=np.int64)
-    for out, table, rng in zip(counts, tables, rngs):
-        out[:] = rng.multinomial(shots, table).sum(axis=1).T
-        if min(efficiencies) < 1.0:
-            out[:] = rng.binomial(out, thin)
-    return counts
+    draws = np.array([rng.multinomial(shots, table) for table, rng in zip(tables, rngs)])
+    counts = draws.sum(axis=2).transpose(0, 2, 1)
+    if min(efficiencies) < 1.0:
+        thin = np.array(efficiencies)[:, None]
+        return np.array([rng.binomial(out, thin) for out, rng in zip(counts, rngs)])
+    return np.ascontiguousarray(counts)
 
 
 def simulate_fringes(
@@ -466,7 +475,7 @@ def simulate_fringes(
     chis = [_filter_kets(filt, ch.spin_dim, filt.label)]
     (counts,) = _count_cells(ch, [pure_pair(prep, ch.spin_dim)], chis, grid, shots_per_phase,
                              efficiencies, contrast, _generators(seed))
-    return FringeDataset(grid.phases, counts, shots_per_phase, seed, efficiencies)
+    return FringeDataset(grid, counts, shots_per_phase, seed, efficiencies)
 
 
 def binomial_resample(ds: FringeDataset, reference_efficiency: float, seed=0) -> FringeDataset:
@@ -479,7 +488,7 @@ def binomial_resample(ds: FringeDataset, reference_efficiency: float, seed=0) ->
     ratios = reference_efficiency / np.array(ds.efficiencies)
     (rng,) = _generators(_seed_tuple(seed))
     counts = rng.binomial(ds.counts, ratios[:, None])
-    return FringeDataset(ds.phases, counts, ds.shots_per_phase, ds.seed,
+    return FringeDataset(ds.grid, counts, ds.shots_per_phase, ds.seed,
                          (reference_efficiency,) * 4)
 
 
@@ -507,7 +516,7 @@ def fit_fringes(ds: FringeDataset) -> FractionalVisibilityRecord:
     counts take no part. The model is linear in (p, Re V, Im V);
     uncertainties come from the fit covariance, and p is clipped to [0, 1].
     """
-    return _fit_counts(_phase_grid(ds.phases), ds.counts[None], [("", "")])[0]
+    return _fit_counts(ds.grid, ds.counts[None], [("", "")])[0]
 
 
 def _fit_counts(grid: _PhaseGrid, counts: np.ndarray, keys) -> list[FractionalVisibilityRecord]:

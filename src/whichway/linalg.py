@@ -13,9 +13,10 @@ Tolerance policy: structural checks on constructed objects use
 parameter. Statistical tolerances live with the Monte Carlo code. The
 rules for integers, real settings, labels, mappings, arrays, unit kets and
 density matrices are written once, here: :func:`int_at_least` (an integer
-in a range, a bool is not one; path indices, ``keep`` and shot counts go
-through it), :func:`real_in` (a real number in an interval, returned as a
-float; a bool, text, None or an array is not one), one label rule (a label
+in a range, a bool is not one; path indices, ``keep``, shot counts and
+the sizes of the builders go through it, the sizes capped at
+``MAX_DIM``), :func:`real_in` (a real number in an interval, returned as
+a float; a bool, text, None or an array is not one), one label rule (a label
 is a str, a wave-plate kind too), one mapping rule (named preparations,
 filters, coefficients and channel metadata come in a ``Mapping``), one
 array rule that every reader of an outside array goes through (text, a
@@ -46,10 +47,17 @@ from .errors import DimensionError, NonFiniteError, NumericalError, PositivityEr
 
 ATOL_STRUCT = 1e-10
 ATOL_DERIVED = 1e-9
+# The largest size a builder accepts: a dimension (of a ket, a channel or a
+# preparation) or a Kraus count. A size above it raises DimensionError before
+# any array is made. At the cap a d x d complex matrix takes 256 MiB, so a
+# builder near it may still run out of memory, but it never hands numpy a
+# shape numpy cannot represent.
+MAX_DIM = 4096
 
 __all__ = [
     "ATOL_STRUCT",
     "ATOL_DERIVED",
+    "MAX_DIM",
     "density_matrix",
     "finite_array",
     "hermitian_part",
@@ -142,8 +150,9 @@ def _mapping(value, what: str) -> Mapping:
 
 
 def ket(index: int, dim: int) -> np.ndarray:
-    """Computational basis vector |index> of the given dimension."""
-    int_at_least(dim, "dim", 1)
+    """Computational basis vector |index> of the given dimension, at most
+    ``MAX_DIM``."""
+    int_at_least(dim, "dim", 1, MAX_DIM)
     if int_at_least(index, "index", 0) >= dim:
         raise DimensionError(f"basis index {index} out of range for dim {dim}")
     v = np.zeros(dim, dtype=complex)

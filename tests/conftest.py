@@ -59,3 +59,12 @@ def random_orthonormal_filters(d: int, rng) -> dict[str, FilterPair]:
     return {
         f"f{k}": FilterPair(q0[:, k], q1[:, k], label=f"f{k}") for k in range(d)
     }
+
+
+def same_certificate(got, want):
+    """Assert two certificates equal bit for bit: coefficients, U-hat bytes,
+    slack and bounds."""
+    assert got.alphas == want.alphas
+    assert got.u_hat.dtype == want.u_hat.dtype and got.u_hat.tobytes() == want.u_hat.tobytes()
+    for name in ("contraction_slack", "vg_lower", "sigma_vg", "d_upper", "sigma_d"):
+        assert getattr(got, name) == getattr(want, name), name

@@ -20,6 +20,12 @@ have no production caller and serve only as oracles, and so do:
   certified visibility bounds summed straight from the record magnitudes,
   which check ``bounds.swap_certificate`` and
   ``bounds.single_preparation_certificate`` without building a contraction;
+- :func:`stacks_single_certificate` and :func:`pure_leak_ratio`, the
+  stacks route that certified a pure preparation before its linear map
+  (``bounds._pure_map``), kept verbatim: the stacks of L and of its
+  projection on psi* psi^T, one batched product, the leak check and one
+  ``eigvalsh``; it checks the map's U-hat and slack, and its leak ratio is
+  the evidence that a pure set cannot leak;
 - :func:`detection_probabilities`, the detector-probability formula
   (p +/- Re(V e^{i phi})) / 2 for one scalar cell, which checks the
   counting simulation;
@@ -37,6 +43,7 @@ ensemble that shares nothing with ``Preparation.factors``.
 """
 
 import cmath
+import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -44,7 +51,9 @@ import numpy as np
 
 from whichway.bounds import (
     SWAP_KEYS,
+    CONTRACTION_TOL,
     BoundCertificate,
+    FilterPair,
     FractionalVisibilityRecord,
     _complete_basis_check,
     _record_map,
@@ -430,6 +439,108 @@ def verify_alpha_constraint(alphas, preps, filters, rho0, rho1, tol=1e-8):
     if slack > tol:
         raise ContractionError(f"contraction violated: slack {slack:.3e}")
     return BoundCertificate(alphas=dict(alphas), u_hat=u_hat, contraction_slack=slack)
+
+
+# The stacks route of the pure certificate, as the package ran it before the
+# pure map: support projectors psi* psi^T, the (2, n, d^2) stacks of L and
+# its projection, one batched product, the leak check and one eigvalsh.
+# Kept verbatim as the oracle of bounds._pure_map.
+
+def _ket_support(psi: np.ndarray) -> np.ndarray:
+    """sqrt(|psi><psi|)^T = psi* psi^T for a unit ket psi, or for each ket of
+    a stack in one broadcast product: the projector onto its own range, and
+    so its own pseudo-inverse."""
+    return psi.conj()[..., :, None] * psi[..., None, :]
+
+
+def _stacks(
+    kets: np.ndarray,
+    chis: np.ndarray,
+    support0: tuple[np.ndarray, np.ndarray],
+    support1: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stacks (rows, chi1, w) of a certificate's n terms, which
+    :func:`_certify` reads with the coefficients; none depends on them.
+
+    ``kets`` and ``chis`` broadcast to (2, n, d): row m of arm i holds the
+    preparation ket psi_i and the filter ket chi_i of term m, checked unit
+    kets of one dimension d. Each support is an arm's (support projector,
+    pseudo-inverse) of sqrt(rho)^T; arms whose two matrices are one object
+    (pure preparations) make U-hat the projected L. Of
+    L = sum_m alpha_m (psi1* x chi1)(psi0 x chi0*)^T, the rows psi1* are
+    projected by P1 (and inv1) and the columns psi0 by P0^T (and inv0^T):
+    ``rows`` stacks psi1* and its projections, ``chi1`` is the lower-arm
+    filter kets, and ``w`` the (s, n, d^2) column factors psi0 x chi0* of L,
+    of its projection and (for mixed arms) of U-hat.
+    """
+    (p0, inv0), (p1, inv1) = support0, support1
+    pure = p0 is inv0 and p1 is inv1
+    row, col = kets[1].conj(), kets[0]
+    rows = np.array((row, row @ p1.T) if pure else (row, row @ p1.T, row @ inv1.T))
+    cols = np.array((col, col @ p0) if pure else (col, col @ p0, col @ inv0))
+    s, (n, d) = len(rows), chis.shape[1:]
+    w = np.einsum("smc,me->smce", cols, chis[0].conj()).reshape(s, n, d * d)
+    return rows, chis[1], w
+
+
+def _certify(alphas: np.ndarray, stacks) -> tuple[np.ndarray, float]:
+    """(U-hat, contraction slack) of the n complex coefficients ``alphas``
+    on the :func:`_stacks` of their terms: the row factors
+    u = psi1* x (alpha chi1) of L, of its projection and of U-hat meet the
+    column factors ``w`` in one batched product."""
+    rows, chi1, w = stacks
+    s, n, dd = w.shape
+    u = np.einsum("sma,mb->smab", rows, chi1 * alphas[:, None]).reshape(s, n, dd)
+    mats = u.transpose(0, 2, 1) @ w
+    left, projected, u_hat = mats[0], mats[1], mats[-1]
+
+    leak = left - projected
+    norm_l = math.sqrt(np.vdot(left, left).real)
+    if math.sqrt(np.vdot(leak, leak).real) > CONTRACTION_TOL * max(norm_l, 1e-12):
+        raise SupportError(
+            "combination leaks outside the support of the preparation states; "
+            "no contraction factorization exists"
+        )
+    # eigvalsh reads one triangle of the Hermitian U-hat^dag U-hat
+    slack = float(np.linalg.eigvalsh(u_hat.conj().T @ u_hat)[-1] - 1.0)
+    if slack > CONTRACTION_TOL:
+        raise ContractionError(
+            f"contraction violated: slack {slack:.3e} > tol {CONTRACTION_TOL:.1e}")
+    return u_hat, slack
+
+
+def _single_stacks(preps, filters: dict[str, FilterPair], mu: str, nus) -> tuple:
+    """The :func:`_stacks` of preparation ``mu`` with the filters ``nus``,
+    which :func:`_complete_basis_check` checks first; each arm's support
+    projector and pseudo-inverse are one object, psi* psi^T."""
+    chis = _complete_basis_check(filters, nus)
+    if mu not in preps:
+        raise DimensionError(f"no preparation {mu!r}")
+    psi = np.array(pure_pair(preps[mu], chis.shape[2]))
+    r0, r1 = _ket_support(psi)
+    # one object as both matrices of an arm takes the kernel's pure route
+    return _stacks(psi[:, None], chis, (r0, r0), (r1, r1))
+
+
+def stacks_single_certificate(alphas, preps, filters) -> tuple[np.ndarray, float]:
+    """(U-hat, slack) of the pure set with coefficients ``alphas``, keyed
+    (mu, nu) for one mu as a certificate's ``alphas`` are, by the stacks
+    route."""
+    (mu,) = {mu for mu, _ in alphas}
+    return _certify(np.array(list(alphas.values())),
+                    _single_stacks(preps, filters, mu, [nu for _, nu in alphas]))
+
+
+def pure_leak_ratio(psi0, psi1, chis, alphas) -> float:
+    """||L - P1 L P0|| / ||L|| of a pure set as the stacks route forms it,
+    for kets of any norm: the ratio the leak check compares with
+    ``CONTRACTION_TOL``."""
+    r0, r1 = _ket_support(np.array([psi0, psi1]))
+    rows, chi1, w = _stacks(np.array([psi0, psi1])[:, None], chis, (r0, r0), (r1, r1))
+    s, n, dd = w.shape
+    u = np.einsum("sma,mb->smab", rows, chi1 * alphas[:, None]).reshape(s, n, dd)
+    left, projected = u.transpose(0, 2, 1) @ w
+    return float(np.linalg.norm(left - projected) / np.linalg.norm(left))
 
 
 def orthonormal_filter_bound(records, filters):

@@ -14,6 +14,7 @@ from conftest import (
     random_ket,
     random_orthonormal_filters,
     random_unitary,
+    same_certificate,
 )
 from whichway import (
     ContractionError,
@@ -48,8 +49,15 @@ from whichway import (
     verify_inequality,
     write_records_csv,
 )
-from reference_kernels import detection_probabilities, orthonormal_filter_bound, swap_estimate
-from whichway.bounds import SWAP_KEYS, _ket_support, _root_support
+from reference_kernels import (
+    detection_probabilities,
+    orthonormal_filter_bound,
+    pure_leak_ratio,
+    stacks_single_certificate,
+    swap_estimate,
+)
+from whichway import bounds
+from whichway.bounds import CONTRACTION_TOL, COMPLEMENTARY, SWAP_KEYS, _ket_support, _root_support
 from whichway.linalg import psd_eigh
 
 H, V = ket(0, 2), ket(1, 2)
@@ -1112,3 +1120,114 @@ def test_certify_run_refuses_a_repeated_record():
     records = measured_records()
     with pytest.raises(DimensionError, match=r"duplicate record for \('hh', 'hh'\)"):
         certify_run(records + records[:1])
+
+
+@pytest.mark.parametrize("efficiencies", [(1.0,) * 4, (0.93, 1.0, 0.81, 0.88)],
+                         ids=["equal", "unequal"])
+@pytest.mark.parametrize("contrast", [0.96, 1.0])
+def test_certify_run_evaluates_its_sets_as_their_own_calls_do(contrast, efficiencies):
+    # certify_run evaluates every set on the rectilinear grid in one batched
+    # product and one batched eigvalsh; each certificate equals its one-set
+    # call bit for bit, and the stacks route the package ran before the pure
+    # map (reference_kernels) gives the same U-hat bytes and slack. A third
+    # of the runs drop three records, so fewer sets, in other positions of
+    # the grid, are stacked together.
+    ch, preps, filters = pauli_mixture_channel(), rectilinear_preparations(), rectilinear_filters()
+    rng = np.random.default_rng([int(contrast * 100), len(set(efficiencies))])
+    for seed in range(200):
+        records = run_experiment(ch, efficiencies=efficiencies, contrast=contrast, seed=seed)
+        if seed % 3 == 0:
+            records = [records[i] for i in sorted(rng.permutation(16)[3:])]
+        recs = {rec.key: rec for rec in records}
+        run = certify_run(records)
+        for (mu, *pair), cert in run.singles.items():
+            same_certificate(cert, single_preparation_certificate(
+                mu, [recs[(mu, nu)] for nu in pair]))
+            u_hat, slack = stacks_single_certificate(cert.alphas, preps, filters)
+            assert u_hat.tobytes() == cert.u_hat.tobytes() and slack == cert.contraction_slack
+        assert run.best == max(run.singles, key=lambda key: run.singles[key].vg_lower,
+                               default=None)
+
+
+def _first_failure(records):
+    """The exception of the first failing set when certify_run's sets run as
+    one-set calls, in sorted mu, then COMPLEMENTARY order."""
+    recs = {rec.key: rec for rec in records}
+    for mu in sorted({mu for mu, _ in recs}):
+        for pair in COMPLEMENTARY:
+            if all((mu, nu) in recs for nu in pair):
+                try:
+                    single_preparation_certificate(mu, [recs[(mu, nu)] for nu in pair])
+                except (ContractionError, DimensionError) as exc:
+                    return exc
+    return None
+
+
+@pytest.mark.parametrize("scales, extra, want", [
+    ({("hv", "hh"): 1.5, ("vh", "vv"): 2.0}, (), "contraction violated: slack 1.250e+00"),
+    ({("vh", "vv"): 2.0}, (), "contraction violated: slack 3.000e+00"),
+    ({("hv", "hh"): 1.5}, ("aa",), "no preparation 'aa'"),
+    ({("hv", "vv"): 1.5}, ("zz",), "contraction violated: slack 1.250e+00"),
+    ({}, ("ab", "zz"), "no preparation 'ab'"),
+], ids=["two-contractions", "one-contraction", "unknown-mu-first", "unknown-mu-later",
+        "two-unknown"])
+def test_certify_run_raises_what_the_first_failing_set_raises(monkeypatch, scales, extra, want):
+    # a coefficient scaled past a phase makes a set fail its contraction
+    # check, and a preparation off the grid fails its own call; certify_run
+    # raises the error of the first failing set in sorted mu, then
+    # COMPLEMENTARY order, the one the one-set calls raise first
+    # only the (hh, vv) pair of each preparation, so no swap cell (hv, vh)
+    mus = sorted({"hh", "hv", "vh", "vv", *extra})
+    records = [FractionalVisibilityRecord(mu, nu, 0.5, 0.1 + 0.01 * i)
+               for i, (mu, nu) in enumerate((mu, nu) for mu in mus for nu in ("hh", "vv"))]
+    by_visibility = {rec.visibility: scales.get(rec.key, 1.0) for rec in records}
+    optimal = bounds._optimal_phase
+    monkeypatch.setattr(bounds, "_optimal_phase",
+                        lambda v: by_visibility.get(v, 1.0) * optimal(v))
+    expected = _first_failure(records)
+    with pytest.raises((ContractionError, DimensionError)) as exc:
+        certify_run(records)
+    assert type(exc.value) is type(expected) and str(exc.value) == str(expected)
+    assert str(exc.value).startswith(want)
+
+
+def test_explicit_pure_sets_match_the_stacks_route():
+    # an explicit set builds its pure map on each call; against the stacks
+    # route (L, its projection and the leak check, kept as an oracle) U-hat
+    # agrees within 1e-15. The slack of a pure set is rounding noise around
+    # 0 (U-hat is a partial isometry), a few ulps of 1 in either route, so
+    # the two slacks agree within 4e-15
+    rng = np.random.default_rng(39)
+    for t in range(300):
+        d = 2 + t % 3
+        ch = random_path_channel(d, 1 + t % 3, seed=t)
+        preps = {"m": (random_ket(d, rng), random_ket(d, rng))}
+        filters = random_orthonormal_filters(d, rng)
+        records = [fractional_visibility(ch, preps["m"], f, mu="m") for f in filters.values()]
+        cert = single_preparation_certificate("m", records, preps=preps, filters=filters)
+        u_hat, slack = stacks_single_certificate(cert.alphas, preps, filters)
+        assert np.abs(cert.u_hat - u_hat).max() <= 1e-15
+        assert abs(cert.contraction_slack - slack) <= 4e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
+       edges=st.tuples(*[st.sampled_from([-0.999e-10, 0.0, 0.999e-10])] * 2))
+def test_pure_sets_cannot_leak_at_the_norm_edge_of_unit_ket(d, seed, edges):
+    # the projected L of a pure set is n0 n1 L, n_i the squared norm of ket
+    # i, so the stacks route's leak ratio is |1 - n0 n1|: at most about
+    # 4e-10 for kets that unit_ket accepts, far below CONTRACTION_TOL, which
+    # is why the pure map runs no leak check
+    rng = np.random.default_rng(seed)
+    psi0, psi1 = ((1.0 + e) * random_ket(d, rng) for e in edges)
+    preps = {"m": (psi0, psi1)}
+    filters = random_orthonormal_filters(d, rng)
+    chis = np.array([[f.chi0 for f in filters.values()], [f.chi1 for f in filters.values()]])
+    alphas = np.exp(2j * np.pi * rng.random(d))
+    ratio = pure_leak_ratio(psi0, psi1, chis, alphas)
+    assert ratio < 1e-9 < CONTRACTION_TOL
+    assert ratio == pytest.approx(abs(1 - np.vdot(psi0, psi0).real * np.vdot(psi1, psi1).real),
+                                  abs=1e-14)
+    records = [FractionalVisibilityRecord("m", nu, 0.5, 0.1) for nu in filters]
+    cert = single_preparation_certificate("m", records, preps=preps, filters=filters)
+    assert cert.contraction_slack <= CONTRACTION_TOL

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import reference_kernels as ref
-from conftest import random_ket, random_orthonormal_filters, random_unitary
+from conftest import random_ket, random_orthonormal_filters, random_unitary, same_certificate
 from whichway import (
     ConventionError,
     DimensionError,
@@ -428,13 +428,6 @@ def test_run_experiment_refuses_an_empty_grid(monkeypatch, empty):
         run_experiment(pauli_mixture_channel(), **{empty: {}}, seed=1)
 
 
-def _same_certificate(got, want):
-    assert got.alphas == want.alphas
-    assert got.u_hat.dtype == want.u_hat.dtype and got.u_hat.tobytes() == want.u_hat.tobytes()
-    for name in ("contraction_slack", "vg_lower", "sigma_vg", "d_upper", "sigma_d"):
-        assert getattr(got, name) == getattr(want, name), name
-
-
 @pytest.mark.parametrize("efficiencies", [(1.0,) * 4, (0.93, 1.0, 0.81, 0.88)])
 @pytest.mark.parametrize("seed", [1, 7, 9001])
 def test_default_run_and_certificates_equal_the_explicit_sets_bit_for_bit(seed, efficiencies):
@@ -448,7 +441,7 @@ def test_default_run_and_certificates_equal_the_explicit_sets_bit_for_bit(seed, 
     recs = {rec.key: rec for rec in records}
     assert len(run.singles) == 8
     for (mu, *pair), cert in run.singles.items():
-        _same_certificate(cert, single_preparation_certificate(
+        same_certificate(cert, single_preparation_certificate(
             mu, [recs[(mu, nu)] for nu in pair], preps=rectilinear_preparations(),
             filters=rectilinear_filters()))
 
@@ -472,14 +465,15 @@ def test_default_run_and_certificates_recheck_no_constant(monkeypatch):
     got = certify_run(records)
     assert list(got.singles) == list(want.singles) and got.best == want.best
     for key, cert in got.singles.items():
-        _same_certificate(cert, want.singles[key])
-    _same_certificate(got.swap, want.swap)
+        same_certificate(cert, want.singles[key])
+    same_certificate(got.swap, want.swap)
 
 
 def test_default_routes_prepare_no_certificate_stack_per_call(monkeypatch):
-    # the swap certificate, the 16 default single-preparation certificates
-    # and the default run read the rectilinear grid, whose stacks are
-    # prepared once; they stay bit-identical to the unpatched calls
+    # the swap certificate, the 16 default single-preparation certificates,
+    # certify_run and the default run read the rectilinear grid, whose swap
+    # stacks and pure maps are prepared once; the certificates run no einsum
+    # either, and all stay bit-identical to the unpatched calls
     ch = pauli_mixture_channel()
     records = run_experiment(ch, efficiencies=(0.9, 1.0, 0.8, 1.0), contrast=0.96, seed=5)
     recs = {rec.key: rec for rec in records}
@@ -489,19 +483,29 @@ def test_default_routes_prepare_no_certificate_stack_per_call(monkeypatch):
     want_swap = bounds.swap_certificate(records)
     want = [single_preparation_certificate(mu, [recs[(mu, nu)] for nu in nus])
             for mu, nus in singles]
+    want_run = certify_run(records)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a default route prepared certificate stacks")
 
-    monkeypatch.setattr(bounds, "_stacks", refuse)
-    monkeypatch.setattr(bounds, "_single_stacks", refuse)
+    single_map = bounds._single_map
+    for name in ("_stacks", "_single_map", "_pure_map"):
+        monkeypatch.setattr(bounds, name, refuse)
     assert run_experiment(pauli_mixture_channel(), efficiencies=(0.9, 1.0, 0.8, 1.0),
                           contrast=0.96, seed=5) == records
-    _same_certificate(bounds.swap_certificate(records), want_swap)
+    monkeypatch.setattr(np, "einsum", refuse)
+    same_certificate(bounds.swap_certificate(records), want_swap)
     for (mu, nus), cert in zip(singles, want):
-        _same_certificate(single_preparation_certificate(mu, [recs[(mu, nu)] for nu in nus]),
-                          cert)
-    # an explicit set still prepares its stacks on each call
+        same_certificate(single_preparation_certificate(mu, [recs[(mu, nu)] for nu in nus]),
+                         cert)
+    run = certify_run(records)
+    assert list(run.singles) == list(want_run.singles) and run.best == want_run.best
+    assert run.swap_unavailable is None
+    same_certificate(run.swap, want_run.swap)
+    for key, cert in run.singles.items():
+        same_certificate(cert, want_run.singles[key])
+    # an explicit set still checks its inputs and builds its map on each call
+    monkeypatch.setattr(bounds, "_single_map", single_map)
     with pytest.raises(AssertionError, match="prepared certificate stacks"):
         single_preparation_certificate("hh", [recs[("hh", "hh")], recs[("hh", "vv")]],
                                        preps=PREPS, filters=FILTERS)
@@ -779,6 +783,41 @@ def test_dataset_stores_phases_and_efficiencies_as_float_tuples():
     assert a.phases == b.phases == (0.0, 1.0, 2.0)
     assert all(type(x) is float for x in a.phases + a.efficiencies)
     assert a.efficiencies == (1.0,) * 4 and (a.phases == b.phases) is True
+
+
+@pytest.mark.parametrize("phases", [None, np.linspace(0.0, 7.0, 9)], ids=["default", "user"])
+def test_a_one_cell_call_checks_its_phases_once(monkeypatch, phases):
+    # simulate_fringes checks its phases into a grid that its dataset keeps;
+    # neither the dataset, fit_fringes nor binomial_resample checks them again
+    calls = []
+    check = interferometer._phase_tuple
+    monkeypatch.setattr(interferometer, "_phase_tuple", lambda p: calls.append(1) or check(p))
+    ch = pauli_mixture_channel()
+    ds = simulate_fringes(ch, PREPS["hv"], FILTERS["vh"], phases=phases,
+                          efficiencies=(0.9, 1.0, 0.8, 1.0), seed=3)
+    assert len(calls) == (phases is not None)
+    assert ds.grid.phases == ds.phases and ds.grid.values.tolist() == list(ds.phases)
+    calls.clear()
+    rec = fit_fringes(ds)
+    resampled = binomial_resample(ds, 0.7, seed=4)
+    assert resampled.grid is ds.grid and fit_fringes(resampled).p > 0
+    assert not calls
+    # the fit of the kept grid is the fit of a grid built from the floats
+    assert rec == fit_fringes(FringeDataset(ds.phases, ds.counts, ds.shots_per_phase, ds.seed,
+                                            ds.efficiencies))
+
+
+def test_a_dataset_from_raw_phases_keeps_their_grid():
+    ds = _dataset(np.ones((4, 5)), phases=[0.0, 1.0, 2.0, 3.0, 4.0])
+    want = _phase_grid(ds.phases)
+    assert ds.grid.phases == want.phases == (0.0, 1.0, 2.0, 3.0, 4.0)
+    for name in ("values", "waves", "design", "starts"):
+        got = getattr(ds.grid, name)
+        assert not got.flags.writeable
+        assert got.tobytes() == getattr(want, name).tobytes(), name
+    assert "grid" not in repr(ds)
+    with pytest.raises(TypeError):
+        FringeDataset(ds.phases, ds.counts, 10, 0, (1.0,) * 4, grid=ds.grid)
 
 
 @pytest.mark.parametrize("row", range(4), ids=DETECTORS)

@@ -25,12 +25,13 @@ from whichway import (
     ket,
     matrix_sqrt,
     partial_trace,
+    random_path_channel,
     replace_channel,
     trace_norm,
     transpose_channel,
 )
 from whichway.channels import pure_pair
-from whichway.linalg import density_matrix, real_in, unit_ket
+from whichway.linalg import MAX_DIM, density_matrix, real_in, unit_ket
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=1, max_value=4)
@@ -365,6 +366,31 @@ def test_dimensions_must_be_integers_of_at_least_one(build, message):
     # before the refusal fails this test too
     with pytest.raises(DimensionError, match=re.escape(message)):
         build()
+
+
+@pytest.mark.parametrize("size", [MAX_DIM + 1, np.int64(MAX_DIM + 1), 2**70],
+                         ids=["cap+1", "cap+1-int64", "2**70"])
+@pytest.mark.parametrize("build, name", [
+    (lambda n: ket(0, n), "dim"),
+    (identity_channel, "d"),
+    (transpose_channel, "d"),
+    (lambda n: random_path_channel(n, 1, 0), "d"),
+    (lambda n: random_path_channel(2, n, 0), "n_kraus"),
+    (Preparation.completely_mixed, "dim"),
+], ids=["ket", "identity_channel", "transpose_channel", "random_path_channel-d",
+        "random_path_channel-n_kraus", "completely_mixed"])
+def test_builders_refuse_a_size_beyond_the_library_cap(build, name, size):
+    # at 2**70 these raised numpy's ValueError (transpose_channel a bare
+    # TypeError); every size goes through int_at_least with one cap, MAX_DIM,
+    # and is refused before any array is made
+    with pytest.raises(DimensionError, match=re.escape(f"{name} must be <= {MAX_DIM}, got ")):
+        build(size)
+
+
+def test_the_size_cap_is_inclusive():
+    # the cap itself is a size the builders take; a ket of it is 64 KiB
+    assert ket(MAX_DIM - 1, MAX_DIM)[-1] == 1.0
+    assert random_path_channel(1, MAX_DIM, 0).n_kraus == MAX_DIM
 
 
 def test_ket_takes_a_numpy_integer_index():
