@@ -35,17 +35,23 @@ not exceed ``CONTRACTION_TOL`` (1e-8). There are two evaluations.
   (two Frobenius norms from ``vdot``) and takes the slack.
 - Pure sets (:func:`single_preparation_certificate`): sqrt(|psi><psi|)^T
   = psi* psi^T is its own support projector and pseudo-inverse, so no
-  eigendecomposition runs. U-hat is linear in the coefficients, so the
-  preparation step builds the (n, d^4) map from them to U-hat
-  (:func:`_pure_map`), and the evaluation is one product of the
-  coefficients with the map and the ``eigvalsh``: L is never formed and
-  no leak check runs. The check cannot fire for a pure arm: projected on
-  the kets, L becomes n0 n1 L with n_i = ||psi_i||^2, so the leak ratio
-  is |1 - n0 n1|, at most about 4e-10 for the unit kets
-  :func:`~whichway.linalg.unit_ket` accepts (norm one within 1e-10),
-  against ``CONTRACTION_TOL`` = 1e-8. :func:`certify_run` evaluates all
-  of a run's pure sets with one batched product and one batched
-  ``eigvalsh``; the one-set call is the same evaluation with one set.
+  eigendecomposition runs. The preparation step projects the kets, as
+  for a mixed set, into the row and column factors of U-hat alone
+  (:func:`_pure_factors`), and the evaluation step weighs the rows by the
+  coefficients, forms U-hat with one product and takes the slack: L is
+  never formed and no leak check runs. The check cannot fire for a pure
+  arm: projected on the kets, L becomes n0 n1 L with n_i = ||psi_i||^2,
+  so the leak ratio is |1 - n0 n1|, at most about 4e-10 for the unit
+  kets :func:`~whichway.linalg.unit_ket` accepts (norm one within
+  1e-10), against ``CONTRACTION_TOL`` = 1e-8. U-hat is linear in the
+  coefficients, so a set on the grid below keeps the (n, d^4) map from
+  them to U-hat, built from its factors at unit coefficients, and its
+  evaluation is one product of the coefficients with the map
+  (:func:`_grid_u_hat`); :func:`certify_run` evaluates all of a run's
+  sets on the grid with one batched product and one batched ``eigvalsh``,
+  and a one-set call is the same evaluation with one set. An explicit set
+  is used once, so it forms U-hat from its factors (:func:`_pure_u_hat`)
+  and never builds a map.
 
 A list of records that repeats a (mu, nu) key raises
 :class:`DimensionError`.
@@ -291,6 +297,16 @@ def _ket_support(psi: np.ndarray) -> np.ndarray:
     return psi.conj()[..., :, None] * psi[..., None, :]
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each term's a x b, flattened: ``a`` and ``b`` broadcast to
+    (..., n, d) stacks of n terms, and the result is (..., n, d^2)."""
+    # a product over an axis of length one rounds each complex product as
+    # einsum does; numpy's multiply rounds some of them differently, which
+    # would change the bytes of U-hat
+    out = a[..., :, None] @ b[..., None, :]
+    return out.reshape(*out.shape[:-2], -1)
+
+
 def _stacks(
     kets: np.ndarray,
     chis: np.ndarray,
@@ -314,25 +330,25 @@ def _stacks(
     row, col = kets[1].conj(), kets[0]
     rows = np.array((row, row @ p1.T, row @ inv1.T))
     cols = np.array((col, col @ p0, col @ inv0))
-    s, (n, d) = len(rows), chis.shape[1:]
-    # a product over an axis of length one is the outer product of each term
-    w = (cols[..., None] @ chis[0].conj()[:, None, :]).reshape(s, n, d * d)
-    return rows, chis[1], w
+    return rows, chis[1], _outer(cols, chis[0].conj())
 
 
-def _contraction(u_hat: np.ndarray, slack=None) -> tuple[np.ndarray, float]:
-    """(U-hat, its slack as a float): the largest eigenvalue of
-    U-hat^dag U-hat minus one, from one ``eigvalsh`` (which reads one
-    triangle of the Hermitian product), unless ``slack`` comes with it from
-    the batched ``eigvalsh`` of :func:`certify_run`. A slack above
-    ``CONTRACTION_TOL`` raises :class:`ContractionError`."""
-    if slack is None:
-        slack = np.linalg.eigvalsh(u_hat.conj().T @ u_hat)[-1] - 1.0
+def _slack(u_hat: np.ndarray):
+    """The contraction slack of U-hat, or of each U-hat of a stack: the
+    largest eigenvalue of U-hat^dag U-hat minus one, from one ``eigvalsh``
+    (which reads one triangle of the Hermitian product)."""
+    # the transpose puts each U-hat's ascending eigenvalues on the first axis
+    return np.linalg.eigvalsh(u_hat.conj().mT @ u_hat).T[-1] - 1.0
+
+
+def _contraction(slack) -> float:
+    """A slack of :func:`_slack` as a float; one above ``CONTRACTION_TOL``
+    raises :class:`ContractionError`."""
     slack = float(slack)
     if slack > CONTRACTION_TOL:
         raise ContractionError(
             f"contraction violated: slack {slack:.3e} > tol {CONTRACTION_TOL:.1e}")
-    return u_hat, slack
+    return slack
 
 
 def _certify(alphas: np.ndarray, stacks) -> tuple[np.ndarray, float]:
@@ -342,11 +358,8 @@ def _certify(alphas: np.ndarray, stacks) -> tuple[np.ndarray, float]:
     column factors ``w`` in one batched product, and the leak check
     compares the Frobenius norms of L and of L minus its projection."""
     rows, chi1, w = stacks
-    s, n, dd = w.shape
-    # each term's outer product, as in _stacks
-    u = (rows[..., None] @ (chi1 * alphas[:, None])[:, None, :]).reshape(s, n, dd)
-    mats = u.transpose(0, 2, 1) @ w
-    left, projected = mats[0], mats[1]
+    mats = _outer(rows, chi1 * alphas[:, None]).mT @ w
+    left, projected, u_hat = mats
 
     leak = left - projected
     norm_l = math.sqrt(np.vdot(left, left).real)
@@ -355,25 +368,41 @@ def _certify(alphas: np.ndarray, stacks) -> tuple[np.ndarray, float]:
             "combination leaks outside the support of the preparation states; "
             "no contraction factorization exists"
         )
-    return _contraction(mats[2])
+    return u_hat, _contraction(_slack(u_hat))
 
 
-def _pure_map(psi: np.ndarray, chis: np.ndarray) -> np.ndarray:
-    """The (n, d^4) linear map from the n coefficients of a pure set to its
-    U-hat, flattened: row m is the outer product of the projected row
-    factor (psi1* P1^T) x chi1 and column factor (psi0 P0) x chi0* of term m,
-    with P = psi* psi^T each arm's support projector and pseudo-inverse.
+def _pure_factors(psi: np.ndarray, chis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The factors (row, chi1, w) of a pure set's n terms, which
+    :func:`_pure_u_hat` reads with the coefficients; none depends on them.
 
     ``psi`` is the (2, d) stack of the preparation's checked unit kets and
-    ``chis`` the (2, n, d) stack of the filter kets. The projected rows and
-    columns are ||psi||^2 times the unprojected ones, so neither L nor a
-    leak check is needed (see the module docstring).
+    ``chis`` the (2, n, d) stack of the filter kets. With P = psi* psi^T,
+    each arm's support projector and pseudo-inverse, ``row`` is the (1, d)
+    projected row ket psi1* P1^T, ``chi1`` the lower-arm filter kets and
+    ``w`` the (n, d^2) projected column factors (psi0 P0) x chi0*. The
+    projected rows and columns are ||psi||^2 times the unprojected ones, so
+    neither L nor a leak check is needed (see the module docstring).
     """
     r0, r1 = _ket_support(psi)
-    n, d = chis.shape[1:]
-    u = ((psi[1].conj() @ r1.T)[:, None] * chis[1][:, None, :]).reshape(n, d * d)
-    w = ((psi[0] @ r0)[:, None] * chis[0].conj()[:, None, :]).reshape(n, d * d)
-    return (u[:, :, None] * w[:, None, :]).reshape(n, d**4)
+    return psi[1:].conj() @ r1.T, chis[1], _outer(psi[:1] @ r0, chis[0].conj())
+
+
+def _pure_u_hat(alphas: np.ndarray, factors) -> np.ndarray:
+    """U-hat of a pure set's n coefficients ``alphas`` on its
+    :func:`_pure_factors`, the projected L: the row factors
+    (psi1* P1^T) x (alpha chi1) meet the column factors ``w`` in one
+    product. Leading axes of ``alphas`` and the factors broadcast, so one
+    call forms the U-hats of a stack of sets."""
+    row, chi1, w = factors
+    return _outer(row, chi1 * alphas[..., None]).mT @ w
+
+
+def _grid_u_hat(alphas: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """U-hat of the two coefficients ``alphas`` of a set on the rectilinear
+    grid, from its (2, 16) linear map (``_rectilinear_grid()["singles"]``),
+    or the (k, 4, 4) U-hats of a (k, 2) stack of coefficients on a
+    (k, 2, 16) stack of maps."""
+    return (alphas[..., None, :] @ maps).reshape(*alphas.shape[:-1], 4, 4)
 
 
 def _folded(alphas: dict, records, u_hat: np.ndarray, slack: float) -> BoundCertificate:
@@ -484,13 +513,13 @@ def _complete_basis_check(filters: dict[str, FilterPair], nus: list[str]) -> np.
     return stack
 
 
-def _single_map(preps, filters: dict[str, FilterPair], mu: str, nus) -> np.ndarray:
-    """The :func:`_pure_map` of preparation ``mu`` with the filters ``nus``,
-    which :func:`_complete_basis_check` checks first."""
+def _single_factors(preps, filters: dict[str, FilterPair], mu: str, nus) -> tuple:
+    """The :func:`_pure_factors` of preparation ``mu`` with the filters
+    ``nus``, which :func:`_complete_basis_check` checks first."""
     chis = _complete_basis_check(filters, nus)
     if mu not in preps:
         raise DimensionError(f"no preparation {mu!r}")
-    return _pure_map(np.array(pure_pair(preps[mu], chis.shape[2])), chis)
+    return _pure_factors(np.array(pure_pair(preps[mu], chis.shape[2])), chis)
 
 
 @functools.cache
@@ -506,10 +535,13 @@ def _rectilinear_grid() -> MappingProxyType:
       both the preparation and the filter stack of the default cells;
     - ``swap``, the :func:`_stacks` of the ``SWAP_KEYS`` terms with both
       arms completely mixed, from one eigendecomposition of 1/2;
-    - ``singles``, the (16, 2, 16) stack of the :func:`_pure_map` of the
-      16 default single-preparation certificates, one for every
-      preparation mu and ordered ``COMPLEMENTARY`` pair, and
-      ``single_index``, the position in it of each key (mu, nu, partner).
+    - ``singles``, the (16, 2, 16) stack of the linear maps from the two
+      coefficients to the flattened U-hat of the 16 default
+      single-preparation certificates, one for every preparation mu and
+      ordered ``COMPLEMENTARY`` pair, and ``single_index``, the position in
+      it of each key (mu, nu, partner). Since U-hat is linear in the
+      coefficients, row m of a map is the :func:`_pure_u_hat` of the set's
+      factors at the m-th unit coefficients.
     """
     states = {"h": _frozen(ket(0, 2)), "v": _frozen(ket(1, 2))}
     labels = tuple(a + b for a in "hv" for b in "hv")
@@ -521,7 +553,8 @@ def _rectilinear_grid() -> MappingProxyType:
     mixed = _root_support(*psd_eigh(np.eye(2, dtype=complex) / 2, "rho"))
     orders = COMPLEMENTARY + tuple(nus[::-1] for nus in COMPLEMENTARY)
     keys = [(mu, *nus) for mu in labels for nus in orders]
-    singles = np.array([_single_map(preps, filters, mu, nus) for mu, *nus in keys])
+    factors = zip(*(_single_factors(preps, filters, mu, nus) for mu, *nus in keys))
+    singles = _pure_u_hat(np.eye(2), [np.array(a)[:, None] for a in factors]).reshape(16, 2, 16)
     swap = _stacks(kets, chis, mixed, mixed)
     for a in (*swap, singles):
         _frozen(a)
@@ -591,17 +624,18 @@ def single_preparation_certificate(
     :class:`NonFiniteError`, and a norm off one or a dimension other than
     the filters' raises :class:`DimensionError`. Each arm's support
     projector and pseudo-inverse is psi* psi^T, so no eigendecomposition
-    runs. U-hat is the coefficients on the set's :func:`_pure_map`, and the
-    contraction check is that of :func:`verify_alpha_constraint`; the leak
-    check cannot fail for a pure set and does not run. A ``mu`` that is not
-    a str, and a ``preps`` or ``filters`` that is neither None nor a
-    mapping, raises :class:`DimensionError`.
+    runs. U-hat is formed from the set's :func:`_pure_factors` (or, on the
+    rectilinear grid, from its linear map), and the contraction check is
+    that of :func:`verify_alpha_constraint`; the leak check cannot fail for
+    a pure set and does not run. A ``mu`` that is not a str, and a
+    ``preps`` or ``filters`` that is neither None nor a mapping, raises
+    :class:`DimensionError`.
 
     With ``preps`` and ``filters`` both None (the rectilinear sets), a
     record set that certifies, one rectilinear mu with an ordered
     complementary filter pair, reads its map from the rectilinear grid,
     where its 16 such sets are checked and prepared once; any other set
-    takes the general route, which checks and prepares its map on each
+    takes the general route, which checks and prepares its factors on each
     call and raises what it raises for explicit sets.
     """
     _text(mu, "mu")
@@ -611,16 +645,14 @@ def single_preparation_certificate(
     nus = tuple(rec.nu for rec in rows)
     grid = _rectilinear_grid()
     index = grid["single_index"].get((mu, *nus)) if preps is None and filters is None else None
+    alphas = [_optimal_phase(rec.visibility) for rec in rows]
     if index is None:
         preps = rectilinear_preparations() if preps is None else _mapping(preps, "preps")
         filters = rectilinear_filters() if filters is None else _mapping(filters, "filters")
-        pure_map = _single_map(preps, filters, mu, nus)
+        u_hat = _pure_u_hat(np.array(alphas), _single_factors(preps, filters, mu, nus))
     else:
-        pure_map = grid["singles"][index]
-    alphas = [_optimal_phase(rec.visibility) for rec in rows]
-    dd = math.isqrt(pure_map.shape[1])
-    return _single_folded(rows, alphas, *_contraction((np.array(alphas) @ pure_map)
-                                                      .reshape(dd, dd)))
+        u_hat = _grid_u_hat(np.array(alphas), grid["singles"][index])
+    return _single_folded(rows, alphas, u_hat, _contraction(_slack(u_hat)))
 
 
 def _single_folded(rows, alphas, u_hat, slack) -> BoundCertificate:
@@ -650,10 +682,11 @@ def certify_run(records) -> RunBounds:
     neither, or repeat a (mu, nu), raise :class:`DimensionError`.
 
     The sets on the rectilinear grid are evaluated together, with one
-    batched product and one batched ``eigvalsh`` over their maps; each is
-    bit-identical to its own call. The sets are then checked in sorted mu,
-    then ``COMPLEMENTARY`` order, and a set off the grid takes its own
-    call, so the first set that fails raises what its call raises."""
+    :func:`_grid_u_hat` of their stacked maps and one :func:`_slack`, the
+    evaluation that a one-set call runs with one set. The sets are then
+    checked in sorted mu, then ``COMPLEMENTARY`` order, and a set off the
+    grid takes its own call, so the first set that fails raises what its
+    call raises."""
     recs = _record_map(records)
     try:
         swap, swap_unavailable = swap_certificate(recs), None
@@ -664,20 +697,17 @@ def certify_run(records) -> RunBounds:
             if all((mu, nu) in recs for nu in pair)}
     grid = _rectilinear_grid()
     index = grid["single_index"]
-    on_grid = [key for key in sets if key in index]
-    evaluated = {}
-    if on_grid:
-        alphas = [[_optimal_phase(rec.visibility) for rec in sets[key]] for key in on_grid]
-        maps = grid["singles"][[index[key] for key in on_grid]]
-        # the grid's U-hats are 4 x 4 (d = 2)
-        u_hats = (np.array(alphas)[:, None, :] @ maps).reshape(-1, 4, 4)
-        slacks = np.linalg.eigvalsh(u_hats.conj().transpose(0, 2, 1) @ u_hats)[:, -1] - 1.0
-        evaluated = dict(zip(on_grid, zip(alphas, u_hats, slacks)))
+    alphas = {key: [_optimal_phase(rec.visibility) for rec in rows]
+              for key, rows in sets.items() if key in index}
+    if alphas:
+        u_hats = _grid_u_hat(np.array(list(alphas.values())),
+                             grid["singles"][[index[key] for key in alphas]])
+        evaluated = dict(zip(alphas, zip(u_hats, _slack(u_hats))))
     singles = {}
     for key, rows in sets.items():
-        if key in evaluated:
-            alphas, u_hat, slack = evaluated[key]
-            singles[key] = _single_folded(rows, alphas, *_contraction(u_hat, slack))
+        if key in alphas:
+            u_hat, slack = evaluated[key]
+            singles[key] = _single_folded(rows, alphas[key], u_hat, _contraction(slack))
         else:
             singles[key] = single_preparation_certificate(key[0], rows)
     if swap is None and not singles:

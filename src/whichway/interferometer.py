@@ -36,15 +36,12 @@ from a generator seeded ``seed``. Every generator comes from
 :func:`~whichway.linalg._generators`, which splits a run's seed into
 SeedSequence's uint32 entropy words once and appends each cell's
 (i_mu, i_nu) to them, the words ``default_rng`` would read from the tuple,
-so the states are the same. Since each cell has its own generator, the
-cells of a run make their ``multinomial`` calls first, one sum over the
-rows serves them all, and then each cell thins its counts. Counts for a
-given seed are part of the interface and stay fixed. The drawing functions
-reach ``numpy.random`` only when they run, so importing the package does
-not load it.
+so the states are the same. Counts for a given seed are part of the
+interface and stay fixed. The drawing functions reach ``numpy.random`` only
+when they run, so importing the package does not load it.
 
 The phases of a run are checked once, into a read-only grid that also holds
-what the draws and the fit read from them (:func:`_phase_grid`); the 13
+what the draws and the fit read from them (:class:`_PhaseGrid`); the 13
 default phases are that grid, built at import. A :class:`FringeDataset`
 keeps the grid of its phases, so its fit checks no phase again.
 
@@ -265,32 +262,35 @@ def _phase_tuple(phases) -> tuple[float, ...]:
 
 @dataclass(frozen=True, eq=False)
 class _PhaseGrid:
-    """Checked phases (:func:`_phase_grid`): ``phases``, the floats; and,
-    read-only, ``values``, their array, ``waves``, e^{i phi}, ``design``,
-    the (2, phases) fit design b = (cos phi, -sin phi), and ``starts``, the
-    first index of each run of phases equal to 12 decimals."""
+    """Phases checked on construction by :func:`_phase_tuple`, with the
+    arrays that the probability tables and the fit read from them, each
+    formed once: ``phases``, the floats; and, read-only, ``values``, their
+    array, ``waves``, e^{i phi}, ``design``, the (2, phases) fit design
+    b = (cos phi, -sin phi), and ``starts``, the first index of each run of
+    phases equal to 12 decimals."""
 
     phases: tuple[float, ...]
-    values: np.ndarray
-    waves: np.ndarray
-    design: np.ndarray
-    starts: np.ndarray
+    values: np.ndarray = field(init=False)
+    waves: np.ndarray = field(init=False)
+    design: np.ndarray = field(init=False)
+    starts: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        phases = _phase_tuple(self.phases)
+        values = np.array(phases)
+        # rounding keeps the phases sorted, so equal rounded phases form
+        # runs, and a run starts at each phase that differs from its
+        # predecessor
+        rounded = np.round(values, 12)
+        starts = np.flatnonzero(np.concatenate(([True], rounded[1:] != rounded[:-1])))
+        design = np.stack([np.cos(values), -np.sin(values)])
+        for name, value in (("values", values), ("waves", np.exp(1j * values)),
+                            ("design", design), ("starts", starts)):
+            object.__setattr__(self, name, _frozen(value))
+        object.__setattr__(self, "phases", phases)
 
 
-def _phase_grid(phases) -> _PhaseGrid:
-    """The phases checked by :func:`_phase_tuple`, with the arrays that the
-    probability tables and the fit read from them, each formed once."""
-    phases = _phase_tuple(phases)
-    values = np.array(phases)
-    # rounding keeps the phases sorted, so equal rounded phases form runs,
-    # and a run starts at each phase that differs from its predecessor
-    rounded = np.round(values, 12)
-    starts = np.flatnonzero(np.concatenate(([True], rounded[1:] != rounded[:-1])))
-    design = np.stack([np.cos(values), -np.sin(values)])
-    return _PhaseGrid(phases, *map(_frozen, (values, np.exp(1j * values), design, starts)))
-
-
-_DEFAULT_PHASES = _phase_grid(np.linspace(0.0, 2.0 * np.pi, 13))
+_DEFAULT_PHASES = _PhaseGrid(np.linspace(0.0, 2.0 * np.pi, 13))
 _MAX_SHOTS = 2**62
 
 
@@ -332,9 +332,10 @@ class FringeDataset:
     interference detectors plus and minus, then ref0 and ref1, which monitor
     the non-filtered component of each arm. Phases are stored as floats and
     must be finite and strictly increasing; ``grid``, not an argument, is
-    their :func:`_phase_grid`, which the fit reads. A phase grid passed as
-    ``phases`` (as the simulators pass the one they checked) is taken as it
-    is, not checked again. The settings are checked as the simulators check
+    their :class:`_PhaseGrid`, which the fit reads. ``phases`` may also be
+    such a grid (the simulators pass the one they checked): a grid checks
+    its phases when it is made, so the dataset takes it as it is. The
+    settings are checked as the simulators check
     them, and so is the seed. The counts are read by the array rule of
     :mod:`whichway.linalg`, so text, a bool or None among them raises
     :class:`DimensionError`. A NaN or infinite count raises
@@ -343,7 +344,7 @@ class FringeDataset:
     Datasets compare and hash by identity.
     """
 
-    phases: tuple[float, ...]
+    phases: tuple[float, ...] | _PhaseGrid
     counts: np.ndarray
     shots_per_phase: int
     seed: tuple[int, ...]
@@ -351,7 +352,7 @@ class FringeDataset:
     grid: _PhaseGrid = field(init=False, repr=False)
 
     def __post_init__(self):
-        grid = self.phases if isinstance(self.phases, _PhaseGrid) else _phase_grid(self.phases)
+        grid = self.phases if isinstance(self.phases, _PhaseGrid) else _PhaseGrid(self.phases)
         phases = grid.phases
         efficiencies = _counting_settings(self.shots_per_phase, self.efficiencies)
         values = _numbers(self.counts, "counts")
@@ -387,7 +388,7 @@ def _allocate(shots: int, weights) -> list[int]:
 def _probability_tables(ch, kets, chis, grid, contrast, shots_per_phase):
     """Shots of each row and the (cells, phases, rows, 4) detection
     probabilities of the plus, minus, ref0 and ref1 detectors, each row
-    normalised, at the phases of ``grid`` (a :func:`_phase_grid`). The cells
+    normalised, at the phases of ``grid`` (a :class:`_PhaseGrid`). The cells
     are every (preparation, filter) pair, preparations major; ``kets`` holds
     each preparation's checked (psi0, psi1) and ``chis`` each filter's
     (chi0, chi1), as an (n, 2, d) array or a sequence of pairs.
@@ -424,10 +425,10 @@ def _probability_tables(ch, kets, chis, grid, contrast, shots_per_phase):
 
 
 def _counting_phases(phases, contrast) -> tuple[_PhaseGrid, float]:
-    """The :func:`_phase_grid` of the phases (by default ``_DEFAULT_PHASES``,
+    """The :class:`_PhaseGrid` of the phases (by default ``_DEFAULT_PHASES``,
     the 13 over [0, 2 pi], built at import) and the contrast, a real number
     in (0, 1], as a float."""
-    grid = _DEFAULT_PHASES if phases is None else _phase_grid(phases)
+    grid = _DEFAULT_PHASES if phases is None else _PhaseGrid(phases)
     return grid, real_in(contrast, "contrast", 0.0, 1.0, open_low=True)
 
 
@@ -437,12 +438,13 @@ def _count_cells(ch, kets, chis, grid, shots_per_phase, efficiencies, contrast,
     :func:`_probability_tables`, cell c drawn from the generator ``rngs[c]``
     in the order the module documents; the settings are already checked."""
     shots, tables = _probability_tables(ch, kets, chis, grid, contrast, shots_per_phase)
-    draws = np.array([rng.multinomial(shots, table) for table, rng in zip(tables, rngs)])
-    counts = draws.sum(axis=2).transpose(0, 2, 1)
-    if min(efficiencies) < 1.0:
-        thin = np.array(efficiencies)[:, None]
-        return np.array([rng.binomial(out, thin) for out, rng in zip(counts, rngs)])
-    return np.ascontiguousarray(counts)
+    thin = np.array(efficiencies)[:, None]
+    counts = np.empty((len(tables), 4, len(grid.phases)), dtype=np.int64)
+    for out, table, rng in zip(counts, tables, rngs):
+        out[:] = rng.multinomial(shots, table).sum(axis=1).T
+        if min(efficiencies) < 1.0:
+            out[:] = rng.binomial(out, thin)
+    return counts
 
 
 def simulate_fringes(
@@ -521,7 +523,7 @@ def fit_fringes(ds: FringeDataset) -> FractionalVisibilityRecord:
 
 def _fit_counts(grid: _PhaseGrid, counts: np.ndarray, keys) -> list[FractionalVisibilityRecord]:
     """:func:`fit_fringes` of every cell of (cells, 4, phases) counts over
-    the phases of ``grid`` (a :func:`_phase_grid`), cell c labelled by the
+    the phases of ``grid`` (a :class:`_PhaseGrid`), cell c labelled by the
     c-th key.
 
     Over a cell's m populated phases, the detector sum n+/T + n-/T fits p

@@ -1129,7 +1129,7 @@ def test_certify_run_evaluates_its_sets_as_their_own_calls_do(contrast, efficien
     # certify_run evaluates every set on the rectilinear grid in one batched
     # product and one batched eigvalsh; each certificate equals its one-set
     # call bit for bit, and the stacks route the package ran before the pure
-    # map (reference_kernels) gives the same U-hat bytes and slack. A third
+    # factors (reference_kernels) gives the same U-hat bytes and slack. A third
     # of the runs drop three records, so fewer sets, in other positions of
     # the grid, are stacked together.
     ch, preps, filters = pauli_mixture_channel(), rectilinear_preparations(), rectilinear_filters()
@@ -1192,11 +1192,10 @@ def test_certify_run_raises_what_the_first_failing_set_raises(monkeypatch, scale
 
 
 def test_explicit_pure_sets_match_the_stacks_route():
-    # an explicit set builds its pure map on each call; against the stacks
-    # route (L, its projection and the leak check, kept as an oracle) U-hat
-    # agrees within 1e-15. The slack of a pure set is rounding noise around
-    # 0 (U-hat is a partial isometry), a few ulps of 1 in either route, so
-    # the two slacks agree within 4e-15
+    # an explicit set builds its pure factors on each call; U-hat is the
+    # projected L of the stacks route (L, its projection and the leak check,
+    # kept as an oracle), formed by the same products, so U-hat's bytes and
+    # the slack are the stacks route's
     rng = np.random.default_rng(39)
     for t in range(300):
         d = 2 + t % 3
@@ -1206,8 +1205,7 @@ def test_explicit_pure_sets_match_the_stacks_route():
         records = [fractional_visibility(ch, preps["m"], f, mu="m") for f in filters.values()]
         cert = single_preparation_certificate("m", records, preps=preps, filters=filters)
         u_hat, slack = stacks_single_certificate(cert.alphas, preps, filters)
-        assert np.abs(cert.u_hat - u_hat).max() <= 1e-15
-        assert abs(cert.contraction_slack - slack) <= 4e-15
+        assert u_hat.tobytes() == cert.u_hat.tobytes() and slack == cert.contraction_slack
 
 
 @settings(max_examples=200, deadline=None)
@@ -1217,7 +1215,7 @@ def test_pure_sets_cannot_leak_at_the_norm_edge_of_unit_ket(d, seed, edges):
     # the projected L of a pure set is n0 n1 L, n_i the squared norm of ket
     # i, so the stacks route's leak ratio is |1 - n0 n1|: at most about
     # 4e-10 for kets that unit_ket accepts, far below CONTRACTION_TOL, which
-    # is why the pure map runs no leak check
+    # is why the pure factor route runs no leak check
     rng = np.random.default_rng(seed)
     psi0, psi1 = ((1.0 + e) * random_ket(d, rng) for e in edges)
     preps = {"m": (psi0, psi1)}

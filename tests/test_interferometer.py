@@ -53,7 +53,7 @@ from whichway.interferometer import (
     _allocate,
     _count_cells,
     _fit_counts,
-    _phase_grid,
+    _PhaseGrid,
     _probability_tables,
     _simulate_cells,
 )
@@ -472,8 +472,8 @@ def test_default_run_and_certificates_recheck_no_constant(monkeypatch):
 def test_default_routes_prepare_no_certificate_stack_per_call(monkeypatch):
     # the swap certificate, the 16 default single-preparation certificates,
     # certify_run and the default run read the rectilinear grid, whose swap
-    # stacks and pure maps are prepared once; the certificates run no einsum
-    # either, and all stay bit-identical to the unpatched calls
+    # stacks and single-preparation maps are prepared once; the certificates
+    # run no einsum either, and all stay bit-identical to the unpatched calls
     ch = pauli_mixture_channel()
     records = run_experiment(ch, efficiencies=(0.9, 1.0, 0.8, 1.0), contrast=0.96, seed=5)
     recs = {rec.key: rec for rec in records}
@@ -488,8 +488,8 @@ def test_default_routes_prepare_no_certificate_stack_per_call(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a default route prepared certificate stacks")
 
-    single_map = bounds._single_map
-    for name in ("_stacks", "_single_map", "_pure_map"):
+    single_factors = bounds._single_factors
+    for name in ("_stacks", "_single_factors", "_pure_factors", "_pure_u_hat"):
         monkeypatch.setattr(bounds, name, refuse)
     assert run_experiment(pauli_mixture_channel(), efficiencies=(0.9, 1.0, 0.8, 1.0),
                           contrast=0.96, seed=5) == records
@@ -504,8 +504,9 @@ def test_default_routes_prepare_no_certificate_stack_per_call(monkeypatch):
     same_certificate(run.swap, want_run.swap)
     for key, cert in run.singles.items():
         same_certificate(cert, want_run.singles[key])
-    # an explicit set still checks its inputs and builds its map on each call
-    monkeypatch.setattr(bounds, "_single_map", single_map)
+    # an explicit set still checks its inputs and builds its factors on each
+    # call, and forms U-hat from them
+    monkeypatch.setattr(bounds, "_single_factors", single_factors)
     with pytest.raises(AssertionError, match="prepared certificate stacks"):
         single_preparation_certificate("hh", [recs[("hh", "hh")], recs[("hh", "vv")]],
                                        preps=PREPS, filters=FILTERS)
@@ -809,7 +810,7 @@ def test_a_one_cell_call_checks_its_phases_once(monkeypatch, phases):
 
 def test_a_dataset_from_raw_phases_keeps_their_grid():
     ds = _dataset(np.ones((4, 5)), phases=[0.0, 1.0, 2.0, 3.0, 4.0])
-    want = _phase_grid(ds.phases)
+    want = _PhaseGrid(ds.phases)
     assert ds.grid.phases == want.phases == (0.0, 1.0, 2.0, 3.0, 4.0)
     for name in ("values", "waves", "design", "starts"):
         got = getattr(ds.grid, name)
@@ -818,6 +819,20 @@ def test_a_dataset_from_raw_phases_keeps_their_grid():
     assert "grid" not in repr(ds)
     with pytest.raises(TypeError):
         FringeDataset(ds.phases, ds.counts, 10, 0, (1.0,) * 4, grid=ds.grid)
+
+
+@pytest.mark.parametrize("phases, error, message", [
+    ([1.0, 0.0], DimensionError, "phases must be strictly increasing"),
+    ([0.0, np.nan], NonFiniteError, "phases"),
+    ([[0.0, 1.0]], DimensionError, "phases must be a 1-D array of real numbers"),
+], ids=["unsorted", "nan", "2-D"])
+def test_a_phase_grid_checks_its_phases_when_made(phases, error, message):
+    # a dataset takes a grid passed as its phases as it is, so a grid cannot
+    # be made from phases that a dataset would refuse
+    with pytest.raises(error, match=message):
+        _PhaseGrid(phases)
+    with pytest.raises(error, match=message):
+        FringeDataset(phases, np.ones((4, 2)), 10, 0, (1.0,) * 4)
 
 
 @pytest.mark.parametrize("row", range(4), ids=DETECTORS)
@@ -896,7 +911,7 @@ def test_probability_table_matches_loop_reference(kind, shots):
     for contrast in (0.96, 1.0):
         args = (phases, contrast, shots)
         got_shots, got = _probability_tables(ch, kets, [(f.chi0, f.chi1) for f in filters],
-                                             _phase_grid(phases), contrast, shots)
+                                             _PhaseGrid(phases), contrast, shots)
         for c, ((psi0, psi1), filt) in enumerate(itertools.product(kets, filters)):
             want_shots, want = ref.probability_table(ch, psi0, psi1, filt, *args)
             assert got_shots.tolist() == want_shots
@@ -917,7 +932,7 @@ def test_batched_counts_match_loop_reference(kind):
     for efficiencies in ((1.0,) * 4, (0.9, 1.0, 0.75, 1.0)):
         rngs = _generators((13,), (len(kets), len(filters)))
         counts = _count_cells(ch, kets, [(f.chi0, f.chi1) for f in filters],
-                              _phase_grid(phases), shots, efficiencies, 0.96, rngs)
+                              _PhaseGrid(phases), shots, efficiencies, 0.96, rngs)
         assert len(counts) == len(seeds)
         for seed, n in zip(seeds, counts):
             want = ref.simulate_fringes(ch, kets[seed[1]], filters[seed[2]], phases=phases,
@@ -1168,7 +1183,7 @@ def test_fit_counts_fits_in_closed_form_and_matches_each_cell_alone(monkeypatch)
         for name in ("svd", "lstsq", "pinv"):
             patch.setattr(np.linalg, name, refuse)
         stacked = np.array([ds.counts for ds in cells])
-        fits = _fit_counts(_phase_grid(cells[0].phases), stacked, [("", "")] * 3)
+        fits = _fit_counts(_PhaseGrid(cells[0].phases), stacked, [("", "")] * 3)
     for fit, ds in zip(fits, cells):
         alone = fit_fringes(ds)
         for name in FIT_FIELDS:
@@ -1184,12 +1199,12 @@ def test_fit_counts_refuses_a_later_cell_on_its_own_populated_phases(populated, 
     phases = np.array([0.0, 1e-7, 2e-7, 1.0, 2.0, 2.5, np.pi, 4.0, 5.0, 6.0])
     counts = np.full((3, 4, len(phases)), 10, dtype=np.int64)
     keys = [("", "")] * 3
-    assert len(_fit_counts(_phase_grid(phases), counts, keys)) == 3
+    assert len(_fit_counts(_PhaseGrid(phases), counts, keys)) == 3
     keep = np.zeros(len(phases), dtype=bool)
     keep[list(populated)] = True
     counts[2, :, ~keep] = 0
     with pytest.raises(NumericalError, match=message):
-        _fit_counts(_phase_grid(phases), counts, keys)
+        _fit_counts(_PhaseGrid(phases), counts, keys)
 
 
 def test_fit_counts_names_the_fault_of_the_first_failing_cell():
@@ -1200,7 +1215,7 @@ def test_fit_counts_names_the_fault_of_the_first_failing_cell():
     for cells, message in (((narrow, sparse), "span below half a period"),
                            ((sparse, narrow), "need >= 4 populated phases")):
         with pytest.raises(NumericalError, match=message):
-            _fit_counts(_phase_grid(phases), np.array(cells), [("", "")] * 2)
+            _fit_counts(_PhaseGrid(phases), np.array(cells), [("", "")] * 2)
 
 
 def _inconsistent_tables(ch, kets, filters, grid, contrast, shots_per_phase):
