@@ -32,7 +32,12 @@ not exceed ``CONTRACTION_TOL`` (1e-8). There are two evaluations.
   operator L, and stacks the column factors of L, of its projection and of
   U-hat. The evaluation step weighs the row factors by the n coefficients,
   forms the three operators with one batched product, runs the leak check
-  (two Frobenius norms from ``vdot``) and takes the slack.
+  (two Frobenius norms from ``vdot``) and takes the slack. The swap terms
+  are prepared once, on the support of 1/2, which is all of C^2: there the
+  projected stacks equal those of L bit for bit, so L minus its projection
+  is zero for every coefficient set. The grid checks that once and keeps
+  U-hat's stacks alone, and a swap evaluation forms U-hat with one
+  product and takes the slack, with no leak check.
 - Pure sets (:func:`single_preparation_certificate`): sqrt(|psi><psi|)^T
   = psi* psi^T is its own support projector and pseudo-inverse, so no
   eigendecomposition runs. The preparation step projects the kets, as
@@ -61,12 +66,13 @@ first use, every array in it read-only: the four preparation kets and
 filter pairs (:func:`rectilinear_preparations` and
 :func:`rectilinear_filters` return fresh dicts over them), their (4, 2, 2)
 ket stack (the default cells of
-:func:`~whichway.interferometer.run_experiment`), the prepared stacks of
-the four swap terms on the support of the completely mixed state 1/2
-(:func:`swap_certificate`), and the (16, 2, 16) stack of the maps of the
-16 default single-preparation certificates, one per preparation and
-ordered complementary filter pair (:func:`single_preparation_certificate`
-with ``preps`` and ``filters`` both None, and :func:`certify_run`). A
+:func:`~whichway.interferometer.run_experiment`), U-hat's prepared
+stacks of the four swap terms on the support of the completely mixed
+state 1/2 (:func:`swap_certificate`), and the (16, 2, 16) stack of the
+maps of the 16 default single-preparation certificates, one per
+preparation and ordered complementary filter pair
+(:func:`single_preparation_certificate` with ``preps`` and ``filters``
+both None, and :func:`certify_run`). A
 default call runs only the evaluation step on these and re-checks none of
 them; :func:`verify_alpha_constraint` and explicit sets run both steps on
 each call.
@@ -371,6 +377,21 @@ def _certify(alphas: np.ndarray, stacks) -> tuple[np.ndarray, float]:
     return u_hat, _contraction(_slack(u_hat))
 
 
+def _swap_stacks(preps, support: tuple[np.ndarray, np.ndarray]) -> tuple:
+    """U-hat's stacks (row, chi1, w) of the ``SWAP_KEYS`` terms, from the
+    :func:`_stacks` of their kets ``preps`` (label -> ket pair, both the
+    preparation and the filter kets) with both arms of ``support``. On it,
+    the projection of L must leave L's stacks bit-identical, so that no
+    coefficient set can leak, else :class:`SupportError`."""
+    # (preparation kets, filter kets) x arm x SWAP_KEYS term x d
+    kets, chis = np.array([[[preps[key[i]][arm] for key in SWAP_KEYS] for arm in (0, 1)]
+                           for i in (0, 1)])
+    rows, chi1, w = _stacks(kets, chis, support, support)
+    if not (np.array_equal(rows[1], rows[0]) and np.array_equal(w[1], w[0])):
+        raise SupportError("the swap terms leak outside the support of the preparation states")
+    return rows[2], chi1, w[2]
+
+
 def _pure_factors(psi: np.ndarray, chis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The factors (row, chi1, w) of a pure set's n terms, which
     :func:`_pure_u_hat` reads with the coefficients; none depends on them.
@@ -533,8 +554,9 @@ def _rectilinear_grid() -> MappingProxyType:
       v ket;
     - ``pairs``, the (4, 2, 2) stack of each label's two kets, which is
       both the preparation and the filter stack of the default cells;
-    - ``swap``, the :func:`_stacks` of the ``SWAP_KEYS`` terms with both
-      arms completely mixed, from one eigendecomposition of 1/2;
+    - ``swap``, U-hat's :func:`_swap_stacks` of the ``SWAP_KEYS`` terms
+      with both arms completely mixed, from one eigendecomposition of 1/2,
+      checked there not to leak;
     - ``singles``, the (16, 2, 16) stack of the linear maps from the two
       coefficients to the flattened U-hat of the 16 default
       single-preparation certificates, one for every preparation mu and
@@ -547,15 +569,12 @@ def _rectilinear_grid() -> MappingProxyType:
     labels = tuple(a + b for a in "hv" for b in "hv")
     preps = {lab: (states[lab[0]], states[lab[1]]) for lab in labels}
     filters = {lab: FilterPair(*pair, label=lab) for lab, pair in preps.items()}
-    # (preparation kets, filter kets) x arm x SWAP_KEYS term x 2
-    kets, chis = np.array([[[preps[key[i]][arm] for key in SWAP_KEYS] for arm in (0, 1)]
-                           for i in (0, 1)])
     mixed = _root_support(*psd_eigh(np.eye(2, dtype=complex) / 2, "rho"))
     orders = COMPLEMENTARY + tuple(nus[::-1] for nus in COMPLEMENTARY)
     keys = [(mu, *nus) for mu in labels for nus in orders]
     factors = zip(*(_single_factors(preps, filters, mu, nus) for mu, *nus in keys))
     singles = _pure_u_hat(np.eye(2), [np.array(a)[:, None] for a in factors]).reshape(16, 2, 16)
-    swap = _stacks(kets, chis, mixed, mixed)
+    swap = _swap_stacks(preps, mixed)
     for a in (*swap, singles):
         _frozen(a)
     return MappingProxyType({
@@ -595,10 +614,11 @@ def swap_certificate(records) -> BoundCertificate:
     every term, so the bound is
     (|V^{hh,hh}| + |V^{hv,vh}| + |V^{vh,hv}| + |V^{vv,vv}|) / 2, clamped to 1.
     It is :func:`verify_alpha_constraint` with both arms completely mixed,
-    run on the rectilinear grid: the stacks of the four terms, projected on
-    the support of 1/2, are prepared once with the grid, so a call only
-    weighs them by its coefficients and runs the leak and contraction
-    checks.
+    run on the rectilinear grid: U-hat's stacks of the four terms, projected
+    on the support of 1/2, are prepared once with the grid, which checks
+    there that no coefficient set can leak, so a call only weighs them by
+    its coefficients, forms U-hat with one product and runs the
+    contraction check.
     """
     recs = _record_map(records)
     for key in SWAP_KEYS:
@@ -606,8 +626,9 @@ def swap_certificate(records) -> BoundCertificate:
             raise DimensionError(f"missing record for {key}")
     rows = [recs[key] for key in SWAP_KEYS]
     alphas = [0.5 * _optimal_phase(rec.visibility) for rec in rows]
-    u_hat, slack = _certify(np.array(alphas), _rectilinear_grid()["swap"])
-    return _folded(dict(zip(SWAP_KEYS, alphas)), rows, u_hat, slack)
+    row, chi1, w = _rectilinear_grid()["swap"]
+    u_hat = _outer(row, chi1 * np.array(alphas)[:, None]).mT @ w
+    return _folded(dict(zip(SWAP_KEYS, alphas)), rows, u_hat, _contraction(_slack(u_hat)))
 
 
 def single_preparation_certificate(

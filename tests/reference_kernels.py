@@ -37,7 +37,10 @@ have no production caller and serve only as oracles, and so do:
   ``psd_eigh`` of each, and :func:`gram_route`, D and V_G from the two
   K x K environment states built from rho_i (:func:`gram`) through an
   ``eigvalsh`` of their difference and :func:`eigh_fidelity`, which check
-  the factor route of ``duality`` at K up to 256.
+  the factor route of ``duality`` at K up to 256;
+- :func:`mp_d_and_vg`, D and V_G at 40 significant digits with mpmath from
+  the Kraus stack, the weights and the kets, which checks both routes of
+  ``duality._d_and_vg`` without sharing a floating-point step with them.
 
 The per-arm states rho_i come from :func:`mixed_state`, a loop over the
 ensemble that shares nothing with ``Preparation.factors``.
@@ -48,6 +51,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
+import mpmath
 import numpy as np
 
 from whichway.bounds import (
@@ -378,6 +382,36 @@ def gram_route(ch, prep):
     e0, e1 = (gram(ch.kraus[:, side], mixed_state(prep, side)) for side in (0, 1))
     d_value = 0.5 * float(np.abs(np.linalg.eigvalsh(e0 - e1)).sum())
     return d_value, min(eigh_fidelity(e0, e1), 1.0)
+
+
+def mp_d_and_vg(kraus, weights, pairs, dps: int = 40) -> tuple[float, float]:
+    """(D, V_G) at ``dps`` significant digits with mpmath, from the raw
+    inputs: the (K, 2, d, d) Kraus stack, the ensemble weights (divided by
+    their sum in mpmath) and the (psi0, psi1) ket pairs.
+
+    Row k of X_i holds the entries of A_k S_i (of B_k S_i) with
+    S_i = [sqrt(w_m) psi_i^m]_m; D is half the sum of the absolute
+    eigenvalues of X_0 X_0^dag - X_1 X_1^dag (``mpmath.eighe``) and V_G the
+    sum of the singular values of the d*n x d*n matrix X_0^dag X_1
+    (``mpmath.svd_c``), whatever K is.
+    """
+    k_count, d = kraus.shape[0], kraus.shape[2]
+    with mpmath.workdps(dps):
+        total = mpmath.fsum(mpmath.mpf(float(w)) for w in weights)
+        roots = [mpmath.sqrt(mpmath.mpf(float(w)) / total) for w in weights]
+        x = []
+        for side in (0, 1):
+            s = mpmath.matrix([[root * mpmath.mpc(complex(pair[side][a]))
+                                for root, pair in zip(roots, pairs)] for a in range(d)])
+            rows = []
+            for k in range(k_count):
+                prod = mpmath.matrix(kraus[k, side].tolist()) * s
+                rows.append([prod[a, m] for a in range(d) for m in range(len(pairs))])
+            x.append(mpmath.matrix(rows))
+        diff = x[0] * x[0].H - x[1] * x[1].H
+        d_value = mpmath.fsum(abs(v) for v in mpmath.eighe(diff, eigvals_only=True)) / 2
+        v_value = mpmath.fsum(mpmath.svd_c(x[0].H * x[1], compute_uv=False))
+        return float(d_value), float(v_value)
 
 
 def fractional_visibility(ch, prep, filt):

@@ -762,6 +762,21 @@ def test_swap_certificate_equals_the_checked_route_without_rechecking(monkeypatc
     assert not any(m.flags.writeable for m in bounds._rectilinear_grid()["swap"])
 
 
+def test_swap_grid_keeps_u_hat_stacks_only_where_projection_changes_no_bit():
+    # on the support of 1/2, all of C^2, projecting leaves the stacks of L
+    # bit-identical, so no swap coefficient set can leak and the grid keeps
+    # U-hat's stacks alone; a support that drops v is refused once, where
+    # the stacks are built
+    preps = rectilinear_preparations()
+    half = _root_support(*psd_eigh(np.eye(2, dtype=complex) / 2, "rho"))
+    grid = bounds._rectilinear_grid()["swap"]
+    for got, want in zip(bounds._swap_stacks(preps, half), grid, strict=True):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    h_only = _root_support(*psd_eigh(np.diag([1.0, 0.0]).astype(complex), "rho"))
+    with pytest.raises(SupportError, match="swap terms leak outside the support"):
+        bounds._swap_stacks(preps, h_only)
+
+
 @pytest.mark.parametrize("mu, nus, message", [
     ("hh", ("hh",), "upper-arm filters do not form a complete basis (1 vectors in dim 2)"),
     ("hh", ("hh", "vv", "hv"),

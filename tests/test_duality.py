@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_ket, random_preparation, random_unitary
-from reference_kernels import brute_force_visibility, eigh_fidelity, mixed_state
+from reference_kernels import brute_force_visibility, eigh_fidelity, mixed_state, mp_d_and_vg
 from whichway import (
     DimensionError,
     NonFiniteError,
@@ -23,7 +23,9 @@ from whichway import (
     replace_channel,
     transpose_channel,
     verify_inequality,
+    visibility_operator,
 )
+from whichway.duality import DIRECT_EXCESS
 
 H, V = ket(0, 2), ket(1, 2)
 
@@ -359,39 +361,123 @@ def test_trace_tolerances_agree(d, err):
     assert rep.distinguishability == pytest.approx(0.0, abs=1e-9)
 
 
-def test_environment_trace_check_still_fires(monkeypatch):
+@pytest.mark.parametrize("arms", [(0,), (1,), (0, 1)])
+def test_environment_trace_check_still_fires(monkeypatch, arms):
+    # both traces are read in one pass, and either one off by 2e-6 is refused
     import whichway.duality as duality
 
     factors = duality._factors
-    monkeypatch.setattr(duality, "_factors", lambda ch, prep: factors(ch, prep) * (1 + 1e-6))
+    scale = np.ones((2, 1, 1))
+    scale[list(arms)] = 1 + 1e-6
+    monkeypatch.setattr(duality, "_factors", lambda ch, prep: factors(ch, prep) * scale)
     for compute in (verify_inequality, environment_states):
         with pytest.raises(PositivityError, match="trace differs from one"):
             compute(transpose_channel(2), Preparation.pure(H, H))
 
 
+@pytest.mark.parametrize("compute, args, message", [
+    (verify_inequality, lambda: (identity_channel(2), (H, H)),
+     "preparation prep of type tuple is not a Preparation"),
+    (generalized_visibility, lambda: (pauli_mixture_channel(), 5),
+     "preparation prep of type int is not a Preparation"),
+    (environment_states, lambda: ("x", Preparation.pure(H, H)),
+     "channel ch of type str is not a PathChannel"),
+    (visibility_operator, lambda: (pauli_mixture_channel(), [H, H]),
+     "preparation prep of type list is not a Preparation"),
+])
+def test_entry_points_refuse_another_type_of_channel_or_preparation(compute, args, message):
+    # each raised a bare AttributeError ('tuple' object has no attribute
+    # 'spin_dim') before the types were checked with the spin dimensions
+    with pytest.raises(DimensionError) as info:
+        compute(*args())
+    assert str(info.value) == message
+
+
+def _unitary_mixture(p, q, d, rng):
+    """Kraus pairs (sqrt(p_k) U_k, sqrt(q_k) U_k) with random unitaries
+    U_k: for one pure state on both arms the environment states differ only
+    through the weights p and q."""
+    us = [random_unitary(d, rng) for _ in p]
+    return PathChannel([(np.sqrt(a) * u, np.sqrt(b) * u) for a, b, u in zip(p, q, us)])
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(2026)
+
+    def kets(d, n):
+        return [(random_ket(d, rng), random_ket(d, rng)) for _ in range(n)]
+
+    d4, d8, psi = kets(4, 3), kets(8, 2), random_ket(3, rng)
+    # name: (channel, weights, pairs, QR route, (low, high) of D or V_G or None)
+    return {
+        "direct, d*n - K = 10": (random_path_channel(4, 2, 11), (0.2, 0.3, 0.5), d4, False, None),
+        "qr, d*n - K = 11": (random_path_channel(13, 2, 11), (1.0,), kets(13, 1), True, None),
+        "qr, d*n - K = 12": (random_path_channel(8, 4, 16), (0.6, 0.4), d8, True, None),
+        "direct, d*n <= K": (random_path_channel(2, 4, 12), (1.0,), kets(2, 1), False, None),
+        "qr, d*n = 16, K = 2": (random_path_channel(8, 2, 13), (0.6, 0.4), d8, True, None),
+        "D near 1e-6": (_unitary_mixture((0.5 + 1e-6, 0.5 - 1e-6), (0.5, 0.5), 3, rng),
+                        (1.0,), [(psi, psi)], False, ("D", 0.9e-6, 1.1e-6)),
+        "V_G near 1e-6": (_unitary_mixture((1 - 2.5e-13, 2.5e-13), (2.5e-13, 1 - 2.5e-13), 3,
+                                           rng), (1.0,), [(psi, psi)], False,
+                          ("V_G", 0.9e-6, 1.1e-6)),
+        "weight 1e-12, direct": (random_path_channel(3, 2, 14), (1 - 1e-12, 1e-12), kets(3, 2),
+                                 False, None),
+        "weight 1e-12, qr": (random_path_channel(5, 2, 15), (0.5, 0.5 - 1e-12, 1e-12),
+                             kets(5, 3), True, None),
+    }
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
+def test_d_and_vg_match_a_40_digit_oracle(name):
+    # D and V_G on both sides of the route crossover and on hard families
+    # against mpmath at 40 digits, which shares no floating-point step with
+    # either route. Over 300 random cases (d <= 6, K <= 8, n <= 3) and these
+    # the largest error was 6.7e-16; the tolerance 1e-14 leaves a margin of 15.
+    ch, weights, pairs, qr, regime = ORACLE_CASES[name]
+    assert (ch.spin_dim * len(weights) - ch.n_kraus > DIRECT_EXCESS) == qr
+    report = verify_inequality(ch, Preparation.ensemble(weights, pairs))
+    d_want, v_want = mp_d_and_vg(ch.kraus, weights, pairs)
+    if regime is not None:
+        what, low, high = regime
+        assert low < {"D": d_want, "V_G": v_want}[what] < high
+    assert abs(report.distinguishability - d_want) <= 1e-14
+    assert abs(report.visibility - v_want) <= 1e-14
+
+
 def test_verify_at_the_kraus_cap_eigendecomposes_no_environment_state(monkeypatch):
-    # V_G comes from the K x d*n factors, so no eigh runs and no SVD operand
-    # is larger than min(K, d*n) on a side. At d=2, K=256 (d*n <= K) the
-    # d*n x d*n matrix X_0^dag X_1 needs no QR; at d=16, K=1 (d*n > K) one
-    # batched QR shrinks it to K x K.
+    # V_G comes from the K x d*n factors, so no eigh runs, and one SVD of
+    # the d*n x d*n matrix X_0^dag X_1 is taken while d*n <= K + 10; beyond,
+    # one batched QR shrinks it to K x K first. At d=2, K=256 and at
+    # d*n = 6 > K = 1 the matrix is taken as it is; at d*n = 16 > K + 10 = 12
+    # and at d=16, K=1 the QR runs.
+    rng = np.random.default_rng(7)
+    three = Preparation.ensemble((0.2, 0.3, 0.5), [(random_ket(2, rng), random_ket(2, rng))
+                                                   for _ in range(3)])
+    two = Preparation.ensemble((0.4, 0.6), [(random_ket(8, rng), random_ket(8, rng))
+                                            for _ in range(2)])
+    # (channel, preparation, QR calls, side of the one SVD operand)
     cases = (
-        (random_path_channel(2, 256, seed=7), Preparation.pure(H, V), 0),
-        (random_path_channel(2, 256, seed=7), Preparation.completely_mixed(2), 0),
-        (random_path_channel(16, 1, seed=7), Preparation.completely_mixed(16), 1),
+        (random_path_channel(2, 256, seed=7), Preparation.pure(H, V), 0, 2),
+        (random_path_channel(2, 256, seed=7), Preparation.completely_mixed(2), 0, 4),
+        (random_path_channel(2, 1, 7), three, 0, 6),
+        (random_path_channel(8, 2, 7), two, 1, 2),
+        (random_path_channel(16, 1, seed=7), Preparation.completely_mixed(16), 1, 1),
     )
+    assert DIRECT_EXCESS == 10
     eigh, svd, qr, calls = np.linalg.eigh, np.linalg.svd, np.linalg.qr, []
     monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append("eigh") or eigh(*a, **k))
     monkeypatch.setattr(np.linalg, "svd",
                         lambda a, *r, **k: calls.append(np.shape(a)) or svd(a, *r, **k))
     monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append("qr") or qr(*a, **k))
-    for ch, prep, n_qr in cases:
+    for ch, prep, n_qr, side in cases:
         calls.clear()
         verify_inequality(ch, prep)
-        side = min(ch.n_kraus, ch.spin_dim * len(prep.weights))
-        shapes = [c for c in calls if c != "qr"]
         assert "eigh" not in calls
         assert calls.count("qr") == n_qr
-        assert shapes and all(max(shape) <= side for shape in shapes)
+        assert [c for c in calls if c != "qr"] == [(side, side)]
 
 
 def test_environment_states_at_the_kraus_cap_are_unchecked_read_only_gram_matrices(monkeypatch):
