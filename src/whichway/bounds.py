@@ -55,7 +55,7 @@ not exceed ``CONTRACTION_TOL`` (1e-8). There are two evaluations.
   (:func:`_grid_u_hat`); :func:`certify_run` evaluates all of a run's
   sets on the grid with one batched product and one batched ``eigvalsh``,
   and a one-set call is the same evaluation with one set. An explicit set
-  is used once, so it forms U-hat from its factors (:func:`_pure_u_hat`)
+  is used once, so it forms U-hat from its factors (:func:`_u_hat`)
   and never builds a map.
 
 A list of records that repeats a (mu, nu) key raises
@@ -361,11 +361,10 @@ def _certify(alphas: np.ndarray, stacks) -> tuple[np.ndarray, float]:
     """(U-hat, contraction slack) of the n complex coefficients ``alphas``
     on the :func:`_stacks` of their mixed terms: the row factors
     u = psi1* x (alpha chi1) of L, of its projection and of U-hat meet the
-    column factors ``w`` in one batched product, and the leak check
-    compares the Frobenius norms of L and of L minus its projection."""
-    rows, chi1, w = stacks
-    mats = _outer(rows, chi1 * alphas[:, None]).mT @ w
-    left, projected, u_hat = mats
+    column factors ``w`` in one batched product (:func:`_u_hat`), and the
+    leak check compares the Frobenius norms of L and of L minus its
+    projection."""
+    left, projected, u_hat = _u_hat(alphas, stacks)
 
     leak = left - projected
     norm_l = math.sqrt(np.vdot(left, left).real)
@@ -394,7 +393,7 @@ def _swap_stacks(preps, support: tuple[np.ndarray, np.ndarray]) -> tuple:
 
 def _pure_factors(psi: np.ndarray, chis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The factors (row, chi1, w) of a pure set's n terms, which
-    :func:`_pure_u_hat` reads with the coefficients; none depends on them.
+    :func:`_u_hat` reads with the coefficients; none depends on them.
 
     ``psi`` is the (2, d) stack of the preparation's checked unit kets and
     ``chis`` the (2, n, d) stack of the filter kets. With P = psi* psi^T,
@@ -408,12 +407,14 @@ def _pure_factors(psi: np.ndarray, chis: np.ndarray) -> tuple[np.ndarray, np.nda
     return psi[1:].conj() @ r1.T, chis[1], _outer(psi[:1] @ r0, chis[0].conj())
 
 
-def _pure_u_hat(alphas: np.ndarray, factors) -> np.ndarray:
-    """U-hat of a pure set's n coefficients ``alphas`` on its
-    :func:`_pure_factors`, the projected L: the row factors
-    (psi1* P1^T) x (alpha chi1) meet the column factors ``w`` in one
-    product. Leading axes of ``alphas`` and the factors broadcast, so one
-    call forms the U-hats of a stack of sets."""
+def _u_hat(alphas: np.ndarray, factors) -> np.ndarray:
+    """U-hat of n coefficients ``alphas`` on the factors (row, chi1, w) of
+    their terms: the row factors row x (alpha chi1) meet the column factors
+    ``w`` in one product. The factors are a pure set's
+    :func:`_pure_factors`, the swap terms' prepared stacks or a mixed set's
+    :func:`_stacks`, whose three row and column stacks give L, its
+    projection and U-hat. Leading axes of ``alphas`` and the factors
+    broadcast, so one call forms the U-hats of a stack of sets."""
     row, chi1, w = factors
     return _outer(row, chi1 * alphas[..., None]).mT @ w
 
@@ -461,9 +462,9 @@ def verify_alpha_constraint(
     by :func:`density_matrix`, the two of one dimension d; each referenced
     preparation by :func:`pure_pair` (unit kets of dimension d); each
     referenced filter for dimension d; ``alphas``, ``preps`` and
-    ``filters`` must be mappings. A failed check, or a coefficient that
-    names an unknown preparation or filter, raises
-    :class:`NonFiniteError`, :class:`PositivityError` or
+    ``filters`` must be mappings, and ``alphas`` must not be empty. A
+    failed check, or a coefficient that names an unknown preparation or
+    filter, raises :class:`NonFiniteError`, :class:`PositivityError` or
     :class:`DimensionError`.
 
     Raises :class:`SupportError` if the factorization does not exist and
@@ -471,6 +472,8 @@ def verify_alpha_constraint(
     """
     for name, value in (("alphas", alphas), ("preps", preps), ("filters", filters)):
         _mapping(value, name)
+    if not alphas:
+        raise DimensionError("alphas is empty: no coefficient to certify")
     coeffs = finite_array(list(alphas.values()), "coefficients")
     if coeffs.shape != (len(alphas),):
         raise DimensionError("coefficients must be one complex number each")
@@ -562,7 +565,7 @@ def _rectilinear_grid() -> MappingProxyType:
       single-preparation certificates, one for every preparation mu and
       ordered ``COMPLEMENTARY`` pair, and ``single_index``, the position in
       it of each key (mu, nu, partner). Since U-hat is linear in the
-      coefficients, row m of a map is the :func:`_pure_u_hat` of the set's
+      coefficients, row m of a map is the :func:`_u_hat` of the set's
       factors at the m-th unit coefficients.
     """
     states = {"h": _frozen(ket(0, 2)), "v": _frozen(ket(1, 2))}
@@ -573,7 +576,7 @@ def _rectilinear_grid() -> MappingProxyType:
     orders = COMPLEMENTARY + tuple(nus[::-1] for nus in COMPLEMENTARY)
     keys = [(mu, *nus) for mu in labels for nus in orders]
     factors = zip(*(_single_factors(preps, filters, mu, nus) for mu, *nus in keys))
-    singles = _pure_u_hat(np.eye(2), [np.array(a)[:, None] for a in factors]).reshape(16, 2, 16)
+    singles = _u_hat(np.eye(2), [np.array(a)[:, None] for a in factors]).reshape(16, 2, 16)
     swap = _swap_stacks(preps, mixed)
     for a in (*swap, singles):
         _frozen(a)
@@ -626,8 +629,7 @@ def swap_certificate(records) -> BoundCertificate:
             raise DimensionError(f"missing record for {key}")
     rows = [recs[key] for key in SWAP_KEYS]
     alphas = [0.5 * _optimal_phase(rec.visibility) for rec in rows]
-    row, chi1, w = _rectilinear_grid()["swap"]
-    u_hat = _outer(row, chi1 * np.array(alphas)[:, None]).mT @ w
+    u_hat = _u_hat(np.array(alphas), _rectilinear_grid()["swap"])
     return _folded(dict(zip(SWAP_KEYS, alphas)), rows, u_hat, _contraction(_slack(u_hat)))
 
 
@@ -670,7 +672,7 @@ def single_preparation_certificate(
     if index is None:
         preps = rectilinear_preparations() if preps is None else _mapping(preps, "preps")
         filters = rectilinear_filters() if filters is None else _mapping(filters, "filters")
-        u_hat = _pure_u_hat(np.array(alphas), _single_factors(preps, filters, mu, nus))
+        u_hat = _u_hat(np.array(alphas), _single_factors(preps, filters, mu, nus))
     else:
         u_hat = _grid_u_hat(np.array(alphas), grid["singles"][index])
     return _single_folded(rows, alphas, u_hat, _contraction(_slack(u_hat)))

@@ -35,13 +35,17 @@ resampling by m / e is thinning by m, as Bin(Bin(n, e), m / e) = Bin(n, m).
 from a generator seeded ``seed``. Every generator comes from
 :func:`~whichway.linalg._generators`, which splits a run's seed into
 SeedSequence's uint32 entropy words once and appends each cell's
-(i_mu, i_nu) to them, the words ``default_rng`` would read from the tuple,
-so the states are the same. Counts for a given seed are part of the
-interface and stay fixed. The drawing functions reach ``numpy.random`` only
-when they run, so importing the package does not load it.
+(i_mu, i_nu) to them, the words ``default_rng`` would read from the tuple;
+each cell's SeedSequence mixes them into its pool, and the hash of those
+pools into PCG64's seed words runs over all the cells in one array pass, as
+``SeedSequence.generate_state`` computes it, so the states are the same.
+Counts for a given seed are part of the interface and stay fixed. The
+drawing functions reach ``numpy.random`` only when they run, so importing
+the package does not load it.
 
 The phases of a run are checked once, into a read-only grid that also holds
-what the draws and the fit read from them (:class:`_PhaseGrid`); the 13
+what the draws and the fit read from them (:class:`_PhaseGrid`), the fit's
+checks and normal equations with every phase counted among them; the 13
 default phases are that grid, built at import. A :class:`FringeDataset`
 keeps the grid of its phases, so its fit checks no phase again.
 
@@ -233,7 +237,14 @@ def verify_noise_program(rows) -> tuple[RowReport, ...]:
 
 def program_channel(reports: tuple[RowReport, ...]) -> PathChannel:
     """Equal-weight mixture channel of the verified effective arm unitaries;
-    no reports raise :class:`DimensionError`."""
+    no reports, ``reports`` that are not an iterable, or an entry that is
+    not a :class:`RowReport`, raise :class:`DimensionError`."""
+    if not np.iterable(reports):
+        raise DimensionError(f"reports {reports!r} is not an iterable of RowReport")
+    reports = tuple(reports)
+    for i, report in enumerate(reports):
+        if not isinstance(report, RowReport):
+            raise DimensionError(f"reports[{i}] {report!r} is not a RowReport")
     if not reports:
         raise DimensionError("a noise program channel needs at least one row report")
     scale = 1.0 / np.sqrt(len(reports))
@@ -260,34 +271,66 @@ def _phase_tuple(phases) -> tuple[float, ...]:
     return phases
 
 
+def _normal_equations(grid: _PhaseGrid, populated: np.ndarray) -> tuple:
+    """The checks and the normal equations of the fit of :func:`_fit_counts`
+    over the populated phases of each cell of a (cells, phases) mask on the
+    phases of ``grid``: (sparse, narrow, degenerate, m, G^-1), the first
+    four (cells,) arrays, m each cell's count of populated phases and G^-1
+    the (cells, 2, 2) inverses of the Gram matrices of b, or None if a
+    check fails. A cell is sparse with fewer than 4 distinct populated
+    phases, narrow if they span less than pi, and degenerate if
+    m / l_min > 1e12, l_min the smaller eigenvalue of G."""
+    phases, b = grid.values, grid.design
+    # a cell's distinct populated phases are the grid's runs of equal
+    # rounded phases that hold a populated phase
+    distinct = np.logical_or.reduceat(populated, grid.starts, axis=1).sum(axis=1)
+    span = (np.where(populated, phases, -np.inf).max(axis=1, initial=-np.inf)
+            - np.where(populated, phases, np.inf).min(axis=1, initial=np.inf))
+    m = populated.sum(axis=1)
+    gram = (populated[:, None, :] * b) @ b.T
+    # tr G = m, so (s_max / s_min)^2 = max(m, l_max) / min(m, l_min) of the
+    # design is m / l_min, l_min the smaller eigenvalue of G
+    l_min = 0.5 * m - np.hypot(0.5 * (gram[:, 0, 0] - gram[:, 1, 1]), gram[:, 0, 1])
+    sparse, narrow, degenerate = distinct < 4, span < np.pi, m > 1e12 * l_min
+    fails = (sparse | narrow | degenerate).any()
+    return sparse, narrow, degenerate, m, None if fails else np.linalg.inv(gram)
+
+
 @dataclass(frozen=True, eq=False)
 class _PhaseGrid:
     """Phases checked on construction by :func:`_phase_tuple`, with the
     arrays that the probability tables and the fit read from them, each
     formed once: ``phases``, the floats; and, read-only, ``values``, their
     array, ``waves``, e^{i phi}, ``design``, the (2, phases) fit design
-    b = (cos phi, -sin phi), and ``starts``, the first index of each run of
-    phases equal to 12 decimals."""
+    b = (cos phi, -sin phi), ``starts``, the first index of each run of
+    phases equal to 12 decimals, and ``full_fit``, the
+    :func:`_normal_equations` of one cell with every phase populated, which
+    the fit of counts at every phase reads."""
 
     phases: tuple[float, ...]
     values: np.ndarray = field(init=False)
     waves: np.ndarray = field(init=False)
     design: np.ndarray = field(init=False)
     starts: np.ndarray = field(init=False)
+    full_fit: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         phases = _phase_tuple(self.phases)
         values = np.array(phases)
         # rounding keeps the phases sorted, so equal rounded phases form
-        # runs, and a run starts at each phase that differs from its
-        # predecessor
+        # runs, and a run starts at the first phase (if any) and at each
+        # phase that differs from its predecessor
         rounded = np.round(values, 12)
-        starts = np.flatnonzero(np.concatenate(([True], rounded[1:] != rounded[:-1])))
+        change = np.concatenate(([True], rounded[1:] != rounded[:-1]))
+        starts = np.flatnonzero(change[:len(phases)])
         design = np.stack([np.cos(values), -np.sin(values)])
         for name, value in (("values", values), ("waves", np.exp(1j * values)),
                             ("design", design), ("starts", starts)):
             object.__setattr__(self, name, _frozen(value))
         object.__setattr__(self, "phases", phases)
+        full_fit = _normal_equations(self, np.ones((1, len(phases)), dtype=bool))
+        object.__setattr__(self, "full_fit", tuple(a if a is None else _frozen(a)
+                                                   for a in full_fit))
 
 
 _DEFAULT_PHASES = _PhaseGrid(np.linspace(0.0, 2.0 * np.pi, 13))
@@ -532,34 +575,32 @@ def _fit_counts(grid: _PhaseGrid, counts: np.ndarray, keys) -> list[FractionalVi
     of b, so p is the mean sum and one batched 2 x 2 inverse of G gives V.
     The residual variance is pooled over both detectors, 2m - 3 degrees of
     freedom, and each cell keeps every check of its own fit, the records'
-    3-sigma envelope included.
+    3-sigma envelope included. When every phase of every cell has counts,
+    the checks, m and G^-1 are the grid's ``full_fit``, prepared once;
+    otherwise :func:`_normal_equations` forms them from the populated
+    phases of each cell. The checks raise in one order: the first cell
+    with too few distinct phases or too narrow a span, then a degenerate
+    design.
     """
-    phases, b = grid.values, grid.design
+    b = grid.design
     totals = counts.sum(axis=1)
     populated = totals > 0
-    # a cell's distinct populated phases are the grid's runs of equal
-    # rounded phases that hold a populated phase
-    distinct = np.logical_or.reduceat(populated, grid.starts, axis=1).sum(axis=1)
-    span = (np.where(populated, phases, -np.inf).max(axis=1, initial=-np.inf)
-            - np.where(populated, phases, np.inf).min(axis=1, initial=np.inf))
-    sparse, narrow = distinct < 4, span < np.pi
+    full = populated.all()
+    sparse, narrow, degenerate, m, g_inv = (grid.full_fit if full
+                                            else _normal_equations(grid, populated))
     failing = np.flatnonzero(sparse | narrow)
     if failing.size:  # the first failing cell names the fault
         if sparse[failing[0]]:
             raise NumericalError("insufficient phase coverage: need >= 4 populated phases")
         raise NumericalError("insufficient phase coverage: span below half a period")
+    if degenerate.any():
+        raise NumericalError("degenerate design matrix: phases do not constrain the fit")
+    if full:  # one copy per cell: the masked route's layout, so its einsum order
+        g_inv = g_inv.repeat(len(counts), axis=0)
 
     # an unpopulated phase has zero sum, difference and weight
     y = counts[:, :2] / np.where(populated, totals, 1)[:, None]
     total, diff = y[:, 0] + y[:, 1], y[:, 0] - y[:, 1]
-    m = populated.sum(axis=1)
-    gram = (populated[:, None, :] * b) @ b.T
-    # tr G = m, so (s_max / s_min)^2 = max(m, l_max) / min(m, l_min) of the
-    # design is m / l_min, l_min the smaller eigenvalue of G
-    l_min = 0.5 * m - np.hypot(0.5 * (gram[:, 0, 0] - gram[:, 1, 1]), gram[:, 0, 1])
-    if (m > 1e12 * l_min).any():
-        raise NumericalError("degenerate design matrix: phases do not constrain the fit")
-    g_inv = np.linalg.inv(gram)
     p_hat = total.sum(axis=1) / m
     beta = (g_inv @ (diff @ b.T)[..., None])[..., 0]
     # the plus and minus residuals are (sum residual +/- difference residual) / 2

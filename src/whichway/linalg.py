@@ -95,6 +95,18 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# SeedSequence.generate_state(4, np.uint64), which PCG64 seeds itself from,
+# hashes the 4-word pool into 8 uint32 words: word i is pool[i % 4] xored with
+# the hash constant h_i = INIT_B * MULT_B^i, multiplied by h_{i+1} and
+# xor-shifted by 16 bits (mod 2^32), with INIT_B = 0x8b51f9dd and
+# MULT_B = 0x58f38ded. _STATE_HASH holds (h_0..h_7, h_1..h_8), each as
+# (2, 4), the pool's two passes.
+_STATE_HASH = _frozen(np.array([[0x8B51F9DD * pow(0x58F38DED, i + j, 2**32) % 2**32
+                                 for i in range(8)] for j in (0, 1)],
+                               dtype=np.uint32).reshape(2, 2, 4))
+_StateWords = None  # the ISeedSequence that hands PCG64 its state, made on first use
+
+
 def _generators(seed: tuple[int, ...], shape: tuple[int, ...] = ()) -> list:
     """One numpy generator per index of an array of ``shape``, in C order,
     each in the state ``np.random.default_rng(seed + index)`` gives it; one
@@ -105,15 +117,38 @@ def _generators(seed: tuple[int, ...], shape: tuple[int, ...] = ()) -> list:
     one word), one after the other. Here the seed is split into those words
     once, and each index appends its ints (each below 2^32, one word each),
     so the states are those of the tuples without converting the seed again
-    per index.
+    per index. Each cell keeps its own ``SeedSequence``, which mixes the
+    entropy into its pool; the hash of ``generate_state(4, np.uint64)`` that
+    turns the pool into PCG64's seed words (``_STATE_HASH``) runs over all
+    the cells' pools in one array pass, and each cell's row reaches
+    ``np.random.PCG64`` through an ``ISeedSequence`` that returns it, so
+    PCG64's own code sets the 128-bit state. The generators are the
+    package's own: their ``seed_seq`` serves that seeding alone.
     """
+    global _StateWords
+    if _StateWords is None:
+        class _StateWords(np.random.bit_generator.ISeedSequence):
+            """PCG64's seed words, prepared: ``generate_state`` returns them."""
+
+            def __init__(self, words):
+                self.words = words
+
+            def generate_state(self, n_words, dtype=np.uint32):
+                return self.words
+
     words = []
     for s in seed:
         words.append(s & 0xFFFFFFFF)
         while s := s >> 32:
             words.append(s & 0xFFFFFFFF)
-    return [np.random.default_rng(np.array(words + list(index), dtype=np.uint32))
-            for index in itertools.product(*map(range, shape))]
+    pools = np.array([np.random.SeedSequence(np.array(words + list(index), dtype=np.uint32)).pool
+                      for index in itertools.product(*map(range, shape))], dtype=np.uint32)
+    state = (pools.reshape(-1, 1, 4) ^ _STATE_HASH[0]) * _STATE_HASH[1]
+    state ^= state >> 16
+    # the eight words of a cell are read as four little-endian uint64
+    state = state.astype("<u4", copy=False).reshape(-1, 8).view("<u8").astype(np.uint64,
+                                                                             copy=False)
+    return [np.random.Generator(np.random.PCG64(_StateWords(row))) for row in state]
 
 
 def real_in(value, what: str, low: float, high: float = math.inf, *,

@@ -328,6 +328,12 @@ def test_verify_alpha_constraint_containers_that_are_not_mappings_are_a_dimensio
         verify_alpha_constraint(*args, np.eye(2) / 2, np.eye(2) / 2)
 
 
+def test_verify_alpha_constraint_refuses_no_coefficients():
+    # no coefficients reached numpy's reshape of the empty term stack, a ValueError
+    with pytest.raises(DimensionError, match="alphas is empty: no coefficient to certify"):
+        verify_alpha_constraint({}, {}, {}, np.eye(2) / 2, np.eye(2) / 2)
+
+
 def test_bound_from_measured_records():
     records = measured_records()
     assert swap_estimate(records) == pytest.approx(0.9605, abs=1e-12)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reference_kernels as ref
 from conftest import random_ket, random_orthonormal_filters, random_unitary, same_certificate
@@ -122,6 +124,17 @@ def test_empty_noise_program_is_refused():
     # refused before the 1/sqrt(0) scale, whose warning pyproject.toml makes an error
     with pytest.raises(DimensionError, match="needs at least one row report"):
         program_channel(())
+
+
+@pytest.mark.parametrize("reports, message", [
+    (1, "reports 1 is not an iterable of RowReport"),
+    ("x", "reports[0] 'x' is not a RowReport"),
+    ([object()], "reports[0] <object object"),
+], ids=["int", "str", "object"])
+def test_program_channel_refuses_what_is_not_row_reports(reports, message):
+    # these raised a TypeError (len of an int) and an AttributeError (no effective_pair)
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        program_channel(reports)
 
 
 def test_verify_standard_noise_program():
@@ -489,7 +502,7 @@ def test_default_routes_prepare_no_certificate_stack_per_call(monkeypatch):
         raise AssertionError("a default route prepared certificate stacks")
 
     single_factors = bounds._single_factors
-    for name in ("_stacks", "_single_factors", "_pure_factors", "_pure_u_hat"):
+    for name in ("_stacks", "_single_factors", "_pure_factors"):
         monkeypatch.setattr(bounds, name, refuse)
     assert run_experiment(pauli_mixture_channel(), efficiencies=(0.9, 1.0, 0.8, 1.0),
                           contrast=0.96, seed=5) == records
@@ -1075,25 +1088,56 @@ def test_run_experiment_builds_no_dataset(monkeypatch, label, efficiencies):
 
 @pytest.mark.parametrize("efficiencies", [(1.0,) * 4, (0.9, 1.0, 0.75, 0.8)])
 def test_one_generator_per_cell(monkeypatch, efficiencies):
-    # run_experiment builds one generator per cell and no resampling stream;
-    # simulate_fringes and binomial_resample build one each; each starts in
-    # the state default_rng gives the seed tuple
-    states, default_rng = [], np.random.default_rng
+    # run_experiment takes one generator per cell from linalg._generators and
+    # no resampling stream; simulate_fringes and binomial_resample take one
+    # each; each starts in the state default_rng gives the seed tuple, and
+    # nothing calls default_rng itself
+    default_rng = np.random.default_rng
+    want_run = [default_rng((5, 6, i_mu, i_nu)).bit_generator.state
+                for i_mu in range(4) for i_nu in range(4)]
+    want_one = [default_rng(9).bit_generator.state, default_rng(3).bit_generator.state]
+    states = []
 
-    def counting_rng(seed):
-        rng = default_rng(seed)
-        states.append(rng.bit_generator.state)
-        return rng
+    def observed(seed, shape=()):
+        rngs = _generators(seed, shape)
+        states.extend(rng.bit_generator.state for rng in rngs)
+        return rngs
 
-    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator was built outside linalg._generators")
+
+    monkeypatch.setattr(interferometer, "_generators", observed)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
     ch = pauli_mixture_channel()
     run_experiment(ch, shots_per_phase=500, efficiencies=efficiencies, seed=(5, 6))
-    assert states == [default_rng((5, 6, i_mu, i_nu)).bit_generator.state
-                      for i_mu in range(4) for i_nu in range(4)]
+    assert states == want_run
     states.clear()
     ds = simulate_fringes(ch, PREPS["hh"], FILTERS["hh"], efficiencies=efficiencies, seed=9)
     binomial_resample(ds, min(efficiencies), seed=3)
-    assert states == [default_rng(9).bit_generator.state, default_rng(3).bit_generator.state]
+    assert states == want_one
+
+
+_WORD = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(words=[1, 2, 3, 4, 5, 6, 7], packed=False, shape=(4, 4))
+@example(words=[2**32 - 1] * 7, packed=True, shape=(2, 3))
+@given(words=st.lists(_WORD, min_size=1, max_size=7), packed=st.booleans(),
+       shape=st.lists(st.integers(0, 4), max_size=2).map(tuple))
+def test_generators_match_default_rng_on_drawn_seeds(words, packed, shape):
+    # a seed of 1-7 uint32 words, as a tuple of words or as one int of them
+    # (little-endian), plus up to two index words: up to 9 words of entropy,
+    # more than SeedSequence's pool of 4, whose hash is batched over the cells
+    seed = (sum(w << 32 * i for i, w in enumerate(words)),) if packed else tuple(words)
+    rngs = _generators(seed, shape)
+    cells = list(itertools.product(*map(range, shape)))
+    assert len(rngs) == len(cells)
+    for rng, cell in zip(rngs, cells):
+        want = np.random.default_rng(seed + cell)
+        assert rng.bit_generator.state == want.bit_generator.state, cell
+        table = [0.1, 0.2, 0.3, 0.4]
+        assert (rng.multinomial(1000, table) == want.multinomial(1000, table)).all(), cell
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 1, (3, 2**33), ()],
@@ -1216,6 +1260,52 @@ def test_fit_counts_names_the_fault_of_the_first_failing_cell():
                            ((sparse, narrow), "need >= 4 populated phases")):
         with pytest.raises(NumericalError, match=message):
             _fit_counts(_PhaseGrid(phases), np.array(cells), [("", "")] * 2)
+
+
+def _refuse_normal_equations(*args, **kwargs):
+    raise AssertionError("the fit formed normal equations for counts at every phase")
+
+
+@pytest.mark.parametrize("phases", [None, np.sort(np.random.default_rng(11).uniform(0, 7, 9))],
+                         ids=["default", "irregular"])
+@pytest.mark.parametrize("efficiencies", [(1.0,) * 4, (0.9, 1.0, 0.8, 1.0)])
+def test_fully_counted_cells_read_the_prepared_fit_of_their_grid(monkeypatch, phases,
+                                                                 efficiencies):
+    # counts at every phase of every cell take the grid's prepared checks,
+    # m and G^-1; one empty phase in another cell sends the batch down the
+    # masked route, and both give the full cells bit-identical records
+    for seed in (1, 2, 9001):
+        grid, counts, keys = _simulate_cells(pauli_mixture_channel(), None, None, phases, 2000,
+                                             efficiencies, 0.96, seed)
+        keys = list(keys)
+        assert (counts.sum(axis=1) > 0).all()
+        other = counts[:1].copy()
+        other[:, :, 3] = 0
+        masked = _fit_counts(grid, np.concatenate([counts, other]), keys + [("", "")])
+        with monkeypatch.context() as patch:
+            patch.setattr(interferometer, "_normal_equations", _refuse_normal_equations)
+            prepared = _fit_counts(grid, counts, keys)
+        assert len(prepared) == 16
+        assert [repr(rec) for rec in prepared] == [repr(rec) for rec in masked[:16]]
+
+
+@pytest.mark.parametrize("phases, message", [
+    ((0.0, 1.0, 2.0), "need >= 4 populated phases"),
+    ((), "need >= 4 populated phases"),
+    (np.linspace(0.0, 3.0, 7), "span below half a period"),
+    ((0.0, 1e-7, 2e-7, np.pi), "degenerate design matrix"),
+], ids=["three", "none", "narrow", "degenerate"])
+def test_fully_counted_cells_raise_the_verdicts_of_their_grid(monkeypatch, phases, message):
+    # counts at every phase raise the coverage and conditioning verdicts
+    # that the grid prepared, with the fit's messages, in its order; no
+    # phases at all is too few phases, where reduceat raised an IndexError
+    counts = np.full((2, 4, len(phases)), 10, dtype=np.int64)
+    grid = _PhaseGrid(phases)
+    with pytest.raises(NumericalError, match=message):
+        fit_fringes(FringeDataset(grid, counts[0], 40, 0, (1.0,) * 4))
+    monkeypatch.setattr(interferometer, "_normal_equations", _refuse_normal_equations)
+    with pytest.raises(NumericalError, match=message):
+        _fit_counts(grid, counts, [("", "")] * 2)
 
 
 def _inconsistent_tables(ch, kets, filters, grid, contrast, shots_per_phase):

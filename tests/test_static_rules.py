@@ -382,12 +382,29 @@ RULES = (
         "rng = numpy.random.default_rng([seed, 1])", "n = np.random.binomial(10, 0.5)",
         "bits = np.random.PCG64(seed)",
         "def _generators(seed):\n    return np.random.default_rng(seed)",
+        # the forms _generators now builds its generators with
+        "pool = np.random.SeedSequence(words).pool",
+        "bits = np.random.PCG64(words)", "rng = np.random.Generator(bits)",
+        "def _draw(row):\n    return np.random.PCG64(_StateWords(row))",
+    ), "linalg": (
+        "def _seed_pool(words):\n    return np.random.SeedSequence(words).pool",
+        "def _bits(words):\n    return np.random.PCG64(words)",
     ), "channels": ("def random_path_channel(seed):\n    rng = np.random.default_rng(seed)",)},
          passes={"interferometer": (
              "(rng,) = _generators(seed)", "rngs = _generators(seed, (4, 4))",
              "out = rng.multinomial(shots, table)", "rng.binomial(out, thin)",
              "x = np.random", "np.linalg.inv(m)",
-         ), "linalg": ("def _generators(seed):\n    return np.random.default_rng(seed)",)}),
+         ), "linalg": (
+             "def _generators(seed):\n    return np.random.default_rng(seed)",
+             "def _generators(seed):\n    pool = np.random.SeedSequence(words).pool",
+             "def _generators(seed):\n    bits = np.random.PCG64(words)",
+             "def _generators(seed):\n"
+             "    return [np.random.Generator(np.random.PCG64(_StateWords(row))) for row in state]",
+             "def _generators(seed):\n"
+             "    class _StateWords(np.random.bit_generator.ISeedSequence):\n"
+             "        def generate_state(self, n_words, dtype=np.uint32):\n"
+             "            return self.words",
+         )}),
     # a run's bounds come from bounds.certify_run; the CLI only prints them
     Rule("cli-certification-policy", certification_policy, ("cli",), (), flags={"cli": (
         "bnd.swap_certificate(records)", "single_preparation_certificate(mu, records)",
