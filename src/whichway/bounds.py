@@ -21,8 +21,11 @@ block-Choi routes to the same numbers are test oracles.
 Every certificate is checked from projected kets, in two steps: a
 preparation step that does not depend on the coefficients, and an
 evaluation step that weighs its result by them. The slack is the largest
-eigenvalue of U-hat^dag U-hat minus one, from one ``eigvalsh``, and must
-not exceed ``CONTRACTION_TOL`` (1e-8). There are two evaluations.
+eigenvalue of U-hat^dag U-hat minus one and must not exceed
+``CONTRACTION_TOL`` (1e-8). An explicit or mixed set takes it from one
+``eigvalsh`` (:func:`_slack`); a set on the rectilinear grid below takes it
+from the diagonal of the same product (:func:`_grid_slack`), which the grid
+checks once is exactly diagonal. There are two evaluations.
 
 - Mixed sets (:func:`verify_alpha_constraint`, :func:`swap_certificate`):
   one eigendecomposition of each rho gives the arm's support projector P
@@ -53,10 +56,10 @@ not exceed ``CONTRACTION_TOL`` (1e-8). There are two evaluations.
   them to U-hat, built from its factors at unit coefficients, and its
   evaluation is one product of the coefficients with the map
   (:func:`_grid_u_hat`); :func:`certify_run` evaluates all of a run's
-  sets on the grid with one batched product and one batched ``eigvalsh``,
-  and a one-set call is the same evaluation with one set. An explicit set
-  is used once, so it forms U-hat from its factors (:func:`_u_hat`)
-  and never builds a map.
+  sets on the grid with one batched product and one batched diagonal
+  slack, and a one-set call is the same evaluation with one set. An
+  explicit set is used once, so it forms U-hat from its factors
+  (:func:`_u_hat`) and never builds a map.
 
 A list of records that repeats a (mu, nu) key raises
 :class:`DimensionError`.
@@ -72,7 +75,9 @@ state 1/2 (:func:`swap_certificate`), and the (16, 2, 16) stack of the
 maps of the 16 default single-preparation certificates, one per
 preparation and ordered complementary filter pair
 (:func:`single_preparation_certificate` with ``preps`` and ``filters``
-both None, and :func:`certify_run`). A
+both None, and :func:`certify_run`). The build also checks that every
+U-hat these maps and swap stacks can form holds at most one nonzero per
+row (:func:`_row_sparse`), the condition of :func:`_grid_slack`. A
 default call runs only the evaluation step on these and re-checks none of
 them; :func:`verify_alpha_constraint` and explicit sets run both steps on
 each call.
@@ -96,12 +101,13 @@ import numpy as np
 
 from ._files import read_csv, write_csv
 from .channels import PathChannel, Preparation, pure_pair
-from .errors import ContractionError, DimensionError, NonFiniteError, SupportError
+from .errors import ContractionError, DimensionError, NonFiniteError, NumericalError, SupportError
 from .linalg import (
     ATOL_DERIVED,
     ATOL_STRUCT,
     _density_eigh,
     _frozen,
+    _instance,
     _mapping,
     _text,
     finite_array,
@@ -237,7 +243,9 @@ def fractional_visibility(
     come from two batched matrix-vector products, in O(K d^2); then
     V = sum_k x_k y_k* and p = (sum_k |x_k|^2 + sum_k |y_k|^2) / 2, clipped
     to [0, 1]. The record runs its own checks (labels, finite fields, |V| <= p).
+    A ``ch`` that is not a :class:`PathChannel` raises :class:`DimensionError`.
     """
+    _instance(ch, PathChannel, "channel ch")
     if not _text(mu, "mu") and isinstance(prep, Preparation):
         mu = prep.label
     psi0, psi1 = pure_pair(prep, ch.spin_dim)
@@ -342,14 +350,43 @@ def _stacks(
 def _slack(u_hat: np.ndarray):
     """The contraction slack of U-hat, or of each U-hat of a stack: the
     largest eigenvalue of U-hat^dag U-hat minus one, from one ``eigvalsh``
-    (which reads one triangle of the Hermitian product)."""
+    (which reads one triangle of the Hermitian product). It serves the
+    explicit and mixed sets; a set on the rectilinear grid takes
+    :func:`_grid_slack`."""
     # the transpose puts each U-hat's ascending eigenvalues on the first axis
     return np.linalg.eigvalsh(u_hat.conj().mT @ u_hat).T[-1] - 1.0
 
 
+def _grid_slack(u_hat: np.ndarray):
+    """:func:`_slack` of a U-hat on the rectilinear grid, or of each U-hat of
+    a stack, from the diagonal of the same product U-hat^dag U-hat, with no
+    eigensolver.
+
+    The grid checks, when it is built (:func:`_row_sparse`), that every
+    U-hat it can form holds at most one nonzero per row. Every term of an
+    off-diagonal entry sum_k conj(U_ki) U_kj, i != j, then has a zero
+    factor, so the product is exactly diagonal; on a diagonal Hermitian
+    matrix the eigensolver's Householder reflectors are the identity and
+    its tridiagonal solver returns the real diagonal unchanged, so the
+    largest diagonal entry is ``eigvalsh``'s largest eigenvalue, bit for
+    bit."""
+    return (u_hat.conj().mT @ u_hat).diagonal(axis1=-2, axis2=-1).real.max(axis=-1) - 1.0
+
+
+def _row_sparse(u_hats: np.ndarray, what: str) -> None:
+    """Check that every combination of the terms whose U-hats ``u_hats``
+    stacks on axis -3 holds at most one nonzero per row, as
+    :func:`_grid_slack` requires: the union of the terms' nonzeros, which
+    contains every combination's, must; else :class:`NumericalError` naming
+    ``what``."""
+    if ((u_hats != 0).any(axis=-3).sum(axis=-1) > 1).any():
+        raise NumericalError(f"{what}: a U-hat row holds two nonzeros, so U-hat^dag U-hat "
+                             "is not diagonal")
+
+
 def _contraction(slack) -> float:
-    """A slack of :func:`_slack` as a float; one above ``CONTRACTION_TOL``
-    raises :class:`ContractionError`."""
+    """A slack of :func:`_slack` or :func:`_grid_slack` as a float; one
+    above ``CONTRACTION_TOL`` raises :class:`ContractionError`."""
     slack = float(slack)
     if slack > CONTRACTION_TOL:
         raise ContractionError(
@@ -505,8 +542,11 @@ def bound_from_visibilities(cert: BoundCertificate, records) -> BoundCertificate
 
     vg_lower = |sum alpha V| clamped to [0, 1]; its uncertainty sigma_vg is
     the linear worst-case sum of the record uncertainties. The certificate
-    derives the distinguishability bound and its sigma from these two.
+    derives the distinguishability bound and its sigma from these two. A
+    ``cert`` that is not a :class:`BoundCertificate` raises
+    :class:`DimensionError`.
     """
+    _instance(cert, BoundCertificate, "certificate cert")
     recs = _record_map(records)
     for key in cert.alphas:
         if key not in recs:
@@ -567,6 +607,11 @@ def _rectilinear_grid() -> MappingProxyType:
       it of each key (mu, nu, partner). Since U-hat is linear in the
       coefficients, row m of a map is the :func:`_u_hat` of the set's
       factors at the m-th unit coefficients.
+
+    Every U-hat the maps and the swap stacks can form is checked to hold
+    at most one nonzero per row (:func:`_row_sparse`), else
+    :class:`NumericalError`, so :func:`_grid_slack` serves every set on the
+    grid.
     """
     states = {"h": _frozen(ket(0, 2)), "v": _frozen(ket(1, 2))}
     labels = tuple(a + b for a in "hv" for b in "hv")
@@ -578,6 +623,8 @@ def _rectilinear_grid() -> MappingProxyType:
     factors = zip(*(_single_factors(preps, filters, mu, nus) for mu, *nus in keys))
     singles = _u_hat(np.eye(2), [np.array(a)[:, None] for a in factors]).reshape(16, 2, 16)
     swap = _swap_stacks(preps, mixed)
+    _row_sparse(singles.reshape(16, 2, 4, 4), "the single-preparation maps")
+    _row_sparse(_u_hat(np.eye(4), swap), "the swap terms")
     for a in (*swap, singles):
         _frozen(a)
     return MappingProxyType({
@@ -619,9 +666,11 @@ def swap_certificate(records) -> BoundCertificate:
     It is :func:`verify_alpha_constraint` with both arms completely mixed,
     run on the rectilinear grid: U-hat's stacks of the four terms, projected
     on the support of 1/2, are prepared once with the grid, which checks
-    there that no coefficient set can leak, so a call only weighs them by
-    its coefficients, forms U-hat with one product and runs the
-    contraction check.
+    there that no coefficient set can leak and that every U-hat they form
+    holds at most one nonzero per row, so a call only weighs them by its
+    coefficients, forms U-hat with one product and runs the contraction
+    check on the largest diagonal entry of U-hat^dag U-hat
+    (:func:`_grid_slack`), with no eigensolver.
     """
     recs = _record_map(records)
     for key in SWAP_KEYS:
@@ -630,7 +679,7 @@ def swap_certificate(records) -> BoundCertificate:
     rows = [recs[key] for key in SWAP_KEYS]
     alphas = [0.5 * _optimal_phase(rec.visibility) for rec in rows]
     u_hat = _u_hat(np.array(alphas), _rectilinear_grid()["swap"])
-    return _folded(dict(zip(SWAP_KEYS, alphas)), rows, u_hat, _contraction(_slack(u_hat)))
+    return _folded(dict(zip(SWAP_KEYS, alphas)), rows, u_hat, _contraction(_grid_slack(u_hat)))
 
 
 def single_preparation_certificate(
@@ -649,10 +698,12 @@ def single_preparation_certificate(
     projector and pseudo-inverse is psi* psi^T, so no eigendecomposition
     runs. U-hat is formed from the set's :func:`_pure_factors` (or, on the
     rectilinear grid, from its linear map), and the contraction check is
-    that of :func:`verify_alpha_constraint`; the leak check cannot fail for
-    a pure set and does not run. A ``mu`` that is not a str, and a
-    ``preps`` or ``filters`` that is neither None nor a mapping, raises
-    :class:`DimensionError`.
+    that of :func:`verify_alpha_constraint`, with the slack from one
+    ``eigvalsh`` (or, on the grid, where every U-hat holds at most one
+    nonzero per row, from the diagonal of U-hat^dag U-hat); the leak check
+    cannot fail for a pure set and does not run. A ``mu`` that is not a
+    str, and a ``preps`` or ``filters`` that is neither None nor a mapping,
+    raises :class:`DimensionError`.
 
     With ``preps`` and ``filters`` both None (the rectilinear sets), a
     record set that certifies, one rectilinear mu with an ordered
@@ -673,9 +724,11 @@ def single_preparation_certificate(
         preps = rectilinear_preparations() if preps is None else _mapping(preps, "preps")
         filters = rectilinear_filters() if filters is None else _mapping(filters, "filters")
         u_hat = _u_hat(np.array(alphas), _single_factors(preps, filters, mu, nus))
+        slack = _slack(u_hat)
     else:
         u_hat = _grid_u_hat(np.array(alphas), grid["singles"][index])
-    return _single_folded(rows, alphas, u_hat, _contraction(_slack(u_hat)))
+        slack = _grid_slack(u_hat)
+    return _single_folded(rows, alphas, u_hat, _contraction(slack))
 
 
 def _single_folded(rows, alphas, u_hat, slack) -> BoundCertificate:
@@ -705,11 +758,12 @@ def certify_run(records) -> RunBounds:
     neither, or repeat a (mu, nu), raise :class:`DimensionError`.
 
     The sets on the rectilinear grid are evaluated together, with one
-    :func:`_grid_u_hat` of their stacked maps and one :func:`_slack`, the
-    evaluation that a one-set call runs with one set. The sets are then
-    checked in sorted mu, then ``COMPLEMENTARY`` order, and a set off the
-    grid takes its own call, so the first set that fails raises what its
-    call raises."""
+    :func:`_grid_u_hat` of their stacked maps and one :func:`_grid_slack`
+    (the diagonal of U-hat^dag U-hat, which the grid checks is exactly
+    diagonal, so no eigensolver runs), the evaluation that a one-set call
+    runs with one set. The sets are then checked in sorted mu, then
+    ``COMPLEMENTARY`` order, and a set off the grid takes its own call, so
+    the first set that fails raises what its call raises."""
     recs = _record_map(records)
     try:
         swap, swap_unavailable = swap_certificate(recs), None
@@ -725,7 +779,7 @@ def certify_run(records) -> RunBounds:
     if alphas:
         u_hats = _grid_u_hat(np.array(list(alphas.values())),
                              grid["singles"][[index[key] for key in alphas]])
-        evaluated = dict(zip(alphas, zip(u_hats, _slack(u_hats))))
+        evaluated = dict(zip(alphas, zip(u_hats, _grid_slack(u_hats))))
     singles = {}
     for key, rows in sets.items():
         if key in alphas:
@@ -769,7 +823,9 @@ def read_records_csv(path_or_buffer) -> list[FractionalVisibilityRecord]:
 
 
 def certificate_report(cert: BoundCertificate) -> str:
-    """Human-readable summary of a certificate and its bounds."""
+    """Human-readable summary of a certificate and its bounds; a ``cert``
+    that is not a :class:`BoundCertificate` raises :class:`DimensionError`."""
+    _instance(cert, BoundCertificate, "certificate cert")
     lines = ["certificate"]
     for (mu, nu), alpha in sorted(cert.alphas.items()):
         lines.append(f"  alpha[{mu},{nu}] = {alpha.real:+.6f}{alpha.imag:+.6f}j")

@@ -65,7 +65,8 @@ import numpy as np
 
 from .channels import PathChannel, Preparation, _choi_gram
 from .errors import DimensionError, NumericalError, PositivityError
-from .linalg import ATOL_DERIVED, ATOL_STRUCT, density_matrix, matrix_sqrt, trace_norm
+from .linalg import (ATOL_DERIVED, ATOL_STRUCT, _instance, density_matrix, matrix_sqrt,
+                     trace_norm)
 
 __all__ = [
     "DualityReport",
@@ -98,11 +99,8 @@ def _check_pair(ch, prep) -> None:
     """Refuse, with :class:`DimensionError`, a ``ch`` that is not a
     :class:`PathChannel`, a ``prep`` that is not a :class:`Preparation`, or
     two spin dimensions that differ."""
-    if not isinstance(ch, PathChannel):
-        raise DimensionError(f"channel ch of type {type(ch).__name__} is not a PathChannel")
-    if not isinstance(prep, Preparation):
-        raise DimensionError(
-            f"preparation prep of type {type(prep).__name__} is not a Preparation")
+    _instance(ch, PathChannel, "channel ch")
+    _instance(prep, Preparation, "preparation prep")
     if ch.spin_dim != prep.spin_dim:
         raise DimensionError("channel and preparation spin dimensions differ")
 

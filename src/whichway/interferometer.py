@@ -92,8 +92,8 @@ from .channels import (
     pure_pair,
 )
 from .errors import ConventionError, DimensionError, NonFiniteError, NumericalError
-from .linalg import (ATOL_DERIVED, _frozen, _generators, _mapping, _numbers, _text,
-                     finite_array, int_at_least, real_in)
+from .linalg import (ATOL_DERIVED, _frozen, _generators, _instance, _mapping, _numbers,
+                     _text, finite_array, int_at_least, real_in)
 
 __all__ = [
     "CONVENTION",
@@ -512,8 +512,10 @@ def simulate_fringes(
 
     The draws come from one generator in the state
     ``np.random.default_rng(seed)`` gives it, in the order the module
-    docstring states, so the counts for a given seed are fixed.
+    docstring states, so the counts for a given seed are fixed. A ``ch``
+    that is not a :class:`PathChannel` raises :class:`DimensionError`.
     """
+    _instance(ch, PathChannel, "channel ch")
     efficiencies = _counting_settings(shots_per_phase, efficiencies)
     grid, contrast = _counting_phases(phases, contrast)
     seed = _seed_tuple(seed)
@@ -542,7 +544,9 @@ def binomial_resample(ds: FringeDataset, reference_efficiency: float, seed=0) ->
 
 
 def fit_report(rec: FractionalVisibilityRecord) -> str:
-    """Structured text summary of a fringe fit."""
+    """Structured text summary of a fringe fit; a ``rec`` that is not a
+    :class:`FractionalVisibilityRecord` raises :class:`DimensionError`."""
+    _instance(rec, FractionalVisibilityRecord, "record rec")
     return "\n".join([
         "fringe fit",
         f"  p     = {rec.p:.4f} +/- {rec.sigma_p:.4f}",
@@ -633,6 +637,7 @@ def _simulate_cells(ch, preparations, filters, phases, shots_per_phase, efficien
     ``preparations`` or ``filters`` of None is the rectilinear set; with
     both None and a spin dimension of 2 the cells are the labels and the
     ket stack of the rectilinear grid, built and checked once."""
+    _instance(ch, PathChannel, "channel ch")
     efficiencies = _counting_settings(shots_per_phase, efficiencies)
     grid, contrast = _counting_phases(phases, contrast)
     if shots_per_phase < 1:
@@ -686,8 +691,9 @@ def run_experiment(
     ``filters`` both None a channel of spin dimension 2 takes the sorted
     labels and the (4, 2, 2) ket stack of the rectilinear grid, which serves
     as both the preparation and the filter stack. A filter whose dimension
-    is not the channel's raises :class:`DimensionError`, and so does a
-    ``shots_per_phase`` above 2^62.
+    is not the channel's raises :class:`DimensionError`, and so do a
+    ``shots_per_phase`` above 2^62 and a ``ch`` that is not a
+    :class:`PathChannel`.
     """
     grid, counts, keys = _simulate_cells(ch, preparations, filters, phases, shots_per_phase,
                                          efficiencies, contrast, seed)

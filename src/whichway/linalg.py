@@ -19,6 +19,8 @@ the sizes of the builders go through it, the sizes capped at
 a float; a bool, text, None or an array is not one), one label rule (a label
 is a str, a wave-plate kind too), one mapping rule (named preparations,
 filters, coefficients and channel metadata come in a ``Mapping``), one
+instance rule (a parameter that takes a package object, such as a channel,
+a preparation, a certificate or a record, refuses any other type), one
 array rule that every reader of an outside array goes through (text, a
 bool or None, alone or among numbers, is not a number),
 :func:`finite_array` (that rule with finite entries), :func:`unit_ket`
@@ -123,8 +125,13 @@ def _generators(seed: tuple[int, ...], shape: tuple[int, ...] = ()) -> list:
     the cells' pools in one array pass, and each cell's row reaches
     ``np.random.PCG64`` through an ``ISeedSequence`` that returns it, so
     PCG64's own code sets the 128-bit state. The generators are the
-    package's own: their ``seed_seq`` serves that seeding alone.
+    package's own: their ``seed_seq`` serves that seeding alone. The one
+    generator of shape () is ``np.random.PCG64(np.random.SeedSequence(seed))``
+    itself, which splits the seed into the same words: for one pool, the
+    batched hash's fixed array calls cost more than ``generate_state``.
     """
+    if not shape:
+        return [np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))]
     global _StateWords
     if _StateWords is None:
         class _StateWords(np.random.bit_generator.ISeedSequence):
@@ -182,6 +189,14 @@ def _mapping(value, what: str) -> Mapping:
     if not isinstance(value, Mapping):
         raise DimensionError(f"{what} {value!r} is not a mapping")
     return value
+
+
+def _instance(value, cls: type, what: str) -> None:
+    """Refuse a ``value`` that is not a ``cls`` with :class:`DimensionError`
+    naming ``what`` and the type it got: the one rule for a parameter that
+    takes a package object."""
+    if not isinstance(value, cls):
+        raise DimensionError(f"{what} of type {type(value).__name__} is not a {cls.__name__}")
 
 
 def ket(index: int, dim: int) -> np.ndarray:

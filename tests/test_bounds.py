@@ -23,6 +23,7 @@ from whichway import (
     FractionalVisibilityRecord,
     InputFormatError,
     NonFiniteError,
+    NumericalError,
     PathChannel,
     PositivityError,
     Preparation,
@@ -1148,9 +1149,10 @@ def test_certify_run_refuses_a_repeated_record():
 @pytest.mark.parametrize("contrast", [0.96, 1.0])
 def test_certify_run_evaluates_its_sets_as_their_own_calls_do(contrast, efficiencies):
     # certify_run evaluates every set on the rectilinear grid in one batched
-    # product and one batched eigvalsh; each certificate equals its one-set
-    # call bit for bit, and the stacks route the package ran before the pure
-    # factors (reference_kernels) gives the same U-hat bytes and slack. A third
+    # product and one batched diagonal slack; each certificate equals its
+    # one-set call bit for bit, and the stacks route the package ran before
+    # the pure factors (reference_kernels), with its own eigvalsh, gives the
+    # same U-hat bytes and slack. A third
     # of the runs drop three records, so fewer sets, in other positions of
     # the grid, are stacked together.
     ch, preps, filters = pauli_mixture_channel(), rectilinear_preparations(), rectilinear_filters()
@@ -1210,6 +1212,100 @@ def test_certify_run_raises_what_the_first_failing_set_raises(monkeypatch, scale
         certify_run(records)
     assert type(exc.value) is type(expected) and str(exc.value) == str(expected)
     assert str(exc.value).startswith(want)
+
+
+def test_grid_certificates_run_no_eigensolver(monkeypatch):
+    # every U-hat on the rectilinear grid holds at most one nonzero per row,
+    # so the swap, the one-set grid calls and certify_run take the slack from
+    # the diagonal of U-hat^dag U-hat; an explicit pure set (d = 3) and a
+    # mixed set still reach eigvalsh
+    records = run_experiment(pauli_mixture_channel(), efficiencies=(0.93, 1.0, 0.81, 0.88),
+                             contrast=0.96, seed=4)
+    recs = {rec.key: rec for rec in records}
+    rng = np.random.default_rng(42)
+    preps3 = {"m": (random_ket(3, rng), random_ket(3, rng))}
+    filters3 = random_orthonormal_filters(3, rng)
+    ch3 = random_path_channel(3, 2, seed=5)
+    records3 = [fractional_visibility(ch3, preps3["m"], f, mu="m") for f in filters3.values()]
+    half = np.eye(2) / 2
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("eigvalsh ran")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert swap_certificate(records).contraction_slack <= CONTRACTION_TOL
+    for mu in sorted({mu for mu, _ in recs}):
+        for pair in COMPLEMENTARY:
+            cert = single_preparation_certificate(mu, [recs[(mu, nu)] for nu in pair])
+            assert cert.contraction_slack <= CONTRACTION_TOL
+    run = certify_run(records)
+    assert run.swap is not None and len(run.singles) == 8
+    assert calls == []
+    with pytest.raises(AssertionError, match="eigvalsh ran"):
+        single_preparation_certificate("m", records3, preps=preps3, filters=filters3)
+    with pytest.raises(AssertionError, match="eigvalsh ran"):
+        verify_alpha_constraint({key: 0.5 for key in SWAP_KEYS}, rectilinear_preparations(),
+                                rectilinear_filters(), half, half)
+    assert len(calls) == 2
+
+
+def _grid_targets():
+    """(name, magnitude, U-hat of a (k, n) coefficient stack) for each of the
+    16 single-preparation maps and the swap; the magnitude is that of the
+    coefficients whose U-hat is an isometry."""
+    grid = bounds._rectilinear_grid()
+    for key, i in grid["single_index"].items():
+        yield "-".join(key), 1.0, (lambda a, m=grid["singles"][i]: bounds._grid_u_hat(a, m))
+    yield "swap", 0.5, (lambda a: bounds._u_hat(a, grid["swap"]))
+
+
+def test_grid_slack_is_the_eigensolver_slack_bit_for_bit():
+    # on every map and on the swap the diagonal slack equals _slack's
+    # eigvalsh slack bit for bit: unit-modulus sets (random phases and the
+    # exact phases 1, -1, i, -i), magnitudes 1 +- k 2^-52, and sets scaled by
+    # 1.5 or 2.0, which raise the same ContractionError text on both routes
+    rng = np.random.default_rng(2052)
+    for name, size, u_hat_of in _grid_targets():
+        n = 4 if name == "swap" else 2
+        phases = np.exp(2j * np.pi * rng.random((2400, n)))
+        phases[:200] = rng.choice([1, -1, 1j, -1j], size=(200, n))
+        edge = 1.0 + rng.integers(-4, 5, size=(800, n)) * 2.0**-52
+        scale = np.concatenate([np.ones(1600), rng.choice([1.5, 2.0], size=800)])
+        mags = size * scale[:, None] * np.concatenate([np.ones((800, n)), edge,
+                                                       np.ones((800, n))])
+        u_hats = u_hat_of(mags * phases)
+        got, want = bounds._grid_slack(u_hats), bounds._slack(u_hats)
+        assert got.shape == want.shape == (2400,)
+        assert got.tobytes() == want.tobytes(), name
+        for a, b in zip(got[1600:].tolist(), want[1600:].tolist()):
+            texts = []
+            for slack in (a, b):
+                with pytest.raises(ContractionError) as exc:
+                    bounds._contraction(slack)
+                texts.append(str(exc.value))
+            assert texts[0] == texts[1], name
+
+
+@pytest.mark.parametrize("plant", ["single", "swap"])
+def test_grid_build_refuses_a_u_hat_row_with_two_nonzeros(monkeypatch, plant):
+    # the diagonal slack holds only while every U-hat the grid can form has
+    # at most one nonzero per row; a column factor planted with two nonzeros
+    # breaks that, and the grid build refuses it
+    def planted(build):
+        def stacks(*args):
+            row, chi1, w = build(*args)
+            w = w.copy()
+            w[0] += w[1]
+            return row, chi1, w
+        return stacks
+
+    name = "_single_factors" if plant == "single" else "_swap_stacks"
+    monkeypatch.setattr(bounds, name, planted(getattr(bounds, name)))
+    what = "the single-preparation maps" if plant == "single" else "the swap terms"
+    with pytest.raises(NumericalError, match=f"^{what}: a U-hat row holds two nonzeros"):
+        bounds._rectilinear_grid.__wrapped__()
 
 
 def test_explicit_pure_sets_match_the_stacks_route():

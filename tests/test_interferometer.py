@@ -613,8 +613,8 @@ def _experiment(**settings):
 
 
 # Each setting that is not a real number (text, a bool, None, an array) or
-# not a 1-D array of them, and each NaN or infinite one, with the exact
-# package error it raises.
+# not a 1-D array of them, each NaN or infinite one, and each package object
+# of the wrong type, with the exact package error it raises.
 SETTING_PROBES = {
     "contrast-text": (lambda: _experiment(contrast="0.5"), DimensionError),
     "contrast-none": (lambda: _experiment(contrast=None), DimensionError),
@@ -660,6 +660,26 @@ SETTING_PROBES = {
     "target-not-text": (lambda: verify_noise_program((NoiseRow(5, 0, 0, 0, 0),)),
                         DimensionError),
     "target-pair-not-text": (lambda: NoiseRow(5, 0, 0, 0, 0).target_pair(), DimensionError),
+    # each raised a bare AttributeError on its first attribute
+    "cert-number-in-bound": (lambda: bounds.bound_from_visibilities(5, []), DimensionError),
+    "cert-number-in-report": (lambda: bounds.certificate_report(5), DimensionError),
+    "rec-number-in-fit-report": (lambda: interferometer.fit_report(5), DimensionError),
+    "ch-number-in-run": (lambda: run_experiment(5), DimensionError),
+    "ch-number-in-simulate": (lambda: simulate_fringes(5, PREPS["hh"], FILTERS["hh"]),
+                              DimensionError),
+    "ch-number-in-theory-record": (lambda: bounds.fractional_visibility(5, PREPS["hh"],
+                                                                         FILTERS["hh"]),
+                                   DimensionError),
+}
+
+# the parameter and the type each instance probe names
+INSTANCE_MESSAGES = {
+    "cert-number-in-bound": "certificate cert of type int is not a BoundCertificate",
+    "cert-number-in-report": "certificate cert of type int is not a BoundCertificate",
+    "rec-number-in-fit-report": "record rec of type int is not a FractionalVisibilityRecord",
+    "ch-number-in-run": "channel ch of type int is not a PathChannel",
+    "ch-number-in-simulate": "channel ch of type int is not a PathChannel",
+    "ch-number-in-theory-record": "channel ch of type int is not a PathChannel",
 }
 
 
@@ -678,6 +698,13 @@ def test_counts_that_are_not_numbers_are_refused_by_the_array_rule(name):
     # raised NonFiniteError
     with pytest.raises(DimensionError, match="^counts is not an array of numbers$"):
         SETTING_PROBES[name][0]()
+
+
+@pytest.mark.parametrize("name", INSTANCE_MESSAGES)
+def test_a_package_object_of_the_wrong_type_is_named_with_its_type(name):
+    with pytest.raises(DimensionError) as exc:
+        SETTING_PROBES[name][0]()
+    assert str(exc.value) == INSTANCE_MESSAGES[name]
 
 
 def test_counting_refuses_a_bool_shot_count():
@@ -1095,7 +1122,9 @@ def test_one_generator_per_cell(monkeypatch, efficiencies):
     default_rng = np.random.default_rng
     want_run = [default_rng((5, 6, i_mu, i_nu)).bit_generator.state
                 for i_mu in range(4) for i_nu in range(4)]
-    want_one = [default_rng(9).bit_generator.state, default_rng(3).bit_generator.state]
+    # one-cell seeds of one word and of several (an int above 2^32, a tuple)
+    one_cell = [(9, 3), (2**70 + 3, (123, 456)), ((123, 456), (2**40 + 7, 2**33))]
+    want_one = [default_rng(seed).bit_generator.state for pair in one_cell for seed in pair]
     states = []
 
     def observed(seed, shape=()):
@@ -1112,8 +1141,10 @@ def test_one_generator_per_cell(monkeypatch, efficiencies):
     run_experiment(ch, shots_per_phase=500, efficiencies=efficiencies, seed=(5, 6))
     assert states == want_run
     states.clear()
-    ds = simulate_fringes(ch, PREPS["hh"], FILTERS["hh"], efficiencies=efficiencies, seed=9)
-    binomial_resample(ds, min(efficiencies), seed=3)
+    for simulate_seed, resample_seed in one_cell:
+        ds = simulate_fringes(ch, PREPS["hh"], FILTERS["hh"], efficiencies=efficiencies,
+                              seed=simulate_seed)
+        binomial_resample(ds, min(efficiencies), seed=resample_seed)
     assert states == want_one
 
 

@@ -210,6 +210,13 @@ def generator_call(node, ns):
     return None
 
 
+def eigvalsh_call(node, ns):
+    """A call of ``eigvalsh``, bare or as an attribute."""
+    if isinstance(node, ast.Call) and _name(node.func) == "eigvalsh":
+        return f"{ast.unparse(node.func)}()"
+    return None
+
+
 class Exempt(NamedTuple):
     module: str
     qualname: str  # covers the defs and classes nested in it too
@@ -405,6 +412,22 @@ RULES = (
              "        def generate_state(self, n_words, dtype=np.uint32):\n"
              "            return self.words",
          )}),
+    # a set on the rectilinear grid takes its slack from the diagonal of
+    # U-hat^dag U-hat, which the grid checks once is exactly diagonal; only
+    # the explicit and mixed sets run the eigensolver, in bounds._slack
+    Rule("one-slack-eigensolver", eigvalsh_call, ("bounds",), (
+        Exempt("bounds", "_slack", "the slack of an explicit or mixed set"),
+    ), flags={"bounds": (
+        "def swap_certificate(records):\n    slack = np.linalg.eigvalsh(h)[-1] - 1.0",
+        "def certify_run(records):\n    slacks = np.linalg.eigvalsh(h).T[-1] - 1.0",
+        "def _grid_slack(u_hat):\n    return eigvalsh(u_hat.conj().mT @ u_hat).T[-1] - 1.0",
+        "from numpy.linalg import eigvalsh\nw = eigvalsh(h)",
+    )}, passes={"bounds": (
+        "def _slack(u_hat):\n    return np.linalg.eigvalsh(u_hat.conj().mT @ u_hat).T[-1] - 1.0",
+        "def _grid_slack(u_hat):\n"
+        "    return (u_hat.conj().mT @ u_hat).diagonal(axis1=-2, axis2=-1).real.max(axis=-1)",
+        "w, v = psd_eigh(m, 'rho')",
+    )}),
     # a run's bounds come from bounds.certify_run; the CLI only prints them
     Rule("cli-certification-policy", certification_policy, ("cli",), (), flags={"cli": (
         "bnd.swap_certificate(records)", "single_preparation_certificate(mu, records)",
