@@ -106,6 +106,7 @@ from .linalg import (
     ATOL_DERIVED,
     ATOL_STRUCT,
     _density_eigh,
+    _eigvalsh,
     _frozen,
     _instance,
     _mapping,
@@ -243,9 +244,11 @@ def fractional_visibility(
     come from two batched matrix-vector products, in O(K d^2); then
     V = sum_k x_k y_k* and p = (sum_k |x_k|^2 + sum_k |y_k|^2) / 2, clipped
     to [0, 1]. The record runs its own checks (labels, finite fields, |V| <= p).
-    A ``ch`` that is not a :class:`PathChannel` raises :class:`DimensionError`.
+    A ``ch`` that is not a :class:`PathChannel`, or a ``filt`` that is not a
+    :class:`FilterPair`, raises :class:`DimensionError`.
     """
     _instance(ch, PathChannel, "channel ch")
+    _instance(filt, FilterPair, "filter filt")
     if not _text(mu, "mu") and isinstance(prep, Preparation):
         mu = prep.label
     psi0, psi1 = pure_pair(prep, ch.spin_dim)
@@ -349,12 +352,12 @@ def _stacks(
 
 def _slack(u_hat: np.ndarray):
     """The contraction slack of U-hat, or of each U-hat of a stack: the
-    largest eigenvalue of U-hat^dag U-hat minus one, from one ``eigvalsh``
-    (which reads one triangle of the Hermitian product). It serves the
-    explicit and mixed sets; a set on the rectilinear grid takes
-    :func:`_grid_slack`."""
+    largest eigenvalue of U-hat^dag U-hat minus one, from one Hermitian
+    eigensolve (:func:`~whichway.linalg._eigvalsh`, which reads one triangle
+    of the product), NaN where it does not converge. It serves the explicit
+    and mixed sets; a set on the rectilinear grid takes :func:`_grid_slack`."""
     # the transpose puts each U-hat's ascending eigenvalues on the first axis
-    return np.linalg.eigvalsh(u_hat.conj().mT @ u_hat).T[-1] - 1.0
+    return _eigvalsh(u_hat.conj().mT @ u_hat).T[-1] - 1.0
 
 
 def _grid_slack(u_hat: np.ndarray):
@@ -386,11 +389,14 @@ def _row_sparse(u_hats: np.ndarray, what: str) -> None:
 
 def _contraction(slack) -> float:
     """A slack of :func:`_slack` or :func:`_grid_slack` as a float; one
-    above ``CONTRACTION_TOL`` raises :class:`ContractionError`."""
+    above ``CONTRACTION_TOL`` raises :class:`ContractionError`, and NaN, an
+    eigensolver that did not converge, :class:`NumericalError`."""
     slack = float(slack)
     if slack > CONTRACTION_TOL:
         raise ContractionError(
             f"contraction violated: slack {slack:.3e} > tol {CONTRACTION_TOL:.1e}")
+    if math.isnan(slack):
+        raise NumericalError("contraction slack is NaN: the eigensolver did not converge")
     return slack
 
 

@@ -42,8 +42,10 @@ from .linalg import (
     ATOL_STRUCT,
     MAX_DIM,
     _density_eigh,
+    _eigvalsh,
     _frozen,
     _generators,
+    _instance,
     _mapping,
     _text,
     finite_array,
@@ -198,7 +200,8 @@ class PathChannel:
     ``spin_dim`` and ``n_kraus`` read its shape.
     Entries must be finite, and trace preservation (sum A^dag A = sum B^dag B
     = 1) is enforced in operator norm within 1e-10, so every state the
-    channel outputs has unit trace within 1e-10. ``metadata`` is stored as a
+    channel outputs has unit trace within 1e-10; entries large enough to
+    overflow the sum fail it. ``metadata`` is stored as a
     read-only view (``MappingProxyType``) of a copy of the mapping given;
     anything else, and a ``label`` that is not a str, raises
     :class:`DimensionError`. A copied or unpickled channel is built again
@@ -227,9 +230,9 @@ class PathChannel:
         object.__setattr__(self, "metadata",
                            MappingProxyType(dict(_mapping(self.metadata, "metadata"))))
         grams = kraus.conj().swapaxes(-1, -2) @ kraus  # grams[k, s] = K^(s)_k^dag K^(s)_k
-        err = np.abs(np.linalg.eigvalsh(grams.sum(axis=0) - np.eye(self.spin_dim))).max(axis=1)
+        err = np.abs(_eigvalsh(grams.sum(axis=0) - np.eye(self.spin_dim))).max(axis=1)
         for name, side in (("A", 0), ("B", 1)):
-            if err[side] > ATOL_STRUCT:
+            if not err[side] <= ATOL_STRUCT:  # NaN too: the sum overflowed
                 raise PositivityError(
                     f"{name}-side Kraus blocks are not trace preserving within 1e-10"
                 )
@@ -256,6 +259,7 @@ def _path_indices(i, j) -> tuple[int, int]:
 
 def block_map(ch: PathChannel, i: int, j: int, sigma: np.ndarray) -> np.ndarray:
     """Apply the block map L_ij to a spin operator, a finite d x d array."""
+    _instance(ch, PathChannel, "channel ch")
     i, j = _path_indices(i, j)
     sigma = finite_array(sigma, "sigma")
     if sigma.shape != (ch.spin_dim, ch.spin_dim):
@@ -279,6 +283,7 @@ def block_choi(ch: PathChannel, i: int, j: int) -> np.ndarray:
     """(I x L_ij) acting on the maximally entangled projector of two spin
     replicas, a d^2 x d^2 matrix that fully encodes the block map: the
     :func:`_choi_gram` of K^(i) and K^(j), K^(0) = A, K^(1) = B."""
+    _instance(ch, PathChannel, "channel ch")
     i, j = _path_indices(i, j)
     return _choi_gram(ch.kraus[:, i], ch.kraus[:, j])
 
@@ -292,6 +297,7 @@ def dilate(ch: PathChannel) -> np.ndarray:
     v_i^dag v_i = sum_k K^(i)_k^dag K^(i)_k = 1, by the trace-preservation
     check of :class:`PathChannel`.
     """
+    _instance(ch, PathChannel, "channel ch")
     d, k = ch.spin_dim, ch.n_kraus
     v = ch.kraus.transpose(1, 2, 0, 3).reshape(2, d * k, d)
     v.flags.writeable = False

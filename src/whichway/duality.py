@@ -33,8 +33,11 @@ d*n x d*n matrix X_0^dag X_1 itself; or a thin QR, X_i^dag = P_i T_i with
 P_i an isometry, which brings the norm down to that of the K x K matrix
 T_0 T_1^dag. The QR costs more than the rows it removes until d*n exceeds
 K by more than ``DIRECT_EXCESS`` (10), so the direct SVD is taken when
-d*n <= K + 10 (the table in :func:`_d_and_vg`). The route depends only on
-the shape of the factors, and neither state is eigendecomposed.
+d*n <= K + 10 (measured by ``timeit`` of both routes). The route depends
+only on the shape of the factors, and neither state is eigendecomposed:
+an evaluation takes one Hermitian eigensolve (D) and one SVD (V_G), both
+from the LAPACK binding of :mod:`whichway.linalg`, which a non-converging
+solver leaves non-finite, so such a D or V_G raises :class:`NumericalError`.
 
 The operator inside the first norm is x y^dag / d, where column k of x (of
 y) is the vectorized (A_k sqrt(rho0))^T (the (B_k sqrt(rho1))^T). Its Gram
@@ -59,14 +62,15 @@ eigendecompositions of e0 and e1 are test oracles in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import PathChannel, Preparation, _choi_gram
 from .errors import DimensionError, NumericalError, PositivityError
-from .linalg import (ATOL_DERIVED, ATOL_STRUCT, _instance, density_matrix, matrix_sqrt,
-                     trace_norm)
+from .linalg import (ATOL_DERIVED, ATOL_STRUCT, _eigvalsh, _instance, _singular_values,
+                     density_matrix, matrix_sqrt)
 
 __all__ = [
     "DualityReport",
@@ -80,7 +84,7 @@ __all__ = [
 INEQUALITY_SLACK_FLOOR = -1e-8
 # the largest d*n - K at which one SVD of the d*n x d*n matrix X_0^dag X_1
 # is cheaper than a QR of each factor and an SVD of a K x K matrix
-# (measured in :func:`_d_and_vg`)
+# (measured by timeit of both routes at K from 1 to 16)
 DIRECT_EXCESS = 10
 
 
@@ -135,9 +139,14 @@ def environment_states(ch: PathChannel, prep: Preparation) -> tuple[np.ndarray, 
 
 
 def _trace_distance(m0: np.ndarray, m1: np.ndarray) -> float:
-    """||m0 - m1||_1 / 2 of Hermitian m0, m1 from the eigenvalues of the
-    difference."""
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(m0 - m1)).sum())
+    """||m0 - m1||_1 / 2 of finite complex Hermitian m0, m1 from the
+    eigenvalues of the difference (:func:`~whichway.linalg._eigvalsh`); a
+    non-finite value, an eigensolver that did not converge, raises
+    :class:`NumericalError`."""
+    d_value = 0.5 * float(np.abs(_eigvalsh(m0 - m1)).sum())
+    if not math.isfinite(d_value):
+        raise NumericalError(f"distinguishability {d_value!r} is not finite")
+    return d_value
 
 
 def distinguishability(e0, e1) -> float:
@@ -153,37 +162,29 @@ def distinguishability(e0, e1) -> float:
 def _d_and_vg(ch: PathChannel, prep: Preparation) -> tuple[float, float]:
     """(D, V_G) from the K x d*n environment factors X_i of :func:`_factors`.
 
-    D is half the trace norm of X_0 X_0^dag - X_1 X_1^dag (one K x K
-    ``eigvalsh``). V_G = F(e0, e1) = ||X_0^dag X_1||_1 by Uhlmann's theorem,
-    by one of two routes chosen from the shape (K, d*n) of the factors:
-    when d*n <= K + ``DIRECT_EXCESS`` (10), one SVD of the d*n x d*n matrix
-    X_0^dag X_1 itself; beyond, one batched QR gives X_i^dag = P_i T_i with
-    P_i an isometry, and V_G is the trace norm of the K x K matrix
-    T_0 T_1^dag. Time of the direct route over that of the QR route
-    (``timeit``, 2-vCPU VM, one BLAS thread; the QR route takes 20 us at
-    K = 1 and 59 us at K = 16):
-
-        d*n - K      9     10     11     12
-        K = 1      0.91   0.96   1.02   1.12
-        K = 2      0.88   0.94   1.02   1.10
-        K = 4      0.85   0.90   0.98   1.06
-        K = 8      0.88   0.91   1.00   1.05
-        K = 16     0.89   0.95   0.99   1.08
-
-    The two cost the same near d*n - K = 11 at every K measured, so the
-    rule is a fixed excess; at d*n <= K the direct SVD is the smaller one.
+    D is half the trace norm of X_0 X_0^dag - X_1 X_1^dag, from one K x K
+    Hermitian eigensolve (:func:`_trace_distance`). V_G = F(e0, e1) =
+    ||X_0^dag X_1||_1 by Uhlmann's theorem, the sum of singular values of
+    one matrix chosen from the shape (K, d*n) of the factors alone: while
+    d*n <= K + ``DIRECT_EXCESS`` (10), the d*n x d*n matrix X_0^dag X_1
+    itself; beyond, the K x K matrix T_0 T_1^dag, where one batched QR gives
+    X_i^dag = P_i T_i with P_i an isometry. Both spectra come from the
+    binding of :mod:`whichway.linalg`.
 
     Checks: each arm's trace must be one within 1e-10, else
-    :class:`PositivityError`; V_G above 1 + 1e-9, or D below the
-    Fuchs-van de Graaf floor 1 - V_G - 1e-9, raises :class:`NumericalError`.
+    :class:`PositivityError`; a non-finite D or V_G (an eigensolver or SVD
+    that did not converge), V_G above 1 + 1e-9, or D below the
+    Fuchs-van de Graaf floor 1 - V_G - 1e-9 raises :class:`NumericalError`.
     """
     x, e = _environment(ch, prep)
     d_value = _trace_distance(e[0], e[1])
     if x.shape[2] - x.shape[1] <= DIRECT_EXCESS:
-        v_value = trace_norm(x[0].conj().T @ x[1])
+        v_value = float(_singular_values(x[0].conj().T @ x[1]).sum())
     else:
         t = np.linalg.qr(x.conj().swapaxes(1, 2), mode="r")
-        v_value = trace_norm(t[0] @ t[1].conj().T)
+        v_value = float(_singular_values(t[0] @ t[1].conj().T).sum())
+    if not math.isfinite(v_value):
+        raise NumericalError(f"generalized visibility {v_value!r} is not finite")
     if v_value > 1.0 + ATOL_DERIVED:
         raise NumericalError(f"generalized visibility {v_value!r} exceeds 1")
     v_value = min(v_value, 1.0)

@@ -513,9 +513,11 @@ def simulate_fringes(
     The draws come from one generator in the state
     ``np.random.default_rng(seed)`` gives it, in the order the module
     docstring states, so the counts for a given seed are fixed. A ``ch``
-    that is not a :class:`PathChannel` raises :class:`DimensionError`.
+    that is not a :class:`PathChannel`, or a ``filt`` that is not a
+    :class:`FilterPair`, raises :class:`DimensionError`.
     """
     _instance(ch, PathChannel, "channel ch")
+    _instance(filt, FilterPair, "filter filt")
     efficiencies = _counting_settings(shots_per_phase, efficiencies)
     grid, contrast = _counting_phases(phases, contrast)
     seed = _seed_tuple(seed)
@@ -529,7 +531,9 @@ def binomial_resample(ds: FringeDataset, reference_efficiency: float, seed=0) ->
     """Thin every detector's counts so all share the reference efficiency, a
     real number in (0, min(efficiencies)], with one ``binomial`` call over
     (detector, phase) from one generator in the state
-    ``np.random.default_rng(seed)`` gives it."""
+    ``np.random.default_rng(seed)`` gives it. A ``ds`` that is not a
+    :class:`FringeDataset` raises :class:`DimensionError`."""
+    _instance(ds, FringeDataset, "dataset ds")
     reference_efficiency = real_in(reference_efficiency, "reference_efficiency", 0.0,
                                    min(ds.efficiencies), open_low=True)
     ratios = reference_efficiency / np.array(ds.efficiencies)
@@ -564,7 +568,10 @@ def fit_fringes(ds: FringeDataset) -> FractionalVisibilityRecord:
     detectors (the reference detectors complete the total); phases with no
     counts take no part. The model is linear in (p, Re V, Im V);
     uncertainties come from the fit covariance, and p is clipped to [0, 1].
+    A ``ds`` that is not a :class:`FringeDataset` raises
+    :class:`DimensionError`.
     """
+    _instance(ds, FringeDataset, "dataset ds")
     return _fit_counts(ds.grid, ds.counts[None], [("", "")])[0]
 
 
@@ -707,6 +714,10 @@ _DS_FIELDS = ["phase", "n_plus", "n_minus", "n_ref0", "n_ref1"]
 
 
 def write_dataset_csv(ds: FringeDataset, path_or_buffer) -> None:
+    """Write the dataset's phases and (4, phases) counts as CSV to a path or
+    a text buffer; a ``ds`` that is not a :class:`FringeDataset` raises
+    :class:`DimensionError`."""
+    _instance(ds, FringeDataset, "dataset ds")
     write_csv(path_or_buffer, _DS_FIELDS,
               ([repr(phi), *n] for phi, n in zip(ds.phases, ds.counts.T.tolist())))
 

@@ -35,6 +35,21 @@ one constructor of numpy generators, :func:`_generators`.
 The root fidelity of two states is not formed here: :mod:`whichway.duality`
 takes it from their factors by Uhlmann's theorem, and the route through two
 eigendecompositions is a test oracle.
+
+Every spectrum the package takes of an array it formed itself comes from
+one binding, :func:`_eigvalsh` (Hermitian eigenvalues) and
+:func:`_singular_values`: the LAPACK gufuncs of
+``numpy.linalg._umath_linalg`` that ``np.linalg.eigvalsh`` and
+``np.linalg.svd(..., compute_uv=False)`` call, so the bytes are theirs,
+without the wrappers' fixed per-call work (array conversion, squareness
+and type checks, a fresh ``errstate``, a cast), which on matrices of side
+2 to 16 costs as much as LAPACK itself. The binding takes finite complex
+arrays alone. Where LAPACK does not converge it returns NaN (numpy may
+add an invalid-value ``RuntimeWarning``) in place of the wrappers'
+``LinAlgError``, so each caller refuses a non-finite result with
+:class:`NumericalError`. The public :func:`trace_norm` keeps
+``np.linalg.svd``: it reads outside arrays, and its one-pass check of
+their entries relies on the wrapper's error.
 """
 
 from __future__ import annotations
@@ -44,6 +59,7 @@ import math
 from collections.abc import Mapping
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DimensionError, NonFiniteError, NumericalError, PositivityError
 
@@ -306,6 +322,20 @@ def density_matrix(m, what: str) -> np.ndarray:
     """``m`` as a complex matrix that :func:`psd_eigh` accepts; one whose
     trace differs from one beyond 1e-10 raises :class:`PositivityError`."""
     return _density_eigh(m, what)[0]
+
+
+def _eigvalsh(h: np.ndarray) -> np.ndarray:
+    """The ascending eigenvalues of a finite complex Hermitian matrix, or of
+    each matrix of a stack, from its lower triangle: ``np.linalg.eigvalsh(h)``
+    without the wrapper. NaN where LAPACK does not converge."""
+    return _umath_linalg.eigvalsh_lo(h, signature="D->d")
+
+
+def _singular_values(m: np.ndarray) -> np.ndarray:
+    """The descending singular values of a finite complex matrix, or of each
+    matrix of a stack: ``np.linalg.svd(m, compute_uv=False)`` without the
+    wrapper. NaN where LAPACK does not converge."""
+    return _umath_linalg.svd(m, signature="D->d")
 
 
 def trace_norm(m) -> float:

@@ -198,6 +198,27 @@ def test_single_preparation_alpha_family_is_contraction():
     assert cert.contraction_slack <= 1e-9
 
 
+def test_a_slack_whose_eigensolver_did_not_converge_is_a_numerical_error(monkeypatch):
+    # the LAPACK binding returns NaN where the solver does not converge, and
+    # NaN > CONTRACTION_TOL is false, so the explicit and mixed sets must
+    # refuse a NaN slack on their own; an infinite one is not a contraction
+    rng = np.random.default_rng(11)
+    pair = (random_ket(3, rng), random_ket(3, rng))
+    filters = random_orthonormal_filters(3, rng)
+    records = [fractional_visibility(random_path_channel(3, 2, seed=4), pair, f, mu="m")
+               for f in filters.values()]
+    half = np.eye(2) / 2
+    monkeypatch.setattr(bounds, "_eigvalsh", lambda a: np.full(a.shape[:-1], np.nan))
+    message = "^contraction slack is NaN: the eigensolver did not converge$"
+    with pytest.raises(NumericalError, match=message):
+        single_preparation_certificate("m", records, preps={"m": pair}, filters=filters)
+    with pytest.raises(NumericalError, match=message):
+        verify_alpha_constraint({key: 0.5 for key in bounds.SWAP_KEYS},
+                                rectilinear_preparations(), rectilinear_filters(), half, half)
+    with pytest.raises(ContractionError, match="slack inf"):
+        bounds._contraction(np.inf)
+
+
 def test_zero_alphas_give_slack_minus_one():
     alphas = {("hh", "hh"): 0.0}
     cert = verify_alpha_constraint(
@@ -1218,7 +1239,8 @@ def test_grid_certificates_run_no_eigensolver(monkeypatch):
     # every U-hat on the rectilinear grid holds at most one nonzero per row,
     # so the swap, the one-set grid calls and certify_run take the slack from
     # the diagonal of U-hat^dag U-hat; an explicit pure set (d = 3) and a
-    # mixed set still reach eigvalsh
+    # mixed set still reach the eigensolver, the linalg binding that _slack
+    # calls, and no route reaches the public np.linalg.eigvalsh
     records = run_experiment(pauli_mixture_channel(), efficiencies=(0.93, 1.0, 0.81, 0.88),
                              contrast=0.96, seed=4)
     recs = {rec.key: rec for rec in records}
@@ -1235,6 +1257,7 @@ def test_grid_certificates_run_no_eigensolver(monkeypatch):
         raise AssertionError("eigvalsh ran")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(bounds, "_eigvalsh", refuse)
     assert swap_certificate(records).contraction_slack <= CONTRACTION_TOL
     for mu in sorted({mu for mu, _ in recs}):
         for pair in COMPLEMENTARY:

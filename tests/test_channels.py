@@ -706,3 +706,12 @@ def test_validated_arrays_are_stored_as_read_only_copies(build, inputs):
         assert not arr.flags.writeable
         assert not any(np.shares_memory(arr, x) for x in inputs)
     assert all(x.flags.writeable for x in inputs)
+
+
+def test_kraus_blocks_whose_gram_sum_overflows_are_not_trace_preserving():
+    # finite entries of 1e160 overflow sum A^dag A; the eigenvalues of the
+    # non-finite error are NaN, which a `> 1e-10` test let through
+    kraus = np.array([[np.eye(2) * 1e160, np.eye(2) * 1e160]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(PositivityError, match="^A-side Kraus blocks are not trace preserving"):
+            PathChannel(kraus)

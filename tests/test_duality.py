@@ -448,11 +448,15 @@ def test_d_and_vg_match_a_40_digit_oracle(name):
 
 
 def test_verify_at_the_kraus_cap_eigendecomposes_no_environment_state(monkeypatch):
-    # V_G comes from the K x d*n factors, so no eigh runs, and one SVD of
-    # the d*n x d*n matrix X_0^dag X_1 is taken while d*n <= K + 10; beyond,
-    # one batched QR shrinks it to K x K first. At d=2, K=256 and at
-    # d*n = 6 > K = 1 the matrix is taken as it is; at d*n = 16 > K + 10 = 12
-    # and at d=16, K=1 the QR runs.
+    # V_G comes from the K x d*n factors, so no eigh runs, and the singular
+    # values of the d*n x d*n matrix X_0^dag X_1 are taken while
+    # d*n <= K + 10; beyond, one batched QR shrinks it to K x K first. At
+    # d=2, K=256 and at d*n = 6 > K = 1 the matrix is taken as it is; at
+    # d*n = 16 > K + 10 = 12 and at d=16, K=1 the QR runs. D takes one K x K
+    # eigensolve of e0 - e1. Both spectra come from the linalg binding, so
+    # the public wrappers see no call.
+    import whichway.duality as duality
+
     rng = np.random.default_rng(7)
     three = Preparation.ensemble((0.2, 0.3, 0.5), [(random_ket(2, rng), random_ket(2, rng))
                                                    for _ in range(3)])
@@ -467,17 +471,21 @@ def test_verify_at_the_kraus_cap_eigendecomposes_no_environment_state(monkeypatc
         (random_path_channel(16, 1, seed=7), Preparation.completely_mixed(16), 1, 1),
     )
     assert DIRECT_EXCESS == 10
-    eigh, svd, qr, calls = np.linalg.eigh, np.linalg.svd, np.linalg.qr, []
-    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append("eigh") or eigh(*a, **k))
-    monkeypatch.setattr(np.linalg, "svd",
-                        lambda a, *r, **k: calls.append(np.shape(a)) or svd(a, *r, **k))
-    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append("qr") or qr(*a, **k))
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd", "qr"):
+        f = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, name=name, f=f, **k: calls.append(name) or f(*a, **k))
+    for name, what in (("_eigvalsh", "eigvalsh"), ("_singular_values", "svd")):
+        f = getattr(duality, name)
+        monkeypatch.setattr(duality, name, lambda a, what=what, f=f: calls.append((what, a.shape))
+                            or f(a))
     for ch, prep, n_qr, side in cases:
         calls.clear()
         verify_inequality(ch, prep)
-        assert "eigh" not in calls
+        k = ch.n_kraus
         assert calls.count("qr") == n_qr
-        assert [c for c in calls if c != "qr"] == [(side, side)]
+        assert [c for c in calls if c != "qr"] == [("eigvalsh", (k, k)), ("svd", (side, side))]
 
 
 def test_environment_states_at_the_kraus_cap_are_unchecked_read_only_gram_matrices(monkeypatch):
@@ -485,14 +493,19 @@ def test_environment_states_at_the_kraus_cap_are_unchecked_read_only_gram_matric
     # checked where it is built, so no K x K eigendecomposition runs, and the
     # states are that product itself, not a re-validated copy
     import whichway.duality as duality
+    import whichway.linalg as linalg
 
     ch, prep = random_path_channel(2, 256, seed=7), Preparation.pure(H, V)
     x = duality._factors(ch, prep)
     gram = x @ x.conj().swapaxes(1, 2)
-    eigh, eigvalsh, calls = np.linalg.eigh, np.linalg.eigvalsh, []
-    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append("eigh") or eigh(*a, **k))
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        lambda *a, **k: calls.append("eigvalsh") or eigvalsh(*a, **k))
+    calls = []
+    for module, names in ((np.linalg, ("eigh", "eigvalsh", "svd")),
+                          (duality, ("_eigvalsh", "_singular_values")),
+                          (linalg, ("_eigvalsh", "_singular_values"))):
+        for name in names:
+            f = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, name=name, f=f, **k: calls.append(name) or f(*a, **k))
     states = environment_states(ch, prep)
     assert calls == []
     assert len(states) == 2
@@ -500,6 +513,26 @@ def test_environment_states_at_the_kraus_cap_are_unchecked_read_only_gram_matric
         assert type(state) is np.ndarray and state.shape == (256, 256)
         assert not state.flags.writeable
         np.testing.assert_array_equal(state, expected)
+
+
+@pytest.mark.parametrize("spectrum, what", [("_eigvalsh", "distinguishability"),
+                                            ("_singular_values", "generalized visibility")])
+def test_a_spectrum_that_did_not_converge_is_a_numerical_error(monkeypatch, spectrum, what):
+    # the LAPACK binding returns NaN where the solver does not converge; NaN
+    # trips neither the V_G <= 1 check nor the Fuchs-van de Graaf floor, so
+    # a non-finite D or V_G must be refused on its own, at every entry point
+    import whichway.duality as duality
+
+    monkeypatch.setattr(duality, spectrum, lambda a: np.full(a.shape[-1], np.nan))
+    ch = random_path_channel(2, 3, seed=1)
+    for prep in (Preparation.pure(H, V), Preparation.completely_mixed(2)):
+        for compute in (verify_inequality, generalized_visibility):
+            with pytest.raises(NumericalError, match=f"^{what} nan is not finite$"):
+                compute(ch, prep)
+    if spectrum == "_eigvalsh":
+        e0, e1 = environment_states(ch, Preparation.pure(H, V))
+        with pytest.raises(NumericalError, match="^distinguishability nan is not finite$"):
+            distinguishability(e0, e1)
 
 
 def test_fuchs_van_de_graaf_floor_violation_is_numerical(monkeypatch):

@@ -670,6 +670,16 @@ SETTING_PROBES = {
     "ch-number-in-theory-record": (lambda: bounds.fractional_visibility(5, PREPS["hh"],
                                                                          FILTERS["hh"]),
                                    DimensionError),
+    "filt-number-in-theory-record": (lambda: bounds.fractional_visibility(
+        pauli_mixture_channel(), PREPS["hh"], 5), DimensionError),
+    "filt-number-in-simulate": (lambda: simulate_fringes(pauli_mixture_channel(), PREPS["hh"], 5),
+                                DimensionError),
+    "ds-number-in-fit": (lambda: fit_fringes(5), DimensionError),
+    "ds-number-in-resample": (lambda: binomial_resample(5, 0.5), DimensionError),
+    "ds-number-in-csv": (lambda: write_dataset_csv(5, io.StringIO()), DimensionError),
+    "ch-number-in-dilate": (lambda: channels.dilate(5), DimensionError),
+    "ch-number-in-block-map": (lambda: channels.block_map(5, 0, 1, np.eye(2)), DimensionError),
+    "ch-number-in-block-choi": (lambda: block_choi(5, 0, 1), DimensionError),
 }
 
 # the parameter and the type each instance probe names
@@ -680,6 +690,14 @@ INSTANCE_MESSAGES = {
     "ch-number-in-run": "channel ch of type int is not a PathChannel",
     "ch-number-in-simulate": "channel ch of type int is not a PathChannel",
     "ch-number-in-theory-record": "channel ch of type int is not a PathChannel",
+    "filt-number-in-theory-record": "filter filt of type int is not a FilterPair",
+    "filt-number-in-simulate": "filter filt of type int is not a FilterPair",
+    "ds-number-in-fit": "dataset ds of type int is not a FringeDataset",
+    "ds-number-in-resample": "dataset ds of type int is not a FringeDataset",
+    "ds-number-in-csv": "dataset ds of type int is not a FringeDataset",
+    "ch-number-in-dilate": "channel ch of type int is not a PathChannel",
+    "ch-number-in-block-map": "channel ch of type int is not a PathChannel",
+    "ch-number-in-block-choi": "channel ch of type int is not a PathChannel",
 }
 
 

@@ -436,3 +436,42 @@ def test_real_in_keeps_closed_ends():
     assert real_in(-180, "angle", -180.0, 180.0) == -180.0
     assert real_in(1, "contrast", 0.0, 1.0, open_low=True) == 1.0
     assert real_in(1e308, "tol", 0.0) == 1e308
+
+
+def _binding_inputs():
+    """Complex matrices for the spectrum binding: sides 1 to 16, (k, n, n)
+    stacks, a zero, rank-one, diagonal and real-valued matrix, a transposed
+    (column-major) view and a rectangular one."""
+    rng = np.random.default_rng(43)
+
+    def gaussian(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    for n in range(1, 17):
+        yield pytest.param(gaussian(n, n), id=f"side-{n}")
+    for k, n in ((1, 3), (3, 2), (5, 7), (2, 16)):
+        yield pytest.param(gaussian(k, n, n), id=f"stack-{k}x{n}")
+    v = gaussian(5)
+    yield pytest.param(np.zeros((4, 4), dtype=complex), id="zero")
+    yield pytest.param(np.outer(v, v.conj()), id="rank-one")
+    yield pytest.param(np.diag(gaussian(6)), id="diagonal")
+    yield pytest.param(rng.normal(size=(5, 5)).astype(complex), id="real-valued")
+    yield pytest.param(gaussian(6, 6).T, id="transposed-view")
+    yield pytest.param(gaussian(3, 7), id="rectangular")
+
+
+@pytest.mark.parametrize("m", _binding_inputs())
+def test_the_spectrum_binding_returns_the_public_wrappers_bytes(m):
+    # linalg._eigvalsh and _singular_values call the gufuncs behind
+    # np.linalg.eigvalsh and np.linalg.svd(compute_uv=False) without the
+    # wrappers; a numpy that renames or changes those gufuncs fails here
+    from whichway import linalg
+
+    pairs = [(linalg._singular_values(m), np.linalg.svd(m, compute_uv=False))]
+    if m.shape[-1] == m.shape[-2]:
+        h = m + m.conj().swapaxes(-1, -2)
+        pairs.append((linalg._eigvalsh(h), np.linalg.eigvalsh(h)))
+    for got, want in pairs:
+        assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+

@@ -211,10 +211,33 @@ def generator_call(node, ns):
 
 
 def eigvalsh_call(node, ns):
-    """A call of ``eigvalsh``, bare or as an attribute."""
-    if isinstance(node, ast.Call) and _name(node.func) == "eigvalsh":
+    """A call of ``eigvalsh`` or of the binding ``_eigvalsh``, bare or as an
+    attribute."""
+    if isinstance(node, ast.Call) and _name(node.func) in ("eigvalsh", "_eigvalsh"):
         return f"{ast.unparse(node.func)}()"
     return None
+
+
+def lapack_spectrum(node, ns):
+    """A name of numpy's ``_umath_linalg`` (a name, an attribute, an import
+    or a string), or a call of ``eigvalsh``, ``svdvals`` or
+    ``svd(..., compute_uv=False)``, bare or as an attribute."""
+    if isinstance(node, ast.Call):
+        name = _name(node.func)
+        if name in ("eigvalsh", "svdvals") or name == "svd" and any(
+                k.arg == "compute_uv" and isinstance(k.value, ast.Constant)
+                and k.value.value is False for k in node.keywords):
+            return f"{ast.unparse(node.func)}()"
+        return None
+    if isinstance(node, ast.alias):
+        named = node.name.split(".")
+    elif isinstance(node, ast.ImportFrom):
+        named = (node.module or "").split(".")
+    elif isinstance(node, ast.Constant):
+        named = [node.value]
+    else:
+        named = [_name(node)]
+    return "_umath_linalg" if "_umath_linalg" in named else None
 
 
 class Exempt(NamedTuple):
@@ -418,16 +441,42 @@ RULES = (
     Rule("one-slack-eigensolver", eigvalsh_call, ("bounds",), (
         Exempt("bounds", "_slack", "the slack of an explicit or mixed set"),
     ), flags={"bounds": (
+        "def swap_certificate(records):\n    slack = _eigvalsh(h)[-1] - 1.0",
+        "def certify_run(records):\n    slacks = _eigvalsh(h).T[-1] - 1.0",
+        "def _grid_slack(u_hat):\n    return _eigvalsh(u_hat.conj().mT @ u_hat).T[-1] - 1.0",
+        "def certify_run(records):\n    slacks = linalg._eigvalsh(h).T[-1] - 1.0",
         "def swap_certificate(records):\n    slack = np.linalg.eigvalsh(h)[-1] - 1.0",
-        "def certify_run(records):\n    slacks = np.linalg.eigvalsh(h).T[-1] - 1.0",
-        "def _grid_slack(u_hat):\n    return eigvalsh(u_hat.conj().mT @ u_hat).T[-1] - 1.0",
         "from numpy.linalg import eigvalsh\nw = eigvalsh(h)",
     )}, passes={"bounds": (
-        "def _slack(u_hat):\n    return np.linalg.eigvalsh(u_hat.conj().mT @ u_hat).T[-1] - 1.0",
+        "def _slack(u_hat):\n    return _eigvalsh(u_hat.conj().mT @ u_hat).T[-1] - 1.0",
         "def _grid_slack(u_hat):\n"
         "    return (u_hat.conj().mT @ u_hat).diagonal(axis1=-2, axis2=-1).real.max(axis=-1)",
-        "w, v = psd_eigh(m, 'rho')",
+        "w, v = psd_eigh(m, 'rho')", "s = _singular_values(m)",
     )}),
+    # every spectrum of an array the package formed comes from the one
+    # binding to numpy's LAPACK gufuncs in linalg (_eigvalsh,
+    # _singular_values); the public wrappers stay for arrays read from
+    # outside, in linalg (trace_norm)
+    Rule("one-spectrum-binding", lapack_spectrum, tuple(m for m in MODULES if m != "linalg"), (),
+         flags={"duality": (
+             # the retired calls of _trace_distance and of trace_norm's SVD
+             "def _trace_distance(m0, m1):\n    return np.linalg.eigvalsh(m0 - m1)",
+             "s = np.linalg.svd(m, compute_uv=False)", "s = numpy.linalg.svdvals(m)",
+             "from numpy.linalg import _umath_linalg",
+             "from numpy.linalg._umath_linalg import svd",
+             "import numpy.linalg._umath_linalg as lapack",
+             "w = np.linalg._umath_linalg.eigvalsh_lo(h, signature='D->d')",
+             "lapack = getattr(np.linalg, '_umath_linalg')",
+         ), "channels": (
+             "err = np.abs(np.linalg.eigvalsh(grams.sum(axis=0) - eye))",
+         ), "bounds": (
+             "def _slack(u_hat):\n    return np.linalg.eigvalsh(u_hat.conj().mT @ u_hat)",
+         )}, passes={"duality": (
+             "w = _eigvalsh(m0 - m1)", "s = _singular_values(m)",
+             "t = np.linalg.qr(x, mode='r')", "u, s, vh = np.linalg.svd(g, full_matrices=False)",
+             "s = np.linalg.svd(m, compute_uv=True)", "n = trace_norm(m)",
+             "w, v = psd_eigh(m, 'rho')", "umath = 1",
+         ), "channels": ("err = np.abs(_eigvalsh(grams.sum(axis=0) - eye))",)}),
     # a run's bounds come from bounds.certify_run; the CLI only prints them
     Rule("cli-certification-policy", certification_policy, ("cli",), (), flags={"cli": (
         "bnd.swap_certificate(records)", "single_preparation_certificate(mu, records)",
