@@ -5,89 +5,50 @@ visibilities V^{mu,nu} = <chi0| L_01(|psi0^mu><psi1^mu|) |chi1>, bounded in
 magnitude by the filtering probability p^{mu,nu}. Any coefficient set
 alpha_{mu,nu} for which
 
-    sum alpha (|psi0><psi1|)^T x |chi1><chi0|
-        = (sqrt(rho1)^T x 1) U (sqrt(rho0)^T x 1),   U^dag U <= 1,
+    L = sum alpha (|psi0><psi1|)^T x |chi1><chi0|
+      = (sqrt(rho1)^T x 1) U (sqrt(rho0)^T x 1),   U^dag U <= 1,
 
 certifies V_G >= |sum alpha V^{mu,nu}| and hence D <= sqrt(1 - V_G^2).
 This module verifies such certificates and assembles the two worked
 coefficient families (complete orthonormal filters for one preparation, and
-the four-term swap family for the completely mixed preparation).
+the four-term swap family for the completely mixed preparation). A theory
+record (:func:`fractional_visibility`) comes from the per-Kraus amplitudes
+<chi0|A_k|psi0> and <chi1|B_k|psi1> alone.
 
-A theory record (:func:`fractional_visibility`) comes from the channel's
-stacked Kraus array through the per-Kraus amplitudes <chi0|A_k|psi0> and
-<chi1|B_k|psi1> alone, never forming a d^2 x d^2 matrix; the block-map and
-block-Choi routes to the same numbers are test oracles.
-
-Every certificate is checked from projected kets, in two steps: a
-preparation step that does not depend on the coefficients, and an
-evaluation step that weighs its result by them. The slack is the largest
-eigenvalue of U-hat^dag U-hat minus one and must not exceed
-``CONTRACTION_TOL`` (1e-8). An explicit or mixed set takes it from one
-``eigvalsh`` (:func:`_slack`); a set on the rectilinear grid below takes it
-from the diagonal of the same product (:func:`_grid_slack`), which the grid
-checks once is exactly diagonal. There are two evaluations.
-
-- Mixed sets (:func:`verify_alpha_constraint`, :func:`swap_certificate`):
-  one eigendecomposition of each rho gives the arm's support projector P
-  and the pseudo-inverse of sqrt(rho)^T. Since (P x 1)(psi x chi) =
-  (P psi) x chi, the preparation step projects the (2, n, d) ket stacks
-  with one small matmul per arm instead of sandwiching the d^2 x d^2
-  operator L, and stacks the column factors of L, of its projection and of
-  U-hat. The evaluation step weighs the row factors by the n coefficients,
-  forms the three operators with one batched product, runs the leak check
-  (two Frobenius norms from ``vdot``) and takes the slack. The swap terms
-  are prepared once, on the support of 1/2, which is all of C^2: there the
-  projected stacks equal those of L bit for bit, so L minus its projection
-  is zero for every coefficient set. The grid checks that once and keeps
-  U-hat's stacks alone, and a swap evaluation forms U-hat with one
-  product and takes the slack, with no leak check.
-- Pure sets (:func:`single_preparation_certificate`): sqrt(|psi><psi|)^T
-  = psi* psi^T is its own support projector and pseudo-inverse, so no
-  eigendecomposition runs. The preparation step projects the kets, as
-  for a mixed set, into the row and column factors of U-hat alone
-  (:func:`_pure_factors`), and the evaluation step weighs the rows by the
-  coefficients, forms U-hat with one product and takes the slack: L is
-  never formed and no leak check runs. The check cannot fire for a pure
-  arm: projected on the kets, L becomes n0 n1 L with n_i = ||psi_i||^2,
-  so the leak ratio is |1 - n0 n1|, at most about 4e-10 for the unit
-  kets :func:`~whichway.linalg.unit_ket` accepts (norm one within
-  1e-10), against ``CONTRACTION_TOL`` = 1e-8. U-hat is linear in the
-  coefficients, so a set on the grid below keeps the (n, d^4) map from
-  them to U-hat, built from its factors at unit coefficients, and its
-  evaluation is one product of the coefficients with the map
-  (:func:`_grid_u_hat`); :func:`certify_run` evaluates all of a run's
-  sets on the grid with one batched product and one batched diagonal
-  slack, and a one-set call is the same evaluation with one set. An
-  explicit set is used once, so it forms U-hat from its factors
-  (:func:`_u_hat`) and never builds a map.
-
-A list of records that repeats a (mu, nu) key raises
-:class:`DimensionError`.
+One builder, :func:`_stacks`, prepares a set's coefficient-free factors:
+since (P x 1)(psi x chi) = (P psi) x chi, it projects the kets with each
+arm's operators and never forms a d^2 x d^2 operator. A mixed arm passes
+(1, P, pseudo-inverse) of sqrt(rho)^T, from one eigendecomposition of rho,
+for the factors of L, of its projection and of U-hat; a pure arm passes
+psi* psi^T, its own projector and pseudo-inverse, for U-hat's alone. There
+are two evaluations. A mixed set (:func:`verify_alpha_constraint`) forms
+all three with one product, and the leak check compares the norms of L and
+of L minus its projection (:class:`SupportError`). A pure set forms U-hat
+alone; its leak check cannot fire: projected on its kets, L is n0 n1 L
+with n_i = ||psi_i||^2, and |1 - n0 n1| is at most about 4e-10 for the unit
+kets :func:`~whichway.linalg.unit_ket` accepts. Either way the slack, the
+largest eigenvalue of U-hat^dag U-hat minus one, must not exceed
+``CONTRACTION_TOL`` (1e-8), else :class:`ContractionError`.
 
 The paper's rectilinear h/v grid is one constant, built and checked on
 first use, every array in it read-only: the four preparation kets and
-filter pairs (:func:`rectilinear_preparations` and
-:func:`rectilinear_filters` return fresh dicts over them), their (4, 2, 2)
-ket stack (the default cells of
-:func:`~whichway.interferometer.run_experiment`), U-hat's prepared
-stacks of the four swap terms on the support of the completely mixed
-state 1/2 (:func:`swap_certificate`), and the (16, 2, 16) stack of the
-maps of the 16 default single-preparation certificates, one per
-preparation and ordered complementary filter pair
-(:func:`single_preparation_certificate` with ``preps`` and ``filters``
-both None, and :func:`certify_run`). The build also checks that every
-U-hat these maps and swap stacks can form holds at most one nonzero per
-row (:func:`_row_sparse`), the condition of :func:`_grid_slack`. A
-default call runs only the evaluation step on these and re-checks none of
-them; :func:`verify_alpha_constraint` and explicit sets run both steps on
-each call.
+filter pairs, their (4, 2, 2) ket stack (the default cells of
+:func:`~whichway.interferometer.run_experiment`), U-hat's factors of the
+four swap terms on the support of 1/2, where projecting changes no bit so
+that no swap set can leak, and the linear maps from the two coefficients
+to U-hat of the 16 default single-preparation sets. The build checks that
+every U-hat these can form holds at most one nonzero per row, so a set on
+the grid takes its slack from the diagonal of U-hat^dag U-hat with no
+eigensolver, and a default call re-checks nothing.
 
-A certificate stores ``vg_lower`` and ``sigma_vg`` and derives the bound
-sqrt(1 - vg_lower^2) on D and its delta-method sigma; the swap and
-single-preparation certificates are built with their records already folded
-in, by the rule :func:`bound_from_visibilities` applies. :func:`certify_run`
-returns all of a run's bounds: the four-term one, one single-preparation
-bound per preparation and complementary filter pair, and the best of those.
+A list of records that repeats a (mu, nu) key raises
+:class:`DimensionError`. A certificate stores ``vg_lower`` and
+``sigma_vg`` and derives the bound sqrt(1 - vg_lower^2) on D and its
+delta-method sigma; the swap and single-preparation certificates are built
+with their records already folded in, by the rule
+:func:`bound_from_visibilities` applies. :func:`certify_run` returns all of
+a run's bounds: the four-term one, one single-preparation bound per
+preparation and complementary filter pair, and the best of those.
 """
 
 from __future__ import annotations
@@ -113,7 +74,6 @@ from .linalg import (
     _text,
     finite_array,
     ket,
-    psd_eigh,
     unit_ket,
 )
 
@@ -158,12 +118,14 @@ class FilterPair:
             raise DimensionError("filter kets have different dimensions")
 
 
-def _filter_kets(filt: FilterPair, d: int, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """(chi0, chi1) of a filter pair of spin dimension d, else
-    :class:`DimensionError` naming the filter and both dimensions: the one
-    filter-dimension check. ``name`` is the key the filter was given under,
-    or its label where it came alone."""
-    if filt.chi0.size != d:
+def _filter_kets(filt: FilterPair, d: int | None, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """(chi0, chi1) of a filter pair of spin dimension d (of any dimension
+    where d is None): the one filter check. A ``filt`` that is not a
+    :class:`FilterPair`, or one of another dimension, raises
+    :class:`DimensionError` naming the filter. ``name`` is the key the
+    filter was given under, or its label where it came alone."""
+    _instance(filt, FilterPair, f"filter {name!r}")
+    if d is not None and filt.chi0.size != d:
         raise DimensionError(f"filter {name!r} has dimension {filt.chi0.size}, not {d}")
     return filt.chi0, filt.chi1
 
@@ -324,30 +286,23 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(*out.shape[:-2], -1)
 
 
-def _stacks(
-    kets: np.ndarray,
-    chis: np.ndarray,
-    support0: tuple[np.ndarray, np.ndarray],
-    support1: tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stacks (rows, chi1, w) of a mixed certificate's n terms, which
-    :func:`_certify` reads with the coefficients; none depends on them.
+def _stacks(kets: np.ndarray, chis: np.ndarray, ops: np.ndarray) -> tuple:
+    """The factors (rows, chi1, w) of a set's n terms, which :func:`_u_hat`
+    reads with the coefficients; none depends on them: the one builder.
 
-    ``kets`` and ``chis`` are (2, n, d): row m of arm i holds the
+    ``kets``, ``chis`` and ``ops`` hold the two arms on their first axis.
+    ``kets`` and ``chis`` broadcast to (2, n, d): row m of arm i holds the
     preparation ket psi_i and the filter ket chi_i of term m, checked unit
-    kets of one dimension d. Each support is an arm's (support projector,
-    pseudo-inverse) of sqrt(rho)^T. Of
+    kets of one dimension d. Of
     L = sum_m alpha_m (psi1* x chi1)(psi0 x chi0*)^T, the rows psi1* are
-    projected by P1 and inv1 and the columns psi0 by P0^T and inv0^T:
-    ``rows`` stacks psi1* and its two projections, ``chi1`` is the
-    lower-arm filter kets, and ``w`` the (3, n, d^2) column factors
-    psi0 x chi0* of L, of its projection and of U-hat.
+    projected by arm 1's operators, transposed, and the columns psi0 by arm
+    0's, which broadcast over a leading axis. A mixed set passes each arm's
+    (3, d, d) stack (1, P, pseudo-inverse) of sqrt(rho)^T, for the factors
+    of L, of its projection and of U-hat; a pure set passes each arm's
+    psi* psi^T, its own projector and pseudo-inverse, for U-hat's alone.
+    ``w`` holds the column factors psi0 x chi0*.
     """
-    (p0, inv0), (p1, inv1) = support0, support1
-    row, col = kets[1].conj(), kets[0]
-    rows = np.array((row, row @ p1.T, row @ inv1.T))
-    cols = np.array((col, col @ p0, col @ inv0))
-    return rows, chis[1], _outer(cols, chis[0].conj())
+    return kets[1].conj() @ ops[1].mT, chis[1], _outer(kets[0] @ ops[0], chis[0].conj())
 
 
 def _slack(u_hat: np.ndarray):
@@ -402,11 +357,9 @@ def _contraction(slack) -> float:
 
 def _certify(alphas: np.ndarray, stacks) -> tuple[np.ndarray, float]:
     """(U-hat, contraction slack) of the n complex coefficients ``alphas``
-    on the :func:`_stacks` of their mixed terms: the row factors
-    u = psi1* x (alpha chi1) of L, of its projection and of U-hat meet the
-    column factors ``w`` in one batched product (:func:`_u_hat`), and the
-    leak check compares the Frobenius norms of L and of L minus its
-    projection."""
+    on the mixed :func:`_stacks` of their terms: L, its projection and
+    U-hat from one batched :func:`_u_hat`, and the leak check, which
+    compares the Frobenius norms of L and of L minus its projection."""
     left, projected, u_hat = _u_hat(alphas, stacks)
 
     leak = left - projected
@@ -419,43 +372,19 @@ def _certify(alphas: np.ndarray, stacks) -> tuple[np.ndarray, float]:
     return u_hat, _contraction(_slack(u_hat))
 
 
-def _swap_stacks(preps, support: tuple[np.ndarray, np.ndarray]) -> tuple:
-    """U-hat's stacks (row, chi1, w) of the ``SWAP_KEYS`` terms, from the
-    :func:`_stacks` of their kets ``preps`` (label -> ket pair, both the
-    preparation and the filter kets) with both arms of ``support``. On it,
-    the projection of L must leave L's stacks bit-identical, so that no
-    coefficient set can leak, else :class:`SupportError`."""
-    # (preparation kets, filter kets) x arm x SWAP_KEYS term x d
-    kets, chis = np.array([[[preps[key[i]][arm] for key in SWAP_KEYS] for arm in (0, 1)]
-                           for i in (0, 1)])
-    rows, chi1, w = _stacks(kets, chis, support, support)
+def _swap_stacks(rows: np.ndarray, chi1: np.ndarray, w: np.ndarray) -> tuple:
+    """U-hat's factors (row, chi1, w) from the swap terms' mixed
+    :func:`_stacks`, whose projection must leave L's factors bit-identical,
+    so that no coefficient set can leak, else :class:`SupportError`."""
     if not (np.array_equal(rows[1], rows[0]) and np.array_equal(w[1], w[0])):
         raise SupportError("the swap terms leak outside the support of the preparation states")
     return rows[2], chi1, w[2]
 
 
-def _pure_factors(psi: np.ndarray, chis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The factors (row, chi1, w) of a pure set's n terms, which
-    :func:`_u_hat` reads with the coefficients; none depends on them.
-
-    ``psi`` is the (2, d) stack of the preparation's checked unit kets and
-    ``chis`` the (2, n, d) stack of the filter kets. With P = psi* psi^T,
-    each arm's support projector and pseudo-inverse, ``row`` is the (1, d)
-    projected row ket psi1* P1^T, ``chi1`` the lower-arm filter kets and
-    ``w`` the (n, d^2) projected column factors (psi0 P0) x chi0*. The
-    projected rows and columns are ||psi||^2 times the unprojected ones, so
-    neither L nor a leak check is needed (see the module docstring).
-    """
-    r0, r1 = _ket_support(psi)
-    return psi[1:].conj() @ r1.T, chis[1], _outer(psi[:1] @ r0, chis[0].conj())
-
-
 def _u_hat(alphas: np.ndarray, factors) -> np.ndarray:
-    """U-hat of n coefficients ``alphas`` on the factors (row, chi1, w) of
-    their terms: the row factors row x (alpha chi1) meet the column factors
-    ``w`` in one product. The factors are a pure set's
-    :func:`_pure_factors`, the swap terms' prepared stacks or a mixed set's
-    :func:`_stacks`, whose three row and column stacks give L, its
+    """U-hat of n coefficients ``alphas`` on the :func:`_stacks` (row, chi1,
+    w) of their terms: the row factors row x (alpha chi1) meet the column
+    factors ``w`` in one product. A mixed set's three stacks give L, its
     projection and U-hat. Leading axes of ``alphas`` and the factors
     broadcast, so one call forms the U-hats of a stack of sets."""
     row, chi1, w = factors
@@ -470,17 +399,46 @@ def _grid_u_hat(alphas: np.ndarray, maps: np.ndarray) -> np.ndarray:
     return (alphas[..., None, :] @ maps).reshape(*alphas.shape[:-1], 4, 4)
 
 
-def _folded(alphas: dict, records, u_hat: np.ndarray, slack: float) -> BoundCertificate:
-    """The certificate of a checked coefficient set with ``records``, one per
-    coefficient in the order of ``alphas``, folded in: vg_lower =
-    |sum alpha V| clamped to [0, 1] and sigma_vg = sum |alpha| sigma_V, the
-    linear worst-case sum of the record uncertainties."""
-    total = 0.0 + 0.0j
-    sigma = 0.0
-    for alpha, rec in zip(alphas.values(), records):
+def _folded(records, alphas, u_hat: np.ndarray, slack: float) -> BoundCertificate:
+    """The certificate of a checked coefficient set, keyed by the (mu, nu)
+    of ``records``, one per coefficient of ``alphas`` in order, with them
+    folded in: vg_lower = |sum alpha V| clamped to [0, 1] and sigma_vg =
+    sum |alpha| sigma_V, the linear worst-case sum of the record
+    uncertainties."""
+    total, sigma = 0j, 0.0
+    for alpha, rec in zip(alphas, records):
         total += alpha * rec.visibility
         sigma += abs(alpha) * rec.sigma_v
-    return BoundCertificate(alphas, u_hat, slack, float(min(abs(total), 1.0)), float(sigma))
+    return BoundCertificate({rec.key: alpha for rec, alpha in zip(records, alphas)}, u_hat,
+                            slack, float(min(abs(total), 1.0)), float(sigma))
+
+
+def _mixed_stacks(keys, preps, filters, rho0, rho1) -> tuple:
+    """The mixed :func:`_stacks` of the terms ``keys`` ((mu, nu) pairs),
+    after the checks of :func:`verify_alpha_constraint` on each rho and on
+    each referenced preparation and filter. Each arm's operators (1, P,
+    pseudo-inverse) come from the one eigendecomposition that checks its
+    rho."""
+    rho0, w0, v0 = _density_eigh(rho0, "rho0")
+    rho1, w1, v1 = _density_eigh(rho1, "rho1")
+    if rho0.shape != rho1.shape:
+        raise DimensionError(f"rho0 and rho1 dimensions differ: {rho0.shape} vs {rho1.shape}")
+    d = rho0.shape[0]
+    kets, chis = {}, {}
+    for mu, nu in keys:
+        if mu not in preps:
+            raise DimensionError(f"coefficient references unknown preparation {mu!r}")
+        if nu not in filters:
+            raise DimensionError(f"coefficient references unknown filter {nu!r}")
+        if nu not in chis:
+            chis[nu] = _filter_kets(filters[nu], d, nu)
+        if mu not in kets:
+            kets[mu] = pure_pair(preps[mu], d)
+    # (psi0, psi1, chi0, chi1) x term x d
+    terms = np.array([(*kets[mu], *chis[nu]) for mu, nu in keys],
+                     dtype=complex).reshape(len(keys), 4, d).transpose(1, 0, 2)
+    ops = np.array([(np.eye(d), *_root_support(w, v)) for w, v in ((w0, v0), (w1, v1))])
+    return _stacks(terms[:2], terms[2:], ops)
 
 
 def verify_alpha_constraint(
@@ -520,26 +478,7 @@ def verify_alpha_constraint(
     coeffs = finite_array(list(alphas.values()), "coefficients")
     if coeffs.shape != (len(alphas),):
         raise DimensionError("coefficients must be one complex number each")
-    rho0, w0, v0 = _density_eigh(rho0, "rho0")
-    rho1, w1, v1 = _density_eigh(rho1, "rho1")
-    if rho0.shape != rho1.shape:
-        raise DimensionError(f"rho0 and rho1 dimensions differ: {rho0.shape} vs {rho1.shape}")
-    d = rho0.shape[0]
-    kets, chis = {}, {}
-    for mu, nu in alphas:
-        if mu not in preps:
-            raise DimensionError(f"coefficient references unknown preparation {mu!r}")
-        if nu not in filters:
-            raise DimensionError(f"coefficient references unknown filter {nu!r}")
-        if nu not in chis:
-            chis[nu] = _filter_kets(filters[nu], d, nu)
-        if mu not in kets:
-            kets[mu] = pure_pair(preps[mu], d)
-    # (psi0, psi1, chi0, chi1) x term x d
-    terms = np.array([(*kets[mu], *chis[nu]) for mu, nu in alphas],
-                     dtype=complex).reshape(len(alphas), 4, d).transpose(1, 0, 2)
-    u_hat, slack = _certify(coeffs, _stacks(terms[:2], terms[2:], _root_support(w0, v0),
-                                            _root_support(w1, v1)))
+    u_hat, slack = _certify(coeffs, _mixed_stacks(alphas, preps, filters, rho0, rho1))
     return BoundCertificate(dict(zip(alphas, coeffs.tolist())), u_hat, slack)
 
 
@@ -557,7 +496,7 @@ def bound_from_visibilities(cert: BoundCertificate, records) -> BoundCertificate
     for key in cert.alphas:
         if key not in recs:
             raise DimensionError(f"missing fractional-visibility record for {key}")
-    return _folded(cert.alphas, [recs[key] for key in cert.alphas],
+    return _folded([recs[key] for key in cert.alphas], cert.alphas.values(),
                    cert.u_hat, cert.contraction_slack)
 
 
@@ -569,8 +508,9 @@ def _complete_basis_check(filters: dict[str, FilterPair], nus: list[str]) -> np.
     unknown = [nu for nu in nus if nu not in filters]
     if unknown:
         raise DimensionError(f"records reference unknown filters {unknown}")
-    d = filters[nus[0]].chi0.size
-    stack = np.array(list(zip(*(_filter_kets(filters[nu], d, nu) for nu in nus))))
+    first = _filter_kets(filters[nus[0]], None, nus[0])
+    d = first[0].size
+    stack = np.array(list(zip(first, *(_filter_kets(filters[nu], d, nu) for nu in nus[1:]))))
     if len(nus) != d:
         raise DimensionError(
             f"upper-arm filters do not form a complete basis ({len(nus)} vectors in dim {d})"
@@ -584,12 +524,13 @@ def _complete_basis_check(filters: dict[str, FilterPair], nus: list[str]) -> np.
 
 
 def _single_factors(preps, filters: dict[str, FilterPair], mu: str, nus) -> tuple:
-    """The :func:`_pure_factors` of preparation ``mu`` with the filters
+    """The pure :func:`_stacks` of preparation ``mu`` with the filters
     ``nus``, which :func:`_complete_basis_check` checks first."""
     chis = _complete_basis_check(filters, nus)
     if mu not in preps:
         raise DimensionError(f"no preparation {mu!r}")
-    return _pure_factors(np.array(pure_pair(preps[mu], chis.shape[2])), chis)
+    psi = np.array(pure_pair(preps[mu], chis.shape[2]))
+    return _stacks(psi[:, None], chis, _ket_support(psi))
 
 
 @functools.cache
@@ -603,9 +544,9 @@ def _rectilinear_grid() -> MappingProxyType:
       v ket;
     - ``pairs``, the (4, 2, 2) stack of each label's two kets, which is
       both the preparation and the filter stack of the default cells;
-    - ``swap``, U-hat's :func:`_swap_stacks` of the ``SWAP_KEYS`` terms
-      with both arms completely mixed, from one eigendecomposition of 1/2,
-      checked there not to leak;
+    - ``swap``, U-hat's :func:`_swap_stacks` of the ``SWAP_KEYS`` terms,
+      gathered as :func:`verify_alpha_constraint` gathers them with both
+      arms completely mixed, and checked there not to leak;
     - ``singles``, the (16, 2, 16) stack of the linear maps from the two
       coefficients to the flattened U-hat of the 16 default
       single-preparation certificates, one for every preparation mu and
@@ -623,12 +564,11 @@ def _rectilinear_grid() -> MappingProxyType:
     labels = tuple(a + b for a in "hv" for b in "hv")
     preps = {lab: (states[lab[0]], states[lab[1]]) for lab in labels}
     filters = {lab: FilterPair(*pair, label=lab) for lab, pair in preps.items()}
-    mixed = _root_support(*psd_eigh(np.eye(2, dtype=complex) / 2, "rho"))
     orders = COMPLEMENTARY + tuple(nus[::-1] for nus in COMPLEMENTARY)
     keys = [(mu, *nus) for mu in labels for nus in orders]
     factors = zip(*(_single_factors(preps, filters, mu, nus) for mu, *nus in keys))
     singles = _u_hat(np.eye(2), [np.array(a)[:, None] for a in factors]).reshape(16, 2, 16)
-    swap = _swap_stacks(preps, mixed)
+    swap = _swap_stacks(*_mixed_stacks(SWAP_KEYS, preps, filters, np.eye(2) / 2, np.eye(2) / 2))
     _row_sparse(singles.reshape(16, 2, 4, 4), "the single-preparation maps")
     _row_sparse(_u_hat(np.eye(4), swap), "the swap terms")
     for a in (*swap, singles):
@@ -669,14 +609,11 @@ def swap_certificate(records) -> BoundCertificate:
     reconstructs a unitary U for any phases; choosing theta = -arg V aligns
     every term, so the bound is
     (|V^{hh,hh}| + |V^{hv,vh}| + |V^{vh,hv}| + |V^{vv,vv}|) / 2, clamped to 1.
-    It is :func:`verify_alpha_constraint` with both arms completely mixed,
-    run on the rectilinear grid: U-hat's stacks of the four terms, projected
-    on the support of 1/2, are prepared once with the grid, which checks
-    there that no coefficient set can leak and that every U-hat they form
-    holds at most one nonzero per row, so a call only weighs them by its
-    coefficients, forms U-hat with one product and runs the contraction
-    check on the largest diagonal entry of U-hat^dag U-hat
-    (:func:`_grid_slack`), with no eigensolver.
+    Its U-hat and slack are those of :func:`verify_alpha_constraint` with
+    both arms completely mixed, bit for bit, from the factors the
+    rectilinear grid prepares once. A missing swap record, or records that
+    repeat a (mu, nu), raise :class:`DimensionError`, and a slack above
+    ``CONTRACTION_TOL`` :class:`ContractionError`.
     """
     recs = _record_map(records)
     for key in SWAP_KEYS:
@@ -685,7 +622,7 @@ def swap_certificate(records) -> BoundCertificate:
     rows = [recs[key] for key in SWAP_KEYS]
     alphas = [0.5 * _optimal_phase(rec.visibility) for rec in rows]
     u_hat = _u_hat(np.array(alphas), _rectilinear_grid()["swap"])
-    return _folded(dict(zip(SWAP_KEYS, alphas)), rows, u_hat, _contraction(_grid_slack(u_hat)))
+    return _folded(rows, alphas, u_hat, _contraction(_grid_slack(u_hat)))
 
 
 def single_preparation_certificate(
@@ -700,16 +637,11 @@ def single_preparation_certificate(
     ``preps[mu]`` is a pair of unit kets (or a pure :class:`Preparation`),
     checked by :func:`pure_pair`: a NaN or infinite entry raises
     :class:`NonFiniteError`, and a norm off one or a dimension other than
-    the filters' raises :class:`DimensionError`. Each arm's support
-    projector and pseudo-inverse is psi* psi^T, so no eigendecomposition
-    runs. U-hat is formed from the set's :func:`_pure_factors` (or, on the
-    rectilinear grid, from its linear map), and the contraction check is
-    that of :func:`verify_alpha_constraint`, with the slack from one
-    ``eigvalsh`` (or, on the grid, where every U-hat holds at most one
-    nonzero per row, from the diagonal of U-hat^dag U-hat); the leak check
-    cannot fail for a pure set and does not run. A ``mu`` that is not a
-    str, and a ``preps`` or ``filters`` that is neither None nor a mapping,
-    raises :class:`DimensionError`.
+    the filters' raises :class:`DimensionError`, as does a filter that is
+    not a :class:`FilterPair`, a ``mu`` that is not a str, and a ``preps``
+    or ``filters`` that is neither None nor a mapping. The contraction check
+    is that of :func:`verify_alpha_constraint`; the leak check cannot fail
+    for a pure set and does not run.
 
     With ``preps`` and ``filters`` both None (the rectilinear sets), a
     record set that certifies, one rectilinear mu with an ordered
@@ -734,13 +666,7 @@ def single_preparation_certificate(
     else:
         u_hat = _grid_u_hat(np.array(alphas), grid["singles"][index])
         slack = _grid_slack(u_hat)
-    return _single_folded(rows, alphas, u_hat, _contraction(slack))
-
-
-def _single_folded(rows, alphas, u_hat, slack) -> BoundCertificate:
-    """The single-preparation certificate of the records ``rows`` with their
-    coefficients ``alphas`` and checked contraction."""
-    return _folded({rec.key: a for rec, a in zip(rows, alphas)}, rows, u_hat, slack)
+    return _folded(rows, alphas, u_hat, _contraction(slack))
 
 
 @dataclass(frozen=True, eq=False)
@@ -790,7 +716,7 @@ def certify_run(records) -> RunBounds:
     for key, rows in sets.items():
         if key in alphas:
             u_hat, slack = evaluated[key]
-            singles[key] = _single_folded(rows, alphas[key], u_hat, _contraction(slack))
+            singles[key] = _folded(rows, alphas[key], u_hat, _contraction(slack))
         else:
             singles[key] = single_preparation_certificate(key[0], rows)
     if swap is None and not singles:

@@ -363,8 +363,9 @@ def main(argv=None) -> int:
     except (NumericalError, ConventionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError) as exc:
-        # includes DimensionError/PositivityError raised while building inputs
+    except (WhichWayError, OSError) as exc:
+        # the package's input errors (DimensionError, PositivityError, ...)
+        # and file access; a bare ValueError is a fault, not an input error
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

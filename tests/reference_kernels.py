@@ -22,8 +22,8 @@ have no production caller and serve only as oracles, and so do:
   ``bounds.single_preparation_certificate`` without building a contraction;
 - :func:`stacks_single_certificate` and :func:`pure_leak_ratio`, the
   stacks route that certified a pure preparation before it was evaluated
-  from U-hat's factors alone (``bounds._pure_factors``), kept verbatim:
-  the stacks of L and of its projection on psi* psi^T, one batched
+  from U-hat's factors alone (the pure form of ``bounds._stacks``), kept
+  verbatim: the stacks of L and of its projection on psi* psi^T, one batched
   product, the leak check and one ``eigvalsh``; it checks the factor
   route's U-hat and slack byte for byte, and its leak ratio is the
   evidence that a pure set cannot leak;
@@ -479,7 +479,7 @@ def verify_alpha_constraint(alphas, preps, filters, rho0, rho1, tol=1e-8):
 # The stacks route of the pure certificate, as the package ran it before the
 # factor route: support projectors psi* psi^T, the (2, n, d^2) stacks of L and
 # its projection, one batched product, the leak check and one eigvalsh.
-# Kept verbatim as the oracle of bounds._pure_factors.
+# Kept verbatim as the oracle of the pure form of bounds._stacks.
 
 def _ket_support(psi: np.ndarray) -> np.ndarray:
     """sqrt(|psi><psi|)^T = psi* psi^T for a unit ket psi, or for each ket of

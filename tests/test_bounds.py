@@ -766,28 +766,45 @@ def test_swap_certificate_on_exact_records_is_sound(k, seed):
 
 def test_swap_certificate_equals_the_checked_route_without_rechecking(monkeypatch):
     # swap_certificate runs verify_alpha_constraint's certificate on the
-    # stacks the rectilinear grid prepares once on the support of 1/2: it
-    # validates no density matrix and no ket and prepares no stack per call,
-    # and its certificate agrees within 1e-15
-    import whichway.bounds as bounds
-
-    records = measured_records()
+    # stacks the rectilinear grid prepares once, with the same gatherer, on
+    # the support of 1/2: it validates no density matrix and no ket and
+    # prepares no stack per call, and its certificate is the checked
+    # route's bit for bit, on the measured records and on 200 seeded runs
+    ch = pauli_mixture_channel()
+    runs = [measured_records()] + [
+        run_experiment(ch, efficiencies=(0.9, 1.0, 0.8, 1.0), contrast=0.96, seed=seed)
+        for seed in range(200)]
     eye2 = np.eye(2) / 2
-    want = bound_from_visibilities(verify_alpha_constraint(
+    wants = [bound_from_visibilities(verify_alpha_constraint(
         swap_certificate(records).alphas, rectilinear_preparations(), rectilinear_filters(),
-        eye2, eye2), records)
+        eye2, eye2), records) for records in runs]
 
     def refuse(*args, **kwargs):
         raise AssertionError("swap_certificate re-validated a constant input")
 
-    for name in ("_density_eigh", "pure_pair", "_root_support", "_stacks"):
+    for name in ("_density_eigh", "pure_pair", "_root_support", "_stacks", "_mixed_stacks"):
         monkeypatch.setattr(bounds, name, refuse)
-    got = swap_certificate(records)
-    assert got.alphas == want.alphas
-    assert np.abs(got.u_hat - want.u_hat).max() <= 1e-15
-    for name in ("contraction_slack", "vg_lower", "d_upper", "sigma_vg", "sigma_d"):
-        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-15, name
+    for records, want in zip(runs, wants, strict=True):
+        same_certificate(swap_certificate(records), want)
     assert not any(m.flags.writeable for m in bounds._rectilinear_grid()["swap"])
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda f: single_preparation_certificate(
+        "hh", [r for r in measured_records() if r.mu == "hh"],
+        filters={**rectilinear_filters(), "hh": f}), "hh"),
+    (lambda f: single_preparation_certificate(
+        "hh", [r for r in measured_records() if r.mu == "hh"],
+        filters={**rectilinear_filters(), "vv": f}), "vv"),
+    (lambda f: verify_alpha_constraint({("hh", "hh"): 0.5}, rectilinear_preparations(),
+                                       {"hh": f}, np.eye(2) / 2, np.eye(2) / 2), "hh"),
+    (lambda f: run_experiment(pauli_mixture_channel(),
+                              filters={**rectilinear_filters(), "hh": f}), "hh"),
+], ids=["single-first", "single-second", "verify-alpha", "run-experiment"])
+def test_a_filter_that_is_not_a_filter_pair_is_a_dimension_error(call, name):
+    # a value of a filters mapping used to raise a bare AttributeError on .chi0
+    with pytest.raises(DimensionError, match=f"^filter '{name}' of type int is not a FilterPair$"):
+        call(5)
 
 
 def test_swap_grid_keeps_u_hat_stacks_only_where_projection_changes_no_bit():
@@ -795,14 +812,16 @@ def test_swap_grid_keeps_u_hat_stacks_only_where_projection_changes_no_bit():
     # bit-identical, so no swap coefficient set can leak and the grid keeps
     # U-hat's stacks alone; a support that drops v is refused once, where
     # the stacks are built
-    preps = rectilinear_preparations()
-    half = _root_support(*psd_eigh(np.eye(2, dtype=complex) / 2, "rho"))
+    preps, filters = rectilinear_preparations(), rectilinear_filters()
+
+    def swap_stacks(rho):
+        return bounds._swap_stacks(*bounds._mixed_stacks(SWAP_KEYS, preps, filters, rho, rho))
+
     grid = bounds._rectilinear_grid()["swap"]
-    for got, want in zip(bounds._swap_stacks(preps, half), grid, strict=True):
+    for got, want in zip(swap_stacks(np.eye(2) / 2), grid, strict=True):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    h_only = _root_support(*psd_eigh(np.diag([1.0, 0.0]).astype(complex), "rho"))
     with pytest.raises(SupportError, match="swap terms leak outside the support"):
-        bounds._swap_stacks(preps, h_only)
+        swap_stacks(np.diag([1.0, 0.0]))
 
 
 @pytest.mark.parametrize("mu, nus, message", [

@@ -565,3 +565,22 @@ def test_a_closed_stdout_pipe_ends_the_run_quietly(unbuffered):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("cmd_duality", ("verify", "--channel", "identity", "--prep", "mixed")),
+    ("cmd_reproduce", ("reproduce", "--seed", "1")),
+])
+def test_a_bare_value_error_is_not_reported_as_an_input_error(capsys, monkeypatch, command,
+                                                               argv):
+    # only the package's own errors and file access are input errors; a
+    # bare ValueError from a fault escapes with its traceback
+    import whichway.cli as cli
+
+    def fault(args):
+        raise ValueError("a fault inside a command")
+
+    monkeypatch.setattr(cli, command, fault)
+    with pytest.raises(ValueError, match="a fault inside a command"):
+        main(list(argv))
+    assert "input error" not in capsys.readouterr().err

@@ -502,7 +502,7 @@ def test_default_routes_prepare_no_certificate_stack_per_call(monkeypatch):
         raise AssertionError("a default route prepared certificate stacks")
 
     single_factors = bounds._single_factors
-    for name in ("_stacks", "_single_factors", "_pure_factors"):
+    for name in ("_stacks", "_single_factors"):
         monkeypatch.setattr(bounds, name, refuse)
     assert run_experiment(pauli_mixture_channel(), efficiencies=(0.9, 1.0, 0.8, 1.0),
                           contrast=0.96, seed=5) == records

@@ -240,6 +240,31 @@ def lapack_spectrum(node, ns):
     return "_umath_linalg" if "_umath_linalg" in named else None
 
 
+def _package_class(node, ns) -> bool:
+    """Whether ``node``, a name or a module's attribute, names a class of the
+    package."""
+    value = ns.get(node.id) if isinstance(node, ast.Name) else None
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        value = getattr(ns.get(node.value.id), node.attr, None)
+    return isinstance(value, type) and value.__module__.split(".")[0] == "whichway"
+
+
+def instance_refusal(node, ns):
+    """``not`` over an ``isinstance`` test of a package class, alone or in a
+    tuple (``not isinstance(x, FilterPair)``,
+    ``not all(isinstance(r, NoiseRow) for r in rows)``)."""
+    if not (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not)):
+        return None
+    for call in ast.walk(node.operand):
+        if (isinstance(call, ast.Call) and _name(call.func) == "isinstance"
+                and len(call.args) == 2):
+            kinds = call.args[1].elts if isinstance(call.args[1], ast.Tuple) else [call.args[1]]
+            named = [ast.unparse(k) for k in kinds if _package_class(k, ns)]
+            if named:
+                return f"isinstance refusal of {named[0]}"
+    return None
+
+
 class Exempt(NamedTuple):
     module: str
     qualname: str  # covers the defs and classes nested in it too
@@ -477,6 +502,38 @@ RULES = (
              "s = np.linalg.svd(m, compute_uv=True)", "n = trace_norm(m)",
              "w, v = psd_eigh(m, 'rho')", "umath = 1",
          ), "channels": ("err = np.abs(_eigvalsh(grams.sum(axis=0) - eye))",)}),
+    # linalg._instance is the one refusal of a parameter that takes a package
+    # object; a container's entries are refused where the container is read,
+    # by a message that names the container or the entry
+    Rule("one-instance-rule", instance_refusal, tuple(m for m in MODULES if m != "linalg"), (
+        Exempt("bounds", "_record_map", "names the entry of a records iterable by its repr"),
+        Exempt("interferometer", "verify_noise_program",
+               "refuses the rows iterable as a whole, in one message"),
+        Exempt("interferometer", "program_channel", "names the index of the report it refuses"),
+    ), flags={"bounds": (
+        # the filter check of _filter_kets, and the retired check of
+        # bound_from_visibilities, written inline
+        "def _filter_kets(filt, d, name):\n"
+        "    if not isinstance(filt, FilterPair): raise DimensionError(name)",
+        "if not isinstance(cert, BoundCertificate): raise DimensionError('x')",
+        "ok = not isinstance(ch, (PathChannel, Preparation))",
+        "def _record_map(records):\n    pass\nok = not isinstance(r, FractionalVisibilityRecord)",
+    ), "duality": (
+        "def _check_pair(ch, prep):\n    if not isinstance(ch, PathChannel): pass",
+    ), "interferometer": (
+        "ok = not all(isinstance(row, NoiseRow) for row in rows)",
+        "def fit_fringes(ds):\n    if not isinstance(ds, (int, FringeDataset)): pass",
+    ), "cli": ("if not isinstance(ch, chn.PathChannel): pass",)}, passes={"bounds": (
+        "_instance(filt, FilterPair, f'filter {name!r}')",
+        "if isinstance(prep, Preparation): pass", "ok = isinstance(cert, BoundCertificate)",
+        "ok = not isinstance(x, (int, np.integer))", "ok = not isinstance(m, np.ndarray)",
+        "def _record_map(records):\n    ok = not isinstance(r, FractionalVisibilityRecord)",
+    ), "interferometer": (
+        "def verify_noise_program(rows):\n"
+        "    ok = not all(isinstance(row, NoiseRow) for row in rows)",
+        "def program_channel(reports):\n    ok = not isinstance(report, RowReport)",
+        "grid = p if isinstance(p, _PhaseGrid) else _PhaseGrid(p)",
+    ), "cli": ("ok = not isinstance(spec, str)",)}),
     # a run's bounds come from bounds.certify_run; the CLI only prints them
     Rule("cli-certification-policy", certification_policy, ("cli",), (), flags={"cli": (
         "bnd.swap_certificate(records)", "single_preparation_certificate(mu, records)",
