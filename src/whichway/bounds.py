@@ -47,8 +47,11 @@ A list of records that repeats a (mu, nu) key raises
 delta-method sigma; the swap and single-preparation certificates are built
 with their records already folded in, by the rule
 :func:`bound_from_visibilities` applies. :func:`certify_run` returns all of
-a run's bounds: the four-term one, one single-preparation bound per
-preparation and complementary filter pair, and the best of those.
+a run's bounds and holds only the run's policy: one
+:func:`swap_certificate` call for the four-term bound, one
+:func:`single_preparation_certificate` call per preparation and
+complementary filter pair, and the best of those singles; each kind of
+certificate is evaluated in one place, the call that builds it.
 """
 
 from __future__ import annotations
@@ -394,8 +397,7 @@ def _u_hat(alphas: np.ndarray, factors) -> np.ndarray:
 def _grid_u_hat(alphas: np.ndarray, maps: np.ndarray) -> np.ndarray:
     """U-hat of the two coefficients ``alphas`` of a set on the rectilinear
     grid, from its (2, 16) linear map (``_rectilinear_grid()["singles"]``),
-    or the (k, 4, 4) U-hats of a (k, 2) stack of coefficients on a
-    (k, 2, 16) stack of maps."""
+    or the (k, 4, 4) U-hats of a (k, 2) stack of coefficients on that map."""
     return (alphas[..., None, :] @ maps).reshape(*alphas.shape[:-1], 4, 4)
 
 
@@ -433,7 +435,7 @@ def _mixed_stacks(keys, preps, filters, rho0, rho1) -> tuple:
         if nu not in chis:
             chis[nu] = _filter_kets(filters[nu], d, nu)
         if mu not in kets:
-            kets[mu] = pure_pair(preps[mu], d)
+            kets[mu] = pure_pair(preps[mu], d, mu)
     # (psi0, psi1, chi0, chi1) x term x d
     terms = np.array([(*kets[mu], *chis[nu]) for mu, nu in keys],
                      dtype=complex).reshape(len(keys), 4, d).transpose(1, 0, 2)
@@ -463,10 +465,11 @@ def verify_alpha_constraint(
     by :func:`density_matrix`, the two of one dimension d; each referenced
     preparation by :func:`pure_pair` (unit kets of dimension d); each
     referenced filter for dimension d; ``alphas``, ``preps`` and
-    ``filters`` must be mappings, and ``alphas`` must not be empty. A
-    failed check, or a coefficient that names an unknown preparation or
-    filter, raises :class:`NonFiniteError`, :class:`PositivityError` or
-    :class:`DimensionError`.
+    ``filters`` must be mappings, and ``alphas`` must not be empty, each of
+    its keys a tuple (mu, nu) of two str labels, checked before any term
+    is gathered. A failed check, or a coefficient that names an unknown
+    preparation or filter, raises :class:`NonFiniteError`,
+    :class:`PositivityError` or :class:`DimensionError`.
 
     Raises :class:`SupportError` if the factorization does not exist and
     :class:`ContractionError` if the slack exceeds ``CONTRACTION_TOL``.
@@ -475,6 +478,9 @@ def verify_alpha_constraint(
         _mapping(value, name)
     if not alphas:
         raise DimensionError("alphas is empty: no coefficient to certify")
+    for key in alphas:
+        if not (isinstance(key, tuple) and len(key) == 2 and all(isinstance(x, str) for x in key)):
+            raise DimensionError(f"coefficient key {key!r} is not a (mu, nu) pair of labels")
     coeffs = finite_array(list(alphas.values()), "coefficients")
     if coeffs.shape != (len(alphas),):
         raise DimensionError("coefficients must be one complex number each")
@@ -529,7 +535,7 @@ def _single_factors(preps, filters: dict[str, FilterPair], mu: str, nus) -> tupl
     chis = _complete_basis_check(filters, nus)
     if mu not in preps:
         raise DimensionError(f"no preparation {mu!r}")
-    psi = np.array(pure_pair(preps[mu], chis.shape[2]))
+    psi = np.array(pure_pair(preps[mu], chis.shape[2], mu))
     return _stacks(psi[:, None], chis, _ket_support(psi))
 
 
@@ -683,42 +689,23 @@ class RunBounds:
 
 
 def certify_run(records) -> RunBounds:
-    """Every bound one run's records certify: :func:`swap_certificate`, whose
-    DimensionError (a missing swap cell) becomes ``swap_unavailable``, and a
-    :func:`single_preparation_certificate` per preparation mu and pair in
-    ``COMPLEMENTARY`` whose two records are present. Records that certify
-    neither, or repeat a (mu, nu), raise :class:`DimensionError`.
+    """Every bound one run's records certify, from the one-set calls alone.
 
-    The sets on the rectilinear grid are evaluated together, with one
-    :func:`_grid_u_hat` of their stacked maps and one :func:`_grid_slack`
-    (the diagonal of U-hat^dag U-hat, which the grid checks is exactly
-    diagonal, so no eigensolver runs), the evaluation that a one-set call
-    runs with one set. The sets are then checked in sorted mu, then
-    ``COMPLEMENTARY`` order, and a set off the grid takes its own call, so
-    the first set that fails raises what its call raises."""
+    It calls :func:`swap_certificate` first, whose DimensionError (a missing
+    swap cell) becomes ``swap_unavailable``; then
+    :func:`single_preparation_certificate` with the two records of each
+    preparation mu, in sorted order, and each ``COMPLEMENTARY`` pair whose
+    two records are present, in that order. The first set that fails raises
+    what its call raises; records that repeat a (mu, nu), or that certify
+    neither bound, raise :class:`DimensionError`."""
     recs = _record_map(records)
     try:
         swap, swap_unavailable = swap_certificate(recs), None
     except DimensionError as exc:
         swap, swap_unavailable = None, str(exc)
-    sets = {(mu, *pair): [recs[(mu, nu)] for nu in pair]
-            for mu in sorted({mu for mu, _ in recs}) for pair in COMPLEMENTARY
-            if all((mu, nu) in recs for nu in pair)}
-    grid = _rectilinear_grid()
-    index = grid["single_index"]
-    alphas = {key: [_optimal_phase(rec.visibility) for rec in rows]
-              for key, rows in sets.items() if key in index}
-    if alphas:
-        u_hats = _grid_u_hat(np.array(list(alphas.values())),
-                             grid["singles"][[index[key] for key in alphas]])
-        evaluated = dict(zip(alphas, zip(u_hats, _grid_slack(u_hats))))
-    singles = {}
-    for key, rows in sets.items():
-        if key in alphas:
-            u_hat, slack = evaluated[key]
-            singles[key] = _folded(rows, alphas[key], u_hat, _contraction(slack))
-        else:
-            singles[key] = single_preparation_certificate(key[0], rows)
+    singles = {(mu, *pair): single_preparation_certificate(mu, [recs[(mu, nu)] for nu in pair])
+               for mu in sorted({mu for mu, _ in recs}) for pair in COMPLEMENTARY
+               if all((mu, nu) in recs for nu in pair)}
     if swap is None and not singles:
         raise DimensionError(f"no bound certified: the {len(recs)} records support neither "
                              "the four-term bound nor a single-preparation bound")

@@ -78,13 +78,15 @@ PAULI_Y = _frozen(np.array([[0, -1j], [1j, 0]], dtype=complex))
 PAULI_Z = _frozen(np.array([[1, 0], [0, -1]], dtype=complex))
 
 
-def _ket_pair(pair, m: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def _ket_pair(pair, m: int = 0, key=None) -> tuple[np.ndarray, np.ndarray]:
     """Pure pair ``m`` as two kets checked by :func:`unit_ket`; anything but
-    two kets raises :class:`DimensionError`."""
+    two kets raises :class:`DimensionError` naming the preparation ``key``
+    where one is given, else the pair's position ``m``."""
     try:
         psi0, psi1 = pair
     except (TypeError, ValueError):
-        raise DimensionError(f"pure pair {m} is not two kets (psi0, psi1)") from None
+        what = f"pure pair {m}" if key is None else f"preparation {key!r}"
+        raise DimensionError(f"{what} is not two kets (psi0, psi1)") from None
     return unit_ket(psi0, "psi0"), unit_ket(psi1, "psi1")
 
 
@@ -159,11 +161,12 @@ class Preparation:
         return self.factors.shape[2] == 1
 
 
-def pure_pair(prep, d: int) -> tuple[np.ndarray, np.ndarray]:
+def pure_pair(prep, d: int, key=None) -> tuple[np.ndarray, np.ndarray]:
     """The kets (psi0, psi1) of a pure :class:`Preparation`, read-only views
     of column 0 of its factors (sqrt(1) psi_i = psi_i exactly), or of a
     (psi0, psi1) tuple of unit kets (checked by :func:`unit_ket`), checked
-    to have dimension d."""
+    to have dimension d. ``key``, the name a caller's mapping gives the
+    preparation, names a ``prep`` that is not two kets."""
     if isinstance(prep, Preparation):
         if not prep.is_pure:
             raise DimensionError(
@@ -171,7 +174,7 @@ def pure_pair(prep, d: int) -> tuple[np.ndarray, np.ndarray]:
             )
         psi0, psi1 = prep.factors[:, :, 0]
     else:
-        psi0, psi1 = _ket_pair(prep)
+        psi0, psi1 = _ket_pair(prep, key=key)
     if psi0.size != d or psi1.size != d:
         raise DimensionError(f"preparation kets do not have dimension {d}")
     return psi0, psi1

@@ -663,7 +663,7 @@ def _simulate_cells(ch, preparations, filters, phases, shots_per_phase, efficien
         kets = chis = constants["pairs"]
     else:
         mus, nus = sorted(preparations), sorted(filters)
-        kets = [pure_pair(preparations[mu], ch.spin_dim) for mu in mus]
+        kets = [pure_pair(preparations[mu], ch.spin_dim, mu) for mu in mus]
         chis = [_filter_kets(filters[nu], ch.spin_dim, nu) for nu in nus]
     counts = _count_cells(ch, kets, chis, grid, shots_per_phase, (min(efficiencies),) * 4,
                           contrast, _generators(seed, (len(mus), len(nus))))

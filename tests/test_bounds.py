@@ -356,6 +356,34 @@ def test_verify_alpha_constraint_refuses_no_coefficients():
         verify_alpha_constraint({}, {}, {}, np.eye(2) / 2, np.eye(2) / 2)
 
 
+@pytest.mark.parametrize("key", [("hh", "hh", "x"), "hh", 5, ("hh", 1)],
+                         ids=["three-labels", "str", "int", "int-label"])
+def test_verify_alpha_constraint_refuses_a_key_that_is_not_a_pair_of_labels(key):
+    # the keys were unpacked with `for mu, nu in keys`: a triple raised a bare
+    # ValueError, 5 a bare TypeError, and 'hh' was read as ('h', 'h'). The key
+    # is refused before any term is gathered, so before rho (of trace two
+    # here) is checked
+    with pytest.raises(DimensionError, match=re.escape(
+            f"coefficient key {key!r} is not a (mu, nu) pair of labels")):
+        verify_alpha_constraint({key: 0.5}, rectilinear_preparations(), rectilinear_filters(),
+                                np.eye(2), np.eye(2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: verify_alpha_constraint({("hh", "hh"): 0.5}, {"hh": 5}, rectilinear_filters(),
+                                    np.eye(2) / 2, np.eye(2) / 2),
+    lambda: single_preparation_certificate(
+        "hh", [r for r in measured_records() if r.key in (("hh", "hh"), ("hh", "vv"))],
+        preps={"hh": 5}),
+    lambda: run_experiment(pauli_mixture_channel(), preparations={"hh": 5}),
+], ids=["verify_alpha_constraint", "single_preparation_certificate", "run_experiment"])
+def test_a_preparation_that_is_not_two_kets_is_named_by_its_key(call):
+    # each used to raise `pure pair 0 is not two kets`, which names no preparation
+    with pytest.raises(DimensionError, match=re.escape(
+            "preparation 'hh' is not two kets (psi0, psi1)")):
+        call()
+
+
 def test_bound_from_measured_records():
     records = measured_records()
     assert swap_estimate(records) == pytest.approx(0.9605, abs=1e-12)
@@ -1188,13 +1216,12 @@ def test_certify_run_refuses_a_repeated_record():
                          ids=["equal", "unequal"])
 @pytest.mark.parametrize("contrast", [0.96, 1.0])
 def test_certify_run_evaluates_its_sets_as_their_own_calls_do(contrast, efficiencies):
-    # certify_run evaluates every set on the rectilinear grid in one batched
-    # product and one batched diagonal slack; each certificate equals its
-    # one-set call bit for bit, and the stacks route the package ran before
-    # the pure factors (reference_kernels), with its own eigvalsh, gives the
-    # same U-hat bytes and slack. A third
-    # of the runs drop three records, so fewer sets, in other positions of
-    # the grid, are stacked together.
+    # certify_run makes one single_preparation_certificate call per set;
+    # each certificate equals its one-set call bit for bit, and the stacks
+    # route the package ran before the pure factors (reference_kernels), with
+    # its own eigvalsh, gives the same U-hat bytes and slack. A third of the
+    # runs drop three records, so fewer sets, in other positions of the grid,
+    # are certified.
     ch, preps, filters = pauli_mixture_channel(), rectilinear_preparations(), rectilinear_filters()
     rng = np.random.default_rng([int(contrast * 100), len(set(efficiencies))])
     for seed in range(200):
@@ -1210,6 +1237,44 @@ def test_certify_run_evaluates_its_sets_as_their_own_calls_do(contrast, efficien
             assert u_hat.tobytes() == cert.u_hat.tobytes() and slack == cert.contraction_slack
         assert run.best == max(run.singles, key=lambda key: run.singles[key].vg_lower,
                                default=None)
+
+
+@pytest.mark.parametrize("source, want_singles", [
+    ("default", 8), ("csv", 4), ("dropped", 5),
+], ids=["default-run", "measured-csv", "records-dropped"])
+def test_certify_run_makes_one_call_per_certificate(monkeypatch, source, want_singles):
+    # certify_run holds the run's policy only: one swap_certificate call and
+    # one single_preparation_certificate call per preparation and present
+    # complementary pair, each with that pair's two records, and no
+    # evaluation of its own
+    if source == "csv":
+        records = read_records_csv(DEMO_RECORDS)
+    else:
+        records = run_experiment(pauli_mixture_channel(), efficiencies=(0.93, 1.0, 0.81, 0.88),
+                                 contrast=0.96, seed=3)
+    if source == "dropped":
+        records = [r for r in records if r.key not in (("hh", "vv"), ("hv", "vh"), ("vv", "vh"))]
+    recs = {rec.key: rec for rec in records}
+    pairs = [(mu, pair) for mu in sorted({mu for mu, _ in recs}) for pair in COMPLEMENTARY
+             if all((mu, nu) in recs for nu in pair)]
+    calls = {"swap": [], "single": []}
+    swap, single = bounds.swap_certificate, bounds.single_preparation_certificate
+
+    def counted_swap(records):
+        calls["swap"].append(records)
+        return swap(records)
+
+    def counted_single(mu, records, *args, **kwargs):
+        calls["single"].append((mu, [rec.key for rec in records], args, kwargs))
+        return single(mu, records, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "swap_certificate", counted_swap)
+    monkeypatch.setattr(bounds, "single_preparation_certificate", counted_single)
+    run = certify_run(records)
+    assert len(calls["swap"]) == 1
+    assert calls["single"] == [(mu, [(mu, nu) for nu in pair], (), {}) for mu, pair in pairs]
+    assert list(run.singles) == [(mu, *pair) for mu, pair in pairs]
+    assert len(pairs) == want_singles and (run.swap is None) == (source == "dropped")
 
 
 def _first_failure(records):

@@ -240,6 +240,23 @@ def lapack_spectrum(node, ns):
     return "_umath_linalg" if "_umath_linalg" in named else None
 
 
+_CERTIFICATE_KERNELS = ("_rectilinear_grid", "_grid_u_hat", "_u_hat", "_grid_slack", "_slack",
+                        "_contraction", "_folded")
+
+
+def run_kernel_call(node, ns):
+    """A def named ``certify_run`` that calls a certificate kernel (the grid,
+    a U-hat or slack evaluation, the contraction check or the fold), bare or
+    as an attribute; the def is flagged at its first line."""
+    if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name == "certify_run"):
+        return None
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call) and _name(call.func) in _CERTIFICATE_KERNELS:
+            return f"{ast.unparse(call.func)}() in certify_run"
+    return None
+
+
 def _package_class(node, ns) -> bool:
     """Whether ``node``, a name or a module's attribute, names a class of the
     package."""
@@ -477,6 +494,24 @@ RULES = (
         "def _grid_slack(u_hat):\n"
         "    return (u_hat.conj().mT @ u_hat).diagonal(axis1=-2, axis2=-1).real.max(axis=-1)",
         "w, v = psd_eigh(m, 'rho')", "s = _singular_values(m)",
+    )}),
+    # certify_run holds the run's policy only: its certificates come from the
+    # one-set calls, so each kind of certificate is evaluated in one place; a
+    # def is flagged at its first line, so a planted call is a one-line def
+    Rule("run-policy", run_kernel_call, ("bounds",), (), flags={"bounds": (
+        # the retired batched evaluation of the grid sets, as it was
+        "def certify_run(records): grid = _rectilinear_grid()",
+        "def certify_run(records): u_hats = _grid_u_hat(np.array(alphas), maps)",
+        "def certify_run(records): slacks = _grid_slack(u_hats)",
+        "def certify_run(records): cert = _folded(rows, alphas, u_hat, _contraction(slack))",
+        "def certify_run(records): u_hat = _u_hat(np.array(alphas), factors)",
+        "def certify_run(records): slack = bounds._slack(u_hat)",
+        "def certify_run(records): return [_contraction(s) for s in slacks]",
+    )}, passes={"bounds": (
+        "def certify_run(records): cert = single_preparation_certificate(mu, rows)",
+        "def certify_run(records): swap = swap_certificate(recs)",
+        "def single_preparation_certificate(mu, records): u_hat = _grid_u_hat(a, m)",
+        "u_hat = _grid_u_hat(a, m)",
     )}),
     # every spectrum of an array the package formed comes from the one
     # binding to numpy's LAPACK gufuncs in linalg (_eigvalsh,
